@@ -14,10 +14,9 @@ from .distribution import (DistributionParams, bin_edges, density,
                            loss_tangent, ntot_from_linewidth, per_ghz_um3,
                            sample_classes, tls_volume_density,
                            write_distribution_csv)
-from .dynamics import (CavityMoments, DriftSystem, Trajectory, build_drift,
-                       evolve_ringdown, evolve_ringup, kappa_of_time,
-                       steady_state, step_closed_form, trajectory_kappa,
-                       write_trajectory_csv)
+from .dynamics import (CavityMoments, Trajectory, evolve_ringdown,
+                       evolve_ringup, kappa_of_time, steady_state,
+                       trajectory_kappa, write_trajectory_csv)
 from .errors import (ConfigError, DataError, FitError, SaturationError,
                      StepConvergenceError, TlscavityError,
                      UnidentifiableError, ValidityWarning)
@@ -32,7 +31,7 @@ from .mattis_bardeen import (BCS_RATIO, SuperconductorParams, bessel_k0,
 from .reflection import (CircleFitResult, ReflectionParams, circle_fit,
                          fit_ringup, ringdown_q, ringup_power, s11_model,
                          steady_state_reflection, switchoff_power)
-from .tls_bath import BathRates, TlsState, bath_rates, chi, tls_steady_state
+from .tls_bath import BathRates, bath_rates, chi
 from .config import RunConfig, load_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

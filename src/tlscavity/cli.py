@@ -21,29 +21,16 @@ import yaml
 from . import __version__, datafiles, dynamics, mattis_bardeen, reflection
 from .config import load_config
 from .core import TlsClass, t2_star
-from .distribution import (DistributionParams, density,
-                           dipole_in_e_angstrom, loss_tangent, per_ghz_um3,
-                           sample_classes, tls_volume_density,
+from .datafiles import write_csv
+from .distribution import (density, dipole_in_e_angstrom, loss_tangent,
+                           per_ghz_um3, tls_volume_density,
                            write_distribution_csv)
+# Not called here: kept so perfbench/tracing.py can time the sampler under
+# the name cli.sample_classes.
+from .distribution import sample_classes  # noqa: F401
 from .errors import ConfigError, DataError, FitError
 from .fitting import joint_tls_fit, temperature_fit
 from .reflection import ReflectionParams, circle_fit, fit_ringup, s11_model
-
-
-def _fmt(value):
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _sha256(path):
@@ -117,8 +104,8 @@ def cmd_simulate_ringdown(args):
                 len(n_vals) - 1)
             n_vals[1:] *= np.maximum(noise, 1e-6)
         name = "trace_%02d.csv" % idx
-        _write_rows(os.path.join(out, name), "time_s,n",
-                    zip(traj.times, n_vals))
+        write_csv(os.path.join(out, name), "time_s,n",
+                  zip(traj.times, n_vals))
         outputs.append(name)
     if args.gnuplot:
         lines = ["set logscale y", "plot \\"]
@@ -144,8 +131,8 @@ def cmd_simulate_ringup(args):
     if rng is not None and cfg.noise_level > 0:
         noise = 1.0 + cfg.noise_level * rng.standard_normal(len(power))
         power = power * np.maximum(noise, 1e-6)
-    _write_rows(os.path.join(out, "ringup.csv"), "time_s,power_w",
-                zip(times, power))
+    write_csv(os.path.join(out, "ringup.csv"), "time_s,power_w",
+              zip(times, power))
     outputs = ["ringup.csv"]
     if args.gnuplot:
         outputs.append(_write_gnuplot(out, "ringup.gp", [
@@ -177,12 +164,12 @@ def cmd_simulate_temperature(args):
         return values + cfg.noise_level * np.abs(values) * noise \
             + floor * rng.standard_normal(len(values))
 
-    _write_rows(os.path.join(out, "freq_trace.csv"),
-                "temperature_K,freq_shift",
-                zip(temps, noisy(table["freq_shift"])))
+    write_csv(os.path.join(out, "freq_trace.csv"),
+              "temperature_K,freq_shift",
+              zip(temps, noisy(table["freq_shift"])))
     outputs.append("freq_trace.csv")
-    _write_rows(os.path.join(out, "q_trace.csv"), "temperature_K,q_int",
-                zip(temps, noisy(table["q_int"])))
+    write_csv(os.path.join(out, "q_trace.csv"), "temperature_K,q_int",
+              zip(temps, noisy(table["q_int"])))
     outputs.append("q_trace.csv")
     if args.gnuplot:
         outputs.append(_write_gnuplot(out, "sweep.gp", [
@@ -239,25 +226,6 @@ def cmd_distribution(args):
     return 0
 
 
-def _trace_model_kappa(cfg, result, trace, n_tot_value):
-    """Recompute the fitted model kappa at the data times of one trace."""
-    values = result.values_dict
-    times, n = trace
-    dist = DistributionParams(
-        n_tot=n_tot_value, beta=values["beta"],
-        epsilon_s=values["epsilon_s"], g_min=cfg.distribution.g_min,
-        g_max=cfg.distribution.g_max, n_classes=cfg.distribution.n_classes)
-    classes = sample_classes(dist, omega_tls=cfg.cavity.omega0,
-                             t2_star=values["t2_star"])
-    traj = dynamics.evolve_ringdown(float(n[0]), classes, cfg.cavity,
-                                    float(times[-1]), cfg.fit.m_steps,
-                                    verify=False,
-                                    window_margin=cfg.fit.window_margin)
-    ln_n = np.log(traj.n)
-    t_k = np.asarray(times, dtype=float)[1:]
-    return t_k, -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
-
-
 def cmd_fit_ringdown(args):
     cfg = load_config(args.config)
     out = _prepare_out(args)
@@ -283,15 +251,14 @@ def cmd_fit_ringdown(args):
         handle.write(result.to_json())
         handle.write("\n")
     outputs = ["fit_ringdown.json"]
-    for idx, trace in enumerate(traces, start=1):
-        n_tot_fit = result.values_dict["n_tot_%d" % (idx - 1)]
-        t_k, model = _trace_model_kappa(cfg, result, trace, n_tot_fit)
-        times, n = trace
-        _, kappa_data = dynamics.kappa_of_time(times, n, 0)
+    for idx, ((times, n), model) in enumerate(zip(traces,
+                                                  result.model_kappa),
+                                              start=1):
+        t_k, kappa_data = dynamics.kappa_of_time(times, n, 0)
         name = "residuals_%02d.csv" % idx
-        _write_rows(os.path.join(out, name),
-                    "time_s,kappa_data_1_per_s,kappa_model_1_per_s,residual",
-                    zip(t_k, kappa_data, model, kappa_data - model))
+        write_csv(os.path.join(out, name),
+                  "time_s,kappa_data_1_per_s,kappa_model_1_per_s,residual",
+                  zip(t_k, kappa_data, model, kappa_data - model))
         outputs.append(name)
     _write_manifest(out, "fit ringdown", args, cfg,
                     list(args.data) + ([args.config] if args.config else []),
@@ -317,9 +284,9 @@ def cmd_fit_ringup(args):
     model = reflection.ringup_power(times, ReflectionParams(
         q_int=values["q_int"], q_c=values["q_c"], f0=cfg.cavity.f0,
         delta=values["delta"], p_f=values["p_f"]))
-    _write_rows(os.path.join(out, "residuals_ringup.csv"),
-                "time_s,power_data_w,power_model_w,residual",
-                zip(times, power, model, power - model))
+    write_csv(os.path.join(out, "residuals_ringup.csv"),
+              "time_s,power_data_w,power_model_w,residual",
+              zip(times, power, model, power - model))
     _write_manifest(out, "fit ringup", args, cfg,
                     list(args.data) + ([args.config] if args.config else []),
                     ["fit_ringup.json", "residuals_ringup.csv"])
@@ -371,14 +338,14 @@ def cmd_fit_temperature(args):
     q_model = np.array([mattis_bardeen.q_int_temperature(t, sc, fit_classes,
                                                          cfg.cavity)
                         for t in qdat["temperature_K"]])
-    _write_rows(os.path.join(out, "residuals_freq.csv"),
-                "temperature_K,freq_shift_data,freq_shift_model,residual",
-                zip(freq["temperature_K"], freq["freq_shift"], shift_model,
-                    freq["freq_shift"] - shift_model))
-    _write_rows(os.path.join(out, "residuals_q.csv"),
-                "temperature_K,q_int_data,q_int_model,residual",
-                zip(qdat["temperature_K"], qdat["q_int"], q_model,
-                    qdat["q_int"] - q_model))
+    write_csv(os.path.join(out, "residuals_freq.csv"),
+              "temperature_K,freq_shift_data,freq_shift_model,residual",
+              zip(freq["temperature_K"], freq["freq_shift"], shift_model,
+                  freq["freq_shift"] - shift_model))
+    write_csv(os.path.join(out, "residuals_q.csv"),
+              "temperature_K,q_int_data,q_int_model,residual",
+              zip(qdat["temperature_K"], qdat["q_int"], q_model,
+                  qdat["q_int"] - q_model))
     _write_manifest(out, "fit temperature", args, cfg,
                     list(args.data) + ([args.config] if args.config else []),
                     ["fit_temperature.json", "residuals_freq.csv",
@@ -413,9 +380,9 @@ def cmd_fit_circle(args):
                       amplitude=abs(z_inf),
                       phase=math.atan2(z_inf.imag, z_inf.real),
                       delay=res.delay)
-    _write_rows(os.path.join(out, "residuals_circle.csv"),
-                "frequency_hz,re_data,im_data,re_model,im_model",
-                zip(freqs, s11.real, s11.imag, model.real, model.imag))
+    write_csv(os.path.join(out, "residuals_circle.csv"),
+              "frequency_hz,re_data,im_data,re_model,im_model",
+              zip(freqs, s11.real, s11.imag, model.real, model.imag))
     _write_manifest(out, "fit circle", args, cfg,
                     list(args.data) + ([args.config] if args.config else []),
                     ["fit_circle.json", "residuals_circle.csv"])

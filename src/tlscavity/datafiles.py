@@ -1,9 +1,10 @@
-"""CSV readers for the measured-data inputs.
+"""CSV readers for the measured-data inputs, and the one CSV writer.
 
 All parse failures raise DataError with the offending line number.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -35,11 +36,15 @@ def read_csv_columns(path, columns):
                                 % (path, lineno, len(columns), len(row)))
             for col, cell in zip(columns, row):
                 try:
-                    data[col].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         "%s: line %d: cannot parse %r as a number in "
                         "column %s" % (path, lineno, cell, col)) from None
+                if math.isnan(value):
+                    raise DataError("%s: line %d: nan in column %s"
+                                    % (path, lineno, col))
+                data[col].append(value)
     if not data[columns[0]]:
         raise DataError("%s: no data rows" % path)
     return {c: np.array(v, dtype=float) for c, v in data.items()}
@@ -84,3 +89,17 @@ def read_trace_csv(path, dbm=False):
     elif np.any(power < 0):
         raise DataError("%s: powers in W must be non-negative" % path)
     return times, power
+
+
+def _fmt(value):
+    """repr of the float: round-trips exactly; nan, inf and -inf by name."""
+    return repr(float(value))
+
+
+def write_csv(path, header, rows):
+    """Write a header line, then one line of comma-separated numbers per
+    row."""
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(map(_fmt, row)) + "\n")

@@ -8,10 +8,12 @@ counts, conserving the truncated integral by construction.
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
+from . import datafiles
 from .core import CONSTANTS, TlsClass
 
 
@@ -68,6 +70,23 @@ def bin_edges(params):
     return np.geomspace(params.g_min, params.g_max, params.n_classes + 1)
 
 
+@lru_cache(maxsize=4096)
+def _unit_bins(unit):
+    """(g_mid, fraction) per bin of a distribution with n_tot = 1.
+
+    The bin integral of the unit-normalized density: counts scale by n_tot
+    afterwards, so they are exactly linear in n_tot (quad's adaptive
+    subdivision is not scale invariant).
+    """
+    edges = bin_edges(unit)
+    bins = []
+    for k in range(unit.n_classes):
+        lo, hi = edges[k], edges[k + 1]
+        frac, _ = quad(lambda g: density(g, unit), lo, hi, limit=200)
+        bins.append((math.sqrt(lo * hi), frac))
+    return tuple(bins)
+
+
 def sample_classes(params, *, omega_tls, T1=None, T_phi=None, t2_star=None):
     """Discretize the distribution into TLS classes.
 
@@ -81,16 +100,8 @@ def sample_classes(params, *, omega_tls, T1=None, T_phi=None, t2_star=None):
             raise ValueError("give either t2_star or (T1, T_phi), not both")
     elif T1 is None or T_phi is None:
         raise ValueError("give either t2_star or (T1, T_phi)")
-    edges = bin_edges(params)
-    # integrate the unit-normalized density and scale afterwards so the
-    # counts are exactly linear in n_tot (quad's adaptive subdivision is
-    # not scale invariant)
-    unit = replace(params, n_tot=1.0)
     classes = []
-    for k in range(params.n_classes):
-        lo, hi = edges[k], edges[k + 1]
-        g_mid = math.sqrt(lo * hi)
-        frac, _ = quad(lambda g: density(g, unit), lo, hi, limit=200)
+    for g_mid, frac in _unit_bins(replace(params, n_tot=1.0)):
         count = params.n_tot * frac
         if t2_star is not None:
             cls = TlsClass.from_t2_star(g_mid, count, omega_tls, t2_star)
@@ -160,13 +171,6 @@ def per_ghz_um3(value):
     return value * (2.0 * math.pi * 1e9) * 1e-18
 
 
-def distribution_csv_rows(classes):
-    rows = ["g_1_per_s,count"]
-    for cls in classes:
-        rows.append("%s,%s" % (repr(float(cls.g)), repr(float(cls.count))))
-    return rows
-
-
 def write_distribution_csv(classes, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(distribution_csv_rows(classes)) + "\n")
+    datafiles.write_csv(path, "g_1_per_s,count",
+                        ((cls.g, cls.count) for cls in classes))

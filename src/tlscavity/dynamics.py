@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, tls_bath
+from . import core, datafiles, tls_bath
 from .errors import SaturationError, StepConvergenceError
 
 _MOMENT_RTOL = 1e-9  # slack on n >= |<a>|^2 for roundoff at the boundary
@@ -37,15 +37,6 @@ class CavityMoments:
     def from_photon_number(cls, n):
         """Ring-down convention: amplitude sqrt(n) with zero phase."""
         return cls(n=float(n), a_mean=complex(math.sqrt(n), 0.0))
-
-
-@dataclass(frozen=True)
-class DriftSystem:
-    """Frozen drift of the moment system over one coarse step."""
-
-    a_matrix: np.ndarray
-    v_vector: np.ndarray
-    kappa_tilde: float
 
 
 @dataclass(frozen=True)
@@ -80,127 +71,9 @@ class Trajectory:
         return len(self.times)
 
 
-def build_drift(rates, cavity):
-    """Assemble the frozen 3x3 drift and inhomogeneity for one step.
-
-    kappa_tilde = kappa0 + kappa_minus - kappa_plus must stay positive; net
-    bath gain has no stable moment solution and aborts the evolution. The
-    first inhomogeneity component carries the bare thermal feed kappa0*f in
-    addition to the TLS emission (negligible at mK but not at kelvin).
-    """
-    kt = cavity.kappa0 + rates.kappa_minus - rates.kappa_plus
-    if kt <= 0.0:
-        raise SaturationError(
-            "kappa_tilde = %g <= 0: bath gain exceeds cavity loss" % kt)
-    op = rates.omega_prime
-    f0 = core.bose_einstein(cavity.omega0, cavity.temperature)
-    a_matrix = np.array([
-        [-kt, 1j * op, -1j * op.conjugate()],
-        [0.0, -0.5 * kt, 0.0],
-        [0.0, 0.0, -0.5 * kt],
-    ], dtype=complex)
-    v_vector = np.array([
-        rates.kappa_plus + cavity.kappa0 * f0,
-        -1j * op.conjugate(),
-        1j * op,
-    ], dtype=complex)
-    return DriftSystem(a_matrix=a_matrix, v_vector=v_vector, kappa_tilde=kt)
-
-
-def step_closed_form(prev, rates, cavity, dt):
-    """Advance the moments by dt with the exact solution at frozen rates.
-
-    n(dt) = a + b e^{-kt*dt} + c e^{-kt*dt/2} with
-        a = v1/kt + 4|O'|^2/kt^2
-        c = (4/kt) Re[i O' <a>] - 8|O'|^2/kt^2
-        b = n_prev - a - c
-    and <a> relaxing to its own fixed point -2i conj(O')/kt at rate kt/2.
-    The coherent cross term uses the stored amplitude; for the ring-down
-    convention <a> = sqrt(n) it reduces to the sqrt(n_prev) form.
-    """
-    drift = build_drift(rates, cavity)
-    kt = drift.kappa_tilde
-    op = rates.omega_prime
-    v1 = drift.v_vector[0].real
-    amp = complex(prev.a_mean)
-    op2 = op.real * op.real + op.imag * op.imag
-    a_term = v1 / kt + 4.0 * op2 / (kt * kt)
-    c_term = (4.0 / kt) * (1j * op * amp).real - 8.0 * op2 / (kt * kt)
-    b_term = prev.n - a_term - c_term
-    eh = math.exp(-0.5 * kt * dt)
-    ef = eh * eh
-    n_new = a_term + b_term * ef + c_term * eh
-    if n_new < 0.0:
-        if n_new > -1e-25:
-            n_new = 0.0
-        else:
-            raise SaturationError("photon number went negative: %g" % n_new)
-    a_ss = -2j * op.conjugate() / kt
-    amp_new = a_ss + (amp - a_ss) * eh
-    return CavityMoments(n=n_new, a_mean=amp_new)
-
-
-class _ClassTable:
-    """Per-class coefficient arrays frozen over one trajectory.
-
-    Everything temperature- and detuning-dependent is evaluated once; the
-    per-step work is a handful of length-n_classes vector operations. The
-    output of rates_at() matches tls_bath.bath_rates applied to
-    tls_steady_state of every class (asserted in the tests).
-    """
-
-    def __init__(self, classes, cavity):
-        omega0 = cavity.omega0
-        temp = cavity.temperature
-        g = np.array([c.g for c in classes], dtype=float)
-        count = np.array([c.count for c in classes], dtype=float)
-        t2 = np.array([core.t2_star(c.T1, c.T_phi, c.omega_tls, temp)
-                       for c in classes], dtype=float)
-        f = np.array([core.bose_einstein(c.omega_tls, temp)
-                      for c in classes], dtype=float)
-        x = np.array([tls_bath.chi(c.omega_tls, omega0, tk)
-                      for c, tk in zip(classes, t2)], dtype=complex)
-        ax2 = np.abs(x) ** 2
-        T1 = np.array([c.T1 for c in classes], dtype=float)
-        self.phi = ax2 * (1.0 + 2.0 * f)              # unsaturated D
-        self.sat = g * g * T1 * t2                    # D slope in n
-        self.w = 2.0 * count * g * g * t2 / ax2       # rate weight
-        self.pop0 = ax2 * f                           # thermal population numerator
-        self.coh = ax2 * (g * t2) ** 2                # |rho_ge|^2 weight per |A|^2
-        self.svec = count * g * g * t2 * x            # Omega' weight per conj(A)
-        self.t2max = float(np.max(t2)) if len(classes) else 0.0
-        self.f_cav = core.bose_einstein(omega0, temp)
-        self.kappa0 = cavity.kappa0
-
-    def rates_at(self, n, amp2):
-        """(kappa_plus, kappa_minus, S) from photon number and |<a>|^2.
-
-        Omega' = omega_ext + i conj(<a>) S.
-        """
-        d = self.phi + self.sat * n
-        inv_d = 1.0 / d
-        ree = (self.pop0 + 0.5 * self.sat * n) * inv_d
-        coh2 = self.coh * amp2 * inv_d * inv_d
-        kp = float(np.dot(self.w, ree - coh2))
-        km = float(np.dot(self.w, 1.0 - ree - coh2))
-        scale = abs(kp) + abs(km) + 1e-30
-        if kp < 0.0:
-            if -kp <= 1e-3 * scale:
-                kp = 0.0
-            else:
-                raise ValueError("kappa_plus negative beyond tolerance")
-        if km < 0.0:
-            if -km <= 1e-3 * scale:
-                km = 0.0
-            else:
-                raise ValueError("kappa_minus negative beyond tolerance")
-        s = complex(np.sum(self.svec * inv_d))
-        return kp, km, s
-
-
-def _check_window(dt, table, margin):
+def _check_window(dt, table, cavity, margin):
     lo = margin * table.t2max
-    hi = 1.0 / (margin * table.kappa0)
+    hi = 1.0 / (margin * cavity.kappa0)
     if dt < lo * (1.0 - 1e-9):
         raise ValueError(
             "step dt = %g below the Markovian window (need >= %g = margin*T2*)"
@@ -211,13 +84,35 @@ def _check_window(dt, table, margin):
             % (dt, hi))
 
 
-def _default_m_steps(t_final, table):
-    dt_rule = max(10.0 * table.t2max, t_final / 1e5)
-    k = max(1, math.floor(t_final / dt_rule))
-    return k + 1
+def _table_and_steps(classes, cavity, t_final, m_steps, window_margin):
+    """Class table and step count of one evolution, window checked."""
+    table = tls_bath.ClassTable(classes, cavity.omega0, cavity.temperature)
+    if m_steps is None:
+        dt_rule = max(10.0 * table.t2max, t_final / 1e5)
+        m_steps = max(1, math.floor(t_final / dt_rule)) + 1
+    if m_steps < 2:
+        raise ValueError("m_steps must be >= 2")
+    _check_window(t_final / (m_steps - 1), table, cavity, window_margin)
+    return table, m_steps
+
+
+def _thermal_feed(cavity):
+    """Bare thermal photon feed kappa0 * f(omega0, T) [1/s]."""
+    return cavity.kappa0 * core.bose_einstein(cavity.omega0,
+                                              cavity.temperature)
 
 
 def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned):
+    """March m_pts grid points with the exact step at frozen rates.
+
+    With kt = kappa0 + kappa_minus - kappa_plus (net gain, kt <= 0, has no
+    stable moment solution and aborts) and v1 = kappa_plus + kappa0 f_cav:
+    n(dt) = a + b e^{-kt*dt} + c e^{-kt*dt/2} with
+        a = v1/kt + 4|O'|^2/kt^2
+        c = (4/kt) Re[i O' <a>] - 8|O'|^2/kt^2
+        b = n_prev - a - c
+    and <a> relaxing to its own fixed point -2i conj(O')/kt at rate kt/2.
+    """
     times = np.linspace(0.0, t_final, m_pts)
     dt = times[1] - times[0]
     n_arr = np.empty(m_pts, dtype=float)
@@ -226,7 +121,7 @@ def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned):
     km_arr = np.empty(m_pts, dtype=float)
     op_arr = np.empty(m_pts, dtype=complex)
     kappa0 = cavity.kappa0
-    feed = kappa0 * table.f_cav
+    feed = _thermal_feed(cavity)
     n = float(n0)
     amp = complex(amp0)
     eps_n = 1e-25
@@ -299,13 +194,8 @@ def evolve_ringdown(initial, classes, cavity, t_final, m_steps=None, *,
         raise ValueError("initial photon number must be > 0")
     if mode not in ("pinned", "tracked"):
         raise ValueError("mode must be 'pinned' or 'tracked'")
-    table = _ClassTable(classes, cavity)
-    if m_steps is None:
-        m_steps = _default_m_steps(t_final, table)
-    if m_steps < 2:
-        raise ValueError("m_steps must be >= 2")
-    dt = t_final / (m_steps - 1)
-    _check_window(dt, table, window_margin)
+    table, m_steps = _table_and_steps(classes, cavity, t_final, m_steps,
+                                      window_margin)
     return _verified_evolve(table, cavity, 0.0, initial.n, initial.a_mean,
                             t_final, m_steps, mode == "pinned", verify)
 
@@ -316,13 +206,8 @@ def evolve_ringup(classes, cavity, omega_ext, t_final, m_steps=None, *,
     omega_ext = complex(omega_ext)
     if abs(omega_ext) <= 0.0:
         raise ValueError("omega_ext must be nonzero for a ring-up")
-    table = _ClassTable(classes, cavity)
-    if m_steps is None:
-        m_steps = _default_m_steps(t_final, table)
-    if m_steps < 2:
-        raise ValueError("m_steps must be >= 2")
-    dt = t_final / (m_steps - 1)
-    _check_window(dt, table, window_margin)
+    table, m_steps = _table_and_steps(classes, cavity, t_final, m_steps,
+                                      window_margin)
     return _verified_evolve(table, cavity, omega_ext, 0.0, 0.0, t_final,
                             m_steps, False, verify)
 
@@ -337,9 +222,9 @@ def steady_state(classes, cavity, omega_ext, *, tol=1e-10, max_iter=10000,
     multiple solutions.
     """
     omega_ext = complex(omega_ext)
-    table = _ClassTable(classes, cavity)
+    table = tls_bath.ClassTable(classes, cavity.omega0, cavity.temperature)
     kappa0 = cavity.kappa0
-    feed = kappa0 * table.f_cav
+    feed = _thermal_feed(cavity)
     drive2 = omega_ext.real ** 2 + omega_ext.imag ** 2
     bare = 4.0 * drive2 / (kappa0 * kappa0) + feed / kappa0
 
@@ -406,35 +291,21 @@ def trajectory_kappa(traj, reference_index=0):
     return kappa_of_time(traj.times, traj.n, reference_index)
 
 
-def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
-
-
-def trajectory_csv_rows(traj, reference_index=0):
-    """Rows for the trajectory CSV export (header first).
+def write_trajectory_csv(traj, path, reference_index=0):
+    """CSV export of a trajectory with its kappa(t) and bath rates.
 
     kappa at the reference point is undefined and written as nan.
     """
-    header = ("time_s,n,kappa_t_1_per_s,kappa_plus,kappa_minus,"
-              "re_omega_prime,im_omega_prime")
-    t0 = traj.times[reference_index]
-    v0 = traj.n[reference_index]
-    rows = [header]
-    for k in range(len(traj.times)):
-        if k == reference_index:
-            kap = float("nan")
-        else:
-            kap = -math.log(traj.n[k] / v0) / (traj.times[k] - t0)
-        rows.append(",".join([
-            _fmt(traj.times[k]), _fmt(traj.n[k]), _fmt(kap),
-            _fmt(traj.kappa_plus[k]), _fmt(traj.kappa_minus[k]),
-            _fmt(traj.omega_prime[k].real), _fmt(traj.omega_prime[k].imag),
-        ]))
-    return rows
-
-
-def write_trajectory_csv(traj, path, reference_index=0):
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(trajectory_csv_rows(traj, reference_index)) + "\n")
+    times = traj.times.tolist()
+    n = traj.n.tolist()
+    t0 = times[reference_index]
+    v0 = n[reference_index]
+    kappa = [math.nan if k == reference_index
+             else -math.log(n[k] / v0) / (times[k] - t0)
+             for k in range(len(times))]
+    datafiles.write_csv(
+        path, "time_s,n,kappa_t_1_per_s,kappa_plus,kappa_minus,"
+              "re_omega_prime,im_omega_prime",
+        zip(times, n, kappa, traj.kappa_plus.tolist(),
+            traj.kappa_minus.tolist(), traj.omega_prime.real.tolist(),
+            traj.omega_prime.imag.tolist()))

@@ -11,13 +11,12 @@ reject the step and raise the damping.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import dynamics, mattis_bardeen
 from .core import TlsClass
-from .distribution import DistributionParams, density
+from .distribution import DistributionParams, sample_classes
 from .errors import FitError, SaturationError, StepConvergenceError
 
 _DAMPING_MIN = 1e-8
@@ -82,7 +81,11 @@ class FitProblem:
 
 @dataclass
 class FitResult:
-    """Optimum, 1 sigma from the local covariance, and the iteration log."""
+    """Optimum, 1 sigma from the local covariance, and the iteration log.
+
+    model_kappa : joint ring-down fits only, each trace's model kappa at the
+        optimum on the trace's data times (reference point excluded).
+    """
 
     names: tuple
     values: np.ndarray
@@ -92,6 +95,7 @@ class FitResult:
     convergence_log: list
     converged: bool
     method: str = "lm"
+    model_kappa: tuple = ()
 
     def __post_init__(self):
         if self.chi2_reduced < 0:
@@ -373,22 +377,6 @@ def rolling_sigma(values, window=50):
     return np.maximum(out, floor)
 
 
-@lru_cache(maxsize=4096)
-def _unit_class_table(beta, epsilon_s, g_min, g_max, n_classes):
-    """(g_i, fraction_i) with fraction = N_i / n_tot; exact in n_tot by the
-    linearity of the density."""
-    from scipy.integrate import quad
-    params = DistributionParams(n_tot=1.0, beta=beta, epsilon_s=epsilon_s,
-                                g_min=g_min, g_max=g_max, n_classes=n_classes)
-    edges = np.geomspace(g_min, g_max, n_classes + 1)
-    table = []
-    for k in range(n_classes):
-        frac, _ = quad(lambda g: density(g, params), edges[k], edges[k + 1],
-                       limit=200)
-        table.append((math.sqrt(edges[k] * edges[k + 1]), frac))
-    return tuple(table)
-
-
 def _as_fit_parameter(name, given, default_bounds, scale):
     if isinstance(given, FitParameter):
         return given
@@ -414,7 +402,8 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
 
     The model kappa is evolved on its own m_steps grid and interpolated in
     ln n at the data times. The discretization self-check runs once at the
-    initial point and is then disabled inside the loop.
+    initial point and is then disabled inside the loop. The result carries
+    each trace's model kappa at the optimum in model_kappa.
     """
     if not traces:
         raise FitError("need at least one trace")
@@ -459,9 +448,10 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
         if hit is not None:
             return hit
         t_k, _, _, n0, t_final = prepared[idx]
-        table = _unit_class_table(beta, eps, g_min, g_max, n_classes)
-        classes = [TlsClass.from_t2_star(g, frac * n_tot, cavity.omega0, t2)
-                   for g, frac in table]
+        classes = sample_classes(
+            DistributionParams(n_tot=n_tot, beta=beta, epsilon_s=eps,
+                               g_min=g_min, g_max=g_max, n_classes=n_classes),
+            omega_tls=cavity.omega0, t2_star=t2)
         traj = dynamics.evolve_ringdown(
             n0, classes, cavity, t_final, m_steps,
             verify=not verified[0], window_margin=window_margin)
@@ -483,7 +473,12 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     weights = np.concatenate([p[2] for p in prepared])
     problem = FitProblem(residual_fn=residual, params=params,
                          data_weights=weights)
-    return minimize(problem)
+    result = minimize(problem)
+    # the residual at the optimum was evaluated: these are cache hits
+    v = result.values
+    result.model_kappa = tuple(trace_kappa(v[0], v[1], v[2], v[3 + idx], idx)
+                               for idx in range(len(prepared)))
+    return result
 
 
 def temperature_fit(freq_sweep, q_sweep, fixed):

@@ -9,46 +9,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from . import core, tls_bath
+import scipy.special
+
+from . import datafiles, tls_bath
 from .core import CONSTANTS
 from .errors import ValidityWarning
-
-_EULER_GAMMA = 0.5772156649015329
-
-# Chebyshev coefficients of K0(x) e^x sqrt(x) on t = 4/x - 1, x in [2, inf).
-# Generated from an arbitrary-precision reference; truncation below 1e-19.
-_K0_LARGE = [
-    1.22015154103297773,
-    -0.0314481013119645005,
-    0.00156988388573005337,
-    -0.000128495495816278026,
-    1.39498137188764994e-5,
-    -1.83175552271911948e-6,
-    2.76681363944501508e-7,
-    -4.66048989768794767e-8,
-    8.57403401741422609e-9,
-    -1.69753450938906152e-9,
-    3.57739728140032845e-10,
-    -7.95748924447739704e-11,
-    1.85594911495492655e-11,
-    -4.51459788337451918e-12,
-    1.14034058820734423e-12,
-    -2.98009692314817835e-13,
-    8.03289077506837437e-14,
-    -2.22751332674629636e-14,
-    6.34007647627664596e-15,
-    -1.84859337792090717e-15,
-    5.51205599940433327e-16,
-    -1.67823112575490042e-16,
-    5.21039177764354903e-17,
-    -1.6475805939842516e-17,
-    5.30043377117706547e-18,
-    -1.7331712005814716e-18,
-    5.75510920286804165e-19,
-    -1.93909560528384158e-19,
-    6.62461053372062532e-20,
-    -2.29321971511806202e-20,
-]
 
 
 @dataclass(frozen=True)
@@ -109,36 +74,10 @@ def gap(temperature, delta0):
 
 
 def bessel_k0(x):
-    """Modified Bessel function K0 for x > 0.
-
-    Two branches: the convergent log-series below x = 2 and a Chebyshev fit
-    of the exponentially scaled asymptotic region above. Relative accuracy
-    ~1e-15 across [1e-3, 700]; underflows to 0 beyond.
-    """
+    """Modified Bessel function K0 for x > 0 (scipy.special.k0)."""
     if not x > 0:
         raise ValueError("x must be > 0")
-    if x <= 2.0:
-        # K0 = -(ln(x/2) + gamma) I0(x) + sum_k (x^2/4)^k / (k!)^2 * H_k
-        q = 0.25 * x * x
-        i0 = 1.0
-        term = 1.0
-        ssum = 0.0
-        hk = 0.0
-        for k in range(1, 60):
-            term *= q / (k * k)
-            hk += 1.0 / k
-            i0 += term
-            ssum += term * hk
-            if term < 1e-18 * i0:
-                break
-        return -(math.log(0.5 * x) + _EULER_GAMMA) * i0 + ssum
-    t = 4.0 / x - 1.0
-    bk1 = 0.0
-    bk2 = 0.0
-    for c in reversed(_K0_LARGE[1:]):
-        bk1, bk2 = 2.0 * t * bk1 - bk2 + c, bk1
-    poly = t * bk1 - bk2 + _K0_LARGE[0]
-    return poly * math.exp(-x) / math.sqrt(x)
+    return float(scipy.special.k0(x))
 
 
 def conductivity(temperature, omega, sc):
@@ -204,24 +143,24 @@ def q_tls_temperature(temperature, classes, cavity):
     """
     if not classes:
         return math.inf
-    states = [tls_bath.tls_steady_state(c, 0.0, temperature) for c in classes]
-    rates = tls_bath.bath_rates(classes, states, 0.0, cavity.omega0,
-                                temperature)
+    rates = tls_bath.bath_rates(classes, 0.0, 0.0, cavity.omega0, temperature)
     k_tls = rates.kappa_minus - rates.kappa_plus
     if k_tls <= 0.0:
         return math.inf
     return cavity.omega0 / k_tls
 
 
-def q_int_temperature(temperature, sc, classes, cavity):
-    """Two-channel internal quality factor 1/Q = 1/Q_TLS + 1/Q_QP."""
-    qt = q_tls_temperature(temperature, classes, cavity)
-    qq = q_qp(temperature, sc, cavity.omega0)
+def _parallel_q(qt, qq):
+    """1/Q = 1/Q_TLS + 1/Q_QP; an infinite channel adds no loss."""
     inv = (0.0 if math.isinf(qt) else 1.0 / qt) + \
           (0.0 if math.isinf(qq) else 1.0 / qq)
-    if inv == 0.0:
-        return math.inf
-    return 1.0 / inv
+    return math.inf if inv == 0.0 else 1.0 / inv
+
+
+def q_int_temperature(temperature, sc, classes, cavity):
+    """Two-channel internal quality factor 1/Q = 1/Q_TLS + 1/Q_QP."""
+    return _parallel_q(q_tls_temperature(temperature, classes, cavity),
+                       q_qp(temperature, sc, cavity.omega0))
 
 
 def skin_depth(alpha, g_factor, omega0):
@@ -231,21 +170,21 @@ def skin_depth(alpha, g_factor, omega0):
     return g_factor * alpha / (CONSTANTS.mu_0 * omega0)
 
 
+_SWEEP_COLUMNS = ("temperature_K", "delta_J", "sigma1", "sigma2",
+                  "freq_shift", "q_qp", "q_tls", "q_int")
+
+
 def temperature_sweep(temperatures, sc, classes, cavity):
     """Evaluate all channel quantities on a temperature grid.
 
     Returns a dict of lists keyed exactly like the CSV columns.
     """
-    out = {k: [] for k in ("temperature_K", "delta_J", "sigma1", "sigma2",
-                           "freq_shift", "q_qp", "q_tls", "q_int")}
+    out = {k: [] for k in _SWEEP_COLUMNS}
     for t in temperatures:
         t = float(t)
         s1, s2 = conductivity(t, cavity.omega0, sc)
         qq = q_qp(t, sc, cavity.omega0)
         qt = q_tls_temperature(t, classes, cavity)
-        inv = (0.0 if math.isinf(qt) else 1.0 / qt) + \
-              (0.0 if math.isinf(qq) else 1.0 / qq)
-        qi = math.inf if inv == 0.0 else 1.0 / inv
         out["temperature_K"].append(t)
         out["delta_J"].append(gap(t, sc.delta0))
         out["sigma1"].append(s1)
@@ -253,27 +192,10 @@ def temperature_sweep(temperatures, sc, classes, cavity):
         out["freq_shift"].append(freq_shift(t, sc, cavity.omega0))
         out["q_qp"].append(qq)
         out["q_tls"].append(qt)
-        out["q_int"].append(qi)
+        out["q_int"].append(_parallel_q(qt, qq))
     return out
 
 
-def _fmt(x):
-    if math.isinf(x):
-        return "inf"
-    if math.isnan(x):
-        return "nan"
-    return repr(float(x))
-
-
-def sweep_csv_rows(sweep):
-    cols = ["temperature_K", "delta_J", "sigma1", "sigma2", "freq_shift",
-            "q_qp", "q_tls", "q_int"]
-    rows = [",".join(cols)]
-    for k in range(len(sweep["temperature_K"])):
-        rows.append(",".join(_fmt(sweep[c][k]) for c in cols))
-    return rows
-
-
 def write_sweep_csv(sweep, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(sweep_csv_rows(sweep)) + "\n")
+    datafiles.write_csv(path, ",".join(_SWEEP_COLUMNS),
+                        zip(*(sweep[c] for c in _SWEEP_COLUMNS)))

@@ -1,47 +1,24 @@
-"""Quasi-steady TLS bath: per-class density matrix and summed back-action.
+"""Quasi-steady TLS bath: per-class coefficients and summed back-action.
 
 Between coarse time steps each TLS class relaxes to the steady state of its
 Bloch equations under the instantaneous cavity field, so the bath acts on the
 cavity moments only through three numbers per step: an emission rate
 kappa_plus, an absorption rate kappa_minus, and a coherent drive correction
-added to Omega'. All classes are treated resonantly (chi = 1) unless a cavity
-frequency is supplied; the detuning factor chi is kept in every formula.
+added to Omega'. The detuning factor chi of every class is kept in every
+formula (chi = 1 for a class on resonance).
 """
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import core
 
-# The quasi-steady closed forms overshoot the coherence-population bound by
-# O(2 T2*/T1 - 1) at small n; 0.3% for the measured T1, T_phi pair.
-_POSITIVITY_RTOL = 1e-2
 # Negative rate magnitudes below this fraction of the positive scale are
-# rounded to zero (same closed-form overshoot); larger ones are real errors.
+# rounded to zero: the quasi-steady closed forms overshoot the
+# coherence-population bound by O(2 T2*/T1 - 1) at small n. Larger ones are
+# real errors.
 _CLAMP_RTOL = 1e-3
-
-
-@dataclass(frozen=True)
-class TlsState:
-    """Quasi-steady density matrix of one TLS class.
-
-    rho_ee : excited-state population
-    rho_ge : coherence <g|rho|e>
-    """
-
-    rho_ee: float
-    rho_ge: complex
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho_ee <= 1.0:
-            raise ValueError("rho_ee must lie in [0, 1]")
-        bound = self.rho_ee * (1.0 - self.rho_ee)
-        if abs(self.rho_ge) ** 2 > bound * (1.0 + _POSITIVITY_RTOL) + 1e-30:
-            raise ValueError("|rho_ge|^2 exceeds rho_ee*rho_gg beyond tolerance")
-
-    @property
-    def rho_gg(self):
-        return 1.0 - self.rho_ee
 
 
 @dataclass(frozen=True)
@@ -69,70 +46,77 @@ def chi(omega_tls, omega0, t2_star):
     return complex(1.0, (omega_tls - omega0) * t2_star)
 
 
-def tls_steady_state(cls, n, temperature, omega0=None):
-    """Quasi-steady TLS state under a cavity field of n photons.
+class ClassTable:
+    """Per-class coefficient arrays at one cavity frequency and temperature.
 
-    With D = |chi|^2 (1 + 2f) + g^2 n T1 T2*:
+    Each class sits in its quasi-steady state under a field of n photons and
+    amplitude <a>. With D = |chi|^2 (1 + 2f) + g^2 n T1 T2*:
 
         rho_ee = (|chi|^2 f + g^2 n T1 T2* / 2) / D
-        rho_ge = i chi g sqrt(n) T2* / D
+        rho_ge = i chi g <a> T2* / D
 
-    f is the thermal occupation at the TLS frequency. omega0 = None keeps the
-    resonant approximation chi = 1 (default); passing the cavity frequency
-    turns on the detuning factor.
+    f is the thermal occupation at the TLS frequency. Everything temperature-
+    and detuning-dependent is evaluated once here; rates_at() is a handful
+    of length-n_classes vector operations.
+    """
+
+    def __init__(self, classes, omega0, temperature):
+        g = np.array([c.g for c in classes], dtype=float)
+        count = np.array([c.count for c in classes], dtype=float)
+        t2 = np.array([core.t2_star(c.T1, c.T_phi, c.omega_tls, temperature)
+                       for c in classes], dtype=float)
+        f = np.array([core.bose_einstein(c.omega_tls, temperature)
+                      for c in classes], dtype=float)
+        x = np.array([chi(c.omega_tls, omega0, tk)
+                      for c, tk in zip(classes, t2)], dtype=complex)
+        ax2 = np.abs(x) ** 2
+        T1 = np.array([c.T1 for c in classes], dtype=float)
+        self.phi = ax2 * (1.0 + 2.0 * f)              # unsaturated D
+        self.sat = g * g * T1 * t2                    # D slope in n
+        self.w = 2.0 * count * g * g * t2 / ax2       # rate weight
+        self.pop0 = ax2 * f                           # thermal population numerator
+        self.coh = ax2 * (g * t2) ** 2                # |rho_ge|^2 weight per |A|^2
+        self.svec = count * g * g * t2 * x            # Omega' weight per conj(A)
+        self.t2max = float(np.max(t2)) if len(classes) else 0.0
+
+    def rates_at(self, n, amp2):
+        """(kappa_plus, kappa_minus, S) from photon number and |<a>|^2.
+
+        kappa_plus/minus = sum_i w_i (rho_ee,i - |rho_ge,i|^2) and
+        w_i (rho_gg,i - |rho_ge,i|^2), w = 2 N g^2 T2* / |chi|^2; the bath
+        part of Omega' is i conj(<a>) S.
+        """
+        d = self.phi + self.sat * n
+        inv_d = 1.0 / d
+        ree = (self.pop0 + 0.5 * self.sat * n) * inv_d
+        coh2 = self.coh * amp2 * inv_d * inv_d
+        kp = float(np.dot(self.w, ree - coh2))
+        km = float(np.dot(self.w, 1.0 - ree - coh2))
+        scale = abs(kp) + abs(km) + 1e-30
+        if kp < 0.0:
+            if -kp <= _CLAMP_RTOL * scale:
+                kp = 0.0
+            else:
+                raise ValueError("kappa_plus negative beyond tolerance")
+        if km < 0.0:
+            if -km <= _CLAMP_RTOL * scale:
+                km = 0.0
+            else:
+                raise ValueError("kappa_minus negative beyond tolerance")
+        s = complex(np.sum(self.svec * inv_d))
+        return kp, km, s
+
+
+def bath_rates(classes, n, amp, omega0, temperature):
+    """Bath rates of the classes under n photons of complex amplitude amp.
+
+    omega_prime carries the bath part of Omega' only, sum_i N_i g_i rho_ge,i;
+    add the external drive to it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    f = core.bose_einstein(cls.omega_tls, temperature)
-    t2 = core.t2_star(cls.T1, cls.T_phi, cls.omega_tls, temperature)
-    if omega0 is None:
-        x = complex(1.0, 0.0)
-    else:
-        x = chi(cls.omega_tls, omega0, t2)
-    ax2 = x.real * x.real + x.imag * x.imag
-    gsq = cls.g * cls.g
-    d = ax2 * (1.0 + 2.0 * f) + gsq * n * cls.T1 * t2
-    rho_ee = (ax2 * f + 0.5 * gsq * n * cls.T1 * t2) / d
-    rho_ge = 1j * x * cls.g * math.sqrt(n) * t2 / d
-    return TlsState(rho_ee=rho_ee, rho_ge=rho_ge)
-
-
-def _clamped(value, scale, name):
-    if value >= 0.0:
-        return value
-    if -value <= _CLAMP_RTOL * scale + 1e-30:
-        return 0.0
-    raise ValueError("%s negative beyond tolerance: %g" % (name, value))
-
-
-def bath_rates(classes, states, omega_ext, omega0, temperature):
-    """Sum per-class states into the three bath rates.
-
-    kappa_plus/minus carry the weight 2 N g^2 T2* / |chi|^2 per class;
-    Omega' = Omega_ext + sum_i N_i g_i rho_ge,i. Summation uses fsum so the
-    result is independent of class ordering at machine precision.
-    """
-    if len(classes) != len(states):
-        raise ValueError("classes and states must align one-to-one")
-    kp_terms = []
-    km_terms = []
-    op_re = []
-    op_im = []
-    for cls, st in zip(classes, states):
-        t2 = core.t2_star(cls.T1, cls.T_phi, cls.omega_tls, temperature)
-        x = chi(cls.omega_tls, omega0, t2)
-        ax2 = x.real * x.real + x.imag * x.imag
-        w = 2.0 * cls.count * cls.g * cls.g * t2 / ax2
-        coh2 = abs(st.rho_ge) ** 2
-        kp_terms.append(w * (st.rho_ee - coh2))
-        km_terms.append(w * (st.rho_gg - coh2))
-        term = cls.count * cls.g * st.rho_ge
-        op_re.append(term.real)
-        op_im.append(term.imag)
-    kp = math.fsum(kp_terms)
-    km = math.fsum(km_terms)
-    scale = abs(kp) + abs(km)
-    kp = _clamped(kp, scale, "kappa_plus")
-    km = _clamped(km, scale, "kappa_minus")
-    op = complex(omega_ext) + complex(math.fsum(op_re), math.fsum(op_im))
-    return BathRates(omega_prime=op, kappa_plus=kp, kappa_minus=km)
+    amp = complex(amp)
+    table = ClassTable(classes, omega0, temperature)
+    kp, km, s = table.rates_at(n, amp.real * amp.real + amp.imag * amp.imag)
+    return BathRates(omega_prime=1j * amp.conjugate() * s, kappa_plus=kp,
+                     kappa_minus=km)

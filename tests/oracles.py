@@ -29,6 +29,50 @@ def t2_eff(T1, T_phi, omega, temperature):
     return 1.0 / ((0.5 + bose(omega, temperature)) / T1 + 1.0 / T_phi)
 
 
+class TlsState:
+    """Quasi-steady (rho_ee, rho_ge) of one TLS class, checked for
+    positivity: |rho_ge|^2 <= rho_ee rho_gg up to the 1% overshoot of the
+    quasi-steady closed forms."""
+
+    def __init__(self, rho_ee, rho_ge):
+        if not 0.0 <= rho_ee <= 1.0:
+            raise ValueError("rho_ee must lie in [0, 1]")
+        bound = rho_ee * (1.0 - rho_ee)
+        if abs(rho_ge) ** 2 > bound * 1.01 + 1e-30:
+            raise ValueError("|rho_ge|^2 exceeds rho_ee*rho_gg beyond 1%")
+        self.rho_ee = rho_ee
+        self.rho_ge = rho_ge
+
+
+def tls_steady_state(cls, n, temperature, omega0=None):
+    """Scalar steady state of one class under n photons, amplitude sqrt(n).
+
+    D = |chi|^2 (1 + 2f) + g^2 n T1 T2*, rho_ee = (|chi|^2 f + g^2 n T1
+    T2*/2) / D, rho_ge = i chi g sqrt(n) T2* / D; omega0 = None puts the
+    class on resonance (chi = 1).
+    """
+    f = bose(cls.omega_tls, temperature)
+    t2 = t2_eff(cls.T1, cls.T_phi, cls.omega_tls, temperature)
+    x = 1.0 if omega0 is None else complex(1.0, (cls.omega_tls - omega0) * t2)
+    ax2 = abs(x) ** 2
+    sat = cls.g * cls.g * n * cls.T1 * t2
+    d = ax2 * (1.0 + 2.0 * f) + sat
+    return TlsState((ax2 * f + 0.5 * sat) / d,
+                    1j * x * cls.g * math.sqrt(n) * t2 / d)
+
+
+def state_rates(cls, state, omega0, temperature):
+    """(kappa_plus, kappa_minus, Omega'_bath) of one class in the given
+    state: weight w = 2 N g^2 T2* / |chi|^2 on rho_ee - |rho_ge|^2 and
+    rho_gg - |rho_ge|^2; Omega' = N g rho_ge. No clamping."""
+    t2 = t2_eff(cls.T1, cls.T_phi, cls.omega_tls, temperature)
+    ax2 = 1.0 + ((cls.omega_tls - omega0) * t2) ** 2
+    w = 2.0 * cls.count * cls.g * cls.g * t2 / ax2
+    coh2 = abs(state.rho_ge) ** 2
+    return (w * (state.rho_ee - coh2), w * (1.0 - state.rho_ee - coh2),
+            cls.count * cls.g * state.rho_ge)
+
+
 class _Bath:
     """Per-class coefficient arrays for the quasi-steady rate formulas."""
 

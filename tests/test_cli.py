@@ -209,6 +209,19 @@ def test_exit_code_data_error(tmp_path):
                 tmp_path / "missing.csv"]) == 3
 
 
+def test_exit_code_nan_in_trace(tmp_path, capsys):
+    # a 22 ms ring-down trace with one nan photon number is a data error,
+    # reported with its line, not a fit failure
+    t = np.linspace(0.0, 0.022, 51)
+    n = 1e12 * np.exp(-600.0 * t)
+    rows = ["%r,%r" % (float(ti), float(ni)) for ti, ni in zip(t, n)]
+    rows[3] = "%r,nan" % float(t[3])
+    src = tmp_path / "trace.csv"
+    src.write_text("time_s,n\n" + "\n".join(rows) + "\n")
+    assert run(["fit", "ringdown", "--out", tmp_path / "x", src]) == 3
+    assert "line 5" in capsys.readouterr().err
+
+
 def test_exit_code_wrong_file_count(tmp_path):
     src = tmp_path / "a.csv"
     src.write_text("temperature_K,freq_shift\n1.0,0.0\n")

@@ -28,6 +28,13 @@ def test_read_csv_bad_value_cites_line(tmp_path):
         read_csv_columns(p, ["a", "b"])
 
 
+def test_read_csv_nan_cites_line(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1.0,2.0\n3.0,nan\n")
+    with pytest.raises(DataError, match="line 3.*column b"):
+        read_csv_columns(p, ["a", "b"])
+
+
 def test_read_csv_ragged_row(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b\n1.0\n")

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from tlscavity import (FitError, FitParameter, FitProblem, FitResult,
-                       evolve_ringdown, joint_tls_fit, minimize,
-                       numerical_jacobian, rolling_sigma)
-from tlscavity.fitting import _unit_class_table
+from tlscavity import (DistributionParams, FitError, FitParameter,
+                       FitProblem, FitResult, evolve_ringdown, joint_tls_fit,
+                       minimize, numerical_jacobian, rolling_sigma,
+                       sample_classes)
+from tlscavity.distribution import _unit_bins
 
 
 def test_fit_parameter_transforms():
@@ -237,8 +238,12 @@ def test_rolling_sigma_scales_with_window():
 
 
 def test_unit_class_table_cached_and_consistent():
-    a = _unit_class_table(3.26, 0.25, 1e-3, 1e3, 7)
-    b = _unit_class_table(3.26, 0.25, 1e-3, 1e3, 7)
+    def unit():
+        return DistributionParams(n_tot=1.0, beta=3.26, epsilon_s=0.25,
+                                  g_min=1e-3, g_max=1e3, n_classes=7)
+
+    a = _unit_bins(unit())
+    b = _unit_bins(unit())
     assert a is b
     g_ref = [0.00268269579528, 0.0193069772888, 0.138949549437, 1.0,
              7.19685673001, 51.7947467923, 372.759372031]
@@ -278,6 +283,19 @@ def test_joint_fit_two_traces_smoke(cfg, cavity):
         key = "n_tot_%d" % i
         pull = abs(got[key] - n_tot) / max(res.sigma_dict[key], 1.0)
         assert pull < 3.0
+    # the model kappa returned with the fit is the optimum's own curve
+    classes = sample_classes(
+        DistributionParams(n_tot=got["n_tot_1"], beta=got["beta"],
+                           epsilon_s=got["epsilon_s"], g_min=1e-3,
+                           g_max=1e3, n_classes=7),
+        omega_tls=cavity.omega0, t2_star=got["t2_star"])
+    traj = evolve_ringdown(traces[1][1][0], classes, cavity, t_data[-1], 800,
+                           verify=False)
+    ln_n = np.log(traj.n)
+    t_k = t_data[1:]
+    model = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
+    assert len(res.model_kappa) == 2
+    np.testing.assert_array_equal(res.model_kappa[1], model)
 
 
 def test_joint_fit_input_validation(cavity):
