@@ -15,10 +15,10 @@ from .distribution import (DistributionParams, bin_edges, density,
                            sample_classes, tls_volume_density,
                            write_distribution_csv)
 from .dynamics import (CavityMoments, Trajectory, evolve_ringdown,
-                       evolve_ringup, kappa_of_time, steady_state,
-                       trajectory_kappa, write_trajectory_csv)
+                       evolve_ringdown_batch, evolve_ringup, kappa_of_time,
+                       steady_state, trajectory_kappa, write_trajectory_csv)
 from .errors import (ConfigError, DataError, FitError, SaturationError,
-                     StepConvergenceError, TlscavityError,
+                     StepConvergenceError, StepWindowError, TlscavityError,
                      UnidentifiableError, ValidityWarning)
 from .fitting import (FitParameter, FitProblem, FitResult, joint_tls_fit,
                       minimize, numerical_jacobian, rolling_sigma,

@@ -90,11 +90,11 @@ def cmd_simulate_ringdown(args):
     powers = cfg.ringdown.initial_photons
     ntots = _trace_ntots(cfg, len(powers))
     outputs = []
-    for idx, (n0, n_tot) in enumerate(zip(powers, ntots), start=1):
-        classes = cfg.trace_classes(n_tot=n_tot)
-        traj = dynamics.evolve_ringdown(
-            n0, classes, cfg.cavity, cfg.ringdown.t_final,
-            cfg.ringdown.m_steps, mode=cfg.ringdown.mode)
+    trajs = dynamics.evolve_ringdown_batch(
+        powers, [cfg.trace_classes(n_tot=n_tot) for n_tot in ntots],
+        cfg.cavity, cfg.ringdown.t_final, cfg.ringdown.m_steps,
+        mode=cfg.ringdown.mode)
+    for idx, traj in enumerate(trajs, start=1):
         name = "ringdown_%02d.csv" % idx
         dynamics.write_trajectory_csv(traj, os.path.join(out, name))
         outputs.append(name)

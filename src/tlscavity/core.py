@@ -97,16 +97,18 @@ class TlsClass:
 def bose_einstein(omega, temperature):
     """Thermal occupation of a mode at angular frequency omega [1/s], T in K.
 
-    Exactly 0 at T = 0. Uses expm1 so the low-temperature tail keeps full
-    relative precision down to the underflow limit.
+    Exactly 0 at T = 0, and at temperatures so small that k_B T underflows
+    to 0 (the T -> 0 limit). Uses expm1 so the low-temperature tail keeps
+    full relative precision down to the underflow limit.
     """
     if not omega > 0:
         raise ValueError("omega must be > 0")
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    if temperature == 0.0:
+    kt = CONSTANTS.k_b * temperature
+    if kt == 0.0:
         return 0.0
-    x = CONSTANTS.hbar * omega / (CONSTANTS.k_b * temperature)
+    x = CONSTANTS.hbar * omega / kt
     if x > 700.0:
         # expm1 would overflow; occupation is e^-x to ~1e-304 accuracy
         return math.exp(-x)

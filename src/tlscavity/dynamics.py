@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, datafiles, tls_bath
-from .errors import SaturationError, StepConvergenceError
+from .errors import SaturationError, StepConvergenceError, StepWindowError
 
 _MOMENT_RTOL = 1e-9  # slack on n >= |<a>|^2 for roundoff at the boundary
 
@@ -71,29 +71,17 @@ class Trajectory:
         return len(self.times)
 
 
-def _check_window(dt, table, cavity, margin):
-    lo = margin * table.t2max
+def _check_window(dt, t2max, cavity, margin):
+    lo = margin * t2max
     hi = 1.0 / (margin * cavity.kappa0)
     if dt < lo * (1.0 - 1e-9):
-        raise ValueError(
+        raise StepWindowError(
             "step dt = %g below the Markovian window (need >= %g = margin*T2*)"
             % (dt, lo))
     if dt > hi * (1.0 + 1e-9):
-        raise ValueError(
+        raise StepWindowError(
             "step dt = %g above the Markovian window (need <= %g = 1/(margin*kappa0))"
             % (dt, hi))
-
-
-def _table_and_steps(classes, cavity, t_final, m_steps, window_margin):
-    """Class table and step count of one evolution, window checked."""
-    table = tls_bath.ClassTable(classes, cavity.omega0, cavity.temperature)
-    if m_steps is None:
-        dt_rule = max(10.0 * table.t2max, t_final / 1e5)
-        m_steps = max(1, math.floor(t_final / dt_rule)) + 1
-    if m_steps < 2:
-        raise ValueError("m_steps must be >= 2")
-    _check_window(t_final / (m_steps - 1), table, cavity, window_margin)
-    return table, m_steps
 
 
 def _thermal_feed(cavity):
@@ -102,78 +90,264 @@ def _thermal_feed(cavity):
                                               cavity.temperature)
 
 
-def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned):
-    """March m_pts grid points with the exact step at frozen rates.
+# Class sums (Re S, Im S, kappa_plus, kappa_minus) given to a row after its
+# evolution failed: finite and positive, so the row keeps stepping inertly
+# beside the live rows and never trips the per-step check again.
+_INERT_SUMS = (0.0, 0.0, 0.25, 0.75)
 
-    With kt = kappa0 + kappa_minus - kappa_plus (net gain, kt <= 0, has no
-    stable moment solution and aborts) and v1 = kappa_plus + kappa0 f_cav:
+
+def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned,
+            full=True):
+    """March B rows over m_pts grid points in lockstep, exact step at frozen
+    rates; returns one Trajectory (full=False: its n array), or the
+    exception that stopped it, per row.
+
+    table is a ClassTable stacked over the rows; n0 and amp0 hold each
+    row's initial photon number and amplitude. With kt = kappa0 +
+    kappa_minus - kappa_plus (net gain, kt <= 0, has no stable moment
+    solution and stops the row) and v1 = kappa_plus + kappa0 f_cav:
     n(dt) = a + b e^{-kt*dt} + c e^{-kt*dt/2} with
         a = v1/kt + 4|O'|^2/kt^2
         c = (4/kt) Re[i O' <a>] - 8|O'|^2/kt^2
         b = n_prev - a - c
     and <a> relaxing to its own fixed point -2i conj(O')/kt at rate kt/2.
+    Every operation is elementwise over the rows or a per-row sum over the
+    class axis, so a row's numbers do not depend on the other rows.
     """
+    n0 = np.asarray(n0, dtype=float).reshape(-1)
+    amp0 = np.asarray(amp0, dtype=complex).reshape(-1)
+    rows = len(n0)
     times = np.linspace(0.0, t_final, m_pts)
-    dt = times[1] - times[0]
-    n_arr = np.empty(m_pts, dtype=float)
-    a_arr = np.empty(m_pts, dtype=complex)
-    kp_arr = np.empty(m_pts, dtype=float)
-    km_arr = np.empty(m_pts, dtype=float)
-    op_arr = np.empty(m_pts, dtype=complex)
-    kappa0 = cavity.kappa0
-    feed = _thermal_feed(cavity)
-    n = float(n0)
-    amp = complex(amp0)
-    eps_n = 1e-25
-    for k in range(m_pts):
+    # scalars as 0-d arrays: numpy calls take them faster than floats
+    decay = np.array(-0.5 * (times[1] - times[0]))
+    kappa0 = np.array(cavity.kappa0)
+    feed = np.array(_thermal_feed(cavity))
+    minus_two, minus_four = np.array(-2.0), np.array(-4.0)
+    omega_ext = complex(omega_ext)
+    drive = np.array([[omega_ext.real], [omega_ext.imag]])
+    # One row per quantity, one column per trajectory: the class sums, kt,
+    # the state (n, <a>) after the step, the state at the step and Omega'.
+    work = np.zeros((13, rows))
+    (s_re, s_im, kp, km, kt, n_next, ar_next, ai_next, n, ar, ai, o_re,
+     o_im) = work
+    sums = work[0:4].T
+    checked = work[2:6]            # kappa_plus, kappa_minus, kt, n(k+1)
+    state_next, state = work[5:8], work[8:11]
+    amp_next, amp = work[6:8], work[9:11]
+    omega = work[11:13]
+    n[:] = n0
+    if not pinned:
+        amp[:] = (amp0.real, amp0.imag)
+    record = work[2:] if full else n
+    history = np.empty((m_pts,) + record.shape)
+    terms = np.empty((2, rows))
+    term_weights = np.array([[4.0], [-8.0]])
+    errors = [None] * rows
+    dead = []
+
+    def advance():
+        np.add(kappa0, km, out=kt)
+        np.subtract(kt, kp, out=kt)
+        q = (o_re * o_re + o_im * o_im) / (kt * kt)
+        # terms = (a, c): v1/kt + 4q and (4/kt) Re[i O' <a>] - 8q
+        np.add(kp, feed, out=terms[0])
         if pinned:
-            amp = complex(math.sqrt(n), 0.0)
-        amp2 = amp.real * amp.real + amp.imag * amp.imag
-        kp, km, s = table.rates_at(n, amp2)
-        op = omega_ext + 1j * amp.conjugate() * s
-        n_arr[k] = n
-        a_arr[k] = amp
-        kp_arr[k] = kp
-        km_arr[k] = km
-        op_arr[k] = op
-        if k == m_pts - 1:
-            break
-        kt = kappa0 + km - kp
-        if kt <= 0.0:
-            raise SaturationError(
-                "kappa_tilde = %g <= 0 at t = %g" % (kt, times[k]))
-        v1 = kp + feed
-        op2 = op.real * op.real + op.imag * op.imag
-        a_term = v1 / kt + 4.0 * op2 / (kt * kt)
-        c_term = (4.0 / kt) * (1j * op * amp).real - 8.0 * op2 / (kt * kt)
+            np.multiply(o_im, ar, out=terms[1])
+        else:
+            np.add(o_im * ar, o_re * ai, out=terms[1])
+        np.multiply(terms[1], minus_four, out=terms[1])
+        np.divide(terms, kt, out=terms)
+        np.add(terms, term_weights * q, out=terms)
+        a_term, c_term = terms
         b_term = n - a_term - c_term
-        eh = math.exp(-0.5 * kt * dt)
-        n = a_term + b_term * (eh * eh) + c_term * eh
-        if n < 0.0:
-            if n > -eps_n:
-                n = 0.0
+        eh = np.exp(kt * decay)
+        if not pinned:
+            a_ss = omega[::-1] * minus_two
+            a_ss /= kt
+            np.subtract(amp, a_ss, out=amp_next)
+            np.multiply(amp_next, eh, out=amp_next)
+            np.add(amp_next, a_ss, out=amp_next)
+        np.add(a_term + b_term * (eh * eh), c_term * eh, out=n_next)
+
+    def kill(r, exc):
+        errors[r] = exc
+        dead.append(r)
+        sums[r] = _INERT_SUMS
+
+    # a failing row may overflow or divide by zero before the per-row
+    # checks below stop it; they, not numpy warnings, report the failure
+    with np.errstate(all="ignore"):
+        for k in range(m_pts):
+            if pinned:
+                np.sqrt(n, out=ar)
+                amp2 = ar * ar
             else:
-                raise SaturationError("photon number went negative: %g" % n)
-        a_ss = -2j * op.conjugate() / kt
-        amp = a_ss + (amp - a_ss) * eh
-    return Trajectory(times=times, n=n_arr, a_mean=a_arr, kappa_plus=kp_arr,
-                      kappa_minus=km_arr, omega_prime=op_arr)
+                amp2 = ar * ar + ai * ai
+            table.rate_sums(n, amp2, out=sums)
+            if dead:
+                sums[dead] = _INERT_SUMS
+            # Omega' = omega_ext + i conj(<a>) S
+            if pinned:
+                np.multiply(ar, s_im, out=o_re)
+                np.negative(o_re, out=o_re)
+                np.multiply(ar, s_re, out=o_im)
+            else:
+                np.subtract(ai * s_re, ar * s_im, out=o_re)
+                np.add(ar * s_re, ai * s_im, out=o_im)
+            if omega_ext:
+                np.add(omega, drive, out=omega)
+            history[k] = record
+            if k == m_pts - 1:
+                break
+            advance()
+            if not np.minimum.reduce(checked, axis=None) >= 0.0:
+                # some row has a negative (or nan) rate, kt or n: redo the
+                # step with the per-row clamp, then stop the rows that fail
+                for r in range(rows):
+                    if r not in dead and (kp[r] < 0.0 or km[r] < 0.0):
+                        try:
+                            kp[r], km[r] = tls_bath.clamp_rates(
+                                float(kp[r]), float(km[r]))
+                        except ValueError as exc:
+                            kill(r, exc)
+                advance()
+                for r in range(rows):
+                    if r in dead:
+                        continue
+                    if kt[r] <= 0.0:
+                        kill(r, SaturationError(
+                            "kappa_tilde = %g <= 0 at t = %g"
+                            % (kt[r], times[k])))
+                    elif n_next[r] < 0.0:
+                        if n_next[r] > -1e-25:
+                            n_next[r] = 0.0
+                        else:
+                            kill(r, SaturationError(
+                                "photon number went negative: %g"
+                                % n_next[r]))
+                for r in dead:
+                    state_next[:, r] = (1.0, 1.0, 0.0)
+                history[k] = record
+            state[...] = state_next
+
+    out = []
+    for r in range(rows):
+        if errors[r] is not None:
+            out.append(errors[r])
+        elif not full:
+            out.append(history[:, r].copy())
+        else:
+            rates = history[:, :, r]
+            a_mean = np.empty(m_pts, dtype=complex)
+            a_mean.real = rates[:, 7]
+            a_mean.imag = rates[:, 8]
+            omega_prime = np.empty(m_pts, dtype=complex)
+            omega_prime.real = rates[:, 9]
+            omega_prime.imag = rates[:, 10]
+            out.append(Trajectory(
+                times=times, n=rates[:, 6].copy(), a_mean=a_mean,
+                kappa_plus=rates[:, 0].copy(), kappa_minus=rates[:, 1].copy(),
+                omega_prime=omega_prime))
+    return out
 
 
-def _verified_evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts,
+def _verified_evolve(tables, cavity, omega_ext, n0, amp0, t_final, m_pts,
                      pinned, verify):
-    coarse = _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts,
-                     pinned)
-    if verify:
-        fine = _evolve(table, cavity, omega_ext, n0, amp0, t_final,
-                       2 * (m_pts - 1) + 1, pinned)
-        ref = np.maximum(np.abs(coarse.n), 1e-30)
-        dev = float(np.max(np.abs(coarse.n - fine.n[::2]) / ref))
+    """Coarse lockstep run of the rows; a second batch at half the step
+    checks every row that got through and has its verify flag set."""
+    coarse = _evolve(tls_bath.ClassTable.stack(tables), cavity, omega_ext,
+                     n0, amp0, t_final, m_pts, pinned)
+    live = [r for r, res in enumerate(coarse)
+            if verify[r] and isinstance(res, Trajectory)]
+    if not live:
+        return coarse
+    m_fine = 2 * (m_pts - 1) + 1
+    fine = _evolve(tls_bath.ClassTable.stack([tables[r] for r in live]),
+                   cavity, omega_ext, n0[live], amp0[live], t_final, m_fine,
+                   pinned, full=False)
+    for r, ref in zip(live, fine):
+        if isinstance(ref, Exception):
+            coarse[r] = ref
+            continue
+        n = coarse[r].n
+        dev = float(np.max(np.abs(n - ref[::2])
+                           / np.maximum(np.abs(n), 1e-30)))
         if dev >= 1e-3:
-            raise StepConvergenceError(
+            coarse[r] = StepConvergenceError(
                 "halving dt moved n(t) by %g relative (limit 1e-3)" % dev,
-                deviation=dev, resolutions=(m_pts, 2 * (m_pts - 1) + 1))
+                deviation=dev, resolutions=(m_pts, m_fine))
     return coarse
+
+
+def _evolve_rows(class_lists, cavity, omega_ext, n0, amp0, t_final, m_steps,
+                 pinned, verify, window_margin):
+    """Evolve one row per class list, in lockstep groups of rows sharing a
+    grid and a class count; one Trajectory or exception per row. verify
+    holds one halving-check flag per row."""
+    if m_steps is not None and m_steps < 2:
+        raise ValueError("m_steps must be >= 2")
+    tables = [tls_bath.ClassTable(classes, cavity.omega0, cavity.temperature)
+              for classes in class_lists]
+    results = [None] * len(tables)
+    groups = {}
+    for r, table in enumerate(tables):
+        m = m_steps
+        if m is None:
+            dt_rule = max(10.0 * table.t2max, t_final / 1e5)
+            m = max(1, math.floor(t_final / dt_rule)) + 1
+        try:
+            _check_window(t_final / (m - 1), table.t2max, cavity,
+                          window_margin)
+        except StepWindowError as exc:
+            results[r] = exc
+            continue
+        groups.setdefault((m, table.n_classes), []).append(r)
+    for (m, _), rows in groups.items():
+        out = _verified_evolve([tables[r] for r in rows], cavity, omega_ext,
+                               n0[rows], amp0[rows], t_final, m, pinned,
+                               [verify[r] for r in rows])
+        for r, res in zip(rows, out):
+            results[r] = res
+    return results
+
+
+def _raise_first(results):
+    """The rows' trajectories, or the lowest-index row's exception."""
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
+def evolve_ringdown_batch(initials, class_lists, cavity, t_final,
+                          m_steps=None, *, mode="pinned", verify=True,
+                          window_margin=10.0, return_errors=False):
+    """Free decay of several independent cavities, advanced in lockstep.
+
+    Row k starts from initials[k] with the TLS classes class_lists[k]; all
+    rows share the cavity, duration, step count and options of
+    evolve_ringdown (verify may also be one flag per row), and row k's
+    trajectory is bitwise the one evolve_ringdown returns for it alone.
+    Every check of the step loop (window, clamp, saturation, negativity,
+    halving) applies per row. A failing row raises the lowest-index row's
+    exception, or with return_errors=True takes that exception's place in
+    the returned list while the other rows finish unchanged.
+    """
+    initials = [i if isinstance(i, CavityMoments)
+                else CavityMoments.from_photon_number(i) for i in initials]
+    if len(initials) != len(class_lists):
+        raise ValueError("need one class list per initial state")
+    if any(i.n <= 0 for i in initials):
+        raise ValueError("initial photon number must be > 0")
+    if mode not in ("pinned", "tracked"):
+        raise ValueError("mode must be 'pinned' or 'tracked'")
+    results = _evolve_rows(
+        class_lists, cavity, 0.0, np.array([i.n for i in initials]),
+        np.array([i.a_mean for i in initials], dtype=complex), t_final,
+        m_steps, mode == "pinned",
+        np.broadcast_to(np.asarray(verify, dtype=bool), len(initials)),
+        window_margin)
+    return results if return_errors else _raise_first(results)
 
 
 def evolve_ringdown(initial, classes, cavity, t_final, m_steps=None, *,
@@ -186,18 +360,12 @@ def evolve_ringdown(initial, classes, cavity, t_final, m_steps=None, *,
     step (the recursive scheme of the reference analysis); "tracked" keeps
     the complex amplitude evolving under its own linear equation. The two
     coincide for a real sqrt(n) start. verify=True reruns at half the step
-    and asserts every n(t) moves < 1e-3 relative.
+    and asserts every n(t) moves < 1e-3 relative. This is the one-row case
+    of evolve_ringdown_batch.
     """
-    if not isinstance(initial, CavityMoments):
-        initial = CavityMoments.from_photon_number(initial)
-    if initial.n <= 0:
-        raise ValueError("initial photon number must be > 0")
-    if mode not in ("pinned", "tracked"):
-        raise ValueError("mode must be 'pinned' or 'tracked'")
-    table, m_steps = _table_and_steps(classes, cavity, t_final, m_steps,
-                                      window_margin)
-    return _verified_evolve(table, cavity, 0.0, initial.n, initial.a_mean,
-                            t_final, m_steps, mode == "pinned", verify)
+    return evolve_ringdown_batch(
+        [initial], [classes], cavity, t_final, m_steps, mode=mode,
+        verify=verify, window_margin=window_margin)[0]
 
 
 def evolve_ringup(classes, cavity, omega_ext, t_final, m_steps=None, *,
@@ -206,10 +374,9 @@ def evolve_ringup(classes, cavity, omega_ext, t_final, m_steps=None, *,
     omega_ext = complex(omega_ext)
     if abs(omega_ext) <= 0.0:
         raise ValueError("omega_ext must be nonzero for a ring-up")
-    table, m_steps = _table_and_steps(classes, cavity, t_final, m_steps,
-                                      window_margin)
-    return _verified_evolve(table, cavity, omega_ext, 0.0, 0.0, t_final,
-                            m_steps, False, verify)
+    return _raise_first(_evolve_rows(
+        [classes], cavity, omega_ext, np.zeros(1), np.zeros(1, complex),
+        t_final, m_steps, False, [verify], window_margin))[0]
 
 
 def steady_state(classes, cavity, omega_ext, *, tol=1e-10, max_iter=10000,

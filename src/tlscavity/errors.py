@@ -9,6 +9,14 @@ class ConfigError(TlscavityError):
     """Invalid or inconsistent configuration input."""
 
 
+class StepWindowError(ConfigError, ValueError):
+    """Step size outside the Markovian validity window of the step loop.
+
+    A ConfigError, since a config's step count or duration puts it there,
+    and a ValueError for callers that reject bad trial points by that type.
+    """
+
+
 class DataError(TlscavityError):
     """Unreadable or malformed data file."""
 

@@ -24,6 +24,10 @@ _DAMPING_MAX = 1e8
 _MAX_ITER = 200
 _JAC_REL_STEP = 1e-6
 _JAC_ABS_FLOOR = 1e-12
+# Model failures at a trial point: the point is rejected (NaN residuals),
+# not the fit.
+_REJECTED = (ValueError, ArithmeticError, SaturationError,
+             StepConvergenceError, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -67,11 +71,18 @@ class FitParameter:
 class FitProblem:
     """residual_fn maps a full parameter vector (frozen entries included, in
     order) to the unweighted residual vector; data_weights are per-point 1
-    sigma."""
+    sigma.
+
+    residual_batch_fn, if given, maps a list of such vectors to a 2-D array
+    with one residual row per vector, a row of NaN where the model failed
+    with one of the errors a trial point is rejected for. minimize then
+    evaluates each Jacobian's columns in one call.
+    """
 
     residual_fn: object
     params: list
     data_weights: np.ndarray
+    residual_batch_fn: object = None
 
     def __post_init__(self):
         self.data_weights = np.asarray(self.data_weights, dtype=float)
@@ -124,33 +135,51 @@ class FitResult:
 
 def numerical_jacobian(fn, u, *, rel_step=_JAC_REL_STEP,
                        abs_floor=_JAC_ABS_FLOOR, scheme="forward",
-                       lower=None, upper=None, f0=None):
+                       lower=None, upper=None, f0=None, batch_fn=None):
     """Numerical Jacobian of fn at u with per-coordinate relative steps.
 
     Steps reverse direction at an upper bound so trial points stay feasible.
+    batch_fn, if given, evaluates the list of all trial points in one call
+    (one row each) in place of one fn call per point.
     """
     u = np.asarray(u, dtype=float)
     if f0 is None:
         f0 = fn(u)
     f0 = np.asarray(f0, dtype=float)
-    jac = np.empty((len(f0), len(u)))
+    central = scheme == "central"
+    steps = []
+    points = []
     for j in range(len(u)):
         h = rel_step * abs(u[j]) + abs_floor
         if upper is not None and u[j] + h > upper[j]:
             h = -h
+        steps.append(h)
         up = u.copy()
         up[j] += h
-        if scheme == "central":
+        points.append(up)
+        if central:
             dn = u.copy()
             dn[j] -= h
-            jac[:, j] = (np.asarray(fn(up)) - np.asarray(fn(dn))) / (2 * h)
+            points.append(dn)
+    if batch_fn is not None:
+        rows = np.asarray(batch_fn(points), dtype=float)
+    else:
+        rows = [np.asarray(fn(p), dtype=float) for p in points]
+    jac = np.empty((len(f0), len(u)))
+    for j, h in enumerate(steps):
+        if central:
+            jac[:, j] = (rows[2 * j] - rows[2 * j + 1]) / (2 * h)
         else:
-            jac[:, j] = (np.asarray(fn(up)) - f0) / h
+            jac[:, j] = (rows[j] - f0) / h
     return jac
 
 
 def _nelder_mead(fn, u0, lower, upper, max_evals=4000):
-    """Compact simplex minimizer on the internal coordinates (clipped)."""
+    """Compact simplex minimizer on the internal coordinates (clipped).
+
+    Returns (point, cost, converged); converged is False when max_evals ran
+    out before the simplex values met the tolerance.
+    """
     ndim = len(u0)
 
     def cost(u):
@@ -164,11 +193,13 @@ def _nelder_mead(fn, u0, lower, upper, max_evals=4000):
         pts.append(p)
     vals = [cost(p) for p in pts]
     evals = len(vals)
+    converged = False
     while evals < max_evals:
         order = np.argsort(vals)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
         if vals[-1] - vals[0] <= 1e-14 * (abs(vals[0]) + 1e-30):
+            converged = True
             break
         centroid = np.mean(pts[:-1], axis=0)
         refl = centroid + (centroid - pts[-1])
@@ -196,7 +227,7 @@ def _nelder_mead(fn, u0, lower, upper, max_evals=4000):
                     vals[i] = cost(pts[i])
                 evals += ndim
     best = int(np.argmin(vals))
-    return np.clip(pts[best], lower, upper), vals[best]
+    return np.clip(pts[best], lower, upper), vals[best], converged
 
 
 def minimize(problem):
@@ -215,20 +246,40 @@ def minimize(problem):
     free_idx = [i for i, p in enumerate(params) if not p.frozen]
     n_res = [None]
 
-    def wres(u):
+    def full_vector(u):
         vec = full.copy()
         for k, i in enumerate(free_idx):
             vec[i] = params[i].from_internal(u[k])
+        return vec
+
+    def wres(u):
         try:
-            r = np.asarray(problem.residual_fn(vec), dtype=float)
-        except (ValueError, ArithmeticError, SaturationError,
-                StepConvergenceError, np.linalg.LinAlgError):
+            r = np.asarray(problem.residual_fn(full_vector(u)), dtype=float)
+        except _REJECTED:
             # model domain violation at a trial point: reject the step
             if n_res[0] is None:
                 raise
             return np.full(n_res[0], np.nan)
         n_res[0] = len(r)
         return r / sigma
+
+    wres_batch = None
+    if problem.residual_batch_fn is not None:
+        def wres_batch(us):
+            rows = problem.residual_batch_fn([full_vector(u) for u in us])
+            return np.asarray(rows, dtype=float) / sigma
+
+    def jacobian(u, f):
+        return numerical_jacobian(wres, u, lower=lower, upper=upper, f0=f,
+                                  batch_fn=wres_batch)
+
+    def simplex(u):
+        def cost(v):
+            r = wres(v)
+            return float(r @ r)
+
+        u, chi2, done = _nelder_mead(cost, u, lower, upper)
+        return u, chi2, wres(u), done
 
     lower = np.array([p.to_internal(max(p.lower, 1e-300))
                       if p.scale == "log" else p.lower for p in free])
@@ -255,17 +306,14 @@ def minimize(problem):
 
     for it in range(_MAX_ITER):
         try:
-            jac = numerical_jacobian(wres, u, lower=lower, upper=upper, f0=f)
+            jac = jacobian(u, f)
         except FloatingPointError:
             jac = None
         if jac is None or not np.all(np.isfinite(jac)):
             method = "lm+simplex"
-            u, chi2 = _nelder_mead(lambda v: float(wres(v) @ wres(v)),
-                                   u, lower, upper)
-            f = wres(u)
+            u, chi2, f, converged = simplex(u)
             log.append({"iteration": it, "chi2": chi2, "damping": lam,
                         "accepted": True, "note": "simplex fallback"})
-            converged = True
             break
         grad = jac.T @ f
         hess = jac.T @ jac
@@ -312,12 +360,9 @@ def minimize(problem):
             lam = min(lam * 10.0, _DAMPING_MAX)
         if degenerate:
             method = "lm+simplex"
-            u, chi2 = _nelder_mead(lambda v: float(wres(v) @ wres(v)),
-                                   u, lower, upper)
-            f = wres(u)
+            u, chi2, f, converged = simplex(u)
             log.append({"iteration": it, "chi2": chi2, "damping": lam,
                         "accepted": True, "note": "simplex fallback"})
-            converged = True
             break
         if not accepted:
             log.append({"iteration": it, "chi2": chi2, "damping": lam,
@@ -332,7 +377,7 @@ def minimize(problem):
             break
 
     # covariance at the optimum
-    jac = numerical_jacobian(wres, u, lower=lower, upper=upper, f0=f)
+    jac = jacobian(u, f)
     dof = n_pts - len(free)
     chi2_red = chi2 / dof
     hess = jac.T @ jac
@@ -401,9 +446,12 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
         multiplicative amplitude noise.
 
     The model kappa is evolved on its own m_steps grid and interpolated in
-    ln n at the data times. The discretization self-check runs once at the
-    initial point and is then disabled inside the loop. The result carries
-    each trace's model kappa at the optimum in model_kappa.
+    ln n at the data times. The evolutions a residual or a Jacobian needs
+    run as one lockstep batch (dynamics.evolve_ringdown_batch); a Jacobian
+    column of n_tot_i only evolves trace i. The discretization self-check
+    runs once, on the first trace at the initial point, and is then
+    disabled inside the loop. The result carries each trace's model kappa
+    at the optimum in model_kappa.
     """
     if not traces:
         raise FitError("need at least one trace")
@@ -442,42 +490,88 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     cache = {}
     verified = [False]
 
-    def trace_kappa(t2, beta, eps, n_tot, idx):
-        key = (t2, beta, eps, n_tot, idx)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        t_k, _, _, n0, t_final = prepared[idx]
-        classes = sample_classes(
-            DistributionParams(n_tot=n_tot, beta=beta, epsilon_s=eps,
-                               g_min=g_min, g_max=g_max, n_classes=n_classes),
-            omega_tls=cavity.omega0, t2_star=t2)
-        traj = dynamics.evolve_ringdown(
-            n0, classes, cavity, t_final, m_steps,
-            verify=not verified[0], window_margin=window_margin)
+    def trace_kappas(keys):
+        """Model kappa of each (t2, beta, eps, n_tot, trace) key; the cache
+        misses of each trace duration run as one lockstep batch. A key whose
+        model failed maps to the exception."""
+        found = {}
+        misses = {}
+        for key in keys:
+            if key in cache:
+                found[key] = cache[key]
+            else:
+                misses.setdefault(prepared[key[4]][4], {})[key] = None
+        verify = not verified[0]
+        for t_final, group in misses.items():
+            rows = []
+            for key in group:
+                t2, beta, eps, n_tot, idx = key
+                try:
+                    classes = sample_classes(
+                        DistributionParams(n_tot=n_tot, beta=beta,
+                                           epsilon_s=eps, g_min=g_min,
+                                           g_max=g_max, n_classes=n_classes),
+                        omega_tls=cavity.omega0, t2_star=t2)
+                except _REJECTED as exc:
+                    found[key] = exc
+                    continue
+                rows.append((key, classes))
+            trajs = dynamics.evolve_ringdown_batch(
+                [prepared[key[4]][3] for key, _ in rows],
+                [classes for _, classes in rows], cavity, t_final, m_steps,
+                verify=[verify and j == 0 for j in range(len(rows))],
+                window_margin=window_margin, return_errors=True)
+            verify = False
+            for (key, _), traj in zip(rows, trajs):
+                if isinstance(traj, Exception):
+                    found[key] = traj
+                    continue
+                t_k = prepared[key[4]][0]
+                ln_n = np.log(traj.n)
+                kappa = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
+                cache[key] = found[key] = kappa
         verified[0] = True
-        ln_n = np.log(traj.n)
-        kappa = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
-        cache[key] = kappa
-        return kappa
+        return found
 
-    def residual(vec):
-        t2, beta, eps = vec[0], vec[1], vec[2]
+    def keys_of(vec):
+        return [(vec[0], vec[1], vec[2], vec[3 + idx], idx)
+                for idx in range(len(prepared))]
+
+    def residual_of(keys, found):
+        """One residual vector; raises the first trace's model failure."""
         parts = []
-        for idx in range(len(prepared)):
-            n_tot = vec[3 + idx]
-            model = trace_kappa(t2, beta, eps, n_tot, idx)
-            parts.append(model - prepared[idx][1])
+        for key in keys:
+            model = found[key]
+            if isinstance(model, Exception):
+                raise model
+            parts.append(model - prepared[key[4]][1])
         return np.concatenate(parts)
 
+    def residual(vec):
+        keys = keys_of(vec)
+        return residual_of(keys, trace_kappas(keys))
+
+    def residual_batch(vecs):
+        rows = [keys_of(vec) for vec in vecs]
+        found = trace_kappas([key for keys in rows for key in keys])
+        out = np.empty((len(vecs), n_points))
+        for i, keys in enumerate(rows):
+            try:
+                out[i] = residual_of(keys, found)
+            except _REJECTED:
+                out[i] = np.nan
+        return out
+
     weights = np.concatenate([p[2] for p in prepared])
+    n_points = len(weights)
     problem = FitProblem(residual_fn=residual, params=params,
-                         data_weights=weights)
+                         data_weights=weights,
+                         residual_batch_fn=residual_batch)
     result = minimize(problem)
     # the residual at the optimum was evaluated: these are cache hits
-    v = result.values
-    result.model_kappa = tuple(trace_kappa(v[0], v[1], v[2], v[3 + idx], idx)
-                               for idx in range(len(prepared)))
+    keys = keys_of(result.values)
+    found = trace_kappas(keys)
+    result.model_kappa = tuple(found[key] for key in keys)
     return result
 
 

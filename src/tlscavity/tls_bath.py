@@ -19,6 +19,7 @@ from . import core
 # coherence-population bound by O(2 T2*/T1 - 1) at small n. Larger ones are
 # real errors.
 _CLAMP_RTOL = 1e-3
+_ONE = np.array(1.0)  # numpy calls take a 0-d array faster than a float
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,26 @@ def chi(omega_tls, omega0, t2_star):
     return complex(1.0, (omega_tls - omega0) * t2_star)
 
 
+def clamp_rates(kp, km):
+    """Round microscopically negative summed rates to zero.
+
+    Raises ValueError when either rate is negative beyond _CLAMP_RTOL of the
+    positive scale |kappa_plus| + |kappa_minus|.
+    """
+    scale = abs(kp) + abs(km) + 1e-30
+    if kp < 0.0:
+        if -kp <= _CLAMP_RTOL * scale:
+            kp = 0.0
+        else:
+            raise ValueError("kappa_plus negative beyond tolerance")
+    if km < 0.0:
+        if -km <= _CLAMP_RTOL * scale:
+            km = 0.0
+        else:
+            raise ValueError("kappa_minus negative beyond tolerance")
+    return kp, km
+
+
 class ClassTable:
     """Per-class coefficient arrays at one cavity frequency and temperature.
 
@@ -56,55 +77,81 @@ class ClassTable:
         rho_ge = i chi g <a> T2* / D
 
     f is the thermal occupation at the TLS frequency. Everything temperature-
-    and detuning-dependent is evaluated once here; rates_at() is a handful
-    of length-n_classes vector operations.
+    and detuning-dependent is evaluated once here; rate_sums() is a handful
+    of vector operations over the class axis. stack() joins the tables of
+    several trajectories (same class count) into (B, C) arrays that
+    rate_sums() evaluates row by row in one call.
     """
 
-    def __init__(self, classes, omega0, temperature):
-        g = np.array([c.g for c in classes], dtype=float)
-        count = np.array([c.count for c in classes], dtype=float)
-        t2 = np.array([core.t2_star(c.T1, c.T_phi, c.omega_tls, temperature)
-                       for c in classes], dtype=float)
-        f = np.array([core.bose_einstein(c.omega_tls, temperature)
-                      for c in classes], dtype=float)
-        x = np.array([chi(c.omega_tls, omega0, tk)
-                      for c, tk in zip(classes, t2)], dtype=complex)
-        ax2 = np.abs(x) ** 2
-        T1 = np.array([c.T1 for c in classes], dtype=float)
-        self.phi = ax2 * (1.0 + 2.0 * f)              # unsaturated D
-        self.sat = g * g * T1 * t2                    # D slope in n
-        self.w = 2.0 * count * g * g * t2 / ax2       # rate weight
-        self.pop0 = ax2 * f                           # thermal population numerator
-        self.coh = ax2 * (g * t2) ** 2                # |rho_ge|^2 weight per |A|^2
-        self.svec = count * g * g * t2 * x            # Omega' weight per conj(A)
-        self.t2max = float(np.max(t2)) if len(classes) else 0.0
+    _COEFFS = ("base", "slope", "coh", "w2", "sv")
 
-    def rates_at(self, n, amp2):
-        """(kappa_plus, kappa_minus, S) from photon number and |<a>|^2.
+    def __init__(self, classes, omega0, temperature):
+        g, count, T1, t2, f = np.array(
+            [(c.g, c.count, c.T1,
+              core.t2_star(c.T1, c.T_phi, c.omega_tls, temperature),
+              core.bose_einstein(c.omega_tls, temperature))
+             for c in classes], dtype=float).reshape(-1, 5).T.copy()
+        x = np.array([chi(c.omega_tls, omega0, tk)
+                      for c, tk in zip(classes, t2.tolist())], dtype=complex)
+        ax2 = np.abs(x) ** 2
+        sat = g * g * T1 * t2                         # D slope in n
+        cgt = count * g * g * t2
+        w = 2.0 * cgt / ax2                           # rate weight
+        coef = np.array([
+            ax2 * (1.0 + 2.0 * f), ax2 * f,   # D, rho_ee numerator at n = 0
+            sat, 0.5 * sat,                   # ... and their slopes in n
+            ax2 * (g * t2) ** 2,              # |rho_ge|^2 weight per |A|^2
+            w, w,
+            cgt * x.real, cgt * x.imag,       # Omega' weight per conj(A)
+        ])
+        self.base, self.slope, self.coh = coef[0:2], coef[2:4], coef[4]
+        self.w2, self.sv = coef[5:7], coef[7:9]
+        self.t2max = max(t2.tolist(), default=0.0)
+
+    @property
+    def n_classes(self):
+        return self.coh.shape[-1]
+
+    @classmethod
+    def stack(cls, tables):
+        """One table holding the rows of several same-size tables."""
+        out = cls.__new__(cls)
+        for name in cls._COEFFS:
+            setattr(out, name, np.stack([getattr(t, name) for t in tables]))
+        out.t2max = np.array([t.t2max for t in tables])
+        return out
+
+    def rate_sums(self, n, amp2, out=None):
+        """Unclamped (Re S, Im S, kappa_plus, kappa_minus) per row.
 
         kappa_plus/minus = sum_i w_i (rho_ee,i - |rho_ge,i|^2) and
         w_i (rho_gg,i - |rho_ge,i|^2), w = 2 N g^2 T2* / |chi|^2; the bath
-        part of Omega' is i conj(<a>) S.
+        part of Omega' is i conj(<a>) S. n and amp2 have one entry per row
+        (shape (B,) for a stacked table, scalars for a single one). The sums
+        run over the last axis of one contiguous (..., 4, C) array, so each
+        row is summed in the same order whatever the number of rows.
         """
-        d = self.phi + self.sat * n
-        inv_d = 1.0 / d
-        ree = (self.pop0 + 0.5 * self.sat * n) * inv_d
+        n, amp2 = np.asarray(n), np.asarray(amp2)
+        if n.ndim:  # one entry per row of a stacked table
+            n, amp2 = n[..., None, None], amp2[..., None]
+        dn = self.base + self.slope * n
+        inv_d = np.reciprocal(dn[..., 0, :])
+        terms = np.empty(dn.shape[:-2] + (4,) + dn.shape[-1:])
+        np.multiply(self.sv, inv_d[..., None, :], out=terms[..., :2, :])
+        pops = terms[..., 2:, :]
+        ree = np.multiply(dn[..., 1, :], inv_d, out=pops[..., 0, :])
+        np.subtract(_ONE, ree, out=pops[..., 1, :])
         coh2 = self.coh * amp2 * inv_d * inv_d
-        kp = float(np.dot(self.w, ree - coh2))
-        km = float(np.dot(self.w, 1.0 - ree - coh2))
-        scale = abs(kp) + abs(km) + 1e-30
-        if kp < 0.0:
-            if -kp <= _CLAMP_RTOL * scale:
-                kp = 0.0
-            else:
-                raise ValueError("kappa_plus negative beyond tolerance")
-        if km < 0.0:
-            if -km <= _CLAMP_RTOL * scale:
-                km = 0.0
-            else:
-                raise ValueError("kappa_minus negative beyond tolerance")
-        s = complex(np.sum(self.svec * inv_d))
-        return kp, km, s
+        pops -= coh2[..., None, :]
+        pops *= self.w2
+        return terms.sum(axis=-1, out=out)
+
+    def rates_at(self, n, amp2):
+        """Clamped (kappa_plus, kappa_minus, S) of a single table at scalar
+        photon number n and |<a>|^2."""
+        s_re, s_im, kp, km = self.rate_sums(n, amp2).tolist()
+        kp, km = clamp_rates(kp, km)
+        return kp, km, complex(s_re, s_im)
 
 
 def bath_rates(classes, n, amp, omega0, temperature):

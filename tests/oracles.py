@@ -17,7 +17,8 @@ KB = 1.380649e-23
 
 
 def bose(omega, temperature):
-    if temperature <= 0.0:
+    # k_B T underflows to 0 for subnormal T: the T -> 0 limit
+    if KB * temperature <= 0.0:
         return 0.0
     x = HBAR * omega / (KB * temperature)
     if x > 700.0:

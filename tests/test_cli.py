@@ -222,6 +222,41 @@ def test_exit_code_nan_in_trace(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+def test_subnormal_temperature_runs(tmp_path, capsys):
+    # k_B T underflows to 0: the T -> 0 limit, not a ZeroDivisionError
+    cfgfile = tmp_path / "cold.yaml"
+    cfgfile.write_text("cavity:\n  temperature: 1.0e-320\n" + TINY_RINGDOWN)
+    sim = tmp_path / "sim"
+    assert run(["simulate", "ringdown", "--config", cfgfile, "--out", sim,
+                "--seed", "4"]) == 0
+    assert run(["fit", "ringdown", "--config", cfgfile, "--out",
+                tmp_path / "fit", sim / "trace_02.csv"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_exit_code_step_window(tmp_path, capsys):
+    # dt = 4 ms / 199999 sits below 10 T2*: a config error, exit 2
+    cfgfile = tmp_path / "fine.yaml"
+    cfgfile.write_text("ringdown:\n  initial_photons: [1e12]\n"
+                       "  t_final: 0.004\n  m_steps: 200000\n")
+    assert run(["simulate", "ringdown", "--config", cfgfile,
+                "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Markovian window" in err
+    # the fit's own grid: 400 steps over 4 ms, then 200000 steps
+    good = tmp_path / "good.yaml"
+    good.write_text(TINY_RINGDOWN)
+    sim = tmp_path / "sim"
+    assert run(["simulate", "ringdown", "--config", good, "--out", sim]) == 0
+    cfgfile.write_text(TINY_RINGDOWN.replace("fit:\n  m_steps: 400",
+                                             "fit:\n  m_steps: 200000"))
+    assert run(["fit", "ringdown", "--config", cfgfile, "--out",
+                tmp_path / "fit", sim / "trace_01.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Markovian window" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_wrong_file_count(tmp_path):
     src = tmp_path / "a.csv"
     src.write_text("temperature_K,freq_shift\n1.0,0.0\n")

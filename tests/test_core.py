@@ -35,6 +35,15 @@ def test_bose_einstein_limits():
         bose_einstein(1e10, -0.1)
 
 
+def test_bose_einstein_subnormal_temperature():
+    # k_B T underflows to 0 below ~3.6e-301 K: the T -> 0 limit, no
+    # division by zero, and t2_star takes its zero-temperature value
+    assert bose_einstein(5e10, 5e-324) == 0.0
+    assert bose_einstein(5e10, 1e-320) == 0.0
+    assert t2_star(2e-6, 1e-6, 1e10, 5e-324) == t2_star(2e-6, 1e-6, 1e10,
+                                                        0.0)
+
+
 def test_t2_star_reference_values():
     w0 = 2.0 * math.pi * 7.9e9
     assert t2_star(7.23e-7, 4.84e-7, w0, 0.02) == pytest.approx(

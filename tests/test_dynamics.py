@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
-from tlscavity import (CavityParams, SaturationError, StepConvergenceError,
-                       TlsClass, bath_rates, evolve_ringdown, evolve_ringup,
-                       kappa_of_time, steady_state, trajectory_kappa)
-from tlscavity.dynamics import _evolve
+from tlscavity import (CavityMoments, CavityParams, SaturationError,
+                       StepConvergenceError, StepWindowError, TlsClass,
+                       bath_rates, evolve_ringdown, evolve_ringdown_batch,
+                       evolve_ringup, kappa_of_time, steady_state,
+                       trajectory_kappa)
+from tlscavity.dynamics import _evolve, _evolve_rows, _raise_first
+from tlscavity.tls_bath import ClassTable
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -150,11 +155,13 @@ def test_saturation_error_on_net_gain(cavity):
     # physical classes cannot get here (rho_ee < 1/2 keeps kappa_plus below
     # kappa_minus), so a stub table supplies the net gain
     class GainTable:
-        def rates_at(self, n, amp2):
-            return 2.0 * cavity.kappa0, 0.0, 0.0j
+        def rate_sums(self, n, amp2, out):
+            out[...] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
+            return out
 
     with pytest.raises(SaturationError):
-        _evolve(GainTable(), cavity, 0.0, 1e10, 1e5, 1e-3, 3, True)
+        _raise_first(_evolve(GainTable(), cavity, 0.0, [1e10], [1e5], 1e-3,
+                             3, True))
 
 
 def test_step_window_enforced(trace_classes, cavity):
@@ -182,3 +189,113 @@ def test_kappa_of_time_basics():
         kappa_of_time(t, -v)
     with pytest.raises(ValueError):
         kappa_of_time(t, v[:-1])
+
+
+# --- lockstep batches -------------------------------------------------------
+
+_BATCH_CAV = CavityParams(f0=7.9e9, kappa0=537.7, kappa_c=496.4,
+                          temperature=0.02)
+
+_row_classes = hst.lists(
+    hst.builds(
+        TlsClass.from_t2_star,
+        g=hst.floats(1e-2, 4e2),
+        count=hst.floats(0.0, 1e9),
+        omega_tls=hst.floats(-2e7, 2e7).map(lambda d: W0 + d),
+        t2=hst.floats(5e-8, 5e-7)),
+    min_size=0, max_size=12)
+
+
+def _same_trajectory(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("times", "n", "a_mean", "kappa_plus",
+                            "kappa_minus", "omega_prime"))
+
+
+def _solo(fn):
+    try:
+        return fn()
+    except (ValueError, SaturationError, StepConvergenceError) as exc:
+        return exc
+
+
+def _check_rows(batch, solos):
+    for got, ref in zip(batch, solos):
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref) and str(got) == str(ref)
+        else:
+            assert _same_trajectory(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=hst.lists(hst.tuples(hst.floats(3.0, 14.0), _row_classes),
+                      min_size=1, max_size=12),
+       mode=hst.sampled_from(["pinned", "tracked"]),
+       verify=hst.booleans())
+def test_batch_rows_bitwise_equal_solo_ringdown(rows, mode, verify):
+    """Row k of a batch is bitwise the trajectory evolve_ringdown returns
+    for it alone, whatever the batch size and the other rows."""
+    initials = [CavityMoments(n=10.0 ** e, a_mean=complex(
+        0.6 * 10.0 ** (0.5 * e), 0.5 * 10.0 ** (0.5 * e))) for e, _ in rows]
+    class_lists = [classes for _, classes in rows]
+    batch = evolve_ringdown_batch(initials, class_lists, _BATCH_CAV, 0.004,
+                                  40, mode=mode, verify=verify,
+                                  return_errors=True)
+    solos = [_solo(lambda: evolve_ringdown(i, c, _BATCH_CAV, 0.004, 40,
+                                           mode=mode, verify=verify))
+             for i, c in zip(initials, class_lists)]
+    _check_rows(batch, solos)
+
+
+@settings(max_examples=20, deadline=None)
+@given(class_lists=hst.lists(_row_classes, min_size=1, max_size=12),
+       drive=hst.floats(1e3, 1e8))
+def test_batch_rows_bitwise_equal_solo_ringup(class_lists, drive):
+    omega_ext = complex(drive, -0.3 * drive)
+    batch = _evolve_rows(class_lists, _BATCH_CAV, omega_ext,
+                         np.zeros(len(class_lists)),
+                         np.zeros(len(class_lists), complex), 0.004, 40,
+                         False, [True] * len(class_lists), 10.0)
+    solos = [_solo(lambda: evolve_ringup(c, _BATCH_CAV, omega_ext, 0.004, 40))
+             for c in class_lists]
+    _check_rows(batch, solos)
+
+
+def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
+    slow = [TlsClass.from_t2_star(50.0, 1e6, W0, 2e-6)]
+    class_lists = [trace_classes, slow, trace_classes[:5], trace_classes]
+    initials = [1e12, 1e12, 3e11, 5e13]
+    # row 1's T2* puts the 800-step grid below its Markovian window
+    batch = evolve_ringdown_batch(initials, class_lists, cavity, 0.01, 800,
+                                  verify=False, return_errors=True)
+    assert isinstance(batch[1], StepWindowError)
+    with pytest.raises(StepWindowError):
+        evolve_ringdown_batch(initials, class_lists, cavity, 0.01, 800,
+                              verify=False)
+    for r in (0, 2, 3):
+        assert _same_trajectory(batch[r], evolve_ringdown(
+            initials[r], class_lists[r], cavity, 0.01, 800, verify=False))
+
+    # row 1 turns to net gain from step 5 on: it alone stops
+    keep = [trace_classes, trace_classes, trace_classes]
+    tables = [ClassTable(c, cavity.omega0, cavity.temperature) for c in keep]
+
+    class GainRow:
+        def __init__(self):
+            self.table = ClassTable.stack(tables)
+            self.calls = 0
+
+        def rate_sums(self, n, amp2, out):
+            self.table.rate_sums(n, amp2, out=out)
+            self.calls += 1
+            if self.calls > 5:
+                out[1] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
+            return out
+
+    n0 = np.array([1e12, 1e12, 2e12])
+    got = _evolve(GainRow(), cavity, 0.0, n0, np.sqrt(n0) + 0j, 0.01, 800,
+                  True)
+    assert isinstance(got[1], SaturationError)
+    assert _same_trajectory(got[0], batch[0])
+    assert _same_trajectory(got[2], evolve_ringdown(
+        2e12, trace_classes, cavity, 0.01, 800, verify=False))

@@ -8,6 +8,7 @@ from tlscavity import (DistributionParams, FitError, FitParameter,
                        FitProblem, FitResult, evolve_ringdown, joint_tls_fit,
                        minimize, numerical_jacobian, rolling_sigma,
                        sample_classes)
+from tlscavity import fitting
 from tlscavity.distribution import _unit_bins
 
 
@@ -311,3 +312,68 @@ def test_joint_fit_input_validation(cavity):
     with pytest.raises(FitError):
         joint_tls_fit([bad_t], {"t2_star": 2.86e-7, "beta": 3.26,
                                 "epsilon_s": 0.25}, [1e8], cavity)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _joint_fit_problem(cfg, cavity, monkeypatch):
+    """The FitProblem joint_tls_fit builds for two short traces, with its
+    own empty model cache."""
+    t_data = np.linspace(0.0, 0.01, 101)
+    traces = []
+    for n_tot, n0 in ((8e7, 1e12), (1.2e8, 3e11)):
+        traj = evolve_ringdown(n0, cfg.trace_classes(n_tot=n_tot), cavity,
+                               0.01, 1500, verify=False)
+        traces.append((t_data, np.exp(np.interp(t_data, traj.times,
+                                                np.log(traj.n)))))
+    captured = []
+
+    def capture(problem):
+        captured.append(problem)
+        raise _Captured
+
+    monkeypatch.setattr(fitting, "minimize", capture)
+    with pytest.raises(_Captured):
+        joint_tls_fit(traces, shared={"t2_star": 2.5e-7, "beta": 3.26,
+                                      "epsilon_s": 0.25},
+                      per_trace=[1e8, 1e8], cavity=cavity, m_steps=800)
+    return captured[0]
+
+
+def test_joint_fit_batched_jacobian_bitwise(cfg, cavity, monkeypatch):
+    """The one-batch Jacobian equals the column-by-column one bit for bit,
+    a column reversed at its upper bound included."""
+    batched = _joint_fit_problem(cfg, cavity, monkeypatch)
+    single = _joint_fit_problem(cfg, cavity, monkeypatch)
+    u = np.array([p.value for p in batched.params])
+    upper = np.full(len(u), np.inf)
+    upper[4] = u[4]  # n_tot_1 at its bound: its step is reversed
+    jac_batch = numerical_jacobian(
+        batched.residual_fn, u, upper=upper, f0=batched.residual_fn(u),
+        batch_fn=batched.residual_batch_fn)
+    jac_single = numerical_jacobian(
+        single.residual_fn, u, upper=upper, f0=single.residual_fn(u))
+    assert np.all(np.isfinite(jac_batch))
+    np.testing.assert_array_equal(jac_batch, jac_single)
+    # the reversed column still points the right way: more TLS, more loss
+    assert np.all(jac_batch[100:, 4] >= 0.0)
+
+
+def test_joint_fit_batch_failing_row_is_nan(cfg, cavity, monkeypatch):
+    problem = _joint_fit_problem(cfg, cavity, monkeypatch)
+    good = np.array([p.value for p in problem.params])
+    other = good.copy()
+    other[2] = 0.3
+    bad = good.copy()
+    bad[0] = 2e-6  # 10 T2* exceeds the 800-step grid's dt: window error
+    rows = problem.residual_batch_fn([good, bad, other])
+    assert rows.shape == (3, 200)
+    assert np.all(np.isnan(rows[1]))
+    # the other rows match the one-point residual of a fresh model cache
+    fresh = _joint_fit_problem(cfg, cavity, monkeypatch)
+    np.testing.assert_array_equal(rows[0], fresh.residual_fn(good))
+    np.testing.assert_array_equal(rows[2], fresh.residual_fn(other))
+    with pytest.raises(ValueError):
+        fresh.residual_fn(bad)

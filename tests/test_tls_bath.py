@@ -159,10 +159,14 @@ _classes = hst.lists(
 @settings(max_examples=200, deadline=None)
 @given(classes=_classes,
        n=hst.one_of(hst.just(0.0), hst.floats(1.0, 1e14)),
-       temperature=hst.one_of(hst.just(0.0), hst.floats(1e-6, 4.4)))
+       temperature=hst.one_of(hst.just(0.0),
+                              hst.floats(5e-324, 2.2e-308,
+                                         allow_subnormal=True),
+                              hst.floats(1e-6, 4.4)))
 def test_bath_rates_match_oracle(classes, n, temperature):
     """The package's rate table against the independent oracle table, over
-    detuned classes, photon numbers from 0 to 1e14 and 0 to 4.4 K."""
+    detuned classes, photon numbers from 0 to 1e14 and 0 to 4.4 K, with
+    subnormal temperatures (k_B T underflows to 0) included."""
     amp = complex(math.sqrt(n), 0.0)
     kp, km, op = oracles._Bath(classes, W0, temperature).rates(n, amp)
     assume(kp >= 0.0)  # the package clamps small negative kappa_plus
