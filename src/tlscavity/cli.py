@@ -4,7 +4,9 @@ Every command is deterministic given its config and seed: summation orders
 are fixed, nothing depends on the wall clock, and reruns produce
 byte-identical CSV output. The seed feeds synthetic-noise generation only.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 fit non-convergence.
+Exit codes: 0 success, 2 config error (also a failed halving check or a
+saturated bath, both set by the config's step count and model parameters),
+3 data error, 4 fit non-convergence.
 """
 
 import argparse
@@ -28,7 +30,8 @@ from .distribution import (density, dipole_in_e_angstrom, loss_tangent,
 # Not called here: kept so perfbench/tracing.py can time the sampler under
 # the name cli.sample_classes.
 from .distribution import sample_classes  # noqa: F401
-from .errors import ConfigError, DataError, FitError
+from .errors import (ConfigError, DataError, FitError, SaturationError,
+                     StepConvergenceError)
 from .fitting import joint_tls_fit, temperature_fit
 from .reflection import ReflectionParams, circle_fit, fit_ringup, s11_model
 
@@ -457,6 +460,10 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print("tlscavity: config error: %s" % exc, file=sys.stderr)
+        return 2
+    except (StepConvergenceError, SaturationError) as exc:
+        # the step count and the model parameters come from the config
+        print("tlscavity: model error: %s" % exc, file=sys.stderr)
         return 2
     except DataError as exc:
         print("tlscavity: data error: %s" % exc, file=sys.stderr)

@@ -76,7 +76,10 @@ class FitProblem:
     residual_batch_fn, if given, maps a list of such vectors to a 2-D array
     with one residual row per vector, a row of NaN where the model failed
     with one of the errors a trial point is rejected for. minimize then
-    evaluates each Jacobian's columns in one call.
+    evaluates each trial point together with all the points of its Jacobian
+    in one call, and needs no residual_fn call unless the starting point
+    fails (to raise the model's own error there) or the simplex fallback
+    runs. Row i must not depend on the other rows of the call.
     """
 
     residual_fn: object
@@ -140,12 +143,13 @@ def numerical_jacobian(fn, u, *, rel_step=_JAC_REL_STEP,
 
     Steps reverse direction at an upper bound so trial points stay feasible.
     batch_fn, if given, evaluates the list of all trial points in one call
-    (one row each) in place of one fn call per point.
+    (one row each) in place of one fn call per point; without f0, u itself
+    rides along as row 0 of that call.
     """
     u = np.asarray(u, dtype=float)
-    if f0 is None:
+    with_base = f0 is None and batch_fn is not None
+    if f0 is None and batch_fn is None:
         f0 = fn(u)
-    f0 = np.asarray(f0, dtype=float)
     central = scheme == "central"
     steps = []
     points = []
@@ -162,9 +166,13 @@ def numerical_jacobian(fn, u, *, rel_step=_JAC_REL_STEP,
             dn[j] -= h
             points.append(dn)
     if batch_fn is not None:
-        rows = np.asarray(batch_fn(points), dtype=float)
+        rows = np.asarray(batch_fn([u] + points if with_base else points),
+                          dtype=float)
+        if with_base:
+            f0, rows = rows[0], rows[1:]
     else:
         rows = [np.asarray(fn(p), dtype=float) for p in points]
+    f0 = np.asarray(f0, dtype=float)
     jac = np.empty((len(f0), len(u)))
     for j, h in enumerate(steps):
         if central:
@@ -235,6 +243,12 @@ def minimize(problem):
 
     Returns a FitResult; converged=False flags an iteration-cap stop at the
     best point found. Raises FitError only for an invalid starting point.
+
+    With problem.residual_batch_fn, each trial point (and the starting
+    point) is evaluated together with its Jacobian in one batch call. An
+    accepted point's Jacobian is the next iteration's, and the last one is
+    the covariance Jacobian; a rejected point's is discarded. Every number
+    equals the one-point path's, which problems without the hook take.
     """
     params = problem.params
     free = [p for p in params if not p.frozen]
@@ -263,8 +277,9 @@ def minimize(problem):
         n_res[0] = len(r)
         return r / sigma
 
+    batched = problem.residual_batch_fn is not None
     wres_batch = None
-    if problem.residual_batch_fn is not None:
+    if batched:
         def wres_batch(us):
             rows = problem.residual_batch_fn([full_vector(u) for u in us])
             return np.asarray(rows, dtype=float) / sigma
@@ -272,6 +287,25 @@ def minimize(problem):
     def jacobian(u, f):
         return numerical_jacobian(wres, u, lower=lower, upper=upper, f0=f,
                                   batch_fn=wres_batch)
+
+    def point_and_jacobian(u):
+        """Weighted residual at u and its Jacobian (None on a floating-point
+        error) from one batch, u as row 0."""
+        base = []
+
+        def batch(us):
+            rows = wres_batch(us)
+            base.append(rows[0])
+            return rows
+
+        try:
+            jac = numerical_jacobian(wres, u, lower=lower, upper=upper,
+                                     batch_fn=batch)
+        except FloatingPointError:
+            if not base:
+                raise
+            jac = None
+        return base[0], jac
 
     def simplex(u):
         def cost(v):
@@ -289,7 +323,14 @@ def minimize(problem):
                       for p in free])
     u = np.array([p.to_internal(p.value) for p in free])
 
-    f = wres(u)
+    if batched:
+        f, jac = point_and_jacobian(u)
+        if not np.all(np.isfinite(f)):
+            # one point alone raises the model's own error
+            f = wres(u)
+        n_res[0] = len(f)
+    else:
+        f = wres(u)
     if not np.all(np.isfinite(f)):
         raise FitError("residuals not finite at the initial point")
     chi2 = float(f @ f)
@@ -305,24 +346,20 @@ def minimize(problem):
     flat = 0
 
     for it in range(_MAX_ITER):
-        try:
-            jac = jacobian(u, f)
-        except FloatingPointError:
-            jac = None
-        if jac is None or not np.all(np.isfinite(jac)):
-            method = "lm+simplex"
-            u, chi2, f, converged = simplex(u)
-            log.append({"iteration": it, "chi2": chi2, "damping": lam,
-                        "accepted": True, "note": "simplex fallback"})
-            break
-        grad = jac.T @ f
-        hess = jac.T @ jac
-        diag = np.diag(hess).copy()
-        floor = 1e-30 * max(float(np.max(diag)), 1e-300)
-        diag[diag < floor] = floor
+        if not batched:
+            try:
+                jac = jacobian(u, f)
+            except FloatingPointError:
+                jac = None
+        degenerate = jac is None or not np.all(np.isfinite(jac))
         accepted = False
-        degenerate = False
-        while True:
+        if not degenerate:
+            grad = jac.T @ f
+            hess = jac.T @ jac
+            diag = np.diag(hess).copy()
+            floor = 1e-30 * max(float(np.max(diag)), 1e-300)
+            diag[diag < floor] = floor
+        while not degenerate:
             try:
                 step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
@@ -332,7 +369,10 @@ def minimize(problem):
                 degenerate = True
                 break
             u_try = np.clip(u + step, lower, upper)
-            f_try = wres(u_try)
+            if batched:
+                f_try, jac_try = point_and_jacobian(u_try)
+            else:
+                f_try = wres(u_try)
             if np.all(np.isfinite(f_try)):
                 chi2_try = float(f_try @ f_try)
                 if chi2_try <= chi2:
@@ -340,6 +380,8 @@ def minimize(problem):
                     step_size = float(np.max(np.abs(u_try - u) /
                                              (np.abs(u) + 1.0)))
                     u, f, chi2 = u_try, f_try, chi2_try
+                    if batched:
+                        jac = jac_try
                     lam = max(lam / 10.0, _DAMPING_MIN)
                     accepted = True
                     log.append({"iteration": it, "chi2": chi2,
@@ -361,6 +403,7 @@ def minimize(problem):
         if degenerate:
             method = "lm+simplex"
             u, chi2, f, converged = simplex(u)
+            jac = None
             log.append({"iteration": it, "chi2": chi2, "damping": lam,
                         "accepted": True, "note": "simplex fallback"})
             break
@@ -376,8 +419,10 @@ def minimize(problem):
         if converged:
             break
 
-    # covariance at the optimum
-    jac = jacobian(u, f)
+    # covariance at the optimum; the batch path already holds its Jacobian
+    # unless the simplex moved the point
+    if not batched or jac is None:
+        jac = jacobian(u, f)
     dof = n_pts - len(free)
     chi2_red = chi2 / dof
     hess = jac.T @ jac
@@ -446,8 +491,9 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
         multiplicative amplitude noise.
 
     The model kappa is evolved on its own m_steps grid and interpolated in
-    ln n at the data times. The evolutions a residual or a Jacobian needs
-    run as one lockstep batch (dynamics.evolve_ringdown_batch); a Jacobian
+    ln n at the data times. Through the problem's residual_batch_fn, each
+    LM trial point and its Jacobian run as one lockstep batch
+    (dynamics.evolve_ringdown_batch) of their model cache misses; a Jacobian
     column of n_tot_i only evolves trace i. The discretization self-check
     runs once, on the first trace at the initial point, and is then
     disabled inside the loop. The result carries each trace's model kappa
@@ -521,6 +567,10 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
                 [classes for _, classes in rows], cavity, t_final, m_steps,
                 verify=[verify and j == 0 for j in range(len(rows))],
                 window_margin=window_margin, return_errors=True)
+            if verify:
+                # a failed check stays pending, so evaluating the point
+                # again raises its error again
+                verified[0] = not (rows and isinstance(trajs[0], Exception))
             verify = False
             for (key, _), traj in zip(rows, trajs):
                 if isinstance(traj, Exception):
@@ -530,7 +580,6 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
                 ln_n = np.log(traj.n)
                 kappa = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
                 cache[key] = found[key] = kappa
-        verified[0] = True
         return found
 
     def keys_of(vec):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from tlscavity.cli import main
+from tlscavity.config import RunConfig
+from tlscavity.dynamics import evolve_ringdown
 from tlscavity.datafiles import read_ringdown_csv, read_trace_csv
 
 
@@ -255,6 +257,30 @@ def test_exit_code_step_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "Markovian window" in err
     assert "Traceback" not in err
+
+
+def test_exit_code_halving_check(tmp_path, capsys):
+    # at 200 steps over 22 ms the fit's first evolution fails its halving
+    # check: a config choice (step count, model parameters), exit 2
+    cfg = RunConfig()
+    traj = evolve_ringdown(5e13, cfg.trace_classes(n_tot=117164510.0),
+                           cfg.cavity, 0.022, 4000, verify=False)
+    t = np.linspace(0.0, 0.022, 301)
+    n = np.exp(np.interp(t, traj.times, np.log(traj.n)))
+    src = tmp_path / "trace.csv"
+    src.write_text("time_s,n\n" + "".join(
+        "%r,%r\n" % (float(ti), float(ni)) for ti, ni in zip(t, n)))
+    cfgfile = tmp_path / "coarse.yaml"
+    cfgfile.write_text("tls:\n  t2_star: 2.5e-7\n"
+                       "distribution:\n  beta: 3.0\n  epsilon_s: 0.3\n"
+                       "ringdown:\n  n_tot: 1.0e8\n"
+                       "fit:\n  m_steps: 200\n")
+    assert run(["fit", "ringdown", "--config", cfgfile, "--out",
+                tmp_path / "fit", src]) == 2
+    err = capsys.readouterr().err
+    assert "halving" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_exit_code_wrong_file_count(tmp_path):

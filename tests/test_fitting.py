@@ -125,6 +125,82 @@ def test_domain_error_mid_search_is_rejected_step():
     assert res.converged
 
 
+def _assert_same_fit(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.sigma, b.sigma)
+    assert a.chi2_reduced == b.chi2_reduced
+    assert a.n_points == b.n_points
+    assert a.converged == b.converged
+    assert a.method == b.method
+    assert a.convergence_log == b.convergence_log
+
+
+def test_batch_path_is_bitwise_the_plain_path(monkeypatch):
+    """With residual_batch_fn, each trial point and its Jacobian are one
+    batch call, and the fit is the one-point fit bit for bit: through a
+    rejected trial (domain error), a coordinate pinned at its upper bound
+    (reversed Jacobian step) and the final covariance."""
+    x = np.linspace(0.0, 1.0, 25)
+    y = 2.5 * x + 1.2 ** 3 * x ** 2 + 0.05 * np.sin(40.0 * x)
+
+    def residual(v):
+        if v[1] > 2.0:
+            raise ValueError("out of the model domain")
+        return v[0] * x + v[1] ** 3 * x ** 2 - y
+
+    calls = []
+
+    def residual_batch(vecs):
+        calls.append([np.array(v) for v in vecs])
+        out = np.empty((len(vecs), len(x)))
+        for i, v in enumerate(vecs):
+            try:
+                out[i] = residual(v)
+            except ValueError:
+                out[i] = np.nan
+        return out
+
+    def problem(batch_fn):
+        # the slope's optimum (2.5) lies beyond its upper bound
+        return FitProblem(
+            residual_fn=residual,
+            params=[FitParameter("a", 0.5, 0.0, 2.0, "linear"),
+                    FitParameter("b", 0.2, -10.0, 10.0, "linear")],
+            data_weights=np.full_like(x, 0.1), residual_batch_fn=batch_fn)
+
+    plain_calls = [0]
+    jacobians = [0]
+
+    def counted(v):
+        plain_calls[0] += 1
+        return residual(v)
+
+    def counted_jacobian(*args, **kwargs):
+        jacobians[0] += 1
+        return numerical_jacobian(*args, **kwargs)
+
+    plain_problem = problem(None)
+    plain_problem.residual_fn = counted
+    monkeypatch.setattr(fitting, "numerical_jacobian", counted_jacobian)
+    plain = minimize(plain_problem)
+    # the start, the trial points, two points per Jacobian
+    trials = plain_calls[0] - 1 - 2 * jacobians[0]
+    jacobians[0] = 0
+    batched = minimize(problem(residual_batch))
+
+    _assert_same_fit(batched, plain)
+    assert plain.converged and plain.method == "lm"
+    assert plain.values_dict["a"] == 2.0
+    # one call at the start and one per trial point, each with the point
+    # and its two Jacobian points, and one Jacobian per call
+    assert len(calls) == 1 + trials
+    assert jacobians[0] == len(calls)
+    assert all(len(points) == 3 for points in calls)
+    rejected = [points for points in calls if points[0][1] > 2.0]
+    assert rejected
+    assert any(points[1][0] < points[0][0] == 2.0 for points in calls)
+
+
 def test_invalid_start_raises():
     def residual(v):
         raise ValueError("nothing works here")
@@ -134,6 +210,22 @@ def test_invalid_start_raises():
             residual_fn=residual,
             params=[FitParameter("p", 1.0, 0.0, 2.0, "linear")],
             data_weights=np.ones(5)))
+
+
+def test_invalid_start_raises_through_batch_hook():
+    def residual(v):
+        raise ValueError("nothing works here")
+
+    def residual_batch(vecs):
+        # the hook reports failed rows as NaN; the model's own error must
+        # still reach the caller
+        return np.full((len(vecs), 5), np.nan)
+
+    with pytest.raises(ValueError, match="nothing works here"):
+        minimize(FitProblem(
+            residual_fn=residual,
+            params=[FitParameter("p", 1.0, 0.0, 2.0, "linear")],
+            data_weights=np.ones(5), residual_batch_fn=residual_batch))
 
 
 def test_no_free_parameters_raises():
@@ -256,13 +348,15 @@ def test_unit_class_table_cached_and_consistent():
         assert frac == pytest.approx(fr, rel=1e-9)
 
 
-def test_joint_fit_two_traces_smoke(cfg, cavity):
-    truth = {"t2_star": 2.86e-7, "beta": 3.26, "epsilon_s": 0.25}
-    n_tots = [8e7, 1.2e8]
+_SMOKE_N_TOTS = (8e7, 1.2e8)
+
+
+def _smoke_fit(cfg, cavity):
+    """Two noisy 10 ms traces and their joint fit: (traces, result)."""
     t_data = np.linspace(0.0, 0.01, 101)
     rng = np.random.default_rng(12)
     traces = []
-    for n_tot in n_tots:
+    for n_tot in _SMOKE_N_TOTS:
         classes = cfg.trace_classes(n_tot=n_tot)
         traj = evolve_ringdown(1e12, classes, cavity, 0.01, 1500,
                                verify=False)
@@ -276,6 +370,18 @@ def test_joint_fit_two_traces_smoke(cfg, cavity):
         per_trace=[1e8, 1e8],
         cavity=cavity,
         m_steps=800)
+    return traces, res
+
+
+@pytest.fixture(scope="module")
+def smoke_fit(cfg, cavity):
+    return _smoke_fit(cfg, cavity)
+
+
+def test_joint_fit_two_traces_smoke(smoke_fit, cavity):
+    traces, res = smoke_fit
+    t_data = traces[0][0]
+    n_tots = _SMOKE_N_TOTS
     got = res.values_dict
     # two short traces constrain the overall scale but not every shape
     # parameter; demand consistency rather than tight recovery
@@ -297,6 +403,25 @@ def test_joint_fit_two_traces_smoke(cfg, cavity):
     model = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
     assert len(res.model_kappa) == 2
     np.testing.assert_array_equal(res.model_kappa[1], model)
+
+
+def test_joint_fit_batch_hook_changes_no_bit(smoke_fit, cfg, cavity,
+                                             monkeypatch):
+    """The smoke fit through residual_batch_fn (one batch per trial point
+    and its Jacobian) equals the same fit without the hook."""
+    _, batched = smoke_fit
+    one_point = fitting.minimize
+
+    def without_hook(problem):
+        problem.residual_batch_fn = None
+        return one_point(problem)
+
+    monkeypatch.setattr(fitting, "minimize", without_hook)
+    _, plain = _smoke_fit(cfg, cavity)
+    _assert_same_fit(batched, plain)
+    assert len(batched.model_kappa) == len(plain.model_kappa) == 2
+    for a, b in zip(batched.model_kappa, plain.model_kappa):
+        assert np.array_equal(a, b)
 
 
 def test_joint_fit_input_validation(cavity):
