@@ -44,37 +44,44 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, args, cfg, inputs, outputs):
-    manifest = {
-        "command": command,
+def _write_text(out, name, text):
+    with open(os.path.join(out, name), "w") as handle:
+        handle.write(text + "\n")
+    return name
+
+
+def _write_json(out, name, payload):
+    return _write_text(out, name, json.dumps(payload, indent=2,
+                                             sort_keys=True))
+
+
+def _write_gnuplot(out, name, lines):
+    return _write_text(out, name, "\n".join(
+        ["set datafile separator \",\""] + lines))
+
+
+def _run(args):
+    """Load the config, create the out dir, run the command and write
+    manifest.json; the command's exit code."""
+    cfg = load_config(args.config)
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    outputs, code = args.func(args, cfg, out)
+    inputs = list(getattr(args, "data", ())) \
+        + ([args.config] if args.config else [])
+    words = (args.command, getattr(args, "subcommand", None))
+    _write_json(out, "manifest.json", {
+        "command": " ".join(w for w in words if w),
         "seed": args.seed,
         "config_file": args.config,
         "config": cfg.as_dict(),
         "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {name: _sha256(os.path.join(out_dir, name))
+        "outputs": {name: _sha256(os.path.join(out, name))
                     for name in sorted(outputs)},
         "versions": {"tlscavity": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "pyyaml": yaml.__version__},
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _write_gnuplot(out_dir, name, lines):
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as handle:
-        handle.write("set datafile separator \",\"\n")
-        for line in lines:
-            handle.write(line + "\n")
-    return os.path.basename(path)
-
-
-def _prepare_out(args):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    })
+    return code
 
 
 def _trace_ntots(cfg, n_traces):
@@ -86,9 +93,7 @@ def _trace_ntots(cfg, n_traces):
     return [cfg.ringdown.n_tot] * n_traces
 
 
-def cmd_simulate_ringdown(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_simulate_ringdown(args, cfg, out):
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     powers = cfg.ringdown.initial_photons
     ntots = _trace_ntots(cfg, len(powers))
@@ -117,14 +122,10 @@ def cmd_simulate_ringdown(args):
             lines.append("  \"ringdown_%02d.csv\" using 1:3 with lines "
                          "title \"trace %d\"%s" % (idx, idx, tail))
         outputs.append(_write_gnuplot(out, "ringdown.gp", lines))
-    inputs = [args.config] if args.config else []
-    _write_manifest(out, "simulate ringdown", args, cfg, inputs, outputs)
-    return 0
+    return outputs, 0
 
 
-def cmd_simulate_ringup(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_simulate_ringup(args, cfg, out):
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     params = ReflectionParams(
         q_int=cfg.ringup.q_int, q_c=cfg.ringup.q_c, f0=cfg.cavity.f0,
@@ -141,14 +142,10 @@ def cmd_simulate_ringup(args):
         outputs.append(_write_gnuplot(out, "ringup.gp", [
             "set logscale y",
             "plot \"ringup.csv\" using 1:2 with lines title \"P_r(t)\""]))
-    inputs = [args.config] if args.config else []
-    _write_manifest(out, "simulate ringup", args, cfg, inputs, outputs)
-    return 0
+    return outputs, 0
 
 
-def cmd_simulate_temperature(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_simulate_temperature(args, cfg, out):
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     temps = np.linspace(cfg.sweep.t_min, cfg.sweep.t_max,
                         cfg.sweep.n_points)
@@ -178,15 +175,10 @@ def cmd_simulate_temperature(args):
         outputs.append(_write_gnuplot(out, "sweep.gp", [
             "set logscale y",
             "plot \"sweep.csv\" using 1:8 with lines title \"Q_int(T)\""]))
-    inputs = [args.config] if args.config else []
-    _write_manifest(out, "simulate temperature-sweep", args, cfg, inputs,
-                    outputs)
-    return 0
+    return outputs, 0
 
 
-def cmd_distribution(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_distribution(args, cfg, out):
     classes = cfg.trace_classes()
     write_distribution_csv(classes, os.path.join(out, "classes.csv"))
     outputs = ["classes.csv"]
@@ -216,22 +208,15 @@ def cmd_distribution(args):
             classes, cfg.oxide.g_threshold, cfg.oxide.bandwidth,
             cfg.oxide.v_ox_field)),
     }
-    with open(os.path.join(out, "report.json"), "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    outputs.append("report.json")
+    outputs.append(_write_json(out, "report.json", report))
     if args.gnuplot:
         outputs.append(_write_gnuplot(out, "distribution.gp", [
             "set logscale xy",
             "plot \"classes.csv\" using 1:2 with points title \"N_i(g)\""]))
-    inputs = [args.config] if args.config else []
-    _write_manifest(out, "distribution", args, cfg, inputs, outputs)
-    return 0
+    return outputs, 0
 
 
-def cmd_fit_ringdown(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_fit_ringdown(args, cfg, out):
     traces = [datafiles.read_ringdown_csv(p) for p in args.data]
     if cfg.tls_t2_star is not None:
         t2_init = cfg.tls_t2_star
@@ -250,10 +235,7 @@ def cmd_fit_ringdown(args):
         g_min=cfg.distribution.g_min, g_max=cfg.distribution.g_max,
         n_classes=cfg.distribution.n_classes, m_steps=cfg.fit.m_steps,
         window_margin=cfg.fit.window_margin)
-    with open(os.path.join(out, "fit_ringdown.json"), "w") as handle:
-        handle.write(result.to_json())
-        handle.write("\n")
-    outputs = ["fit_ringdown.json"]
+    outputs = [_write_text(out, "fit_ringdown.json", result.to_json())]
     for idx, ((times, n), model) in enumerate(zip(traces,
                                                   result.model_kappa),
                                               start=1):
@@ -263,26 +245,19 @@ def cmd_fit_ringdown(args):
                   "time_s,kappa_data_1_per_s,kappa_model_1_per_s,residual",
                   zip(t_k, kappa_data, model, kappa_data - model))
         outputs.append(name)
-    _write_manifest(out, "fit ringdown", args, cfg,
-                    list(args.data) + ([args.config] if args.config else []),
-                    outputs)
     if not result.converged:
         print("fit did not converge within the iteration cap; best point "
               "written", file=sys.stderr)
-        return 4
-    return 0
+        return outputs, 4
+    return outputs, 0
 
 
-def cmd_fit_ringup(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_fit_ringup(args, cfg, out):
     times, power = datafiles.read_trace_csv(args.data[0], dbm=args.dbm)
     level = cfg.noise_level if cfg.noise_level > 0 else 0.01
     sigma = level * (np.abs(power) + 1e-3 * float(np.max(power)))
     result = fit_ringup(times, power, cfg.cavity.f0, sigma=sigma)
-    with open(os.path.join(out, "fit_ringup.json"), "w") as handle:
-        handle.write(result.to_json())
-        handle.write("\n")
+    _write_text(out, "fit_ringup.json", result.to_json())
     values = result.values_dict
     model = reflection.ringup_power(times, ReflectionParams(
         q_int=values["q_int"], q_c=values["q_c"], f0=cfg.cavity.f0,
@@ -290,15 +265,11 @@ def cmd_fit_ringup(args):
     write_csv(os.path.join(out, "residuals_ringup.csv"),
               "time_s,power_data_w,power_model_w,residual",
               zip(times, power, model, power - model))
-    _write_manifest(out, "fit ringup", args, cfg,
-                    list(args.data) + ([args.config] if args.config else []),
-                    ["fit_ringup.json", "residuals_ringup.csv"])
-    return 0 if result.converged else 4
+    return (["fit_ringup.json", "residuals_ringup.csv"],
+            0 if result.converged else 4)
 
 
-def cmd_fit_temperature(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_fit_temperature(args, cfg, out):
     freq = datafiles.read_csv_columns(args.data[0],
                                       ("temperature_K", "freq_shift"))
     qdat = datafiles.read_csv_columns(args.data[1],
@@ -325,9 +296,7 @@ def cmd_fit_temperature(args):
          sigma_of(freq["freq_shift"])),
         (qdat["temperature_K"], qdat["q_int"], sigma_of(qdat["q_int"])),
         fixed)
-    with open(os.path.join(out, "fit_temperature.json"), "w") as handle:
-        handle.write(result.to_json())
-        handle.write("\n")
+    _write_text(out, "fit_temperature.json", result.to_json())
     values = result.values_dict
     sc = mattis_bardeen.SuperconductorParams(
         delta0=values["delta0"], sigma_n=values["sigma_n"],
@@ -349,16 +318,11 @@ def cmd_fit_temperature(args):
               "temperature_K,q_int_data,q_int_model,residual",
               zip(qdat["temperature_K"], qdat["q_int"], q_model,
                   qdat["q_int"] - q_model))
-    _write_manifest(out, "fit temperature", args, cfg,
-                    list(args.data) + ([args.config] if args.config else []),
-                    ["fit_temperature.json", "residuals_freq.csv",
-                     "residuals_q.csv"])
-    return 0 if result.converged else 4
+    return (["fit_temperature.json", "residuals_freq.csv",
+             "residuals_q.csv"], 0 if result.converged else 4)
 
 
-def cmd_fit_circle(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(args)
+def cmd_fit_circle(args, cfg, out):
     freqs, s11 = datafiles.read_sweep_csv(args.data[0])
     res = circle_fit(freqs, s11)
     payload = {
@@ -373,9 +337,7 @@ def cmd_fit_circle(args):
                    res.center.imag, "radius": res.radius,
                    "theta0": res.theta0, "rms_residual": res.rms_residual},
     }
-    with open(os.path.join(out, "fit_circle.json"), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(out, "fit_circle.json", payload)
     z_inf = res.center - res.radius * complex(math.cos(res.theta0),
                                               math.sin(res.theta0))
     model = s11_model(freqs, res.f0, res.q_int, res.q_c,
@@ -386,10 +348,7 @@ def cmd_fit_circle(args):
     write_csv(os.path.join(out, "residuals_circle.csv"),
               "frequency_hz,re_data,im_data,re_model,im_model",
               zip(freqs, s11.real, s11.imag, model.real, model.imag))
-    _write_manifest(out, "fit circle", args, cfg,
-                    list(args.data) + ([args.config] if args.config else []),
-                    ["fit_circle.json", "residuals_circle.csv"])
-    return 0
+    return ["fit_circle.json", "residuals_circle.csv"], 0
 
 
 _DATA_COUNTS = {"ringdown": (1, None), "ringup": (1, 1),
@@ -457,7 +416,7 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print("tlscavity: config error: %s" % exc, file=sys.stderr)
         return 2

@@ -4,6 +4,9 @@ Every physical default is a fitted value from the measured device this
 toolkit models, so a bare `tlscavity simulate ...` run reproduces the
 reference curves. Validation failures raise ConfigError naming the field.
 
+The loader reads the schema from the settings dataclasses' fields (every
+number must be finite); `RunConfig.as_dict` writes it back the same way.
+
 Schema (all sections and keys optional; values shown are the defaults)::
 
     cavity:
@@ -60,7 +63,8 @@ Schema (all sections and keys optional; values shown are the defaults)::
       window_margin: 10.0
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
@@ -90,6 +94,8 @@ class RingdownSettings:
             raise ValueError("m_steps must be at least 2")
         if self.mode not in ("pinned", "tracked"):
             raise ValueError("mode must be 'pinned' or 'tracked'")
+        if not self.initial_photons:
+            raise ValueError("initial_photons must not be empty")
         if any(p <= 0 for p in self.initial_photons):
             raise ValueError("initial_photons must be positive")
         if self.n_tot_per_trace and \
@@ -146,10 +152,9 @@ class OxideSettings:
     v_ox_field: float = 2.3e-13
 
     def __post_init__(self):
-        for name in ("e_max", "v_ox", "eps_r", "g_threshold", "bandwidth",
-                     "v_ox_field"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError("%s must be positive" % f.name)
 
 
 @dataclass(frozen=True)
@@ -187,13 +192,11 @@ class RunConfig:
     oxide: OxideSettings = field(default_factory=OxideSettings)
     fit: FitSettings = field(default_factory=FitSettings)
 
-    def trace_classes(self, n_tot=None, distribution=None):
+    def trace_classes(self, n_tot=None):
         """TLS classes for the pulsed-trace ensemble (tls section times)."""
-        dist = distribution if distribution is not None else self.distribution
+        dist = self.distribution
         if n_tot is not None:
-            dist = DistributionParams(
-                n_tot=n_tot, beta=dist.beta, epsilon_s=dist.epsilon_s,
-                g_min=dist.g_min, g_max=dist.g_max, n_classes=dist.n_classes)
+            dist = replace(dist, n_tot=n_tot)
         if self.tls_t2_star is not None:
             return sample_classes(dist, omega_tls=self.cavity.omega0,
                                   t2_star=self.tls_t2_star)
@@ -202,72 +205,52 @@ class RunConfig:
 
     def sweep_classes(self):
         """TLS classes for the temperature model (sweep section)."""
-        dist = DistributionParams(
-            n_tot=self.sweep.tls_n_tot, beta=self.distribution.beta,
-            epsilon_s=self.distribution.epsilon_s,
-            g_min=self.distribution.g_min, g_max=self.distribution.g_max,
-            n_classes=self.distribution.n_classes)
+        dist = replace(self.distribution, n_tot=self.sweep.tls_n_tot)
         return sample_classes(dist, omega_tls=self.cavity.omega0,
                               T1=self.sweep.tls_t1,
                               T_phi=self.sweep.tls_t_phi)
 
     def as_dict(self):
-        """Fully resolved configuration for the run manifest."""
-        return {
-            "cavity": {"f0": self.cavity.f0, "kappa0": self.cavity.kappa0,
-                       "kappa_c": self.cavity.kappa_c,
-                       "temperature": self.cavity.temperature},
-            "tls": ({"t2_star": self.tls_t2_star}
-                    if self.tls_t2_star is not None
-                    else {"t1": self.tls_t1, "t_phi": self.tls_t_phi}),
-            "distribution": {
-                "n_tot": self.distribution.n_tot,
-                "beta": self.distribution.beta,
-                "epsilon_s": self.distribution.epsilon_s,
-                "g_min": self.distribution.g_min,
-                "g_max": self.distribution.g_max,
-                "n_classes": self.distribution.n_classes},
-            "superconductor": {
-                "delta0_j": self.superconductor.delta0,
-                "sigma_n": self.superconductor.sigma_n,
-                "alpha": self.superconductor.alpha,
-                "g_factor": self.superconductor.g_factor},
-            "ringdown": {
-                "n_tot": self.ringdown.n_tot,
-                "n_tot_per_trace": list(self.ringdown.n_tot_per_trace),
-                "initial_photons": list(self.ringdown.initial_photons),
-                "t_final": self.ringdown.t_final,
-                "m_steps": self.ringdown.m_steps,
-                "mode": self.ringdown.mode},
-            "ringup": {"q_int": self.ringup.q_int, "q_c": self.ringup.q_c,
-                       "delta": self.ringup.delta, "p_f": self.ringup.p_f,
-                       "t_final": self.ringup.t_final,
-                       "n_points": self.ringup.n_points},
-            "sweep": {"t_min": self.sweep.t_min, "t_max": self.sweep.t_max,
-                      "n_points": self.sweep.n_points,
-                      "tls_n_tot": self.sweep.tls_n_tot,
-                      "tls_t1": self.sweep.tls_t1,
-                      "tls_t_phi": self.sweep.tls_t_phi},
-            "noise": {"level": self.noise_level},
-            "oxide": {"e_max": self.oxide.e_max, "v_ox": self.oxide.v_ox,
-                      "eps_r": self.oxide.eps_r,
-                      "g_threshold": self.oxide.g_threshold,
-                      "bandwidth": self.oxide.bandwidth,
-                      "v_ox_field": self.oxide.v_ox_field},
-            "fit": {"m_steps": self.fit.m_steps,
-                    "window_margin": self.fit.window_margin},
-        }
+        """Fully resolved configuration for the run manifest: the loader's
+        field table in reverse, so it loads back as this configuration."""
+        out = {"tls": ({"t2_star": self.tls_t2_star}
+                       if self.tls_t2_star is not None
+                       else {"t1": self.tls_t1, "t_phi": self.tls_t_phi}),
+               "noise": {"level": self.noise_level}}
+        for f in fields(self):
+            settings = getattr(self, f.name)
+            if is_dataclass(settings):
+                out[f.name] = {_yaml_key(f.name, g): _plain(getattr(
+                    settings, g.name)) for g in fields(settings)}
+        return out
+
+
+# YAML keys that differ from their field name, by (section, field).
+_YAML_KEYS = {("superconductor", "delta0"): "delta0_j"}
+
+
+def _yaml_key(section, f):
+    return _YAML_KEYS.get((section, f.name), f.name)
+
+
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _as_float(section, key, value):
-    if isinstance(value, bool) or value is None:
-        raise ConfigError("%s.%s: expected a number, found %r"
-                          % (section, key, value))
     try:
-        return float(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError("%s.%s: expected a number, found %r"
                           % (section, key, value)) from None
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError("%s.%s: expected a finite number, found %r"
+                          % (section, key, value))
+    return number
 
 
 def _as_int(section, key, value):
@@ -276,6 +259,22 @@ def _as_int(section, key, value):
         raise ConfigError("%s.%s: expected an integer, found %r"
                           % (section, key, value))
     return int(f)
+
+
+def _as_floats(section, key, value):
+    if not isinstance(value, (list, tuple, type(None))):
+        raise ConfigError("%s.%s: expected a list" % (section, key))
+    return tuple(_as_float(section, key, v) for v in value or ())
+
+
+def _as_str(section, key, value):
+    if not isinstance(value, str):
+        raise ConfigError("%s.%s: expected a string" % (section, key))
+    return value
+
+
+# Conversion of a YAML value by the annotation of its settings field.
+_CONVERT = {float: _as_float, int: _as_int, tuple: _as_floats, str: _as_str}
 
 
 def _section(raw, name, known):
@@ -291,11 +290,44 @@ def _section(raw, name, known):
     return sec
 
 
-def _build(section, cls, values):
+def _load_section(raw, name, default):
+    """The default settings with the section's keys converted and applied."""
+    keys = {_yaml_key(name, f): f for f in fields(default)}
+    known = set(keys) | ({"tc"} if name == "superconductor" else set())
+    sec = _section(raw, name, known)
+    values = {}
+    if "tc" in sec:
+        if "delta0_j" in sec:
+            raise ConfigError("superconductor: give either delta0_j or tc, "
+                              "not both")
+        values["delta0"] = BCS_RATIO * CONSTANTS.k_b * _as_float(
+            "superconductor", "tc", sec["tc"])
+    for key, f in keys.items():
+        if key in sec:
+            values[f.name] = _CONVERT[f.type](name, key, sec[key])
     try:
-        return cls(**values)
+        return replace(default, **values)
     except (ValueError, TypeError) as exc:
-        raise ConfigError("%s: %s" % (section, exc)) from exc
+        raise ConfigError("%s: %s" % (name, exc)) from exc
+
+
+def _load_tls(raw, default_t2_star):
+    """(t1, t_phi, t2_star) from the tls section: t2_star or the pair."""
+    sec = _section(raw, "tls", {"t1", "t_phi", "t2_star"})
+    if "t2_star" in sec and ("t1" in sec or "t_phi" in sec):
+        raise ConfigError("tls: give either t2_star or the t1/t_phi pair, "
+                          "not both")
+    if "t1" in sec or "t_phi" in sec:
+        if not ("t1" in sec and "t_phi" in sec):
+            raise ConfigError("tls: t1 and t_phi must be given together")
+        t1, t_phi = (_as_float("tls", k, sec[k]) for k in ("t1", "t_phi"))
+        if t1 <= 0 or t_phi <= 0:
+            raise ConfigError("tls: t1 and t_phi must be positive")
+        return t1, t_phi, None
+    t2 = _as_float("tls", "t2_star", sec.get("t2_star", default_t2_star))
+    if t2 <= 0:
+        raise ConfigError("tls: t2_star must be positive")
+    return None, None, t2
 
 
 def load_config(path=None):
@@ -311,166 +343,28 @@ def load_config(path=None):
         except yaml.YAMLError as exc:
             raise ConfigError("cannot parse config %s: %s" % (path, exc)) \
                 from exc
-        if raw is None:
-            raw = {}
+        raw = {} if raw is None else raw
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
 
     defaults = RunConfig()
-
-    sec = _section(raw, "cavity", {"f0", "kappa0", "kappa_c", "temperature"})
-    cav_kw = {k: _as_float("cavity", k, v) for k, v in sec.items()}
-    base = defaults.cavity
-    cavity = _build("cavity", CavityParams, {
-        "f0": cav_kw.get("f0", base.f0),
-        "kappa0": cav_kw.get("kappa0", base.kappa0),
-        "kappa_c": cav_kw.get("kappa_c", base.kappa_c),
-        "temperature": cav_kw.get("temperature", base.temperature)})
-
-    sec = _section(raw, "tls", {"t1", "t_phi", "t2_star"})
-    if "t2_star" in sec and ("t1" in sec or "t_phi" in sec):
-        raise ConfigError("tls: give either t2_star or the t1/t_phi pair, "
-                          "not both")
-    if "t1" in sec or "t_phi" in sec:
-        if not ("t1" in sec and "t_phi" in sec):
-            raise ConfigError("tls: t1 and t_phi must be given together")
-        t1 = _as_float("tls", "t1", sec["t1"])
-        t_phi = _as_float("tls", "t_phi", sec["t_phi"])
-        if t1 <= 0 or t_phi <= 0:
-            raise ConfigError("tls: t1 and t_phi must be positive")
-        tls_t1, tls_t_phi, tls_t2 = t1, t_phi, None
-    else:
-        tls_t2 = _as_float("tls", "t2_star",
-                           sec.get("t2_star", defaults.tls_t2_star))
-        if tls_t2 <= 0:
-            raise ConfigError("tls: t2_star must be positive")
-        tls_t1 = tls_t_phi = None
-
-    sec = _section(raw, "distribution", {"n_tot", "beta", "epsilon_s",
-                                         "g_min", "g_max", "n_classes"})
-    base = defaults.distribution
-    distribution = _build("distribution", DistributionParams, {
-        "n_tot": _as_float("distribution", "n_tot",
-                           sec.get("n_tot", base.n_tot)),
-        "beta": _as_float("distribution", "beta", sec.get("beta", base.beta)),
-        "epsilon_s": _as_float("distribution", "epsilon_s",
-                               sec.get("epsilon_s", base.epsilon_s)),
-        "g_min": _as_float("distribution", "g_min",
-                           sec.get("g_min", base.g_min)),
-        "g_max": _as_float("distribution", "g_max",
-                           sec.get("g_max", base.g_max)),
-        "n_classes": _as_int("distribution", "n_classes",
-                             sec.get("n_classes", base.n_classes))})
-
-    sec = _section(raw, "superconductor", {"delta0_j", "tc", "sigma_n",
-                                           "alpha", "g_factor"})
-    base = defaults.superconductor
-    if "delta0_j" in sec and "tc" in sec:
-        raise ConfigError("superconductor: give either delta0_j or tc, "
-                          "not both")
-    if "tc" in sec:
-        delta0 = BCS_RATIO * CONSTANTS.k_b * _as_float(
-            "superconductor", "tc", sec["tc"])
-    else:
-        delta0 = _as_float("superconductor", "delta0_j",
-                           sec.get("delta0_j", base.delta0))
-    superconductor = _build("superconductor", SuperconductorParams, {
-        "delta0": delta0,
-        "sigma_n": _as_float("superconductor", "sigma_n",
-                             sec.get("sigma_n", base.sigma_n)),
-        "alpha": _as_float("superconductor", "alpha",
-                           sec.get("alpha", base.alpha)),
-        "g_factor": _as_float("superconductor", "g_factor",
-                              sec.get("g_factor", base.g_factor))})
-
-    sec = _section(raw, "ringdown", {"n_tot", "n_tot_per_trace",
-                                     "initial_photons", "t_final",
-                                     "m_steps", "mode"})
-    base = defaults.ringdown
-    powers = sec.get("initial_photons", list(base.initial_photons))
-    if not isinstance(powers, (list, tuple)) or not powers:
-        raise ConfigError("ringdown.initial_photons: expected a non-empty "
-                          "list")
-    powers = tuple(_as_float("ringdown", "initial_photons", p)
-                   for p in powers)
-    per_trace = sec.get("n_tot_per_trace", list(base.n_tot_per_trace))
-    if per_trace is None:
-        per_trace = []
-    if not isinstance(per_trace, (list, tuple)):
-        raise ConfigError("ringdown.n_tot_per_trace: expected a list")
-    per_trace = tuple(_as_float("ringdown", "n_tot_per_trace", v)
-                      for v in per_trace)
-    mode = sec.get("mode", base.mode)
-    if not isinstance(mode, str):
-        raise ConfigError("ringdown.mode: expected a string")
-    ringdown = _build("ringdown", RingdownSettings, {
-        "n_tot": _as_float("ringdown", "n_tot", sec.get("n_tot",
-                                                        base.n_tot)),
-        "n_tot_per_trace": per_trace,
-        "initial_photons": powers,
-        "t_final": _as_float("ringdown", "t_final",
-                             sec.get("t_final", base.t_final)),
-        "m_steps": _as_int("ringdown", "m_steps",
-                           sec.get("m_steps", base.m_steps)),
-        "mode": mode})
-
-    sec = _section(raw, "ringup", {"q_int", "q_c", "delta", "p_f",
-                                   "t_final", "n_points"})
-    base = defaults.ringup
-    ringup = _build("ringup", RingupSettings, {
-        "q_int": _as_float("ringup", "q_int", sec.get("q_int", base.q_int)),
-        "q_c": _as_float("ringup", "q_c", sec.get("q_c", base.q_c)),
-        "delta": _as_float("ringup", "delta", sec.get("delta", base.delta)),
-        "p_f": _as_float("ringup", "p_f", sec.get("p_f", base.p_f)),
-        "t_final": _as_float("ringup", "t_final",
-                             sec.get("t_final", base.t_final)),
-        "n_points": _as_int("ringup", "n_points",
-                            sec.get("n_points", base.n_points))})
-
-    sec = _section(raw, "sweep", {"t_min", "t_max", "n_points", "tls_n_tot",
-                                  "tls_t1", "tls_t_phi"})
-    base = defaults.sweep
-    sweep = _build("sweep", SweepSettings, {
-        "t_min": _as_float("sweep", "t_min", sec.get("t_min", base.t_min)),
-        "t_max": _as_float("sweep", "t_max", sec.get("t_max", base.t_max)),
-        "n_points": _as_int("sweep", "n_points",
-                            sec.get("n_points", base.n_points)),
-        "tls_n_tot": _as_float("sweep", "tls_n_tot",
-                               sec.get("tls_n_tot", base.tls_n_tot)),
-        "tls_t1": _as_float("sweep", "tls_t1",
-                            sec.get("tls_t1", base.tls_t1)),
-        "tls_t_phi": _as_float("sweep", "tls_t_phi",
-                               sec.get("tls_t_phi", base.tls_t_phi))})
-
-    sec = _section(raw, "noise", {"level"})
-    noise_level = _as_float("noise", "level",
-                            sec.get("level", defaults.noise_level))
-    if noise_level < 0:
-        raise ConfigError("noise.level: must be non-negative")
-
-    sec = _section(raw, "oxide", {"e_max", "v_ox", "eps_r", "g_threshold",
-                                  "bandwidth", "v_ox_field"})
-    base = defaults.oxide
-    oxide = _build("oxide", OxideSettings, {
-        k: _as_float("oxide", k, sec.get(k, getattr(base, k)))
-        for k in ("e_max", "v_ox", "eps_r", "g_threshold", "bandwidth",
-                  "v_ox_field")})
-
-    sec = _section(raw, "fit", {"m_steps", "window_margin"})
-    base = defaults.fit
-    fit = _build("fit", FitSettings, {
-        "m_steps": _as_int("fit", "m_steps",
-                           sec.get("m_steps", base.m_steps)),
-        "window_margin": _as_float("fit", "window_margin",
-                                   sec.get("window_margin",
-                                           base.window_margin))})
+    values = {}
+    # sections in RunConfig field order: the first bad one is reported
+    for f in fields(RunConfig):
+        default = getattr(defaults, f.name)
+        if is_dataclass(default):
+            values[f.name] = _load_section(raw, f.name, default)
+        elif f.name == "tls_t2_star":
+            values["tls_t1"], values["tls_t_phi"], values[f.name] = \
+                _load_tls(raw, default)
+        elif f.name == "noise_level":
+            sec = _section(raw, "noise", {"level"})
+            values[f.name] = _as_float("noise", "level",
+                                       sec.get("level", default))
+            if values[f.name] < 0:
+                raise ConfigError("noise.level: must be non-negative")
 
     if raw:
         raise ConfigError("unknown top-level section(s): %s"
                           % ", ".join(sorted(raw)))
-
-    return RunConfig(cavity=cavity, tls_t1=tls_t1, tls_t_phi=tls_t_phi,
-                     tls_t2_star=tls_t2, distribution=distribution,
-                     superconductor=superconductor, ringdown=ringdown,
-                     ringup=ringup, sweep=sweep, noise_level=noise_level,
-                     oxide=oxide, fit=fit)
+    return RunConfig(**values)

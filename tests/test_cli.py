@@ -283,6 +283,18 @@ def test_exit_code_halving_check(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_exit_code_non_finite_config_number(tmp_path, capsys):
+    # simulate ringup never reads ringdown, but the whole config is checked
+    cfgfile = tmp_path / "inf.yaml"
+    cfgfile.write_text("ringdown:\n  m_steps: .inf\n")
+    assert run(["simulate", "ringup", "--config", cfgfile,
+                "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "ringdown.m_steps" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_exit_code_wrong_file_count(tmp_path):
     src = tmp_path / "a.csv"
     src.write_text("temperature_K,freq_shift\n1.0,0.0\n")

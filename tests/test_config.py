@@ -1,10 +1,17 @@
+import dataclasses
 import json
 import math
 
 import pytest
+import yaml
 
 from tlscavity import ConfigError
-from tlscavity.config import RunConfig, load_config
+from tlscavity.config import (FitSettings, OxideSettings, RingdownSettings,
+                              RingupSettings, RunConfig, SweepSettings,
+                              load_config)
+from tlscavity.core import CavityParams
+from tlscavity.distribution import DistributionParams
+from tlscavity.mattis_bardeen import SuperconductorParams
 
 
 def test_defaults():
@@ -125,3 +132,72 @@ def test_as_dict_is_json_serializable():
     back = json.loads(blob)
     assert back["cavity"]["f0"] == 7.9e9
     assert back["fit"]["m_steps"] == 2000
+
+
+def _numeric_keys():
+    keys = [(section, key)
+            for section, values in RunConfig().as_dict().items()
+            for key, value in values.items() if not isinstance(value, str)]
+    return keys + [("superconductor", "tc"), ("tls", "t1"), ("tls", "t_phi")]
+
+
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("section, key", _numeric_keys())
+def test_non_finite_number_rejected(tmp_path, section, key, bad):
+    default = RunConfig().as_dict()[section].get(key)
+    value = "[%s]" % bad if isinstance(default, list) else bad
+    text = "%s:\n  %s: %s\n" % (section, key, value)
+    if key in ("t1", "t_phi"):
+        text += "  %s: 5.0e-7\n" % ("t_phi" if key == "t1" else "t1")
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=r"^%s\.%s: " % (section, key)):
+        load_config(p)
+
+
+def _every_field_changed(tls):
+    return RunConfig(
+        cavity=CavityParams(f0=8.1e9, kappa0=600.0, kappa_c=450.0,
+                            temperature=0.03),
+        distribution=DistributionParams(n_tot=3.0e6, beta=2.9,
+                                        epsilon_s=0.3, g_min=2.0e-3,
+                                        g_max=5.0e2, n_classes=9),
+        superconductor=SuperconductorParams(delta0=2.2e-22, sigma_n=3.0e7,
+                                            alpha=4.0e-5, g_factor=70.0),
+        ringdown=RingdownSettings(n_tot=1.5e8,
+                                  n_tot_per_trace=(1.1e8, 1.3e8),
+                                  initial_photons=(2.0e13, 3.0e11),
+                                  t_final=0.015, m_steps=3000,
+                                  mode="tracked"),
+        ringup=RingupSettings(q_int=4.0e8, q_c=2.0e8, delta=0.5,
+                              p_f=2.0e-12, t_final=0.02, n_points=300),
+        sweep=SweepSettings(t_min=0.1, t_max=3.5, n_points=40,
+                            tls_n_tot=4.0e8, tls_t1=8.0e-7,
+                            tls_t_phi=5.0e-7),
+        noise_level=0.02,
+        oxide=OxideSettings(e_max=5.0e-3, v_ox=5.0e-12, eps_r=30.0,
+                            g_threshold=80.0, bandwidth=600.0,
+                            v_ox_field=2.0e-13),
+        fit=FitSettings(m_steps=1500, window_margin=8.0),
+        **tls)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(),
+    _every_field_changed({"tls_t2_star": 3.1e-7}),
+    _every_field_changed({"tls_t1": 6.0e-7, "tls_t_phi": 4.0e-7,
+                          "tls_t2_star": None}),
+], ids=["defaults", "t2_star", "t1_t_phi"])
+def test_manifest_config_reloads_as_the_same_run(tmp_path, cfg):
+    base = RunConfig()
+    if cfg != base:
+        for f in dataclasses.fields(cfg):
+            value, default = getattr(cfg, f.name), getattr(base, f.name)
+            if dataclasses.is_dataclass(value):
+                for g in dataclasses.fields(value):
+                    assert getattr(value, g.name) != getattr(default, g.name)
+            elif value is not None:
+                assert value != default
+    p = tmp_path / "manifest_config.yaml"
+    p.write_text(yaml.safe_dump(cfg.as_dict()))
+    assert load_config(p) == cfg
