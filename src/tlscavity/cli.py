@@ -156,7 +156,6 @@ def cmd_simulate_temperature(args, cfg, out):
     outputs = ["sweep.csv"]
 
     def noisy(values):
-        values = np.array(values, dtype=float)
         if rng is None or cfg.noise_level == 0:
             return values
         floor = 1e-6 * float(np.max(np.abs(values[np.isfinite(values)])))
@@ -274,6 +273,14 @@ def cmd_fit_temperature(args, cfg, out):
                                       ("temperature_K", "freq_shift"))
     qdat = datafiles.read_csv_columns(args.data[1],
                                       ("temperature_K", "q_int"))
+    for path, data in zip(args.data, (freq, qdat)):
+        temps = data["temperature_K"]
+        bad = temps[(temps < 0) | mattis_bardeen.pair_breaking(
+            temps, cfg.cavity.omega0, cfg.superconductor.delta0)]
+        if bad.size:
+            raise DataError("%s: temperature_K %r is %s" % (
+                path, float(bad[0]), "negative" if bad[0] < 0 else
+                "in the pair-breaking regime (hbar*omega0 >= 2*Delta(T))"))
     level = cfg.noise_level if cfg.noise_level > 0 else 0.01
 
     def sigma_of(values):
@@ -304,12 +311,10 @@ def cmd_fit_temperature(args, cfg, out):
     fit_classes = [TlsClass(g=g, count=n, omega_tls=cfg.cavity.omega0,
                             T1=values["t1"], T_phi=values["t_phi"])
                    for g, n in fixed["class_table"]]
-    shift_model = np.array([mattis_bardeen.freq_shift(t, sc,
-                                                      cfg.cavity.omega0)
-                            for t in freq["temperature_K"]])
-    q_model = np.array([mattis_bardeen.q_int_temperature(t, sc, fit_classes,
-                                                         cfg.cavity)
-                        for t in qdat["temperature_K"]])
+    shift_model = mattis_bardeen.freq_shift(freq["temperature_K"], sc,
+                                            cfg.cavity.omega0)
+    q_model = mattis_bardeen.q_int_temperature(qdat["temperature_K"], sc,
+                                               fit_classes, cfg.cavity)
     write_csv(os.path.join(out, "residuals_freq.csv"),
               "temperature_K,freq_shift_data,freq_shift_model,residual",
               zip(freq["temperature_K"], freq["freq_shift"], shift_model,

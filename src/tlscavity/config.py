@@ -44,7 +44,7 @@ Schema (all sections and keys optional; values shown are the defaults)::
       n_points: 600
     sweep:                 # temperature sweep and its own (VNA-side) TLS
       t_min: 0.05          # [K]
-      t_max: 4.4
+      t_max: 4.4           # below pair breaking: hbar*omega0 < 2*Delta(t_max)
       n_points: 88
       tls_n_tot: 5.808e8
       tls_t1: 7.23e-7      # [s]
@@ -71,7 +71,7 @@ import yaml
 from .core import CONSTANTS, CavityParams
 from .distribution import DistributionParams, sample_classes
 from .errors import ConfigError
-from .mattis_bardeen import BCS_RATIO, SuperconductorParams
+from .mattis_bardeen import BCS_RATIO, SuperconductorParams, pair_breaking
 
 _DEFAULT_POWERS = tuple(5.0e13 * 10.0 ** (-0.5 * i) for i in range(10))
 
@@ -367,4 +367,10 @@ def load_config(path=None):
     if raw:
         raise ConfigError("unknown top-level section(s): %s"
                           % ", ".join(sorted(raw)))
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    # Delta(T) falls with T: the sweep is inside the model if t_max is
+    for key, t in (("cavity.f0", 0.0), ("sweep.t_max", cfg.sweep.t_max)):
+        if pair_breaking(t, cfg.cavity.omega0, cfg.superconductor.delta0)[0]:
+            raise ConfigError("%s: hbar*omega0 >= 2*Delta(%r K), the "
+                              "pair-breaking regime" % (key, t))
+    return cfg

@@ -136,10 +136,10 @@ class FitResult:
         }, indent=2)
 
 
-def numerical_jacobian(fn, u, *, rel_step=_JAC_REL_STEP,
-                       abs_floor=_JAC_ABS_FLOOR, scheme="forward",
-                       lower=None, upper=None, f0=None, batch_fn=None):
-    """Numerical Jacobian of fn at u with per-coordinate relative steps.
+def numerical_jacobian(fn, u, *, lower=None, upper=None, f0=None,
+                       batch_fn=None):
+    """Forward-difference Jacobian of fn at u with per-coordinate relative
+    steps.
 
     Steps reverse direction at an upper bound so trial points stay feasible.
     batch_fn, if given, evaluates the list of all trial points in one call
@@ -150,21 +150,16 @@ def numerical_jacobian(fn, u, *, rel_step=_JAC_REL_STEP,
     with_base = f0 is None and batch_fn is not None
     if f0 is None and batch_fn is None:
         f0 = fn(u)
-    central = scheme == "central"
     steps = []
     points = []
     for j in range(len(u)):
-        h = rel_step * abs(u[j]) + abs_floor
+        h = _JAC_REL_STEP * abs(u[j]) + _JAC_ABS_FLOOR
         if upper is not None and u[j] + h > upper[j]:
             h = -h
         steps.append(h)
         up = u.copy()
         up[j] += h
         points.append(up)
-        if central:
-            dn = u.copy()
-            dn[j] -= h
-            points.append(dn)
     if batch_fn is not None:
         rows = np.asarray(batch_fn([u] + points if with_base else points),
                           dtype=float)
@@ -175,10 +170,7 @@ def numerical_jacobian(fn, u, *, rel_step=_JAC_REL_STEP,
     f0 = np.asarray(f0, dtype=float)
     jac = np.empty((len(f0), len(u)))
     for j, h in enumerate(steps):
-        if central:
-            jac[:, j] = (rows[2 * j] - rows[2 * j + 1]) / (2 * h)
-        else:
-            jac[:, j] = (rows[j] - f0) / h
+        jac[:, j] = (rows[j] - f0) / h
     return jac
 
 
@@ -649,8 +641,7 @@ def temperature_fit(freq_sweep, q_sweep, fixed):
         alpha, delta0 = vec
         sc = mattis_bardeen.SuperconductorParams(
             delta0=delta0, sigma_n=1.0, alpha=alpha, g_factor=g_factor)
-        return np.array([mattis_bardeen.freq_shift(t, sc, omega0)
-                         for t in t_f]) - shift_data
+        return mattis_bardeen.freq_shift(t_f, sc, omega0) - shift_data
 
     stage1 = minimize(FitProblem(
         residual_fn=shift_model,
@@ -668,9 +659,8 @@ def temperature_fit(freq_sweep, q_sweep, fixed):
             g_factor=g_factor)
         classes = [TlsClass(g=g, count=n, omega_tls=omega0, T1=t1,
                             T_phi=t_phi) for g, n in class_table]
-        return np.array([mattis_bardeen.q_int_temperature(t, sc, classes,
-                                                          cavity)
-                         for t in t_q]) - q_data
+        return mattis_bardeen.q_int_temperature(t_q, sc, classes,
+                                                cavity) - q_data
 
     stage2 = minimize(FitProblem(
         residual_fn=q_model,

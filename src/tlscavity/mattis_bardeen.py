@@ -2,13 +2,18 @@
 
 Gap suppression, simplified complex conductivity for hbar*omega < 2*Delta,
 quasiparticle quality factor from the surface resistance, kinetic-inductance
-frequency shift, and the combined two-channel Q_int(T) model.
+frequency shift, and the combined two-channel Q_int(T) model. Each function
+of temperature maps a temperature array to arrays of its shape (a scalar to
+floats), every point bitwise its value alone: exp, tanh, sqrt and hypot go
+through `math` point by point. k_B T underflowing to 0 takes the T = 0 forms.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.special
 
 from . import datafiles, tls_bath
@@ -50,117 +55,156 @@ def critical_temperature(delta0):
     return delta0 / (BCS_RATIO * CONSTANTS.k_b)
 
 
-def _warn_validity(temperature, delta0):
-    if CONSTANTS.k_b * temperature > 0.25 * delta0:
-        warnings.warn(
-            "k_B T exceeds delta0/4; low-temperature forms degrade here",
-            ValidityWarning, stacklevel=3)
+def _libm(fn, *args):
+    """math's fn point by point over 1-D arrays (numpy's SIMD exp and tanh
+    differ from libm in the last bit)."""
+    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
 
 
-def gap(temperature, delta0):
+def _on_temperature_axis(fn):
+    """fn(t, ...) gets the temperatures as a 1-D array (ValueError if one is
+    negative); its arrays come back in their shape, floats for a scalar."""
+    @functools.wraps(fn)
+    def wrapper(temperature, *args):
+        t = np.asarray(temperature, dtype=float)
+        if np.any(t < 0):
+            raise ValueError("temperature must be >= 0")
+        out = fn(t.reshape(-1), *args)
+        one = not isinstance(out, tuple)
+        out = tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
+                    for v in ((out,) if one else out))
+        return out[0] if one else out
+    return wrapper
+
+
+def _gap(t, delta0):
+    kt = CONSTANTS.k_b * t
+    out = np.full(t.shape, delta0, dtype=float)
+    hot = kt > 0.0
+    x = kt[hot] / delta0
+    out[hot] = delta0 * (1.0 - _libm(math.sqrt, 2.0 * math.pi * x)
+                         * _libm(math.exp, -1.0 / x))
+    return out
+
+
+@_on_temperature_axis
+def gap(t, delta0):
     """Thermally suppressed half gap, exact delta0 at T = 0.
 
     Delta(T) = delta0 (1 - sqrt(2 pi k_B T / delta0) e^{-delta0/k_B T}).
+    One ValidityWarning per call if any k_B T exceeds delta0/4.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
     if not delta0 > 0:
         raise ValueError("delta0 must be > 0")
-    if temperature == 0.0:
-        return delta0
-    _warn_validity(temperature, delta0)
-    x = CONSTANTS.k_b * temperature / delta0
-    return delta0 * (1.0 - math.sqrt(2.0 * math.pi * x) * math.exp(-1.0 / x))
+    if np.any(CONSTANTS.k_b * t > 0.25 * delta0):
+        warnings.warn(
+            "k_B T exceeds delta0/4; low-temperature forms degrade here",
+            ValidityWarning, stacklevel=3)
+    return _gap(t, delta0)
+
+
+def pair_breaking(temperature, omega, delta0):
+    """True where hbar*omega >= 2*Delta(T), outside conductivity's domain
+    (a 1-D boolean array). Delta falls with T."""
+    t = np.asarray(temperature, dtype=float).reshape(-1)
+    return CONSTANTS.hbar * omega >= 2.0 * _gap(t, delta0)
 
 
 def bessel_k0(x):
-    """Modified Bessel function K0 for x > 0 (scipy.special.k0)."""
-    if not x > 0:
+    """Modified Bessel function K0 for x > 0 (scipy.special.k0); an array
+    gives an array."""
+    if not np.all(np.greater(x, 0.0)):
         raise ValueError("x must be > 0")
-    return float(scipy.special.k0(x))
+    return scipy.special.k0(x) if np.ndim(x) else float(scipy.special.k0(x))
 
 
-def conductivity(temperature, omega, sc):
+@_on_temperature_axis
+def conductivity(t, omega, sc):
     """(sigma1, sigma2) [S/m] in the dirty limit for hbar*omega < 2*Delta(T).
 
     sigma1/sigma_n = (4 Delta/hbar w) e^{-Delta/k_B T} sinh(y) K0(y)
     sigma2/sigma_n = (pi Delta/hbar w) tanh(Delta/2 k_B T)
-    with y = hbar w / 2 k_B T. sigma1 is exactly 0 at T = 0.
+    with y = hbar w / 2 k_B T. sigma1 is exactly 0 at T = 0. ValueError if
+    any temperature is in the pair-breaking regime.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
     if not omega > 0:
         raise ValueError("omega must be > 0")
     hw = CONSTANTS.hbar * omega
-    d = gap(temperature, sc.delta0)
-    if hw >= 2.0 * d:
+    d = gap(t, sc.delta0)
+    if np.any(hw >= 2.0 * d):
         raise ValueError("hbar*omega >= 2*Delta(T): pair-breaking regime")
-    if temperature == 0.0:
-        return 0.0, sc.sigma_n * math.pi * d / hw
-    kt = CONSTANTS.k_b * temperature
+    s1 = np.zeros(t.shape)
+    s2 = sc.sigma_n * math.pi * d / hw
+    kt = CONSTANTS.k_b * t
+    hot = kt > 0.0
+    kt, d = kt[hot], d[hot]
     y = hw / (2.0 * kt)
     # e^{-Delta/kT} sinh(y) combined in the exponent; both arguments are
     # non-positive because Delta/kT > y whenever hbar w < 2 Delta
-    quench = 0.5 * (math.exp(y - d / kt) - math.exp(-y - d / kt))
-    sigma1 = sc.sigma_n * (4.0 * d / hw) * quench * bessel_k0(y)
-    sigma2 = sc.sigma_n * (math.pi * d / hw) * math.tanh(0.5 * d / kt)
-    return sigma1, sigma2
+    quench = 0.5 * (_libm(math.exp, y - d / kt) - _libm(math.exp, -y - d / kt))
+    s1[hot] = sc.sigma_n * (4.0 * d / hw) * quench * bessel_k0(y)
+    s2[hot] = sc.sigma_n * (math.pi * d / hw) * _libm(math.tanh, 0.5 * d / kt)
+    return s1, s2
 
 
-def freq_shift(temperature, sc, omega):
+@_on_temperature_axis
+def freq_shift(t, sc, omega):
     """Normalized kinetic-inductance frequency shift (f(T) - f(0))/f(0).
 
     alpha * (sigma2(T) - sigma2(0)) / (2 sigma2(T)); sigma2(0) is the
-    analytic value sigma_n pi delta0 / hbar w. Exactly 0 at T = 0 and
-    independent of sigma_n.
+    analytic value sigma_n pi delta0 / hbar w, which conductivity returns
+    at T = 0, so the shift is exactly 0 there. Independent of sigma_n.
     """
-    if temperature == 0.0:
-        return 0.0
-    _, s2 = conductivity(temperature, omega, sc)
+    _, s2 = conductivity(t, omega, sc)
     s2_zero = sc.sigma_n * math.pi * sc.delta0 / (CONSTANTS.hbar * omega)
     return sc.alpha * (s2 - s2_zero) / (2.0 * s2)
 
 
-def q_qp(temperature, sc, omega):
+@_on_temperature_axis
+def q_qp(t, sc, omega):
     """Quasiparticle quality factor G |sigma|^2 / (sigma1 sqrt((|sigma|+sigma2) w mu0 / 2)).
 
-    Returns +inf at T = 0 where sigma1 vanishes.
+    +inf where sigma1 vanishes (T = 0).
     """
-    s1, s2 = conductivity(temperature, omega, sc)
-    if s1 == 0.0:
-        return math.inf
-    mod = math.hypot(s1, s2)
-    rs = math.sqrt((mod + s2) * omega * CONSTANTS.mu_0 / 2.0)
-    return sc.g_factor * mod * mod / (s1 * rs)
+    s1, s2 = conductivity(t, omega, sc)
+    out = np.full(t.shape, math.inf)
+    lossy = s1 != 0.0
+    s1, s2 = s1[lossy], s2[lossy]
+    mod = _libm(math.hypot, s1, s2)
+    rs = _libm(math.sqrt, (mod + s2) * omega * CONSTANTS.mu_0 / 2.0)
+    out[lossy] = sc.g_factor * mod * mod / (s1 * rs)
+    return out
 
 
-def q_tls_temperature(temperature, classes, cavity):
+@_on_temperature_axis
+def q_tls_temperature(t, classes, cavity):
     """TLS-channel quality factor at vanishing photon number.
 
-    omega0 / (kappa_minus - kappa_plus) with the bath evaluated at n = 0 and
-    the given temperature: only thermal saturation acts. +inf for an empty
-    class list.
+    omega0 / (kappa_minus - kappa_plus) from one class table over
+    (temperature, class) at n = 0, clamped row by row: only thermal
+    saturation acts. +inf where that is not positive (no classes).
     """
-    if not classes:
-        return math.inf
-    rates = tls_bath.bath_rates(classes, 0.0, 0.0, cavity.omega0, temperature)
-    k_tls = rates.kappa_minus - rates.kappa_plus
-    if k_tls <= 0.0:
-        return math.inf
-    return cavity.omega0 / k_tls
+    table = tls_bath.ClassTable(classes, cavity.omega0, t)
+    zero = np.zeros(t.shape)
+    k_tls = np.array([km - kp for kp, km in (
+        tls_bath.clamp_rates(kp, km)
+        for _, _, kp, km in table.rate_sums(zero, zero).tolist())])
+    return np.divide(cavity.omega0, k_tls, out=np.full(t.shape, math.inf),
+                     where=~(k_tls <= 0.0))
 
 
 def _parallel_q(qt, qq):
     """1/Q = 1/Q_TLS + 1/Q_QP; an infinite channel adds no loss."""
-    inv = (0.0 if math.isinf(qt) else 1.0 / qt) + \
-          (0.0 if math.isinf(qq) else 1.0 / qq)
-    return math.inf if inv == 0.0 else 1.0 / inv
+    inv = 1.0 / qt + 1.0 / qq
+    return np.divide(1.0, inv, out=np.full(inv.shape, math.inf),
+                     where=inv != 0.0)
 
 
-def q_int_temperature(temperature, sc, classes, cavity):
+@_on_temperature_axis
+def q_int_temperature(t, sc, classes, cavity):
     """Two-channel internal quality factor 1/Q = 1/Q_TLS + 1/Q_QP."""
-    return _parallel_q(q_tls_temperature(temperature, classes, cavity),
-                       q_qp(temperature, sc, cavity.omega0))
+    return _parallel_q(q_tls_temperature(t, classes, cavity),
+                       q_qp(t, sc, cavity.omega0))
 
 
 def skin_depth(alpha, g_factor, omega0):
@@ -175,25 +219,18 @@ _SWEEP_COLUMNS = ("temperature_K", "delta_J", "sigma1", "sigma2",
 
 
 def temperature_sweep(temperatures, sc, classes, cavity):
-    """Evaluate all channel quantities on a temperature grid.
+    """Evaluate all channel quantities on a temperature grid, one call per
+    quantity over the whole grid.
 
-    Returns a dict of lists keyed exactly like the CSV columns.
+    Returns a dict of 1-D arrays keyed exactly like the CSV columns.
     """
-    out = {k: [] for k in _SWEEP_COLUMNS}
-    for t in temperatures:
-        t = float(t)
-        s1, s2 = conductivity(t, cavity.omega0, sc)
-        qq = q_qp(t, sc, cavity.omega0)
-        qt = q_tls_temperature(t, classes, cavity)
-        out["temperature_K"].append(t)
-        out["delta_J"].append(gap(t, sc.delta0))
-        out["sigma1"].append(s1)
-        out["sigma2"].append(s2)
-        out["freq_shift"].append(freq_shift(t, sc, cavity.omega0))
-        out["q_qp"].append(qq)
-        out["q_tls"].append(qt)
-        out["q_int"].append(_parallel_q(qt, qq))
-    return out
+    t = np.asarray(temperatures, dtype=float).reshape(-1)
+    s1, s2 = conductivity(t, cavity.omega0, sc)
+    qq = q_qp(t, sc, cavity.omega0)
+    qt = q_tls_temperature(t, classes, cavity)
+    return dict(zip(_SWEEP_COLUMNS, (
+        t, gap(t, sc.delta0), s1, s2, freq_shift(t, sc, cavity.omega0),
+        qq, qt, _parallel_q(qt, qq))))
 
 
 def write_sweep_csv(sweep, path):

@@ -78,35 +78,44 @@ class ClassTable:
 
     f is the thermal occupation at the TLS frequency. Everything temperature-
     and detuning-dependent is evaluated once here; rate_sums() is a handful
-    of vector operations over the class axis. stack() joins the tables of
-    several trajectories (same class count) into (B, C) arrays that
-    rate_sums() evaluates row by row in one call.
+    of vector operations over the class axis. A temperature array of shape
+    (B,) gives (B, C) arrays, one row per temperature, as stack() does for
+    the tables of several trajectories (same class count); rate_sums()
+    evaluates such a table row by row in one call.
     """
 
     _COEFFS = ("base", "slope", "coh", "w2", "sv")
 
     def __init__(self, classes, omega0, temperature):
-        g, count, T1, t2, f = np.array(
-            [(c.g, c.count, c.T1,
-              core.t2_star(c.T1, c.T_phi, c.omega_tls, temperature),
-              core.bose_einstein(c.omega_tls, temperature))
-             for c in classes], dtype=float).reshape(-1, 5).T.copy()
-        x = np.array([chi(c.omega_tls, omega0, tk)
-                      for c, tk in zip(classes, t2.tolist())], dtype=complex)
+        # per class: the temperature-free factors, in scalar arithmetic
+        g, T1, om, inv_phi, ggt1, cgg = np.array(
+            [(c.g, c.T1, c.omega_tls, 1.0 / c.T_phi, c.g * c.g * c.T1,
+              c.count * c.g * c.g) for c in classes],
+            dtype=float).reshape(-1, 6).T.copy()
+        temps = np.asarray(temperature, dtype=float)  # one f per frequency
+        occ = {w: [core.bose_einstein(w, t) for t in temps.ravel().tolist()]
+               for w in set(om.tolist())}
+        f = np.array([occ[w] for w in om.tolist()], dtype=float).T.reshape(
+            temps.shape + om.shape)
+        t2 = 1.0 / ((0.5 + f) / T1 + inv_phi)         # core.t2_star
+        d = (om - omega0) * t2                        # chi = 1 + i d
+        x = np.empty(d.shape, dtype=complex)
+        x.real, x.imag = 1.0, d
         ax2 = np.abs(x) ** 2
-        sat = g * g * T1 * t2                         # D slope in n
-        cgt = count * g * g * t2
+        sat = ggt1 * t2                               # D slope in n
+        cgt = cgg * t2
         w = 2.0 * cgt / ax2                           # rate weight
         coef = np.array([
             ax2 * (1.0 + 2.0 * f), ax2 * f,   # D, rho_ee numerator at n = 0
             sat, 0.5 * sat,                   # ... and their slopes in n
             ax2 * (g * t2) ** 2,              # |rho_ge|^2 weight per |A|^2
             w, w,
-            cgt * x.real, cgt * x.imag,       # Omega' weight per conj(A)
-        ])
-        self.base, self.slope, self.coh = coef[0:2], coef[2:4], coef[4]
-        self.w2, self.sv = coef[5:7], coef[7:9]
-        self.t2max = max(t2.tolist(), default=0.0)
+            cgt, cgt * d,                     # Omega' weight per conj(A)
+        ]).swapaxes(0, -2)                    # (..., 9, C)
+        self.base, self.slope, self.coh, self.w2, self.sv = (
+            coef[..., 0:2, :], coef[..., 2:4, :], coef[..., 4, :],
+            coef[..., 5:7, :], coef[..., 7:9, :])
+        self.t2max = t2.max(axis=-1, initial=0.0).tolist()
 
     @property
     def n_classes(self):

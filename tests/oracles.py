@@ -10,10 +10,12 @@ repository history of the table below) and pasted in.
 import math
 
 import numpy as np
+import scipy.special
 from scipy.integrate import solve_ivp
 
 HBAR = 1.054571817e-34
 KB = 1.380649e-23
+MU_0 = 1.25663706212e-6
 
 
 def bose(omega, temperature):
@@ -107,6 +109,81 @@ class _Bath:
         km = float(np.dot(self.w, 1.0 - ree - coh2))
         op = 1j * np.conj(amp) * complex(np.sum(self.svec * inv))
         return kp, km, op
+
+
+# Superconductor and Q(T) forms at one temperature, coded point by point:
+# the bitwise references of the package's temperature-array functions. A
+# temperature whose k_B T underflows to 0 takes the T = 0 forms.
+
+def gap(temperature, delta0):
+    kt = KB * temperature
+    if kt == 0.0:
+        return delta0
+    x = kt / delta0
+    return delta0 * (1.0 - math.sqrt(2.0 * math.pi * x) * math.exp(-1.0 / x))
+
+
+def conductivity(temperature, omega, sc):
+    hw = HBAR * omega
+    d = gap(temperature, sc.delta0)
+    if hw >= 2.0 * d:
+        raise ValueError("pair-breaking regime")
+    kt = KB * temperature
+    if kt == 0.0:
+        return 0.0, sc.sigma_n * math.pi * d / hw
+    y = hw / (2.0 * kt)
+    quench = 0.5 * (math.exp(y - d / kt) - math.exp(-y - d / kt))
+    sigma1 = sc.sigma_n * (4.0 * d / hw) * quench * float(scipy.special.k0(y))
+    sigma2 = sc.sigma_n * (math.pi * d / hw) * math.tanh(0.5 * d / kt)
+    return sigma1, sigma2
+
+
+def freq_shift(temperature, sc, omega):
+    if temperature == 0.0:
+        return 0.0
+    _, s2 = conductivity(temperature, omega, sc)
+    s2_zero = sc.sigma_n * math.pi * sc.delta0 / (HBAR * omega)
+    return sc.alpha * (s2 - s2_zero) / (2.0 * s2)
+
+
+def q_qp(temperature, sc, omega):
+    s1, s2 = conductivity(temperature, omega, sc)
+    if s1 == 0.0:
+        return math.inf
+    mod = math.hypot(s1, s2)
+    rs = math.sqrt((mod + s2) * omega * MU_0 / 2.0)
+    return sc.g_factor * mod * mod / (s1 * rs)
+
+
+def q_tls_temperature(temperature, classes, omega0):
+    """omega0 / (kappa_minus - kappa_plus) at n = 0: kappa_plus/minus =
+    sum_i w_i rho_ee,i and w_i rho_gg,i with rho_ee = f / (1 + 2f); the
+    class sum is numpy's, as in the package. Summed rates below -1e-3 of
+    their scale raise, smaller negative ones round to 0."""
+    cgt, f, x = [], [], []
+    for c in classes:
+        t2 = t2_eff(c.T1, c.T_phi, c.omega_tls, temperature)
+        cgt.append(c.count * c.g * c.g * t2)
+        f.append(bose(c.omega_tls, temperature))
+        x.append(complex(1.0, (c.omega_tls - omega0) * t2))
+    cgt, f = np.array(cgt, dtype=float), np.array(f, dtype=float)
+    ax2 = np.abs(np.array(x, dtype=complex)) ** 2
+    w = 2.0 * cgt / ax2
+    ree = ax2 * f * (1.0 / (ax2 * (1.0 + 2.0 * f)))
+    kp, km = float(np.sum(w * ree)), float(np.sum(w * (1.0 - ree)))
+    scale = abs(kp) + abs(km) + 1e-30
+    if min(kp, km) < -1e-3 * scale:
+        raise ValueError("rate negative beyond tolerance")
+    k_tls = max(km, 0.0) - max(kp, 0.0)
+    return math.inf if k_tls <= 0.0 else omega0 / k_tls
+
+
+def q_int_temperature(temperature, sc, classes, omega0):
+    qt = q_tls_temperature(temperature, classes, omega0)
+    qq = q_qp(temperature, sc, omega0)
+    inv = (0.0 if math.isinf(qt) else 1.0 / qt) + \
+          (0.0 if math.isinf(qq) else 1.0 / qq)
+    return math.inf if inv == 0.0 else 1.0 / inv
 
 
 def euler_moments(n0, amp0, classes, kappa0, omega0, temperature, t_grid,

@@ -233,6 +233,10 @@ def test_subnormal_temperature_runs(tmp_path, capsys):
                 "--seed", "4"]) == 0
     assert run(["fit", "ringdown", "--config", cfgfile, "--out",
                 tmp_path / "fit", sim / "trace_02.csv"]) == 0
+    # the sweep's first point takes the T = 0 forms
+    cfgfile.write_text("sweep:\n  t_min: 1.0e-320\n  n_points: 9\n")
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", tmp_path / "sweep"]) == 0
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -291,6 +295,41 @@ def test_exit_code_non_finite_config_number(tmp_path, capsys):
                 "--out", tmp_path / "x"]) == 2
     err = capsys.readouterr().err
     assert "ringdown.m_steps" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_exit_code_sweep_t_max_pair_breaking(tmp_path, capsys):
+    # 20 K puts 2 Delta(T) below hbar omega0: a config error at load, exit 2
+    cfgfile = tmp_path / "hot.yaml"
+    cfgfile.write_text("sweep:\n  t_max: 20\n")
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.t_max" in err and "pair-breaking" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, row, value", [
+    ("freq_trace.csv", -1, "20.0"), ("q_trace.csv", 1, "-0.5")])
+def test_exit_code_bad_data_temperature(tmp_path, capsys, name, row, value):
+    # a negative or pair-breaking data temperature is a data error naming
+    # the file, exit 3
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text(TINY_SWEEP)
+    sim = tmp_path / "sim"
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", sim, "--seed", "3"]) == 0
+    lines = (sim / name).read_text().splitlines()
+    lines[row] = value + "," + lines[row].split(",")[1]
+    (sim / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["fit", "temperature", "--config", cfgfile, "--out",
+                tmp_path / "fit", sim / "freq_trace.csv",
+                sim / "q_trace.csv"]) == 3
+    err = capsys.readouterr().err
+    assert str(sim / name) in err and value in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 

@@ -97,6 +97,19 @@ def test_superconductor_tc_shortcut(tmp_path):
         load_config(p)
 
 
+def test_sweep_t_max_in_pair_breaking_regime(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text("sweep:\n  t_max: 20\n")
+    with pytest.raises(ConfigError, match=r"^sweep\.t_max: .*pair-breaking"):
+        load_config(p)
+    p.write_text("sweep:\n  t_max: 9.5\n")
+    assert load_config(p).sweep.t_max == 9.5
+    # above the gap frequency no temperature is inside the model
+    p.write_text("cavity:\n  f0: 1.0e12\n")
+    with pytest.raises(ConfigError, match=r"^cavity\.f0: .*pair-breaking"):
+        load_config(p)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.yaml")

@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
-from tlscavity import (CavityParams, SuperconductorParams, ValidityWarning,
-                       bessel_k0, conductivity, critical_temperature,
-                       freq_shift, gap, q_int_temperature, q_qp,
-                       q_tls_temperature, skin_depth, temperature_sweep)
+from tlscavity import (CavityParams, SuperconductorParams, TlsClass,
+                       ValidityWarning, bessel_k0, conductivity,
+                       critical_temperature, freq_shift, gap,
+                       q_int_temperature, q_qp, q_tls_temperature,
+                       skin_depth, temperature_sweep)
+from tlscavity.mattis_bardeen import pair_breaking
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -152,3 +157,84 @@ def test_temperature_sweep_columns(sc, sweep_classes, cavity):
     assert sweep["freq_shift"][0] == freq_shift(0.05, sc, cavity.omega0)
     assert sweep["q_int"][1] == q_int_temperature(1.0, sc, sweep_classes,
                                                   cavity)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_temperatures = hst.lists(
+    hst.one_of(hst.just(0.0),
+               # k_B T underflows to 0, or is subnormal
+               hst.floats(5e-324, 1e-290, allow_subnormal=True),
+               # up to 9 K, past the delta0/4 validity edge at 4.44 K
+               hst.floats(1e-3, 9.0)),
+    min_size=1, max_size=12)
+
+_classes = hst.lists(
+    hst.builds(
+        TlsClass,
+        g=hst.floats(1e-3, 1e3),
+        count=hst.one_of(hst.just(0.0), hst.floats(1.0, 1e9)),
+        omega_tls=hst.one_of(hst.just(W0),
+                             hst.floats(-5e7, 5e7).map(lambda d: W0 + d)),
+        T1=hst.floats(1e-8, 1e-4),
+        T_phi=hst.floats(1e-8, 1e-4)),
+    min_size=0, max_size=9)  # 8 or more fill numpy's pairwise-sum block
+
+
+@settings(max_examples=120, deadline=None)
+@given(temps=_temperatures, classes=_classes)
+def test_array_forms_bitwise_equal_scalar_oracles(sc, cavity, temps,
+                                                  classes):
+    """Each temperature-array function equals its per-point oracle bit for
+    bit, including T = 0, subnormal T, k_B T > delta0/4, 0 to 9 (detuned)
+    classes and infinite Q channels; a scalar gives the same float."""
+    t = np.array(temps)
+    w0 = cavity.omega0
+    cases = [
+        (lambda x: gap(x, sc.delta0), lambda x: oracles.gap(x, sc.delta0)),
+        (lambda x: conductivity(x, w0, sc)[0],
+         lambda x: oracles.conductivity(x, w0, sc)[0]),
+        (lambda x: conductivity(x, w0, sc)[1],
+         lambda x: oracles.conductivity(x, w0, sc)[1]),
+        (lambda x: freq_shift(x, sc, w0),
+         lambda x: oracles.freq_shift(x, sc, w0)),
+        (lambda x: q_qp(x, sc, w0), lambda x: oracles.q_qp(x, sc, w0)),
+        (lambda x: q_tls_temperature(x, classes, cavity),
+         lambda x: oracles.q_tls_temperature(x, classes, w0)),
+        (lambda x: q_int_temperature(x, sc, classes, cavity),
+         lambda x: oracles.q_int_temperature(x, sc, classes, w0)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for array_form, oracle in cases:
+            ref = [oracle(x) for x in temps]
+            out = array_form(t)
+            assert out.shape == t.shape
+            assert _bits(out) == _bits(ref)
+            scalar = array_form(temps[-1])
+            assert isinstance(scalar, float)
+            assert _bits(scalar) == _bits(ref[-1])
+
+
+def test_one_validity_warning_per_array_call(sc, sweep_classes, cavity):
+    t = np.linspace(4.5, 8.0, 12)  # every point past delta0/4
+    calls = [lambda: gap(t, sc.delta0), lambda: conductivity(t, W0, sc),
+             lambda: freq_shift(t, sc, W0), lambda: q_qp(t, sc, W0),
+             lambda: q_int_temperature(t, sc, sweep_classes, cavity)]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [ValidityWarning]
+
+
+def test_array_forms_reject_bad_temperatures(sc, sweep_classes, cavity):
+    with pytest.raises(ValueError, match="temperature must be >= 0"):
+        q_int_temperature(np.array([1.0, -1e-3]), sc, sweep_classes, cavity)
+    with pytest.warns(ValidityWarning), \
+            pytest.raises(ValueError, match="pair-breaking"):
+        freq_shift(np.array([1.0, 20.0]), sc, W0)
+    assert pair_breaking([0.0, 9.5, 20.0], W0, sc.delta0).tolist() == \
+        [False, False, True]

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 import oracles
 from oracles import TlsState, tls_steady_state
 from tlscavity import BathRates, TlsClass, bath_rates, chi
+from tlscavity.tls_bath import ClassTable
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -174,3 +175,21 @@ def test_bath_rates_match_oracle(classes, n, temperature):
     assert rates.kappa_plus == pytest.approx(kp, rel=1e-12)
     assert rates.kappa_minus == pytest.approx(km, rel=1e-12)
     assert np.isclose(rates.omega_prime, op, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes=_classes | hst.just([]),
+       temps=hst.lists(hst.one_of(hst.just(0.0),
+                                  hst.floats(5e-324, 1e-290,
+                                             allow_subnormal=True),
+                                  hst.floats(1e-6, 9.0)),
+                       min_size=1, max_size=6))
+def test_class_table_over_temperatures_is_stacked_tables(classes, temps):
+    """A table over a temperature array holds, row by row, bitwise the
+    coefficients of the single-temperature tables."""
+    table = ClassTable(classes, W0, np.array(temps))
+    rows = ClassTable.stack([ClassTable(classes, W0, t) for t in temps])
+    for name in ClassTable._COEFFS:
+        assert getattr(table, name).tobytes() == getattr(rows, name).tobytes()
+    assert np.array_equal(table.t2max, rows.t2max)
+    assert isinstance(ClassTable(classes, W0, temps[0]).t2max, float)
