@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import scipy
@@ -31,7 +32,7 @@ from .distribution import (density, dipole_in_e_angstrom, loss_tangent,
 # the name cli.sample_classes.
 from .distribution import sample_classes  # noqa: F401
 from .errors import (ConfigError, DataError, FitError, SaturationError,
-                     StepConvergenceError)
+                     StepConvergenceError, ValidityWarning)
 from .fitting import joint_tls_fit, temperature_fit
 from .reflection import ReflectionParams, circle_fit, fit_ringup, s11_model
 
@@ -183,9 +184,12 @@ def cmd_distribution(args, cfg, out):
     outputs = ["classes.csv"]
 
     from scipy.integrate import quad
-    integral, _ = quad(lambda g: density(g, cfg.distribution),
-                       cfg.distribution.g_min, cfg.distribution.g_max,
-                       limit=200)
+    dist = cfg.distribution
+    # in ln g, split at the knee: in linear g, quad misses the mass near
+    # g_min of a window spanning many decades
+    integral, _ = quad(lambda x: math.exp(x) * density(math.exp(x), dist),
+                       math.log(dist.g_min), math.log(dist.g_max),
+                       points=[math.log(dist.epsilon_prime)], limit=200)
     total = math.fsum(c.count for c in classes)
     populated = [c for c in classes if c.count > 1.0]
     g_top = max((c.g for c in populated), default=float("nan"))
@@ -410,6 +414,21 @@ def build_parser():
     return parser
 
 
+def _once_per_message(show):
+    """A showwarning that prints each distinct ValidityWarning message once,
+    as one line, and hands every other warning to show."""
+    seen = set()
+
+    def showwarning(message, category, *args, **kwargs):
+        if not issubclass(category, ValidityWarning):
+            return show(message, category, *args, **kwargs)
+        if str(message) not in seen:
+            seen.add(str(message))
+            print("tlscavity: warning: %s" % message, file=sys.stderr)
+
+    return showwarning
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -420,24 +439,27 @@ def main(argv=None):
                   % (args.subcommand, lo if hi == lo else "%d+" % lo),
                   file=sys.stderr)
             return 2
-    try:
-        return _run(args)
-    except ConfigError as exc:
-        print("tlscavity: config error: %s" % exc, file=sys.stderr)
-        return 2
-    except (StepConvergenceError, SaturationError) as exc:
-        # the step count and the model parameters come from the config
-        print("tlscavity: model error: %s" % exc, file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print("tlscavity: data error: %s" % exc, file=sys.stderr)
-        return 3
-    except FitError as exc:
-        print("tlscavity: fit error: %s" % exc, file=sys.stderr)
-        if getattr(exc, "convergence_log", None):
-            print("convergence log: %s" % json.dumps(exc.convergence_log),
-                  file=sys.stderr)
-        return 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ValidityWarning)
+        warnings.showwarning = _once_per_message(warnings.showwarning)
+        try:
+            return _run(args)
+        except ConfigError as exc:
+            print("tlscavity: config error: %s" % exc, file=sys.stderr)
+            return 2
+        except (StepConvergenceError, SaturationError) as exc:
+            # the step count and the model parameters come from the config
+            print("tlscavity: model error: %s" % exc, file=sys.stderr)
+            return 2
+        except DataError as exc:
+            print("tlscavity: data error: %s" % exc, file=sys.stderr)
+            return 3
+        except FitError as exc:
+            print("tlscavity: fit error: %s" % exc, file=sys.stderr)
+            if getattr(exc, "convergence_log", None):
+                print("convergence log: %s" % json.dumps(exc.convergence_log),
+                      file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

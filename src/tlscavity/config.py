@@ -21,7 +21,7 @@ Schema (all sections and keys optional; values shown are the defaults)::
       beta: 3.26           # power-law exponent
       epsilon_s: 0.25      # strength scale [1/s]
       g_min: 1.0e-3        # class window [1/s]
-      g_max: 1.0e3
+      g_max: 1.0e3         # below omega0 = 2*pi*f0 (rotating-wave coupling)
       n_classes: 7
     superconductor:
       delta0_j: 2.45133025002e-22   # gap at T=0 [J] (1.53 meV); or tc [K]
@@ -368,6 +368,11 @@ def load_config(path=None):
         raise ConfigError("unknown top-level section(s): %s"
                           % ", ".join(sorted(raw)))
     cfg = RunConfig(**values)
+    # the rotating-wave coupling model needs g << omega0
+    if cfg.distribution.g_max >= cfg.cavity.omega0:
+        raise ConfigError("distribution.g_max: must be below omega0 = "
+                          "2*pi*cavity.f0 = %r 1/s, found %r"
+                          % (cfg.cavity.omega0, cfg.distribution.g_max))
     # Delta(T) falls with T: the sweep is inside the model if t_max is
     for key, t in (("cavity.f0", 0.0), ("sweep.t_max", cfg.sweep.t_max)):
         if pair_breaking(t, cfg.cavity.omega0, cfg.superconductor.delta0)[0]:

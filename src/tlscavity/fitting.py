@@ -2,10 +2,10 @@
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt) with numerical
 forward-difference Jacobian, box bounds by step clipping, per-parameter
-linear or logarithmic internal coordinates, and a Nelder-Mead fallback when
-the normal equations degenerate. Steps are accepted only on a chi^2
-decrease, so the returned point is never worse than the start. NaN residuals
-reject the step and raise the damping.
+linear or logarithmic internal coordinates, and scipy's Nelder-Mead as the
+fallback when the normal equations degenerate. Steps are accepted only on a
+chi^2 decrease, so the returned point is never worse than the start. NaN
+residuals reject the step and raise the damping.
 """
 
 import json
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from . import dynamics, mattis_bardeen
 from .core import TlsClass
@@ -24,6 +25,7 @@ _DAMPING_MAX = 1e8
 _MAX_ITER = 200
 _JAC_REL_STEP = 1e-6
 _JAC_ABS_FLOOR = 1e-12
+_SIMPLEX_MAX_EVALS = 4000
 # Model failures at a trial point: the point is rejected (NaN residuals),
 # not the fit.
 _REJECTED = (ValueError, ArithmeticError, SaturationError,
@@ -136,8 +138,7 @@ class FitResult:
         }, indent=2)
 
 
-def numerical_jacobian(fn, u, *, lower=None, upper=None, f0=None,
-                       batch_fn=None):
+def numerical_jacobian(fn, u, *, upper=None, f0=None, batch_fn=None):
     """Forward-difference Jacobian of fn at u with per-coordinate relative
     steps.
 
@@ -174,73 +175,21 @@ def numerical_jacobian(fn, u, *, lower=None, upper=None, f0=None,
     return jac
 
 
-def _nelder_mead(fn, u0, lower, upper, max_evals=4000):
-    """Compact simplex minimizer on the internal coordinates (clipped).
-
-    Returns (point, cost, converged); converged is False when max_evals ran
-    out before the simplex values met the tolerance.
-    """
-    ndim = len(u0)
-
-    def cost(u):
-        v = fn(np.clip(u, lower, upper))
-        return v if math.isfinite(v) else math.inf
-
-    pts = [np.array(u0, dtype=float)]
-    for j in range(ndim):
-        p = pts[0].copy()
-        p[j] += 0.05 * (abs(p[j]) + 0.1)
-        pts.append(p)
-    vals = [cost(p) for p in pts]
-    evals = len(vals)
-    converged = False
-    while evals < max_evals:
-        order = np.argsort(vals)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        if vals[-1] - vals[0] <= 1e-14 * (abs(vals[0]) + 1e-30):
-            converged = True
-            break
-        centroid = np.mean(pts[:-1], axis=0)
-        refl = centroid + (centroid - pts[-1])
-        fr = cost(refl)
-        evals += 1
-        if fr < vals[0]:
-            exp = centroid + 2.0 * (centroid - pts[-1])
-            fe = cost(exp)
-            evals += 1
-            if fe < fr:
-                pts[-1], vals[-1] = exp, fe
-            else:
-                pts[-1], vals[-1] = refl, fr
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = refl, fr
-        else:
-            contr = centroid + 0.5 * (pts[-1] - centroid)
-            fc = cost(contr)
-            evals += 1
-            if fc < vals[-1]:
-                pts[-1], vals[-1] = contr, fc
-            else:
-                for i in range(1, len(pts)):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = cost(pts[i])
-                evals += ndim
-    best = int(np.argmin(vals))
-    return np.clip(pts[best], lower, upper), vals[best], converged
-
-
 def minimize(problem):
     """Weighted least squares over the free parameters of the problem.
 
     Returns a FitResult; converged=False flags an iteration-cap stop at the
     best point found. Raises FitError only for an invalid starting point.
+    A parameter with an all-zero Jacobian column at the optimum, which the
+    data cannot move, gets sigma = inf.
 
-    With problem.residual_batch_fn, each trial point (and the starting
-    point) is evaluated together with its Jacobian in one batch call. An
-    accepted point's Jacobian is the next iteration's, and the last one is
-    the covariance Jacobian; a rejected point's is discarded. Every number
-    equals the one-point path's, which problems without the hook take.
+    evaluate(u) -> (f, jac) is chosen once. With problem.residual_batch_fn
+    it returns the point with its Jacobian from one batch call; an accepted
+    point's Jacobian is the next iteration's and the last one the
+    covariance's. Without the hook jac is None, "not computed yet", and the
+    Jacobian is taken only when needed; the numbers are the same. A
+    Jacobian that cannot be evaluated is all NaN: a non-finite Jacobian
+    hands the fit to scipy's Nelder-Mead on the internal coordinates.
     """
     params = problem.params
     free = [p for p in params if not p.frozen]
@@ -250,7 +199,7 @@ def minimize(problem):
 
     full = np.array([p.value for p in params], dtype=float)
     free_idx = [i for i, p in enumerate(params) if not p.frozen]
-    n_res = [None]
+    n_pts = None  # known once the starting point is evaluated
 
     def full_vector(u):
         vec = full.copy()
@@ -263,87 +212,82 @@ def minimize(problem):
             r = np.asarray(problem.residual_fn(full_vector(u)), dtype=float)
         except _REJECTED:
             # model domain violation at a trial point: reject the step
-            if n_res[0] is None:
+            if n_pts is None:
                 raise
-            return np.full(n_res[0], np.nan)
-        n_res[0] = len(r)
+            return np.full(n_pts, np.nan)
         return r / sigma
 
-    batched = problem.residual_batch_fn is not None
-    wres_batch = None
-    if batched:
-        def wres_batch(us):
-            rows = problem.residual_batch_fn([full_vector(u) for u in us])
-            return np.asarray(rows, dtype=float) / sigma
-
     def jacobian(u, f):
-        return numerical_jacobian(wres, u, lower=lower, upper=upper, f0=f,
-                                  batch_fn=wres_batch)
-
-    def point_and_jacobian(u):
-        """Weighted residual at u and its Jacobian (None on a floating-point
-        error) from one batch, u as row 0."""
-        base = []
-
-        def batch(us):
-            rows = wres_batch(us)
-            base.append(rows[0])
-            return rows
-
         try:
-            jac = numerical_jacobian(wres, u, lower=lower, upper=upper,
-                                     batch_fn=batch)
+            return numerical_jacobian(wres, u, upper=upper, f0=f)
         except FloatingPointError:
-            if not base:
-                raise
-            jac = None
-        return base[0], jac
+            return np.full((len(f), len(u)), np.nan)
 
-    def simplex(u):
+    if problem.residual_batch_fn is None:
+        def evaluate(u):
+            return wres(u), None
+    else:
+        def evaluate(u):
+            """u as row 0 of its own Jacobian's batch."""
+            rows = []
+
+            def batch(us):
+                rows.append(np.asarray(problem.residual_batch_fn(
+                    [full_vector(v) for v in us]), dtype=float) / sigma)
+                return rows[0]
+
+            try:
+                jac = numerical_jacobian(wres, u, upper=upper,
+                                         batch_fn=batch)
+            except FloatingPointError:
+                if not rows:
+                    raise
+                jac = np.full((len(rows[0][0]), len(u)), np.nan)
+            return rows[0][0], jac
+
+    def simplex(u, chi2):
+        """scipy's Nelder-Mead from u: (best point, converged)."""
         def cost(v):
             r = wres(v)
-            return float(r @ r)
+            c = float(r @ r)
+            return c if math.isfinite(c) else math.inf
 
-        u, chi2, done = _nelder_mead(cost, u, lower, upper)
-        return u, chi2, wres(u), done
+        # u and one vertex a step along each axis
+        vertices = u + np.vstack([np.zeros(len(u)),
+                                  np.diag(0.05 * (np.abs(u) + 0.1))])
+        res = scipy.optimize.minimize(
+            cost, u, method="Nelder-Mead",
+            bounds=scipy.optimize.Bounds(lower, upper),
+            options={"initial_simplex": np.clip(vertices, lower, upper),
+                     "maxfev": _SIMPLEX_MAX_EVALS, "fatol": 1e-14 * chi2,
+                     "xatol": 1e-10})
+        return res.x, bool(res.success)
 
-    lower = np.array([p.to_internal(max(p.lower, 1e-300))
-                      if p.scale == "log" else p.lower for p in free])
-    upper = np.array([p.to_internal(p.upper) if p.scale == "log"
-                      and math.isfinite(p.upper) else
-                      (math.inf if not math.isfinite(p.upper) else p.upper)
-                      for p in free])
+    lower = np.array([p.to_internal(p.lower) for p in free])
+    upper = np.array([p.to_internal(p.upper) for p in free])
     u = np.array([p.to_internal(p.value) for p in free])
 
-    if batched:
-        f, jac = point_and_jacobian(u)
-        if not np.all(np.isfinite(f)):
-            # one point alone raises the model's own error
-            f = wres(u)
-        n_res[0] = len(f)
-    else:
-        f = wres(u)
+    f, jac = evaluate(u)
+    if not np.all(np.isfinite(f)):
+        f = wres(u)  # a NaN batch row hides the model's own error
     if not np.all(np.isfinite(f)):
         raise FitError("residuals not finite at the initial point")
     chi2 = float(f @ f)
     n_pts = len(f)
-    if n_pts - len(free) <= 0:
+    dof = n_pts - len(free)
+    if dof <= 0:
         raise FitError("degrees of freedom must be positive")
 
     lam = 1e-3
     log = []
     converged = False
     method = "lm"
-    stall = 0
-    flat = 0
+    stall = flat = 0
 
     for it in range(_MAX_ITER):
-        if not batched:
-            try:
-                jac = jacobian(u, f)
-            except FloatingPointError:
-                jac = None
-        degenerate = jac is None or not np.all(np.isfinite(jac))
+        if jac is None:
+            jac = jacobian(u, f)
+        degenerate = not np.all(np.isfinite(jac))
         accepted = False
         if not degenerate:
             grad = jac.T @ f
@@ -361,19 +305,14 @@ def minimize(problem):
                 degenerate = True
                 break
             u_try = np.clip(u + step, lower, upper)
-            if batched:
-                f_try, jac_try = point_and_jacobian(u_try)
-            else:
-                f_try = wres(u_try)
+            f_try, jac_try = evaluate(u_try)
             if np.all(np.isfinite(f_try)):
                 chi2_try = float(f_try @ f_try)
                 if chi2_try <= chi2:
                     rel_gain = (chi2 - chi2_try) / max(chi2, 1e-300)
                     step_size = float(np.max(np.abs(u_try - u) /
                                              (np.abs(u) + 1.0)))
-                    u, f, chi2 = u_try, f_try, chi2_try
-                    if batched:
-                        jac = jac_try
+                    u, f, chi2, jac = u_try, f_try, chi2_try, jac_try
                     lam = max(lam / 10.0, _DAMPING_MIN)
                     accepted = True
                     log.append({"iteration": it, "chi2": chi2,
@@ -394,8 +333,9 @@ def minimize(problem):
             lam = min(lam * 10.0, _DAMPING_MAX)
         if degenerate:
             method = "lm+simplex"
-            u, chi2, f, converged = simplex(u)
-            jac = None
+            u, converged = simplex(u, chi2)
+            f, jac = evaluate(u)
+            chi2 = float(f @ f)
             log.append({"iteration": it, "chi2": chi2, "damping": lam,
                         "accepted": True, "note": "simplex fallback"})
             break
@@ -411,11 +351,8 @@ def minimize(problem):
         if converged:
             break
 
-    # covariance at the optimum; the batch path already holds its Jacobian
-    # unless the simplex moved the point
-    if not batched or jac is None:
+    if jac is None:
         jac = jacobian(u, f)
-    dof = n_pts - len(free)
     chi2_red = chi2 / dof
     hess = jac.T @ jac
     try:
@@ -423,18 +360,16 @@ def minimize(problem):
     except np.linalg.LinAlgError:
         cov_u = np.linalg.pinv(hess) * chi2_red
     sig_u = np.sqrt(np.maximum(np.diag(cov_u), 0.0))
+    # the data cannot move a parameter whose column is zero
+    sig_u[~np.any(jac, axis=0)] = math.inf
 
-    names = tuple(p.name for p in params)
-    values = full.copy()
+    values = full_vector(u)
     sig_full = np.zeros(len(params))
     for k, i in enumerate(free_idx):
-        values[i] = params[i].from_internal(u[k])
-        if params[i].scale == "log":
-            sig_full[i] = sig_u[k] * values[i]
-        else:
-            sig_full[i] = sig_u[k]
-    return FitResult(names=names, values=values, sigma=sig_full,
-                     chi2_reduced=chi2_red, n_points=n_pts,
+        scale = values[i] if params[i].scale == "log" else 1.0
+        sig_full[i] = sig_u[k] * scale
+    return FitResult(names=tuple(p.name for p in params), values=values,
+                     sigma=sig_full, chi2_reduced=chi2_red, n_points=n_pts,
                      convergence_log=log, converged=converged, method=method)
 
 

@@ -105,14 +105,13 @@ def _dip_index(powers):
     return imin
 
 
-def fit_ringup(times, powers, f0, *, sigma=None, delta_init=0.5,
-               delta_max=50.0):
+def fit_ringup(times, powers, f0, *, sigma=None):
     """Fit (q_int, q_c, delta, p_f) to a switch-on reflected-power trace.
 
     The model is even in delta, so only |delta| is identifiable and the fit
-    is bounded to delta >= 0. A trace without an interference dip cannot
-    separate q_int from q_c (the over/undercoupled branches coincide) and
-    raises UnidentifiableError.
+    is bounded to 0 <= delta <= 50, starting at 0.5. A trace without an
+    interference dip cannot separate q_int from q_c (the over/undercoupled
+    branches coincide) and raises UnidentifiableError.
     """
     times = np.asarray(times, dtype=float)
     powers = np.asarray(powers, dtype=float)
@@ -147,7 +146,7 @@ def fit_ringup(times, powers, f0, *, sigma=None, delta_init=0.5,
     params = [
         FitParameter("q_int", qi0, 1e4, 1e12, "log"),
         FitParameter("q_c", qc0, 1e4, 1e12, "log"),
-        FitParameter("delta", delta_init, 0.0, delta_max, "linear"),
+        FitParameter("delta", 0.5, 0.0, 50.0, "linear"),
         FitParameter("p_f", pf0, pf0 * 0.2, pf0 * 5.0, "log"),
     ]
     return minimize(FitProblem(residual_fn=residual, params=params,
@@ -265,7 +264,7 @@ def _refine_delay(freqs, s11, tau0, width):
     return 0.5 * (lo + hi)
 
 
-def circle_fit(freqs, s11, *, fit_delay=True, max_residual=0.05):
+def circle_fit(freqs, s11, *, fit_delay=True):
     """Resonance parameters from a complex S11 sweep.
 
     Removes a cable delay, fits the circle algebraically, then fits the
@@ -274,7 +273,7 @@ def circle_fit(freqs, s11, *, fit_delay=True, max_residual=0.05):
     rescaling of the data.
 
     Raises DataError when the points do not lie on a circle (rms residual
-    above max_residual of the radius) or the sweep does not cover the
+    above 5% of the radius) or the sweep does not cover the
     resonance (span < 3 linewidths).
     """
     freqs = np.asarray(freqs, dtype=float)
@@ -292,10 +291,9 @@ def circle_fit(freqs, s11, *, fit_delay=True, max_residual=0.05):
         z = z * np.exp(2j * math.pi * freqs * delay)
 
     center, radius, rms = _taubin_circle(z)
-    if rms > max_residual * radius:
+    if rms > 0.05 * radius:
         raise DataError("sweep does not trace a circle (rms residual %.3g "
-                        "of radius exceeds %.3g)" % (rms / radius,
-                                                     max_residual))
+                        "of radius exceeds 0.05)" % (rms / radius))
 
     theta = np.unwrap(np.angle(z - center))
     f_mid = float(freqs[len(freqs) // 2])

@@ -311,6 +311,46 @@ def test_exit_code_sweep_t_max_pair_breaking(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("g_max", ["1.0e50", "1.0e100", "1.0e200"])
+def test_exit_code_g_max_not_below_omega0(tmp_path, capsys, g_max):
+    # these once ended in a ValueError or ZeroDivisionError traceback, or
+    # in all-NaN ring-down CSVs with exit 0
+    cfgfile = tmp_path / "wide.yaml"
+    cfgfile.write_text("distribution:\n  g_max: %s\n" % g_max)
+    for argv in (["distribution"], ["simulate", "ringdown"]):
+        assert run(argv + ["--config", cfgfile,
+                           "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert "distribution.g_max" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_distribution_report_wide_window(tmp_path):
+    # nine decades of g: the window integral still matches the class sum
+    cfgfile = tmp_path / "wide.yaml"
+    cfgfile.write_text("distribution:\n  g_max: 1.0e6\n")
+    out = tmp_path / "run"
+    assert run(["distribution", "--config", cfgfile, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["window_integral"] == pytest.approx(report["sum_counts"],
+                                                      rel=1e-12)
+    assert report["conservation_rel_error"] < 1e-12
+
+
+def test_validity_warning_printed_once(tmp_path, capsys):
+    # past delta0/4k_B two model calls warn of one condition: one line
+    cfgfile = tmp_path / "warm.yaml"
+    cfgfile.write_text(TINY_SWEEP + "  t_max: 9.5\n")
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", tmp_path / "x"]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "tlscavity: warning: k_B T exceeds delta0/4; low-temperature forms "
+        "degrade here"]
+
+
 @pytest.mark.parametrize("name, row, value", [
     ("freq_trace.csv", -1, "20.0"), ("q_trace.csv", 1, "-0.5")])
 def test_exit_code_bad_data_temperature(tmp_path, capsys, name, row, value):

@@ -110,6 +110,19 @@ def test_sweep_t_max_in_pair_breaking_regime(tmp_path):
         load_config(p)
 
 
+def test_g_max_must_be_below_omega0(tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text("distribution:\n  g_max: 1.0e50\n")
+    with pytest.raises(ConfigError, match=r"^distribution\.g_max: "):
+        load_config(p)
+    # the bound is omega0 = 2*pi*f0, whatever f0 is
+    p.write_text("cavity:\n  f0: 1.0e3\ndistribution:\n  g_max: 7.0e3\n")
+    with pytest.raises(ConfigError, match=r"^distribution\.g_max: "):
+        load_config(p)
+    p.write_text("cavity:\n  f0: 1.0e3\ndistribution:\n  g_max: 6.0e3\n")
+    assert load_config(p).distribution.g_max == 6.0e3
+
+
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.yaml")

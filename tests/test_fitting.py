@@ -261,26 +261,46 @@ def test_singular_normal_equations_handled_by_damping():
     assert res.converged
     assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-9)
     assert res.values_dict["ghost"] == 1.0
+    # the data cannot move it: no finite uncertainty
+    assert res.sigma_dict["ghost"] == math.inf
+    assert math.isfinite(res.sigma_dict["slope"])
 
 
-def test_nan_jacobian_falls_back_to_simplex():
+def _wall_problem():
+    """NaN for v[1] above 1: the forward jacobian step lands on the wall at
+    the starting point, forcing the derivative-free fallback."""
     x = np.linspace(0.0, 1.0, 20)
     y = 2.0 * x
 
     def residual(v):
-        # NaN for v[1] above 1: the forward jacobian step lands on the
-        # wall at the starting point, forcing the derivative-free fallback
         return v[0] * x - y + 0.0 * np.sqrt(1.0 - v[1])
 
+    return FitProblem(
+        residual_fn=residual,
+        params=[FitParameter("slope", 1.0, -10.0, 10.0, "linear"),
+                FitParameter("wall", 1.0, -10.0, 10.0, "linear")],
+        data_weights=np.full_like(x, 0.1))
+
+
+def test_nan_jacobian_falls_back_to_simplex():
     with np.errstate(invalid="ignore"):
-        res = minimize(FitProblem(
-            residual_fn=residual,
-            params=[FitParameter("slope", 1.0, -10.0, 10.0, "linear"),
-                    FitParameter("wall", 1.0, -10.0, 10.0, "linear")],
-            data_weights=np.full_like(x, 0.1)))
+        res = minimize(_wall_problem())
     assert res.method == "lm+simplex"
     assert res.converged
     assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-3)
+
+
+def test_simplex_cap_reports_no_convergence(monkeypatch):
+    monkeypatch.setattr(fitting, "_SIMPLEX_MAX_EVALS", 10)
+    problem = _wall_problem()
+    start = problem.residual_fn(np.array([1.0, 1.0])) / problem.data_weights
+    with np.errstate(invalid="ignore"):
+        res = minimize(problem)
+    assert res.method == "lm+simplex"
+    assert not res.converged
+    assert json.loads(res.to_json())["converged"] is False
+    # the best point of the capped search, better than the start
+    assert res.convergence_log[-1]["chi2"] < float(start @ start)
 
 
 def test_numerical_jacobian_quadratic():
@@ -288,8 +308,8 @@ def test_numerical_jacobian_quadratic():
         return np.array([u[0] ** 2 + 3.0 * u[1], u[1] ** 2])
 
     u = np.array([2.0, 5.0])
-    jac = numerical_jacobian(fn, u, lower=np.array([-np.inf, -np.inf]),
-                             upper=np.array([np.inf, np.inf]), f0=fn(u))
+    jac = numerical_jacobian(fn, u, upper=np.array([np.inf, np.inf]),
+                             f0=fn(u))
     assert jac[0, 0] == pytest.approx(4.0, rel=1e-5)
     assert jac[0, 1] == pytest.approx(3.0, rel=1e-5)
     assert jac[1, 0] == pytest.approx(0.0, abs=1e-6)
@@ -303,8 +323,7 @@ def test_numerical_jacobian_reverses_at_bound():
         return np.array([u[0] ** 2])
 
     u = np.array([1.0])
-    jac = numerical_jacobian(fn, u, lower=np.array([0.0]),
-                             upper=np.array([1.0]), f0=fn(u))
+    jac = numerical_jacobian(fn, u, upper=np.array([1.0]), f0=fn(u))
     assert jac[0, 0] == pytest.approx(2.0, rel=1e-4)
 
 
