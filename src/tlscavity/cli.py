@@ -185,11 +185,12 @@ def cmd_distribution(args, cfg, out):
 
     from scipy.integrate import quad
     dist = cfg.distribution
-    # in ln g, split at the knee: in linear g, quad misses the mass near
-    # g_min of a window spanning many decades
+    # in ln g, split at the knee if the window holds it: in linear g, quad
+    # misses the mass near g_min of a window spanning many decades
+    lo, hi, knee = map(math.log, (dist.g_min, dist.g_max, dist.epsilon_prime))
     integral, _ = quad(lambda x: math.exp(x) * density(math.exp(x), dist),
-                       math.log(dist.g_min), math.log(dist.g_max),
-                       points=[math.log(dist.epsilon_prime)], limit=200)
+                       lo, hi, points=[knee] if lo < knee < hi else None,
+                       limit=200)
     total = math.fsum(c.count for c in classes)
     populated = [c for c in classes if c.count > 1.0]
     g_top = max((c.g for c in populated), default=float("nan"))
@@ -440,7 +441,6 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     with warnings.catch_warnings():
-        warnings.simplefilter("always", ValidityWarning)
         warnings.showwarning = _once_per_message(warnings.showwarning)
         try:
             return _run(args)

@@ -252,13 +252,13 @@ def minimize(problem):
             c = float(r @ r)
             return c if math.isfinite(c) else math.inf
 
-        # u and one vertex a step along each axis
-        vertices = u + np.vstack([np.zeros(len(u)),
-                                  np.diag(0.05 * (np.abs(u) + 0.1))])
+        # u and one vertex a step along each axis, unclipped: scipy reflects
+        # a vertex past an upper bound inside instead of flattening the simplex
+        vertices = np.vstack([u, u + np.diag(0.05 * (np.abs(u) + 0.1))])
         res = scipy.optimize.minimize(
             cost, u, method="Nelder-Mead",
             bounds=scipy.optimize.Bounds(lower, upper),
-            options={"initial_simplex": np.clip(vertices, lower, upper),
+            options={"initial_simplex": vertices,
                      "maxfev": _SIMPLEX_MAX_EVALS, "fatol": 1e-14 * chi2,
                      "xatol": 1e-10})
         return res.x, bool(res.success)

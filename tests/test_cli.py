@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tlscavity.cli import main
 from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
 from tlscavity.datafiles import read_ringdown_csv, read_trace_csv
+from tlscavity.errors import ValidityWarning
 
 
 TINY_RINGDOWN = (
@@ -339,16 +341,44 @@ def test_distribution_report_wide_window(tmp_path):
     assert report["conservation_rel_error"] < 1e-12
 
 
+@pytest.mark.parametrize("setting", ["g_min: 1.0", "epsilon_s: 2000.0"])
+def test_distribution_report_knee_outside_window(tmp_path, setting):
+    # the knee epsilon' below g_min, then above g_max: no break point
+    cfgfile = tmp_path / "knee.yaml"
+    cfgfile.write_text("distribution:\n  %s\n" % setting)
+    out = tmp_path / "run"
+    assert run(["distribution", "--config", cfgfile, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["conservation_rel_error"] < 1e-12
+
+
 def test_validity_warning_printed_once(tmp_path, capsys):
-    # past delta0/4k_B two model calls warn of one condition: one line
+    # past delta0/4k_B two model calls warn of one condition: one line,
+    # and again on the next command in the same process
     cfgfile = tmp_path / "warm.yaml"
     cfgfile.write_text(TINY_SWEEP + "  t_max: 9.5\n")
-    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
-                "--out", tmp_path / "x"]) == 0
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "tlscavity: warning: k_B T exceeds delta0/4; low-temperature forms "
-        "degrade here"]
+    for out in ("x", "y"):
+        assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                    "--out", tmp_path / out]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "tlscavity: warning: k_B T exceeds delta0/4; low-temperature "
+            "forms degrade here"]
+
+
+def test_validity_warning_follows_user_filters(tmp_path, capsys):
+    cfgfile = tmp_path / "warm.yaml"
+    cfgfile.write_text(TINY_SWEEP + "  t_max: 9.5\n")
+    argv = ["simulate", "temperature-sweep", "--config", cfgfile, "--out",
+            tmp_path / "x"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ValidityWarning)
+        with pytest.raises(ValidityWarning):
+            run(argv)
 
 
 @pytest.mark.parametrize("name, row, value", [

@@ -266,7 +266,7 @@ def test_singular_normal_equations_handled_by_damping():
     assert math.isfinite(res.sigma_dict["slope"])
 
 
-def _wall_problem():
+def _wall_problem(slope=1.0):
     """NaN for v[1] above 1: the forward jacobian step lands on the wall at
     the starting point, forcing the derivative-free fallback."""
     x = np.linspace(0.0, 1.0, 20)
@@ -277,7 +277,7 @@ def _wall_problem():
 
     return FitProblem(
         residual_fn=residual,
-        params=[FitParameter("slope", 1.0, -10.0, 10.0, "linear"),
+        params=[FitParameter("slope", slope, -10.0, 10.0, "linear"),
                 FitParameter("wall", 1.0, -10.0, 10.0, "linear")],
         data_weights=np.full_like(x, 0.1))
 
@@ -285,6 +285,15 @@ def _wall_problem():
 def test_nan_jacobian_falls_back_to_simplex():
     with np.errstate(invalid="ignore"):
         res = minimize(_wall_problem())
+    assert res.method == "lm+simplex"
+    assert res.converged
+    assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-3)
+
+
+def test_simplex_leaves_an_upper_bound():
+    # slope starts on its upper bound: the fallback must still move it in
+    with np.errstate(invalid="ignore"):
+        res = minimize(_wall_problem(slope=10.0))
     assert res.method == "lm+simplex"
     assert res.converged
     assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-3)
