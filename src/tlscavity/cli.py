@@ -11,7 +11,6 @@ saturated bath, both set by the config's step count and model parameters),
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -24,9 +23,9 @@ import yaml
 from . import __version__, datafiles, dynamics, mattis_bardeen, reflection
 from .config import load_config
 from .core import TlsClass, t2_star
-from .datafiles import write_csv
-from .distribution import (density, dipole_in_e_angstrom, loss_tangent,
-                           per_ghz_um3, tls_volume_density,
+from .datafiles import json_text, write_csv
+from .distribution import (counts_between, dipole_in_e_angstrom,
+                           loss_tangent, per_ghz_um3, tls_volume_density,
                            write_distribution_csv)
 # Not called here: kept so perfbench/tracing.py can time the sampler under
 # the name cli.sample_classes.
@@ -52,8 +51,8 @@ def _write_text(out, name, text):
 
 
 def _write_json(out, name, payload):
-    return _write_text(out, name, json.dumps(payload, indent=2,
-                                             sort_keys=True))
+    return _write_text(out, name, json_text(payload, indent=2,
+                                            sort_keys=True))
 
 
 def _write_gnuplot(out, name, lines):
@@ -183,14 +182,8 @@ def cmd_distribution(args, cfg, out):
     write_distribution_csv(classes, os.path.join(out, "classes.csv"))
     outputs = ["classes.csv"]
 
-    from scipy.integrate import quad
     dist = cfg.distribution
-    # in ln g, split at the knee if the window holds it: in linear g, quad
-    # misses the mass near g_min of a window spanning many decades
-    lo, hi, knee = map(math.log, (dist.g_min, dist.g_max, dist.epsilon_prime))
-    integral, _ = quad(lambda x: math.exp(x) * density(math.exp(x), dist),
-                       lo, hi, points=[knee] if lo < knee < hi else None,
-                       limit=200)
+    integral = float(counts_between(dist, (dist.g_min, dist.g_max))[0])
     total = math.fsum(c.count for c in classes)
     populated = [c for c in classes if c.count > 1.0]
     g_top = max((c.g for c in populated), default=float("nan"))
@@ -198,13 +191,13 @@ def cmd_distribution(args, cfg, out):
         "n_tot": cfg.distribution.n_tot,
         "sum_counts": total,
         "window_integral": integral,
-        "conservation_rel_error": abs(total - integral) / integral,
+        "conservation_rel_error": abs(total - integral) / integral if integral
+        else (math.inf if total else 0.0),
         "classes_with_count_above_one": len(populated),
         "max_g_with_count_above_one_1_per_s": g_top,
         "max_g_with_count_above_one_hz": g_top / (2.0 * math.pi),
         "dipole_bound_e_angstrom": dipole_in_e_angstrom(g_top,
-                                                        cfg.oxide.e_max)
-        if populated else float("nan"),
+                                                        cfg.oxide.e_max),
         "loss_tangent": loss_tangent(classes, cfg.oxide.e_max,
                                      cfg.oxide.v_ox, cfg.cavity.kappa0,
                                      cfg.oxide.eps_r),
@@ -457,7 +450,7 @@ def main(argv=None):
         except FitError as exc:
             print("tlscavity: fit error: %s" % exc, file=sys.stderr)
             if getattr(exc, "convergence_log", None):
-                print("convergence log: %s" % json.dumps(exc.convergence_log),
+                print("convergence log: %s" % json_text(exc.convergence_log),
                       file=sys.stderr)
             return 4
 

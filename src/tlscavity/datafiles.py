@@ -1,9 +1,10 @@
-"""CSV readers for the measured-data inputs, and the one CSV writer.
+"""CSV readers for the measured-data inputs, and the one CSV and JSON writers.
 
 All parse failures raise DataError with the offending line number.
 """
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -103,3 +104,9 @@ def write_csv(path, header, rows):
         handle.write(header + "\n")
         for row in rows:
             handle.write(",".join(map(_fmt, row)) + "\n")
+
+
+def json_text(payload, **kwargs):
+    """json.dumps as strict JSON: each non-finite float written as null."""
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(plain, allow_nan=False, **kwargs)

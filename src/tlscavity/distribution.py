@@ -1,9 +1,9 @@
 """Power-law distribution of TLS coupling strengths and derived estimates.
 
 dN/dg = (N_tot/eps_s) / (1 + (g/eps')^beta), eps' = eps_s*beta*sin(pi/beta)/pi,
-which integrates to exactly N_tot over [0, inf) for any beta > 1. Classes are
-sampled on logarithmic bins with geometric-midpoint couplings and bin-integral
-counts, conserving the truncated integral by construction.
+which integrates to exactly N_tot over [0, inf) for any beta > 1; one closed
+form of that integral (counts_between) gives every count. Classes sit at the
+geometric midpoints of logarithmic bins and carry the bin integrals.
 """
 
 import math
@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from . import datafiles
 from .core import CONSTANTS, TlsClass
@@ -70,21 +70,28 @@ def bin_edges(params):
     return np.geomspace(params.g_min, params.g_max, params.n_classes + 1)
 
 
+def counts_between(params, edges):
+    """TLS count between consecutive ascending couplings in edges [1/s].
+
+    The head g 2F1(1, 1/beta; 1+1/beta; -(g/eps')^beta) integrates the
+    density over [0, g], the tail g/(beta-1) (eps'/g)^beta 2F1(1, 1-1/beta;
+    2-1/beta; -(eps'/g)^beta) over [g, inf). Edges clamped at the knee eps'
+    keep each argument in [-1, 0]; a bin holding it takes a piece of each."""
+    b, ep = params.beta, params.epsilon_prime
+    lo, hi = np.minimum(edges, ep), np.maximum(edges, ep)
+    head = lo * hyp2f1(1.0, 1.0 / b, 1.0 + 1.0 / b, -(lo / ep) ** b)
+    x = (ep / hi) ** b
+    tail = hi / (b - 1.0) * x * hyp2f1(1.0, 1.0 - 1.0 / b, 2.0 - 1.0 / b, -x)
+    return params.n_tot / params.epsilon_s * (np.diff(head) - np.diff(tail))
+
+
 @lru_cache(maxsize=4096)
 def _unit_bins(unit):
-    """(g_mid, fraction) per bin of a distribution with n_tot = 1.
-
-    The bin integral of the unit-normalized density: counts scale by n_tot
-    afterwards, so they are exactly linear in n_tot (quad's adaptive
-    subdivision is not scale invariant).
-    """
+    """(g_mid, fraction) per bin of a distribution with n_tot = 1; counts
+    scale by n_tot afterwards, so they are exactly linear in n_tot."""
     edges = bin_edges(unit)
-    bins = []
-    for k in range(unit.n_classes):
-        lo, hi = edges[k], edges[k + 1]
-        frac, _ = quad(lambda g: density(g, unit), lo, hi, limit=200)
-        bins.append((math.sqrt(lo * hi), frac))
-    return tuple(bins)
+    return tuple(zip(np.sqrt(edges[:-1] * edges[1:]).tolist(),
+                     counts_between(unit, edges).tolist()))
 
 
 def sample_classes(params, *, omega_tls, T1=None, T_phi=None, t2_star=None):

@@ -54,19 +54,6 @@ class Trajectory:
     kappa_minus: np.ndarray
     omega_prime: np.ndarray
 
-    @property
-    def moments(self):
-        return tuple(CavityMoments(n=float(nk), a_mean=complex(ak))
-                     for nk, ak in zip(self.n, self.a_mean))
-
-    @property
-    def rates(self):
-        return tuple(
-            tls_bath.BathRates(omega_prime=complex(o), kappa_plus=float(p),
-                               kappa_minus=float(m))
-            for o, p, m in zip(self.omega_prime, self.kappa_plus,
-                               self.kappa_minus))
-
     def __len__(self):
         return len(self.times)
 

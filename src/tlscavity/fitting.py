@@ -5,17 +5,17 @@ forward-difference Jacobian, box bounds by step clipping, per-parameter
 linear or logarithmic internal coordinates, and scipy's Nelder-Mead as the
 fallback when the normal equations degenerate. Steps are accepted only on a
 chi^2 decrease, so the returned point is never worse than the start. NaN
-residuals reject the step and raise the damping.
+residuals reject the step and raise the damping; a rejected step whose
+predicted gain is below chi^2's rounding ends the fit.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
-from . import dynamics, mattis_bardeen
+from . import datafiles, dynamics, mattis_bardeen
 from .core import TlsClass
 from .distribution import DistributionParams, sample_classes
 from .errors import FitError, SaturationError, StepConvergenceError
@@ -126,7 +126,7 @@ class FitResult:
         return dict(zip(self.names, (float(s) for s in self.sigma)))
 
     def to_json(self):
-        return json.dumps({
+        return datafiles.json_text({
             "parameters": list(self.names),
             "values": [float(v) for v in self.values],
             "sigma": [float(s) for s in self.sigma],
@@ -327,6 +327,11 @@ def minimize(problem):
                     flat = flat + 1 if rel_gain < 1e-6 else 0
                     if flat >= 3:
                         converged = True
+                    break
+                # a predicted gain below chi2's rounding (n_pts ulps) cannot
+                # be resolved, and more damping only shrinks it: optimum
+                if -step @ (hess @ step + 2 * grad) <= 2.2e-16 * n_pts * chi2:
+                    converged = True
                     break
             if lam >= _DAMPING_MAX:
                 break

@@ -3,7 +3,7 @@
 Everything here is coded directly from the model definitions using numpy
 and scipy alone, sharing no code with the package, so agreement between
 the two routes is a real cross-check rather than a tautology. Frozen
-literals were generated once with mpmath at 40 digits (script in the
+literals were generated once with mpmath at 40 or more digits (script in the
 repository history of the table below) and pasted in.
 """
 
@@ -342,4 +342,268 @@ K0_TABLE = [
     (19.696162182151948, 7.8387155191658071802e-10),
     (24.308123445970867, 7.0163484705458529062e-12),
     (30.00000000000001, 2.1324774964630346938e-14),
+]
+
+
+# TLS counts of the unit distribution (n_tot = 1) in the 7 logarithmic bins
+# of [1e-3, 1e3] (edges np.geomspace(1e-3, 1e3, 8)), keyed by (beta,
+# epsilon_s); mpmath at 60 digits. With t = (g/eps')^beta, the count over
+# [a, b] is eps'/(beta eps_s) times an incomplete beta integral: the lower
+# form betainc(1/beta, 1-1/beta, u(a), u(b)), u = t/(1+t), below the knee
+# and the upper form betainc(1-1/beta, 1/beta, v(b), v(a)), v = 1/(1+t),
+# above it, a bin holding the knee split there. Neither form computes 1 - u,
+# which cancels in the deep tail.
+UNIT_BIN_COUNTS = {
+    (1.2, 0.01): (
+        0.20309416832052763079, 0.22094718335082658929,
+        0.1597135774614884536, 0.10838484720636914123,
+        0.073084965227938992501, 0.049252293784589785227,
+        0.033189477624933799025),
+    (1.2, 0.02): (
+        0.15814334891099669515, 0.23243968938732431123,
+        0.18165178819450243573, 0.12438352026496211901,
+        0.083945112909167597006, 0.056575557616339147408,
+        0.03812466861733228041),
+    (1.2, 0.25): (
+        0.023537872393983984948, 0.11733737313135952567,
+        0.22938834218751218646, 0.19961233509297317111,
+        0.13868604058398827491, 0.093731289690186827754,
+        0.063179510322791665577),
+    (1.2, 1.0): (
+        0.0061344998115431048859, 0.040319556849283550964,
+        0.16070937209416958014, 0.23220440825769150029,
+        0.18050535370702685113, 0.12351789678598369893,
+        0.083355662877181850711),
+    (1.2, 3.0): (
+        0.0020600051910195585547, 0.014448220355702809165,
+        0.082798954162643606373, 0.21360828017945861124,
+        0.21517916117588423894, 0.15319692502287647948,
+        0.10379584694567793142),
+    (1.2, 30.0): (
+        2.0652635717728406366e-4, 0.0014838708201427930086,
+        0.010493886068258535779, 0.064148049430834125996,
+        0.19688850999952428707, 0.22360916109665131912,
+        0.16314409120649268867),
+    (1.2, 1000.0): (
+        6.1968408664317794841e-6, 4.4596670786491709377e-5,
+        3.2087093985666277077e-4, 0.0023027609987868808718,
+        0.016092731826542971429, 0.0898372898667307181,
+        0.21816359157442965296),
+    (1.5, 0.01): (
+        0.33273550662997633766, 0.33933123756816927501,
+        0.14528913811410467666, 0.05460842834419697357,
+        0.020364615618161935745, 0.0075912715810587983871,
+        0.0028297209146346756794),
+    (1.5, 0.02): (
+        0.23155318830885579415, 0.39389977415818898182,
+        0.2022885409099317152, 0.077163633429938208915,
+        0.028798670195372689108, 0.010735655177522740929,
+        0.0040018292309085785899),
+    (1.5, 0.25): (
+        0.02457982109889430314, 0.15440707879843197124,
+        0.39620455394773082504, 0.2587769438413011835,
+        0.10152574286536606234, 0.037950593129220239818,
+        0.014148493248513528297),
+    (1.5, 1.0): (
+        0.0061903036525928315945, 0.043710673847284412605,
+        0.23687663942087835844, 0.39229370216226971734,
+        0.19899677845728796021, 0.075819976484140919624,
+        0.028295415531175366428),
+    (1.5, 3.0): (
+        0.0020651980396214305135, 0.014807779471172578284,
+        0.099613297560097183915, 0.35849678531344389507,
+        0.31590500592094526544, 0.13065567266816821038,
+        0.048996054770527286422),
+    (1.5, 30.0): (
+        2.0656055973299160663e-4, 0.0014864113861793434189,
+        0.01067320180212338024, 0.073637161380032270587,
+        0.31782233403150525234, 0.3506656937732167834,
+        0.15339881815388079561),
+    (1.5, 1000.0): (
+        6.1968565224856573908e-6, 4.4597861226699394833e-5,
+        3.2096061861009913047e-4, 0.002309379877473211441,
+        0.016547411858057312291, 0.11004935624673531021,
+        0.36974377495109934266),
+    (2.0, 0.01): (
+        0.43975115931214949943, 0.38320161844029739681,
+        0.066986224079184727597, 0.0093607656287004088009,
+        0.0013008178012183910084, 1.8074843277518319575e-4,
+        2.5114914329515658407e-5),
+    (2.0, 0.02): (
+        0.27762312182493380025, 0.51902559356386244385,
+        0.13171705192356900574, 0.01871521125461901001,
+        0.002601618633204289465, 3.6149682002632151247e-4,
+        5.0229828536904113863e-5),
+    (2.0, 0.25): (
+        0.024767882327353927524, 0.1715294227594782721,
+        0.54280550357569929895, 0.21917304017633482144,
+        0.032476417612612454858, 0.0045185924616703109369,
+        6.2787254070741278773e-4),
+    (2.0, 1.0): (
+        0.0061965509936887345807, 0.044484366939293493418,
+        0.28554366796863461065, 0.51444546629675500877,
+        0.1273459312117731911, 0.01806726165179321537,
+        0.0025114710807101028637),
+    (2.0, 3.0): (
+        0.0020656075856625080577, 0.014861743930405730151,
+        0.1054497896308736218, 0.48342567352457797957,
+        0.33109320309831375265, 0.054020871406888102886,
+        0.0075339247949968646151),
+    (2.0, 30.0): (
+        2.0656187967594694631e-4, 0.001486592114138273096,
+        0.010697247676238878564, 0.076418199793085987068,
+        0.41461225547378841223, 0.40958741201295120856,
+        0.074801333657735008396),
+    (2.0, 1000.0): (
+        6.1968567297057616093e-6, 4.4597889948325738061e-5,
+        3.2096458275400012983e-4, 0.0023099205866645433516,
+        0.01661838145967377313, 0.11750305577379967871,
+        0.5022888096223216007),
+    (3.0, 0.01): (
+        0.53204156460811272457, 0.35747815875285390058,
+        0.010320908582887934489, 1.9959518207834759955e-4,
+        3.8535967641004536999e-6, 7.4401306091369818155e-8,
+        1.4364643270114741396e-9),
+    (3.0, 0.02): (
+        0.30276441101421885051, 0.6056104585881681754,
+        0.040813818933950522135, 7.9835583927712202417e-4,
+        1.5414385767201508114e-5, 2.976052242987054582e-7,
+        5.7458573080424380256e-9),
+    (3.0, 0.25): (
+        0.024787123479946292046, 0.17758474017803742882,
+        0.67428183504392102584, 0.11689083665568496266,
+        0.0024080484974791290943, 4.6500793019756218364e-5,
+        8.9779020317600798418e-7),
+    (3.0, 1.0): (
+        0.0061968555446704985582, 0.044594710598217632966,
+        0.31285371315729424683, 0.59651228971647219466,
+        0.038083794329622232942, 7.4398921431802599164e-4,
+        1.4364642034925848772e-5),
+    (3.0, 3.0): (
+        0.0020656188953699953814, 0.014865924096149124614,
+        0.10688309443439479009, 0.59855531040254600639,
+        0.27047456195951482918, 0.0066903302091211911732,
+        1.2928148928087123876e-4),
+    (3.0, 30.0): (
+        2.0656189099892066338e-4, 0.0014865963314842037955,
+        0.010698810309557670756, 0.076969647644289530838,
+        0.49380132741823323826, 0.40365093642424529688,
+        0.012898270171462983955),
+    (3.0, 1000.0): (
+        6.1968567300115202518e-6, 4.4597890062297399123e-5,
+        3.2096462523065095207e-4, 0.0023099364003628704021,
+        0.016624220099538064358, 0.11947831457795690049,
+        0.62625274658774733178),
+    (3.26, 0.01): (
+        0.54522357024704166846, 0.3484190261999271791,
+        0.006305306808157776645, 7.2956374536487135264e-5,
+        8.4318173591141776068e-7, 9.7449212730077001173e-9,
+        1.1262517472904108053e-10),
+    (3.26, 0.02): (
+        0.30492880603157473651, 0.61481090076128517259,
+        0.029907891734473634147, 3.4944926224610489873e-4,
+        4.0387685883661329827e-6, 4.6677342808544476128e-8,
+        5.394649933680148394e-10),
+    (3.26, 0.25): (
+        0.024787319014413049258, 0.1779106774827133342,
+        0.69317764987226374237, 0.098893325395639982115,
+        0.0012167993635160633045, 1.4064447608436415084e-5,
+        1.6254735135769914264e-7),
+    (3.26, 1.0): (
+        0.0061968564360622140107, 0.044596572793552272425,
+        0.31527649609462380351, 0.60495439686222905376,
+        0.027649225274561293747, 3.2267956360425497648e-4,
+        3.7293699467261036822e-6),
+    (3.26, 3.0): (
+        0.0020656189072765214804, 0.014865951131495437404,
+        0.10693349028849765593, 0.61621638487142278669,
+        0.25567792008942056118, 0.0038621181113147188385,
+        4.4661069285284279746e-5),
+    (3.26, 30.0): (
+        2.0656189100023417058e-4, 0.0014865963347383360639,
+        0.010698817831123547558, 0.076984395384791316831,
+        0.50445873129359756802, 0.39792302463114382052,
+        0.0081135151442019067575),
+    (3.26, 1000.0): (
+        6.1968567300115213884e-6, 4.4597890062300360408e-5,
+        3.2096462523820190242e-4, 0.0023099364188572837695,
+        0.016624261815337776934, 0.11955451784183012182,
+        0.64549576691319691131),
+    (6.0, 0.01): (
+        0.60250014379610492469, 0.29745919120115613545,
+        4.0681735164960651448e-5, 2.1071377896718119843e-9,
+        1.0913866828658633488e-13, 5.6528096891538849367e-18,
+        2.9278584651485519235e-22),
+    (6.0, 0.02): (
+        0.30969587807183419272, 0.63900370094160243797,
+        0.0013003537018470751777, 6.7428408723689683163e-8,
+        3.4924373851705592611e-12, 1.808899100529243179e-16,
+        9.3691470884753661553e-21),
+    (6.0, 0.25): (
+        0.024787426916959394628, 0.17838847373140601794,
+        0.77286357786652016448, 0.019959455622841473234,
+        1.0658070668737204735e-6, 5.5203219620553711255e-11,
+        2.8592367823716324068e-15),
+    (6.0, 1.0): (
+        0.0061968567300113330405, 0.044597889873903906683,
+        0.3207765865961832524, 0.62633823146181819223,
+        0.0010903788070587901489, 5.6528096515349272085e-8,
+        2.9278584651484113906e-12),
+    (6.0, 3.0): (
+        0.0020656189100038403929, 0.014865963354014049127,
+        0.10698812226940138501, 0.70549842941433729982,
+        0.1702347957464993835, 1.3736260904249507769e-5,
+        7.1146960700625704024e-10),
+    (6.0, 30.0): (
+        2.0656189100038404791e-4, 0.0014865963354100192925,
+        0.010698820841297441772, 0.07699787216055572548,
+        0.54593692980939529571, 0.36456873746705186098,
+        7.1144476726250107409e-5),
+    (6.0, 1000.0): (
+        6.1968567300115214372e-6, 4.4597890062300579034e-5,
+        3.209646252391816848e-4, 0.0023099364232482305973,
+        0.016624281493364374286, 0.11964238375276898665,
+        0.74505841400827295409),
+    (10.0, 0.01): (
+        0.61687357498361701446, 0.28312638990097627892,
+        3.5116478244910613579e-8, 6.7799306753492625724e-16,
+        1.3089996756882681336e-23, 2.5272827009602475587e-31,
+        4.8794189709899118593e-39),
+    (10.0, 0.02): (
+        0.30984143202526192232, 0.64014058886914290517,
+        1.7979105248563590379e-5, 3.4713245057785470782e-13,
+        6.702078339523932844e-21, 1.2939687428916467501e-28,
+        2.4982625131468348719e-36),
+    (10.0, 0.25): (
+        0.024787426920046084542, 0.17839155701263142844,
+        0.79025360987412700665, 0.0025674061432611044913,
+        4.9934374834529870926e-11, 9.6408184088144191174e-19,
+        1.8613506206473964482e-26),
+    (10.0, 1.0): (
+        0.0061968567300115214372, 0.044597890062299807375,
+        0.32096255517986620367, 0.62722960830309965707,
+        1.3089724470082144998e-5, 2.5272827009601060509e-13,
+        4.8794189709899109451e-21),
+    (10.0, 3.0): (
+        0.0020656189100038404791, 0.014865963354100193007,
+        0.10698820840137464226, 0.74367644313661479067,
+        0.13207042789012258029, 4.9744505239081792468e-9,
+        9.6041603605994416283e-17),
+    (10.0, 30.0): (
+        2.0656189100038404791e-4, 0.0014865963354100193011,
+        0.01069882084130605616, 0.076997880774627528523,
+        0.55330796921123763972, 0.35726874157148806877,
+        9.6041595115865218567e-8),
+    (10.0, 1000.0): (
+        6.1968567300115214372e-6, 4.4597890062300579034e-5,
+        3.209646252391816848e-4, 0.0023099364232482307857,
+        0.016624281493552770946, 0.11964257210851324433,
+        0.79163563451352115633),
+}
+
+# (beta, epsilon_s, g_lo, g_hi, count) at n_tot = 1, same construction: the
+# first window holds the knee eps' = 0.213, the second lies above it.
+WINDOW_COUNTS = [
+    (3.26, 0.25, 0.001, 1000.0, 0.99599999812350596536),
+    (3.26, 0.25, 1.0, 1000000.0, 0.011421895749340275951),
 ]

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import tlscavity
 from tlscavity.cli import main
 from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
@@ -35,6 +38,15 @@ def sha(path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+def strict_json(path):
+    """Parse a JSON file, failing on NaN, Infinity and -Infinity."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_simulate_ringup_and_rerun_identical(tmp_path):
@@ -339,6 +351,67 @@ def test_distribution_report_wide_window(tmp_path):
     assert report["window_integral"] == pytest.approx(report["sum_counts"],
                                                       rel=1e-12)
     assert report["conservation_rel_error"] < 1e-12
+
+
+def test_distribution_report_zero_n_tot(tmp_path):
+    # both sums exactly 0: no relative error, and no class above one TLS
+    cfgfile = tmp_path / "empty.yaml"
+    cfgfile.write_text("distribution:\n  n_tot: 0\n")
+    out = tmp_path / "run"
+    assert run(["distribution", "--config", cfgfile, "--out", out]) == 0
+    report = strict_json(out / "report.json")
+    assert report["window_integral"] == 0.0 and report["sum_counts"] == 0.0
+    assert report["conservation_rel_error"] == 0.0
+    assert report["classes_with_count_above_one"] == 0
+    assert report["max_g_with_count_above_one_1_per_s"] is None
+    assert report["dipole_bound_e_angstrom"] is None
+    strict_json(out / "manifest.json")
+
+
+def test_distribution_report_window_integral_underflow(tmp_path):
+    # n_tot/eps_s underflows to 0 while the largest class count rounds up
+    # to the smallest subnormal: the relative error is inf, written as null
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text("distribution:\n  n_tot: 5.0e-324\n"
+                       "  epsilon_s: 1000.0\n")
+    out = tmp_path / "run"
+    assert run(["distribution", "--config", cfgfile, "--out", out]) == 0
+    report = strict_json(out / "report.json")
+    assert report["window_integral"] == 0.0 and report["sum_counts"] > 0.0
+    assert report["conservation_rel_error"] is None
+
+
+def test_fit_json_writes_infinite_sigma_as_null(tmp_path):
+    # every data temperature at 0 leaves delta0, alpha and sigma_n
+    # unconstrained: their sigma is inf, written as null
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text(TINY_SWEEP)
+    sim = tmp_path / "sim"
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", sim, "--seed", "3"]) == 0
+    for name in ("freq_trace.csv", "q_trace.csv"):
+        lines = (sim / name).read_text().splitlines()
+        (sim / name).write_text("\n".join(
+            [lines[0]] + ["0.0," + ln.split(",")[1] for ln in lines[1:]])
+            + "\n")
+    out = tmp_path / "fit"
+    assert run(["fit", "temperature", "--config", cfgfile, "--out", out,
+                sim / "freq_trace.csv", sim / "q_trace.csv"]) == 0
+    fit = strict_json(out / "fit_temperature.json")
+    assert None in fit["sigma"]
+    assert all(isinstance(v, float) for v in fit["values"])
+    strict_json(out / "manifest.json")
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        tlscavity.__file__)))
+    code = ("import sys, tlscavity.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("setting", ["g_min: 1.0", "epsilon_s: 2000.0"])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from tlscavity import DistributionParams, TlsClass
-from tlscavity.distribution import (bin_edges, density, dipole_in_e_angstrom,
-                                    loss_tangent, ntot_from_linewidth,
-                                    sample_classes, tls_volume_density)
+from tlscavity.distribution import (bin_edges, counts_between, density,
+                                    dipole_in_e_angstrom, loss_tangent,
+                                    ntot_from_linewidth, sample_classes,
+                                    tls_volume_density)
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -58,6 +60,23 @@ def test_class_positions_and_fractions_reference():
     for cls, g, frac in zip(classes, g_ref, frac_ref):
         assert cls.g == pytest.approx(g, rel=1e-11)
         assert cls.count == pytest.approx(frac, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta, epsilon_s", sorted(oracles.UNIT_BIN_COUNTS))
+def test_bin_counts_match_mpmath_table(beta, epsilon_s):
+    p = make_params(n_tot=1.0, beta=beta, epsilon_s=epsilon_s)
+    counts = counts_between(p, bin_edges(p))
+    assert len(counts) == 7
+    for count, ref in zip(counts, oracles.UNIT_BIN_COUNTS[beta, epsilon_s]):
+        assert count == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta, epsilon_s, g_lo, g_hi, ref",
+                         oracles.WINDOW_COUNTS)
+def test_window_count_matches_mpmath_table(beta, epsilon_s, g_lo, g_hi, ref):
+    p = make_params(beta=beta, epsilon_s=epsilon_s)
+    (count,) = counts_between(p, [g_lo, g_hi])
+    assert count == pytest.approx(p.n_tot * ref, rel=1e-13)
 
 
 def test_counts_linear_in_n_tot():

@@ -1,5 +1,6 @@
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -280,6 +281,33 @@ def _wall_problem(slope=1.0):
         params=[FitParameter("slope", slope, -10.0, 10.0, "linear"),
                 FitParameter("wall", 1.0, -10.0, 10.0, "linear")],
         data_weights=np.full_like(x, 0.1))
+
+
+def test_noise_floor_rejection_ends_the_fit():
+    """At the optimum, evaluation noise alone rejects a trial whose predicted
+    gain is below chi2's rounding: the fit stops there, converged, instead
+    of raising the damping through more such trials."""
+    x = np.linspace(0.0, 1.0, 40)
+    y = 1.7 * x + 0.3 + 0.01 * np.sin(17.0 * x)
+
+    def residual(v):
+        # noise far below the data scatter and far above chi2's rounding,
+        # drawn from the parameter bits
+        noise = 1e-11 * (zlib.crc32(np.asarray(v).tobytes()) / 2.0 ** 32
+                         - 0.5)
+        return v[0] * x + v[1] - y + noise
+
+    res = minimize(FitProblem(
+        residual_fn=residual,
+        params=[FitParameter("a", 1.0, 0.0, 5.0, "linear"),
+                FitParameter("b", 0.0, -5.0, 5.0, "linear")],
+        data_weights=np.full_like(x, 0.01)))
+    log = res.convergence_log
+    assert res.converged
+    assert [e["accepted"] for e in log] == [True] * (len(log) - 1) + [False]
+    assert log[-1]["damping"] == log[-2]["damping"]
+    exact = np.polyfit(x, y, 1)
+    assert res.values == pytest.approx(exact, rel=1e-9)
 
 
 def test_nan_jacobian_falls_back_to_simplex():
