@@ -17,9 +17,9 @@ from .distribution import (DistributionParams, bin_edges, density,
 from .dynamics import (CavityMoments, Trajectory, evolve_ringdown,
                        evolve_ringdown_batch, evolve_ringup, kappa_of_time,
                        steady_state, trajectory_kappa, write_trajectory_csv)
-from .errors import (ConfigError, DataError, FitError, SaturationError,
-                     StepConvergenceError, StepWindowError, TlscavityError,
-                     UnidentifiableError, ValidityWarning)
+from .errors import (ConfigError, DataError, FitError, FitStartError,
+                     SaturationError, StepConvergenceError, StepWindowError,
+                     TlscavityError, UnidentifiableError, ValidityWarning)
 from .fitting import (FitParameter, FitProblem, FitResult, joint_tls_fit,
                       minimize, numerical_jacobian, rolling_sigma,
                       temperature_fit)
@@ -31,7 +31,7 @@ from .mattis_bardeen import (BCS_RATIO, SuperconductorParams, bessel_k0,
 from .reflection import (CircleFitResult, ReflectionParams, circle_fit,
                          fit_ringup, ringdown_q, ringup_power, s11_model,
                          steady_state_reflection, switchoff_power)
-from .tls_bath import BathRates, bath_rates, chi
+from .tls_bath import BathRates, bath_rates
 from .config import RunConfig, load_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,7 +6,8 @@ byte-identical CSV output. The seed feeds synthetic-noise generation only.
 
 Exit codes: 0 success, 2 config error (also a failed halving check or a
 saturated bath, both set by the config's step count and model parameters),
-3 data error, 4 fit non-convergence.
+3 data error, 4 fit failure (a start outside a fit's bounds included) or
+non-convergence.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import yaml
 
 from . import __version__, datafiles, dynamics, mattis_bardeen, reflection
 from .config import load_config
-from .core import TlsClass, t2_star
+from .core import t2_star
 from .datafiles import json_text, write_csv
 from .distribution import (counts_between, dipole_in_e_angstrom,
                            loss_tangent, per_ghz_um3, tls_volume_density,
@@ -33,7 +34,7 @@ from .distribution import sample_classes  # noqa: F401
 from .errors import (ConfigError, DataError, FitError, SaturationError,
                      StepConvergenceError, ValidityWarning)
 from .fitting import joint_tls_fit, temperature_fit
-from .reflection import ReflectionParams, circle_fit, fit_ringup, s11_model
+from .reflection import ReflectionParams, circle_fit, fit_ringup
 
 
 def _sha256(path):
@@ -58,6 +59,25 @@ def _write_json(out, name, payload):
 def _write_gnuplot(out, name, lines):
     return _write_text(out, name, "\n".join(
         ["set datafile separator \",\""] + lines))
+
+
+def _write_fit(args, out, fit_json, curves, files, result=None):
+    """Write fit_<command>.json and, for each (x, data, model) curve, the
+    residual CSV its entry of files names as (name, header); the exit code,
+    4 with one stderr line when result did not converge."""
+    outputs = [_write_text(out, "fit_%s.json" % args.subcommand, fit_json)]
+    for (name, header), (x, data, model) in zip(files, curves):
+        if np.iscomplexobj(data):
+            rows = zip(x, data.real, data.imag, model.real, model.imag)
+        else:
+            rows = zip(x, data, model, data - model)
+        write_csv(os.path.join(out, name), header, rows)
+        outputs.append(name)
+    if result is None or result.converged:
+        return outputs, 0
+    print("tlscavity: fit %s did not converge (method %s); best point "
+          "written" % (args.subcommand, result.method), file=sys.stderr)
+    return outputs, 4
 
 
 def _run(args):
@@ -232,21 +252,11 @@ def cmd_fit_ringdown(args, cfg, out):
         g_min=cfg.distribution.g_min, g_max=cfg.distribution.g_max,
         n_classes=cfg.distribution.n_classes, m_steps=cfg.fit.m_steps,
         window_margin=cfg.fit.window_margin)
-    outputs = [_write_text(out, "fit_ringdown.json", result.to_json())]
-    for idx, ((times, n), model) in enumerate(zip(traces,
-                                                  result.model_kappa),
-                                              start=1):
-        t_k, kappa_data = dynamics.kappa_of_time(times, n, 0)
-        name = "residuals_%02d.csv" % idx
-        write_csv(os.path.join(out, name),
-                  "time_s,kappa_data_1_per_s,kappa_model_1_per_s,residual",
-                  zip(t_k, kappa_data, model, kappa_data - model))
-        outputs.append(name)
-    if not result.converged:
-        print("fit did not converge within the iteration cap; best point "
-              "written", file=sys.stderr)
-        return outputs, 4
-    return outputs, 0
+    return _write_fit(
+        args, out, result.to_json(), result.curves,
+        [("residuals_%02d.csv" % idx, "time_s,kappa_data_1_per_s,"
+          "kappa_model_1_per_s,residual")
+         for idx in range(1, len(traces) + 1)], result)
 
 
 def cmd_fit_ringup(args, cfg, out):
@@ -254,16 +264,9 @@ def cmd_fit_ringup(args, cfg, out):
     level = cfg.noise_level if cfg.noise_level > 0 else 0.01
     sigma = level * (np.abs(power) + 1e-3 * float(np.max(power)))
     result = fit_ringup(times, power, cfg.cavity.f0, sigma=sigma)
-    _write_text(out, "fit_ringup.json", result.to_json())
-    values = result.values_dict
-    model = reflection.ringup_power(times, ReflectionParams(
-        q_int=values["q_int"], q_c=values["q_c"], f0=cfg.cavity.f0,
-        delta=values["delta"], p_f=values["p_f"]))
-    write_csv(os.path.join(out, "residuals_ringup.csv"),
-              "time_s,power_data_w,power_model_w,residual",
-              zip(times, power, model, power - model))
-    return (["fit_ringup.json", "residuals_ringup.csv"],
-            0 if result.converged else 4)
+    return _write_fit(args, out, result.to_json(), result.curves, [(
+        "residuals_ringup.csv",
+        "time_s,power_data_w,power_model_w,residual")], result)
 
 
 def cmd_fit_temperature(args, cfg, out):
@@ -285,44 +288,16 @@ def cmd_fit_temperature(args, cfg, out):
         values = np.abs(np.asarray(values, dtype=float))
         return level * values + 1e-6 * level * float(np.max(values))
 
-    classes = cfg.sweep_classes()
-    fixed = {
-        "cavity": cfg.cavity,
-        "class_table": [(c.g, c.count) for c in classes],
-        "g_factor": cfg.superconductor.g_factor,
-        "alpha": cfg.superconductor.alpha,
-        "delta0": cfg.superconductor.delta0,
-        "sigma_n": cfg.superconductor.sigma_n,
-        "t1": cfg.sweep.tls_t1,
-        "t_phi": cfg.sweep.tls_t_phi,
-    }
     result = temperature_fit(
         (freq["temperature_K"], freq["freq_shift"],
          sigma_of(freq["freq_shift"])),
         (qdat["temperature_K"], qdat["q_int"], sigma_of(qdat["q_int"])),
-        fixed)
-    _write_text(out, "fit_temperature.json", result.to_json())
-    values = result.values_dict
-    sc = mattis_bardeen.SuperconductorParams(
-        delta0=values["delta0"], sigma_n=values["sigma_n"],
-        alpha=values["alpha"], g_factor=cfg.superconductor.g_factor)
-    fit_classes = [TlsClass(g=g, count=n, omega_tls=cfg.cavity.omega0,
-                            T1=values["t1"], T_phi=values["t_phi"])
-                   for g, n in fixed["class_table"]]
-    shift_model = mattis_bardeen.freq_shift(freq["temperature_K"], sc,
-                                            cfg.cavity.omega0)
-    q_model = mattis_bardeen.q_int_temperature(qdat["temperature_K"], sc,
-                                               fit_classes, cfg.cavity)
-    write_csv(os.path.join(out, "residuals_freq.csv"),
-              "temperature_K,freq_shift_data,freq_shift_model,residual",
-              zip(freq["temperature_K"], freq["freq_shift"], shift_model,
-                  freq["freq_shift"] - shift_model))
-    write_csv(os.path.join(out, "residuals_q.csv"),
-              "temperature_K,q_int_data,q_int_model,residual",
-              zip(qdat["temperature_K"], qdat["q_int"], q_model,
-                  qdat["q_int"] - q_model))
-    return (["fit_temperature.json", "residuals_freq.csv",
-             "residuals_q.csv"], 0 if result.converged else 4)
+        cfg.superconductor, cfg.sweep_classes(), cfg.cavity)
+    return _write_fit(args, out, result.to_json(), result.curves, [
+        ("residuals_freq.csv",
+         "temperature_K,freq_shift_data,freq_shift_model,residual"),
+        ("residuals_q.csv", "temperature_K,q_int_data,q_int_model,residual"),
+    ], result)
 
 
 def cmd_fit_circle(args, cfg, out):
@@ -340,18 +315,10 @@ def cmd_fit_circle(args, cfg, out):
                    res.center.imag, "radius": res.radius,
                    "theta0": res.theta0, "rms_residual": res.rms_residual},
     }
-    _write_json(out, "fit_circle.json", payload)
-    z_inf = res.center - res.radius * complex(math.cos(res.theta0),
-                                              math.sin(res.theta0))
-    model = s11_model(freqs, res.f0, res.q_int, res.q_c,
-                      mismatch=res.impedance_mismatch,
-                      amplitude=abs(z_inf),
-                      phase=math.atan2(z_inf.imag, z_inf.real),
-                      delay=res.delay)
-    write_csv(os.path.join(out, "residuals_circle.csv"),
-              "frequency_hz,re_data,im_data,re_model,im_model",
-              zip(freqs, s11.real, s11.imag, model.real, model.imag))
-    return ["fit_circle.json", "residuals_circle.csv"], 0
+    return _write_fit(
+        args, out, json_text(payload, indent=2, sort_keys=True), res.curves,
+        [("residuals_circle.csv",
+          "frequency_hz,re_data,im_data,re_model,im_model")])
 
 
 _DATA_COUNTS = {"ringdown": (1, None), "ringup": (1, 1),

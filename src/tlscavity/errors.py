@@ -32,6 +32,14 @@ class FitError(TlscavityError):
         self.convergence_log = list(convergence_log) if convergence_log else []
 
 
+class FitStartError(FitError, ValueError):
+    """A fit parameter's starting value lies outside its bounds.
+
+    A FitError, since the fit cannot start, and a ValueError for callers
+    that check a FitParameter's arguments by that type.
+    """
+
+
 class UnidentifiableError(FitError):
     """Data cannot constrain the requested parameters."""
 

@@ -10,15 +10,15 @@ predicted gain is below chi^2's rounding ends the fit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 
 from . import datafiles, dynamics, mattis_bardeen
-from .core import TlsClass
 from .distribution import DistributionParams, sample_classes
-from .errors import FitError, SaturationError, StepConvergenceError
+from .errors import (FitError, FitStartError, SaturationError,
+                     StepConvergenceError)
 
 _DAMPING_MIN = 1e-8
 _DAMPING_MAX = 1e8
@@ -53,8 +53,10 @@ class FitParameter:
         if not self.lower < self.upper:
             raise ValueError("parameter %s: lower must be < upper" % self.name)
         if not self.lower <= self.value <= self.upper:
-            raise ValueError("parameter %s: initial value outside bounds"
-                             % self.name)
+            raise FitStartError("parameter %s: start %r outside bounds "
+                                "[%r, %r]" % (self.name, float(self.value),
+                                              float(self.lower),
+                                              float(self.upper)))
         if self.scale == "log":
             if self.value <= 0:
                 raise ValueError("parameter %s: log scale needs value > 0"
@@ -99,8 +101,10 @@ class FitProblem:
 class FitResult:
     """Optimum, 1 sigma from the local covariance, and the iteration log.
 
-    model_kappa : joint ring-down fits only, each trace's model kappa at the
-        optimum on the trace's data times (reference point excluded).
+    curves : one (x, data, model) per data block, the model at the optimum
+        on the data's own x; set by the model fits (joint_tls_fit,
+        temperature_fit, reflection.fit_ringup), empty from minimize. Not
+        part of to_json.
     """
 
     names: tuple
@@ -111,7 +115,7 @@ class FitResult:
     convergence_log: list
     converged: bool
     method: str = "lm"
-    model_kappa: tuple = ()
+    curves: tuple = ()
 
     def __post_init__(self):
         if self.chi2_reduced < 0:
@@ -428,8 +432,9 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     (dynamics.evolve_ringdown_batch) of their model cache misses; a Jacobian
     column of n_tot_i only evolves trace i. The discretization self-check
     runs once, on the first trace at the initial point, and is then
-    disabled inside the loop. The result carries each trace's model kappa
-    at the optimum in model_kappa.
+    disabled inside the loop. The result's curves hold each trace's
+    (kappa times, kappa data, model kappa at the optimum), reference point
+    excluded.
     """
     if not traces:
         raise FitError("need at least one trace")
@@ -552,64 +557,63 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     # the residual at the optimum was evaluated: these are cache hits
     keys = keys_of(result.values)
     found = trace_kappas(keys)
-    result.model_kappa = tuple(found[key] for key in keys)
+    result.curves = tuple((t_k, kappa_data, found[key]) for key,
+                          (t_k, kappa_data, *_) in zip(keys, prepared))
     return result
 
 
-def temperature_fit(freq_sweep, q_sweep, fixed):
+def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
     """Two-stage temperature fit: (alpha, delta0) then (sigma_n, T1, T_phi).
 
     freq_sweep : (temperatures, normalized shifts, 1 sigma array)
     q_sweep : (temperatures, Q_int values, 1 sigma array)
-    fixed : dict with "cavity" (CavityParams), "class_table" (list of
-        (g_i, N_i)), "g_factor", and initial values "alpha", "delta0",
-        "sigma_n", "t1", "t_phi".
+    sc : SuperconductorParams; its g_factor is kept, and its alpha, delta0
+        and sigma_n are the start values.
+    classes : TlsClass list; each class keeps its g, count and frequency,
+        and the fit sets one (T1, T_phi) for all of them, starting from
+        classes[0]'s.
 
     Stage 1 fits the frequency shift, which is independent of sigma_n; stage
     2 freezes the gap and fits the quasiparticle and TLS-time parameters to
-    the Q sweep. Returns one combined FitResult (chi2 of stage 2).
+    the Q sweep. Returns one combined FitResult (chi2 of stage 2) whose
+    curves are the shift and Q_int sweeps with the models at the fitted
+    values, sigma_n included.
     """
-    cavity = fixed["cavity"]
-    class_table = list(fixed["class_table"])
-    g_factor = float(fixed["g_factor"])
     omega0 = cavity.omega0
-
     t_f, shift_data, sig_f = (np.asarray(a, dtype=float) for a in freq_sweep)
     t_q, q_data, sig_q = (np.asarray(a, dtype=float) for a in q_sweep)
 
-    def shift_model(vec):
-        alpha, delta0 = vec
-        sc = mattis_bardeen.SuperconductorParams(
-            delta0=delta0, sigma_n=1.0, alpha=alpha, g_factor=g_factor)
-        return mattis_bardeen.freq_shift(t_f, sc, omega0) - shift_data
+    def q_int(sc_fit, t1, t_phi):
+        return mattis_bardeen.q_int_temperature(
+            t_q, sc_fit, [replace(c, T1=t1, T_phi=t_phi) for c in classes],
+            cavity)
 
-    stage1 = minimize(FitProblem(
-        residual_fn=shift_model,
-        params=[
-            FitParameter("alpha", fixed["alpha"], 1e-8, 1e-2, "log"),
-            FitParameter("delta0", fixed["delta0"], 1e-23, 1e-21, "log"),
-        ],
-        data_weights=sig_f))
+    def shift_residual(vec):
+        alpha, delta0 = vec
+        trial = replace(sc, alpha=alpha, delta0=delta0, sigma_n=1.0)
+        return mattis_bardeen.freq_shift(t_f, trial, omega0) - shift_data
+
+    # both stages' starts are checked before either runs
+    stage1_params = [FitParameter("alpha", sc.alpha, 1e-8, 1e-2, "log"),
+                     FitParameter("delta0", sc.delta0, 1e-23, 1e-21, "log")]
+    stage2_params = [
+        FitParameter("sigma_n", sc.sigma_n, 1e5, 1e10, "log"),
+        FitParameter("t1", classes[0].T1, 1e-9, 1e-4, "log"),
+        FitParameter("t_phi", classes[0].T_phi, 1e-9, 1e-4, "log"),
+    ]
+    stage1 = minimize(FitProblem(residual_fn=shift_residual,
+                                 params=stage1_params, data_weights=sig_f))
     alpha_fit, delta0_fit = (float(v) for v in stage1.values)
 
-    def q_model(vec):
+    def q_residual(vec):
         sigma_n, t1, t_phi = vec
-        sc = mattis_bardeen.SuperconductorParams(
-            delta0=delta0_fit, sigma_n=sigma_n, alpha=alpha_fit,
-            g_factor=g_factor)
-        classes = [TlsClass(g=g, count=n, omega_tls=omega0, T1=t1,
-                            T_phi=t_phi) for g, n in class_table]
-        return mattis_bardeen.q_int_temperature(t_q, sc, classes,
-                                                cavity) - q_data
+        return q_int(replace(sc, alpha=alpha_fit, delta0=delta0_fit,
+                             sigma_n=sigma_n), t1, t_phi) - q_data
 
-    stage2 = minimize(FitProblem(
-        residual_fn=q_model,
-        params=[
-            FitParameter("sigma_n", fixed["sigma_n"], 1e5, 1e10, "log"),
-            FitParameter("t1", fixed["t1"], 1e-9, 1e-4, "log"),
-            FitParameter("t_phi", fixed["t_phi"], 1e-9, 1e-4, "log"),
-        ],
-        data_weights=sig_q))
+    stage2 = minimize(FitProblem(residual_fn=q_residual,
+                                 params=stage2_params, data_weights=sig_q))
+    sigma_n, t1, t_phi = (float(v) for v in stage2.values)
+    best = replace(sc, alpha=alpha_fit, delta0=delta0_fit, sigma_n=sigma_n)
 
     names = ("alpha", "delta0", "sigma_n", "t1", "t_phi")
     values = np.concatenate([stage1.values, stage2.values])
@@ -620,4 +624,7 @@ def temperature_fit(freq_sweep, q_sweep, fixed):
                      chi2_reduced=stage2.chi2_reduced,
                      n_points=len(t_f) + len(t_q), convergence_log=log,
                      converged=stage1.converged and stage2.converged,
-                     method="two-stage")
+                     method="two-stage",
+                     curves=((t_f, shift_data,
+                              mattis_bardeen.freq_shift(t_f, best, omega0)),
+                             (t_q, q_data, q_int(best, t1, t_phi))))

@@ -111,7 +111,8 @@ def fit_ringup(times, powers, f0, *, sigma=None):
     The model is even in delta, so only |delta| is identifiable and the fit
     is bounded to 0 <= delta <= 50, starting at 0.5. A trace without an
     interference dip cannot separate q_int from q_c (the over/undercoupled
-    branches coincide) and raises UnidentifiableError.
+    branches coincide) and raises UnidentifiableError. The result's one
+    curve is (times, powers, model power at the optimum).
     """
     times = np.asarray(times, dtype=float)
     powers = np.asarray(powers, dtype=float)
@@ -137,11 +138,10 @@ def fit_ringup(times, powers, f0, *, sigma=None):
     if sigma is None:
         sigma = 0.01 * (np.abs(powers) + 1e-3 * float(np.max(powers)))
 
-    def residual(vec):
+    def model(vec):
         qi, qc, delta, pf = vec
-        model = ringup_power(times, ReflectionParams(
+        return ringup_power(times, ReflectionParams(
             q_int=qi, q_c=qc, f0=f0, delta=delta, p_f=pf))
-        return model - powers
 
     params = [
         FitParameter("q_int", qi0, 1e4, 1e12, "log"),
@@ -149,8 +149,10 @@ def fit_ringup(times, powers, f0, *, sigma=None):
         FitParameter("delta", 0.5, 0.0, 50.0, "linear"),
         FitParameter("p_f", pf0, pf0 * 0.2, pf0 * 5.0, "log"),
     ]
-    return minimize(FitProblem(residual_fn=residual, params=params,
-                               data_weights=sigma))
+    result = minimize(FitProblem(residual_fn=lambda v: model(v) - powers,
+                                 params=params, data_weights=sigma))
+    result.curves = ((times, powers, model(result.values)),)
+    return result
 
 
 def ringdown_q(kappa_values, kappa_c, omega0, rolling=None):
@@ -173,7 +175,11 @@ def ringdown_q(kappa_values, kappa_c, omega0, rolling=None):
 
 @dataclass(frozen=True)
 class CircleFitResult:
-    """S11 circle-fit output; sigma_* are 1 sigma estimates."""
+    """S11 circle-fit output; sigma_* are 1 sigma estimates.
+
+    curves : one (frequencies, S11 data, s11_model at the fitted values and
+        the off-resonant point), both S11 arrays complex.
+    """
 
     f0: float
     q_int: float
@@ -189,6 +195,7 @@ class CircleFitResult:
     radius: float
     theta0: float
     rms_residual: float
+    curves: tuple = ()
 
 
 def _taubin_circle(z):
@@ -274,10 +281,11 @@ def circle_fit(freqs, s11, *, fit_delay=True):
 
     Raises DataError when the points do not lie on a circle (rms residual
     above 5% of the radius) or the sweep does not cover the
-    resonance (span < 3 linewidths).
+    resonance (span < 3 linewidths). The result's curve is the sweep with
+    s11_model at the fitted values.
     """
     freqs = np.asarray(freqs, dtype=float)
-    z = np.asarray(s11, dtype=complex)
+    z = data = np.asarray(s11, dtype=complex)
     if len(freqs) != len(z):
         raise DataError("frequency and S11 arrays must have equal length")
     if len(freqs) < 8:
@@ -349,12 +357,16 @@ def circle_fit(freqs, s11, *, fit_delay=True):
     else:
         sig_qi = math.inf
     sig_phi = math.hypot(sig_r / radius, sig_theta0 * radius / a_inf)
+    model = s11_model(freqs, f0, q_int, q_c, mismatch=mismatch,
+                      amplitude=a_inf,
+                      phase=math.atan2(z_inf.imag, z_inf.real), delay=delay)
 
     return CircleFitResult(
         f0=f0, q_int=q_int, q_c=q_c, q_loaded=ql,
         impedance_mismatch=mismatch, sigma_f0=sig_f0, sigma_q_int=sig_qi,
         sigma_q_c=sig_qc, sigma_mismatch=sig_phi, delay=delay,
-        center=center, radius=radius, theta0=theta0, rms_residual=rms)
+        center=center, radius=radius, theta0=theta0, rms_residual=rms,
+        curves=((freqs, data, model),))
 
 
 def s11_model(freqs, f0, q_int, q_c, mismatch=0.0, amplitude=1.0,

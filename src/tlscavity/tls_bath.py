@@ -40,13 +40,6 @@ class BathRates:
             raise ValueError("bath rates must be non-negative")
 
 
-def chi(omega_tls, omega0, t2_star):
-    """Detuning factor chi = 1 + i(omega_tls - omega0)*T2*."""
-    if not t2_star > 0:
-        raise ValueError("t2_star must be > 0")
-    return complex(1.0, (omega_tls - omega0) * t2_star)
-
-
 def clamp_rates(kp, km):
     """Round microscopically negative summed rates to zero.
 

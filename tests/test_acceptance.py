@@ -7,6 +7,7 @@ always reaches the log before pytest unwinds.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -184,11 +185,8 @@ def test_a08_conductivity_checks(cfg, cavity, sweep_classes, superconductor):
     qs_n = qs + sig_q * rng.standard_normal(len(t_q))
     res = temperature_fit(
         (t_f, shifts_n, sig_f), (t_q, qs_n, sig_q),
-        {"cavity": cavity,
-         "class_table": [(c.g, c.count) for c in sweep_classes],
-         "g_factor": sc.g_factor,
-         "alpha": 2e-5, "delta0": sc.delta0 * 1.3, "sigma_n": 1e7,
-         "t1": 1e-6, "t_phi": 3e-7})
+        replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3, sigma_n=1e7),
+        [replace(c, T1=1e-6, T_phi=3e-7) for c in sweep_classes], cavity)
     zs = {k: abs(res.values_dict[k] - truth[k]) /
           max(res.sigma_dict[k], 1e-300) for k in truth}
     ok = (shift0 == 0.0 and dev_s2 <= 1e-6 and dev_k0 <= 1e-9 and

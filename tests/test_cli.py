@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tlscavity
+from tlscavity import fitting
 from tlscavity.cli import main
 from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
@@ -494,3 +495,63 @@ def test_trajectory_csv_round_trip(tmp_path):
     t2, n2 = read_ringdown_csv(out / "trace_01.csv")
     assert np.array_equal(t, t2) and np.array_equal(n, n2)
     assert len(t) == 400
+
+
+@pytest.mark.parametrize("command, method", [("ringup", "lm"),
+                                             ("temperature", "two-stage")])
+def test_fit_not_converged_exits_4_with_one_line(tmp_path, capsys,
+                                                 monkeypatch, command,
+                                                 method):
+    # a fit stopped before convergence writes its best point and says so
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text(TINY_SWEEP)
+    sim = tmp_path / "sim"
+    if command == "ringup":
+        assert run(["simulate", "ringup", "--out", sim, "--seed", "7"]) == 0
+        data = [sim / "ringup.csv"]
+        residuals = ["residuals_ringup.csv"]
+    else:
+        assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                    "--out", sim, "--seed", "3"]) == 0
+        data = [sim / "freq_trace.csv", sim / "q_trace.csv"]
+        residuals = ["residuals_freq.csv", "residuals_q.csv"]
+    capsys.readouterr()
+    monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+    fit_out = tmp_path / "fit"
+    assert run(["fit", command, "--config", cfgfile, "--out", fit_out]
+               + data) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("tlscavity: fit %s " % command)
+    assert "(method %s)" % method in err
+    assert strict_json(fit_out / ("fit_%s.json" % command))["converged"] \
+        is False
+    for name in residuals + ["manifest.json"]:
+        assert (fit_out / name).exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("ringdown", "tls:\n  t2_star: 1.0e-9\n",
+     "parameter t2_star: start 1e-09 outside bounds [5e-08, 2e-06]"),
+    ("temperature", "  tls_t1: 1.0e-12\n",
+     "parameter t1: start 1e-12 outside bounds [1e-09, 0.0001]")],
+    ids=["ringdown", "temperature"])
+def test_fit_start_outside_bounds_exits_4(tmp_path, capsys, command, setting,
+                                          message):
+    base = TINY_RINGDOWN if command == "ringdown" else TINY_SWEEP
+    sim = tmp_path / "sim"
+    cfgfile = tmp_path / "base.yaml"
+    cfgfile.write_text(base)
+    if command == "ringdown":
+        assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
+                    sim, "--seed", "4"]) == 0
+        data = [sim / "trace_01.csv"]
+    else:
+        assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                    "--out", sim, "--seed", "3"]) == 0
+        data = [sim / "freq_trace.csv", sim / "q_trace.csv"]
+    capsys.readouterr()
+    cfgfile.write_text(base + setting)
+    assert run(["fit", command, "--config", cfgfile, "--out",
+                tmp_path / "fit"] + data) == 4
+    assert capsys.readouterr().err == "tlscavity: fit error: %s\n" % message

@@ -1,14 +1,17 @@
 import json
 import math
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tlscavity import (DistributionParams, FitError, FitParameter,
-                       FitProblem, FitResult, evolve_ringdown, joint_tls_fit,
-                       minimize, numerical_jacobian, rolling_sigma,
-                       sample_classes)
+                       FitProblem, FitResult, FitStartError,
+                       SuperconductorParams, TlsClass, evolve_ringdown,
+                       freq_shift, joint_tls_fit, minimize,
+                       numerical_jacobian, q_int_temperature, rolling_sigma,
+                       sample_classes, temperature_fit)
 from tlscavity import fitting
 from tlscavity.distribution import _unit_bins
 
@@ -25,6 +28,15 @@ def test_fit_parameter_transforms():
         FitParameter("bad", 5.0, 10.0, 20.0, "linear")  # value outside bounds
     with pytest.raises(ValueError):
         FitParameter("bad", 1.0, 2.0, 0.5, "linear")  # inverted bounds
+
+
+def test_start_outside_bounds_names_start_and_bounds():
+    with pytest.raises(FitStartError) as info:
+        FitParameter("t1", 1e-12, 1e-9, 1e-4, "log")
+    assert isinstance(info.value, FitError)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == \
+        "parameter t1: start 1e-12 outside bounds [1e-09, 0.0001]"
 
 
 def test_linear_model_exact_covariance():
@@ -457,8 +469,8 @@ def test_joint_fit_two_traces_smoke(smoke_fit, cavity):
     ln_n = np.log(traj.n)
     t_k = t_data[1:]
     model = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
-    assert len(res.model_kappa) == 2
-    np.testing.assert_array_equal(res.model_kappa[1], model)
+    assert len(res.curves) == 2
+    np.testing.assert_array_equal(res.curves[1][2], model)
 
 
 def test_joint_fit_batch_hook_changes_no_bit(smoke_fit, cfg, cavity,
@@ -475,9 +487,9 @@ def test_joint_fit_batch_hook_changes_no_bit(smoke_fit, cfg, cavity,
     monkeypatch.setattr(fitting, "minimize", without_hook)
     _, plain = _smoke_fit(cfg, cavity)
     _assert_same_fit(batched, plain)
-    assert len(batched.model_kappa) == len(plain.model_kappa) == 2
-    for a, b in zip(batched.model_kappa, plain.model_kappa):
-        assert np.array_equal(a, b)
+    assert len(batched.curves) == len(plain.curves) == 2
+    for a, b in zip(batched.curves, plain.curves):
+        assert np.array_equal(a[2], b[2])
 
 
 def test_joint_fit_input_validation(cavity):
@@ -558,3 +570,34 @@ def test_joint_fit_batch_failing_row_is_nan(cfg, cavity, monkeypatch):
     np.testing.assert_array_equal(rows[2], fresh.residual_fn(other))
     with pytest.raises(ValueError):
         fresh.residual_fn(bad)
+
+
+def test_temperature_fit_curves_are_the_models_at_the_fit(
+        cavity, sweep_classes, superconductor):
+    """Each curve's model is the model at the fitted values, built as a
+    fresh superconductor and class list (the shift with the fitted
+    sigma_n)."""
+    sc = superconductor
+    t_f = np.linspace(0.8, 2.2, 9)
+    t_q = np.linspace(0.05, 3.5, 11)
+    shifts = freq_shift(t_f, sc, cavity.omega0)
+    qs = q_int_temperature(t_q, sc, sweep_classes, cavity)
+    rng = np.random.default_rng(8)
+    sig_f = 0.01 * np.abs(shifts) + 1e-8 * np.max(np.abs(shifts))
+    shifts_n = shifts + sig_f * rng.standard_normal(len(t_f))
+    qs_n = qs * (1.0 + 0.01 * rng.standard_normal(len(t_q)))
+    res = temperature_fit(
+        (t_f, shifts_n, sig_f), (t_q, qs_n, 0.01 * qs),
+        replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3, sigma_n=1e7),
+        [replace(c, T1=1e-6, T_phi=3e-7) for c in sweep_classes], cavity)
+    got = res.values_dict
+    best = SuperconductorParams(delta0=got["delta0"], sigma_n=got["sigma_n"],
+                                alpha=got["alpha"], g_factor=sc.g_factor)
+    classes = [TlsClass(g=c.g, count=c.count, omega_tls=cavity.omega0,
+                        T1=got["t1"], T_phi=got["t_phi"])
+               for c in sweep_classes]
+    (xf, df, mf), (xq, dq, mq) = res.curves
+    assert np.array_equal(xf, t_f) and np.array_equal(df, shifts_n)
+    assert np.array_equal(xq, t_q) and np.array_equal(dq, qs_n)
+    assert np.array_equal(mf, freq_shift(t_f, best, cavity.omega0))
+    assert np.array_equal(mq, q_int_temperature(t_q, best, classes, cavity))

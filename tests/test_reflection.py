@@ -66,6 +66,22 @@ def test_fit_ringup_round_trip():
     assert 0.5 < res.chi2_reduced < 1.5
 
 
+def test_fit_ringup_curve_is_the_model_at_the_fit():
+    truth = ReflectionParams(q_int=5.3e8, q_c=1e8, f0=7.9e9, delta=0.8,
+                             p_f=1e-12)
+    t = np.linspace(0.0, 0.03, 300)
+    clean = ringup_power(t, truth)
+    noisy = clean * (1.0 + 0.01 * np.random.default_rng(3).standard_normal(
+        len(t)))
+    res = fit_ringup(t, noisy, 7.9e9, sigma=0.01 * clean)
+    got = res.values_dict
+    (x, data, model), = res.curves
+    assert np.array_equal(x, t) and np.array_equal(data, noisy)
+    assert np.array_equal(model, ringup_power(t, ReflectionParams(
+        q_int=got["q_int"], q_c=got["q_c"], f0=7.9e9, delta=got["delta"],
+        p_f=got["p_f"])))
+
+
 def test_fit_ringup_requires_dip():
     # monotone data (no interference dip) leaves the detuning sign/value
     # unidentifiable and must be refused rather than guessed
@@ -98,6 +114,28 @@ def test_circle_fit_clean_recovery():
     assert res.f0 == pytest.approx(f0, abs=2.0 * (f[1] - f[0]))
     assert res.impedance_mismatch == pytest.approx(0.1, abs=5e-3)
     assert res.delay == pytest.approx(3.2e-8, rel=1e-3)
+
+
+def test_circle_fit_curve_is_the_model_at_the_fit():
+    # the model from the fitted values and the off-resonant point z_inf
+    f0, qi, qc = 7.9e9, 5.3e8, 1e8
+    ql = qi * qc / (qi + qc)
+    f = np.linspace(f0 - 4.0 * f0 / ql, f0 + 4.0 * f0 / ql, 201)
+    rng = np.random.default_rng(4)
+    s = s11_model(f, f0, qi, qc, mismatch=0.1, amplitude=0.9, phase=0.4,
+                  delay=3.2e-8) + 1e-3 * (rng.standard_normal(len(f))
+                                          + 1j * rng.standard_normal(len(f)))
+    res = circle_fit(f, s)
+    z_inf = res.center - res.radius * complex(math.cos(res.theta0),
+                                              math.sin(res.theta0))
+    expected = s11_model(f, res.f0, res.q_int, res.q_c,
+                         mismatch=res.impedance_mismatch,
+                         amplitude=abs(z_inf),
+                         phase=math.atan2(z_inf.imag, z_inf.real),
+                         delay=res.delay)
+    (x, data, model), = res.curves
+    assert np.array_equal(x, f) and np.array_equal(data, s)
+    assert np.array_equal(model, expected)
 
 
 def test_circle_fit_rotation_and_scale_invariance():

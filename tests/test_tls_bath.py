@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 import oracles
 from oracles import TlsState, tls_steady_state
-from tlscavity import BathRates, TlsClass, bath_rates, chi
+from tlscavity import BathRates, TlsClass, bath_rates
 from tlscavity.tls_bath import ClassTable
 
 
@@ -109,14 +109,6 @@ def test_detuned_class_weaker_coupling():
     r_on = bath_rates([on], 1e8, 1e4, W0, 0.02)
     r_off = bath_rates([off], 1e8, 1e4, W0, 0.02)
     assert r_off.kappa_minus < r_on.kappa_minus
-
-
-def test_chi_detuning_factor():
-    assert chi(W0, W0, 2.86e-7) == 1.0 + 0.0j
-    x = chi(W0 + 1e6, W0, 2.86e-7)
-    assert x.imag == pytest.approx(1e6 * 2.86e-7, rel=1e-14)
-    with pytest.raises(ValueError):
-        chi(W0, W0, 0.0)
 
 
 def test_tls_state_positivity_guard():
