@@ -314,11 +314,12 @@ def cmd_fit_circle(args, cfg, out):
         "circle": {"center_re": res.center.real, "center_im":
                    res.center.imag, "radius": res.radius,
                    "theta0": res.theta0, "rms_residual": res.rms_residual},
+        "converged": res.converged,
     }
     return _write_fit(
         args, out, json_text(payload, indent=2, sort_keys=True), res.curves,
         [("residuals_circle.csv",
-          "frequency_hz,re_data,im_data,re_model,im_model")])
+          "frequency_hz,re_data,im_data,re_model,im_model")], res)
 
 
 _DATA_COUNTS = {"ringdown": (1, None), "ringup": (1, 1),

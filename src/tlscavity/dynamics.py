@@ -89,17 +89,18 @@ def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned,
     rates; returns one Trajectory (full=False: its n array), or the
     exception that stopped it, per row.
 
-    table is a ClassTable stacked over the rows; n0 and amp0 hold each
-    row's initial photon number and amplitude. With kt = kappa0 +
-    kappa_minus - kappa_plus (net gain, kt <= 0, has no stable moment
-    solution and stops the row) and v1 = kappa_plus + kappa0 f_cav:
+    table is a ClassTable of the B rows; n0 and amp0 hold each row's
+    initial photon number and amplitude. With kt = kappa0 + kappa_minus -
+    kappa_plus (net gain, kt <= 0, has no stable moment solution and stops
+    the row) and v1 = kappa_plus + kappa0 f_cav:
     n(dt) = a + b e^{-kt*dt} + c e^{-kt*dt/2} with
         a = v1/kt + 4|O'|^2/kt^2
         c = (4/kt) Re[i O' <a>] - 8|O'|^2/kt^2
         b = n_prev - a - c
     and <a> relaxing to its own fixed point -2i conj(O')/kt at rate kt/2.
     Every operation is elementwise over the rows or a per-row sum over the
-    class axis, so a row's numbers do not depend on the other rows.
+    class axis, so a row's numbers do not depend on the other rows. The
+    views and scratch rows are made before the loop: a step allocates none.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     amp0 = np.asarray(amp0, dtype=complex).reshape(-1)
@@ -117,49 +118,69 @@ def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned,
     work = np.zeros((13, rows))
     (s_re, s_im, kp, km, kt, n_next, ar_next, ai_next, n, ar, ai, o_re,
      o_im) = work
-    sums = work[0:4].T
+    sums = work[0:4]
     checked = work[2:6]            # kappa_plus, kappa_minus, kt, n(k+1)
     state_next, state = work[5:8], work[8:11]
     amp_next, amp = work[6:8], work[9:11]
-    omega = work[11:13]
+    omega, omega_rev = work[11:13], work[12:10:-1]
     n[:] = n0
     if not pinned:
         amp[:] = (amp0.real, amp0.imag)
     record = work[2:] if full else n
     history = np.empty((m_pts,) + record.shape)
-    terms = np.empty((2, rows))
+    # scratch: |<a>|^2, Omega' squared, |O'|^2/kt^2, kt^2, (a, c, b), e^{-kt
+    # dt/2} and its square, (c e, b e^2), the fixed point of <a>, (4q, -8q)
+    scratch = np.empty((17, rows))
+    amp2, tmp, o2_re, o2_im, q, kt2, a_t, c_t, b_t, eh, eh2, ce, be2 = (
+        scratch[:13])
+    omega2, terms, cb, e_pair, prods, a_ss, weighted_q = (
+        scratch[i:i + 2] for i in (2, 6, 7, 9, 11, 13, 15))
     term_weights = np.array([[4.0], [-8.0]])
+    rate_sums = table.rate_kernel(n, amp2, sums)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     errors = [None] * rows
     dead = []
+    inert = np.array(_INERT_SUMS)[:, None]
 
     def advance():
-        np.add(kappa0, km, out=kt)
-        np.subtract(kt, kp, out=kt)
-        q = (o_re * o_re + o_im * o_im) / (kt * kt)
+        add(kappa0, km, out=kt)
+        sub(kt, kp, out=kt)
+        mul(omega, omega, out=omega2)
+        add(o2_re, o2_im, out=q)
+        mul(kt, kt, out=kt2)
+        div(q, kt2, out=q)
         # terms = (a, c): v1/kt + 4q and (4/kt) Re[i O' <a>] - 8q
-        np.add(kp, feed, out=terms[0])
+        add(kp, feed, out=a_t)
         if pinned:
-            np.multiply(o_im, ar, out=terms[1])
+            mul(o_im, ar, out=c_t)
         else:
-            np.add(o_im * ar, o_re * ai, out=terms[1])
-        np.multiply(terms[1], minus_four, out=terms[1])
-        np.divide(terms, kt, out=terms)
-        np.add(terms, term_weights * q, out=terms)
-        a_term, c_term = terms
-        b_term = n - a_term - c_term
-        eh = np.exp(kt * decay)
+            mul(o_im, ar, out=tmp)
+            mul(o_re, ai, out=c_t)
+            add(tmp, c_t, out=c_t)
+        mul(c_t, minus_four, out=c_t)
+        div(terms, kt, out=terms)
+        mul(term_weights, q, out=weighted_q)
+        add(terms, weighted_q, out=terms)
+        sub(n, a_t, out=b_t)
+        sub(b_t, c_t, out=b_t)
+        mul(kt, decay, out=eh)
+        np.exp(eh, out=eh)
         if not pinned:
-            a_ss = omega[::-1] * minus_two
-            a_ss /= kt
-            np.subtract(amp, a_ss, out=amp_next)
-            np.multiply(amp_next, eh, out=amp_next)
-            np.add(amp_next, a_ss, out=amp_next)
-        np.add(a_term + b_term * (eh * eh), c_term * eh, out=n_next)
+            mul(omega_rev, minus_two, out=a_ss)
+            div(a_ss, kt, out=a_ss)
+            sub(amp, a_ss, out=amp_next)
+            mul(amp_next, eh, out=amp_next)
+            add(amp_next, a_ss, out=amp_next)
+        # n(k+1) = (a + b e^2) + c e
+        mul(eh, eh, out=eh2)
+        mul(cb, e_pair, out=prods)
+        add(a_t, be2, out=n_next)
+        add(n_next, ce, out=n_next)
 
     def kill(r, exc):
         errors[r] = exc
         dead.append(r)
-        sums[r] = _INERT_SUMS
+        sums[:, r] = _INERT_SUMS
 
     # a failing row may overflow or divide by zero before the per-row
     # checks below stop it; they, not numpy warnings, report the failure
@@ -167,22 +188,28 @@ def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned,
         for k in range(m_pts):
             if pinned:
                 np.sqrt(n, out=ar)
-                amp2 = ar * ar
+                mul(ar, ar, out=amp2)
             else:
-                amp2 = ar * ar + ai * ai
-            table.rate_sums(n, amp2, out=sums)
+                mul(ar, ar, out=amp2)
+                mul(ai, ai, out=tmp)
+                add(amp2, tmp, out=amp2)
+            rate_sums()
             if dead:
-                sums[dead] = _INERT_SUMS
+                sums[:, dead] = inert
             # Omega' = omega_ext + i conj(<a>) S
             if pinned:
-                np.multiply(ar, s_im, out=o_re)
+                mul(ar, s_im, out=o_re)
                 np.negative(o_re, out=o_re)
-                np.multiply(ar, s_re, out=o_im)
+                mul(ar, s_re, out=o_im)
             else:
-                np.subtract(ai * s_re, ar * s_im, out=o_re)
-                np.add(ar * s_re, ai * s_im, out=o_im)
+                mul(ai, s_re, out=o_re)
+                mul(ar, s_im, out=tmp)
+                sub(o_re, tmp, out=o_re)
+                mul(ar, s_re, out=o_im)
+                mul(ai, s_im, out=tmp)
+                add(o_im, tmp, out=o_im)
             if omega_ext:
-                np.add(omega, drive, out=omega)
+                add(omega, drive, out=omega)
             history[k] = record
             if k == m_pts - 1:
                 break
@@ -225,12 +252,8 @@ def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned,
             out.append(history[:, r].copy())
         else:
             rates = history[:, :, r]
-            a_mean = np.empty(m_pts, dtype=complex)
-            a_mean.real = rates[:, 7]
-            a_mean.imag = rates[:, 8]
-            omega_prime = np.empty(m_pts, dtype=complex)
-            omega_prime.real = rates[:, 9]
-            omega_prime.imag = rates[:, 10]
+            a_mean, omega_prime = (np.ascontiguousarray(
+                rates[:, j:j + 2]).view(complex)[:, 0] for j in (7, 9))
             out.append(Trajectory(
                 times=times, n=rates[:, 6].copy(), a_mean=a_mean,
                 kappa_plus=rates[:, 0].copy(), kappa_minus=rates[:, 1].copy(),
@@ -238,20 +261,19 @@ def _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts, pinned,
     return out
 
 
-def _verified_evolve(tables, cavity, omega_ext, n0, amp0, t_final, m_pts,
+def _verified_evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts,
                      pinned, verify):
-    """Coarse lockstep run of the rows; a second batch at half the step
-    checks every row that got through and has its verify flag set."""
-    coarse = _evolve(tls_bath.ClassTable.stack(tables), cavity, omega_ext,
-                     n0, amp0, t_final, m_pts, pinned)
+    """Coarse lockstep run of the table's rows; a second batch at half the
+    step checks every row that got through and has its verify flag set."""
+    coarse = _evolve(table, cavity, omega_ext, n0, amp0, t_final, m_pts,
+                     pinned)
     live = [r for r, res in enumerate(coarse)
             if verify[r] and isinstance(res, Trajectory)]
     if not live:
         return coarse
     m_fine = 2 * (m_pts - 1) + 1
-    fine = _evolve(tls_bath.ClassTable.stack([tables[r] for r in live]),
-                   cavity, omega_ext, n0[live], amp0[live], t_final, m_fine,
-                   pinned, full=False)
+    fine = _evolve(table.take(live), cavity, omega_ext, n0[live], amp0[live],
+                   t_final, m_fine, pinned, full=False)
     for r, ref in zip(live, fine):
         if isinstance(ref, Exception):
             coarse[r] = ref
@@ -268,33 +290,37 @@ def _verified_evolve(tables, cavity, omega_ext, n0, amp0, t_final, m_pts,
 
 def _evolve_rows(class_lists, cavity, omega_ext, n0, amp0, t_final, m_steps,
                  pinned, verify, window_margin):
-    """Evolve one row per class list, in lockstep groups of rows sharing a
-    grid and a class count; one Trajectory or exception per row. verify
-    holds one halving-check flag per row."""
+    """Evolve one row per class list: one ClassTable per class count, and
+    one lockstep group per grid in it; one Trajectory or exception per row.
+    verify holds one halving-check flag per row."""
     if m_steps is not None and m_steps < 2:
         raise ValueError("m_steps must be >= 2")
-    tables = [tls_bath.ClassTable(classes, cavity.omega0, cavity.temperature)
-              for classes in class_lists]
-    results = [None] * len(tables)
-    groups = {}
-    for r, table in enumerate(tables):
-        m = m_steps
-        if m is None:
-            dt_rule = max(10.0 * table.t2max, t_final / 1e5)
-            m = max(1, math.floor(t_final / dt_rule)) + 1
-        try:
-            _check_window(t_final / (m - 1), table.t2max, cavity,
-                          window_margin)
-        except StepWindowError as exc:
-            results[r] = exc
-            continue
-        groups.setdefault((m, table.n_classes), []).append(r)
-    for (m, _), rows in groups.items():
-        out = _verified_evolve([tables[r] for r in rows], cavity, omega_ext,
-                               n0[rows], amp0[rows], t_final, m, pinned,
-                               [verify[r] for r in rows])
-        for r, res in zip(rows, out):
-            results[r] = res
+    results = [None] * len(class_lists)
+    sizes = {}
+    for r, classes in enumerate(class_lists):
+        sizes.setdefault(len(classes), []).append(r)
+    for rows in sizes.values():
+        table = tls_bath.ClassTable([class_lists[r] for r in rows],
+                                    cavity.omega0, cavity.temperature)
+        groups = {}
+        for j, (r, t2max) in enumerate(zip(rows, table.t2max)):
+            m = m_steps
+            if m is None:
+                dt_rule = max(10.0 * t2max, t_final / 1e5)
+                m = max(1, math.floor(t_final / dt_rule)) + 1
+            try:
+                _check_window(t_final / (m - 1), t2max, cavity, window_margin)
+            except StepWindowError as exc:
+                results[r] = exc
+                continue
+            groups.setdefault(m, []).append(j)
+        for m, group in groups.items():
+            picked = [rows[j] for j in group]
+            out = _verified_evolve(
+                table.take(group), cavity, omega_ext, n0[picked],
+                amp0[picked], t_final, m, pinned, [verify[r] for r in picked])
+            for r, res in zip(picked, out):
+                results[r] = res
     return results
 
 
@@ -376,7 +402,8 @@ def steady_state(classes, cavity, omega_ext, *, tol=1e-10, max_iter=10000,
     multiple solutions.
     """
     omega_ext = complex(omega_ext)
-    table = tls_bath.ClassTable(classes, cavity.omega0, cavity.temperature)
+    table = tls_bath.ClassTable([classes], cavity.omega0,
+                                cavity.temperature)
     kappa0 = cavity.kappa0
     feed = _thermal_feed(cavity)
     drive2 = omega_ext.real ** 2 + omega_ext.imag ** 2

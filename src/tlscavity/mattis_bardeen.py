@@ -164,7 +164,7 @@ def freq_shift(t, sc, omega):
 def q_qp(t, sc, omega):
     """Quasiparticle quality factor G |sigma|^2 / (sigma1 sqrt((|sigma|+sigma2) w mu0 / 2)).
 
-    +inf where sigma1 vanishes (T = 0).
+    +inf where sigma1 vanishes (T = 0) or is so small that Q overflows.
     """
     s1, s2 = conductivity(t, omega, sc)
     out = np.full(t.shape, math.inf)
@@ -172,7 +172,8 @@ def q_qp(t, sc, omega):
     s1, s2 = s1[lossy], s2[lossy]
     mod = _libm(math.hypot, s1, s2)
     rs = _libm(math.sqrt, (mod + s2) * omega * CONSTANTS.mu_0 / 2.0)
-    out[lossy] = sc.g_factor * mod * mod / (s1 * rs)
+    with np.errstate(over="ignore"):
+        out[lossy] = sc.g_factor * mod * mod / (s1 * rs)
     return out
 
 
@@ -184,11 +185,11 @@ def q_tls_temperature(t, classes, cavity):
     (temperature, class) at n = 0, clamped row by row: only thermal
     saturation acts. +inf where that is not positive (no classes).
     """
-    table = tls_bath.ClassTable(classes, cavity.omega0, t)
+    table = tls_bath.ClassTable([classes], cavity.omega0, t)
     zero = np.zeros(t.shape)
     k_tls = np.array([km - kp for kp, km in (
         tls_bath.clamp_rates(kp, km)
-        for _, _, kp, km in table.rate_sums(zero, zero).tolist())])
+        for _, _, kp, km in table.rate_sums(zero, zero).T.tolist())])
     return np.divide(cavity.omega0, k_tls, out=np.full(t.shape, math.inf),
                      where=~(k_tls <= 0.0))
 

@@ -177,6 +177,7 @@ def ringdown_q(kappa_values, kappa_c, omega0, rolling=None):
 class CircleFitResult:
     """S11 circle-fit output; sigma_* are 1 sigma estimates.
 
+    converged, method : those of the phase fit (fitting.minimize).
     curves : one (frequencies, S11 data, s11_model at the fitted values and
         the off-resonant point), both S11 arrays complex.
     """
@@ -195,6 +196,8 @@ class CircleFitResult:
     radius: float
     theta0: float
     rms_residual: float
+    converged: bool
+    method: str
     curves: tuple = ()
 
 
@@ -308,29 +311,40 @@ def circle_fit(freqs, s11, *, fit_delay=True):
     span = float(freqs[-1] - freqs[0])
     theta0_init = float(theta[0] + theta[-1]) / 2.0
 
-    def residual(vec):
-        theta0, ql, f0 = vec
-        model = theta0 + 2.0 * np.arctan(2.0 * ql * (1.0 - freqs / f0))
-        return model - theta
-
     # crude Q_l seed from the frequency interval covering the central
     # half-turn of phase
     dtheta = np.abs(theta - np.median(theta))
     core = freqs[dtheta < math.pi / 2]
     width = float(core[-1] - core[0]) if len(core) > 1 else span / 10.0
     ql_init = max(f_mid / max(width, span / len(freqs)), 10.0)
-
     phase_sigma = np.full(len(freqs), max(rms / radius, 1e-6))
-    result = minimize(FitProblem(
-        residual_fn=residual,
-        params=[
-            FitParameter("theta0", theta0_init, theta0_init - 10.0,
+
+    def phase_fit(start, origin, unit):
+        """Fit (theta0, Q_l, x) from start, f0 = origin + unit * x; the
+        result's values and sigma hold f0 itself."""
+        def residual(vec):
+            theta0, ql, x = vec
+            f0 = origin + unit * x
+            model = theta0 + 2.0 * np.arctan(2.0 * ql * (1.0 - freqs / f0))
+            return model - theta
+
+        lo, hi = ((float(f) - origin) / unit for f in (freqs[0], freqs[-1]))
+        res = minimize(FitProblem(residual_fn=residual, params=[
+            FitParameter("theta0", start[0], theta0_init - 10.0,
                          theta0_init + 10.0, "linear"),
-            FitParameter("q_loaded", ql_init, 1.0, 1e12, "log"),
-            FitParameter("f0", f_mid, float(freqs[0]), float(freqs[-1]),
-                         "linear"),
-        ],
-        data_weights=phase_sigma))
+            FitParameter("q_loaded", start[1], 1.0, 1e12, "log"),
+            FitParameter("f0", (start[2] - origin) / unit, lo, hi, "linear"),
+        ], data_weights=phase_sigma))
+        res.values[2] = origin + unit * res.values[2]
+        res.sigma[2] *= unit
+        return res
+
+    result = phase_fit((theta0_init, ql_init, f_mid), 0.0, 1.0)
+    if not result.converged:
+        # the Jacobian's step in f0 (1e-6 of it) spans many linewidths of a
+        # high-Q sweep, and LM can stall; go on from the best point with f0
+        # as an offset from f_mid in units of f_mid
+        result = phase_fit(result.values, f_mid, f_mid)
     theta0, ql, f0 = (float(v) for v in result.values)
     sig_theta0, sig_ql, sig_f0 = (float(s) for s in result.sigma)
 
@@ -366,6 +380,7 @@ def circle_fit(freqs, s11, *, fit_delay=True):
         impedance_mismatch=mismatch, sigma_f0=sig_f0, sigma_q_int=sig_qi,
         sigma_q_c=sig_qc, sigma_mismatch=sig_phi, delay=delay,
         center=center, radius=radius, theta0=theta0, rms_residual=rms,
+        converged=result.converged, method=result.method,
         curves=((freqs, data, model),))
 
 

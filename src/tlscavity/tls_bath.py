@@ -8,6 +8,7 @@ added to Omega'. The detuning factor chi of every class is kept in every
 formula (chi = 1 for a class on resonance).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ def clamp_rates(kp, km):
 
 
 class ClassTable:
-    """Per-class coefficient arrays at one cavity frequency and temperature.
+    """Per-class coefficient arrays of B rows at one cavity frequency.
 
     Each class sits in its quasi-steady state under a field of n photons and
     amplitude <a>. With D = |chi|^2 (1 + 2f) + g^2 n T1 T2*:
@@ -69,27 +70,39 @@ class ClassTable:
         rho_ee = (|chi|^2 f + g^2 n T1 T2* / 2) / D
         rho_ge = i chi g <a> T2* / D
 
-    f is the thermal occupation at the TLS frequency. Everything temperature-
-    and detuning-dependent is evaluated once here; rate_sums() is a handful
-    of vector operations over the class axis. A temperature array of shape
-    (B,) gives (B, C) arrays, one row per temperature, as stack() does for
-    the tables of several trajectories (same class count); rate_sums()
-    evaluates such a table row by row in one call.
+    f is the thermal occupation at the TLS frequency. Row b holds the
+    classes class_lists[b] (all of one size C) at the temperature of row b:
+    temperature is a scalar, or an array with one entry per row (then a
+    single class list serves every row). Everything temperature- and
+    detuning-dependent is evaluated once here, elementwise, so each row is
+    bitwise the table of its class list alone. The coefficients are stored
+    class-major, (C, k, B), and rate_sums() is a handful of vector
+    operations over all rows followed by one reduction over the outer class
+    axis: each row is summed in class order, ((0.0 + x0) + x1) + ...,
+    whatever the number of rows. For C <= 7 this is also the order of
+    numpy's last-axis sum; from C = 8 on numpy sums in pairwise blocks, so
+    tables of 8 or more classes differ from such a sum in the last bits.
     """
 
-    _COEFFS = ("base", "slope", "coh", "w2", "sv")
+    _COEFFS = ("base", "slope", "coh", "weights", "sv")
 
-    def __init__(self, classes, omega0, temperature):
-        # per class: the temperature-free factors, in scalar arithmetic
-        g, T1, om, inv_phi, ggt1, cgg = np.array(
-            [(c.g, c.T1, c.omega_tls, 1.0 / c.T_phi, c.g * c.g * c.T1,
-              c.count * c.g * c.g) for c in classes],
-            dtype=float).reshape(-1, 6).T.copy()
-        temps = np.asarray(temperature, dtype=float)  # one f per frequency
-        occ = {w: [core.bose_einstein(w, t) for t in temps.ravel().tolist()]
-               for w in set(om.tolist())}
-        f = np.array([occ[w] for w in om.tolist()], dtype=float).T.reshape(
-            temps.shape + om.shape)
+    def __init__(self, class_lists, omega0, temperature):
+        # per class and row: the temperature-free factors, in scalar
+        # arithmetic; each (C, rows)
+        rows, size = len(class_lists), len(class_lists[0])
+        factors = itertools.chain.from_iterable(
+            (c.g, c.T1, c.omega_tls, 1.0 / c.T_phi, c.g * c.g * c.T1,
+             c.count * c.g * c.g) for classes in class_lists for c in classes)
+        g, T1, om, inv_phi, ggt1, cgg = np.fromiter(
+            factors, dtype=float, count=6 * rows * size).reshape(
+                rows, size, 6).T
+        # one occupation per distinct TLS frequency and temperature
+        temps = np.asarray(temperature, dtype=float).reshape(-1).tolist()
+        freqs = om.ravel().tolist()
+        pos = {w: i for i, w in enumerate(dict.fromkeys(freqs))}
+        occ = np.array([[core.bose_einstein(w, t) for t in temps]
+                        for w in pos], dtype=float)
+        f = occ[[pos[w] for w in freqs]].reshape(size, max(rows, len(temps)))
         t2 = 1.0 / ((0.5 + f) / T1 + inv_phi)         # core.t2_star
         d = (om - omega0) * t2                        # chi = 1 + i d
         x = np.empty(d.shape, dtype=complex)
@@ -98,62 +111,84 @@ class ClassTable:
         sat = ggt1 * t2                               # D slope in n
         cgt = cgg * t2
         w = 2.0 * cgt / ax2                           # rate weight
-        coef = np.array([
-            ax2 * (1.0 + 2.0 * f), ax2 * f,   # D, rho_ee numerator at n = 0
-            sat, 0.5 * sat,                   # ... and their slopes in n
-            ax2 * (g * t2) ** 2,              # |rho_ge|^2 weight per |A|^2
-            w, w,
-            cgt, cgt * d,                     # Omega' weight per conj(A)
-        ]).swapaxes(0, -2)                    # (..., 9, C)
-        self.base, self.slope, self.coh, self.w2, self.sv = (
-            coef[..., 0:2, :], coef[..., 2:4, :], coef[..., 4, :],
-            coef[..., 5:7, :], coef[..., 7:9, :])
-        self.t2max = t2.max(axis=-1, initial=0.0).tolist()
+        # each (C, k, B): D and the rho_ee numerator at n = 0, their slopes
+        # in n, the weight of each summed term (1 for the two Omega' parts,
+        # an exact product) and the Omega' weights per conj(A)
+        self.base = _class_major(ax2 * (1.0 + 2.0 * f), ax2 * f)
+        self.slope = _class_major(sat, 0.5 * sat)
+        self.coh = ax2 * (g * t2) ** 2                # |rho_ge|^2 per |A|^2
+        one = np.ones_like(w)
+        self.weights = _class_major(one, one, w, w)
+        self.sv = _class_major(cgt, cgt * d)
+        self.t2max = t2.max(axis=0, initial=0.0).tolist()
 
-    @property
-    def n_classes(self):
-        return self.coh.shape[-1]
-
-    @classmethod
-    def stack(cls, tables):
-        """One table holding the rows of several same-size tables."""
-        out = cls.__new__(cls)
-        for name in cls._COEFFS:
-            setattr(out, name, np.stack([getattr(t, name) for t in tables]))
-        out.t2max = np.array([t.t2max for t in tables])
+    def take(self, rows):
+        """The table of the given rows, in that order."""
+        out = object.__new__(ClassTable)
+        for name in self._COEFFS:
+            setattr(out, name,
+                    np.ascontiguousarray(getattr(self, name)[..., rows]))
+        out.t2max = [self.t2max[r] for r in rows]
         return out
 
-    def rate_sums(self, n, amp2, out=None):
-        """Unclamped (Re S, Im S, kappa_plus, kappa_minus) per row.
+    def rate_kernel(self, n, amp2, out):
+        """A function of no arguments that writes rate_sums of the values n
+        and amp2 hold at the time of the call into out, shape (4, B).
+
+        n and amp2 are arrays of one entry per row (or 0-d); every view and
+        scratch buffer is made here, so a call allocates nothing.
+        """
+        c, rows = self.coh.shape
+        # D and the rho_ee numerator around the Omega' weights: one product
+        # divides the last three by D
+        dsv, terms = np.empty((2, c, 4, rows))
+        dsv[:, 1:3] = self.sv
+        dn, d0, dsv_ = dsv[:, ::3], dsv[:, 0], dsv[:, 1:]
+        inv_d, coh2 = np.empty((2, c, rows))
+        inv_col, coh2_col = inv_d[:, None], coh2[:, None]
+        head, ree, rgg, pops = (terms[:, :3], terms[:, 2], terms[:, 3],
+                                terms[:, 2:])
+        base, slope, coh, weights = (self.base, self.slope, self.coh,
+                                     self.weights)
+        mul, sub, add = np.multiply, np.subtract, np.add
+
+        def kernel():
+            mul(slope, n, out=dn)
+            add(base, dn, out=dn)
+            np.reciprocal(d0, out=inv_d)
+            mul(dsv_, inv_col, out=head)
+            sub(_ONE, ree, out=rgg)
+            mul(coh, amp2, out=coh2)
+            mul(coh2, inv_d, out=coh2)
+            mul(coh2, inv_d, out=coh2)
+            sub(pops, coh2_col, out=pops)
+            mul(terms, weights, out=terms)
+            return add.reduce(terms, axis=0, out=out)
+        return kernel
+
+    def rate_sums(self, n, amp2):
+        """Unclamped (Re S, Im S, kappa_plus, kappa_minus), shape (4, B).
 
         kappa_plus/minus = sum_i w_i (rho_ee,i - |rho_ge,i|^2) and
         w_i (rho_gg,i - |rho_ge,i|^2), w = 2 N g^2 T2* / |chi|^2; the bath
-        part of Omega' is i conj(<a>) S. n and amp2 have one entry per row
-        (shape (B,) for a stacked table, scalars for a single one). The sums
-        run over the last axis of one contiguous (..., 4, C) array, so each
-        row is summed in the same order whatever the number of rows.
+        part of Omega' is i conj(<a>) S. n and amp2 have one entry per row,
+        or are scalars.
         """
-        n, amp2 = np.asarray(n), np.asarray(amp2)
-        if n.ndim:  # one entry per row of a stacked table
-            n, amp2 = n[..., None, None], amp2[..., None]
-        dn = self.base + self.slope * n
-        inv_d = np.reciprocal(dn[..., 0, :])
-        terms = np.empty(dn.shape[:-2] + (4,) + dn.shape[-1:])
-        np.multiply(self.sv, inv_d[..., None, :], out=terms[..., :2, :])
-        pops = terms[..., 2:, :]
-        ree = np.multiply(dn[..., 1, :], inv_d, out=pops[..., 0, :])
-        np.subtract(_ONE, ree, out=pops[..., 1, :])
-        coh2 = self.coh * amp2 * inv_d * inv_d
-        pops -= coh2[..., None, :]
-        pops *= self.w2
-        return terms.sum(axis=-1, out=out)
+        out = np.empty((4, self.coh.shape[1]))
+        return self.rate_kernel(np.asarray(n, dtype=float),
+                                np.asarray(amp2, dtype=float), out)()
 
     def rates_at(self, n, amp2):
-        """Clamped (kappa_plus, kappa_minus, S) of a single table at scalar
+        """Clamped (kappa_plus, kappa_minus, S) of a one-row table at scalar
         photon number n and |<a>|^2."""
-        s_re, s_im, kp, km = self.rate_sums(n, amp2).tolist()
+        s_re, s_im, kp, km = self.rate_sums(n, amp2).ravel().tolist()
         kp, km = clamp_rates(kp, km)
         return kp, km, complex(s_re, s_im)
+
+
+def _class_major(*coefs):
+    """Contiguous (C, k, B) array of k coefficient arrays of shape (C, B)."""
+    return np.array(coefs).swapaxes(0, 1).copy()
 
 
 def bath_rates(classes, n, amp, omega0, temperature):
@@ -165,7 +200,7 @@ def bath_rates(classes, n, amp, omega0, temperature):
     if n < 0:
         raise ValueError("n must be >= 0")
     amp = complex(amp)
-    table = ClassTable(classes, omega0, temperature)
+    table = ClassTable([classes], omega0, temperature)
     kp, km, s = table.rates_at(n, amp.real * amp.real + amp.imag * amp.imag)
     return BathRates(omega_prime=1j * amp.conjugate() * s, kappa_plus=kp,
                      kappa_minus=km)

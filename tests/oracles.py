@@ -155,11 +155,23 @@ def q_qp(temperature, sc, omega):
     return sc.g_factor * mod * mod / (s1 * rs)
 
 
+def class_sum(values):
+    """((0.0 + v0) + v1) + ..., one float addition at a time in index
+    order: the package's class-sum order (a sum of -0.0 terms is +0.0, as
+    in numpy). numpy's last-axis sum agrees for up to 7 values only; from
+    8 on it adds in 8-way pairwise blocks."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
+
+
 def q_tls_temperature(temperature, classes, omega0):
     """omega0 / (kappa_minus - kappa_plus) at n = 0: kappa_plus/minus =
     sum_i w_i rho_ee,i and w_i rho_gg,i with rho_ee = f / (1 + 2f); the
-    class sum is numpy's, as in the package. Summed rates below -1e-3 of
-    their scale raise, smaller negative ones round to 0."""
+    class sum runs in class order (class_sum), as in the package. Summed
+    rates below -1e-3 of their scale raise, smaller negative ones round to
+    0."""
     cgt, f, x = [], [], []
     for c in classes:
         t2 = t2_eff(c.T1, c.T_phi, c.omega_tls, temperature)
@@ -170,7 +182,8 @@ def q_tls_temperature(temperature, classes, omega0):
     ax2 = np.abs(np.array(x, dtype=complex)) ** 2
     w = 2.0 * cgt / ax2
     ree = ax2 * f * (1.0 / (ax2 * (1.0 + 2.0 * f)))
-    kp, km = float(np.sum(w * ree)), float(np.sum(w * (1.0 - ree)))
+    kp = float(class_sum(w * ree))
+    km = float(class_sum(w * (1.0 - ree)))
     scale = abs(kp) + abs(km) + 1e-30
     if min(kp, km) < -1e-3 * scale:
         raise ValueError("rate negative beyond tolerance")

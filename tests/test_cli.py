@@ -194,6 +194,15 @@ def test_fit_ringdown_small(tmp_path):
     assert (fit_out / "residuals_02.csv").exists()
 
 
+def write_sweep(path, freqs, s11):
+    with open(path, "w") as fh:
+        fh.write("frequency_hz,re_s11,im_s11\n")
+        for fi, si in zip(freqs, s11):
+            fh.write("%r,%r,%r\n" % (float(fi), float(si.real),
+                                     float(si.imag)))
+    return path
+
+
 def test_fit_circle_round_trip(tmp_path):
     from tlscavity import s11_model
     f0, qi, qc = 7.9e9, 5.3e8, 1e8
@@ -201,12 +210,7 @@ def test_fit_circle_round_trip(tmp_path):
     f = np.linspace(f0 - 4.0 * f0 / ql, f0 + 4.0 * f0 / ql, 301)
     s = s11_model(f, f0, qi, qc, mismatch=0.05, amplitude=0.8, phase=0.2,
                   delay=1e-8)
-    src = tmp_path / "sweep.csv"
-    with open(src, "w") as fh:
-        fh.write("frequency_hz,re_s11,im_s11\n")
-        for fi, si in zip(f, s):
-            fh.write("%r,%r,%r\n" % (float(fi), float(si.real),
-                                     float(si.imag)))
+    src = write_sweep(tmp_path / "sweep.csv", f, s)
     out = tmp_path / "fit"
     assert run(["fit", "circle", "--out", out, src]) == 0
     result = json.loads((out / "fit_circle.json").read_text())
@@ -528,6 +532,33 @@ def test_fit_not_converged_exits_4_with_one_line(tmp_path, capsys,
         is False
     for name in residuals + ["manifest.json"]:
         assert (fit_out / name).exists()
+
+
+def test_fit_circle_not_converged_exits_4(tmp_path, capsys, monkeypatch):
+    # a11's sweep with 3e-3 complex noise: one phase-fit iteration does not
+    # converge, and fit circle says so like the other fits
+    from tlscavity import s11_model
+    f0, qi, qc = 7.9e9, 5.3e8, 1e8
+    ql = qi * qc / (qi + qc)
+    f = np.linspace(f0 - 4.0 * f0 / ql, f0 + 4.0 * f0 / ql, 401)
+    s = s11_model(f, f0, qi, qc, mismatch=0.1, amplitude=0.9, phase=0.4,
+                  delay=3.2e-8)
+    rng = np.random.default_rng(11)
+    s = s + 3e-3 * (rng.standard_normal(len(f))
+                    + 1j * rng.standard_normal(len(f)))
+    src = write_sweep(tmp_path / "sweep.csv", f, s)
+    out = tmp_path / "fit"
+    assert run(["fit", "circle", "--out", out, src]) == 0
+    assert strict_json(out / "fit_circle.json")["converged"] is True
+    capsys.readouterr()
+    monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+    assert run(["fit", "circle", "--out", out, src]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("tlscavity: fit circle did not converge (method ")
+    assert strict_json(out / "fit_circle.json")["converged"] is False
+    for name in ("residuals_circle.csv", "manifest.json"):
+        assert (out / name).exists()
 
 
 @pytest.mark.parametrize("command, setting, message", [

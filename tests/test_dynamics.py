@@ -155,9 +155,11 @@ def test_saturation_error_on_net_gain(cavity):
     # physical classes cannot get here (rho_ee < 1/2 keeps kappa_plus below
     # kappa_minus), so a stub table supplies the net gain
     class GainTable:
-        def rate_sums(self, n, amp2, out):
-            out[...] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
-            return out
+        def rate_kernel(self, n, amp2, out):
+            def kernel():
+                out[:, 0] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
+                return out
+            return kernel
 
     with pytest.raises(SaturationError):
         _raise_first(_evolve(GainTable(), cavity, 0.0, [1e10], [1e5], 1e-3,
@@ -278,19 +280,22 @@ def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
 
     # row 1 turns to net gain from step 5 on: it alone stops
     keep = [trace_classes, trace_classes, trace_classes]
-    tables = [ClassTable(c, cavity.omega0, cavity.temperature) for c in keep]
 
     class GainRow:
         def __init__(self):
-            self.table = ClassTable.stack(tables)
+            self.table = ClassTable(keep, cavity.omega0, cavity.temperature)
             self.calls = 0
 
-        def rate_sums(self, n, amp2, out):
-            self.table.rate_sums(n, amp2, out=out)
-            self.calls += 1
-            if self.calls > 5:
-                out[1] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
-            return out
+        def rate_kernel(self, n, amp2, out):
+            sums = self.table.rate_kernel(n, amp2, out)
+
+            def kernel():
+                sums()
+                self.calls += 1
+                if self.calls > 5:
+                    out[:, 1] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
+                return out
+            return kernel
 
     n0 = np.array([1e12, 1e12, 2e12])
     got = _evolve(GainRow(), cavity, 0.0, n0, np.sqrt(n0) + 0j, 0.01, 800,

@@ -180,7 +180,7 @@ _classes = hst.lists(
                              hst.floats(-5e7, 5e7).map(lambda d: W0 + d)),
         T1=hst.floats(1e-8, 1e-4),
         T_phi=hst.floats(1e-8, 1e-4)),
-    min_size=0, max_size=9)  # 8 or more fill numpy's pairwise-sum block
+    min_size=0, max_size=9)  # from 8 on numpy's own sum would go pairwise
 
 
 @settings(max_examples=120, deadline=None)

@@ -169,19 +169,86 @@ def test_bath_rates_match_oracle(classes, n, temperature):
     assert np.isclose(rates.omega_prime, op, rtol=1e-12, atol=0.0)
 
 
+_temperature = hst.one_of(hst.just(0.0),
+                         hst.floats(5e-324, 1e-290, allow_subnormal=True),
+                         hst.floats(1e-6, 9.0))
+_class = hst.builds(
+    TlsClass,
+    g=hst.floats(1e-3, 1e3),
+    count=hst.floats(0.0, 1e9),
+    omega_tls=hst.one_of(hst.just(W0),
+                         hst.floats(-5e7, 5e7).map(lambda d: W0 + d)),
+    T1=hst.floats(1e-8, 1e-4),
+    T_phi=hst.floats(1e-8, 1e-4))
+
+
+def _same_rows(table, solos):
+    """Row b of table holds bitwise the one-row table solos[b]."""
+    for b, solo in enumerate(solos):
+        for name in ClassTable._COEFFS:
+            assert (getattr(table, name)[..., b].tobytes()
+                    == getattr(solo, name)[..., 0].tobytes())
+        assert table.t2max[b] == solo.t2max[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data(), size=hst.integers(0, 12),
+       rows=hst.integers(1, 6), temperature=_temperature)
+def test_class_table_over_class_lists_is_the_one_list_tables(
+        data, size, rows, temperature):
+    """A table over B same-size class lists holds, row by row, bitwise the
+    coefficients of the one-list tables; take() picks rows of it."""
+    lists = [data.draw(hst.lists(_class, min_size=size, max_size=size))
+             for _ in range(rows)]
+    table = ClassTable(lists, W0, temperature)
+    solos = [ClassTable([c], W0, temperature) for c in lists]
+    _same_rows(table, solos)
+    picked = list(range(rows))[::-2]
+    _same_rows(table.take(picked), [solos[r] for r in picked])
+
+
 @settings(max_examples=100, deadline=None)
 @given(classes=_classes | hst.just([]),
-       temps=hst.lists(hst.one_of(hst.just(0.0),
-                                  hst.floats(5e-324, 1e-290,
-                                             allow_subnormal=True),
-                                  hst.floats(1e-6, 9.0)),
-                       min_size=1, max_size=6))
-def test_class_table_over_temperatures_is_stacked_tables(classes, temps):
-    """A table over a temperature array holds, row by row, bitwise the
-    coefficients of the single-temperature tables."""
-    table = ClassTable(classes, W0, np.array(temps))
-    rows = ClassTable.stack([ClassTable(classes, W0, t) for t in temps])
-    for name in ClassTable._COEFFS:
-        assert getattr(table, name).tobytes() == getattr(rows, name).tobytes()
-    assert np.array_equal(table.t2max, rows.t2max)
-    assert isinstance(ClassTable(classes, W0, temps[0]).t2max, float)
+       temps=hst.lists(_temperature, min_size=1, max_size=6))
+def test_class_table_over_temperatures_is_the_one_temperature_tables(
+        classes, temps):
+    """A table over a temperature array, (T, C) in class-major form, holds
+    row by row bitwise the coefficients and the rate sums of the
+    single-temperature tables."""
+    table = ClassTable([classes], W0, np.array(temps))
+    solos = [ClassTable([classes], W0, t) for t in temps]
+    _same_rows(table, solos)
+    n = np.linspace(0.0, 1e6, len(temps))
+    sums = table.rate_sums(n, 0.5 * n)
+    for b, solo in enumerate(solos):
+        assert (sums[:, b].tobytes()
+                == solo.rate_sums(n[b], 0.5 * n[b])[:, 0].tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data(), size=hst.integers(1, 12), rows=hst.integers(1, 3),
+       temperature=_temperature)
+def test_rate_sums_add_the_classes_in_index_order(data, size, rows,
+                                                  temperature):
+    """rate_sums is, bit for bit, the per-class terms of the table added in
+    class order (oracles.class_sum) for 1 to 12 classes and any row count;
+    from 8 classes on this is not numpy's pairwise order."""
+    lists = [data.draw(hst.lists(_class, min_size=size, max_size=size))
+             for _ in range(rows)]
+    n = [data.draw(hst.one_of(hst.just(0.0), hst.floats(1.0, 1e14)))
+         for _ in range(rows)]
+    amp2 = [x * data.draw(hst.floats(0.0, 1.0)) for x in n]
+    table = ClassTable(lists, W0, temperature)
+    sums = table.rate_sums(np.array(n), np.array(amp2))
+    for b in range(rows):
+        terms = []
+        for i in range(size):
+            (d0, p0), (d1, p1) = table.base[i, :, b], table.slope[i, :, b]
+            inv = 1.0 / (d0 + d1 * n[b])
+            ree = (p0 + p1 * n[b]) * inv
+            coh2 = table.coh[i, b] * amp2[b] * inv * inv
+            (s0, s1), w = table.sv[i, :, b], table.weights[i, 2, b]
+            terms.append((s0 * inv, s1 * inv, (ree - coh2) * w,
+                          ((1.0 - ree) - coh2) * w))
+        want = [oracles.class_sum([t[j] for t in terms]) for j in range(4)]
+        assert sums[:, b].tobytes() == np.array(want).tobytes()
