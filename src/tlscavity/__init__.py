@@ -11,26 +11,23 @@ from .datafiles import (read_csv_columns, read_ringdown_csv, read_sweep_csv,
                         read_trace_csv)
 from .distribution import (DistributionParams, bin_edges, density,
                            dipole_from_coupling, dipole_in_e_angstrom,
-                           loss_tangent, ntot_from_linewidth, per_ghz_um3,
-                           sample_classes, tls_volume_density,
-                           write_distribution_csv)
-from .dynamics import (CavityMoments, Trajectory, evolve_ringdown,
-                       evolve_ringdown_batch, evolve_ringup, kappa_of_time,
-                       steady_state, trajectory_kappa, write_trajectory_csv)
+                           loss_tangent, per_ghz_um3, sample_classes,
+                           tls_volume_density, write_distribution_csv)
+from .dynamics import (Trajectory, evolve_ringdown, evolve_ringdown_batch,
+                       kappa_of_time, trajectory_kappa, write_trajectory_csv)
 from .errors import (ConfigError, DataError, FitError, FitStartError,
                      SaturationError, StepConvergenceError, StepWindowError,
                      TlscavityError, UnidentifiableError, ValidityWarning)
 from .fitting import (FitParameter, FitProblem, FitResult, joint_tls_fit,
-                      minimize, numerical_jacobian, rolling_sigma,
-                      temperature_fit)
+                      minimize, numerical_jacobian, temperature_fit)
 from .mattis_bardeen import (BCS_RATIO, SuperconductorParams, bessel_k0,
                              conductivity, critical_temperature, freq_shift,
                              gap, q_int_temperature, q_qp,
                              q_tls_temperature, skin_depth,
                              temperature_sweep, write_sweep_csv)
 from .reflection import (CircleFitResult, ReflectionParams, circle_fit,
-                         fit_ringup, ringdown_q, ringup_power, s11_model,
-                         steady_state_reflection, switchoff_power)
+                         fit_ringup, ringup_power, s11_model,
+                         steady_state_reflection)
 from .tls_bath import BathRates, bath_rates
 from .config import RunConfig, load_config
 

@@ -120,8 +120,7 @@ def cmd_simulate_ringdown(args, cfg, out):
     outputs = []
     trajs = dynamics.evolve_ringdown_batch(
         powers, [cfg.trace_classes(n_tot=n_tot) for n_tot in ntots],
-        cfg.cavity, cfg.ringdown.t_final, cfg.ringdown.m_steps,
-        mode=cfg.ringdown.mode)
+        cfg.cavity, cfg.ringdown.t_final, cfg.ringdown.m_steps)
     for idx, traj in enumerate(trajs, start=1):
         name = "ringdown_%02d.csv" % idx
         dynamics.write_trajectory_csv(traj, os.path.join(out, name))

@@ -34,7 +34,6 @@ Schema (all sections and keys optional; values shown are the defaults)::
       initial_photons: [5.0e13, ... ten values, factor sqrt(10) apart]
       t_final: 0.022       # [s]
       m_steps: 4000
-      mode: pinned         # or tracked
     ringup:
       q_int: 5.3e8
       q_c: 1.0e8
@@ -83,7 +82,6 @@ class RingdownSettings:
     initial_photons: tuple = _DEFAULT_POWERS
     t_final: float = 0.022
     m_steps: int = 4000
-    mode: str = "pinned"
 
     def __post_init__(self):
         if self.n_tot <= 0:
@@ -92,8 +90,6 @@ class RingdownSettings:
             raise ValueError("t_final must be positive")
         if self.m_steps < 2:
             raise ValueError("m_steps must be at least 2")
-        if self.mode not in ("pinned", "tracked"):
-            raise ValueError("mode must be 'pinned' or 'tracked'")
         if not self.initial_photons:
             raise ValueError("initial_photons must not be empty")
         if any(p <= 0 for p in self.initial_photons):

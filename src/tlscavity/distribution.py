@@ -119,15 +119,6 @@ def sample_classes(params, *, omega_tls, T1=None, T_phi=None, t2_star=None):
     return classes
 
 
-def ntot_from_linewidth(kappa, spectral_density):
-    """N_tot = kappa * dN/domega for a constant spectral TLS density."""
-    if not kappa > 0:
-        raise ValueError("kappa must be > 0")
-    if spectral_density < 0:
-        raise ValueError("spectral_density must be >= 0")
-    return kappa * spectral_density
-
-
 def dipole_from_coupling(g, e_max):
     """Dipole moment d = hbar*g/E_max [C m] for a TLS at the field maximum."""
     if not e_max > 0:

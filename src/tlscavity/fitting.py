@@ -382,27 +382,6 @@ def minimize(problem):
                      convergence_log=log, converged=converged, method=method)
 
 
-def rolling_sigma(values, window=50):
-    """Per-point 1 sigma as the rolling standard deviation of the mean.
-
-    Centered windows, truncated at the edges, minimum 2 points.
-    """
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    out = np.empty(n)
-    half = window // 2
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        seg = values[lo:hi]
-        if len(seg) < 2:
-            lo = max(0, min(i, n - 2))
-            seg = values[lo:lo + 2]
-        out[i] = np.std(seg, ddof=1) / math.sqrt(len(seg))
-    floor = 1e-12 * max(float(np.max(np.abs(values))), 1e-300)
-    return np.maximum(out, floor)
-
-
 def _as_fit_parameter(name, given, default_bounds, scale):
     if isinstance(given, FitParameter):
         return given

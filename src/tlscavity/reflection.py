@@ -1,4 +1,4 @@
-"""Reflected power around switch-on and switch-off, and S11 circle fits.
+"""Reflected power after the drive switches on, and S11 circle fits.
 
 The ring-up model is the interference of the promptly reflected drive with
 the field leaking back out of the cavity: for a slightly detuned drive the
@@ -81,18 +81,6 @@ def steady_state_reflection(params):
         (((qc + qi) * f0) ** 2 + cross ** 2)
 
 
-def switchoff_power(times, params):
-    """Reflected power after the drive switches off from the steady state.
-
-    Pure exponential ring-down of the stored field through the coupler.
-    """
-    t = np.asarray(times, dtype=float)
-    ql = params.q_loaded
-    x = 2.0 * ql * params.delta / params.f0
-    amp = (2.0 * ql / params.q_c) ** 2 / (1.0 + x * x)
-    return params.p_f * amp * np.exp(-params.kappa_loaded * t)
-
-
 def _dip_index(powers):
     """Interior dip index, or None for a monotone (pure-decay) trace."""
     imin = int(np.argmin(powers))
@@ -153,24 +141,6 @@ def fit_ringup(times, powers, f0, *, sigma=None):
                                  params=params, data_weights=sigma))
     result.curves = ((times, powers, model(result.values)),)
     return result
-
-
-def ringdown_q(kappa_values, kappa_c, omega0, rolling=None):
-    """Internal quality factor series Q_int = omega0 / (kappa - kappa_c).
-
-    rolling=w smooths kappa with a centered valid-mode rolling mean of
-    width w before converting (the output is then len - w + 1 long).
-    """
-    kappa = np.asarray(kappa_values, dtype=float)
-    if rolling is not None:
-        if rolling < 1 or rolling > len(kappa):
-            raise ValueError("rolling window must be in [1, len(kappa)]")
-        kappa = np.convolve(kappa, np.ones(rolling) / rolling, mode="valid")
-    internal = kappa - kappa_c
-    out = np.full(len(internal), np.inf)
-    mask = internal > 0
-    out[mask] = omega0 / internal[mask]
-    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ _ONE = np.array(1.0)  # numpy calls take a 0-d array faster than a float
 class BathRates:
     """Summed TLS back-action on the cavity for one coarse step.
 
-    omega_prime : external drive plus coherent TLS scattering [1/s]
+    omega_prime : coherent TLS scattering, the bath part of Omega' [1/s]
     kappa_plus : photon emission into the cavity [1/s]
     kappa_minus : photon absorption from the cavity [1/s]
     """
@@ -178,13 +178,6 @@ class ClassTable:
         return self.rate_kernel(np.asarray(n, dtype=float),
                                 np.asarray(amp2, dtype=float), out)()
 
-    def rates_at(self, n, amp2):
-        """Clamped (kappa_plus, kappa_minus, S) of a one-row table at scalar
-        photon number n and |<a>|^2."""
-        s_re, s_im, kp, km = self.rate_sums(n, amp2).ravel().tolist()
-        kp, km = clamp_rates(kp, km)
-        return kp, km, complex(s_re, s_im)
-
 
 def _class_major(*coefs):
     """Contiguous (C, k, B) array of k coefficient arrays of shape (C, B)."""
@@ -194,13 +187,14 @@ def _class_major(*coefs):
 def bath_rates(classes, n, amp, omega0, temperature):
     """Bath rates of the classes under n photons of complex amplitude amp.
 
-    omega_prime carries the bath part of Omega' only, sum_i N_i g_i rho_ge,i;
-    add the external drive to it.
+    omega_prime is the bath part of Omega', sum_i N_i g_i rho_ge,i.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     amp = complex(amp)
     table = ClassTable([classes], omega0, temperature)
-    kp, km, s = table.rates_at(n, amp.real * amp.real + amp.imag * amp.imag)
-    return BathRates(omega_prime=1j * amp.conjugate() * s, kappa_plus=kp,
-                     kappa_minus=km)
+    s_re, s_im, kp, km = table.rate_sums(
+        n, amp.real * amp.real + amp.imag * amp.imag).ravel().tolist()
+    kp, km = clamp_rates(kp, km)
+    return BathRates(omega_prime=1j * amp.conjugate() * complex(s_re, s_im),
+                     kappa_plus=kp, kappa_minus=km)

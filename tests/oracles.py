@@ -199,21 +199,41 @@ def q_int_temperature(temperature, sc, classes, omega0):
     return math.inf if inv == 0.0 else 1.0 / inv
 
 
-def euler_moments(n0, amp0, classes, kappa0, omega0, temperature, t_grid,
-                  n_sub=100, omega_ext=0.0, pinned=False):
-    """First-order Euler integration of the nonlinear moment system.
+def switchoff_power(times, params):
+    """Reflected power after the drive switches off from the steady state:
+    the stored field rings down through the coupler as a pure exponential.
+    params is a ReflectionParams."""
+    t = np.asarray(times, dtype=float)
+    ql = params.q_int * params.q_c / (params.q_int + params.q_c)
+    x = 2.0 * ql * params.delta / params.f0
+    amp = (2.0 * ql / params.q_c) ** 2 / (1.0 + x * x)
+    return params.p_f * amp * np.exp(-2.0 * math.pi * params.f0 / ql * t)
+
+
+def _moment_rhs(classes, kappa0, omega0, temperature):
+    """Right-hand side (dn/dt, d<a>/dt) of the free nonlinear moment system
 
     dn/dt  = -(kappa0 + km - kp) n - 2 Im(Omega' <a>) + kp + kappa0 f_cav
     d<a>/dt = -(kappa0 + km - kp)/2 <a> - i conj(Omega')
 
-    with the quasi-steady bath rates re-evaluated at every substep. t_grid
-    is the output grid; every interval is subdivided n_sub times. pinned
-    resets <a> to sqrt(n) before each substep (the recursion's convention).
-    Returns the n array on t_grid.
-    """
+    with the quasi-steady bath rates evaluated at the given state."""
     bath = _Bath(classes, omega0, temperature)
-    f_cav = bose(omega0, temperature)
-    feed = kappa0 * f_cav
+    feed = kappa0 * bose(omega0, temperature)
+
+    def rhs(n, amp):
+        kp, km, op = bath.rates(n, amp)
+        kt = kappa0 + km - kp
+        return (-kt * n - 2.0 * (op * amp).imag + kp + feed,
+                -0.5 * kt * amp - 1j * op.conjugate())
+    return rhs
+
+
+def euler_moments(n0, amp0, classes, kappa0, omega0, temperature, t_grid,
+                  n_sub=100):
+    """First-order Euler integration of the moment system (_moment_rhs),
+    rates re-evaluated at every substep. t_grid is the output grid; every
+    interval is subdivided n_sub times. Returns the n array on t_grid."""
+    rhs = _moment_rhs(classes, kappa0, omega0, temperature)
     n = float(n0)
     amp = complex(amp0)
     out = np.empty(len(t_grid), dtype=float)
@@ -221,15 +241,30 @@ def euler_moments(n0, amp0, classes, kappa0, omega0, temperature, t_grid,
     for k in range(len(t_grid) - 1):
         h = (t_grid[k + 1] - t_grid[k]) / n_sub
         for _ in range(n_sub):
-            if pinned:
-                amp = complex(math.sqrt(max(n, 0.0)), 0.0)
-            kp, km, op_bath = bath.rates(n, amp)
-            op = complex(omega_ext) + op_bath
-            kt = kappa0 + km - kp
-            dn = -kt * n - 2.0 * (op * amp).imag + kp + feed
-            da = -0.5 * kt * amp - 1j * op.conjugate()
+            dn, da = rhs(n, amp)
             n += h * dn
             amp += h * da
+        out[k + 1] = n
+    return out
+
+
+def rk4_moments(n0, amp0, classes, kappa0, omega0, temperature, t_grid):
+    """Classical fourth-order Runge-Kutta integration of the moment system
+    (_moment_rhs), one step per interval of the output grid t_grid. Returns
+    the n array on t_grid."""
+    rhs = _moment_rhs(classes, kappa0, omega0, temperature)
+    n = float(n0)
+    amp = complex(amp0)
+    out = np.empty(len(t_grid), dtype=float)
+    out[0] = n
+    for k in range(len(t_grid) - 1):
+        h = t_grid[k + 1] - t_grid[k]
+        dn1, da1 = rhs(n, amp)
+        dn2, da2 = rhs(n + 0.5 * h * dn1, amp + 0.5 * h * da1)
+        dn3, da3 = rhs(n + 0.5 * h * dn2, amp + 0.5 * h * da2)
+        dn4, da4 = rhs(n + h * dn3, amp + h * da3)
+        n += h / 6.0 * (dn1 + 2.0 * dn2 + 2.0 * dn3 + dn4)
+        amp += h / 6.0 * (da1 + 2.0 * da2 + 2.0 * da3 + da4)
         out[k + 1] = n
     return out
 

@@ -318,6 +318,18 @@ def test_exit_code_non_finite_config_number(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_exit_code_removed_ringdown_mode(tmp_path, capsys):
+    # the pinned ring-down is the only evolution: ringdown.mode is unknown
+    cfgfile = tmp_path / "tracked.yaml"
+    cfgfile.write_text("ringdown:\n  mode: tracked\n")
+    assert run(["simulate", "ringdown", "--config", cfgfile,
+                "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert "ringdown.mode" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_exit_code_sweep_t_max_pair_breaking(tmp_path, capsys):
     # 20 K puts 2 Delta(T) below hbar omega0: a config error at load, exit 2
     cfgfile = tmp_path / "hot.yaml"

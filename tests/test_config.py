@@ -193,8 +193,7 @@ def _every_field_changed(tls):
         ringdown=RingdownSettings(n_tot=1.5e8,
                                   n_tot_per_trace=(1.1e8, 1.3e8),
                                   initial_photons=(2.0e13, 3.0e11),
-                                  t_final=0.015, m_steps=3000,
-                                  mode="tracked"),
+                                  t_final=0.015, m_steps=3000),
         ringup=RingupSettings(q_int=4.0e8, q_c=2.0e8, delta=0.5,
                               p_f=2.0e-12, t_final=0.02, n_points=300),
         sweep=SweepSettings(t_min=0.1, t_max=3.5, n_points=40,

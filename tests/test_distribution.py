@@ -8,8 +8,7 @@ import oracles
 from tlscavity import DistributionParams, TlsClass
 from tlscavity.distribution import (bin_edges, counts_between, density,
                                     dipole_in_e_angstrom, loss_tangent,
-                                    ntot_from_linewidth, sample_classes,
-                                    tls_volume_density)
+                                    sample_classes, tls_volume_density)
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -121,10 +120,6 @@ def test_unsaturated_linewidth_contribution():
                              t2_star=2.86e-7)
     alpha = 2.0 * 2.86e-7 * math.fsum(c.count * c.g ** 2 for c in classes)
     assert alpha == pytest.approx(16.177302908249413, rel=1e-10)
-
-
-def test_ntot_from_linewidth():
-    assert ntot_from_linewidth(537.7, 1e5) == pytest.approx(5.377e7, rel=1e-12)
 
 
 def test_dipole_bound_scale():

@@ -10,8 +10,8 @@ from tlscavity import (DistributionParams, FitError, FitParameter,
                        FitProblem, FitResult, FitStartError,
                        SuperconductorParams, TlsClass, evolve_ringdown,
                        freq_shift, joint_tls_fit, minimize,
-                       numerical_jacobian, q_int_temperature, rolling_sigma,
-                       sample_classes, temperature_fit)
+                       numerical_jacobian, q_int_temperature, sample_classes,
+                       temperature_fit)
 from tlscavity import fitting
 from tlscavity.distribution import _unit_bins
 
@@ -387,15 +387,6 @@ def test_fit_result_json_round_trip():
     assert blob["values"] == [1.0, 2.0]
     assert blob["converged"] is True
     assert blob["chi2_reduced"] == pytest.approx(1.1)
-
-
-def test_rolling_sigma_scales_with_window():
-    rng = np.random.default_rng(8)
-    series = rng.standard_normal(4000)
-    s50 = np.nanmedian(rolling_sigma(series, window=50))
-    s200 = np.nanmedian(rolling_sigma(series, window=200))
-    # sigma of the mean shrinks like 1/sqrt(window)
-    assert s50 / s200 == pytest.approx(2.0, rel=0.2)
 
 
 def test_unit_class_table_cached_and_consistent():
