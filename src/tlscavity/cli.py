@@ -24,7 +24,7 @@ import yaml
 from . import __version__, datafiles, dynamics, mattis_bardeen, reflection
 from .config import load_config
 from .core import t2_star
-from .datafiles import json_text, write_csv
+from .datafiles import cells, json_text, write_csv
 from .distribution import (counts_between, dipole_in_e_angstrom,
                            loss_tangent, per_ghz_um3, tls_volume_density,
                            write_distribution_csv)
@@ -68,10 +68,10 @@ def _write_fit(args, out, fit_json, curves, files, result=None):
     outputs = [_write_text(out, "fit_%s.json" % args.subcommand, fit_json)]
     for (name, header), (x, data, model) in zip(files, curves):
         if np.iscomplexobj(data):
-            rows = zip(x, data.real, data.imag, model.real, model.imag)
+            columns = (x, data.real, data.imag, model.real, model.imag)
         else:
-            rows = zip(x, data, model, data - model)
-        write_csv(os.path.join(out, name), header, rows)
+            columns = (x, data, model, data - model)
+        write_csv(os.path.join(out, name), header, map(cells, columns))
         outputs.append(name)
     if result is None or result.converged:
         return outputs, 0
@@ -121,9 +121,12 @@ def cmd_simulate_ringdown(args, cfg, out):
     trajs = dynamics.evolve_ringdown_batch(
         powers, [cfg.trace_classes(n_tot=n_tot) for n_tot in ntots],
         cfg.cavity, cfg.ringdown.t_final, cfg.ringdown.m_steps)
+    # one t_final and m_steps: every row has the same time grid
+    time_cells = cells(trajs[0].times)
     for idx, traj in enumerate(trajs, start=1):
         name = "ringdown_%02d.csv" % idx
-        dynamics.write_trajectory_csv(traj, os.path.join(out, name))
+        dynamics.write_trajectory_csv(traj, os.path.join(out, name),
+                                      time_cells)
         outputs.append(name)
         n_vals = np.array(traj.n, dtype=float)
         if rng is not None and cfg.noise_level > 0:
@@ -132,7 +135,7 @@ def cmd_simulate_ringdown(args, cfg, out):
             n_vals[1:] *= np.maximum(noise, 1e-6)
         name = "trace_%02d.csv" % idx
         write_csv(os.path.join(out, name), "time_s,n",
-                  zip(traj.times, n_vals))
+                  [time_cells, cells(n_vals)])
         outputs.append(name)
     if args.gnuplot:
         lines = ["set logscale y", "plot \\"]
@@ -155,7 +158,7 @@ def cmd_simulate_ringup(args, cfg, out):
         noise = 1.0 + cfg.noise_level * rng.standard_normal(len(power))
         power = power * np.maximum(noise, 1e-6)
     write_csv(os.path.join(out, "ringup.csv"), "time_s,power_w",
-              zip(times, power))
+              map(cells, (times, power)))
     outputs = ["ringup.csv"]
     if args.gnuplot:
         outputs.append(_write_gnuplot(out, "ringup.gp", [
@@ -184,10 +187,10 @@ def cmd_simulate_temperature(args, cfg, out):
 
     write_csv(os.path.join(out, "freq_trace.csv"),
               "temperature_K,freq_shift",
-              zip(temps, noisy(table["freq_shift"])))
+              map(cells, (temps, noisy(table["freq_shift"]))))
     outputs.append("freq_trace.csv")
     write_csv(os.path.join(out, "q_trace.csv"), "temperature_K,q_int",
-              zip(temps, noisy(table["q_int"])))
+              map(cells, (temps, noisy(table["q_int"]))))
     outputs.append("q_trace.csv")
     if args.gnuplot:
         outputs.append(_write_gnuplot(out, "sweep.gp", [

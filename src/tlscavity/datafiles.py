@@ -92,18 +92,18 @@ def read_trace_csv(path, dbm=False):
     return times, power
 
 
-def _fmt(value):
-    """repr of the float: round-trips exactly; nan, inf and -inf by name."""
-    return repr(float(value))
+def cells(values):
+    """The CSV cells of a column: repr of each value as a float, which
+    round-trips exactly and writes nan, inf and -inf by name."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def write_csv(path, header, rows):
-    """Write a header line, then one line of comma-separated numbers per
-    row."""
+def write_csv(path, header, columns):
+    """Write a header line, then one line per row of the columns, each
+    column a list of cells() (all of one length)."""
     with open(path, "w", newline="") as handle:
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(map(_fmt, row)) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def json_text(payload, **kwargs):

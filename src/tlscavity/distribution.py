@@ -171,4 +171,5 @@ def per_ghz_um3(value):
 
 def write_distribution_csv(classes, path):
     datafiles.write_csv(path, "g_1_per_s,count",
-                        ((cls.g, cls.count) for cls in classes))
+                        [datafiles.cells([cls.g for cls in classes]),
+                         datafiles.cells([cls.count for cls in classes])])

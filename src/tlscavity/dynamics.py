@@ -55,10 +55,11 @@ def _check_window(dt, t2max, cavity, margin):
 _INERT_SUMS = (0.0, 0.0, 0.25, 0.75)
 
 
-def _evolve(table, cavity, n0, t_final, m_pts, full=True):
+def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     """March B rows over m_pts grid points in lockstep, exact step at frozen
-    rates; returns one Trajectory (full=False: its n array), or the
-    exception that stopped it, per row.
+    rates, beside a verify twin at half the step of each row in the list
+    twins; one Trajectory, or the exception that stopped it, per row, then
+    the n array, or the exception, of each twin.
 
     table is a ClassTable of the B rows; n0 holds each row's initial photon
     number. Each step starts from <a> = sqrt(n). With kt = kappa0 +
@@ -69,32 +70,46 @@ def _evolve(table, cavity, n0, t_final, m_pts, full=True):
         c = (4/kt) Re[i O' <a>] - 8|O'|^2/kt^2
         b = n_prev - a - c
     Every operation is elementwise over the rows or a per-row sum over the
-    class axis, so a row's numbers do not depend on the other rows. The
-    views and scratch rows are made before the loop: a step allocates none.
+    class axis, so a row's numbers do not depend on the other rows. With
+    twins the loop makes 2 m_pts - 1 passes, one per halved-grid point: the
+    twins advance on every pass, the B rows only on odd passes and are
+    recorded on even ones, so the odd pass repeats the even one bit for
+    bit. Each row's dt comes from its own grid's linspace. The views and
+    scratch rows are made before the loop: a step allocates none.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     rows = len(n0)
-    times = np.linspace(0.0, t_final, m_pts)
+    if twins:
+        picked = list(range(rows)) + twins
+        table, n0 = table.take(picked), n0[picked]
+    stride = 2 if twins else 1
+    passes = stride * (m_pts - 1) + 1
+    times, fine_times = (np.linspace(0.0, t_final, m)
+                         for m in (m_pts, passes))
+    decay = np.repeat([-0.5 * (g[1] - g[0]) for g in (times, fine_times)],
+                      (rows, len(twins)))
     # scalars as 0-d arrays: numpy calls take them faster than floats
-    decay = np.array(-0.5 * (times[1] - times[0]))
     kappa0 = np.array(cavity.kappa0)
     # bare thermal photon feed kappa0 f(omega0, T) [1/s]
     feed = np.array(cavity.kappa0 * core.bose_einstein(cavity.omega0,
                                                        cavity.temperature))
     minus_four = np.array(-4.0)
-    # One row per quantity, one column per trajectory: the class sums, kt,
-    # n after the step, the state (n, Omega') at the step and <a> = sqrt(n).
-    work = np.zeros((10, rows))
+    # One row per quantity, one column per trajectory (the B rows, then the
+    # twins): the class sums, kt, n after the step, the state (n, Omega') at
+    # the step and <a> = sqrt(n).
+    work = np.zeros((10, len(n0)))
     s_re, s_im, kp, km, kt, n_next, n, o_re, o_im, ar = work
     sums = work[0:4]
     checked = work[2:6]            # kappa_plus, kappa_minus, kt, n(k+1)
     omega = work[7:9]
     n[:] = n0
-    record = work[2:9] if full else n
+    twin_n, twin_next = n[rows:], n_next[rows:]
+    record = work[2:9, :rows]
     history = np.empty((m_pts,) + record.shape)
+    twin_history = np.empty((passes, len(twins)))
     # scratch: |<a>|^2, Omega' squared, |O'|^2/kt^2, kt^2, (a, c, b), e^{-kt
     # dt/2} and its square, (c e, b e^2), (4q, -8q)
-    scratch = np.empty((14, rows))
+    scratch = np.empty((14, len(n0)))
     amp2, o2_re, o2_im, q, kt2, a_t, c_t, b_t, eh, eh2, ce, be2 = (
         scratch[:12])
     omega2, terms, cb, e_pair, prods, weighted_q = (
@@ -102,7 +117,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, full=True):
     term_weights = np.array([[4.0], [-8.0]])
     rate_sums = table.rate_kernel(n, amp2, sums)
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    errors = [None] * rows
+    errors = [None] * len(n0)
     dead = []
     inert = np.array(_INERT_SUMS)[:, None]
 
@@ -130,6 +145,11 @@ def _evolve(table, cavity, n0, t_final, m_pts, full=True):
         add(a_t, be2, out=n_next)
         add(n_next, ce, out=n_next)
 
+    def keep(k):
+        if k % stride == 0:
+            history[k // stride] = record
+        twin_history[k] = twin_n
+
     def kill(r, exc):
         errors[r] = exc
         dead.append(r)
@@ -138,24 +158,23 @@ def _evolve(table, cavity, n0, t_final, m_pts, full=True):
     # a failing row may overflow or divide by zero before the per-row
     # checks below stop it; they, not numpy warnings, report the failure
     with np.errstate(all="ignore"):
-        for k in range(m_pts):
+        for k in range(passes):
             np.sqrt(n, out=ar)
             mul(ar, ar, out=amp2)
             rate_sums()
             if dead:
                 sums[:, dead] = inert
-            # Omega' = i conj(<a>) S
-            mul(ar, s_im, out=o_re)
+            # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S)
+            mul(ar, sums[1::-1], out=omega)
             np.negative(o_re, out=o_re)
-            mul(ar, s_re, out=o_im)
-            history[k] = record
-            if k == m_pts - 1:
+            keep(k)
+            if k == passes - 1:
                 break
             advance()
             if not np.minimum.reduce(checked, axis=None) >= 0.0:
                 # some row has a negative (or nan) rate, kt or n: redo the
                 # step with the per-row clamp, then stop the rows that fail
-                for r in range(rows):
+                for r in range(len(n0)):
                     if r not in dead and (kp[r] < 0.0 or km[r] < 0.0):
                         try:
                             kp[r], km[r] = tls_bath.clamp_rates(
@@ -163,13 +182,14 @@ def _evolve(table, cavity, n0, t_final, m_pts, full=True):
                         except ValueError as exc:
                             kill(r, exc)
                 advance()
-                for r in range(rows):
+                for r in range(len(n0)):
                     if r in dead:
                         continue
                     if kt[r] <= 0.0:
                         kill(r, SaturationError(
                             "kappa_tilde = %g <= 0 at t = %g"
-                            % (kt[r], times[k])))
+                            % (kt[r], times[k // stride] if r < rows
+                               else fine_times[k])))
                     elif n_next[r] < 0.0:
                         if n_next[r] > -1e-25:
                             n_next[r] = 0.0
@@ -178,15 +198,16 @@ def _evolve(table, cavity, n0, t_final, m_pts, full=True):
                                 "photon number went negative: %g"
                                 % n_next[r]))
                 n_next[dead] = 1.0
-                history[k] = record
-            n[...] = n_next
+                keep(k)
+            if k % stride == stride - 1:
+                n[...] = n_next
+            else:
+                twin_n[...] = twin_next
 
     out = []
     for r in range(rows):
         if errors[r] is not None:
             out.append(errors[r])
-        elif not full:
-            out.append(history[:, r].copy())
         else:
             rates = history[:, :, r]
             out.append(Trajectory(
@@ -194,21 +215,23 @@ def _evolve(table, cavity, n0, t_final, m_pts, full=True):
                 kappa_plus=rates[:, 0].copy(), kappa_minus=rates[:, 1].copy(),
                 omega_prime=np.ascontiguousarray(
                     rates[:, 5:7]).view(complex)[:, 0]))
+    for j, exc in enumerate(errors[rows:]):
+        out.append(twin_history[:, j].copy() if exc is None else exc)
     return out
 
 
 def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
-    """Coarse lockstep run of the table's rows; a second batch at half the
-    step checks every row that got through and has its verify flag set."""
-    coarse = _evolve(table, cavity, n0, t_final, m_pts)
-    live = [r for r, res in enumerate(coarse)
-            if verify[r] and isinstance(res, Trajectory)]
-    if not live:
-        return coarse
-    m_fine = 2 * (m_pts - 1) + 1
-    fine = _evolve(table.take(live), cavity, n0[live], t_final, m_fine,
-                   full=False)
-    for r, ref in zip(live, fine):
+    """Lockstep run of the table's rows, in one _evolve call with a verify
+    twin at half the step for every row whose verify flag is set. A row
+    that got through takes its twin's exception, or a StepConvergenceError
+    when halving dt moved its n(t) by 1e-3 relative or more."""
+    rows = len(n0)
+    twins = [r for r in range(rows) if verify[r]]
+    results = _evolve(table, cavity, n0, t_final, m_pts, twins)
+    coarse = results[:rows]
+    for r, ref in zip(twins, results[rows:]):
+        if not isinstance(coarse[r], Trajectory):
+            continue
         if isinstance(ref, Exception):
             coarse[r] = ref
             continue
@@ -218,7 +241,7 @@ def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
         if dev >= 1e-3:
             coarse[r] = StepConvergenceError(
                 "halving dt moved n(t) by %g relative (limit 1e-3)" % dev,
-                deviation=dev, resolutions=(m_pts, m_fine))
+                deviation=dev, resolutions=(m_pts, len(ref)))
     return coarse
 
 
@@ -336,21 +359,20 @@ def trajectory_kappa(traj, reference_index=0):
     return kappa_of_time(traj.times, traj.n, reference_index)
 
 
-def write_trajectory_csv(traj, path, reference_index=0):
+def write_trajectory_csv(traj, path, time_cells):
     """CSV export of a trajectory with its kappa(t) and bath rates.
 
-    kappa at the reference point is undefined and written as nan.
+    time_cells is datafiles.cells(traj.times), formatted once for all rows
+    of one grid. kappa is taken against the first point, where it is
+    undefined and written as nan.
     """
     times = traj.times.tolist()
     n = traj.n.tolist()
-    t0 = times[reference_index]
-    v0 = n[reference_index]
-    kappa = [math.nan if k == reference_index
-             else -math.log(n[k] / v0) / (times[k] - t0)
-             for k in range(len(times))]
+    kappa = [math.nan] + [-math.log(n[k] / n[0]) / (times[k] - times[0])
+                          for k in range(1, len(times))]
     datafiles.write_csv(
         path, "time_s,n,kappa_t_1_per_s,kappa_plus,kappa_minus,"
               "re_omega_prime,im_omega_prime",
-        zip(times, n, kappa, traj.kappa_plus.tolist(),
-            traj.kappa_minus.tolist(), traj.omega_prime.real.tolist(),
-            traj.omega_prime.imag.tolist()))
+        [time_cells, *map(datafiles.cells, (
+            n, kappa, traj.kappa_plus, traj.kappa_minus,
+            traj.omega_prime.real, traj.omega_prime.imag))])

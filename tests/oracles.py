@@ -210,6 +210,13 @@ def switchoff_power(times, params):
     return params.p_f * amp * np.exp(-2.0 * math.pi * params.f0 / ql * t)
 
 
+def csv_text(header, rows):
+    """A CSV file's text, one cell at a time: the header line, then per row
+    the repr of each value as a float, joined by commas."""
+    return header + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
 def _moment_rhs(classes, kappa0, omega0, temperature):
     """Right-hand side (dn/dt, d<a>/dt) of the free nonlinear moment system
 

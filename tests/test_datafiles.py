@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
+import oracles
 from tlscavity import DataError
-from tlscavity.datafiles import (read_csv_columns, read_ringdown_csv,
-                                 read_sweep_csv, read_trace_csv)
+from tlscavity.datafiles import (cells, read_csv_columns, read_ringdown_csv,
+                                 read_sweep_csv, read_trace_csv, write_csv)
 
 
 def test_read_csv_columns(tmp_path):
@@ -87,3 +92,31 @@ def test_read_trace_watts_and_dbm(tmp_path):
 def test_missing_file():
     with pytest.raises(DataError):
         read_ringdown_csv("/nonexistent/path.csv")
+
+
+_cell = hst.one_of(
+    hst.floats(),
+    hst.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                      -2.2250738585072014e-308, 1.7976931348623157e308]),
+    hst.floats(max_value=2.2250738585072014e-308,
+               min_value=-2.2250738585072014e-308),
+    hst.floats().map(np.float64),
+    hst.floats(width=32).map(np.float32),
+    hst.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    hst.integers(-10 ** 40, 10 ** 40))
+
+_table = hst.integers(1, 4).flatmap(lambda width: hst.lists(
+    hst.lists(_cell, min_size=width, max_size=width), max_size=12).map(
+        lambda rows: (width, rows)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_table)
+def test_write_csv_matches_per_cell_repr(tmp_path, table):
+    width, rows = table
+    header = ",".join("c%d" % i for i in range(width))
+    columns = [[row[i] for row in rows] for i in range(width)]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, map(cells, columns))
+    assert path.read_bytes() == oracles.csv_text(header, rows).encode()

@@ -9,7 +9,8 @@ import oracles
 from tlscavity import (CavityParams, SaturationError, StepConvergenceError,
                        StepWindowError, TlsClass, bath_rates, evolve_ringdown,
                        evolve_ringdown_batch, kappa_of_time, trajectory_kappa)
-from tlscavity.dynamics import _evolve, _raise_first
+from tlscavity.dynamics import (Trajectory, _evolve, _raise_first,
+                                _verified_evolve)
 from tlscavity.tls_bath import ClassTable
 
 
@@ -255,3 +256,97 @@ def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
     assert _same_trajectory(got[0], batch[0])
     assert _same_trajectory(got[2], evolve_ringdown(
         2e12, trace_classes, cavity, 0.01, 800, verify=False))
+
+
+# --- the halving check in one lockstep loop ---------------------------------
+
+class _FailAt:
+    """The rates of a ClassTable, but net gain for a row whose photon number
+    equals its target bit for bit (None: never)."""
+
+    def __init__(self, table, targets, kappa0):
+        self.table, self.targets, self.kappa0 = table, list(targets), kappa0
+
+    def take(self, rows):
+        return _FailAt(self.table.take(rows),
+                       [self.targets[r] for r in rows], self.kappa0)
+
+    def rate_kernel(self, n, amp2, out):
+        sums = self.table.rate_kernel(n, amp2, out)
+        hits = [(c, t) for c, t in enumerate(self.targets) if t is not None]
+
+        def kernel():
+            sums()
+            for c, target in hits:
+                if n[c] == target:
+                    out[:, c] = (0.0, 0.0, 2.0 * self.kappa0, 0.0)
+            return out
+        return kernel
+
+
+def _two_call_verified(table, cavity, n0, t_final, m_pts, verify):
+    """The halving check as two plain lockstep runs: the coarse rows, then
+    the verified rows that got through at half the step."""
+    coarse = _evolve(table, cavity, n0, t_final, m_pts)
+    live = [r for r, res in enumerate(coarse)
+            if verify[r] and isinstance(res, Trajectory)]
+    if not live:
+        return coarse
+    m_fine = 2 * (m_pts - 1) + 1
+    fine = _evolve(table.take(live), cavity, n0[live], t_final, m_fine)
+    for r, ref in zip(live, fine):
+        if isinstance(ref, Exception):
+            coarse[r] = ref
+            continue
+        n = coarse[r].n
+        dev = float(np.max(np.abs(n - ref.n[::2])
+                           / np.maximum(np.abs(n), 1e-30)))
+        if dev >= 1e-3:
+            coarse[r] = StepConvergenceError(
+                "halving dt moved n(t) by %g relative (limit 1e-3)" % dev,
+                deviation=dev, resolutions=(m_pts, m_fine))
+    return coarse
+
+
+@pytest.mark.parametrize("m", [2, 10])
+def test_fused_verify_matches_two_call_reference(cfg, m):
+    cavity, t_final = cfg.cavity, 0.022
+    table = ClassTable([cfg.trace_classes()] * 6, cavity.omega0,
+                       cavity.temperature)
+    # rows: passes; fails halving at m = 10; unverified; coarse pass stops
+    # (its twin would pass); twin stops (its coarse pass would pass);
+    # unverified and stopped
+    n0 = np.array([5e13, 1e9, 1e9, 5e13, 5e13, 1e12])
+    verify = [True, True, False, True, True, False]
+    j = (m - 2) // 2
+    plain = _evolve(table.take([0, 5]), cavity, n0[[0, 5]], t_final, m)
+    fine = _evolve(table.take([0]), cavity, n0[:1], t_final, 2 * m - 1)[0]
+    targets = [None, None, None, plain[0].n[j], fine.n[2 * j + 1],
+               plain[1].n[j]]
+    stub = _FailAt(table, targets, cavity.kappa0)
+    got = _verified_evolve(stub, cavity, n0, t_final, m, verify)
+    ref = _two_call_verified(stub, cavity, n0, t_final, m, verify)
+    for a, b in zip(got, ref):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+            if isinstance(b, StepConvergenceError):
+                assert a.deviation == b.deviation
+                assert a.resolutions == b.resolutions
+        else:
+            assert _same_trajectory(a, b)
+    assert isinstance(got[2], Trajectory)
+    assert all(isinstance(got[r], SaturationError) for r in (3, 4, 5))
+    coarse_t = np.linspace(0.0, t_final, m)[j]
+    fine_t = np.linspace(0.0, t_final, 2 * m - 1)[2 * j + 1]
+    assert str(got[3]).endswith("at t = %g" % coarse_t)
+    assert str(got[4]).endswith("at t = %g" % fine_t)
+    assert str(got[5]).endswith("at t = %g" % coarse_t)
+    if m == 10:
+        assert isinstance(got[0], Trajectory)
+        assert isinstance(got[1], StepConvergenceError)
+        assert got[1].resolutions == (10, 19)
+        # alone, row 3's twin and row 4's coarse pass get through
+        assert isinstance(_evolve(stub.take([3]), cavity, n0[[3]], t_final,
+                                  2 * m - 1)[0], Trajectory)
+        assert isinstance(_evolve(stub.take([4]), cavity, n0[[4]], t_final,
+                                  m)[0], Trajectory)
