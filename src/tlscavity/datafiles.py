@@ -42,9 +42,9 @@ def read_csv_columns(path, columns):
                     raise DataError(
                         "%s: line %d: cannot parse %r as a number in "
                         "column %s" % (path, lineno, cell, col)) from None
-                if math.isnan(value):
-                    raise DataError("%s: line %d: nan in column %s"
-                                    % (path, lineno, col))
+                if not math.isfinite(value):
+                    raise DataError("%s: line %d: %r in column %s"
+                                    % (path, lineno, value, col))
                 data[col].append(value)
     if not data[columns[0]]:
         raise DataError("%s: no data rows" % path)

@@ -7,7 +7,7 @@ geometric midpoints of logarithmic bins and carry the bin integrals.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -94,29 +94,65 @@ def _unit_bins(unit):
                      counts_between(unit, edges).tolist()))
 
 
+def sample_class_arrays(n_tot, beta, epsilon_s, *, g_min, g_max, n_classes,
+                        omega_tls, T1=None, T_phi=None, t2_star=None):
+    """sample_classes for B rows of (n_tot, beta, epsilon_s), TLS times per
+    row or shared: (g, count, T1, T_phi), each (n_classes, B), and per row
+    None or the error sample_classes raises there (the row's columns then
+    mean nothing). Reads _unit_bins once per distinct (beta, epsilon_s)."""
+    if t2_star is not None:
+        if T1 is not None or T_phi is not None:
+            raise ValueError("give either t2_star or (T1, T_phi), not both")
+        # the times TlsClass.from_t2_star sets
+        T1, T_phi = (k * np.asarray(t2_star) for k in (2.0, 4.0 / 3.0))
+    elif T1 is None or T_phi is None:
+        raise ValueError("give either t2_star or (T1, T_phi)")
+    n_tot, beta, epsilon_s, T1, T_phi = np.broadcast_arrays(
+        *np.atleast_1d(n_tot, beta, epsilon_s, T1, T_phi))
+    g, frac = np.full((2, max(n_classes, 1), len(n_tot)), math.nan)
+    for b, e in set(zip(beta.tolist(), epsilon_s.tolist())):
+        try:
+            unit = DistributionParams(1.0, b, e, g_min, g_max, n_classes)
+        except ValueError:
+            continue                # its rows stay nan and are refused below
+        cols = (beta == b) & (epsilon_s == e)
+        g[:, cols], frac[:, cols] = np.array(_unit_bins(unit)).T[:, :, None]
+    count = n_tot * frac
+    ok = (((g > 0) & (count >= 0)).all(axis=0) & (T1 > 0) & (T_phi > 0)
+          & (n_tot >= 0) & (omega_tls > 0))
+    refused = [None] * len(n_tot)
+    for b in np.flatnonzero(~ok).tolist():
+        try:                        # the checks of sample_classes, in order
+            DistributionParams(n_tot[b], beta[b], epsilon_s[b], g_min, g_max,
+                               n_classes)
+            for cls in zip(g[:, b].tolist(), count[:, b].tolist()):
+                if t2_star is None:
+                    TlsClass(*cls, omega_tls, T1[b], T_phi[b])
+                else:               # T1 / 2 is t2, or inf if 2 t2 overflowed
+                    TlsClass.from_t2_star(*cls, omega_tls, T1[b] / 2.0)
+        except ValueError as exc:
+            refused[b] = exc
+    return (g, count, *(np.broadcast_to(t, count.shape)
+                        for t in (T1, T_phi))), refused
+
+
 def sample_classes(params, *, omega_tls, T1=None, T_phi=None, t2_star=None):
     """Discretize the distribution into TLS classes.
 
     Each class sits at the geometric midpoint of its bin and carries the bin
     integral of the density, so the class counts conserve the truncated
     integral regardless of n_classes. TLS times apply uniformly: give either
-    (T1, T_phi) or a zero-temperature t2_star override.
+    (T1, T_phi) or a zero-temperature t2_star override. The one-row case of
+    sample_class_arrays.
     """
-    if t2_star is not None:
-        if T1 is not None or T_phi is not None:
-            raise ValueError("give either t2_star or (T1, T_phi), not both")
-    elif T1 is None or T_phi is None:
-        raise ValueError("give either t2_star or (T1, T_phi)")
-    classes = []
-    for g_mid, frac in _unit_bins(replace(params, n_tot=1.0)):
-        count = params.n_tot * frac
-        if t2_star is not None:
-            cls = TlsClass.from_t2_star(g_mid, count, omega_tls, t2_star)
-        else:
-            cls = TlsClass(g=g_mid, count=count, omega_tls=omega_tls,
-                           T1=T1, T_phi=T_phi)
-        classes.append(cls)
-    return classes
+    arrays, (refused,) = sample_class_arrays(
+        params.n_tot, params.beta, params.epsilon_s, g_min=params.g_min,
+        g_max=params.g_max, n_classes=params.n_classes, omega_tls=omega_tls,
+        T1=T1, T_phi=T_phi, t2_star=t2_star)
+    if refused:
+        raise refused
+    return [TlsClass(g, count, omega_tls, t1, t_phi) for g, count, t1, t_phi
+            in zip(*(a[:, 0].tolist() for a in arrays))]
 
 
 def dipole_from_coupling(g, e_max):

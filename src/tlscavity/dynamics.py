@@ -74,62 +74,60 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     twins the loop makes 2 m_pts - 1 passes, one per halved-grid point: the
     twins advance on every pass, the B rows only on odd passes and are
     recorded on even ones, so the odd pass repeats the even one bit for
-    bit. Each row's dt comes from its own grid's linspace. The views and
-    scratch rows are made before the loop: a step allocates none.
+    bit. Each row's dt comes from its own grid's linspace. All state lives
+    in one work array, a row per quantity and a column per trajectory (a
+    lone one gets a discarded second column, see rate_kernel), laid out so
+    that a pass makes 32 numpy calls and allocates nothing. The step only
+    squares Re Omega': the loop keeps -Re Omega' and negates it once.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     rows = len(n0)
     if twins:
         picked = list(range(rows)) + twins
         table, n0 = table.take(picked), n0[picked]
+    cols = max(len(n0), 2)
     stride = 2 if twins else 1
     passes = stride * (m_pts - 1) + 1
     times, fine_times = (np.linspace(0.0, t_final, m)
                          for m in (m_pts, passes))
-    decay = np.repeat([-0.5 * (g[1] - g[0]) for g in (times, fine_times)],
-                      (rows, len(twins)))
-    # scalars as 0-d arrays: numpy calls take them faster than floats
-    kappa0 = np.array(cavity.kappa0)
-    # bare thermal photon feed kappa0 f(omega0, T) [1/s]
-    feed = np.array(cavity.kappa0 * core.bose_einstein(cavity.omega0,
-                                                       cavity.temperature))
-    minus_four = np.array(-4.0)
-    # One row per quantity, one column per trajectory (the B rows, then the
-    # twins): the class sums, kt, n after the step, the state (n, Omega') at
-    # the step and <a> = sqrt(n).
-    work = np.zeros((10, len(n0)))
-    s_re, s_im, kp, km, kt, n_next, n, o_re, o_im, ar = work
-    sums = work[0:4]
-    checked = work[2:6]            # kappa_plus, kappa_minus, kt, n(k+1)
-    omega = work[7:9]
-    n[:] = n0
-    twin_n, twin_next = n[rows:], n_next[rows:]
-    record = work[2:9, :rows]
+    # Rows: 0 kappa0, 1 the bare thermal feed kappa0 f(omega0, T), the class
+    # sums 2 Re S, 3 Im S (then Omega' squared: 2 Im, 3 Re), 4 kappa_plus,
+    # 5 kappa_minus; 6 kt, 7 n after the step, 8 n, 9 -Re O', 10 Im O' (4-10
+    # are recorded); 11 n and 14 |<a>|^2 (kernel state 8, 11, 14); 12 a, 13
+    # c, 15 b; 16 <a>; 17 -dt/2; 18 q = |O'|^2/kt^2; 19 e^{-kt dt/2}, 20 its
+    # square; 21 kt^2; 22 c e, 23 b e^2; 24 4q, 25 -8q.
+    work = np.zeros((26, cols))
+    (_, _, _, _, kp, km, kt, n_next, n, _, o_im, _, a_t, c_t, amp2, b_t,
+     ar, decay, q, eh, eh2, kt2, ce, be2) = work[:24]
+    work[0], work[1] = cavity.kappa0, cavity.kappa0 * core.bose_einstein(
+        cavity.omega0, cavity.temperature)
+    decay[:] = np.repeat([-0.5 * (g[1] - g[0]) for g in (times, fine_times)],
+                         (rows, len(twins)))
+    sums, checked, record = work[2:6], work[4:8], work[4:11, :rows]
+    s_swap, omega, state, both_n = (work[3:1:-1], work[9:11], work[8:15:3],
+                                    work[8:12:3])
+    gains, feeds, kt_a_q = work[5:2:-1], work[0:3], work[6:19:6]
+    kt_pair, kt_decay, kt2_eh = (np.broadcast_to(kt, (2, cols)),
+                                 work[6:18:11], work[21:18:-2])
+    terms, cb, e_pair, prods, weighted_q = (
+        work[12:14], work[13:16:2], work[19:21], work[22:24], work[24:26])
+    both_n[...] = n0
+    twin_n, twin_both, twin_next = n[rows:], both_n[:, rows:], n_next[rows:]
     history = np.empty((m_pts,) + record.shape)
     twin_history = np.empty((passes, len(twins)))
-    # scratch: |<a>|^2, Omega' squared, |O'|^2/kt^2, kt^2, (a, c, b), e^{-kt
-    # dt/2} and its square, (c e, b e^2), (4q, -8q)
-    scratch = np.empty((14, len(n0)))
-    amp2, o2_re, o2_im, q, kt2, a_t, c_t, b_t, eh, eh2, ce, be2 = (
-        scratch[:12])
-    omega2, terms, cb, e_pair, prods, weighted_q = (
-        scratch[i:i + 2] for i in (1, 5, 6, 8, 10, 12))
-    term_weights = np.array([[4.0], [-8.0]])
-    rate_sums = table.rate_kernel(n, amp2, sums)
+    minus_four, term_weights = np.array(-4.0), np.array([[4.0], [-8.0]])
+    rate_sums = table.rate_kernel(state, sums)
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    errors = [None] * len(n0)
-    dead = []
+    errors, dead = [None] * cols, []
     inert = np.array(_INERT_SUMS)[:, None]
 
     def advance():
-        add(kappa0, km, out=kt)
+        mul(omega, omega, out=s_swap)
+        add(gains, feeds, out=kt_a_q)
         sub(kt, kp, out=kt)
-        mul(omega, omega, out=omega2)
-        add(o2_re, o2_im, out=q)
-        mul(kt, kt, out=kt2)
+        mul(kt_pair, kt_decay, out=kt2_eh)
         div(q, kt2, out=q)
         # terms = (a, c): v1/kt + 4q and (4/kt) Re[i O' <a>] - 8q
-        add(kp, feed, out=a_t)
         mul(o_im, ar, out=c_t)
         mul(c_t, minus_four, out=c_t)
         div(terms, kt, out=terms)
@@ -137,7 +135,6 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
         add(terms, weighted_q, out=terms)
         sub(n, a_t, out=b_t)
         sub(b_t, c_t, out=b_t)
-        mul(kt, decay, out=eh)
         np.exp(eh, out=eh)
         # n(k+1) = (a + b e^2) + c e
         mul(eh, eh, out=eh2)
@@ -148,7 +145,8 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     def keep(k):
         if k % stride == 0:
             history[k // stride] = record
-        twin_history[k] = twin_n
+        if twins:
+            twin_history[k] = twin_n
 
     def kill(r, exc):
         errors[r] = exc
@@ -164,9 +162,9 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
             rate_sums()
             if dead:
                 sums[:, dead] = inert
-            # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S)
-            mul(ar, sums[1::-1], out=omega)
-            np.negative(o_re, out=o_re)
+            # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), Re negated
+            # after the loop
+            mul(ar, s_swap, out=omega)
             keep(k)
             if k == passes - 1:
                 break
@@ -174,7 +172,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
             if not np.minimum.reduce(checked, axis=None) >= 0.0:
                 # some row has a negative (or nan) rate, kt or n: redo the
                 # step with the per-row clamp, then stop the rows that fail
-                for r in range(len(n0)):
+                for r in range(cols):
                     if r not in dead and (kp[r] < 0.0 or km[r] < 0.0):
                         try:
                             kp[r], km[r] = tls_bath.clamp_rates(
@@ -182,7 +180,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
                         except ValueError as exc:
                             kill(r, exc)
                 advance()
-                for r in range(len(n0)):
+                for r in range(cols):
                     if r in dead:
                         continue
                     if kt[r] <= 0.0:
@@ -200,24 +198,19 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
                 n_next[dead] = 1.0
                 keep(k)
             if k % stride == stride - 1:
-                n[...] = n_next
+                both_n[...] = n_next
             else:
-                twin_n[...] = twin_next
+                twin_both[...] = twin_next
+    np.negative(history[:, 5], out=history[:, 5])
 
-    out = []
-    for r in range(rows):
-        if errors[r] is not None:
-            out.append(errors[r])
-        else:
-            rates = history[:, :, r]
-            out.append(Trajectory(
-                times=times, n=rates[:, 4].copy(),
-                kappa_plus=rates[:, 0].copy(), kappa_minus=rates[:, 1].copy(),
-                omega_prime=np.ascontiguousarray(
-                    rates[:, 5:7]).view(complex)[:, 0]))
-    for j, exc in enumerate(errors[rows:]):
-        out.append(twin_history[:, j].copy() if exc is None else exc)
-    return out
+    return [errors[r] or Trajectory(
+        times=times, n=history[:, 4, r].copy(),
+        kappa_plus=history[:, 0, r].copy(),
+        kappa_minus=history[:, 1, r].copy(),
+        omega_prime=np.ascontiguousarray(history[:, 5:7, r]).view(complex)[
+            :, 0]) for r in range(rows)] + [
+        errors[rows + j] or twin_history[:, j].copy()
+        for j in range(len(twins))]
 
 
 def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
@@ -245,38 +238,36 @@ def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
     return coarse
 
 
-def _evolve_rows(class_lists, cavity, n0, t_final, m_steps, verify,
-                 window_margin):
-    """Evolve one row per class list: one ClassTable per class count, and
-    one lockstep group per grid in it; one Trajectory or exception per row.
-    verify holds one halving-check flag per row."""
+def evolve_table(table, cavity, n0, t_final, m_steps=None, *, verify=True,
+                 window_margin=10.0):
+    """Free decay of the rows of a ClassTable, row b from n0[b] photons,
+    with the options of evolve_ringdown_batch; one Trajectory, or the
+    exception that stopped it, per row. Rows of one step count run as one
+    lockstep group."""
+    n0 = np.asarray(n0, dtype=float).reshape(-1)
+    if not all(n > 0 for n in n0):
+        raise ValueError("initial photon number must be > 0")
     if m_steps is not None and m_steps < 2:
         raise ValueError("m_steps must be >= 2")
-    results = [None] * len(class_lists)
-    sizes = {}
-    for r, classes in enumerate(class_lists):
-        sizes.setdefault(len(classes), []).append(r)
-    for rows in sizes.values():
-        table = tls_bath.ClassTable([class_lists[r] for r in rows],
-                                    cavity.omega0, cavity.temperature)
-        groups = {}
-        for j, (r, t2max) in enumerate(zip(rows, table.t2max)):
-            m = m_steps
-            if m is None:
-                dt_rule = max(10.0 * t2max, t_final / 1e5)
-                m = max(1, math.floor(t_final / dt_rule)) + 1
-            try:
-                _check_window(t_final / (m - 1), t2max, cavity, window_margin)
-            except StepWindowError as exc:
-                results[r] = exc
-                continue
-            groups.setdefault(m, []).append(j)
-        for m, group in groups.items():
-            picked = [rows[j] for j in group]
-            out = _verified_evolve(table.take(group), cavity, n0[picked],
-                                   t_final, m, [verify[r] for r in picked])
-            for r, res in zip(picked, out):
-                results[r] = res
+    verify = np.broadcast_to(np.asarray(verify, dtype=bool), len(n0))
+    results = [None] * len(n0)
+    groups = {}
+    for r, t2max in enumerate(table.t2max):
+        m = m_steps
+        if m is None:
+            dt_rule = max(10.0 * t2max, t_final / 1e5)
+            m = max(1, math.floor(t_final / dt_rule)) + 1
+        try:
+            _check_window(t_final / (m - 1), t2max, cavity, window_margin)
+        except StepWindowError as exc:
+            results[r] = exc
+            continue
+        groups.setdefault(m, []).append(r)
+    for m, rows in groups.items():
+        out = _verified_evolve(table.take(rows), cavity, n0[rows], t_final,
+                               m, verify[rows])
+        for r, res in zip(rows, out):
+            results[r] = res
     return results
 
 
@@ -306,12 +297,16 @@ def evolve_ringdown_batch(initials, class_lists, cavity, t_final,
     n0 = np.array([float(i) for i in initials])
     if len(n0) != len(class_lists):
         raise ValueError("need one class list per initial state")
-    if not all(n > 0 for n in n0):
-        raise ValueError("initial photon number must be > 0")
-    results = _evolve_rows(
-        class_lists, cavity, n0, t_final, m_steps,
-        np.broadcast_to(np.asarray(verify, dtype=bool), len(n0)),
-        window_margin)
+    results = [None] * len(n0)
+    for size in dict.fromkeys(map(len, class_lists)):
+        rows = [r for r, c in enumerate(class_lists) if len(c) == size]
+        table = tls_bath.class_table([class_lists[r] for r in rows],
+                                     cavity.omega0, cavity.temperature)
+        out = evolve_table(table, cavity, n0[rows], t_final, m_steps,
+                           verify=np.broadcast_to(verify, len(n0))[rows],
+                           window_margin=window_margin)
+        for r, res in zip(rows, out):
+            results[r] = res
     return results if return_errors else _raise_first(results)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from . import datafiles, dynamics, mattis_bardeen
-from .distribution import DistributionParams, sample_classes
+from . import datafiles, dynamics, mattis_bardeen, tls_bath
+from .distribution import sample_class_arrays
 from .errors import (FitError, FitStartError, SaturationError,
                      StepConvergenceError)
 
@@ -465,30 +465,27 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
                 misses.setdefault(prepared[key[4]][4], {})[key] = None
         verify = not verified[0]
         for t_final, group in misses.items():
-            rows = []
-            for key in group:
-                t2, beta, eps, n_tot, idx = key
-                try:
-                    classes = sample_classes(
-                        DistributionParams(n_tot=n_tot, beta=beta,
-                                           epsilon_s=eps, g_min=g_min,
-                                           g_max=g_max, n_classes=n_classes),
-                        omega_tls=cavity.omega0, t2_star=t2)
-                except _REJECTED as exc:
-                    found[key] = exc
-                    continue
-                rows.append((key, classes))
-            trajs = dynamics.evolve_ringdown_batch(
-                [prepared[key[4]][3] for key, _ in rows],
-                [classes for _, classes in rows], cavity, t_final, m_steps,
+            t2, beta, eps, n_tot = np.array([key[:4] for key in group]).T
+            arrays, refused = sample_class_arrays(
+                n_tot, beta, eps, g_min=g_min, g_max=g_max,
+                n_classes=n_classes, omega_tls=cavity.omega0, t2_star=t2)
+            found.update((key, exc) for key, exc in zip(group, refused) if exc)
+            ok = [j for j, exc in enumerate(refused) if exc is None]
+            rows = [key for key, exc in zip(group, refused) if exc is None]
+            table = tls_bath.ClassTable(*(a[:, ok] for a in arrays),
+                                        cavity.omega0, cavity.omega0,
+                                        cavity.temperature)
+            trajs = dynamics.evolve_table(
+                table, cavity, [prepared[key[4]][3] for key in rows],
+                t_final, m_steps,
                 verify=[verify and j == 0 for j in range(len(rows))],
-                window_margin=window_margin, return_errors=True)
+                window_margin=window_margin)
             if verify:
                 # a failed check stays pending, so evaluating the point
                 # again raises its error again
                 verified[0] = not (rows and isinstance(trajs[0], Exception))
             verify = False
-            for (key, _), traj in zip(rows, trajs):
+            for key, traj in zip(rows, trajs):
                 if isinstance(traj, Exception):
                     found[key] = traj
                     continue

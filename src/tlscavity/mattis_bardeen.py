@@ -185,11 +185,10 @@ def q_tls_temperature(t, classes, cavity):
     (temperature, class) at n = 0, clamped row by row: only thermal
     saturation acts. +inf where that is not positive (no classes).
     """
-    table = tls_bath.ClassTable([classes], cavity.omega0, t)
-    zero = np.zeros(t.shape)
+    table = tls_bath.class_table([classes], cavity.omega0, t)
     k_tls = np.array([km - kp for kp, km in (
         tls_bath.clamp_rates(kp, km)
-        for _, _, kp, km in table.rate_sums(zero, zero).T.tolist())])
+        for _, _, kp, km in table.rate_sums(0.0, 0.0).T.tolist())])
     return np.divide(cavity.omega0, k_tls, out=np.full(t.shape, math.inf),
                      where=~(k_tls <= 0.0))
 

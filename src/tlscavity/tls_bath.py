@@ -8,7 +8,6 @@ added to Omega'. The detuning factor chi of every class is kept in every
 formula (chi = 1 for a class on resonance).
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,56 +69,43 @@ class ClassTable:
         rho_ee = (|chi|^2 f + g^2 n T1 T2* / 2) / D
         rho_ge = i chi g <a> T2* / D
 
-    f is the thermal occupation at the TLS frequency. Row b holds the
-    classes class_lists[b] (all of one size C) at the temperature of row b:
-    temperature is a scalar, or an array with one entry per row (then a
-    single class list serves every row). Everything temperature- and
+    f is the thermal occupation at the TLS frequency. g, count, T1, T_phi
+    and omega_tls broadcast to (C, B): column b holds the classes of row b.
+    temperature is a scalar, or an array with one entry per row (then one
+    column of classes serves every row). Everything temperature- and
     detuning-dependent is evaluated once here, elementwise, so each row is
-    bitwise the table of its class list alone. The coefficients are stored
-    class-major, (C, k, B), and rate_sums() is a handful of vector
-    operations over all rows followed by one reduction over the outer class
-    axis: each row is summed in class order, ((0.0 + x0) + x1) + ...,
-    whatever the number of rows. For C <= 7 this is also the order of
-    numpy's last-axis sum; from C = 8 on numpy sums in pairwise blocks, so
-    tables of 8 or more classes differ from such a sum in the last bits.
+    bitwise the table of its classes alone. The coefficients are stored
+    row-major, (quantity, C, B), each one a contiguous (C, B) block: base
+    holds D and the rho_ee numerator at n = 0; slope their slopes in n,
+    then |rho_ge|^2 D^2 per |<a>|^2; sv the Omega' weights per conj(<a>);
+    weights (C, B) the rate weights. The rate kernel adds each row's
+    classes in class order, ((0.0 + x0) + x1) + ..., for any C.
     """
 
-    _COEFFS = ("base", "slope", "coh", "weights", "sv")
+    _COEFFS = ("base", "slope", "sv", "weights")
 
-    def __init__(self, class_lists, omega0, temperature):
-        # per class and row: the temperature-free factors, in scalar
-        # arithmetic; each (C, rows)
-        rows, size = len(class_lists), len(class_lists[0])
-        factors = itertools.chain.from_iterable(
-            (c.g, c.T1, c.omega_tls, 1.0 / c.T_phi, c.g * c.g * c.T1,
-             c.count * c.g * c.g) for classes in class_lists for c in classes)
-        g, T1, om, inv_phi, ggt1, cgg = np.fromiter(
-            factors, dtype=float, count=6 * rows * size).reshape(
-                rows, size, 6).T
+    def __init__(self, g, count, T1, T_phi, omega_tls, omega0, temperature):
+        g, count, T1, T_phi, om = np.broadcast_arrays(g, count, T1, T_phi,
+                                                      omega_tls)
         # one occupation per distinct TLS frequency and temperature
         temps = np.asarray(temperature, dtype=float).reshape(-1).tolist()
         freqs = om.ravel().tolist()
         pos = {w: i for i, w in enumerate(dict.fromkeys(freqs))}
         occ = np.array([[core.bose_einstein(w, t) for t in temps]
                         for w in pos], dtype=float)
+        size, rows = om.shape
         f = occ[[pos[w] for w in freqs]].reshape(size, max(rows, len(temps)))
-        t2 = 1.0 / ((0.5 + f) / T1 + inv_phi)         # core.t2_star
+        t2 = 1.0 / ((0.5 + f) / T1 + 1.0 / T_phi)     # core.t2_star
         d = (om - omega0) * t2                        # chi = 1 + i d
         x = np.empty(d.shape, dtype=complex)
         x.real, x.imag = 1.0, d
         ax2 = np.abs(x) ** 2
-        sat = ggt1 * t2                               # D slope in n
-        cgt = cgg * t2
-        w = 2.0 * cgt / ax2                           # rate weight
-        # each (C, k, B): D and the rho_ee numerator at n = 0, their slopes
-        # in n, the weight of each summed term (1 for the two Omega' parts,
-        # an exact product) and the Omega' weights per conj(A)
-        self.base = _class_major(ax2 * (1.0 + 2.0 * f), ax2 * f)
-        self.slope = _class_major(sat, 0.5 * sat)
-        self.coh = ax2 * (g * t2) ** 2                # |rho_ge|^2 per |A|^2
-        one = np.ones_like(w)
-        self.weights = _class_major(one, one, w, w)
-        self.sv = _class_major(cgt, cgt * d)
+        sat = g * g * T1 * t2                         # D slope in n
+        cgt = count * g * g * t2
+        self.base = np.array([ax2 * (1.0 + 2.0 * f), ax2 * f])
+        self.slope = np.array([sat, 0.5 * sat, ax2 * (g * t2) ** 2])
+        self.sv = np.array([cgt, cgt * d])
+        self.weights = 2.0 * cgt / ax2
         self.t2max = t2.max(axis=0, initial=0.0).tolist()
 
     def take(self, rows):
@@ -131,39 +117,40 @@ class ClassTable:
         out.t2max = [self.t2max[r] for r in rows]
         return out
 
-    def rate_kernel(self, n, amp2, out):
-        """A function of no arguments that writes rate_sums of the values n
-        and amp2 hold at the time of the call into out, shape (4, B).
+    def rate_kernel(self, state, out):
+        """A function of no arguments that writes the rate sums of the
+        values state holds at the time of the call into out, shape (4, W).
 
-        n and amp2 are arrays of one entry per row (or 0-d); every view and
-        scratch buffer is made here, so a call allocates nothing.
+        state is a (3, W) view whose rows hold n, n again and |<a>|^2, one
+        column per row. A one-row table is repeated over W = 2 columns: on
+        one column numpy would sum 8 or more classes pairwise. A call makes
+        nine numpy calls over whole (C, W) blocks and allocates nothing.
         """
-        c, rows = self.coh.shape
-        # D and the rho_ee numerator around the Omega' weights: one product
-        # divides the last three by D
-        dsv, terms = np.empty((2, c, 4, rows))
-        dsv[:, 1:3] = self.sv
-        dn, d0, dsv_ = dsv[:, ::3], dsv[:, 0], dsv[:, 1:]
-        inv_d, coh2 = np.empty((2, c, rows))
-        inv_col, coh2_col = inv_d[:, None], coh2[:, None]
-        head, ree, rgg, pops = (terms[:, :3], terms[:, 2], terms[:, 3],
-                                terms[:, 2:])
-        base, slope, coh, weights = (self.base, self.slope, self.coh,
-                                     self.weights)
+        cols, size = out.shape[1], len(self.weights)
+        base, slope, weights = (
+            a if a.shape[-1] == cols else np.repeat(a, cols, axis=-1)
+            for a in (self.base, self.slope, self.weights))
+        # lin: D, the rho_ee numerator N, |rho_ge|^2 D^2, the Omega' weights
+        # and 1/D; terms: rho_gg, rho_ee, |rho_ge|^2 and the four summed
+        # terms (S_re, S_im, kappa_plus, kappa_minus)
+        lin, terms = np.empty((6, size, cols)), np.empty((7, size, cols))
+        lin[3:5] = self.sv
+        x, n_part, d, d0, over_d, inv_d = (state[:, None], lin[:3], lin[:2],
+                                           lin[0], lin[1:5], lin[5])
+        rgg, ree, coh2, pops = terms[0], terms[1], terms[2], terms[5:]
+        scaled, ree_rgg, summed = terms[1:5], terms[1::-1], terms[3:]
         mul, sub, add = np.multiply, np.subtract, np.add
 
         def kernel():
-            mul(slope, n, out=dn)
-            add(base, dn, out=dn)
+            mul(slope, x, out=n_part)
+            add(base, d, out=d)
             np.reciprocal(d0, out=inv_d)
-            mul(dsv_, inv_col, out=head)
+            mul(over_d, inv_d, out=scaled)
+            mul(coh2, inv_d, out=coh2)
             sub(_ONE, ree, out=rgg)
-            mul(coh, amp2, out=coh2)
-            mul(coh2, inv_d, out=coh2)
-            mul(coh2, inv_d, out=coh2)
-            sub(pops, coh2_col, out=pops)
-            mul(terms, weights, out=terms)
-            return add.reduce(terms, axis=0, out=out)
+            sub(ree_rgg, coh2, out=pops)
+            mul(pops, weights, out=pops)
+            return add.reduce(summed, axis=1, out=out)
         return kernel
 
     def rate_sums(self, n, amp2):
@@ -174,14 +161,20 @@ class ClassTable:
         part of Omega' is i conj(<a>) S. n and amp2 have one entry per row,
         or are scalars.
         """
-        out = np.empty((4, self.coh.shape[1]))
-        return self.rate_kernel(np.asarray(n, dtype=float),
-                                np.asarray(amp2, dtype=float), out)()
+        rows = self.weights.shape[1]
+        state = np.empty((3, max(rows, 2)))
+        state[:2], state[2] = n, amp2
+        out = np.empty((4, len(state[0])))
+        return self.rate_kernel(state, out)()[:, :rows]
 
 
-def _class_major(*coefs):
-    """Contiguous (C, k, B) array of k coefficient arrays of shape (C, B)."""
-    return np.array(coefs).swapaxes(0, 1).copy()
+def class_table(class_lists, omega0, temperature):
+    """The ClassTable whose row b holds the TlsClass list class_lists[b]
+    (all of one size)."""
+    fields = [[(c.g, c.count, c.T1, c.T_phi, c.omega_tls) for c in classes]
+              for classes in class_lists]
+    return ClassTable(*np.reshape(fields, (len(fields), len(fields[0]), 5)).T,
+                      omega0, temperature)
 
 
 def bath_rates(classes, n, amp, omega0, temperature):
@@ -192,7 +185,7 @@ def bath_rates(classes, n, amp, omega0, temperature):
     if n < 0:
         raise ValueError("n must be >= 0")
     amp = complex(amp)
-    table = ClassTable([classes], omega0, temperature)
+    table = class_table([classes], omega0, temperature)
     s_re, s_im, kp, km = table.rate_sums(
         n, amp.real * amp.real + amp.imag * amp.imag).ravel().tolist()
     kp, km = clamp_rates(kp, km)

@@ -243,6 +243,29 @@ def test_exit_code_nan_in_trace(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, column, cell", [
+    (50, 0, "inf"),      # the last time_s
+    (3, 1, "inf"),       # a photon number in mid-trace
+    (0, 1, "inf"),       # the photon number at t = 0
+    (3, 1, "-inf"),
+])
+def test_exit_code_infinite_cell_in_trace(tmp_path, capsys, row, column,
+                                          cell):
+    # an infinite cell is a data error naming its line and column, like
+    # nan, not a traceback or a model or fit failure
+    t = np.linspace(0.0, 0.022, 51)
+    n = 1e12 * np.exp(-600.0 * t)
+    rows = [["%r" % float(ti), "%r" % float(ni)] for ti, ni in zip(t, n)]
+    rows[row][column] = cell
+    src = tmp_path / "trace.csv"
+    src.write_text("time_s,n\n" + "\n".join(map(",".join, rows)) + "\n")
+    assert run(["fit", "ringdown", "--out", tmp_path / "x", src]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    name = ("time_s", "n")[column]
+    assert "line %d: %s in column %s" % (row + 2, cell, name) in err
+
+
 def test_subnormal_temperature_runs(tmp_path, capsys):
     # k_B T underflows to 0: the T -> 0 limit, not a ZeroDivisionError
     cfgfile = tmp_path / "cold.yaml"

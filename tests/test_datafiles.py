@@ -40,6 +40,14 @@ def test_read_csv_nan_cites_line(tmp_path):
         read_csv_columns(p, ["a", "b"])
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+def test_read_csv_infinite_cites_line(tmp_path, cell):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1.0,2.0\n%s,4.0\n" % cell)
+    with pytest.raises(DataError, match="line 3: -?inf in column a"):
+        read_csv_columns(p, ["a", "b"])
+
+
 def test_read_csv_ragged_row(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b\n1.0\n")

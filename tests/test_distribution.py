@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 import oracles
 from tlscavity import DistributionParams, TlsClass
 from tlscavity.distribution import (bin_edges, counts_between, density,
                                     dipole_in_e_angstrom, loss_tangent,
-                                    sample_classes, tls_volume_density)
+                                    sample_class_arrays, sample_classes,
+                                    tls_volume_density)
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -153,3 +156,45 @@ def test_params_validation():
                            g_max=0.5, n_classes=7)
     with pytest.raises(ValueError):
         make_params(epsilon_s=-0.25)
+
+
+_sampler_rows = hst.lists(hst.tuples(
+    hst.one_of(hst.floats(1e3, 1e12), hst.floats(-1e3, -1e-3),
+               hst.just(0.0)),                                  # n_tot
+    hst.one_of(hst.floats(1.5, 6.0), hst.floats(0.5, 1.0)),     # beta
+    hst.floats(0.02, 3.0),                                      # epsilon_s
+    hst.one_of(hst.floats(5e-8, 2e-6), hst.floats(-1e-6, 0.0))),  # t2
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_sampler_rows,
+       window=hst.sampled_from([(1e-3, 1e3), (0.5, 0.5), (5.0, 0.5)]),
+       n_classes=hst.integers(1, 12), t2_star=hst.booleans())
+def test_sample_class_arrays_is_sample_classes_row_by_row(
+        rows, window, n_classes, t2_star):
+    """Column b of the vectorised sampler holds bitwise the g, count, T1
+    and T_phi of sample_classes on row b's parameters, and a row it
+    refuses (beta <= 1, n_tot < 0, g_min >= g_max, t2 <= 0, or T1 or T_phi
+    <= 0) carries the error that sample_classes raises there."""
+    n_tot, beta, eps, t2 = (np.array(col) for col in zip(*rows))
+    window = dict(g_min=window[0], g_max=window[1], n_classes=n_classes)
+
+    def times(t):
+        return dict(t2_star=t) if t2_star else dict(T1=2.5 * t, T_phi=1.5 * t)
+
+    arrays, refused = sample_class_arrays(n_tot, beta, eps, omega_tls=W0,
+                                          **window, **times(t2))
+    assert len(refused) == len(rows)
+    for b, (nt, be, ep, t) in enumerate(rows):
+        try:
+            want = sample_classes(DistributionParams(nt, be, ep, **window),
+                                  omega_tls=W0, **times(t))
+        except ValueError as exc:
+            assert type(refused[b]) is type(exc)
+            assert str(refused[b]) == str(exc)
+            continue
+        assert refused[b] is None
+        for arr, name in zip(arrays, ("g", "count", "T1", "T_phi")):
+            assert (arr[:, b].tobytes() == np.array(
+                [getattr(c, name) for c in want]).tobytes())

@@ -11,7 +11,7 @@ from tlscavity import (CavityParams, SaturationError, StepConvergenceError,
                        evolve_ringdown_batch, kappa_of_time, trajectory_kappa)
 from tlscavity.dynamics import (Trajectory, _evolve, _raise_first,
                                 _verified_evolve)
-from tlscavity.tls_bath import ClassTable
+from tlscavity.tls_bath import class_table
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -119,7 +119,7 @@ def test_saturation_error_on_net_gain(cavity):
     # physical classes cannot get here (rho_ee < 1/2 keeps kappa_plus below
     # kappa_minus), so a stub table supplies the net gain
     class GainTable:
-        def rate_kernel(self, n, amp2, out):
+        def rate_kernel(self, state, out):
             def kernel():
                 out[:, 0] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
                 return out
@@ -127,6 +127,21 @@ def test_saturation_error_on_net_gain(cavity):
 
     with pytest.raises(SaturationError):
         _raise_first(_evolve(GainTable(), cavity, [1e10], 1e-3, 3))
+
+
+def test_on_resonance_re_omega_prime_keeps_its_sign_bit(trace_classes,
+                                                        cavity):
+    """On resonance each class's Omega' weight has a zero imaginary part,
+    so Re Omega' = -<a> Im S is -0.0 at every point, alone and in a batch:
+    the sign comes from negating +0.0, which a stored -Im S weight summed
+    from +0.0 would lose."""
+    alone = evolve_ringdown(5e13, trace_classes, cavity, 0.022, 2000,
+                            verify=False)
+    batch = evolve_ringdown_batch([5e13, 1e11], [trace_classes] * 2, cavity,
+                                  0.022, 2000, verify=[True, False])
+    for traj in (alone, *batch):
+        assert np.all(traj.omega_prime.real == 0.0)
+        assert np.all(np.signbit(traj.omega_prime.real))
 
 
 def test_step_window_enforced(trace_classes, cavity):
@@ -216,6 +231,21 @@ def test_batch_rows_bitwise_equal_solo_ringdown(rows, verify):
     _check_rows(batch, solos)
 
 
+@pytest.mark.parametrize("size", [8, 9, 12])
+def test_lone_row_sums_its_classes_in_class_order(size):
+    """A lone row is bitwise that row in a batch of two, also with 8 or
+    more classes, where numpy would sum one column pairwise."""
+    classes = [TlsClass.from_t2_star(0.37 * 3.1 ** k, 7.3e8 / 2.3 ** k,
+                                     W0 + 1.3e5 * k * (-1) ** k,
+                                     1.1e-7 * 1.3 ** k)
+               for k in range(size)]
+    alone = evolve_ringdown(1e12, classes, _BATCH_CAV, 0.004, 40,
+                            verify=False)
+    pair = evolve_ringdown_batch([1e12, 3e10], [classes, classes[::-1]],
+                                 _BATCH_CAV, 0.004, 40, verify=False)
+    assert _same_trajectory(alone, pair[0])
+
+
 def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
     slow = [TlsClass.from_t2_star(50.0, 1e6, W0, 2e-6)]
     class_lists = [trace_classes, slow, trace_classes[:5], trace_classes]
@@ -236,11 +266,11 @@ def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
 
     class GainRow:
         def __init__(self):
-            self.table = ClassTable(keep, cavity.omega0, cavity.temperature)
+            self.table = class_table(keep, cavity.omega0, cavity.temperature)
             self.calls = 0
 
-        def rate_kernel(self, n, amp2, out):
-            sums = self.table.rate_kernel(n, amp2, out)
+        def rate_kernel(self, state, out):
+            sums = self.table.rate_kernel(state, out)
 
             def kernel():
                 sums()
@@ -271,8 +301,9 @@ class _FailAt:
         return _FailAt(self.table.take(rows),
                        [self.targets[r] for r in rows], self.kappa0)
 
-    def rate_kernel(self, n, amp2, out):
-        sums = self.table.rate_kernel(n, amp2, out)
+    def rate_kernel(self, state, out):
+        sums = self.table.rate_kernel(state, out)
+        n = state[0]
         hits = [(c, t) for c, t in enumerate(self.targets) if t is not None]
 
         def kernel():
@@ -311,8 +342,8 @@ def _two_call_verified(table, cavity, n0, t_final, m_pts, verify):
 @pytest.mark.parametrize("m", [2, 10])
 def test_fused_verify_matches_two_call_reference(cfg, m):
     cavity, t_final = cfg.cavity, 0.022
-    table = ClassTable([cfg.trace_classes()] * 6, cavity.omega0,
-                       cavity.temperature)
+    table = class_table([cfg.trace_classes()] * 6, cavity.omega0,
+                        cavity.temperature)
     # rows: passes; fails halving at m = 10; unverified; coarse pass stops
     # (its twin would pass); twin stops (its coarse pass would pass);
     # unverified and stopped

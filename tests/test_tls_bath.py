@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
 from oracles import TlsState, tls_steady_state
-from tlscavity import BathRates, TlsClass, bath_rates
-from tlscavity.tls_bath import ClassTable
+from tlscavity import (BathRates, DistributionParams, TlsClass, bath_rates,
+                       sample_classes)
+from tlscavity.distribution import sample_class_arrays
+from tlscavity.tls_bath import ClassTable, class_table
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -200,8 +202,8 @@ def test_class_table_over_class_lists_is_the_one_list_tables(
     coefficients of the one-list tables; take() picks rows of it."""
     lists = [data.draw(hst.lists(_class, min_size=size, max_size=size))
              for _ in range(rows)]
-    table = ClassTable(lists, W0, temperature)
-    solos = [ClassTable([c], W0, temperature) for c in lists]
+    table = class_table(lists, W0, temperature)
+    solos = [class_table([c], W0, temperature) for c in lists]
     _same_rows(table, solos)
     picked = list(range(rows))[::-2]
     _same_rows(table.take(picked), [solos[r] for r in picked])
@@ -212,11 +214,11 @@ def test_class_table_over_class_lists_is_the_one_list_tables(
        temps=hst.lists(_temperature, min_size=1, max_size=6))
 def test_class_table_over_temperatures_is_the_one_temperature_tables(
         classes, temps):
-    """A table over a temperature array, (T, C) in class-major form, holds
+    """A table over a temperature array, one row per temperature, holds
     row by row bitwise the coefficients and the rate sums of the
     single-temperature tables."""
-    table = ClassTable([classes], W0, np.array(temps))
-    solos = [ClassTable([classes], W0, t) for t in temps]
+    table = class_table([classes], W0, np.array(temps))
+    solos = [class_table([classes], W0, t) for t in temps]
     _same_rows(table, solos)
     n = np.linspace(0.0, 1e6, len(temps))
     sums = table.rate_sums(n, 0.5 * n)
@@ -225,30 +227,110 @@ def test_class_table_over_temperatures_is_the_one_temperature_tables(
                 == solo.rate_sums(n[b], 0.5 * n[b])[:, 0].tobytes())
 
 
+def _spread_classes(size):
+    """size detuned classes whose terms span many decades, so that numpy's
+    pairwise sum and the class-order sum of them differ in the last bits."""
+    return [TlsClass(g=0.37 * 3.1 ** k, count=7.3e8 / 2.3 ** k,
+                     omega_tls=W0 + 1.3e5 * k * (-1) ** k,
+                     T1=2.1e-6 / 1.4 ** k, T_phi=1.3e-6 * 1.2 ** k)
+            for k in range(size)]
+
+
+_order_rows = hst.integers(1, 12).flatmap(lambda size: hst.lists(
+    hst.tuples(hst.lists(_class, min_size=size, max_size=size),
+               hst.one_of(hst.just(0.0), hst.floats(1.0, 1e14)),
+               hst.floats(0.0, 1.0)),
+    min_size=1, max_size=3))
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=hst.data(), size=hst.integers(1, 12), rows=hst.integers(1, 3),
-       temperature=_temperature)
-def test_rate_sums_add_the_classes_in_index_order(data, size, rows,
-                                                  temperature):
-    """rate_sums is, bit for bit, the per-class terms of the table added in
-    class order (oracles.class_sum) for 1 to 12 classes and any row count;
-    from 8 classes on this is not numpy's pairwise order."""
-    lists = [data.draw(hst.lists(_class, min_size=size, max_size=size))
-             for _ in range(rows)]
-    n = [data.draw(hst.one_of(hst.just(0.0), hst.floats(1.0, 1e14)))
-         for _ in range(rows)]
-    amp2 = [x * data.draw(hst.floats(0.0, 1.0)) for x in n]
-    table = ClassTable(lists, W0, temperature)
-    sums = table.rate_sums(np.array(n), np.array(amp2))
-    for b in range(rows):
+@given(rows=_order_rows, temperature=_temperature)
+@example(rows=[(_spread_classes(8), 3e9, 0.7)], temperature=0.02)
+@example(rows=[(_spread_classes(9), 3e9, 0.7)], temperature=0.02)
+@example(rows=[(_spread_classes(12), 3e9, 0.7)], temperature=0.02)
+def test_rate_sums_add_the_classes_in_index_order(rows, temperature):
+    """The rate kernel, driven as _evolve drives it (state rows n, n and
+    |<a>|^2, at least two columns), and rate_sums are, bit for bit, the
+    per-class terms of the table added in class order (oracles.class_sum)
+    for 1 to 12 classes and any row count, one row included; from 8
+    classes on this is not numpy's pairwise order."""
+    size = len(rows[0][0])
+    n = [x for _, x, _ in rows]
+    amp2 = [x * frac for _, x, frac in rows]
+    table = class_table([classes for classes, _, _ in rows], W0, temperature)
+    state = np.empty((3, max(len(rows), 2)))
+    state[:2], state[2] = n, amp2
+    kernel = table.rate_kernel(state, np.empty((4, state.shape[1])))
+    sums = kernel()[:, :len(rows)]
+    assert sums.tobytes() == table.rate_sums(np.array(n),
+                                             np.array(amp2)).tobytes()
+    for b in range(len(rows)):
         terms = []
         for i in range(size):
-            (d0, p0), (d1, p1) = table.base[i, :, b], table.slope[i, :, b]
+            (d0, p0), (d1, p1, coh) = table.base[:, i, b], table.slope[:, i, b]
             inv = 1.0 / (d0 + d1 * n[b])
             ree = (p0 + p1 * n[b]) * inv
-            coh2 = table.coh[i, b] * amp2[b] * inv * inv
-            (s0, s1), w = table.sv[i, :, b], table.weights[i, 2, b]
+            coh2 = coh * amp2[b] * inv * inv
+            (s0, s1), w = table.sv[:, i, b], table.weights[i, b]
             terms.append((s0 * inv, s1 * inv, (ree - coh2) * w,
                           ((1.0 - ree) - coh2) * w))
         want = [oracles.class_sum([t[j] for t in terms]) for j in range(4)]
         assert sums[:, b].tobytes() == np.array(want).tobytes()
+
+
+def test_spread_classes_tell_the_two_sum_orders_apart():
+    """The explicit examples above discriminate: numpy's own last-axis sum
+    of their per-class terms misses the class-order sum in some bit."""
+    for size in (8, 9, 12):
+        table = class_table([_spread_classes(size)], W0, 0.02)
+        n, amp2 = 3e9, 2.1e9
+        d = table.base[0, :, 0] + table.slope[0, :, 0] * n
+        inv = 1.0 / d
+        ree = (table.base[1, :, 0] + table.slope[1, :, 0] * n) * inv
+        coh2 = table.slope[2, :, 0] * amp2 * inv * inv
+        w = table.weights[:, 0]
+        terms = np.array([table.sv[0, :, 0] * inv, table.sv[1, :, 0] * inv,
+                          (ree - coh2) * w, ((1.0 - ree) - coh2) * w])
+        pairwise = terms.sum(axis=1)
+        ordered = [oracles.class_sum(row.tolist()) for row in terms]
+        assert pairwise.tobytes() != np.array(ordered).tobytes()
+
+
+_detuned = hst.one_of(hst.just(W0), hst.floats(-5e7, 5e7).map(
+    lambda d: W0 + d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=hst.data(), size=hst.integers(1, 12), rows=hst.integers(1, 4),
+       omega_tls=_detuned,
+       temperature=_temperature | hst.lists(
+           _temperature, min_size=1, max_size=5).map(np.array))
+def test_array_built_table_is_the_class_list_table(data, size, rows,
+                                                   omega_tls, temperature):
+    """ClassTable from the sampler's (C, B) arrays, as joint_tls_fit builds
+    it, holds bitwise the coefficients, t2max and rate sums of the table
+    class_table builds from the TlsClass lists of sample_classes, over
+    detuned classes, temperature arrays and 1 to 12 classes."""
+    if np.ndim(temperature):
+        rows = 1
+    draw = [data.draw(hst.tuples(hst.floats(1e3, 1e12), hst.floats(1.5, 6.0),
+                                 hst.floats(0.02, 3.0),
+                                 hst.floats(5e-8, 2e-6)))
+            for _ in range(rows)]
+    n_tot, beta, eps, t2 = (np.array(col) for col in zip(*draw))
+    window = dict(g_min=1e-3, g_max=1e3, n_classes=size)
+    arrays, refused = sample_class_arrays(n_tot, beta, eps,
+                                          omega_tls=omega_tls, t2_star=t2,
+                                          **window)
+    assert refused == [None] * rows
+    table = ClassTable(*arrays, omega_tls, W0, temperature)
+    lists = [sample_classes(DistributionParams(*row[:3], **window),
+                            omega_tls=omega_tls, t2_star=row[3])
+             for row in draw]
+    ref = class_table(lists, W0, temperature)
+    for name in ClassTable._COEFFS:
+        assert getattr(table, name).tobytes() == getattr(ref, name).tobytes()
+    assert table.t2max == ref.t2max
+    n = np.geomspace(1.0, 1e14, len(table.t2max))
+    assert (table.rate_sums(n, 0.5 * n).tobytes()
+            == ref.rate_sums(n, 0.5 * n).tobytes())
