@@ -69,16 +69,27 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
         a = v1/kt + 4|O'|^2/kt^2
         c = (4/kt) Re[i O' <a>] - 8|O'|^2/kt^2
         b = n_prev - a - c
-    Every operation is elementwise over the rows or a per-row sum over the
-    class axis, so a row's numbers do not depend on the other rows. With
-    twins the loop makes 2 m_pts - 1 passes, one per halved-grid point: the
-    twins advance on every pass, the B rows only on odd passes and are
-    recorded on even ones, so the odd pass repeats the even one bit for
-    bit. Each row's dt comes from its own grid's linspace. All state lives
-    in one work array, a row per quantity and a column per trajectory (a
-    lone one gets a discarded second column, see rate_kernel), laid out so
-    that a pass makes 32 numpy calls and allocates nothing. The step only
-    squares Re Omega': the loop keeps -Re Omega' and negates it once.
+    in the operation order kt = (kappa_minus + kappa0) - kappa_plus, q =
+    ((Im O')^2 + (Re O')^2) / (kt kt), a = v1 / kt + 4 q, c = (((Im O' <a>)
+    (-4)) / kt) + (-8) q, b = (n - a) - c, e = exp(kt (-dt/2)) and n(dt) =
+    (a + b (e e)) + c e. Every operation is elementwise over the rows or a
+    per-row sum over the class axis, so a row's numbers do not depend on
+    the other rows. With twins the loop makes 2 m_pts - 1 passes, one per
+    halved-grid point: the twins advance on every pass, the B rows only on
+    odd passes and are recorded on even ones, so the odd pass repeats the
+    even one bit for bit. Each row's dt comes from its own grid's linspace.
+
+    All state lives in one work array, a row per quantity and a column per
+    trajectory (a lone one gets a discarded second column, see
+    rate_kernel), laid out so that every operand of the step's numpy calls
+    is a C-contiguous block of the output's shape, one row or a 0-d
+    constant (numpy's flat fast path, about half the cost of a reversed,
+    stepped or broadcast operand): a pass makes 36 numpy calls and
+    allocates nothing. The loop runs unchecked, keeping the running minimum
+    of the rates, v1, kt and n after the step; a group whose minimum ends
+    negative or nan runs once more with the per-step clamp and stop, so its
+    failing rows get the checked result bit for bit. The step only squares
+    Re Omega': the loop keeps -Re Omega' and negates it once.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     rows = len(n0)
@@ -90,48 +101,52 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     passes = stride * (m_pts - 1) + 1
     times, fine_times = (np.linspace(0.0, t_final, m)
                          for m in (m_pts, passes))
-    # Rows: 0 kappa0, 1 the bare thermal feed kappa0 f(omega0, T), the class
-    # sums 2 Re S, 3 Im S (then Omega' squared: 2 Im, 3 Re), 4 kappa_plus,
-    # 5 kappa_minus; 6 kt, 7 n after the step, 8 n, 9 -Re O', 10 Im O' (4-10
-    # are recorded); 11 n and 14 |<a>|^2 (kernel state 8, 11, 14); 12 a, 13
-    # c, 15 b; 16 <a>; 17 -dt/2; 18 q = |O'|^2/kt^2; 19 e^{-kt dt/2}, 20 its
-    # square; 21 kt^2; 22 c e, 23 b e^2; 24 4q, 25 -8q.
-    work = np.zeros((26, cols))
-    (_, _, _, _, kp, km, kt, n_next, n, _, o_im, _, a_t, c_t, amp2, b_t,
-     ar, decay, q, eh, eh2, kt2, ce, be2) = work[:24]
-    work[0], work[1] = cavity.kappa0, cavity.kappa0 * core.bose_einstein(
-        cavity.omega0, cavity.temperature)
+    # Rows: 0 the bare thermal feed kappa0 f(omega0, T), 1 kappa0; the class
+    # sums 2 Re S, 3 Im S (then in place 2 Im O', 3 -Re O'), 4 kappa_plus,
+    # 5 kappa_minus; 6 v1, 7 kt, 8 n after the step (4-8 are checked); 9 n
+    # (2-9 are recorded), 10 n again and 11 |<a>|^2 (kernel state 9-11);
+    # 12 and 13 <a>; 14 (Im O')^2, 15 (Re O')^2; 16 a, 17 c, 18 b;
+    # 19 e^{-kt dt/2}, 20 its square; 21 c e, 22 b e^2; 23 q =
+    # |O'|^2/kt^2; 24 kt^2; 25 -dt/2; 26 4q, 27 -8q.
+    work = np.zeros((28, cols))
+    (_, _, o_im, _, kp, km, v1, kt, n_next, n, _, amp2, ar, _, sq_im, sq_re,
+     a_t, c_t, b_t, eh, eh2, ce, be2, q, kt2, decay, q4, q8) = work
+    work[0], work[1] = cavity.kappa0 * core.bose_einstein(
+        cavity.omega0, cavity.temperature), cavity.kappa0
     decay[:] = np.repeat([-0.5 * (g[1] - g[0]) for g in (times, fine_times)],
                          (rows, len(twins)))
-    sums, checked, record = work[2:6], work[4:8], work[4:11, :rows]
-    s_swap, omega, state, both_n = (work[3:1:-1], work[9:11], work[8:15:3],
-                                    work[8:12:3])
-    gains, feeds, kt_a_q = work[5:2:-1], work[0:3], work[6:19:6]
-    kt_pair, kt_decay, kt2_eh = (np.broadcast_to(kt, (2, cols)),
-                                 work[6:18:11], work[21:18:-2])
-    terms, cb, e_pair, prods, weighted_q = (
-        work[12:14], work[13:16:2], work[19:21], work[22:24], work[24:26])
-    both_n[...] = n0
+    sums, checked, record = work[2:6], work[4:9], work[2:10, :rows]
+    omega, state, both_n, amps = (work[2:4], work[9:12], work[9:11],
+                                  work[12:14])
+    rates, feeds, v1_kt, squares = (work[4:6], work[0:2], work[6:8],
+                                    work[14:16])
+    terms, weighted_q, cb, e_pair, prods = (
+        work[16:18], work[26:28], work[17:19], work[19:21], work[21:23])
     twin_n, twin_both, twin_next = n[rows:], both_n[:, rows:], n_next[rows:]
     history = np.empty((m_pts,) + record.shape)
     twin_history = np.empty((passes, len(twins)))
-    minus_four, term_weights = np.array(-4.0), np.array([[4.0], [-8.0]])
+    lowest = np.full(checked.shape, np.inf)
+    four, minus_four, minus_eight = (np.array(c) for c in (4.0, -4.0, -8.0))
     rate_sums = table.rate_kernel(state, sums)
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     errors, dead = [None] * cols, []
     inert = np.array(_INERT_SUMS)[:, None]
 
     def advance():
-        mul(omega, omega, out=s_swap)
-        add(gains, feeds, out=kt_a_q)
+        add(rates, feeds, out=v1_kt)
         sub(kt, kp, out=kt)
-        mul(kt_pair, kt_decay, out=kt2_eh)
+        mul(kt, kt, out=kt2)
+        mul(kt, decay, out=eh)
+        mul(omega, omega, out=squares)
+        add(sq_im, sq_re, out=q)
         div(q, kt2, out=q)
         # terms = (a, c): v1/kt + 4q and (4/kt) Re[i O' <a>] - 8q
         mul(o_im, ar, out=c_t)
         mul(c_t, minus_four, out=c_t)
-        div(terms, kt, out=terms)
-        mul(term_weights, q, out=weighted_q)
+        div(v1, kt, out=a_t)
+        div(c_t, kt, out=c_t)
+        mul(q, four, out=q4)
+        mul(q, minus_eight, out=q8)
         add(terms, weighted_q, out=terms)
         sub(n, a_t, out=b_t)
         sub(b_t, c_t, out=b_t)
@@ -153,23 +168,24 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
         dead.append(r)
         sums[:, r] = _INERT_SUMS
 
-    # a failing row may overflow or divide by zero before the per-row
-    # checks below stop it; they, not numpy warnings, report the failure
-    with np.errstate(all="ignore"):
+    def run(guarded):
+        both_n[...] = n0
         for k in range(passes):
-            np.sqrt(n, out=ar)
+            np.sqrt(both_n, out=amps)
             mul(ar, ar, out=amp2)
             rate_sums()
             if dead:
                 sums[:, dead] = inert
-            # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), Re negated
-            # after the loop
-            mul(ar, s_swap, out=omega)
+            # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), kept as
+            # (Im O', -Re O'); Re negated after the loop
+            mul(amps, omega, out=omega)
             keep(k)
             if k == passes - 1:
                 break
             advance()
-            if not np.minimum.reduce(checked, axis=None) >= 0.0:
+            if not guarded:
+                np.minimum(lowest, checked, out=lowest)
+            elif not np.minimum.reduce(checked, axis=None) >= 0.0:
                 # some row has a negative (or nan) rate, kt or n: redo the
                 # step with the per-row clamp, then stop the rows that fail
                 for r in range(cols):
@@ -201,13 +217,21 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
                 both_n[...] = n_next
             else:
                 twin_both[...] = twin_next
-    np.negative(history[:, 5], out=history[:, 5])
+
+    # a failing row may overflow or divide by zero before the per-row
+    # checks below stop it; they, not numpy warnings, report the failure
+    with np.errstate(all="ignore"):
+        run(False)
+        if not lowest.min() >= 0.0:
+            run(True)
+    # not in place: numpy 2.4 negates a 64-byte-strided view wrongly there
+    history[:, 1] = -history[:, 1]
 
     return [errors[r] or Trajectory(
-        times=times, n=history[:, 4, r].copy(),
-        kappa_plus=history[:, 0, r].copy(),
-        kappa_minus=history[:, 1, r].copy(),
-        omega_prime=np.ascontiguousarray(history[:, 5:7, r]).view(complex)[
+        times=times, n=history[:, 7, r].copy(),
+        kappa_plus=history[:, 2, r].copy(),
+        kappa_minus=history[:, 3, r].copy(),
+        omega_prime=np.ascontiguousarray(history[:, 1::-1, r]).view(complex)[
             :, 0]) for r in range(rows)] + [
         errors[rows + j] or twin_history[:, j].copy()
         for j in range(len(twins))]
@@ -297,6 +321,8 @@ def evolve_ringdown_batch(initials, class_lists, cavity, t_final,
     n0 = np.array([float(i) for i in initials])
     if len(n0) != len(class_lists):
         raise ValueError("need one class list per initial state")
+    if m_steps is not None and m_steps < 2:
+        raise ValueError("m_steps must be >= 2")
     results = [None] * len(n0)
     for size in dict.fromkeys(map(len, class_lists)):
         rows = [r for r, c in enumerate(class_lists) if len(c) == size]

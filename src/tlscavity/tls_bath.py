@@ -125,11 +125,15 @@ class ClassTable:
         column per row. A one-row table is repeated over W = 2 columns: on
         one column numpy would sum 8 or more classes pairwise. A call makes
         nine numpy calls over whole (C, W) blocks and allocates nothing.
+        The rate weights are stored twice, so that weighting both population
+        differences is one product of contiguous blocks of one shape.
         """
         cols, size = out.shape[1], len(self.weights)
-        base, slope, weights = (
-            a if a.shape[-1] == cols else np.repeat(a, cols, axis=-1)
-            for a in (self.base, self.slope, self.weights))
+        # base, slope and the weights twice, spread over the W columns
+        coeffs = np.empty((7, size, cols))
+        coeffs[:2], coeffs[2:5], coeffs[5:] = (self.base, self.slope,
+                                               self.weights)
+        base, slope, weights = coeffs[:2], coeffs[2:5], coeffs[5:]
         # lin: D, the rho_ee numerator N, |rho_ge|^2 D^2, the Omega' weights
         # and 1/D; terms: rho_gg, rho_ee, |rho_ge|^2 and the four summed
         # terms (S_re, S_im, kappa_plus, kappa_minus)

@@ -301,6 +301,81 @@ def pinned_limit_ode(n0, classes, kappa0, omega0, temperature, t_grid,
     return sol.y[0]
 
 
+def pinned_step_row(base, slope, sv, weights, n0, kappa0, feed, times,
+                    adjust=None):
+    """One row of the pinned lockstep pass, one float operation at a time:
+    the bitwise reference of the row's trajectory on the grid times.
+
+    base (2, C), slope (3, C), sv (2, C) and weights (C,) are the row's
+    columns of a ClassTable; feed is kappa0 f(omega0, T). adjust, if given,
+    maps (n, [Re S, Im S, kappa_plus, kappa_minus]) to the sums the step
+    uses instead. Each grid point k, from <a> = sqrt(n), |<a>|^2 = <a> <a>:
+        D = base0 + slope0 n, N = base1 + slope1 n, h = slope2 |<a>|^2,
+        r = 1 / D, rho_ee = N r, |rho_ge|^2 = (h r) r, rho_gg = 1 - rho_ee,
+        S = sv r, kappa_plus = (rho_ee - |rho_ge|^2) w,
+        kappa_minus = (rho_gg - |rho_ge|^2) w, each summed over the classes
+        in class order (class_sum);
+        Im O' = <a> Re S, -Re O' = <a> Im S;
+        kt = (kappa_minus + kappa0) - kappa_plus, v1 = kappa_plus + feed,
+        q = ((Im O')^2 + (-Re O')^2) / (kt kt),
+        a = v1 / kt + 4 q, c = (((Im O' <a>) (-4)) / kt) + (-8) q,
+        b = (n - a) - c, e = exp(kt (-dt/2)),
+        n(k+1) = (a + b (e e)) + c e.
+    A negative rate within 1e-3 of |kappa_plus| + |kappa_minus| is taken as
+    0 before the step, n(k+1) in (-1e-25, 0) as 0. A larger negative rate
+    or n(k+1), or kt <= 0, raises ValueError. Returns the arrays n,
+    kappa_plus, kappa_minus and omega_prime (complex) on times.
+    """
+    base, slope, sv = (np.asarray(x, dtype=float).tolist()
+                       for x in (base, slope, sv))
+    weights = np.asarray(weights, dtype=float).tolist()
+    classes = range(len(weights))
+    decay = -0.5 * float(times[1] - times[0])
+    n = float(n0)
+    out = []
+    for k in range(len(times)):
+        amp = math.sqrt(n)
+        amp2 = amp * amp
+        terms = [[], [], [], []]
+        for i in classes:
+            r = 1.0 / (base[0][i] + slope[0][i] * n)
+            ree = (base[1][i] + slope[1][i] * n) * r
+            coh2 = ((slope[2][i] * amp2) * r) * r
+            terms[0].append(sv[0][i] * r)
+            terms[1].append(sv[1][i] * r)
+            terms[2].append((ree - coh2) * weights[i])
+            terms[3].append(((1.0 - ree) - coh2) * weights[i])
+        sums = [class_sum(t) for t in terms]
+        if adjust is not None:
+            sums = adjust(n, sums)
+        s_re, s_im, kp, km = sums
+        o_im, o_re_neg = amp * s_re, amp * s_im
+        if kp < 0.0 or km < 0.0:
+            scale = abs(kp) + abs(km) + 1e-30
+            if min(kp, km) < -1e-3 * scale:
+                raise ValueError("rate negative beyond tolerance")
+            kp, km = max(kp, 0.0), max(km, 0.0)
+        out.append((n, kp, km, complex(-o_re_neg, o_im)))
+        if k == len(times) - 1:
+            break
+        kt = (km + kappa0) - kp
+        if not kt > 0.0:
+            raise ValueError("net gain: kappa_tilde = %g" % kt)
+        q = (o_im * o_im + o_re_neg * o_re_neg) / (kt * kt)
+        a = (kp + feed) / kt + 4.0 * q
+        c = (((o_im * amp) * -4.0) / kt) + -8.0 * q
+        b = (n - a) - c
+        e = float(np.exp(kt * decay))
+        n = (a + b * (e * e)) + c * e
+        if n < 0.0:
+            if n <= -1e-25:
+                raise ValueError("photon number went negative: %g" % n)
+            n = 0.0
+    n, kp, km, op = zip(*out)
+    return (np.array(n), np.array(kp), np.array(km),
+            np.array(op, dtype=complex))
+
+
 def lindblad_step(g, T1, T_phi, kappa0, alpha, dt, dim=22, rho_tls=None,
                   rtol=1e-9):
     """Exact one-TLS Fock-space master equation over one step at T = 0.

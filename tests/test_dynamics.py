@@ -9,6 +9,7 @@ import oracles
 from tlscavity import (CavityParams, SaturationError, StepConvergenceError,
                        StepWindowError, TlsClass, bath_rates, evolve_ringdown,
                        evolve_ringdown_batch, kappa_of_time, trajectory_kappa)
+from tlscavity.core import bose_einstein
 from tlscavity.dynamics import (Trajectory, _evolve, _raise_first,
                                 _verified_evolve)
 from tlscavity.tls_bath import class_table
@@ -381,3 +382,109 @@ def test_fused_verify_matches_two_call_reference(cfg, m):
                                   2 * m - 1)[0], Trajectory)
         assert isinstance(_evolve(stub.take([4]), cavity, n0[[4]], t_final,
                                   m)[0], Trajectory)
+
+
+# --- the lockstep pass against its bitwise per-row reference ----------------
+
+def _classes(size, scale=1.0):
+    return [TlsClass.from_t2_star(0.37 * 3.1 ** k * scale, 7.3e8 / 2.3 ** k,
+                                  W0 + 1.3e5 * k * (-1) ** k,
+                                  1.1e-7 * 1.3 ** k)
+            for k in range(size)]
+
+
+def _reference_row(table, r, n0, cavity, times, adjust=None):
+    feed = cavity.kappa0 * bose_einstein(cavity.omega0, cavity.temperature)
+    return oracles.pinned_step_row(
+        table.base[..., r], table.slope[..., r], table.sv[..., r],
+        table.weights[..., r], n0, cavity.kappa0, feed, times, adjust)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def _matches_reference(traj, ref):
+    return all(_bitwise(got, want) for got, want in zip(
+        (traj.n, traj.kappa_plus, traj.kappa_minus, traj.omega_prime), ref))
+
+
+@pytest.mark.parametrize("size", [7, 9])
+def test_lone_row_pass_matches_reference(size):
+    """A lone row, stepped beside its discarded padding column, is bitwise
+    the per-row reference of the pass."""
+    table = class_table([_classes(size)], _BATCH_CAV.omega0,
+                        _BATCH_CAV.temperature)
+    traj, = _evolve(table, _BATCH_CAV, [1e12], 0.004, 40)
+    ref = _reference_row(table, 0, 1e12, _BATCH_CAV, traj.times)
+    assert _matches_reference(traj, ref)
+
+
+@pytest.mark.parametrize("size", [7, 9])
+def test_batch_with_twins_matches_reference(size):
+    """Each row of a 3-row batch, and each verify twin at half the step, is
+    bitwise the per-row reference on its own grid."""
+    lists = [_classes(size), _classes(size)[::-1], _classes(size, 0.2)]
+    table = class_table(lists, _BATCH_CAV.omega0, _BATCH_CAV.temperature)
+    n0 = [1e12, 3e10, 5e13]
+    got = _evolve(table, _BATCH_CAV, n0, 0.004, 40, twins=[0, 2])
+    fine = np.linspace(0.0, 0.004, 79)
+    for r in range(3):
+        assert _matches_reference(got[r], _reference_row(
+            table, r, n0[r], _BATCH_CAV, got[r].times))
+    for twin, r in zip(got[3:], (0, 2)):
+        assert _bitwise(twin, _reference_row(table, r, n0[r], _BATCH_CAV,
+                                             fine)[0])
+
+
+class _ClampAt(_FailAt):
+    """The rates of a ClassTable, but kappa_plus = -1e-6 (kappa_plus +
+    kappa_minus), which the clamp rounds to 0, for a row whose photon number
+    equals its target bit for bit."""
+
+    def rate_kernel(self, state, out):
+        sums = self.table.rate_kernel(state, out)
+        n = state[0]
+        hits = [(c, t) for c, t in enumerate(self.targets) if t is not None]
+
+        def kernel():
+            sums()
+            for c, target in hits:
+                if n[c] == target:
+                    out[2, c] = -1e-6 * (out[2, c] + out[3, c])
+            return out
+        return kernel
+
+
+def test_clamped_rate_inside_the_loop(trace_classes, cavity):
+    table = class_table([trace_classes] * 3, cavity.omega0,
+                        cavity.temperature)
+    n0, j = np.array([1e12, 3e11, 5e13]), 7
+    plain = _evolve(table, cavity, n0, 0.01, 80)
+    target = plain[1].n[j]
+    got = _evolve(_ClampAt(table, [None, target, None], cavity.kappa0),
+                  cavity, n0, 0.01, 80)
+    assert isinstance(got[1], Trajectory)
+    assert got[1].kappa_plus[j] == 0.0 and plain[1].kappa_plus[j] > 0.0
+    # the redone pass is recorded again: the record holds n, not n(k+1)
+    assert got[1].n[j] == target
+    assert _bitwise(got[1].n[:j + 1], plain[1].n[:j + 1])
+    assert not np.array_equal(got[1].n[j + 1:], plain[1].n[j + 1:])
+
+    def adjust(n, sums):
+        if n == target:
+            sums[2] = -1e-6 * (sums[2] + sums[3])
+        return sums
+    assert _matches_reference(got[1], _reference_row(
+        table, 1, n0[1], cavity, got[1].times, adjust))
+    for r in (0, 2):
+        assert _same_trajectory(got[r], evolve_ringdown(
+            n0[r], trace_classes, cavity, 0.01, 80, verify=False))
+
+
+def test_empty_batch_refuses_too_few_steps(cavity):
+    with pytest.raises(ValueError, match="m_steps must be >= 2"):
+        evolve_ringdown_batch([], [], cavity, 0.01, 1)
+    assert evolve_ringdown_batch([], [], cavity, 0.01, 2) == []
