@@ -5,12 +5,13 @@ are fixed, nothing depends on the wall clock, and reruns produce
 byte-identical CSV output. The seed feeds synthetic-noise generation only.
 
 Exit codes: 0 success, 2 config error (also a failed halving check or a
-saturated bath, both set by the config's step count and model parameters),
-3 data error, 4 fit failure (a start outside a fit's bounds included) or
-non-convergence.
+saturated bath, both set by the config's step count and model parameters,
+and an --out that cannot be created or written), 3 data error, 4 fit
+failure (a start outside a fit's bounds included) or non-convergence.
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -113,30 +114,35 @@ def _trace_ntots(cfg, n_traces):
     return [cfg.ringdown.n_tot] * n_traces
 
 
+def _write_trace(out, names, traj, n_vals, time_cells):
+    """Write one trace's model CSV and its noisy trace CSV."""
+    model, trace = (os.path.join(out, name) for name in names)
+    dynamics.write_trajectory_csv(traj, model, time_cells)
+    write_csv(trace, "time_s,n", [time_cells, cells(n_vals)])
+
+
 def cmd_simulate_ringdown(args, cfg, out):
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     powers = cfg.ringdown.initial_photons
     ntots = _trace_ntots(cfg, len(powers))
-    outputs = []
     trajs = dynamics.evolve_ringdown_batch(
         powers, [cfg.trace_classes(n_tot=n_tot) for n_tot in ntots],
         cfg.cavity, cfg.ringdown.t_final, cfg.ringdown.m_steps)
     # one t_final and m_steps: every row has the same time grid
     time_cells = cells(trajs[0].times)
+    outputs, writers = [], []
     for idx, traj in enumerate(trajs, start=1):
-        name = "ringdown_%02d.csv" % idx
-        dynamics.write_trajectory_csv(traj, os.path.join(out, name),
-                                      time_cells)
-        outputs.append(name)
+        # the noise is drawn in trace order before any file is written
         n_vals = np.array(traj.n, dtype=float)
         if rng is not None and cfg.noise_level > 0:
             noise = 1.0 + cfg.noise_level * rng.standard_normal(
                 len(n_vals) - 1)
             n_vals[1:] *= np.maximum(noise, 1e-6)
-        name = "trace_%02d.csv" % idx
-        write_csv(os.path.join(out, name), "time_s,n",
-                  [time_cells, cells(n_vals)])
-        outputs.append(name)
+        names = ("ringdown_%02d.csv" % idx, "trace_%02d.csv" % idx)
+        outputs.extend(names)
+        writers.append(functools.partial(_write_trace, out, names, traj,
+                                         n_vals, time_cells))
+    datafiles.write_files(writers)
     if args.gnuplot:
         lines = ["set logscale y", "plot \\"]
         for idx in range(1, len(powers) + 1):
@@ -423,6 +429,13 @@ def main(argv=None):
                 print("convergence log: %s" % json_text(exc.convergence_log),
                       file=sys.stderr)
             return 4
+        except OSError as exc:
+            # inputs are opened as DataError and the config as ConfigError:
+            # what is left is creating the out dir or writing an output
+            print("tlscavity: cannot write %s: %s"
+                  % (exc.filename or args.out or ".", exc.strerror or exc),
+                  file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

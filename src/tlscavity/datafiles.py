@@ -1,4 +1,5 @@
-"""CSV readers for the measured-data inputs, and the one CSV and JSON writers.
+"""CSV readers for the measured-data inputs, the one CSV and JSON writers,
+and the runner that writes a command's files on every usable CPU.
 
 All parse failures raise DataError with the offending line number.
 """
@@ -6,6 +7,8 @@ All parse failures raise DataError with the offending line number.
 import csv
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 
@@ -104,6 +107,81 @@ def write_csv(path, header, columns):
     with open(path, "w", newline="") as handle:
         handle.write(header + "\n")
         handle.writelines(",".join(row) + "\n" for row in zip(*columns))
+
+
+# Python >= 3.12 gives this DeprecationWarning from os.fork in a process
+# that has other threads.
+_FORK_WARNING = r"This process .* is multi-threaded, use of fork\(\)"
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on; 1 where os.fork or
+    os.sched_getaffinity is missing, so that write_files runs serially."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def write_files(writers):
+    """Call each writer once: zero-argument callables that each format and
+    write their file(s) through write_csv, files no other writer touches.
+
+    With k >= 2 workers, k = min(usable_cpus(), len(writers)), the parent
+    forks k - 1 children. Child i calls writers i, i + k, ... and ends with
+    os._exit; the parent calls writers 0, k, 2k, ... and reaps every child
+    before it returns or raises. The parent calls again itself the writers
+    of a child that exited nonzero (or of one it could not fork), so a
+    failure raises here the exception, and message, of the serial run.
+    Each file is written whole by one process, so its bytes do not depend
+    on the CPU count.
+
+    A child only formats and writes: it calls no BLAS, so OpenBLAS's
+    thread pool in the parent cannot deadlock it. On Python >= 3.12
+    os.fork warns (DeprecationWarning) in a process with threads; that one
+    warning is ignored around the fork calls, and the warning filters are
+    restored after them.
+    """
+    workers = min(usable_cpus(), len(writers))
+    if workers < 2:
+        _call_each(writers)
+        return
+    children, rerun = [], []
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING,
+                                    DeprecationWarning)
+            for i in range(1, workers):
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: the parent writes
+                    rerun.append(i)
+                    continue
+                if pid == 0:
+                    code = 1
+                    try:
+                        _call_each(writers[i::workers])
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children.append((pid, i))
+        _call_each(writers[::workers])
+    finally:
+        rerun += [i for pid, i in children if not _exited_ok(pid)]
+    for i in sorted(rerun):
+        _call_each(writers[i::workers])
+
+
+def _call_each(writers):
+    for writer in writers:
+        writer()
+
+
+def _exited_ok(pid):
+    """Reap child pid; True when it exited with status 0."""
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:  # reaped elsewhere: its status is lost
+        return False
 
 
 def json_text(payload, **kwargs):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tlscavity
-from tlscavity import fitting
+from tlscavity import datafiles, fitting
 from tlscavity.cli import main
 from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
@@ -621,3 +621,59 @@ def test_fit_start_outside_bounds_exits_4(tmp_path, capsys, command, setting,
     assert run(["fit", command, "--config", cfgfile, "--out",
                 tmp_path / "fit"] + data) == 4
     assert capsys.readouterr().err == "tlscavity: fit error: %s\n" % message
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _tree(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
+
+
+def test_simulate_ringdown_split_matches_serial(tmp_path, monkeypatch):
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text(TINY_RINGDOWN)
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+        out = tmp_path / ("cpus%d" % cpus)
+        assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
+                    out, "--seed", "3"]) == 0
+        assert_no_child_left()
+        trees.append(_tree(out))
+    serial, split = trees
+    assert split == serial
+    assert sorted(serial) == ["manifest.json", "ringdown_01.csv",
+                              "ringdown_02.csv", "trace_01.csv",
+                              "trace_02.csv"]
+
+
+def test_simulate_ringdown_failed_write_split_as_serial(tmp_path, capsys,
+                                                        monkeypatch):
+    # trace 2's files are the child's share when the writes are split
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text(TINY_RINGDOWN)
+    errs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+        out = tmp_path / "run"
+        (out / "ringdown_02.csv").mkdir(parents=True, exist_ok=True)
+        assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
+                    out, "--seed", "3"]) == 2
+        assert_no_child_left()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "tlscavity: cannot write %s: Is a " \
+        "directory\n" % (out / "ringdown_02.csv")
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_exit_code_out_not_a_directory(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / under if under else blocker
+    assert run(["simulate", "ringup", "--out", out, "--seed", "5"]) == 2
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr().err == "tlscavity: cannot write %s: %s\n" % (
+        out, reason)

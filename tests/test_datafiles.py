@@ -1,4 +1,7 @@
+import functools
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from tlscavity import DataError
+from tlscavity import DataError, datafiles
 from tlscavity.datafiles import (cells, read_csv_columns, read_ringdown_csv,
-                                 read_sweep_csv, read_trace_csv, write_csv)
+                                 read_sweep_csv, read_trace_csv, write_csv,
+                                 write_files)
 
 
 def test_read_csv_columns(tmp_path):
@@ -128,3 +132,103 @@ def test_write_csv_matches_per_cell_repr(tmp_path, table):
     path = tmp_path / "t.csv"
     write_csv(path, header, map(cells, columns))
     assert path.read_bytes() == oracles.csv_text(header, rows).encode()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _write_column(path, values):
+    write_csv(path, "x", [cells(values)])
+
+
+def _column_writers(out, count):
+    return [functools.partial(_write_column, out / ("c%02d.csv" % k),
+                              np.arange(k, k + 50) / 7.0)
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_write_files_split_matches_serial(tmp_path, monkeypatch, cpus):
+    serial, split = tmp_path / "serial", tmp_path / "split"
+    serial.mkdir()
+    split.mkdir()
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 1)
+    write_files(_column_writers(serial, 5))
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    write_files(_column_writers(split, 5))
+    assert_no_child_left()
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(split)) and len(names) == 5
+    for name in names:
+        assert (serial / name).read_bytes() == (split / name).read_bytes()
+
+
+def test_write_files_reruns_a_failed_child_share(tmp_path, monkeypatch):
+    # writer 1 fails in any process but this one: its child exits nonzero
+    # and the parent writes that share itself
+    parent = os.getpid()
+
+    def only_here(path):
+        if os.getpid() != parent:
+            raise OSError("not in the parent")
+        path.write_text("written\n")
+
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 2)
+    write_files([functools.partial(only_here, tmp_path / ("f%d" % k))
+                 for k in range(4)])
+    assert_no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["f0", "f1", "f2", "f3"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad", [0, 3])
+def test_write_files_raises_the_serial_error(tmp_path, monkeypatch, cpus,
+                                             bad):
+    # writer 0 is the parent's share, writer 3 a child's
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    (tmp_path / ("c%02d.csv" % bad)).mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_files(_column_writers(tmp_path, 5))
+    assert_no_child_left()
+    assert info.value.filename == str(tmp_path / ("c%02d.csv" % bad))
+
+
+def test_write_files_ignores_only_the_fork_thread_warning(tmp_path,
+                                                          monkeypatch):
+    # Python >= 3.12 warns from os.fork, in the parent, when the process
+    # has other threads
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process (pid=%d) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child."
+                          % os.getpid(), DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters = list(warnings.filters)
+        write_files(_column_writers(tmp_path, 2))
+        assert warnings.filters == filters
+        with pytest.raises(DeprecationWarning):
+            warnings.warn("This process (pid=1) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.",
+                          DeprecationWarning)
+    assert_no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["c00.csv", "c01.csv"]
+
+
+def test_write_files_writes_an_unforked_share_itself(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
+    write_files(_column_writers(tmp_path, 5))
+    assert sorted(os.listdir(tmp_path)) == ["c%02d.csv" % k for k in range(5)]
