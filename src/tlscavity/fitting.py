@@ -6,13 +6,19 @@ linear or logarithmic internal coordinates, and scipy's Nelder-Mead as the
 fallback when the normal equations degenerate. Steps are accepted only on a
 chi^2 decrease, so the returned point is never worse than the start. NaN
 residuals reject the step and raise the damping; a rejected step whose
-predicted gain is below chi^2's rounding ends the fit.
+predicted gain is below chi^2's rounding ends the fit. Once the Gauss-Newton
+optimum lies within 0.01 sigma of the current point (predicted gain g^T H^-1 g
+at most _GAIN_STOP chi^2/dof, with H positive definite to _GAIN_MIN_PIVOT),
+the iteration's first trial is the undamped step, once per fit; if accepted,
+it ends the fit, and if rejected, the damped trials follow as before. Each
+result names the rule that ended it in stop_reason.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from . import datafiles, dynamics, mattis_bardeen, tls_bath
@@ -23,7 +29,15 @@ from .errors import (FitError, FitStartError, SaturationError,
 _DAMPING_MIN = 1e-8
 _DAMPING_MAX = 1e8
 _MAX_ITER = 200
+# closing-trial threshold on the predicted gain, in units of chi^2/dof: the
+# Gauss-Newton optimum lies within sqrt(_GAIN_STOP) sigma
+_GAIN_STOP = 1e-4
 _JAC_REL_STEP = 1e-6
+# smallest squared Cholesky pivot of the unit-diagonal normal matrix that
+# counts as positive definite: a Jacobian column must stick out of the
+# others' span by 1e-3 of its length, far above the 1e-6 resolution of a
+# forward difference at _JAC_REL_STEP
+_GAIN_MIN_PIVOT = 1e-6
 _JAC_ABS_FLOOR = 1e-12
 _SIMPLEX_MAX_EVALS = 4000
 # Model failures at a trial point: the point is rejected (NaN residuals),
@@ -101,6 +115,16 @@ class FitProblem:
 class FitResult:
     """Optimum, 1 sigma from the local covariance, and the iteration log.
 
+    stop_reason : the rule that ended the fit, one of "gain" (the undamped
+        closing trial was accepted), "step" (an accepted step below 1e-9
+        relative), "flat" (three accepted steps each gaining under 1e-6 of
+        chi^2), "noise_floor" (a rejected trial predicted to gain less than
+        chi^2's rounding), "stall" (two iterations with every trial
+        rejected), "simplex" (the Nelder-Mead fallback ran) or "max_iter";
+        temperature_fit gives its two stages' reasons as "<stage 1>,<stage
+        2>".
+    convergence_log : one entry per iteration; "rejected" counts the trial
+        points rejected in it, before the accepted one if any.
     curves : one (x, data, model) per data block, the model at the optimum
         on the data's own x; set by the model fits (joint_tls_fit,
         temperature_fit, reflection.fit_ringup), empty from minimize. Not
@@ -115,6 +139,7 @@ class FitResult:
     convergence_log: list
     converged: bool
     method: str = "lm"
+    stop_reason: str = ""
     curves: tuple = ()
 
     def __post_init__(self):
@@ -138,6 +163,7 @@ class FitResult:
             "n_points": int(self.n_points),
             "converged": bool(self.converged),
             "method": self.method,
+            "stop_reason": self.stop_reason,
             "convergence_log": self.convergence_log,
         }, indent=2)
 
@@ -286,22 +312,32 @@ def minimize(problem):
     log = []
     converged = False
     method = "lm"
+    stop_reason = "max_iter"
     stall = flat = 0
+    gain_tried = False
 
     for it in range(_MAX_ITER):
         if jac is None:
             jac = jacobian(u, f)
         degenerate = not np.all(np.isfinite(jac))
-        accepted = False
+        accepted = closing = False
+        rejected = 0
         if not degenerate:
             grad = jac.T @ f
             hess = jac.T @ jac
             diag = np.diag(hess).copy()
             floor = 1e-30 * max(float(np.max(diag)), 1e-300)
             diag[diag < floor] = floor
+            if not gain_tried:
+                # the Gauss-Newton optimum within 0.01 sigma: one undamped
+                # closing trial, once per fit
+                gain = _predicted_gain(hess, grad, diag)
+                closing = gain_tried = (gain is not None and
+                                        gain <= _GAIN_STOP * chi2 / dof)
         while not degenerate:
             try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(
+                    hess + (0.0 if closing else lam) * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
                 degenerate = True
                 break
@@ -310,50 +346,63 @@ def minimize(problem):
                 break
             u_try = np.clip(u + step, lower, upper)
             f_try, jac_try = evaluate(u_try)
-            if np.all(np.isfinite(f_try)):
-                chi2_try = float(f_try @ f_try)
-                if chi2_try <= chi2:
-                    rel_gain = (chi2 - chi2_try) / max(chi2, 1e-300)
-                    step_size = float(np.max(np.abs(u_try - u) /
-                                             (np.abs(u) + 1.0)))
-                    u, f, chi2, jac = u_try, f_try, chi2_try, jac_try
-                    lam = max(lam / 10.0, _DAMPING_MIN)
-                    accepted = True
-                    log.append({"iteration": it, "chi2": chi2,
-                                "damping": lam, "step": step_size,
-                                "accepted": True})
-                    # parameters frozen at double resolution: done no
-                    # matter what the (noise-floor) chi2 gains look like
-                    if step_size < 1e-9:
-                        converged = True
-                    # sustained statistically insignificant gains: the
-                    # remaining motion is along a flat chi2 plateau
-                    flat = flat + 1 if rel_gain < 1e-6 else 0
-                    if flat >= 3:
-                        converged = True
-                    break
-                # a predicted gain below chi2's rounding (n_pts ulps) cannot
-                # be resolved, and more damping only shrinks it: optimum
-                if -step @ (hess @ step + 2 * grad) <= 2.2e-16 * n_pts * chi2:
-                    converged = True
-                    break
+            finite = np.all(np.isfinite(f_try))
+            chi2_try = float(f_try @ f_try) if finite else math.nan
+            if chi2_try <= chi2:
+                rel_gain = (chi2 - chi2_try) / max(chi2, 1e-300)
+                step_size = float(np.max(np.abs(u_try - u) /
+                                         (np.abs(u) + 1.0)))
+                u, f, chi2, jac = u_try, f_try, chi2_try, jac_try
+                lam = max(lam / 10.0, _DAMPING_MIN)
+                accepted = True
+                log.append({"iteration": it, "chi2": chi2, "damping": lam,
+                            "step": step_size, "accepted": True,
+                            "rejected": rejected})
+                flat = flat + 1 if rel_gain < 1e-6 else 0
+                if closing:
+                    stop_reason = "gain"
+                # parameters frozen at double resolution: done no matter
+                # what the (noise-floor) chi2 gains look like
+                elif step_size < 1e-9:
+                    stop_reason = "step"
+                # sustained statistically insignificant gains: the remaining
+                # motion is along a flat chi2 plateau
+                elif flat >= 3:
+                    stop_reason = "flat"
+                converged = stop_reason != "max_iter"
+                break
+            rejected += 1
+            # a predicted gain below chi2's rounding (n_pts ulps) cannot be
+            # resolved, and more damping only shrinks it: optimum
+            if finite and (-step @ (hess @ step + 2 * grad)
+                           <= 2.2e-16 * n_pts * chi2):
+                converged = True
+                stop_reason = "noise_floor"
+                break
+            if closing:
+                # a rejected closing trial: on with the damping the fit had
+                closing = False
+                continue
             if lam >= _DAMPING_MAX:
                 break
             lam = min(lam * 10.0, _DAMPING_MAX)
         if degenerate:
             method = "lm+simplex"
+            stop_reason = "simplex"
             u, converged = simplex(u, chi2)
             f, jac = evaluate(u)
             chi2 = float(f @ f)
             log.append({"iteration": it, "chi2": chi2, "damping": lam,
-                        "accepted": True, "note": "simplex fallback"})
+                        "accepted": True, "rejected": rejected,
+                        "note": "simplex fallback"})
             break
         if not accepted:
             log.append({"iteration": it, "chi2": chi2, "damping": lam,
-                        "accepted": False})
+                        "accepted": False, "rejected": rejected})
             stall += 1
-            if stall >= 2:
+            if stall >= 2 and not converged:
                 converged = True
+                stop_reason = "stall"
                 break
         else:
             stall = 0
@@ -379,7 +428,26 @@ def minimize(problem):
         sig_full[i] = sig_u[k] * scale
     return FitResult(names=tuple(p.name for p in params), values=values,
                      sigma=sig_full, chi2_reduced=chi2_red, n_points=n_pts,
-                     convergence_log=log, converged=converged, method=method)
+                     convergence_log=log, converged=converged, method=method,
+                     stop_reason=stop_reason)
+
+
+def _predicted_gain(hess, grad, diag):
+    """Gauss-Newton predicted chi^2 gain g^T H^-1 g from a Cholesky factor
+    of H scaled by diag to a unit diagonal; None where that matrix is not
+    positive definite to _GAIN_MIN_PIVOT."""
+    if not np.all(diag > 0):
+        return None  # an all-zero Jacobian
+    scale = 1.0 / np.sqrt(diag)
+    try:
+        chol = np.linalg.cholesky(hess * np.outer(scale, scale))
+    except np.linalg.LinAlgError:
+        return None
+    if np.min(np.diag(chol)) ** 2 < _GAIN_MIN_PIVOT:
+        return None
+    half = scipy.linalg.solve_triangular(chol, scale * grad, lower=True)
+    gain = float(half @ half)
+    return gain if math.isfinite(gain) else None
 
 
 def _as_fit_parameter(name, given, default_bounds, scale):
@@ -551,9 +619,9 @@ def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
 
     Stage 1 fits the frequency shift, which is independent of sigma_n; stage
     2 freezes the gap and fits the quasiparticle and TLS-time parameters to
-    the Q sweep. Returns one combined FitResult (chi2 of stage 2) whose
-    curves are the shift and Q_int sweeps with the models at the fitted
-    values, sigma_n included.
+    the Q sweep. Returns one combined FitResult (chi2 of stage 2, both
+    stages' stop reasons) whose curves are the shift and Q_int sweeps with
+    the models at the fitted values, sigma_n included.
     """
     omega0 = cavity.omega0
     t_f, shift_data, sig_f = (np.asarray(a, dtype=float) for a in freq_sweep)
@@ -601,6 +669,7 @@ def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
                      n_points=len(t_f) + len(t_q), convergence_log=log,
                      converged=stage1.converged and stage2.converged,
                      method="two-stage",
+                     stop_reason=stage1.stop_reason + "," + stage2.stop_reason,
                      curves=((t_f, shift_data,
                               mattis_bardeen.freq_shift(t_f, best, omega0)),
                              (t_q, q_data, q_int(best, t1, t_phi))))

@@ -65,6 +65,9 @@ def test_linear_model_exact_covariance():
                                                      rel=1e-4)
     assert res.converged
     assert 0.5 < res.chi2_reduced < 1.5
+    # the undamped closing trial lands on the linear optimum
+    assert res.stop_reason == "gain"
+    assert json.loads(res.to_json())["stop_reason"] == "gain"
 
 
 def test_log_scale_recovery_and_sigma_mapping():
@@ -136,6 +139,88 @@ def test_domain_error_mid_search_is_rejected_step():
         data_weights=np.full_like(x, 0.1)))
     assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-6)
     assert res.converged
+
+
+def test_rejected_trials_are_counted_in_the_log(monkeypatch):
+    """Each log entry counts the trials its iteration rejected, those before
+    an accepted one included; with the accepted entries they account for
+    every trial point."""
+    x = np.linspace(0.0, 2.0, 30)
+    y = np.exp(-3.0 * x)
+    calls = [0]
+    jacobians = [0]
+
+    def residual(v):
+        calls[0] += 1
+        return np.exp(-v[0] * x) - y
+
+    def counted_jacobian(*args, **kwargs):
+        jacobians[0] += 1
+        return numerical_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "numerical_jacobian", counted_jacobian)
+    # far from the rate 3: the first undamped-ish steps overshoot
+    res = minimize(FitProblem(
+        residual_fn=residual,
+        params=[FitParameter("k", 10.0, 0.0, 100.0, "linear")],
+        data_weights=np.full_like(x, 0.01)))
+    log = res.convergence_log
+    assert res.converged
+    assert res.values_dict["k"] == pytest.approx(3.0, rel=1e-9)
+    assert log[0]["accepted"] and log[0]["rejected"] >= 1
+    # the start, the trial points, one point per Jacobian
+    trials = calls[0] - 1 - jacobians[0]
+    assert trials == sum(e["accepted"] + e["rejected"] for e in log)
+    assert json.loads(res.to_json())["convergence_log"][0]["rejected"] == \
+        log[0]["rejected"]
+
+
+def test_stop_reason_names_the_rule(monkeypatch):
+    """stop_reason for the simplex fallback and the iteration cap; the other
+    reasons are checked beside the tests of their rules."""
+    with np.errstate(invalid="ignore"):
+        res = minimize(_wall_problem())
+    assert res.stop_reason == "simplex"
+    assert json.loads(res.to_json())["stop_reason"] == "simplex"
+    monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+    x = np.linspace(0.0, 2.0, 30)
+    res = minimize(FitProblem(
+        residual_fn=lambda v: np.exp(-v[0] * x) - np.exp(-3.0 * x),
+        params=[FitParameter("k", 10.0, 0.0, 100.0, "linear")],
+        data_weights=np.full_like(x, 0.01)))
+    assert not res.converged
+    assert res.stop_reason == "max_iter"
+
+
+def _identical_columns_problem():
+    """Two parameters that enter only as their sum, from the same start:
+    the Jacobian's two columns are bit for bit the same."""
+    x = np.linspace(0.0, 1.0, 30)
+    y = 2.0 * x + 0.5 + 0.05 * np.random.default_rng(3).standard_normal(30)
+    return FitProblem(
+        residual_fn=lambda v: (v[0] + v[1]) * x + 0.5 - y,
+        params=[FitParameter("a", 1.0, -10.0, 10.0, "linear"),
+                FitParameter("b", 1.0, -10.0, 10.0, "linear")],
+        data_weights=np.full_like(x, 0.05))
+
+
+def test_identical_jacobian_columns_never_stop_on_gain():
+    """A singular normal matrix predicts no gain: no closing trial, whose
+    undamped step would be singular, and the fit ends on the old rules."""
+    problem = _identical_columns_problem()
+    u = np.array([1.0, 1.0])
+    jac = numerical_jacobian(
+        lambda v: problem.residual_fn(v) / problem.data_weights, u)
+    assert np.array_equal(jac[:, 0], jac[:, 1])
+    hess = jac.T @ jac
+    assert fitting._predicted_gain(hess, jac.T @ jac[:, 0],
+                                   np.diag(hess).copy()) is None
+    res = minimize(problem)
+    assert res.converged
+    assert res.method == "lm"
+    assert res.stop_reason in ("step", "flat", "noise_floor", "stall")
+    assert res.values_dict["a"] + res.values_dict["b"] == pytest.approx(
+        2.0, abs=0.1)
 
 
 def _assert_same_fit(a, b):
@@ -295,10 +380,11 @@ def _wall_problem(slope=1.0):
         data_weights=np.full_like(x, 0.1))
 
 
-def test_noise_floor_rejection_ends_the_fit():
+def test_noise_floor_rejection_ends_the_fit(monkeypatch):
     """At the optimum, evaluation noise alone rejects a trial whose predicted
     gain is below chi2's rounding: the fit stops there, converged, instead
-    of raising the damping through more such trials."""
+    of raising the damping through more such trials. The closing trial,
+    which ends this fit first, is switched off to reach that rule."""
     x = np.linspace(0.0, 1.0, 40)
     y = 1.7 * x + 0.3 + 0.01 * np.sin(17.0 * x)
 
@@ -309,17 +395,28 @@ def test_noise_floor_rejection_ends_the_fit():
                          - 0.5)
         return v[0] * x + v[1] - y + noise
 
-    res = minimize(FitProblem(
-        residual_fn=residual,
-        params=[FitParameter("a", 1.0, 0.0, 5.0, "linear"),
-                FitParameter("b", 0.0, -5.0, 5.0, "linear")],
-        data_weights=np.full_like(x, 0.01)))
+    def fit():
+        return minimize(FitProblem(
+            residual_fn=residual,
+            params=[FitParameter("a", 1.0, 0.0, 5.0, "linear"),
+                    FitParameter("b", 0.0, -5.0, 5.0, "linear")],
+            data_weights=np.full_like(x, 0.01)))
+
+    default = fit()
+    monkeypatch.setattr(fitting, "_GAIN_STOP", 0.0)
+    res = fit()
     log = res.convergence_log
     assert res.converged
     assert [e["accepted"] for e in log] == [True] * (len(log) - 1) + [False]
     assert log[-1]["damping"] == log[-2]["damping"]
     exact = np.polyfit(x, y, 1)
     assert res.values == pytest.approx(exact, rel=1e-9)
+    assert res.stop_reason == "noise_floor"
+    assert log[-1]["rejected"] == 1
+    # on the default path the closing trial ends the fit at the same point
+    assert default.converged
+    assert default.stop_reason == "gain"
+    assert default.values == pytest.approx(res.values, rel=1e-9)
 
 
 def test_nan_jacobian_falls_back_to_simplex():
@@ -592,3 +689,95 @@ def test_temperature_fit_curves_are_the_models_at_the_fit(
     assert np.array_equal(xq, t_q) and np.array_equal(dq, qs_n)
     assert np.array_equal(mf, freq_shift(t_f, best, cavity.omega0))
     assert np.array_equal(mq, q_int_temperature(t_q, best, classes, cavity))
+
+
+def _two_trace_fit(cfg, cavity, gain_stop):
+    """a07's problem cut to two traces (5e13 and 1.6e12 photons) at
+    m = 250: (result, dynamics._evolve calls) with _GAIN_STOP pinned."""
+    t_data = np.linspace(0.0, 0.022, 301)
+    rng = np.random.default_rng(2)
+    traces = []
+    for n0, n_tot in ((5e13, 1.17e8), (5e13 * 10.0 ** -1.5, 1.18e8)):
+        traj = evolve_ringdown(n0, cfg.trace_classes(n_tot=n_tot), cavity,
+                               0.022, 1000, verify=False)
+        n = np.exp(np.interp(t_data, traj.times, np.log(traj.n)))
+        n[1:] *= 1.0 + 0.01 * rng.standard_normal(len(t_data) - 1)
+        traces.append((t_data, n))
+    calls = [0]
+    evolve = fitting.dynamics._evolve
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evolve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "_GAIN_STOP", gain_stop)
+        patch.setattr(fitting.dynamics, "_evolve", counted)
+        res = joint_tls_fit(
+            traces, shared={"t2_star": 2.5e-7, "beta": 3.0,
+                            "epsilon_s": 0.3},
+            per_trace=[1e8, 1e8], cavity=cavity, m_steps=250)
+    return res, calls[0]
+
+
+def test_joint_fit_closing_trial_saves_evolutions(cfg, cavity):
+    """The closing trial ends a two-trace joint fit in no more lockstep
+    loops than the old rules, within 0.01 sigma of where they end it."""
+    res, evolutions = _two_trace_fit(cfg, cavity, fitting._GAIN_STOP)
+    old, old_evolutions = _two_trace_fit(cfg, cavity, 0.0)
+    assert res.converged and old.converged
+    assert res.stop_reason == "gain"
+    assert old.stop_reason != "gain"
+    assert evolutions <= old_evolutions
+    assert np.all(np.abs(res.values - old.values) <= 0.01 * old.sigma)
+    assert res.chi2_reduced <= old.chi2_reduced + 1e-6
+
+
+def test_temperature_fit_closing_trial_saves_evaluations(
+        cavity, sweep_classes, superconductor):
+    """Both temperature-fit stages make no more residual evaluations than
+    with the closing trial switched off, and the result names both stages'
+    stop reasons."""
+    sc = superconductor
+    t_f = np.linspace(0.8, 2.2, 9)
+    t_q = np.linspace(0.05, 3.5, 11)
+    shifts = freq_shift(t_f, sc, cavity.omega0)
+    qs = q_int_temperature(t_q, sc, sweep_classes, cavity)
+    rng = np.random.default_rng(8)
+    sig_f = 0.01 * np.abs(shifts) + 1e-8 * np.max(np.abs(shifts))
+    shifts_n = shifts + sig_f * rng.standard_normal(len(t_f))
+    qs_n = qs * (1.0 + 0.01 * rng.standard_normal(len(t_q)))
+    one_fit = fitting.minimize
+
+    def fit(gain_stop):
+        calls = [0]
+
+        def counted_minimize(problem):
+            inner = problem.residual_fn
+
+            def counted(vec):
+                calls[0] += 1
+                return inner(vec)
+
+            problem.residual_fn = counted
+            return one_fit(problem)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "_GAIN_STOP", gain_stop)
+            patch.setattr(fitting, "minimize", counted_minimize)
+            res = temperature_fit(
+                (t_f, shifts_n, sig_f), (t_q, qs_n, 0.01 * qs),
+                replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3,
+                        sigma_n=1e7),
+                [replace(c, T1=1e-6, T_phi=3e-7) for c in sweep_classes],
+                cavity)
+        return res, calls[0]
+
+    res, evaluations = fit(fitting._GAIN_STOP)
+    old, old_evaluations = fit(0.0)
+    assert res.converged and old.converged
+    assert evaluations <= old_evaluations
+    stages = res.stop_reason.split(",")
+    assert len(stages) == 2 and "gain" in stages
+    assert json.loads(res.to_json())["stop_reason"] == res.stop_reason
+    assert np.all(np.abs(res.values - old.values) <= 0.01 * old.sigma)
