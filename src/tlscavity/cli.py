@@ -335,6 +335,7 @@ _DATA_COUNTS = {"ringdown": (1, None), "ringup": (1, 1),
 
 
 def build_parser():
+    """The argument parser; main builds it once per process."""
     parser = argparse.ArgumentParser(
         prog="tlscavity",
         description="Simulate and fit resonator decay, reflection, and "
@@ -399,9 +400,13 @@ def _once_per_message(show):
     return showwarning
 
 
+# built on the first main call, not at import; parsing leaves the parser as
+# it was, so every later call reuses it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "data", None) is not None:
         lo, hi = _DATA_COUNTS[args.subcommand]
         if len(args.data) < lo or (hi is not None and len(args.data) > hi):

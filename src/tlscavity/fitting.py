@@ -326,7 +326,9 @@ def minimize(problem):
             grad = jac.T @ f
             hess = jac.T @ jac
             diag = np.diag(hess).copy()
-            floor = 1e-30 * max(float(np.max(diag)), 1e-300)
+            # an all-zero Jacobian keeps a floor that stays a normal number
+            # at the smallest damping, so the damped solve is not singular
+            floor = 1e-30 * max(float(np.max(diag)), 1e-250)
             diag[diag < floor] = floor
             if not gain_tried:
                 # the Gauss-Newton optimum within 0.01 sigma: one undamped
@@ -436,8 +438,6 @@ def _predicted_gain(hess, grad, diag):
     """Gauss-Newton predicted chi^2 gain g^T H^-1 g from a Cholesky factor
     of H scaled by diag to a unit diagonal; None where that matrix is not
     positive definite to _GAIN_MIN_PIVOT."""
-    if not np.all(diag > 0):
-        return None  # an all-zero Jacobian
     scale = 1.0 / np.sqrt(diag)
     try:
         chol = np.linalg.cholesky(hess * np.outer(scale, scale))

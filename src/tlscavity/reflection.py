@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from .errors import DataError, UnidentifiableError
 from .fitting import FitParameter, FitProblem, minimize
@@ -172,35 +173,73 @@ class CircleFitResult:
 
 
 def _taubin_circle(z):
-    """Algebraic circle fit; returns (center, radius, rms residual)."""
+    """Algebraic (Taubin) circle fit over z's last axis.
+
+    Returns (center, radius, rms residual), each of z's leading shape. A row
+    whose points all coincide or whose curvature is zero has NaN in all
+    three.
+    """
     x, y = z.real, z.imag
-    xm, ym = float(np.mean(x)), float(np.mean(y))
+    xm = np.mean(x, axis=-1, keepdims=True)
+    ym = np.mean(y, axis=-1, keepdims=True)
     u, v = x - xm, y - ym
     q = u * u + v * v
-    qm = float(np.mean(q))
-    if qm <= 0:
-        raise DataError("degenerate sweep: all points coincide")
-    z0 = (q - qm) / (2.0 * math.sqrt(qm))
-    mat = np.column_stack([z0, u, v])
-    _, _, vt = np.linalg.svd(mat, full_matrices=False)
-    a_, b_, c_ = vt[-1]
-    a_coef = a_ / (2.0 * math.sqrt(qm))
+    qm = np.mean(q, axis=-1, keepdims=True)
+    degenerate = ~(qm > 0)
+    qm = np.where(degenerate, 1.0, qm)
+    root = np.sqrt(qm)
+    z0 = (q - qm) / (2.0 * root)
+    _, _, vt = np.linalg.svd(np.stack([z0, u, v], axis=-1),
+                             full_matrices=False)
+    a_, b_, c_ = (vt[..., -1, i, None] for i in range(3))
+    a_coef = a_ / (2.0 * root)
     d_coef = -qm * a_coef
-    if abs(a_coef) < 1e-12 / (math.sqrt(qm) + 1e-30):
-        raise DataError("sweep does not trace a circle (curvature is zero)")
-    cx = -b_ / (2.0 * a_coef) + xm
-    cy = -c_ / (2.0 * a_coef) + ym
-    radius = math.sqrt(max(b_ ** 2 + c_ ** 2 - 4.0 * a_coef * d_coef, 0.0)) \
-        / (2.0 * abs(a_coef))
-    center = complex(cx, cy)
-    rms = float(np.sqrt(np.mean((np.abs(z - center) - radius) ** 2)))
-    return center, radius, rms
+    degenerate |= np.abs(a_coef) < 1e-12 / (root + 1e-30)
+    a_coef = np.where(degenerate, np.nan, a_coef)
+    center = (-b_ / (2.0 * a_coef) + xm) + 1j * (-c_ / (2.0 * a_coef) + ym)
+    radius = np.sqrt(np.maximum(b_ * b_ + c_ * c_ - 4.0 * a_coef * d_coef,
+                                0.0)) / (2.0 * np.abs(a_coef))
+    rms = np.sqrt(np.mean((np.abs(z - center) - radius) ** 2, axis=-1))
+    return center[..., 0], radius[..., 0], rms
 
 
 def _delay_estimate(freqs, s11):
     phase = np.unwrap(np.angle(s11))
     slope = np.polyfit(freqs, phase, 1)[0]
     return -slope / (2.0 * math.pi)
+
+
+# candidate delays of the scan, and how many are scored per whole-array call
+# (the chunk bounds the scan's (chunk, sweep) work arrays)
+_SCAN_POINTS = 161
+_SCAN_CHUNK = 24
+
+
+def _circle_cost(z):
+    """Circle residual rms / radius of each row of z; inf where the rows'
+    points all coincide or trace no circle."""
+    _, radius, rms = _taubin_circle(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = rms / radius
+    return np.where(np.isfinite(cost), cost, math.inf)
+
+
+def _delay_costs(freqs, s11, taus):
+    """_circle_cost of s11 with each evenly spaced candidate delay of taus
+    removed, scored a chunk of candidates per whole-array call."""
+    turn = 2j * math.pi * freqs
+    # each chunk's rotations: an exact exp at its first delay, then
+    # repeated products with the one-step rotation
+    advance = np.exp(turn * (taus[1] - taus[0]))
+    costs = []
+    for start in range(0, len(taus), _SCAN_CHUNK):
+        rot = np.empty((min(_SCAN_CHUNK, len(taus) - start), len(freqs)),
+                       dtype=complex)
+        rot[0] = np.exp(turn * taus[start])
+        rot[1:] = advance
+        np.cumprod(rot, axis=0, out=rot)
+        costs.append(_circle_cost(s11 * rot))
+    return np.concatenate(costs)
 
 
 def _refine_delay(freqs, s11, tau0, width):
@@ -210,38 +249,19 @@ def _refine_delay(freqs, s11, tau0, width):
     whenever the resonance loop encloses the origin, and the residual is
     periodic in the delay on that same scale, so a local search alone can
     lock onto the wrong turn. Scan coarsely across several turns first,
-    then golden-section the winning bracket.
+    then refine the winning bracket with scipy's bounded Brent search.
     """
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def cost(tau):
-        z = s11 * np.exp(2j * math.pi * freqs * tau)
-        try:
-            _, radius, rms = _taubin_circle(z)
-        except DataError:
-            return math.inf
-        return rms / radius
-
-    taus = tau0 + np.linspace(-width, width, 161)
-    best = min(taus, key=cost)
+    taus = tau0 + np.linspace(-width, width, _SCAN_POINTS)
     step = float(taus[1] - taus[0])
-
-    lo, hi = best - step, best + step
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc, fd = cost(c), cost(d)
-    for _ in range(80):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = cost(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = cost(d)
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    best = float(taus[np.argmin(_delay_costs(freqs, s11, taus))])
+    turn = 2j * math.pi * freqs
+    # squared: the ratio has a cusp at the minimum of a noise-free sweep,
+    # its square a parabola
+    res = scipy.optimize.minimize_scalar(
+        lambda tau: float(_circle_cost(s11 * np.exp(turn * tau))) ** 2,
+        bounds=(best - step, best + step), method="bounded",
+        options={"xatol": 1e-15})
+    return float(res.x)
 
 
 def circle_fit(freqs, s11, *, fit_delay=True):
@@ -271,7 +291,10 @@ def circle_fit(freqs, s11, *, fit_delay=True):
         delay = _refine_delay(freqs, z, tau0, 2.0 / span)
         z = z * np.exp(2j * math.pi * freqs * delay)
 
-    center, radius, rms = _taubin_circle(z)
+    center, radius, rms = (a.item() for a in _taubin_circle(z))
+    if math.isnan(radius):
+        raise DataError("sweep does not trace a circle (all points coincide "
+                        "or its curvature is zero)")
     if rms > 0.05 * radius:
         raise DataError("sweep does not trace a circle (rms residual %.3g "
                         "of radius exceeds 0.05)" % (rms / radius))

@@ -210,6 +210,69 @@ def switchoff_power(times, params):
     return params.p_f * amp * np.exp(-2.0 * math.pi * params.f0 / ql * t)
 
 
+def taubin_circle(z):
+    """Algebraic (Taubin) circle fit of one sweep: (center, radius, rms
+    residual); None where the points coincide or trace a line."""
+    x, y = z.real, z.imag
+    xm, ym = float(np.mean(x)), float(np.mean(y))
+    u, v = x - xm, y - ym
+    q = u * u + v * v
+    qm = float(np.mean(q))
+    if qm <= 0:
+        return None
+    z0 = (q - qm) / (2.0 * math.sqrt(qm))
+    _, _, vt = np.linalg.svd(np.column_stack([z0, u, v]),
+                             full_matrices=False)
+    a_, b_, c_ = vt[-1]
+    a_coef = a_ / (2.0 * math.sqrt(qm))
+    d_coef = -qm * a_coef
+    if abs(a_coef) < 1e-12 / (math.sqrt(qm) + 1e-30):
+        return None
+    center = complex(-b_ / (2.0 * a_coef) + xm, -c_ / (2.0 * a_coef) + ym)
+    radius = math.sqrt(max(b_ ** 2 + c_ ** 2 - 4.0 * a_coef * d_coef, 0.0)) \
+        / (2.0 * abs(a_coef))
+    rms = float(np.sqrt(np.mean((np.abs(z - center) - radius) ** 2)))
+    return center, radius, rms
+
+
+def delay_cost(freqs, s11, tau):
+    """rms / radius of the circle through s11 with the delay tau removed
+    by its own exp; inf for a degenerate circle."""
+    fit = taubin_circle(s11 * np.exp(2j * math.pi * freqs * tau))
+    return math.inf if fit is None else fit[2] / fit[1]
+
+
+def delay_scan(tau0, width):
+    """The 161 evenly spaced candidate delays tau0 +- width of the scan."""
+    return tau0 + np.linspace(-width, width, 161)
+
+
+def refine_delay(freqs, s11, tau0, width):
+    """Cable delay by a scan of one candidate at a time over delay_scan,
+    then golden-section search of the winner's +-1 step bracket down to a
+    1e-15 s width."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    taus = delay_scan(tau0, width)
+    best = min(taus, key=lambda tau: delay_cost(freqs, s11, tau))
+    step = float(taus[1] - taus[0])
+    lo, hi = best - step, best + step
+    c = hi - gr * (hi - lo)
+    d = lo + gr * (hi - lo)
+    fc, fd = delay_cost(freqs, s11, c), delay_cost(freqs, s11, d)
+    for _ in range(80):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - gr * (hi - lo)
+            fc = delay_cost(freqs, s11, c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + gr * (hi - lo)
+            fd = delay_cost(freqs, s11, d)
+        if hi - lo < 1e-15:
+            break
+    return 0.5 * (lo + hi)
+
+
 def csv_text(header, rows):
     """A CSV file's text, one cell at a time: the header line, then per row
     the repr of each value as a float, joined by commas."""

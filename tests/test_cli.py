@@ -177,6 +177,37 @@ def test_fit_ringup_dbm_input(tmp_path):
     assert got["q_int"] == pytest.approx(5.3e8, rel=0.05)
 
 
+def test_reused_parser_carries_no_option_over(tmp_path):
+    # main parses every call with one parser per process: a flag, a seed
+    # or a config given to one call is not seen by the next
+    from tlscavity import cli
+    assert cli._parser() is cli._parser()
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text("noise:\n  level: 0.02\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["simulate", "ringup", "--out", a, "--gnuplot", "--seed", "5",
+                "--config", cfgfile]) == 0
+    assert run(["simulate", "ringup", "--out", b]) == 0
+    assert (a / "ringup.gp").exists() and not (b / "ringup.gp").exists()
+    manifest = json.loads((b / "manifest.json").read_text())
+    assert manifest["seed"] is None and manifest["config_file"] is None
+    assert sorted(manifest["outputs"]) == ["ringup.csv"]
+
+    sim = tmp_path / "sim"
+    assert run(["simulate", "ringup", "--out", sim, "--seed", "7"]) == 0
+    t, p = read_trace_csv(sim / "ringup.csv")
+    src = tmp_path / "ringup_dbm.csv"
+    src.write_text("time_s,power_w\n" + "".join(
+        "%r,%r\n" % (float(ti), float(di))
+        for ti, di in zip(t, 10.0 * np.log10(p) + 30.0)))
+    before, dbm, after = (tmp_path / name for name in ("w1", "dbm", "w2"))
+    assert run(["fit", "ringup", "--out", before, sim / "ringup.csv"]) == 0
+    assert run(["fit", "ringup", "--dbm", "--out", dbm, src]) == 0
+    assert run(["fit", "ringup", "--out", after, sim / "ringup.csv"]) == 0
+    assert (after / "fit_ringup.json").read_bytes() == \
+        (before / "fit_ringup.json").read_bytes()
+
+
 def test_fit_ringdown_small(tmp_path):
     cfgfile = tmp_path / "tiny.yaml"
     cfgfile.write_text(TINY_RINGDOWN)
@@ -438,8 +469,14 @@ def test_fit_json_writes_infinite_sigma_as_null(tmp_path):
     assert run(["fit", "temperature", "--config", cfgfile, "--out", out,
                 sim / "freq_trace.csv", sim / "q_trace.csv"]) == 0
     fit = strict_json(out / "fit_temperature.json")
-    assert None in fit["sigma"]
+    assert fit["sigma"][:3] == [None, None, None]
     assert all(isinstance(v, float) for v in fit["values"])
+    # stage 1's Jacobian is all zero: its damped solve gives a zero step,
+    # accepted at the start point, not a singular matrix and a simplex
+    assert fit["stop_reason"].split(",")[0] == "step"
+    start = RunConfig().superconductor
+    assert fit["values"][:2] == pytest.approx([start.alpha, start.delta0],
+                                              rel=1e-12)
     strict_json(out / "manifest.json")
 
 

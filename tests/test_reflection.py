@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from tlscavity import (DataError, ReflectionParams, UnidentifiableError,
-                       circle_fit, fit_ringup, ringup_power, s11_model,
-                       steady_state_reflection)
+                       circle_fit, fit_ringup, reflection, ringup_power,
+                       s11_model, steady_state_reflection)
 
 
 def test_initial_reflection_equals_forward_power():
@@ -178,3 +178,73 @@ def test_reflection_params_validation():
         ReflectionParams(q_int=1e8, q_c=1e8, f0=0.0)
     p = ReflectionParams(q_int=5.3e8, q_c=1e8, f0=7.9e9)
     assert p.q_loaded == pytest.approx(5.3e8 * 1e8 / 6.3e8, rel=1e-12)
+
+
+def _circle_sweep(n_points, mismatch=0.1, amplitude=0.9, phase=0.4,
+                  delay=3.2e-8, noise=0.0, seed=None):
+    """A sweep of 8 linewidths around a11's resonance, with complex
+    Gaussian noise of the given size."""
+    f0, qi, qc = 7.9e9, 5.3e8, 1e8
+    ql = qi * qc / (qi + qc)
+    f = np.linspace(f0 - 4.0 * f0 / ql, f0 + 4.0 * f0 / ql, n_points)
+    s = s11_model(f, f0, qi, qc, mismatch=mismatch, amplitude=amplitude,
+                  phase=phase, delay=delay)
+    if noise:
+        rng = np.random.default_rng(seed)
+        s = s + noise * (rng.standard_normal(len(f))
+                         + 1j * rng.standard_normal(len(f)))
+    return f, s
+
+
+# a11's sweep, test_fit_circle_not_converged_exits_4's noisy one,
+# test_circle_fit_curve_is_the_model_at_the_fit's and
+# test_fit_circle_round_trip's
+CIRCLE_SWEEPS = {
+    "a11": dict(n_points=401),
+    "noise3e-3_seed11": dict(n_points=401, noise=3e-3, seed=11),
+    "noise1e-3_seed4_201": dict(n_points=201, noise=1e-3, seed=4),
+    "round_trip_301": dict(n_points=301, mismatch=0.05, amplitude=0.8,
+                           phase=0.2, delay=1e-8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_SWEEPS))
+def test_delay_search_matches_one_candidate_scan(name, monkeypatch):
+    # the chunked scan picks the one-at-a-time scan's candidate, and the
+    # Brent refine lands where golden section does
+    f, s = _circle_sweep(**CIRCLE_SWEEPS[name])
+    tau0 = reflection._delay_estimate(f, s)
+    taus = oracles.delay_scan(tau0, 2.0 / (f[-1] - f[0]))
+    want = np.argmin([oracles.delay_cost(f, s, tau) for tau in taus])
+    assert np.argmin(reflection._delay_costs(f, s, taus)) == want
+    got = circle_fit(f, s)
+    monkeypatch.setattr(reflection, "_refine_delay", oracles.refine_delay)
+    ref = circle_fit(f, s)
+    for key in ("q_int", "q_c", "f0"):
+        assert getattr(got, key) == pytest.approx(getattr(ref, key),
+                                                  rel=1e-6)
+    assert got.delay == pytest.approx(ref.delay, rel=1e-3)
+
+
+def test_batched_taubin_rows_equal_single_sweep_calls():
+    f, s = _circle_sweep(401)
+    taus = oracles.delay_scan(reflection._delay_estimate(f, s),
+                              2.0 / (f[-1] - f[0]))
+    z = s * np.exp(2j * math.pi * f * taus[:, None])
+    batch = reflection._taubin_circle(z)
+    rows = [reflection._taubin_circle(row) for row in z]
+    for got, want in zip(batch, zip(*rows)):
+        assert np.array_equal(got, np.array(want))
+
+
+def test_degenerate_delay_candidate_scores_inf():
+    # a candidate whose points all coincide (at a point whose mean is
+    # exact), and one on a straight line, score inf beside a finite one
+    f, s = _circle_sweep(401)
+    point = np.full_like(s, 0.5 + 0.25j)
+    line = (0.5 + 0.25j) * np.linspace(-1.0, 1.0, len(f))
+    cost = reflection._circle_cost(np.stack([s, point, line]))
+    assert np.isfinite(cost[0]) and list(cost[1:]) == [math.inf, math.inf]
+    for z in (point, line):
+        with pytest.raises(DataError, match="does not trace a circle"):
+            circle_fit(f, z, fit_delay=False)
