@@ -22,7 +22,8 @@ import numpy as np
 import scipy
 import yaml
 
-from . import __version__, datafiles, dynamics, mattis_bardeen, reflection
+from . import (__version__, datafiles, dynamics, mattis_bardeen, reflection,
+               tls_bath)
 from .config import load_config
 from .core import t2_star
 from .datafiles import cells, json_text, write_csv
@@ -124,10 +125,14 @@ def _write_trace(out, names, traj, n_vals, time_cells):
 def cmd_simulate_ringdown(args, cfg, out):
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
     powers = cfg.ringdown.initial_photons
-    ntots = _trace_ntots(cfg, len(powers))
-    trajs = dynamics.evolve_ringdown_batch(
-        powers, [cfg.trace_classes(n_tot=n_tot) for n_tot in ntots],
-        cfg.cavity, cfg.ringdown.t_final, cfg.ringdown.m_steps)
+    classes = cfg.trace_classes(n_tot=_trace_ntots(cfg, len(powers)))
+    table = tls_bath.ClassTable(*classes, cfg.cavity.omega0,
+                                cfg.cavity.temperature)
+    trajs = dynamics.evolve_table(table, cfg.cavity, powers,
+                                  cfg.ringdown.t_final, cfg.ringdown.m_steps)
+    for traj in trajs:              # the first failed trace's error
+        if isinstance(traj, Exception):
+            raise traj
     # one t_final and m_steps: every row has the same time grid
     time_cells = cells(trajs[0].times)
     outputs, writers = [], []
@@ -212,9 +217,10 @@ def cmd_distribution(args, cfg, out):
 
     dist = cfg.distribution
     integral = float(counts_between(dist, (dist.g_min, dist.g_max))[0])
-    total = math.fsum(c.count for c in classes)
-    populated = [c for c in classes if c.count > 1.0]
-    g_top = max((c.g for c in populated), default=float("nan"))
+    g, count = (a[:, 0] for a in classes[:2])
+    total = math.fsum(count.tolist())
+    populated = g[count > 1.0].tolist()
+    g_top = max(populated, default=float("nan"))
     report = {
         "n_tot": cfg.distribution.n_tot,
         "sum_counts": total,

@@ -68,7 +68,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import yaml
 
 from .core import CONSTANTS, CavityParams
-from .distribution import DistributionParams, sample_classes
+from .distribution import DistributionParams, sample_class_arrays
+from .distribution import sample_classes  # noqa: F401 (perfbench times it)
 from .errors import ConfigError
 from .mattis_bardeen import BCS_RATIO, SuperconductorParams, pair_breaking
 
@@ -98,6 +99,8 @@ class RingdownSettings:
                 len(self.n_tot_per_trace) != len(self.initial_photons):
             raise ValueError("n_tot_per_trace must match initial_photons "
                              "in length")
+        if any(n < 0 for n in self.n_tot_per_trace):
+            raise ValueError("n_tot_per_trace must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -189,22 +192,31 @@ class RunConfig:
     fit: FitSettings = field(default_factory=FitSettings)
 
     def trace_classes(self, n_tot=None):
-        """TLS classes for the pulsed-trace ensemble (tls section times)."""
-        dist = self.distribution
-        if n_tot is not None:
-            dist = replace(dist, n_tot=n_tot)
-        if self.tls_t2_star is not None:
-            return sample_classes(dist, omega_tls=self.cavity.omega0,
-                                  t2_star=self.tls_t2_star)
-        return sample_classes(dist, omega_tls=self.cavity.omega0,
-                              T1=self.tls_t1, T_phi=self.tls_t_phi)
+        """Class arrays of the pulsed-trace ensemble (tls section times),
+        one row per entry of n_tot (default: one row at distribution.n_tot).
+        """
+        return self._classes(
+            "distribution and tls",
+            self.distribution.n_tot if n_tot is None else n_tot,
+            T1=self.tls_t1, T_phi=self.tls_t_phi, t2_star=self.tls_t2_star)
 
     def sweep_classes(self):
-        """TLS classes for the temperature model (sweep section)."""
-        dist = replace(self.distribution, n_tot=self.sweep.tls_n_tot)
-        return sample_classes(dist, omega_tls=self.cavity.omega0,
-                              T1=self.sweep.tls_t1,
-                              T_phi=self.sweep.tls_t_phi)
+        """Class arrays of the temperature model (sweep section), one row."""
+        return self._classes("distribution and sweep", self.sweep.tls_n_tot,
+                             T1=self.sweep.tls_t1, T_phi=self.sweep.tls_t_phi)
+
+    def _classes(self, sections, n_tot, **times):
+        """sample_class_arrays on the distribution's window; a refused row
+        is a ConfigError naming the config sections the classes come from."""
+        dist = self.distribution
+        classes, refused = sample_class_arrays(
+            n_tot, dist.beta, dist.epsilon_s, g_min=dist.g_min,
+            g_max=dist.g_max, n_classes=dist.n_classes,
+            omega_tls=self.cavity.omega0, **times)
+        for exc in refused:
+            if exc:
+                raise ConfigError("%s: %s" % (sections, exc))
+        return classes
 
     def as_dict(self):
         """Fully resolved configuration for the run manifest: the loader's

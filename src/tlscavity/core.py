@@ -53,47 +53,6 @@ class CavityParams:
         return 2.0 * math.pi * self.f0
 
 
-@dataclass(frozen=True)
-class TlsClass:
-    """One class of identical two-level systems coupled to the cavity.
-
-    g : single-TLS coupling [1/s]
-    count : number of TLS in the class (need not be integer)
-    omega_tls : TLS angular frequency [1/s]
-    T1 : relaxation time [s]
-    T_phi : pure dephasing time [s]
-    """
-
-    g: float
-    count: float
-    omega_tls: float
-    T1: float
-    T_phi: float
-
-    def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError("g must be > 0")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if not self.omega_tls > 0:
-            raise ValueError("omega_tls must be > 0")
-        if not self.T1 > 0 or not self.T_phi > 0:
-            raise ValueError("T1 and T_phi must be > 0")
-
-    @classmethod
-    def from_t2_star(cls, g, count, omega_tls, t2):
-        """Build a class from a measured zero-temperature dephasing time.
-
-        Uses T1 = 2*t2, T_phi = (4/3)*t2, the boundary where the coherence
-        bound sits exactly on the population product. t2_star() at T -> 0
-        then returns t2 itself.
-        """
-        if not t2 > 0:
-            raise ValueError("t2 must be > 0")
-        return cls(g=g, count=count, omega_tls=omega_tls,
-                   T1=2.0 * t2, T_phi=(4.0 / 3.0) * t2)
-
-
 def bose_einstein(omega, temperature):
     """Thermal occupation of a mode at angular frequency omega [1/s], T in K.
 

@@ -4,6 +4,9 @@ dN/dg = (N_tot/eps_s) / (1 + (g/eps')^beta), eps' = eps_s*beta*sin(pi/beta)/pi,
 which integrates to exactly N_tot over [0, inf) for any beta > 1; one closed
 form of that integral (counts_between) gives every count. Classes sit at the
 geometric midpoints of logarithmic bins and carry the bin integrals.
+
+The classes are class arrays (g, count, T1, T_phi, omega_tls), each of shape
+(C, B): class i of row b sits in column b, as tls_bath.ClassTable takes them.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from . import datafiles
-from .core import CONSTANTS, TlsClass
+from .core import CONSTANTS
 
 
 @dataclass(frozen=True)
@@ -36,16 +39,10 @@ class DistributionParams:
     n_classes: int
 
     def __post_init__(self):
-        if not self.beta > 1.0:
-            raise ValueError("beta must be > 1")
-        if not 0.0 < self.g_min < self.g_max:
-            raise ValueError("need 0 < g_min < g_max")
-        if not self.epsilon_s > 0:
-            raise ValueError("epsilon_s must be > 0")
-        if self.n_tot < 0:
-            raise ValueError("n_tot must be >= 0")
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+        refusal = _refusal(self.n_tot, self.beta, self.epsilon_s, self.g_min,
+                           self.g_max, self.n_classes)
+        if refusal:
+            raise ValueError(refusal)
 
     @property
     def epsilon_prime(self):
@@ -94,17 +91,46 @@ def _unit_bins(unit):
                      counts_between(unit, edges).tolist()))
 
 
+def _refusal(n_tot, beta, epsilon_s, g_min, g_max, n_classes, classes=(),
+             t2=None, finite=True):
+    """The message of the first check that fails, or None: the
+    distribution's parameters, the zero-temperature t2 the TLS times came
+    from (if any), each class in turn (classes: one row of class arrays),
+    and last whether that row's table coefficients are finite."""
+    checks = [(beta > 1.0, "beta must be > 1"),
+              (0.0 < g_min < g_max, "need 0 < g_min < g_max"),
+              (epsilon_s > 0, "epsilon_s must be > 0"),
+              (not n_tot < 0, "n_tot must be >= 0"),
+              (n_classes >= 1, "n_classes must be >= 1"),
+              (t2 is None or t2 > 0, "t2 must be > 0")]
+    for g, count, T1, T_phi, omega_tls in zip(*classes):
+        checks += [(g > 0, "g must be > 0"),
+                   (not count < 0, "count must be >= 0"),
+                   (omega_tls > 0, "omega_tls must be > 0"),
+                   (T1 > 0 and T_phi > 0, "T1 and T_phi must be > 0")]
+    checks.append((finite, "the class table overflows: g^2 T1 T2*, "
+                           "2 N g^2 T2* or (g T2*)^2 is not finite"))
+    return next((msg for ok, msg in checks if not ok), None)
+
+
 def sample_class_arrays(n_tot, beta, epsilon_s, *, g_min, g_max, n_classes,
                         omega_tls, T1=None, T_phi=None, t2_star=None):
-    """sample_classes for B rows of (n_tot, beta, epsilon_s), TLS times per
-    row or shared: (g, count, T1, T_phi), each (n_classes, B), and per row
-    None or the error sample_classes raises there (the row's columns then
-    mean nothing). Reads _unit_bins once per distinct (beta, epsilon_s)."""
+    """The TLS classes of B rows of (n_tot, beta, epsilon_s): class arrays
+    (g, count, T1, T_phi, omega_tls), each (n_classes, B), and per row None
+    or the ValueError that refuses it (the row's columns then mean nothing).
+
+    Each class sits at the geometric midpoint of its bin and carries the bin
+    integral of the density, so the class counts conserve the truncated
+    integral regardless of n_classes. TLS times, per row or shared, apply
+    uniformly: (T1, T_phi), or a zero-temperature t2_star that sets T1 =
+    2 t2_star and T_phi = (4/3) t2_star (T2* at T -> 0 is then t2_star).
+    Reads _unit_bins once per distinct (beta, epsilon_s).
+    """
     if t2_star is not None:
         if T1 is not None or T_phi is not None:
             raise ValueError("give either t2_star or (T1, T_phi), not both")
-        # the times TlsClass.from_t2_star sets
-        T1, T_phi = (k * np.asarray(t2_star) for k in (2.0, 4.0 / 3.0))
+        with np.errstate(over="ignore"):    # refused below
+            T1, T_phi = (k * np.asarray(t2_star) for k in (2.0, 4.0 / 3.0))
     elif T1 is None or T_phi is None:
         raise ValueError("give either t2_star or (T1, T_phi)")
     n_tot, beta, epsilon_s, T1, T_phi = np.broadcast_arrays(
@@ -118,41 +144,35 @@ def sample_class_arrays(n_tot, beta, epsilon_s, *, g_min, g_max, n_classes,
         cols = (beta == b) & (epsilon_s == e)
         g[:, cols], frac[:, cols] = np.array(_unit_bins(unit)).T[:, :, None]
     count = n_tot * frac
+    with np.errstate(all="ignore"):
+        t2 = 1.0 / (0.5 / T1 + 1.0 / T_phi)     # T2* at T = 0, its largest
+        finite = np.isfinite([g * g * T1 * t2, 2.0 * (count * g * g * t2),
+                              (g * t2) ** 2]).all(axis=(0, 1))
     ok = (((g > 0) & (count >= 0)).all(axis=0) & (T1 > 0) & (T_phi > 0)
-          & (n_tot >= 0) & (omega_tls > 0))
+          & (n_tot >= 0) & (omega_tls > 0) & finite)
+    classes = (g, count, *(np.broadcast_to(a, count.shape)
+                           for a in (T1, T_phi, omega_tls)))
     refused = [None] * len(n_tot)
     for b in np.flatnonzero(~ok).tolist():
-        try:                        # the checks of sample_classes, in order
-            DistributionParams(n_tot[b], beta[b], epsilon_s[b], g_min, g_max,
-                               n_classes)
-            for cls in zip(g[:, b].tolist(), count[:, b].tolist()):
-                if t2_star is None:
-                    TlsClass(*cls, omega_tls, T1[b], T_phi[b])
-                else:               # T1 / 2 is t2, or inf if 2 t2 overflowed
-                    TlsClass.from_t2_star(*cls, omega_tls, T1[b] / 2.0)
-        except ValueError as exc:
-            refused[b] = exc
-    return (g, count, *(np.broadcast_to(t, count.shape)
-                        for t in (T1, T_phi))), refused
+        refusal = _refusal(
+            n_tot[b], beta[b], epsilon_s[b], g_min, g_max, n_classes,
+            [a[:, b].tolist() for a in classes],
+            # T1 / 2 is t2, or inf if 2 t2 overflowed
+            None if t2_star is None else T1[b] / 2.0, finite[b])
+        refused[b] = ValueError(refusal) if refusal else None
+    return classes, refused
 
 
 def sample_classes(params, *, omega_tls, T1=None, T_phi=None, t2_star=None):
-    """Discretize the distribution into TLS classes.
-
-    Each class sits at the geometric midpoint of its bin and carries the bin
-    integral of the density, so the class counts conserve the truncated
-    integral regardless of n_classes. TLS times apply uniformly: give either
-    (T1, T_phi) or a zero-temperature t2_star override. The one-row case of
-    sample_class_arrays.
-    """
-    arrays, (refused,) = sample_class_arrays(
+    """The class arrays of one distribution, each (n_classes, 1): the
+    one-row case of sample_class_arrays, raising its refusal."""
+    classes, (refused,) = sample_class_arrays(
         params.n_tot, params.beta, params.epsilon_s, g_min=params.g_min,
         g_max=params.g_max, n_classes=params.n_classes, omega_tls=omega_tls,
         T1=T1, T_phi=T_phi, t2_star=t2_star)
     if refused:
         raise refused
-    return [TlsClass(g, count, omega_tls, t1, t_phi) for g, count, t1, t_phi
-            in zip(*(a[:, 0].tolist() for a in arrays))]
+    return classes
 
 
 def dipole_from_coupling(g, e_max):
@@ -170,7 +190,7 @@ def dipole_in_e_angstrom(g, e_max):
 
 
 def loss_tangent(classes, e_max, v_ox, kappa, eps_r):
-    """TLS loss tangent from sampled classes.
+    """TLS loss tangent from one row of class arrays.
 
     tan d = sum_i pi * P_i * d_i^2 / (3 eps0 eps_r) with the spectral-volume
     density P_i = N_i/(hbar kappa V_ox) and dipole d_i = hbar g_i / E_max.
@@ -182,22 +202,22 @@ def loss_tangent(classes, e_max, v_ox, kappa, eps_r):
     hbar = CONSTANTS.hbar
     pref = math.pi * hbar / (3.0 * CONSTANTS.epsilon_0 * eps_r
                              * kappa * v_ox * e_max * e_max)
-    terms = [pref * cls.count * cls.g * cls.g for cls in classes]
-    return math.fsum(terms)
+    g, count = (a.ravel() for a in classes[:2])
+    return math.fsum((pref * count * g * g).tolist())
 
 
 def tls_volume_density(classes, g_threshold, bandwidth, v_ox):
     """Strongly coupled TLS per angular bandwidth and oxide volume.
 
-    Counts classes with g >= g_threshold, divided by bandwidth [rad/s] and
+    Counts the classes of one row of class arrays with g >= g_threshold, divided by bandwidth [rad/s] and
     volume [m^3]. Thresholds above the top class give 0.
     """
     if not g_threshold > 0:
         raise ValueError("g_threshold must be > 0")
     if not bandwidth > 0 or not v_ox > 0:
         raise ValueError("bandwidth and v_ox must be > 0")
-    count = math.fsum(cls.count for cls in classes if cls.g >= g_threshold)
-    return count / (bandwidth * v_ox)
+    g, count = (a.ravel() for a in classes[:2])
+    return math.fsum(count[g >= g_threshold].tolist()) / (bandwidth * v_ox)
 
 
 def per_ghz_um3(value):
@@ -206,6 +226,6 @@ def per_ghz_um3(value):
 
 
 def write_distribution_csv(classes, path):
+    """classes.csv of one row of class arrays: g and count per class."""
     datafiles.write_csv(path, "g_1_per_s,count",
-                        [datafiles.cells([cls.g for cls in classes]),
-                         datafiles.cells([cls.count for cls in classes])])
+                        [datafiles.cells(a.ravel()) for a in classes[:2]])

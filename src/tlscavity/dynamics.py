@@ -264,10 +264,11 @@ def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
 
 def evolve_table(table, cavity, n0, t_final, m_steps=None, *, verify=True,
                  window_margin=10.0):
-    """Free decay of the rows of a ClassTable, row b from n0[b] photons,
-    with the options of evolve_ringdown_batch; one Trajectory, or the
-    exception that stopped it, per row. Rows of one step count run as one
-    lockstep group."""
+    """Free decay of the rows of a ClassTable, row b from n0[b] photons; one
+    Trajectory, or the exception that stopped it, per row, bitwise what the
+    row gets alone. verify is one flag or one per row; every check of the
+    step loop applies per row. Rows of one step count run as one lockstep
+    group."""
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     if not all(n > 0 for n in n0):
         raise ValueError("initial photon number must be > 0")
@@ -295,60 +296,23 @@ def evolve_table(table, cavity, n0, t_final, m_steps=None, *, verify=True,
     return results
 
 
-def _raise_first(results):
-    """The rows' trajectories, or the lowest-index row's exception."""
-    for res in results:
-        if isinstance(res, Exception):
-            raise res
-    return results
-
-
-def evolve_ringdown_batch(initials, class_lists, cavity, t_final,
-                          m_steps=None, *, verify=True, window_margin=10.0,
-                          return_errors=False):
-    """Free decay of several independent cavities, advanced in lockstep.
-
-    Row k starts from the photon number initials[k] with the TLS classes
-    class_lists[k]; all rows share the cavity, duration, step count and
-    options of evolve_ringdown (verify may also be one flag per row), and
-    row k's trajectory is bitwise the one evolve_ringdown returns for it
-    alone. Every check of the step loop (window, clamp, saturation,
-    negativity, halving) applies per row. A failing row raises the
-    lowest-index row's exception, or with return_errors=True takes that
-    exception's place in the returned list while the other rows finish
-    unchanged.
-    """
-    n0 = np.array([float(i) for i in initials])
-    if len(n0) != len(class_lists):
-        raise ValueError("need one class list per initial state")
-    if m_steps is not None and m_steps < 2:
-        raise ValueError("m_steps must be >= 2")
-    results = [None] * len(n0)
-    for size in dict.fromkeys(map(len, class_lists)):
-        rows = [r for r, c in enumerate(class_lists) if len(c) == size]
-        table = tls_bath.class_table([class_lists[r] for r in rows],
-                                     cavity.omega0, cavity.temperature)
-        out = evolve_table(table, cavity, n0[rows], t_final, m_steps,
-                           verify=np.broadcast_to(verify, len(n0))[rows],
-                           window_margin=window_margin)
-        for r, res in zip(rows, out):
-            results[r] = res
-    return results if return_errors else _raise_first(results)
-
-
 def evolve_ringdown(initial, classes, cavity, t_final, m_steps=None, *,
                     verify=True, window_margin=10.0):
     """Free decay of the loaded cavity through the saturable bath.
 
-    initial is the photon number at t = 0. The amplitude entering the TLS
+    initial is the photon number at t = 0 and classes one row of class
+    arrays (g, count, T1, T_phi, omega_tls). The amplitude entering the TLS
     coherences is reset to sqrt(n) at zero phase at every step (the
     recursive scheme of the reference analysis). verify=True reruns at half
     the step and asserts every n(t) moves < 1e-3 relative. This is the
-    one-row case of evolve_ringdown_batch.
+    one-row case of evolve_table; a failed row raises its exception.
     """
-    return evolve_ringdown_batch(
-        [initial], [classes], cavity, t_final, m_steps, verify=verify,
-        window_margin=window_margin)[0]
+    table = tls_bath.ClassTable(*classes, cavity.omega0, cavity.temperature)
+    traj, = evolve_table(table, cavity, [initial], t_final, m_steps,
+                         verify=verify, window_margin=window_margin)
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
 
 
 def kappa_of_time(times, values, reference_index=0):

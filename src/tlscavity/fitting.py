@@ -476,7 +476,7 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     The model kappa is evolved on its own m_steps grid and interpolated in
     ln n at the data times. Through the problem's residual_batch_fn, each
     LM trial point and its Jacobian run as one lockstep batch
-    (dynamics.evolve_ringdown_batch) of their model cache misses; a Jacobian
+    (dynamics.evolve_table) of their model cache misses; a Jacobian
     column of n_tot_i only evolves trace i. The discretization self-check
     runs once, on the first trace at the initial point, and is then
     disabled inside the loop. The result's curves hold each trace's
@@ -541,8 +541,7 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
             ok = [j for j, exc in enumerate(refused) if exc is None]
             rows = [key for key, exc in zip(group, refused) if exc is None]
             table = tls_bath.ClassTable(*(a[:, ok] for a in arrays),
-                                        cavity.omega0, cavity.omega0,
-                                        cavity.temperature)
+                                        cavity.omega0, cavity.temperature)
             trajs = dynamics.evolve_table(
                 table, cavity, [prepared[key[4]][3] for key in rows],
                 t_final, m_steps,
@@ -613,9 +612,9 @@ def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
     q_sweep : (temperatures, Q_int values, 1 sigma array)
     sc : SuperconductorParams; its g_factor is kept, and its alpha, delta0
         and sigma_n are the start values.
-    classes : TlsClass list; each class keeps its g, count and frequency,
-        and the fit sets one (T1, T_phi) for all of them, starting from
-        classes[0]'s.
+    classes : one row of class arrays (g, count, T1, T_phi, omega_tls); each
+        class keeps its g, count and frequency, and the fit sets one
+        (T1, T_phi) for all of them, starting from the first class's.
 
     Stage 1 fits the frequency shift, which is independent of sigma_n; stage
     2 freezes the gap and fits the quasiparticle and TLS-time parameters to
@@ -627,10 +626,11 @@ def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
     t_f, shift_data, sig_f = (np.asarray(a, dtype=float) for a in freq_sweep)
     t_q, q_data, sig_q = (np.asarray(a, dtype=float) for a in q_sweep)
 
+    g, count, T1, T_phi, omega_tls = classes
+
     def q_int(sc_fit, t1, t_phi):
         return mattis_bardeen.q_int_temperature(
-            t_q, sc_fit, [replace(c, T1=t1, T_phi=t_phi) for c in classes],
-            cavity)
+            t_q, sc_fit, (g, count, t1, t_phi, omega_tls), cavity)
 
     def shift_residual(vec):
         alpha, delta0 = vec
@@ -642,8 +642,8 @@ def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
                      FitParameter("delta0", sc.delta0, 1e-23, 1e-21, "log")]
     stage2_params = [
         FitParameter("sigma_n", sc.sigma_n, 1e5, 1e10, "log"),
-        FitParameter("t1", classes[0].T1, 1e-9, 1e-4, "log"),
-        FitParameter("t_phi", classes[0].T_phi, 1e-9, 1e-4, "log"),
+        FitParameter("t1", float(T1.flat[0]), 1e-9, 1e-4, "log"),
+        FitParameter("t_phi", float(T_phi.flat[0]), 1e-9, 1e-4, "log"),
     ]
     stage1 = minimize(FitProblem(residual_fn=shift_residual,
                                  params=stage1_params, data_weights=sig_f))

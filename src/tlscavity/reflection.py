@@ -185,7 +185,10 @@ def _taubin_circle(z):
     u, v = x - xm, y - ym
     q = u * u + v * v
     qm = np.mean(q, axis=-1, keepdims=True)
-    degenerate = ~(qm > 0)
+    # coincident points keep the rounding of their mean as spread: a few
+    # ulps of max|z|
+    degenerate = ~(np.sqrt(qm) > 8.0 * np.finfo(float).eps
+                   * np.abs(z).max(axis=-1, keepdims=True))
     qm = np.where(degenerate, 1.0, qm)
     root = np.sqrt(qm)
     z0 = (q - qm) / (2.0 * root)

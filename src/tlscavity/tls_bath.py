@@ -70,7 +70,8 @@ class ClassTable:
         rho_ge = i chi g <a> T2* / D
 
     f is the thermal occupation at the TLS frequency. g, count, T1, T_phi
-    and omega_tls broadcast to (C, B): column b holds the classes of row b.
+    and omega_tls, the class arrays, broadcast to (C, B): column b holds
+    the classes of row b.
     temperature is a scalar, or an array with one entry per row (then one
     column of classes serves every row). Everything temperature- and
     detuning-dependent is evaluated once here, elementwise, so each row is
@@ -172,24 +173,16 @@ class ClassTable:
         return self.rate_kernel(state, out)()[:, :rows]
 
 
-def class_table(class_lists, omega0, temperature):
-    """The ClassTable whose row b holds the TlsClass list class_lists[b]
-    (all of one size)."""
-    fields = [[(c.g, c.count, c.T1, c.T_phi, c.omega_tls) for c in classes]
-              for classes in class_lists]
-    return ClassTable(*np.reshape(fields, (len(fields), len(fields[0]), 5)).T,
-                      omega0, temperature)
-
-
 def bath_rates(classes, n, amp, omega0, temperature):
-    """Bath rates of the classes under n photons of complex amplitude amp.
+    """Bath rates of one row of class arrays (g, count, T1, T_phi,
+    omega_tls) under n photons of complex amplitude amp.
 
     omega_prime is the bath part of Omega', sum_i N_i g_i rho_ge,i.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     amp = complex(amp)
-    table = class_table([classes], omega0, temperature)
+    table = ClassTable(*classes, omega0, temperature)
     s_re, s_im, kp, km = table.rate_sums(
         n, amp.real * amp.real + amp.imag * amp.imag).ravel().tolist()
     kp, km = clamp_rates(kp, km)

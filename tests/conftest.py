@@ -16,7 +16,7 @@ def cavity(cfg):
 
 @pytest.fixture(scope="session")
 def trace_classes(cfg):
-    """Seven-class table at the pulsed-trace scale N_tot = 1.2e8."""
+    """Seven-class arrays, one row, at the pulsed-trace scale N_tot = 1.2e8."""
     return cfg.trace_classes(n_tot=1.2e8)
 
 

@@ -8,6 +8,7 @@ repository history of the table below) and pasted in.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -30,6 +31,81 @@ def bose(omega, temperature):
 
 def t2_eff(T1, T_phi, omega, temperature):
     return 1.0 / ((0.5 + bose(omega, temperature)) / T1 + 1.0 / T_phi)
+
+
+def check_distribution(n_tot, beta, epsilon_s, g_min, g_max, n_classes):
+    """Raise the ValueError the package gives for a power-law distribution's
+    parameters, checked in the package's order."""
+    if not beta > 1.0:
+        raise ValueError("beta must be > 1")
+    if not 0.0 < g_min < g_max:
+        raise ValueError("need 0 < g_min < g_max")
+    if not epsilon_s > 0:
+        raise ValueError("epsilon_s must be > 0")
+    if n_tot < 0:
+        raise ValueError("n_tot must be >= 0")
+    if n_classes < 1:
+        raise ValueError("n_classes must be >= 1")
+
+
+@dataclass(frozen=True)
+class TlsClass:
+    """One class of identical two-level systems: the scalar form of one
+    column of the package's class arrays, with the checks and messages the
+    package's sampler gives, in the same order.
+
+    g : single-TLS coupling [1/s]
+    count : number of TLS in the class (need not be integer)
+    omega_tls : TLS angular frequency [1/s]
+    T1 : relaxation time [s]
+    T_phi : pure dephasing time [s]
+    """
+
+    g: float
+    count: float
+    omega_tls: float
+    T1: float
+    T_phi: float
+
+    def __post_init__(self):
+        if not self.g > 0:
+            raise ValueError("g must be > 0")
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+        if not self.omega_tls > 0:
+            raise ValueError("omega_tls must be > 0")
+        if not self.T1 > 0 or not self.T_phi > 0:
+            raise ValueError("T1 and T_phi must be > 0")
+
+    @classmethod
+    def from_t2_star(cls, g, count, omega_tls, t2):
+        """T1 = 2 t2, T_phi = (4/3) t2: the zero-temperature T2* is t2."""
+        if not t2 > 0:
+            raise ValueError("t2 must be > 0")
+        return cls(g=g, count=count, omega_tls=omega_tls,
+                   T1=2.0 * t2, T_phi=(4.0 / 3.0) * t2)
+
+
+def class_arrays(class_lists):
+    """The package's class arrays (g, count, T1, T_phi, omega_tls), each
+    (C, B), whose column b holds the TlsClass list class_lists[b] (all of
+    one size C)."""
+    fields = [[(c.g, c.count, c.T1, c.T_phi, c.omega_tls) for c in classes]
+              for classes in class_lists]
+    return tuple(np.reshape(fields, (len(fields), -1, 5)).T)
+
+
+def class_list(classes, row=0):
+    """The TlsClass list of one row of the package's class arrays."""
+    g, count, T1, T_phi, omega_tls = (a[:, row].tolist() for a in classes)
+    return [TlsClass(*c) for c in zip(g, count, omega_tls, T1, T_phi)]
+
+
+def with_times(classes, T1, T_phi):
+    """Class arrays with one (T1, T_phi) for every class."""
+    g, count, _, _, omega_tls = classes
+    return (g, count, np.full(g.shape, T1), np.full(g.shape, T_phi),
+            omega_tls)
 
 
 class TlsState:

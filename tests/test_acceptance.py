@@ -57,7 +57,8 @@ def test_a03_distribution_normalization():
     for n_classes in (7, 14, 28):
         p = DistributionParams(n_tot=2.4e6, beta=3.26, epsilon_s=0.25,
                                g_min=1e-3, g_max=1e3, n_classes=n_classes)
-        classes = sample_classes(p, omega_tls=W0, t2_star=2.86e-7)
+        classes = oracles.class_list(sample_classes(p, omega_tls=W0,
+                                                    t2_star=2.86e-7))
         total = math.fsum(c.count for c in classes)
         window, _ = quad(lambda g: density(g, p), p.g_min, p.g_max, limit=400)
         cons.append(abs(total - window) / window)
@@ -70,7 +71,8 @@ def test_a03_distribution_normalization():
 def test_a04_populated_class_pattern():
     p = DistributionParams(n_tot=2.4e6, beta=3.26, epsilon_s=0.25,
                            g_min=1e-3, g_max=1e3, n_classes=7)
-    classes = sample_classes(p, omega_tls=W0, t2_star=2.86e-7)
+    classes = oracles.class_list(sample_classes(p, omega_tls=W0,
+                                                t2_star=2.86e-7))
     populated = [c for c in classes if c.count > 1.0]
     g_top = max(c.g for c in populated)
     ok = len(populated) == 6 and g_top < 110.0
@@ -81,15 +83,16 @@ def test_a04_populated_class_pattern():
 
 def test_a05_ringdown_property_suite(cfg, cavity, trace_classes):
     # (a) no TLS: kappa constant
-    traj = evolve_ringdown(5e13, [], cavity, 0.022, 2000)
+    traj = evolve_ringdown(5e13, oracles.class_arrays([[]]), cavity, 0.022,
+                           2000)
     _, kappa = trajectory_kappa(traj)
     dev_a = float(np.max(np.abs(kappa / cavity.kappa0 - 1.0)))
 
     # (b) monotone non-decreasing kappa for all ten powers
     # (c) initial kappa within 1% of kappa0 at the highest power
     # (d) final kappa within 5% of the unsaturated limit
-    alpha = 2.0 * 2.86e-7 * math.fsum(c.count * c.g ** 2
-                                      for c in trace_classes)
+    alpha = 2.0 * 2.86e-7 * math.fsum(c.count * c.g ** 2 for c in
+                                      oracles.class_list(trace_classes))
     mono_ok = True
     dev_c = dev_d = None
     for i in range(10):
@@ -115,7 +118,8 @@ def test_a06_closed_form_step_vs_euler(cavity, trace_classes):
                            verify=True, window_margin=5.0)
     # converged reference: RK4 at one step per interval, which meets
     # Richardson-extrapolated Euler (see test_dynamics)
-    n_ref = oracles.rk4_moments(n0, math.sqrt(n0), trace_classes,
+    n_ref = oracles.rk4_moments(n0, math.sqrt(n0),
+                                oracles.class_list(trace_classes),
                                 cavity.kappa0, cavity.omega0,
                                 cavity.temperature, traj.times)
     dev = float(np.max(np.abs(traj.n - n_ref) / n_ref))
@@ -187,7 +191,7 @@ def test_a08_conductivity_checks(cfg, cavity, sweep_classes, superconductor):
     res = temperature_fit(
         (t_f, shifts_n, sig_f), (t_q, qs_n, sig_q),
         replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3, sigma_n=1e7),
-        [replace(c, T1=1e-6, T_phi=3e-7) for c in sweep_classes], cavity)
+        oracles.with_times(sweep_classes, 1e-6, 3e-7), cavity)
     zs = {k: abs(res.values_dict[k] - truth[k]) /
           max(res.sigma_dict[k], 1e-300) for k in truth}
     ok = (shift0 == 0.0 and dev_s2 <= 1e-6 and dev_k0 <= 1e-9 and

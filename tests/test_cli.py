@@ -412,6 +412,44 @@ def test_exit_code_g_max_not_below_omega0(tmp_path, capsys, g_max):
     assert not (tmp_path / "x").exists()
 
 
+# Inputs whose classes the model cannot evaluate: they once ended in a
+# traceback (exit 1), or in NaN cells or numpy RuntimeWarnings, and are now
+# refused where the command samples (or, for n_tot_per_trace, on loading).
+_UNEVALUABLE = {
+    "negative_n_tot_per_trace": "ringdown:\n  initial_photons: [1e12, 1e11]\n"
+                                "  n_tot_per_trace: [1.0e8, -1.0e8]\n",
+    "subnormal_g_min": "distribution:\n  g_min: 1.0e-320\n",
+    "underflowing_midpoints": "distribution:\n  g_min: 1.0e-300\n"
+                              "  g_max: 1.0e-299\n",
+    "overflowing_sweep_t1": "sweep:\n  tls_t1: 1.0e308\n",
+    "overflowing_t2_star": "tls:\n  t2_star: 1.0e308\n",
+}
+_SAMPLING_COMMANDS = (("simulate", "ringdown"), ("distribution",),
+                      ("simulate", "temperature-sweep"))
+
+
+@pytest.mark.parametrize("name, command", [pytest.param(
+    name, command, id="%s-%s" % (name, "-".join(command))) for name, command in (
+    *((name, command) for name in ("negative_n_tot_per_trace",
+                                   "subnormal_g_min", "underflowing_midpoints")
+      for command in _SAMPLING_COMMANDS),
+    ("overflowing_sweep_t1", ("simulate", "temperature-sweep")),
+    ("overflowing_t2_star", ("simulate", "ringdown")),
+    ("overflowing_t2_star", ("distribution",)))])
+def test_unevaluable_classes_exit_2_with_one_line(tmp_path, capsys, name,
+                                                  command):
+    cfgfile = tmp_path / "bad.yaml"
+    cfgfile.write_text(_UNEVALUABLE[name])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([*command, "--config", cfgfile, "--out", tmp_path / "x"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "config error" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_distribution_report_wide_window(tmp_path):
     # nine decades of g: the window integral still matches the class sum
     cfgfile = tmp_path / "wide.yaml"

@@ -5,6 +5,7 @@ import math
 import pytest
 import yaml
 
+from oracles import class_list
 from tlscavity import ConfigError
 from tlscavity.config import (FitSettings, OxideSettings, RingdownSettings,
                               RingupSettings, RunConfig, SweepSettings,
@@ -137,8 +138,8 @@ def test_malformed_yaml(tmp_path):
 
 def test_trace_classes_override():
     cfg = RunConfig()
-    base = cfg.trace_classes()
-    scaled = cfg.trace_classes(n_tot=2.0 * cfg.distribution.n_tot)
+    base = class_list(cfg.trace_classes())
+    scaled = class_list(cfg.trace_classes(n_tot=2.0 * cfg.distribution.n_tot))
     for a, b in zip(base, scaled):
         assert b.count == pytest.approx(2.0 * a.count, rel=1e-12)
         assert b.g == a.g
@@ -146,7 +147,7 @@ def test_trace_classes_override():
 
 def test_sweep_classes_use_sweep_times():
     cfg = RunConfig()
-    classes = cfg.sweep_classes()
+    classes = class_list(cfg.sweep_classes())
     assert all(c.T1 == cfg.sweep.tls_t1 for c in classes)
     assert all(c.T_phi == cfg.sweep.tls_t_phi for c in classes)
     total = math.fsum(c.count for c in classes)

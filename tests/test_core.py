@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from tlscavity import CONSTANTS, CavityParams, TlsClass, bose_einstein, t2_star
+from tlscavity import (CONSTANTS, CavityParams, DistributionParams,
+                       bose_einstein, sample_classes, t2_star)
+from tlscavity.distribution import _refusal
 
 
 def test_constants_codata():
@@ -65,11 +67,17 @@ def test_t2_star_zero_temperature_composition():
 
 
 def test_from_t2_star_round_trip():
-    cls = TlsClass.from_t2_star(50.0, 1e6, 2.0 * math.pi * 7.9e9, 2.86e-7)
-    assert cls.T1 == pytest.approx(2.0 * 2.86e-7, rel=1e-15)
-    assert cls.T_phi == pytest.approx(4.0 / 3.0 * 2.86e-7, rel=1e-15)
-    assert t2_star(cls.T1, cls.T_phi, cls.omega_tls, 0.0) == pytest.approx(
-        2.86e-7, rel=1e-12)
+    # classes sampled from a zero-temperature T2* get T1 = 2 T2* and
+    # T_phi = (4/3) T2*, which give back T2* at T = 0
+    params = DistributionParams(n_tot=1e6, beta=3.26, epsilon_s=0.25,
+                                g_min=1e-3, g_max=1e3, n_classes=7)
+    _, _, T1, T_phi, omega_tls = sample_classes(
+        params, omega_tls=2.0 * math.pi * 7.9e9, t2_star=2.86e-7)
+    for t1, t_phi, omega in zip(T1.ravel(), T_phi.ravel(), omega_tls.ravel()):
+        assert t1 == pytest.approx(2.0 * 2.86e-7, rel=1e-15)
+        assert t_phi == pytest.approx(4.0 / 3.0 * 2.86e-7, rel=1e-15)
+        assert t2_star(t1, t_phi, omega, 0.0) == pytest.approx(2.86e-7,
+                                                              rel=1e-12)
 
 
 def test_cavity_params_validation():
@@ -87,9 +95,12 @@ def test_cavity_params_validation():
 
 
 def test_tls_class_validation():
-    with pytest.raises(ValueError):
-        TlsClass(g=0.0, count=1.0, omega_tls=1e10, T1=1e-6, T_phi=1e-6)
-    with pytest.raises(ValueError):
-        TlsClass(g=1.0, count=-1.0, omega_tls=1e10, T1=1e-6, T_phi=1e-6)
-    with pytest.raises(ValueError):
-        TlsClass(g=1.0, count=1.0, omega_tls=1e10, T1=0.0, T_phi=1e-6)
+    # the sampler's one validation function, on one class (g, count, T1,
+    # T_phi, omega_tls) of a valid distribution
+    def refusal(*cls):
+        return _refusal(1.0, 3.0, 0.25, 1e-3, 1e3, 1, [[v] for v in cls])
+
+    assert refusal(1.0, 1.0, 1e-6, 1e-6, 1e10) is None
+    assert refusal(0.0, 1.0, 1e-6, 1e-6, 1e10) == "g must be > 0"
+    assert refusal(1.0, -1.0, 1e-6, 1e-6, 1e10) == "count must be >= 0"
+    assert refusal(1.0, 1.0, 0.0, 1e-6, 1e10) == "T1 and T_phi must be > 0"

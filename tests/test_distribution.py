@@ -7,7 +7,8 @@ from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 import oracles
-from tlscavity import DistributionParams, TlsClass
+from oracles import TlsClass, class_list
+from tlscavity import DistributionParams
 from tlscavity.distribution import (bin_edges, counts_between, density,
                                     dipole_in_e_angstrom, loss_tangent,
                                     sample_class_arrays, sample_classes,
@@ -45,7 +46,7 @@ def test_full_integral_is_n_tot(beta):
 @pytest.mark.parametrize("n_classes", [7, 14, 28])
 def test_class_counts_conserve_window_integral(n_classes):
     p = make_params(n_classes=n_classes)
-    classes = sample_classes(p, omega_tls=W0, t2_star=2.86e-7)
+    classes = class_list(sample_classes(p, omega_tls=W0, t2_star=2.86e-7))
     total = math.fsum(c.count for c in classes)
     window, _ = quad(lambda g: density(g, p), p.g_min, p.g_max, limit=400)
     assert total == pytest.approx(window, rel=1e-3)
@@ -58,7 +59,7 @@ def test_class_positions_and_fractions_reference():
                 0.0988933253956, 0.00121679936352, 1.40644476084e-5,
                 1.62547351358e-7]
     p = make_params(n_tot=1.0)
-    classes = sample_classes(p, omega_tls=W0, t2_star=2.86e-7)
+    classes = class_list(sample_classes(p, omega_tls=W0, t2_star=2.86e-7))
     for cls, g, frac in zip(classes, g_ref, frac_ref):
         assert cls.g == pytest.approx(g, rel=1e-11)
         assert cls.count == pytest.approx(frac, rel=1e-9)
@@ -82,15 +83,16 @@ def test_window_count_matches_mpmath_table(beta, epsilon_s, g_lo, g_hi, ref):
 
 
 def test_counts_linear_in_n_tot():
-    a = sample_classes(make_params(n_tot=1.0), omega_tls=W0, t2_star=2.86e-7)
-    b = sample_classes(make_params(n_tot=3.7e8), omega_tls=W0,
-                       t2_star=2.86e-7)
+    a, b = (class_list(sample_classes(make_params(n_tot=n_tot), omega_tls=W0,
+                                      t2_star=2.86e-7))
+            for n_tot in (1.0, 3.7e8))
     for ca, cb in zip(a, b):
         assert cb.count == pytest.approx(3.7e8 * ca.count, rel=1e-12)
 
 
 def test_exactly_six_populated_classes_at_default_scale():
-    classes = sample_classes(make_params(), omega_tls=W0, t2_star=2.86e-7)
+    classes = class_list(sample_classes(make_params(), omega_tls=W0,
+                                        t2_star=2.86e-7))
     populated = [c for c in classes if c.count > 1.0]
     assert len(populated) == 6
     assert max(c.g for c in populated) < 110.0
@@ -107,7 +109,8 @@ def test_bin_edges_geometric():
 
 def test_times_applied_uniformly():
     p = make_params()
-    classes = sample_classes(p, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
+    classes = class_list(sample_classes(p, omega_tls=W0, T1=7.23e-7,
+                                        T_phi=4.84e-7))
     assert all(c.T1 == 7.23e-7 and c.T_phi == 4.84e-7 for c in classes)
     with pytest.raises(ValueError):
         sample_classes(p, omega_tls=W0, T1=7.23e-7)
@@ -119,8 +122,8 @@ def test_times_applied_uniformly():
 def test_unsaturated_linewidth_contribution():
     # kappa_TLS = 2 T2* sum N g^2 against the frozen reference at the
     # pulsed-trace scale
-    classes = sample_classes(make_params(n_tot=1.2e8), omega_tls=W0,
-                             t2_star=2.86e-7)
+    classes = class_list(sample_classes(make_params(n_tot=1.2e8),
+                                        omega_tls=W0, t2_star=2.86e-7))
     alpha = 2.0 * 2.86e-7 * math.fsum(c.count * c.g ** 2 for c in classes)
     assert alpha == pytest.approx(16.177302908249413, rel=1e-10)
 
@@ -173,10 +176,11 @@ _sampler_rows = hst.lists(hst.tuples(
        n_classes=hst.integers(1, 12), t2_star=hst.booleans())
 def test_sample_class_arrays_is_sample_classes_row_by_row(
         rows, window, n_classes, t2_star):
-    """Column b of the vectorised sampler holds bitwise the g, count, T1
-    and T_phi of sample_classes on row b's parameters, and a row it
-    refuses (beta <= 1, n_tot < 0, g_min >= g_max, t2 <= 0, or T1 or T_phi
-    <= 0) carries the error that sample_classes raises there."""
+    """Column b of the vectorised sampler holds bitwise the class arrays of
+    sample_classes on row b's parameters, and a row it refuses (beta <= 1,
+    n_tot < 0, g_min >= g_max, t2 <= 0, or T1 or T_phi <= 0) carries the
+    error of the scalar checks there: the distribution's parameters, then
+    TlsClass on each of the row's classes in turn."""
     n_tot, beta, eps, t2 = (np.array(col) for col in zip(*rows))
     window = dict(g_min=window[0], g_max=window[1], n_classes=n_classes)
 
@@ -188,13 +192,19 @@ def test_sample_class_arrays_is_sample_classes_row_by_row(
     assert len(refused) == len(rows)
     for b, (nt, be, ep, t) in enumerate(rows):
         try:
-            want = sample_classes(DistributionParams(nt, be, ep, **window),
-                                  omega_tls=W0, **times(t))
+            oracles.check_distribution(nt, be, ep, **window)
+            for g, count in zip(arrays[0][:, b].tolist(),
+                                arrays[1][:, b].tolist()):
+                if t2_star:
+                    TlsClass.from_t2_star(g, count, W0, t)
+                else:
+                    TlsClass(g, count, W0, 2.5 * t, 1.5 * t)
         except ValueError as exc:
             assert type(refused[b]) is type(exc)
             assert str(refused[b]) == str(exc)
             continue
         assert refused[b] is None
-        for arr, name in zip(arrays, ("g", "count", "T1", "T_phi")):
-            assert (arr[:, b].tobytes() == np.array(
-                [getattr(c, name) for c in want]).tobytes())
+        want = sample_classes(DistributionParams(nt, be, ep, **window),
+                              omega_tls=W0, **times(t))
+        for arr, ref in zip(arrays, want):
+            assert arr[:, b].tobytes() == ref[:, 0].tobytes()

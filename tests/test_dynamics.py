@@ -6,20 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from tlscavity import (CavityParams, SaturationError, StepConvergenceError,
-                       StepWindowError, TlsClass, bath_rates, evolve_ringdown,
-                       evolve_ringdown_batch, kappa_of_time, trajectory_kappa)
+from oracles import TlsClass, class_arrays, class_list
+from tlscavity import (CavityParams, ClassTable, SaturationError,
+                       StepConvergenceError, StepWindowError, bath_rates,
+                       evolve_ringdown, evolve_table, kappa_of_time,
+                       trajectory_kappa)
 from tlscavity.core import bose_einstein
-from tlscavity.dynamics import (Trajectory, _evolve, _raise_first,
-                                _verified_evolve)
-from tlscavity.tls_bath import class_table
+from tlscavity.dynamics import Trajectory, _evolve, _verified_evolve
 
 
 W0 = 2.0 * math.pi * 7.9e9
 
 
+def _rows_table(rows, cavity):
+    """The ClassTable of one-row class arrays, side by side."""
+    return ClassTable(*(np.hstack(col) for col in zip(*rows)), cavity.omega0,
+                      cavity.temperature)
+
+
 def test_no_tls_pure_exponential(cavity):
-    traj = evolve_ringdown(1e10, [], cavity, 0.01, 500)
+    traj = evolve_ringdown(1e10, class_arrays([[]]), cavity, 0.01, 500)
     expected = 1e10 * np.exp(-cavity.kappa0 * traj.times)
     assert np.max(np.abs(traj.n / expected - 1.0)) < 1e-9
 
@@ -30,7 +36,8 @@ def test_single_step_against_euler_oracle(trace_classes, cavity):
     # one closed-form step from the sqrt(n) pinned amplitude
     stepped = evolve_ringdown(n0, trace_classes, cavity, dt, 2, verify=False)
     grid = np.array([0.0, dt])
-    n_euler = oracles.euler_moments(n0, math.sqrt(n0), trace_classes,
+    n_euler = oracles.euler_moments(n0, math.sqrt(n0),
+                                    class_list(trace_classes),
                                     cavity.kappa0, cavity.omega0,
                                     cavity.temperature, grid, n_sub=20000)
     # frozen rates vs continuously updated rates agree to O(dt * dkappa/dt)
@@ -39,7 +46,8 @@ def test_single_step_against_euler_oracle(trace_classes, cavity):
 
 def test_pinned_evolution_against_fine_euler(trace_classes, cavity):
     traj = evolve_ringdown(1e12, trace_classes, cavity, 0.004, 1399)
-    n_euler = oracles.euler_moments(1e12, math.sqrt(1e12), trace_classes,
+    n_euler = oracles.euler_moments(1e12, math.sqrt(1e12),
+                                    class_list(trace_classes),
                                     cavity.kappa0, cavity.omega0,
                                     cavity.temperature, traj.times, n_sub=60)
     assert np.max(np.abs(traj.n / n_euler - 1.0)) < 1e-4
@@ -48,8 +56,9 @@ def test_pinned_evolution_against_fine_euler(trace_classes, cavity):
 def test_pinned_evolution_against_ode_limit(trace_classes, cavity):
     traj = evolve_ringdown(5e13, trace_classes, cavity, 0.022, 4000,
                            verify=False)
-    n_ode = oracles.pinned_limit_ode(5e13, trace_classes, cavity.kappa0,
-                                     cavity.omega0, cavity.temperature,
+    n_ode = oracles.pinned_limit_ode(5e13, class_list(trace_classes),
+                                     cavity.kappa0, cavity.omega0,
+                                     cavity.temperature,
                                      traj.times[::100], rtol=1e-11)
     assert np.max(np.abs(traj.n[::100] / n_ode - 1.0)) < 2e-4
 
@@ -58,7 +67,7 @@ def test_rk4_reference_matches_richardson_euler(trace_classes, cavity):
     # the first 200 intervals of acceptance a06's grid: Euler's first-order
     # error cancels in 2 E(50) - E(25), which must then meet RK4
     grid = np.linspace(0.0, 0.022, 15385)[:201]
-    args = (5e13, math.sqrt(5e13), trace_classes, cavity.kappa0,
+    args = (5e13, math.sqrt(5e13), class_list(trace_classes), cavity.kappa0,
             cavity.omega0, cavity.temperature, grid)
     e25 = oracles.euler_moments(*args, n_sub=25)
     e50 = oracles.euler_moments(*args, n_sub=50)
@@ -92,7 +101,7 @@ def test_fock_space_master_equation_cross_check():
     assert n_init == pytest.approx(n0, rel=1e-8)
     excess_exact = -math.log(n_exact / n_init) / dt - kappa0
 
-    rates = bath_rates([cls], n0, alpha, cav.omega0, 0.0)
+    rates = bath_rates(class_arrays([[cls]]), n0, alpha, cav.omega0, 0.0)
     kp, km, op = oracles.state_rates(cls, st, cav.omega0, 0.0)
     assert rates.kappa_plus == pytest.approx(kp, rel=1e-12,
                                              abs=1e-12 * (kp + km))
@@ -101,8 +110,8 @@ def test_fock_space_master_equation_cross_check():
     excess_rates = rates.kappa_minus - rates.kappa_plus
     assert excess_exact == pytest.approx(excess_rates, rel=0.01)
 
-    traj = evolve_ringdown(n_init, [cls], cav, dt, 2, verify=False,
-                           window_margin=5.0)
+    traj = evolve_ringdown(n_init, class_arrays([[cls]]), cav, dt, 2,
+                           verify=False, window_margin=5.0)
     excess_step = -math.log(traj.n[-1] / n_init) / dt - kappa0
     t2 = 1.0 / (0.5 / T1 + 1.0 / T_phi)
     assert excess_step == pytest.approx(2.0 * 2.0 * g * g * t2, rel=0.01)
@@ -126,8 +135,8 @@ def test_saturation_error_on_net_gain(cavity):
                 return out
             return kernel
 
-    with pytest.raises(SaturationError):
-        _raise_first(_evolve(GainTable(), cavity, [1e10], 1e-3, 3))
+    (got,) = _evolve(GainTable(), cavity, [1e10], 1e-3, 3)
+    assert isinstance(got, SaturationError)
 
 
 def test_on_resonance_re_omega_prime_keeps_its_sign_bit(trace_classes,
@@ -138,8 +147,8 @@ def test_on_resonance_re_omega_prime_keeps_its_sign_bit(trace_classes,
     from +0.0 would lose."""
     alone = evolve_ringdown(5e13, trace_classes, cavity, 0.022, 2000,
                             verify=False)
-    batch = evolve_ringdown_batch([5e13, 1e11], [trace_classes] * 2, cavity,
-                                  0.022, 2000, verify=[True, False])
+    batch = evolve_table(_rows_table([trace_classes] * 2, cavity), cavity,
+                         [5e13, 1e11], 0.022, 2000, verify=[True, False])
     for traj in (alone, *batch):
         assert np.all(traj.omega_prime.real == 0.0)
         assert np.all(np.signbit(traj.omega_prime.real))
@@ -184,14 +193,18 @@ def test_kappa_of_time_basics():
 _BATCH_CAV = CavityParams(f0=7.9e9, kappa0=537.7, kappa_c=496.4,
                           temperature=0.02)
 
-_row_classes = hst.lists(
-    hst.builds(
-        TlsClass.from_t2_star,
-        g=hst.floats(1e-2, 4e2),
-        count=hst.floats(0.0, 1e9),
-        omega_tls=hst.floats(-2e7, 2e7).map(lambda d: W0 + d),
-        t2=hst.floats(5e-8, 5e-7)),
-    min_size=0, max_size=12)
+_row_class = hst.builds(
+    TlsClass.from_t2_star,
+    g=hst.floats(1e-2, 4e2),
+    count=hst.floats(0.0, 1e9),
+    omega_tls=hst.floats(-2e7, 2e7).map(lambda d: W0 + d),
+    t2=hst.floats(5e-8, 5e-7))
+
+# 1 to 12 rows of (log10 n0, class list), all lists of one size 0 to 12
+_batch_rows = hst.integers(0, 12).flatmap(lambda size: hst.lists(
+    hst.tuples(hst.floats(3.0, 14.0),
+               hst.lists(_row_class, min_size=size, max_size=size)),
+    min_size=1, max_size=12))
 
 
 def _same_trajectory(a, b):
@@ -216,18 +229,18 @@ def _check_rows(batch, solos):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=hst.lists(hst.tuples(hst.floats(3.0, 14.0), _row_classes),
-                      min_size=1, max_size=12),
-       verify=hst.booleans())
+@given(rows=_batch_rows, verify=hst.booleans())
 def test_batch_rows_bitwise_equal_solo_ringdown(rows, verify):
     """Row k of a batch is bitwise the trajectory evolve_ringdown returns
     for it alone, whatever the batch size and the other rows."""
     initials = [10.0 ** e for e, _ in rows]
     class_lists = [classes for _, classes in rows]
-    batch = evolve_ringdown_batch(initials, class_lists, _BATCH_CAV, 0.004,
-                                  40, verify=verify, return_errors=True)
-    solos = [_solo(lambda: evolve_ringdown(i, c, _BATCH_CAV, 0.004, 40,
-                                           verify=verify))
+    table = ClassTable(*class_arrays(class_lists), _BATCH_CAV.omega0,
+                       _BATCH_CAV.temperature)
+    batch = evolve_table(table, _BATCH_CAV, initials, 0.004, 40,
+                         verify=verify)
+    solos = [_solo(lambda: evolve_ringdown(i, class_arrays([c]), _BATCH_CAV,
+                                           0.004, 40, verify=verify))
              for i, c in zip(initials, class_lists)]
     _check_rows(batch, solos)
 
@@ -240,34 +253,35 @@ def test_lone_row_sums_its_classes_in_class_order(size):
                                      W0 + 1.3e5 * k * (-1) ** k,
                                      1.1e-7 * 1.3 ** k)
                for k in range(size)]
-    alone = evolve_ringdown(1e12, classes, _BATCH_CAV, 0.004, 40,
-                            verify=False)
-    pair = evolve_ringdown_batch([1e12, 3e10], [classes, classes[::-1]],
-                                 _BATCH_CAV, 0.004, 40, verify=False)
+    alone = evolve_ringdown(1e12, class_arrays([classes]), _BATCH_CAV, 0.004,
+                            40, verify=False)
+    pair = evolve_table(ClassTable(*class_arrays([classes, classes[::-1]]),
+                                   _BATCH_CAV.omega0, _BATCH_CAV.temperature),
+                        _BATCH_CAV, [1e12, 3e10], 0.004, 40, verify=False)
     assert _same_trajectory(alone, pair[0])
 
 
 def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
-    slow = [TlsClass.from_t2_star(50.0, 1e6, W0, 2e-6)]
-    class_lists = [trace_classes, slow, trace_classes[:5], trace_classes]
+    # T2* = 2 us; and the trace classes with the top two emptied
+    slow = oracles.with_times(trace_classes, 4e-6, (4.0 / 3.0) * 2e-6)
+    g, count, *times = trace_classes
+    fewer = (g, np.where(np.arange(len(g))[:, None] < 5, count, 0.0), *times)
+    rows = [trace_classes, slow, fewer, trace_classes]
     initials = [1e12, 1e12, 3e11, 5e13]
     # row 1's T2* puts the 800-step grid below its Markovian window
-    batch = evolve_ringdown_batch(initials, class_lists, cavity, 0.01, 800,
-                                  verify=False, return_errors=True)
+    batch = evolve_table(_rows_table(rows, cavity), cavity, initials, 0.01,
+                         800, verify=False)
     assert isinstance(batch[1], StepWindowError)
     with pytest.raises(StepWindowError):
-        evolve_ringdown_batch(initials, class_lists, cavity, 0.01, 800,
-                              verify=False)
+        evolve_ringdown(initials[1], slow, cavity, 0.01, 800, verify=False)
     for r in (0, 2, 3):
         assert _same_trajectory(batch[r], evolve_ringdown(
-            initials[r], class_lists[r], cavity, 0.01, 800, verify=False))
+            initials[r], rows[r], cavity, 0.01, 800, verify=False))
 
     # row 1 turns to net gain from step 5 on: it alone stops
-    keep = [trace_classes, trace_classes, trace_classes]
-
     class GainRow:
         def __init__(self):
-            self.table = class_table(keep, cavity.omega0, cavity.temperature)
+            self.table = _rows_table([trace_classes] * 3, cavity)
             self.calls = 0
 
         def rate_kernel(self, state, out):
@@ -343,8 +357,7 @@ def _two_call_verified(table, cavity, n0, t_final, m_pts, verify):
 @pytest.mark.parametrize("m", [2, 10])
 def test_fused_verify_matches_two_call_reference(cfg, m):
     cavity, t_final = cfg.cavity, 0.022
-    table = class_table([cfg.trace_classes()] * 6, cavity.omega0,
-                        cavity.temperature)
+    table = _rows_table([cfg.trace_classes()] * 6, cavity)
     # rows: passes; fails halving at m = 10; unverified; coarse pass stops
     # (its twin would pass); twin stops (its coarse pass would pass);
     # unverified and stopped
@@ -415,8 +428,8 @@ def _matches_reference(traj, ref):
 def test_lone_row_pass_matches_reference(size):
     """A lone row, stepped beside its discarded padding column, is bitwise
     the per-row reference of the pass."""
-    table = class_table([_classes(size)], _BATCH_CAV.omega0,
-                        _BATCH_CAV.temperature)
+    table = ClassTable(*class_arrays([_classes(size)]), _BATCH_CAV.omega0,
+                       _BATCH_CAV.temperature)
     traj, = _evolve(table, _BATCH_CAV, [1e12], 0.004, 40)
     ref = _reference_row(table, 0, 1e12, _BATCH_CAV, traj.times)
     assert _matches_reference(traj, ref)
@@ -427,7 +440,8 @@ def test_batch_with_twins_matches_reference(size):
     """Each row of a 3-row batch, and each verify twin at half the step, is
     bitwise the per-row reference on its own grid."""
     lists = [_classes(size), _classes(size)[::-1], _classes(size, 0.2)]
-    table = class_table(lists, _BATCH_CAV.omega0, _BATCH_CAV.temperature)
+    table = ClassTable(*class_arrays(lists), _BATCH_CAV.omega0,
+                       _BATCH_CAV.temperature)
     n0 = [1e12, 3e10, 5e13]
     got = _evolve(table, _BATCH_CAV, n0, 0.004, 40, twins=[0, 2])
     fine = np.linspace(0.0, 0.004, 79)
@@ -459,8 +473,7 @@ class _ClampAt(_FailAt):
 
 
 def test_clamped_rate_inside_the_loop(trace_classes, cavity):
-    table = class_table([trace_classes] * 3, cavity.omega0,
-                        cavity.temperature)
+    table = _rows_table([trace_classes] * 3, cavity)
     n0, j = np.array([1e12, 3e11, 5e13]), 7
     plain = _evolve(table, cavity, n0, 0.01, 80)
     target = plain[1].n[j]
@@ -484,7 +497,8 @@ def test_clamped_rate_inside_the_loop(trace_classes, cavity):
             n0[r], trace_classes, cavity, 0.01, 80, verify=False))
 
 
-def test_empty_batch_refuses_too_few_steps(cavity):
+def test_empty_batch_refuses_too_few_steps(trace_classes, cavity):
+    empty = _rows_table([trace_classes], cavity).take([])
     with pytest.raises(ValueError, match="m_steps must be >= 2"):
-        evolve_ringdown_batch([], [], cavity, 0.01, 1)
-    assert evolve_ringdown_batch([], [], cavity, 0.01, 2) == []
+        evolve_table(empty, cavity, [], 0.01, 1)
+    assert evolve_table(empty, cavity, [], 0.01, 2) == []

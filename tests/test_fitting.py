@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import with_times
 from tlscavity import (DistributionParams, FitError, FitParameter,
                        FitProblem, FitResult, FitStartError,
-                       SuperconductorParams, TlsClass, evolve_ringdown,
-                       freq_shift, joint_tls_fit, minimize,
-                       numerical_jacobian, q_int_temperature, sample_classes,
-                       temperature_fit)
+                       SuperconductorParams, evolve_ringdown, freq_shift,
+                       joint_tls_fit, minimize, numerical_jacobian,
+                       q_int_temperature, sample_classes, temperature_fit)
 from tlscavity import fitting
 from tlscavity.distribution import _unit_bins
 
@@ -677,13 +677,11 @@ def test_temperature_fit_curves_are_the_models_at_the_fit(
     res = temperature_fit(
         (t_f, shifts_n, sig_f), (t_q, qs_n, 0.01 * qs),
         replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3, sigma_n=1e7),
-        [replace(c, T1=1e-6, T_phi=3e-7) for c in sweep_classes], cavity)
+        with_times(sweep_classes, 1e-6, 3e-7), cavity)
     got = res.values_dict
     best = SuperconductorParams(delta0=got["delta0"], sigma_n=got["sigma_n"],
                                 alpha=got["alpha"], g_factor=sc.g_factor)
-    classes = [TlsClass(g=c.g, count=c.count, omega_tls=cavity.omega0,
-                        T1=got["t1"], T_phi=got["t_phi"])
-               for c in sweep_classes]
+    classes = with_times(sweep_classes, got["t1"], got["t_phi"])
     (xf, df, mf), (xq, dq, mq) = res.curves
     assert np.array_equal(xf, t_f) and np.array_equal(df, shifts_n)
     assert np.array_equal(xq, t_q) and np.array_equal(dq, qs_n)
@@ -769,8 +767,7 @@ def test_temperature_fit_closing_trial_saves_evaluations(
                 (t_f, shifts_n, sig_f), (t_q, qs_n, 0.01 * qs),
                 replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3,
                         sigma_n=1e7),
-                [replace(c, T1=1e-6, T_phi=3e-7) for c in sweep_classes],
-                cavity)
+                with_times(sweep_classes, 1e-6, 3e-7), cavity)
         return res, calls[0]
 
     res, evaluations = fit(fitting._GAIN_STOP)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from tlscavity import (CavityParams, SuperconductorParams, TlsClass,
-                       ValidityWarning, bessel_k0, conductivity,
-                       critical_temperature, freq_shift, gap,
+from oracles import TlsClass, class_arrays
+from tlscavity import (SuperconductorParams, ValidityWarning, bessel_k0,
+                       conductivity, critical_temperature, freq_shift, gap,
                        q_int_temperature, q_qp, q_tls_temperature,
                        skin_depth, temperature_sweep)
 from tlscavity.mattis_bardeen import pair_breaking
@@ -192,6 +192,7 @@ def test_array_forms_bitwise_equal_scalar_oracles(sc, cavity, temps,
     classes and infinite Q channels; a scalar gives the same float."""
     t = np.array(temps)
     w0 = cavity.omega0
+    arrays = class_arrays([classes])
     cases = [
         (lambda x: gap(x, sc.delta0), lambda x: oracles.gap(x, sc.delta0)),
         (lambda x: conductivity(x, w0, sc)[0],
@@ -201,9 +202,9 @@ def test_array_forms_bitwise_equal_scalar_oracles(sc, cavity, temps,
         (lambda x: freq_shift(x, sc, w0),
          lambda x: oracles.freq_shift(x, sc, w0)),
         (lambda x: q_qp(x, sc, w0), lambda x: oracles.q_qp(x, sc, w0)),
-        (lambda x: q_tls_temperature(x, classes, cavity),
+        (lambda x: q_tls_temperature(x, arrays, cavity),
          lambda x: oracles.q_tls_temperature(x, classes, w0)),
-        (lambda x: q_int_temperature(x, sc, classes, cavity),
+        (lambda x: q_int_temperature(x, sc, arrays, cavity),
          lambda x: oracles.q_int_temperature(x, sc, classes, w0)),
     ]
     with warnings.catch_warnings():

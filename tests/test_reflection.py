@@ -238,13 +238,15 @@ def test_batched_taubin_rows_equal_single_sweep_calls():
 
 
 def test_degenerate_delay_candidate_scores_inf():
-    # a candidate whose points all coincide (at a point whose mean is
-    # exact), and one on a straight line, score inf beside a finite one
+    # candidates whose points all coincide (at a point whose mean is exact,
+    # and at one whose mean rounds a few ulps off it), and one on a
+    # straight line, score inf beside a finite one
     f, s = _circle_sweep(401)
     point = np.full_like(s, 0.5 + 0.25j)
+    rounded = np.full_like(s, 0.3 + 0.2j)
     line = (0.5 + 0.25j) * np.linspace(-1.0, 1.0, len(f))
-    cost = reflection._circle_cost(np.stack([s, point, line]))
-    assert np.isfinite(cost[0]) and list(cost[1:]) == [math.inf, math.inf]
-    for z in (point, line):
+    cost = reflection._circle_cost(np.stack([s, point, rounded, line]))
+    assert np.isfinite(cost[0]) and list(cost[1:]) == [math.inf] * 3
+    for z in (point, rounded, line):
         with pytest.raises(DataError, match="does not trace a circle"):
             circle_fit(f, z, fit_delay=False)

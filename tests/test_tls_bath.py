@@ -6,14 +6,24 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from oracles import TlsState, tls_steady_state
-from tlscavity import (BathRates, DistributionParams, TlsClass, bath_rates,
+from oracles import TlsClass, TlsState, class_arrays, tls_steady_state
+from tlscavity import (BathRates, DistributionParams, bath_rates,
                        sample_classes)
 from tlscavity.distribution import sample_class_arrays
-from tlscavity.tls_bath import ClassTable, class_table
+from tlscavity.tls_bath import ClassTable
 
 
 W0 = 2.0 * math.pi * 7.9e9
+
+
+def class_rates(classes, n, amp, omega0, temperature):
+    """bath_rates of a TlsClass list."""
+    return bath_rates(class_arrays([classes]), n, amp, omega0, temperature)
+
+
+def list_table(class_lists, omega0, temperature):
+    """The ClassTable whose row b holds the TlsClass list class_lists[b]."""
+    return ClassTable(*class_arrays(class_lists), omega0, temperature)
 
 
 def check_rates_match_state(cls, n, temperature, omega0=None):
@@ -21,7 +31,7 @@ def check_rates_match_state(cls, n, temperature, omega0=None):
     oracle's steady state at the same point (kappa_plus clamped at 0)."""
     state = tls_steady_state(cls, n, temperature, omega0)
     kp, km, op = oracles.state_rates(cls, state, W0, temperature)
-    rates = bath_rates([cls], n, math.sqrt(n), W0, temperature)
+    rates = class_rates([cls], n, math.sqrt(n), W0, temperature)
     scale = abs(kp) + abs(km)
     assert rates.kappa_plus == pytest.approx(max(kp, 0.0), rel=1e-12,
                                              abs=1e-12 * scale)
@@ -51,7 +61,7 @@ def test_steady_state_reference_t2_override():
 
 def test_bath_rates_reference_values():
     cls = TlsClass(g=50.0, count=1e6, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
-    rates = bath_rates([cls], 1e8, 1e4, W0, 0.02)
+    rates = class_rates([cls], 1e8, 1e4, W0, 0.02)
     assert rates.kappa_plus == pytest.approx(3.2675382141572879, rel=1e-11)
     assert rates.kappa_minus == pytest.approx(1704.8572492207592, rel=1e-11)
     assert rates.omega_prime.imag == pytest.approx(8507948.5550330096, rel=1e-11)
@@ -60,7 +70,7 @@ def test_bath_rates_reference_values():
 
 def test_bath_rates_reference_values_override_class():
     cls = TlsClass.from_t2_star(51.7947467923, 33.75467426, W0, 2.86e-7)
-    rates = bath_rates([cls], 1e9, math.sqrt(1e9), W0, 0.02)
+    rates = class_rates([cls], 1e9, math.sqrt(1e9), W0, 0.02)
     assert rates.kappa_plus == pytest.approx(0.0024093326019593097, rel=1e-10)
     assert rates.kappa_minus == pytest.approx(0.038407513062227798, rel=1e-10)
     assert rates.omega_prime.imag == pytest.approx(569.18120938108453, rel=1e-10)
@@ -70,8 +80,8 @@ def test_rates_linear_in_counts():
     base = TlsClass(g=50.0, count=1e6, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
     doubled = TlsClass(g=50.0, count=2e6, omega_tls=W0, T1=7.23e-7,
                        T_phi=4.84e-7)
-    r1 = bath_rates([base], 1e8, 1e4, W0, 0.02)
-    r2 = bath_rates([doubled], 1e8, 1e4, W0, 0.02)
+    r1 = class_rates([base], 1e8, 1e4, W0, 0.02)
+    r2 = class_rates([doubled], 1e8, 1e4, W0, 0.02)
     assert r2.kappa_plus == pytest.approx(2.0 * r1.kappa_plus, rel=1e-14)
     assert r2.kappa_minus == pytest.approx(2.0 * r1.kappa_minus, rel=1e-14)
     assert r2.omega_prime.imag == pytest.approx(2.0 * r1.omega_prime.imag,
@@ -108,8 +118,8 @@ def test_detuned_class_weaker_coupling():
     st_on = check_rates_match_state(on, 1e8, 0.02, omega0=W0)
     st_off = check_rates_match_state(off, 1e8, 0.02, omega0=W0)
     assert abs(st_off.rho_ge) < abs(st_on.rho_ge)
-    r_on = bath_rates([on], 1e8, 1e4, W0, 0.02)
-    r_off = bath_rates([off], 1e8, 1e4, W0, 0.02)
+    r_on = class_rates([on], 1e8, 1e4, W0, 0.02)
+    r_off = class_rates([off], 1e8, 1e4, W0, 0.02)
     assert r_off.kappa_minus < r_on.kappa_minus
 
 
@@ -124,7 +134,7 @@ def test_tls_state_positivity_guard():
 def test_bath_rates_validation():
     cls = TlsClass(g=50.0, count=1.0, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
     with pytest.raises(ValueError):
-        bath_rates([cls], -1.0, 0.0, W0, 0.02)
+        class_rates([cls], -1.0, 0.0, W0, 0.02)
     with pytest.raises(ValueError):
         BathRates(omega_prime=0.0, kappa_plus=-1.0, kappa_minus=1.0)
 
@@ -135,7 +145,7 @@ def test_tiny_negative_kappa_plus_clamped():
     # summed rate must clamp to zero instead of failing.
     cls = TlsClass(g=5.0, count=1.0, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
     # barely saturated, D - 1 ~ 7e-6
-    rates = bath_rates([cls], 1e6, 1e3, W0, 0.02)
+    rates = class_rates([cls], 1e6, 1e3, W0, 0.02)
     assert rates.kappa_plus == 0.0
     assert rates.kappa_minus > 0.0
 
@@ -165,7 +175,7 @@ def test_bath_rates_match_oracle(classes, n, temperature):
     amp = complex(math.sqrt(n), 0.0)
     kp, km, op = oracles._Bath(classes, W0, temperature).rates(n, amp)
     assume(kp >= 0.0)  # the package clamps small negative kappa_plus
-    rates = bath_rates(classes, n, amp, W0, temperature)
+    rates = class_rates(classes, n, amp, W0, temperature)
     assert rates.kappa_plus == pytest.approx(kp, rel=1e-12)
     assert rates.kappa_minus == pytest.approx(km, rel=1e-12)
     assert np.isclose(rates.omega_prime, op, rtol=1e-12, atol=0.0)
@@ -202,8 +212,8 @@ def test_class_table_over_class_lists_is_the_one_list_tables(
     coefficients of the one-list tables; take() picks rows of it."""
     lists = [data.draw(hst.lists(_class, min_size=size, max_size=size))
              for _ in range(rows)]
-    table = class_table(lists, W0, temperature)
-    solos = [class_table([c], W0, temperature) for c in lists]
+    table = list_table(lists, W0, temperature)
+    solos = [list_table([c], W0, temperature) for c in lists]
     _same_rows(table, solos)
     picked = list(range(rows))[::-2]
     _same_rows(table.take(picked), [solos[r] for r in picked])
@@ -217,8 +227,8 @@ def test_class_table_over_temperatures_is_the_one_temperature_tables(
     """A table over a temperature array, one row per temperature, holds
     row by row bitwise the coefficients and the rate sums of the
     single-temperature tables."""
-    table = class_table([classes], W0, np.array(temps))
-    solos = [class_table([classes], W0, t) for t in temps]
+    table = list_table([classes], W0, np.array(temps))
+    solos = [list_table([classes], W0, t) for t in temps]
     _same_rows(table, solos)
     n = np.linspace(0.0, 1e6, len(temps))
     sums = table.rate_sums(n, 0.5 * n)
@@ -257,7 +267,7 @@ def test_rate_sums_add_the_classes_in_index_order(rows, temperature):
     size = len(rows[0][0])
     n = [x for _, x, _ in rows]
     amp2 = [x * frac for _, x, frac in rows]
-    table = class_table([classes for classes, _, _ in rows], W0, temperature)
+    table = list_table([classes for classes, _, _ in rows], W0, temperature)
     state = np.empty((3, max(len(rows), 2)))
     state[:2], state[2] = n, amp2
     kernel = table.rate_kernel(state, np.empty((4, state.shape[1])))
@@ -282,7 +292,7 @@ def test_spread_classes_tell_the_two_sum_orders_apart():
     """The explicit examples above discriminate: numpy's own last-axis sum
     of their per-class terms misses the class-order sum in some bit."""
     for size in (8, 9, 12):
-        table = class_table([_spread_classes(size)], W0, 0.02)
+        table = list_table([_spread_classes(size)], W0, 0.02)
         n, amp2 = 3e9, 2.1e9
         d = table.base[0, :, 0] + table.slope[0, :, 0] * n
         inv = 1.0 / d
@@ -307,10 +317,10 @@ _detuned = hst.one_of(hst.just(W0), hst.floats(-5e7, 5e7).map(
            _temperature, min_size=1, max_size=5).map(np.array))
 def test_array_built_table_is_the_class_list_table(data, size, rows,
                                                    omega_tls, temperature):
-    """ClassTable from the sampler's (C, B) arrays, as joint_tls_fit builds
-    it, holds bitwise the coefficients, t2max and rate sums of the table
-    class_table builds from the TlsClass lists of sample_classes, over
-    detuned classes, temperature arrays and 1 to 12 classes."""
+    """ClassTable from the sampler's (C, B) arrays holds bitwise the
+    coefficients, t2max and rate sums of the table of the TlsClass lists of
+    each row sampled alone by sample_classes, over detuned classes,
+    temperature arrays and 1 to 12 classes."""
     if np.ndim(temperature):
         rows = 1
     draw = [data.draw(hst.tuples(hst.floats(1e3, 1e12), hst.floats(1.5, 6.0),
@@ -323,11 +333,11 @@ def test_array_built_table_is_the_class_list_table(data, size, rows,
                                           omega_tls=omega_tls, t2_star=t2,
                                           **window)
     assert refused == [None] * rows
-    table = ClassTable(*arrays, omega_tls, W0, temperature)
-    lists = [sample_classes(DistributionParams(*row[:3], **window),
-                            omega_tls=omega_tls, t2_star=row[3])
-             for row in draw]
-    ref = class_table(lists, W0, temperature)
+    table = ClassTable(*arrays, W0, temperature)
+    lists = [oracles.class_list(sample_classes(
+        DistributionParams(*row[:3], **window), omega_tls=omega_tls,
+        t2_star=row[3])) for row in draw]
+    ref = list_table(lists, W0, temperature)
     for name in ClassTable._COEFFS:
         assert getattr(table, name).tobytes() == getattr(ref, name).tobytes()
     assert table.t2max == ref.t2max
