@@ -115,39 +115,51 @@ def _trace_ntots(cfg, n_traces):
     return [cfg.ringdown.n_tot] * n_traces
 
 
-def _write_trace(out, names, traj, n_vals, time_cells):
-    """Write one trace's model CSV and its noisy trace CSV."""
-    model, trace = (os.path.join(out, name) for name in names)
-    dynamics.write_trajectory_csv(traj, model, time_cells)
-    write_csv(trace, "time_s,n", [time_cells, cells(n_vals)])
+def _write_trace(target, time_cells, n_vals):
+    """Write one trace's noisy trace CSV."""
+    write_csv(target, "time_s,n", [time_cells, cells(n_vals)])
 
 
 def cmd_simulate_ringdown(args, cfg, out):
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
     powers = cfg.ringdown.initial_photons
     classes = cfg.trace_classes(n_tot=_trace_ntots(cfg, len(powers)))
     table = tls_bath.ClassTable(*classes, cfg.cavity.omega0,
                                 cfg.cavity.temperature)
-    trajs = dynamics.evolve_table(table, cfg.cavity, powers,
-                                  cfg.ringdown.t_final, cfg.ringdown.m_steps)
-    for traj in trajs:              # the first failed trace's error
-        if isinstance(traj, Exception):
-            raise traj
-    # one t_final and m_steps: every row has the same time grid
-    time_cells = cells(trajs[0].times)
-    outputs, writers = [], []
-    for idx, traj in enumerate(trajs, start=1):
-        # the noise is drawn in trace order before any file is written
-        n_vals = np.array(traj.n, dtype=float)
-        if rng is not None and cfg.noise_level > 0:
-            noise = 1.0 + cfg.noise_level * rng.standard_normal(
-                len(n_vals) - 1)
-            n_vals[1:] *= np.maximum(noise, 1e-6)
-        names = ("ringdown_%02d.csv" % idx, "trace_%02d.csv" % idx)
-        outputs.extend(names)
-        writers.append(functools.partial(_write_trace, out, names, traj,
-                                         n_vals, time_cells))
-    datafiles.write_files(writers)
+    # the model files first: write_files hands out files in this order, and
+    # the small trace files last even out the writers' finishing times
+    outputs = [name % idx for name in ("ringdown_%02d.csv", "trace_%02d.csv")
+               for idx in range(1, len(powers) + 1)]
+
+    def plan(verify):
+        """Each output's (path, writer), from the verified run or, bitwise
+        the same, from its coarse rows alone."""
+        trajs = dynamics.evolve_table(table, cfg.cavity, powers,
+                                      cfg.ringdown.t_final,
+                                      cfg.ringdown.m_steps, verify=verify)
+        for traj in trajs:              # the first failed trace's error
+            if isinstance(traj, Exception):
+                raise traj
+        rng = (np.random.default_rng(args.seed) if args.seed is not None
+               else None)
+        # one t_final and m_steps: every row has the same time grid
+        time_cells = cells(trajs[0].times)
+        writers = [functools.partial(dynamics.write_trajectory_csv, traj,
+                                     time_cells=time_cells)
+                   for traj in trajs]
+        for traj in trajs:
+            # the noise is drawn in trace order before any file is written
+            n_vals = np.array(traj.n, dtype=float)
+            if rng is not None and cfg.noise_level > 0:
+                noise = 1.0 + cfg.noise_level * rng.standard_normal(
+                    len(n_vals) - 1)
+                n_vals[1:] *= np.maximum(noise, 1e-6)
+            writers.append(functools.partial(_write_trace,
+                                             time_cells=time_cells,
+                                             n_vals=n_vals))
+        return [(os.path.join(out, name), writer)
+                for name, writer in zip(outputs, writers)]
+
+    datafiles.write_files(len(outputs), plan)
     if args.gnuplot:
         lines = ["set logscale y", "plot \\"]
         for idx in range(1, len(powers) + 1):
@@ -257,6 +269,9 @@ def cmd_fit_ringdown(args, cfg, out):
     shared = {"t2_star": t2_init, "beta": cfg.distribution.beta,
               "epsilon_s": cfg.distribution.epsilon_s}
     per_trace = _trace_ntots(cfg, len(traces))
+    # the start point's classes: a refused row is a config error, as in
+    # simulate ringdown, not a model failure inside the fit
+    cfg.trace_classes(n_tot=per_trace, t2_star=t2_init)
     sigmas = None
     if cfg.noise_level > 0:
         sigmas = [cfg.noise_level / np.asarray(t, dtype=float)[1:]

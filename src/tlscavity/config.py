@@ -191,14 +191,18 @@ class RunConfig:
     oxide: OxideSettings = field(default_factory=OxideSettings)
     fit: FitSettings = field(default_factory=FitSettings)
 
-    def trace_classes(self, n_tot=None):
-        """Class arrays of the pulsed-trace ensemble (tls section times),
-        one row per entry of n_tot (default: one row at distribution.n_tot).
+    def trace_classes(self, n_tot=None, t2_star=None):
+        """Class arrays of the pulsed-trace ensemble, one row per entry of
+        n_tot (default: one row at distribution.n_tot), with the tls
+        section's times or, where given, the zero-temperature t2_star that
+        joint_tls_fit samples with.
         """
+        times = (dict(t2_star=t2_star) if t2_star is not None else
+                 dict(T1=self.tls_t1, T_phi=self.tls_t_phi,
+                      t2_star=self.tls_t2_star))
         return self._classes(
             "distribution and tls",
-            self.distribution.n_tot if n_tot is None else n_tot,
-            T1=self.tls_t1, T_phi=self.tls_t_phi, t2_star=self.tls_t2_star)
+            self.distribution.n_tot if n_tot is None else n_tot, **times)
 
     def sweep_classes(self):
         """Class arrays of the temperature model (sweep section), one row."""

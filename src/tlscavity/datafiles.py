@@ -1,13 +1,20 @@
 """CSV readers for the measured-data inputs, the one CSV and JSON writers,
-and the runner that writes a command's files on every usable CPU.
+and the runner that writes a command's files on every usable CPU while
+the command's checks still run.
 
 All parse failures raise DataError with the offending line number.
 """
 
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
+import select
+import signal
+import struct
 import warnings
 
 import numpy as np
@@ -103,8 +110,10 @@ def cells(values):
 
 def write_csv(path, header, columns):
     """Write a header line, then one line per row of the columns, each
-    column a list of cells() (all of one length)."""
-    with open(path, "w", newline="") as handle:
+    column a list of cells() (all of one length), to path: a file name, or
+    an open text stream."""
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", newline="")) as handle:
         handle.write(header + "\n")
         handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
@@ -112,6 +121,9 @@ def write_csv(path, header, columns):
 # Python >= 3.12 gives this DeprecationWarning from os.fork in a process
 # that has other threads.
 _FORK_WARNING = r"This process .* is multi-threaded, use of fork\(\)"
+
+# One claim on the queue of write_files: a file's index in 4 bytes.
+_CLAIM = struct.Struct("<I")
 
 
 def usable_cpus():
@@ -122,58 +134,135 @@ def usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def write_files(writers):
-    """Call each writer once: zero-argument callables that each format and
-    write their file(s) through write_csv, files no other writer touches.
+def write_files(count, plan):
+    """Write the count files that plan lists, on every usable CPU, once
+    plan's own checks have passed.
 
-    With k >= 2 workers, k = min(usable_cpus(), len(writers)), the parent
-    forks k - 1 children. Child i calls writers i, i + k, ... and ends with
-    os._exit; the parent calls writers 0, k, 2k, ... and reaps every child
-    before it returns or raises. The parent calls again itself the writers
-    of a child that exited nonzero (or of one it could not fork), so a
-    failure raises here the exception, and message, of the serial run.
-    Each file is written whole by one process, so its bytes do not depend
-    on the CPU count.
+    plan(checked) returns count (path, writer) pairs in a fixed order;
+    writer(target) writes one file's text to target, its path or an open
+    text stream. plan(True) is the authority: where it raises, no file is
+    written and its exception propagates. Where plan(True) returns,
+    plan(False) must list the same files with the same text, but may skip
+    the checks.
 
-    A child only formats and writes: it calls no BLAS, so OpenBLAS's
-    thread pool in the parent cannot deadlock it. On Python >= 3.12
-    os.fork warns (DeprecationWarning) in a process with threads; that one
-    warning is ignored around the fork calls, and the warning filters are
-    restored after them.
+    With k = min(usable_cpus(), count) < 2 this is plan(True), then each
+    writer in turn. Otherwise the parent queues every file's index in a
+    pipe and forks k - 1 children before it calls plan(True). Each child
+    calls plan(False) and claims files from the queue, formatting them
+    into memory, until plan(True) has returned in the parent; then it
+    writes what it holds, writes every further claim straight to its file
+    and ends with os._exit. The parent claims files the same way once
+    plan(True) has returned, and kills every child if plan(True) raises.
+    It reaps every child before it returns or raises; if one exited
+    nonzero, the parent writes again itself, in order, every file it did
+    not write, so a failure raises here the exception, and message, of the
+    serial run. Each file is written whole by one process, so its bytes
+    depend neither on the CPU count nor on who claimed it. Claims that do
+    not fit the pipe (past 16384 files on a 64 KiB pipe) are the parent's.
+
+    A child prints nothing and must call no BLAS, so OpenBLAS's thread
+    pool in the parent cannot deadlock it. On Python >= 3.12 os.fork warns
+    (DeprecationWarning) in a process with threads; that one warning is
+    ignored around the fork calls, and the warning filters are restored
+    after them.
     """
-    workers = min(usable_cpus(), len(writers))
+    workers = min(usable_cpus(), count)
     if workers < 2:
-        _call_each(writers)
+        for path, writer in plan(True):
+            writer(path)
         return
-    children, rerun = [], []
+    queue, queued = _claim_queue(count)
+    go_read, go_write = os.pipe()
+    children, written, told = [], set(), False
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING,
                                     DeprecationWarning)
-            for i in range(1, workers):
+            for _ in range(workers - 1):
                 try:
                     pid = os.fork()
                 except OSError:  # no process to spare: the parent writes
-                    rerun.append(i)
-                    continue
+                    break
                 if pid == 0:
                     code = 1
                     try:
-                        _call_each(writers[i::workers])
+                        os.close(go_write)
+                        _child(plan, queue, go_read)
                         code = 0
                     finally:
                         os._exit(code)
-                children.append((pid, i))
-        _call_each(writers[::workers])
+                children.append(pid)
+        files = plan(True)
+        os.write(go_write, b"g" * len(children))
+        told = True
+        for i in itertools.chain(_claims(queue), range(queued, count)):
+            path, writer = files[i]
+            writer(path)
+            written.add(i)
     finally:
-        rerun += [i for pid, i in children if not _exited_ok(pid)]
-    for i in sorted(rerun):
-        _call_each(writers[i::workers])
+        for fd in (queue, go_read, go_write):
+            os.close(fd)
+        if not told:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+        failed = [pid for pid in children if not _exited_ok(pid)]
+    if failed:
+        for i, (path, writer) in enumerate(files):
+            if i not in written:
+                writer(path)
 
 
-def _call_each(writers):
-    for writer in writers:
-        writer()
+def _claim_queue(count):
+    """A pipe's read end queuing the claims of files 0, 1, ..., and how
+    many it holds: all that fit, in whole PIPE_BUF blocks, each written at
+    once or not at all. Its write end is closed, so a read returns b""
+    once the queue is empty."""
+    read, write = os.pipe()
+    os.set_blocking(write, False)
+    claims = b"".join(_CLAIM.pack(i) for i in range(count))
+    queued = 0
+    try:
+        for start in range(0, len(claims), select.PIPE_BUF):
+            queued += os.write(write, claims[start:start + select.PIPE_BUF])
+    except BlockingIOError:  # the pipe is full: the rest is the parent's
+        pass
+    finally:
+        os.close(write)
+    return read, queued // _CLAIM.size
+
+
+def _claims(queue):
+    """Claim file indices from the queue until it is empty."""
+    while claim := os.read(queue, _CLAIM.size):
+        yield _CLAIM.unpack(claim)[0]
+
+
+def _child(plan, queue, go):
+    """A child's share of write_files: format claimed files into memory
+    until the parent's word is in on the pipe go, then write them and every
+    further claim. An empty read on go (plan(True) failed, or the parent
+    is gone) writes nothing."""
+    warnings.simplefilter("ignore")
+    files = plan(False)
+    held = []
+    word = select.poll()
+    word.register(go, select.POLLIN)
+    while not word.poll(0):
+        i = next(_claims(queue), None)
+        if i is None:
+            break
+        path, writer = files[i]
+        text = io.StringIO()
+        writer(text)
+        held.append((path, text.getvalue()))
+    if os.read(go, 1) != b"g":
+        return
+    for path, text in held:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    for i in _claims(queue):
+        path, writer = files[i]
+        writer(path)
 
 
 def _exited_ok(pid):

@@ -188,8 +188,9 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
             elif not np.minimum.reduce(checked, axis=None) >= 0.0:
                 # some row has a negative (or nan) rate, kt or n: redo the
                 # step with the per-row clamp, then stop the rows that fail
+                # (each test written so that nan fails it)
                 for r in range(cols):
-                    if r not in dead and (kp[r] < 0.0 or km[r] < 0.0):
+                    if r not in dead and not (kp[r] >= 0.0 and km[r] >= 0.0):
                         try:
                             kp[r], km[r] = tls_bath.clamp_rates(
                                 float(kp[r]), float(km[r]))
@@ -199,17 +200,17 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
                 for r in range(cols):
                     if r in dead:
                         continue
-                    if kt[r] <= 0.0:
+                    if not kt[r] > 0.0:
                         kill(r, SaturationError(
-                            "kappa_tilde = %g <= 0 at t = %g"
+                            "kappa_tilde = %g, not > 0, at t = %g"
                             % (kt[r], times[k // stride] if r < rows
                                else fine_times[k])))
-                    elif n_next[r] < 0.0:
+                    elif not n_next[r] >= 0.0:
                         if n_next[r] > -1e-25:
                             n_next[r] = 0.0
                         else:
                             kill(r, SaturationError(
-                                "photon number went negative: %g"
+                                "photon number %g, not >= 0"
                                 % n_next[r]))
                 n_next[dead] = 1.0
                 keep(k)
@@ -241,7 +242,7 @@ def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
     """Lockstep run of the table's rows, in one _evolve call with a verify
     twin at half the step for every row whose verify flag is set. A row
     that got through takes its twin's exception, or a StepConvergenceError
-    when halving dt moved its n(t) by 1e-3 relative or more."""
+    when halving dt moved its n(t) by 1e-3 relative or more, or by nan."""
     rows = len(n0)
     twins = [r for r in range(rows) if verify[r]]
     results = _evolve(table, cavity, n0, t_final, m_pts, twins)
@@ -255,7 +256,7 @@ def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
         n = coarse[r].n
         dev = float(np.max(np.abs(n - ref[::2])
                            / np.maximum(np.abs(n), 1e-30)))
-        if dev >= 1e-3:
+        if not dev < 1e-3:
             coarse[r] = StepConvergenceError(
                 "halving dt moved n(t) by %g relative (limit 1e-3)" % dev,
                 deviation=dev, resolutions=(m_pts, len(ref)))
@@ -345,7 +346,8 @@ def trajectory_kappa(traj, reference_index=0):
 
 
 def write_trajectory_csv(traj, path, time_cells):
-    """CSV export of a trajectory with its kappa(t) and bath rates.
+    """CSV export of a trajectory with its kappa(t) and bath rates, to path:
+    a file name, or an open text stream.
 
     time_cells is datafiles.cells(traj.times), formatted once for all rows
     of one grid. kappa is taken against the first point, where it is

@@ -540,6 +540,8 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
             found.update((key, exc) for key, exc in zip(group, refused) if exc)
             ok = [j for j, exc in enumerate(refused) if exc is None]
             rows = [key for key, exc in zip(group, refused) if exc is None]
+            if not rows:                # every row refused: nothing to run
+                continue
             table = tls_bath.ClassTable(*(a[:, ok] for a in arrays),
                                         cavity.omega0, cavity.temperature)
             trajs = dynamics.evolve_table(
@@ -550,7 +552,7 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
             if verify:
                 # a failed check stays pending, so evaluating the point
                 # again raises its error again
-                verified[0] = not (rows and isinstance(trajs[0], Exception))
+                verified[0] = not isinstance(trajs[0], Exception)
             verify = False
             for key, traj in zip(rows, trajs):
                 if isinstance(traj, Exception):

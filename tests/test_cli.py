@@ -425,7 +425,7 @@ _UNEVALUABLE = {
     "overflowing_t2_star": "tls:\n  t2_star: 1.0e308\n",
 }
 _SAMPLING_COMMANDS = (("simulate", "ringdown"), ("distribution",),
-                      ("simulate", "temperature-sweep"))
+                      ("simulate", "temperature-sweep"), ("fit", "ringdown"))
 
 
 @pytest.mark.parametrize("name, command", [pytest.param(
@@ -438,11 +438,22 @@ _SAMPLING_COMMANDS = (("simulate", "ringdown"), ("distribution",),
     ("overflowing_t2_star", ("distribution",)))])
 def test_unevaluable_classes_exit_2_with_one_line(tmp_path, capsys, name,
                                                   command):
+    data = []
+    if command == ("fit", "ringdown"):
+        # the fit's start point: the refused classes of the config
+        tiny = tmp_path / "tiny.yaml"
+        tiny.write_text(TINY_RINGDOWN)
+        assert run(["simulate", "ringdown", "--config", tiny, "--out",
+                    tmp_path / "sim", "--seed", "3"]) == 0
+        capsys.readouterr()
+        data = [tmp_path / "sim" / "trace_01.csv",
+                tmp_path / "sim" / "trace_02.csv"]
     cfgfile = tmp_path / "bad.yaml"
     cfgfile.write_text(_UNEVALUABLE[name])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run([*command, "--config", cfgfile, "--out", tmp_path / "x"])
+        code = run([*command, "--config", cfgfile, "--out", tmp_path / "x",
+                    *data])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "config error" in err
@@ -711,27 +722,58 @@ def test_simulate_ringdown_split_matches_serial(tmp_path, monkeypatch):
     cfgfile = tmp_path / "tiny.yaml"
     cfgfile.write_text(TINY_RINGDOWN)
     trees = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
         out = tmp_path / ("cpus%d" % cpus)
         assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
                     out, "--seed", "3"]) == 0
         assert_no_child_left()
         trees.append(_tree(out))
-    serial, split = trees
-    assert split == serial
+    serial = trees[0]
+    assert trees[1] == trees[2] == serial
     assert sorted(serial) == ["manifest.json", "ringdown_01.csv",
                               "ringdown_02.csv", "trace_01.csv",
                               "trace_02.csv"]
 
 
+# halving: two traces at 200 steps over 22 ms, the first fails the halving
+# check; nan: every rate of the first step is nan
+_FAILING_RINGDOWN = {
+    "halving": "tls:\n  t2_star: 2.5e-7\n"
+               "distribution:\n  beta: 3.0\n  epsilon_s: 0.3\n"
+               "ringdown:\n  n_tot: 1.0e8\n  initial_photons: [5e13, 1e12]\n"
+               "  m_steps: 200\n",
+    "nan": "tls: {t1: 1.0e300, t_phi: 1.0e-7}\n"
+           "cavity:\n  temperature: 1.0e308\n",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name, reason", [("halving", "halving dt moved"),
+                                          ("nan", "kappa_tilde = nan")])
+def test_simulate_ringdown_failed_check_writes_nothing(tmp_path, capsys,
+                                                       monkeypatch, cpus,
+                                                       name, reason):
+    cfgfile = tmp_path / "bad.yaml"
+    cfgfile.write_text(_FAILING_RINGDOWN[name])
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    out = tmp_path / "run"
+    assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
+                out]) == 2
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert err.startswith("tlscavity: model error: ") and reason in err
+    assert len(err.strip().splitlines()) == 1
+    assert os.listdir(out) == []
+
+
 def test_simulate_ringdown_failed_write_split_as_serial(tmp_path, capsys,
                                                         monkeypatch):
-    # trace 2's files are the child's share when the writes are split
+    # whichever process claims trace 2's model file, the serial run's error
     cfgfile = tmp_path / "tiny.yaml"
     cfgfile.write_text(TINY_RINGDOWN)
     errs = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
         out = tmp_path / "run"
         (out / "ringdown_02.csv").mkdir(parents=True, exist_ok=True)
@@ -739,8 +781,8 @@ def test_simulate_ringdown_failed_write_split_as_serial(tmp_path, capsys,
                     out, "--seed", "3"]) == 2
         assert_no_child_left()
         errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1] == "tlscavity: cannot write %s: Is a " \
-        "directory\n" % (out / "ringdown_02.csv")
+    assert errs[0] == errs[1] == errs[2] == "tlscavity: cannot write %s: " \
+        "Is a directory\n" % (out / "ringdown_02.csv")
 
 
 @pytest.mark.parametrize("under", ["", "sub"])

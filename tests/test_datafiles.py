@@ -1,6 +1,8 @@
+import fcntl
 import functools
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -139,14 +141,22 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _write_column(path, values):
-    write_csv(path, "x", [cells(values)])
+def _write_column(target, values):
+    write_csv(target, "x", [cells(values)])
 
 
-def _column_writers(out, count):
-    return [functools.partial(_write_column, out / ("c%02d.csv" % k),
-                              np.arange(k, k + 50) / 7.0)
-            for k in range(count)]
+def _column_plan(out, count):
+    """A write_files plan of count one-column files in out."""
+    def plan(checked):
+        return [(out / ("c%02d.csv" % k),
+                 functools.partial(_write_column,
+                                   values=np.arange(k, k + 50) / 7.0))
+                for k in range(count)]
+    return plan
+
+
+def _tree(path):
+    return {name: (path / name).read_bytes() for name in os.listdir(path)}
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 8])
@@ -155,29 +165,125 @@ def test_write_files_split_matches_serial(tmp_path, monkeypatch, cpus):
     serial.mkdir()
     split.mkdir()
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 1)
-    write_files(_column_writers(serial, 5))
+    write_files(5, _column_plan(serial, 5))
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
-    write_files(_column_writers(split, 5))
+    write_files(5, _column_plan(split, 5))
     assert_no_child_left()
-    names = sorted(os.listdir(serial))
-    assert names == sorted(os.listdir(split)) and len(names) == 5
-    for name in names:
-        assert (serial / name).read_bytes() == (split / name).read_bytes()
+    assert len(_tree(serial)) == 5
+    assert _tree(split) == _tree(serial)
+
+
+def test_write_files_claims_past_one_byte(tmp_path, monkeypatch):
+    # 300 files: a claim does not fit one byte
+    serial, split = tmp_path / "serial", tmp_path / "split"
+    serial.mkdir()
+    split.mkdir()
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 1)
+    write_files(300, _column_plan(serial, 300))
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
+    write_files(300, _column_plan(split, 300))
+    assert_no_child_left()
+    assert len(_tree(serial)) == 300
+    assert _tree(split) == _tree(serial)
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                    reason="needs a pipe whose size can be set")
+def test_write_files_keeps_what_the_queue_cannot_hold(tmp_path,
+                                                      monkeypatch):
+    # a one-page pipe (1024 claims of 4 bytes at 4 KiB pages): the parent
+    # writes the 76 files past it
+    pipe = os.pipe
+
+    def one_page_pipe():
+        read, write = pipe()
+        one_page[:] = [fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)]
+        return read, write
+
+    one_page = []
+    for fd in one_page_pipe():
+        os.close(fd)
+    count = one_page[0] // 4 + 76
+    queue, made = datafiles._claim_queue, []
+    monkeypatch.setattr(os, "pipe", one_page_pipe)
+    monkeypatch.setattr(datafiles, "_claim_queue", lambda count: (
+        made.append(queue(count)) or made[0]))
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 2)
+    write_files(count, _column_plan(tmp_path, count))
+    assert_no_child_left()
+    assert made[0][1] == count - 76
+    assert sorted(os.listdir(tmp_path)) == sorted("c%02d.csv" % k
+                                                  for k in range(count))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_write_files_writes_nothing_when_the_check_fails(tmp_path,
+                                                         monkeypatch, cpus,
+                                                         error):
+    # the children's unchecked plans pass and format their claims; the
+    # parent's check fails (or is interrupted) after they had time to
+    plan = _column_plan(tmp_path, 6)
+
+    def checked_fails(checked):
+        files = plan(checked)
+        if checked:
+            time.sleep(0.2)
+            raise error("check failed")
+        return files
+
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    with pytest.raises(error):
+        write_files(6, checked_fails)
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_files_children_write_after_the_check(tmp_path, monkeypatch):
+    plan = _column_plan(tmp_path, 6)
+    before = []
+
+    def slow_check(checked):
+        if checked:
+            time.sleep(0.2)
+            before.extend(os.listdir(tmp_path))
+        return plan(checked)
+
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
+    write_files(6, slow_check)
+    assert_no_child_left()
+    assert before == []
+    assert len(os.listdir(tmp_path)) == 6
+
+
+def _only_in(parent, where, out):
+    """A plan of four files whose plan or writers fail in any process but
+    parent."""
+    def only_here(target):
+        if os.getpid() != parent:
+            raise OSError("not in the parent")
+        target.write_text("written\n")
+
+    def plan(checked):
+        if where == "plan" and os.getpid() != parent:
+            raise OSError("not in the parent")
+        return [(out / ("f%d" % k), only_here) for k in range(4)]
+    return plan
 
 
 def test_write_files_reruns_a_failed_child_share(tmp_path, monkeypatch):
-    # writer 1 fails in any process but this one: its child exits nonzero
-    # and the parent writes that share itself
-    parent = os.getpid()
-
-    def only_here(path):
-        if os.getpid() != parent:
-            raise OSError("not in the parent")
-        path.write_text("written\n")
-
+    # every writer fails in the child: it exits nonzero and the parent
+    # writes every file itself
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 2)
-    write_files([functools.partial(only_here, tmp_path / ("f%d" % k))
-                 for k in range(4)])
+    write_files(4, _only_in(os.getpid(), "writer", tmp_path))
+    assert_no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["f0", "f1", "f2", "f3"]
+
+
+def test_write_files_reruns_after_a_failed_child_plan(tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
+    write_files(4, _only_in(os.getpid(), "plan", tmp_path))
     assert_no_child_left()
     assert sorted(os.listdir(tmp_path)) == ["f0", "f1", "f2", "f3"]
 
@@ -186,11 +292,11 @@ def test_write_files_reruns_a_failed_child_share(tmp_path, monkeypatch):
 @pytest.mark.parametrize("bad", [0, 3])
 def test_write_files_raises_the_serial_error(tmp_path, monkeypatch, cpus,
                                              bad):
-    # writer 0 is the parent's share, writer 3 a child's
+    # whichever process claims the blocked file: the serial run's error
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
     (tmp_path / ("c%02d.csv" % bad)).mkdir()
     with pytest.raises(IsADirectoryError) as info:
-        write_files(_column_writers(tmp_path, 5))
+        write_files(5, _column_plan(tmp_path, 5))
     assert_no_child_left()
     assert info.value.filename == str(tmp_path / ("c%02d.csv" % bad))
 
@@ -214,7 +320,7 @@ def test_write_files_ignores_only_the_fork_thread_warning(tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         filters = list(warnings.filters)
-        write_files(_column_writers(tmp_path, 2))
+        write_files(2, _column_plan(tmp_path, 2))
         assert warnings.filters == filters
         with pytest.raises(DeprecationWarning):
             warnings.warn("This process (pid=1) is multi-threaded, use of "
@@ -230,5 +336,5 @@ def test_write_files_writes_an_unforked_share_itself(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
-    write_files(_column_writers(tmp_path, 5))
+    write_files(5, _column_plan(tmp_path, 5))
     assert sorted(os.listdir(tmp_path)) == ["c%02d.csv" % k for k in range(5)]

@@ -306,15 +306,17 @@ def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
 # --- the halving check in one lockstep loop ---------------------------------
 
 class _FailAt:
-    """The rates of a ClassTable, but net gain for a row whose photon number
-    equals its target bit for bit (None: never)."""
+    """The rates of a ClassTable, but net gain (or, with nan=True, nan rates)
+    for a row whose photon number equals its target bit for bit (None:
+    never)."""
 
-    def __init__(self, table, targets, kappa0):
+    def __init__(self, table, targets, kappa0, nan=False):
         self.table, self.targets, self.kappa0 = table, list(targets), kappa0
+        self.nan = nan
 
     def take(self, rows):
         return _FailAt(self.table.take(rows),
-                       [self.targets[r] for r in rows], self.kappa0)
+                       [self.targets[r] for r in rows], self.kappa0, self.nan)
 
     def rate_kernel(self, state, out):
         sums = self.table.rate_kernel(state, out)
@@ -325,7 +327,8 @@ class _FailAt:
             sums()
             for c, target in hits:
                 if n[c] == target:
-                    out[:, c] = (0.0, 0.0, 2.0 * self.kappa0, 0.0)
+                    out[:, c] = ((np.nan,) * 4 if self.nan else
+                                 (0.0, 0.0, 2.0 * self.kappa0, 0.0))
             return out
         return kernel
 
@@ -395,6 +398,24 @@ def test_fused_verify_matches_two_call_reference(cfg, m):
                                   2 * m - 1)[0], Trajectory)
         assert isinstance(_evolve(stub.take([4]), cavity, n0[[4]], t_final,
                                   m)[0], Trajectory)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_nan_rates_stop_the_row(cfg, verify):
+    # nan fails every per-row test: row 1 stops at its fourth point instead
+    # of writing nan from there on; row 0 is what it is alone
+    cavity, t_final, m = cfg.cavity, 0.022, 10
+    table = _rows_table([cfg.trace_classes()] * 2, cavity)
+    n0 = np.array([5e13, 1e12])
+    plain = _evolve(table.take([1]), cavity, n0[1:], t_final, m)[0]
+    stub = _FailAt(table, [None, plain.n[3]], cavity.kappa0, nan=True)
+    got = _verified_evolve(stub, cavity, n0, t_final, m, [verify] * 2)
+    alone = _verified_evolve(table.take([0]), cavity, n0[:1], t_final, m,
+                             [verify])
+    assert _same_trajectory(got[0], alone[0])
+    assert isinstance(got[1], SaturationError)
+    assert str(got[1]) == "kappa_tilde = nan, not > 0, at t = %g" % (
+        plain.times[3])
 
 
 # --- the lockstep pass against its bitwise per-row reference ----------------

@@ -778,3 +778,15 @@ def test_temperature_fit_closing_trial_saves_evaluations(
     assert len(stages) == 2 and "gain" in stages
     assert json.loads(res.to_json())["stop_reason"] == res.stop_reason
     assert np.all(np.abs(res.values - old.values) <= 0.01 * old.sigma)
+
+
+def test_joint_fit_batch_all_refused_point_is_nan(cfg, cavity, monkeypatch):
+    # beta <= 1: the sampler refuses every row of the point, so its
+    # lockstep group has no row to run; the trial point is rejected
+    problem = _joint_fit_problem(cfg, cavity, monkeypatch)
+    refused = np.array([p.value for p in problem.params])
+    refused[1] = 0.9
+    rows = problem.residual_batch_fn([refused])
+    assert rows.shape == (1, 200) and np.all(np.isnan(rows))
+    with pytest.raises(ValueError, match="beta must be > 1"):
+        problem.residual_fn(refused)
