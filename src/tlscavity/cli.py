@@ -63,7 +63,7 @@ def _write_gnuplot(out, name, lines):
         ["set datafile separator \",\""] + lines))
 
 
-def _write_fit(args, out, fit_json, curves, files, result=None):
+def _write_fit(args, out, fit_json, curves, files, result):
     """Write fit_<command>.json and, for each (x, data, model) curve, the
     residual CSV its entry of files names as (name, header); the exit code,
     4 with one stderr line when result did not converge."""
@@ -75,7 +75,7 @@ def _write_fit(args, out, fit_json, curves, files, result=None):
             columns = (x, data, model, data - model)
         write_csv(os.path.join(out, name), header, map(cells, columns))
         outputs.append(name)
-    if result is None or result.converged:
+    if result.converged:
         return outputs, 0
     print("tlscavity: fit %s did not converge (method %s); best point "
           "written" % (args.subcommand, result.method), file=sys.stderr)
@@ -233,6 +233,13 @@ def cmd_distribution(args, cfg, out):
     total = math.fsum(count.tolist())
     populated = g[count > 1.0].tolist()
     g_top = max(populated, default=float("nan"))
+    try:                            # a report denominator may underflow
+        tan_d = loss_tangent(classes, cfg.oxide.e_max, cfg.oxide.v_ox,
+                             cfg.cavity.kappa0, cfg.oxide.eps_r)
+        density = tls_volume_density(classes, cfg.oxide.g_threshold,
+                                     cfg.oxide.bandwidth, cfg.oxide.v_ox_field)
+    except ValueError as exc:
+        raise ConfigError("oxide: %s" % exc) from exc
     report = {
         "n_tot": cfg.distribution.n_tot,
         "sum_counts": total,
@@ -244,12 +251,8 @@ def cmd_distribution(args, cfg, out):
         "max_g_with_count_above_one_hz": g_top / (2.0 * math.pi),
         "dipole_bound_e_angstrom": dipole_in_e_angstrom(g_top,
                                                         cfg.oxide.e_max),
-        "loss_tangent": loss_tangent(classes, cfg.oxide.e_max,
-                                     cfg.oxide.v_ox, cfg.cavity.kappa0,
-                                     cfg.oxide.eps_r),
-        "volume_density_per_ghz_um3": per_ghz_um3(tls_volume_density(
-            classes, cfg.oxide.g_threshold, cfg.oxide.bandwidth,
-            cfg.oxide.v_ox_field)),
+        "loss_tangent": tan_d,
+        "volume_density_per_ghz_um3": per_ghz_um3(density),
     }
     outputs.append(_write_json(out, "report.json", report))
     if args.gnuplot:
@@ -313,14 +316,18 @@ def cmd_fit_temperature(args, cfg, out):
                 "in the pair-breaking regime (hbar*omega0 >= 2*Delta(T))"))
     level = cfg.noise_level if cfg.noise_level > 0 else 0.01
 
-    def sigma_of(values):
-        values = np.abs(np.asarray(values, dtype=float))
-        return level * values + 1e-6 * level * float(np.max(values))
+    def sweep(path, data, column):
+        """(temperatures, values, 1 sigma) of one file's column."""
+        values = np.abs(data[column])
+        sigma = level * values + 1e-6 * level * float(np.max(values))
+        if not np.all(sigma > 0):
+            raise DataError("%s: %s is 0 in every row or too small to set "
+                            "a 1 sigma" % (path, column))
+        return data["temperature_K"], data[column], sigma
 
     result = temperature_fit(
-        (freq["temperature_K"], freq["freq_shift"],
-         sigma_of(freq["freq_shift"])),
-        (qdat["temperature_K"], qdat["q_int"], sigma_of(qdat["q_int"])),
+        sweep(args.data[0], freq, "freq_shift"),
+        sweep(args.data[1], qdat, "q_int"),
         cfg.superconductor, cfg.sweep_classes(), cfg.cavity)
     return _write_fit(args, out, result.to_json(), result.curves, [
         ("residuals_freq.csv",
@@ -451,9 +458,6 @@ def main(argv=None):
             return 3
         except FitError as exc:
             print("tlscavity: fit error: %s" % exc, file=sys.stderr)
-            if getattr(exc, "convergence_log", None):
-                print("convergence log: %s" % json_text(exc.convergence_log),
-                      file=sys.stderr)
             return 4
         except OSError as exc:
             # inputs are opened as DataError and the config as ConfigError:

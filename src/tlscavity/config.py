@@ -279,14 +279,8 @@ def _as_floats(section, key, value):
     return tuple(_as_float(section, key, v) for v in value or ())
 
 
-def _as_str(section, key, value):
-    if not isinstance(value, str):
-        raise ConfigError("%s.%s: expected a string" % (section, key))
-    return value
-
-
 # Conversion of a YAML value by the annotation of its settings field.
-_CONVERT = {float: _as_float, int: _as_int, tuple: _as_floats, str: _as_str}
+_CONVERT = {float: _as_float, int: _as_int, tuple: _as_floats}
 
 
 def _section(raw, name, known):

@@ -194,30 +194,33 @@ def loss_tangent(classes, e_max, v_ox, kappa, eps_r):
 
     tan d = sum_i pi * P_i * d_i^2 / (3 eps0 eps_r) with the spectral-volume
     density P_i = N_i/(hbar kappa V_ox) and dipole d_i = hbar g_i / E_max.
+    The denominator 3 eps0 eps_r kappa V_ox E_max^2 must not underflow.
     """
+    denom = 3.0 * CONSTANTS.epsilon_0 * eps_r * kappa * v_ox * e_max * e_max
     for name, val in (("e_max", e_max), ("v_ox", v_ox), ("kappa", kappa),
-                      ("eps_r", eps_r)):
+                      ("eps_r", eps_r), ("3 eps0 eps_r kappa v_ox e_max^2",
+                                         denom)):
         if not val > 0:
             raise ValueError("%s must be > 0" % name)
-    hbar = CONSTANTS.hbar
-    pref = math.pi * hbar / (3.0 * CONSTANTS.epsilon_0 * eps_r
-                             * kappa * v_ox * e_max * e_max)
+    pref = math.pi * CONSTANTS.hbar / denom
     g, count = (a.ravel() for a in classes[:2])
     return math.fsum((pref * count * g * g).tolist())
 
 
-def tls_volume_density(classes, g_threshold, bandwidth, v_ox):
+def tls_volume_density(classes, g_threshold, bandwidth, v_ox_field):
     """Strongly coupled TLS per angular bandwidth and oxide volume.
 
     Counts the classes of one row of class arrays with g >= g_threshold, divided by bandwidth [rad/s] and
-    volume [m^3]. Thresholds above the top class give 0.
+    the field-weighted volume v_ox_field [m^3]. Thresholds above the top
+    class give 0.
     """
     if not g_threshold > 0:
         raise ValueError("g_threshold must be > 0")
-    if not bandwidth > 0 or not v_ox > 0:
-        raise ValueError("bandwidth and v_ox must be > 0")
+    denom = bandwidth * v_ox_field
+    if not (bandwidth > 0 and v_ox_field > 0 and denom > 0):
+        raise ValueError("bandwidth, v_ox_field and their product must be > 0")
     g, count = (a.ravel() for a in classes[:2])
-    return math.fsum(count[g >= g_threshold].tolist()) / (bandwidth * v_ox)
+    return math.fsum(count[g >= g_threshold].tolist()) / denom
 
 
 def per_ghz_um3(value):

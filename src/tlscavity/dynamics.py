@@ -32,9 +32,6 @@ class Trajectory:
     kappa_minus: np.ndarray
     omega_prime: np.ndarray
 
-    def __len__(self):
-        return len(self.times)
-
 
 def _check_window(dt, t2max, cavity, margin):
     lo = margin * t2max
@@ -263,46 +260,43 @@ def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
     return coarse
 
 
-def evolve_table(table, cavity, n0, t_final, m_steps=None, *, verify=True,
+def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
                  window_margin=10.0):
-    """Free decay of the rows of a ClassTable, row b from n0[b] photons; one
-    Trajectory, or the exception that stopped it, per row, bitwise what the
-    row gets alone. verify is one flag or one per row; every check of the
-    step loop applies per row. Rows of one step count run as one lockstep
+    """Free decay of the rows of a ClassTable, row b from n0[b] photons, on
+    the m_steps-point grid over [0, t_final]; one Trajectory, or the
+    exception that stopped it, per row, bitwise what the row gets alone.
+    verify is one flag or one per row; every check of the step loop applies
+    per row. The rows inside their Markovian window run as one lockstep
     group."""
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     if not all(n > 0 for n in n0):
         raise ValueError("initial photon number must be > 0")
-    if m_steps is not None and m_steps < 2:
+    if m_steps < 2:
         raise ValueError("m_steps must be >= 2")
     verify = np.broadcast_to(np.asarray(verify, dtype=bool), len(n0))
-    results = [None] * len(n0)
-    groups = {}
+    results, rows = [None] * len(n0), []
     for r, t2max in enumerate(table.t2max):
-        m = m_steps
-        if m is None:
-            dt_rule = max(10.0 * t2max, t_final / 1e5)
-            m = max(1, math.floor(t_final / dt_rule)) + 1
         try:
-            _check_window(t_final / (m - 1), t2max, cavity, window_margin)
+            _check_window(t_final / (m_steps - 1), t2max, cavity,
+                          window_margin)
+            rows.append(r)
         except StepWindowError as exc:
             results[r] = exc
-            continue
-        groups.setdefault(m, []).append(r)
-    for m, rows in groups.items():
-        out = _verified_evolve(table.take(rows), cavity, n0[rows], t_final,
-                               m, verify[rows])
-        for r, res in zip(rows, out):
+    if rows:
+        for r, res in zip(rows, _verified_evolve(
+                table.take(rows), cavity, n0[rows], t_final, m_steps,
+                verify[rows])):
             results[r] = res
     return results
 
 
-def evolve_ringdown(initial, classes, cavity, t_final, m_steps=None, *,
+def evolve_ringdown(initial, classes, cavity, t_final, m_steps, *,
                     verify=True, window_margin=10.0):
     """Free decay of the loaded cavity through the saturable bath.
 
-    initial is the photon number at t = 0 and classes one row of class
-    arrays (g, count, T1, T_phi, omega_tls). The amplitude entering the TLS
+    initial is the photon number at t = 0, classes one row of class arrays
+    (g, count, T1, T_phi, omega_tls) and m_steps, required, the number of
+    grid points over [0, t_final]. The amplitude entering the TLS
     coherences is reset to sqrt(n) at zero phase at every step (the
     recursive scheme of the reference analysis). verify=True reruns at half
     the step and asserts every n(t) moves < 1e-3 relative. This is the
@@ -316,11 +310,12 @@ def evolve_ringdown(initial, classes, cavity, t_final, m_steps=None, *,
     return traj
 
 
-def kappa_of_time(times, values, reference_index=0):
-    """Instantaneous-average decay rate kappa(t) = -ln(v/v0)/(t - t0).
+def kappa_of_time(times, values):
+    """Instantaneous-average decay rate kappa(t) = -ln(v/v0)/(t - t0)
+    against the first point (t0, v0).
 
-    Returns (times_out, kappa) with the reference point excluded. values
-    must be strictly positive.
+    Returns (times_out, kappa) with the first point excluded. values must
+    be strictly positive.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -328,21 +323,15 @@ def kappa_of_time(times, values, reference_index=0):
         raise ValueError("times and values must have the same shape")
     if np.any(values <= 0.0):
         raise ValueError("values must be strictly positive")
-    if not 0 <= reference_index < len(times):
-        raise ValueError("reference_index out of range")
-    t0 = times[reference_index]
-    v0 = values[reference_index]
-    keep = np.arange(len(times)) != reference_index
-    tau = times[keep] - t0
+    tau = times[1:] - times[0]
     if np.any(tau == 0.0):
         raise ValueError("duplicate time at the reference point")
-    kappa = -np.log(values[keep] / v0) / tau
-    return times[keep], kappa
+    return times[1:], -np.log(values[1:] / values[0]) / tau
 
 
-def trajectory_kappa(traj, reference_index=0):
+def trajectory_kappa(traj):
     """kappa(t) series of a trajectory's photon number."""
-    return kappa_of_time(traj.times, traj.n, reference_index)
+    return kappa_of_time(traj.times, traj.n)
 
 
 def write_trajectory_csv(traj, path, time_cells):

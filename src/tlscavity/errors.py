@@ -22,14 +22,7 @@ class DataError(TlscavityError):
 
 
 class FitError(TlscavityError):
-    """Fit failed to converge.
-
-    Carries the iteration log accumulated up to the failure, when available.
-    """
-
-    def __init__(self, message, convergence_log=None):
-        super().__init__(message)
-        self.convergence_log = list(convergence_log) if convergence_log else []
+    """Fit cannot run or cannot start."""
 
 
 class FitStartError(FitError, ValueError):

@@ -51,7 +51,7 @@ class FitParameter:
     """One named fit parameter with bounds and coordinate scale.
 
     scale "log" optimizes ln(value) (requires positive bounds); "linear"
-    optimizes the raw value. frozen=True pins the parameter.
+    optimizes the raw value. minimize fits every parameter it is given.
     """
 
     name: str
@@ -59,7 +59,6 @@ class FitParameter:
     lower: float = -math.inf
     upper: float = math.inf
     scale: str = "log"
-    frozen: bool = False
 
     def __post_init__(self):
         if self.scale not in ("log", "linear"):
@@ -87,9 +86,8 @@ class FitParameter:
 
 @dataclass
 class FitProblem:
-    """residual_fn maps a full parameter vector (frozen entries included, in
-    order) to the unweighted residual vector; data_weights are per-point 1
-    sigma.
+    """residual_fn maps a parameter vector (in the order of params) to the
+    unweighted residual vector; data_weights are per-point 1 sigma.
 
     residual_batch_fn, if given, maps a list of such vectors to a 2-D array
     with one residual row per vector, a row of NaN where the model failed
@@ -206,7 +204,7 @@ def numerical_jacobian(fn, u, *, upper=None, f0=None, batch_fn=None):
 
 
 def minimize(problem):
-    """Weighted least squares over the free parameters of the problem.
+    """Weighted least squares over the parameters of the problem.
 
     Returns a FitResult; converged=False flags an iteration-cap stop at the
     best point found. Raises FitError only for an invalid starting point.
@@ -222,24 +220,17 @@ def minimize(problem):
     hands the fit to scipy's Nelder-Mead on the internal coordinates.
     """
     params = problem.params
-    free = [p for p in params if not p.frozen]
-    if not free:
-        raise FitError("no free parameters")
+    if not params:
+        raise FitError("no parameters to fit")
     sigma = problem.data_weights
-
-    full = np.array([p.value for p in params], dtype=float)
-    free_idx = [i for i, p in enumerate(params) if not p.frozen]
     n_pts = None  # known once the starting point is evaluated
 
-    def full_vector(u):
-        vec = full.copy()
-        for k, i in enumerate(free_idx):
-            vec[i] = params[i].from_internal(u[k])
-        return vec
+    def param_values(u):
+        return np.array([p.from_internal(v) for p, v in zip(params, u)])
 
     def wres(u):
         try:
-            r = np.asarray(problem.residual_fn(full_vector(u)), dtype=float)
+            r = np.asarray(problem.residual_fn(param_values(u)), dtype=float)
         except _REJECTED:
             # model domain violation at a trial point: reject the step
             if n_pts is None:
@@ -263,7 +254,7 @@ def minimize(problem):
 
             def batch(us):
                 rows.append(np.asarray(problem.residual_batch_fn(
-                    [full_vector(v) for v in us]), dtype=float) / sigma)
+                    [param_values(v) for v in us]), dtype=float) / sigma)
                 return rows[0]
 
             try:
@@ -293,9 +284,9 @@ def minimize(problem):
                      "xatol": 1e-10})
         return res.x, bool(res.success)
 
-    lower = np.array([p.to_internal(p.lower) for p in free])
-    upper = np.array([p.to_internal(p.upper) for p in free])
-    u = np.array([p.to_internal(p.value) for p in free])
+    lower = np.array([p.to_internal(p.lower) for p in params])
+    upper = np.array([p.to_internal(p.upper) for p in params])
+    u = np.array([p.to_internal(p.value) for p in params])
 
     f, jac = evaluate(u)
     if not np.all(np.isfinite(f)):
@@ -304,7 +295,7 @@ def minimize(problem):
         raise FitError("residuals not finite at the initial point")
     chi2 = float(f @ f)
     n_pts = len(f)
-    dof = n_pts - len(free)
+    dof = n_pts - len(params)
     if dof <= 0:
         raise FitError("degrees of freedom must be positive")
 
@@ -363,7 +354,7 @@ def minimize(problem):
                 flat = flat + 1 if rel_gain < 1e-6 else 0
                 if closing:
                     stop_reason = "gain"
-                # parameters frozen at double resolution: done no matter
+                # parameters at rest to double resolution: done no matter
                 # what the (noise-floor) chi2 gains look like
                 elif step_size < 1e-9:
                     stop_reason = "step"
@@ -423,13 +414,11 @@ def minimize(problem):
     # the data cannot move a parameter whose column is zero
     sig_u[~np.any(jac, axis=0)] = math.inf
 
-    values = full_vector(u)
-    sig_full = np.zeros(len(params))
-    for k, i in enumerate(free_idx):
-        scale = values[i] if params[i].scale == "log" else 1.0
-        sig_full[i] = sig_u[k] * scale
+    values = param_values(u)
+    # a log coordinate's sigma in parameter units: scaled by the value
+    sig = sig_u * np.where([p.scale == "log" for p in params], values, 1.0)
     return FitResult(names=tuple(p.name for p in params), values=values,
-                     sigma=sig_full, chi2_reduced=chi2_red, n_points=n_pts,
+                     sigma=sig, chi2_reduced=chi2_red, n_points=n_pts,
                      convergence_log=log, converged=converged, method=method,
                      stop_reason=stop_reason)
 
@@ -450,14 +439,6 @@ def _predicted_gain(hess, grad, diag):
     return gain if math.isfinite(gain) else None
 
 
-def _as_fit_parameter(name, given, default_bounds, scale):
-    if isinstance(given, FitParameter):
-        return given
-    lo, hi = default_bounds
-    return FitParameter(name=name, value=float(given), lower=lo,
-                        upper=hi, scale=scale)
-
-
 def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
                   g_min=1e-3, g_max=1e3, n_classes=7, m_steps=2000,
                   window_margin=10.0):
@@ -466,9 +447,9 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     traces : list of (times, photon_numbers); the first row of each trace is
         the exact reference (t = 0, n0) used both for kappa conversion and as
         the model's initial photon number.
-    shared : {"t2_star": init, "beta": init, "epsilon_s": init}; entries may
-        be FitParameter instances (e.g. to freeze one).
-    per_trace : one n_tot initial value (or FitParameter) per trace.
+    shared : {"t2_star": init, "beta": init, "epsilon_s": init}, start
+        values.
+    per_trace : one n_tot start value per trace.
     sigmas : per-trace 1 sigma arrays aligned with the kappa series
         (len(times) - 1); default 0.01/t, the exact propagation of 1%
         multiplicative amplitude noise.
@@ -497,7 +478,7 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
                            % idx)
         if np.any(values <= 0):
             raise FitError("trace %d has non-positive photon numbers" % idx)
-        t_k, kappa_data = dynamics.kappa_of_time(times, values, 0)
+        t_k, kappa_data = dynamics.kappa_of_time(times, values)
         if sigmas is not None:
             sig = np.asarray(sigmas[idx], dtype=float)
             if len(sig) != len(t_k):
@@ -507,15 +488,12 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
         prepared.append((t_k, kappa_data, sig, float(values[0]),
                          float(times[-1])))
 
-    params = [
-        _as_fit_parameter("t2_star", shared["t2_star"], (5e-8, 2e-6), "log"),
-        _as_fit_parameter("beta", shared["beta"], (1.5, 6.0), "linear"),
-        _as_fit_parameter("epsilon_s", shared["epsilon_s"], (0.02, 3.0),
-                          "log"),
-    ]
-    for i, init in enumerate(per_trace):
-        params.append(_as_fit_parameter("n_tot_%d" % i, init, (1e3, 1e12),
-                                        "log"))
+    params = [FitParameter(name, float(shared[name]), lo, hi, scale)
+              for name, lo, hi, scale in (("t2_star", 5e-8, 2e-6, "log"),
+                                          ("beta", 1.5, 6.0, "linear"),
+                                          ("epsilon_s", 0.02, 3.0, "log"))]
+    params += [FitParameter("n_tot_%d" % i, float(init), 1e3, 1e12, "log")
+               for i, init in enumerate(per_trace)]
 
     cache = {}
     verified = [False]

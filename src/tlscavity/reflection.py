@@ -94,8 +94,9 @@ def _dip_index(powers):
     return imin
 
 
-def fit_ringup(times, powers, f0, *, sigma=None):
-    """Fit (q_int, q_c, delta, p_f) to a switch-on reflected-power trace.
+def fit_ringup(times, powers, f0, *, sigma):
+    """Fit (q_int, q_c, delta, p_f) to a switch-on reflected-power trace
+    with per-point 1 sigma.
 
     The model is even in delta, so only |delta| is identifiable and the fit
     is bounded to 0 <= delta <= 50, starting at 0.5. A trace without an
@@ -123,9 +124,6 @@ def fit_ringup(times, powers, f0, *, sigma=None):
     ql0 = 2.0 * math.pi * f0 / kl0
     qc0 = ql0 * (1.0 + q_ratio) / q_ratio
     qi0 = q_ratio * qc0
-
-    if sigma is None:
-        sigma = 0.01 * (np.abs(powers) + 1e-3 * float(np.max(powers)))
 
     def model(vec):
         qi, qc, delta, pf = vec

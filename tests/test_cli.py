@@ -87,6 +87,46 @@ def test_simulate_ringdown_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+_EXP_DISPATCH = ("from numpy.lib.introspect import opt_func_info; "
+                 "print(opt_func_info(func_name='^exp$', signature='float64')"
+                 "['exp']['dd']['current'])")
+
+
+def test_simulate_ringdown_without_top_exp_dispatch(tmp_path):
+    """CI's determinism run with the highest dispatch group of float64 exp
+    turned off agrees with the in-process run to 1e-12 relative in every
+    finite cell: the step stays well conditioned whatever SIMD exp runs."""
+    pytest.importorskip("numpy.lib.introspect")
+    top = subprocess.run([sys.executable, "-c", _EXP_DISPATCH],
+                         capture_output=True, text=True,
+                         check=True).stdout.strip()
+    if top.startswith("baseline"):
+        pytest.skip("float64 exp runs only its baseline dispatch group")
+    cfgfile = tmp_path / "det.yaml"
+    cfgfile.write_text(TINY_RINGDOWN)
+    here, there = tmp_path / "here", tmp_path / "there"
+    assert run(["simulate", "ringdown", "--config", cfgfile, "--out", here,
+                "--seed", "7"]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        tlscavity.__file__)))
+    code = ("import sys; %s; from tlscavity.cli import main; "
+            "sys.exit(main(sys.argv[1:]))" % _EXP_DISPATCH)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "ringdown", "--config",
+         str(cfgfile), "--out", str(there), "--seed", "7"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=top))
+    assert proc.stdout.strip() not in ("", top)
+    for name in ("ringdown_01.csv", "ringdown_02.csv", "trace_01.csv",
+                 "trace_02.csv"):
+        a, b = (np.loadtxt(d / name, delimiter=",", skiprows=1)
+                for d in (here, there))
+        assert np.array_equal(np.isfinite(a), np.isfinite(b)), name
+        finite = np.isfinite(a)
+        assert np.all(np.abs(a[finite] - b[finite])
+                      <= 1e-12 * np.abs(a[finite])), name
+
+
 def test_seed_changes_noise_only(tmp_path):
     cfgfile = tmp_path / "tiny.yaml"
     cfgfile.write_text(TINY_RINGDOWN)
@@ -501,6 +541,25 @@ def test_distribution_report_window_integral_underflow(tmp_path):
     assert report["conservation_rel_error"] is None
 
 
+@pytest.mark.parametrize("oxide", [
+    "  e_max: 1.0e-300\n", "  bandwidth: 1.0e-300\n  v_ox_field: 1.0e-300\n",
+    "  v_ox: 1.0e-200\n  eps_r: 1.0e-200\n"],
+    ids=["e_max", "bandwidth-v_ox_field", "v_ox-eps_r"])
+def test_underflowing_oxide_denominator_exits_2(tmp_path, capsys, oxide):
+    # a report denominator that underflows to 0 once ended in a
+    # ZeroDivisionError traceback; a command that reports nothing on the
+    # oxide runs as before
+    cfgfile = tmp_path / "oxide.yaml"
+    cfgfile.write_text("oxide:\n" + oxide)
+    assert run(["distribution", "--config", cfgfile,
+                "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tlscavity: config error: oxide: ")
+    assert len(err.strip().splitlines()) == 1
+    assert run(["simulate", "ringup", "--config", cfgfile,
+                "--out", tmp_path / "y"]) == 0
+
+
 def test_fit_json_writes_infinite_sigma_as_null(tmp_path):
     # every data temperature at 0 leaves delta0, alpha and sigma_n
     # unconstrained: their sigma is inf, written as null
@@ -600,6 +659,29 @@ def test_exit_code_bad_data_temperature(tmp_path, capsys, name, row, value):
     err = capsys.readouterr().err
     assert str(sim / name) in err and value in err
     assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, column", [("freq_trace.csv", "freq_shift"),
+                                          ("q_trace.csv", "q_int")])
+def test_exit_code_all_zero_data_column(tmp_path, capsys, name, column):
+    # an all-zero column leaves no 1 sigma to weight it by (once a
+    # ValueError traceback): a data error naming the file and column, exit 3
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text(TINY_SWEEP)
+    sim = tmp_path / "sim"
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", sim, "--seed", "3"]) == 0
+    lines = (sim / name).read_text().splitlines()
+    (sim / name).write_text("\n".join(
+        [lines[0]] + [ln.split(",")[0] + ",0.0" for ln in lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert run(["fit", "temperature", "--config", cfgfile, "--out",
+                tmp_path / "fit", sim / "freq_trace.csv",
+                sim / "q_trace.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tlscavity: data error: %s: %s " % (sim / name,
+                                                             column))
     assert len(err.strip().splitlines()) == 1
 
 

@@ -92,24 +92,6 @@ def test_log_scale_recovery_and_sigma_mapping():
     assert res.converged
 
 
-def test_frozen_parameter_stays_put():
-    x = np.linspace(0.0, 10.0, 30)
-    y = 2.0 * x + 5.0
-
-    def residual(v):
-        return v[0] * x + v[1] - y
-
-    res = minimize(FitProblem(
-        residual_fn=residual,
-        params=[FitParameter("slope", 1.0, -100.0, 100.0, "linear"),
-                FitParameter("offset", 5.0, -100.0, 100.0, "linear",
-                             frozen=True)],
-        data_weights=np.full_like(x, 0.1)))
-    assert res.values_dict["offset"] == 5.0
-    assert res.sigma_dict["offset"] == 0.0
-    assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-9)
-
-
 def test_bounds_respected():
     x = np.linspace(0.0, 1.0, 20)
     y = 10.0 * x  # truth outside the allowed box
@@ -330,7 +312,7 @@ def test_no_free_parameters_raises():
     with pytest.raises(FitError):
         minimize(FitProblem(
             residual_fn=lambda v: np.zeros(3),
-            params=[FitParameter("p", 1.0, 0.0, 2.0, "linear", frozen=True)],
+            params=[],
             data_weights=np.ones(3)))
 
 

@@ -90,7 +90,7 @@ def test_fit_ringup_requires_dip():
     t = np.linspace(0.0, 0.03, 300)
     flat = oracles.switchoff_power(t, p)
     with pytest.raises(UnidentifiableError):
-        fit_ringup(t, flat, 7.9e9)
+        fit_ringup(t, flat, 7.9e9, sigma=0.01 * flat)
 
 
 def test_circle_fit_clean_recovery():
