@@ -76,15 +76,17 @@ def _write_fit(args, out, fit_json, curves, files, result):
         write_csv(os.path.join(out, name), header, map(cells, columns))
         outputs.append(name)
     if result.converged:
-        return outputs, 0
+        return dict.fromkeys(outputs), 0
     print("tlscavity: fit %s did not converge (method %s); best point "
           "written" % (args.subcommand, result.method), file=sys.stderr)
-    return outputs, 4
+    return dict.fromkeys(outputs), 4
 
 
 def _run(args):
     """Load the config, create the out dir, run the command and write
-    manifest.json; the command's exit code."""
+    manifest.json; the command's exit code. A command returns its outputs
+    as a dict from each name to the SHA-256 its writer took of its bytes,
+    or to None where _run hashes the file itself."""
     cfg = load_config(args.config)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -98,7 +100,7 @@ def _run(args):
         "config_file": args.config,
         "config": cfg.as_dict(),
         "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {name: _sha256(os.path.join(out, name))
+        "outputs": {name: outputs[name] or _sha256(os.path.join(out, name))
                     for name in sorted(outputs)},
         "versions": {"tlscavity": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "pyyaml": yaml.__version__},
@@ -115,58 +117,66 @@ def _trace_ntots(cfg, n_traces):
     return [cfg.ringdown.n_tot] * n_traces
 
 
-def _write_trace(target, time_cells, n_vals):
-    """Write one trace's noisy trace CSV."""
-    write_csv(target, "time_s,n", [time_cells, cells(n_vals)])
+def _write_trace(record, r, target, rows, time_cells, noise):
+    """Write the lines of the grid points rows of trace r's noisy trace CSV
+    (dynamics.write_trajectory_csv's interface); noise holds the factor of
+    each grid point, or is None for none."""
+    n_vals = dynamics.recorded_n(record, r)[rows]
+    if noise is not None:
+        n_vals = n_vals * noise[rows]
+    write_csv(target, None if rows.start else "time_s,n",
+              [time_cells[rows], cells(n_vals)])
 
 
 def cmd_simulate_ringdown(args, cfg, out):
     powers = cfg.ringdown.initial_photons
+    t_final, m_steps = cfg.ringdown.t_final, cfg.ringdown.m_steps
     classes = cfg.trace_classes(n_tot=_trace_ntots(cfg, len(powers)))
     table = tls_bath.ClassTable(*classes, cfg.cavity.omega0,
                                 cfg.cavity.temperature)
     # the model files first: write_files hands out files in this order, and
     # the small trace files last even out the writers' finishing times
-    outputs = [name % idx for name in ("ringdown_%02d.csv", "trace_%02d.csv")
-               for idx in range(1, len(powers) + 1)]
+    names = [name % idx for name in ("ringdown_%02d.csv", "trace_%02d.csv")
+             for idx in range(1, len(powers) + 1)]
+    # the grid of every trace, as _evolve builds it
+    times = np.linspace(0.0, t_final, m_steps)
+    time_cells, times = cells(times), times.tolist()
+    # each trace's noise, drawn in trace order: a factor for every grid
+    # point after t = 0
+    noise = [None] * len(powers)
+    if args.seed is not None and cfg.noise_level > 0:
+        rng = np.random.default_rng(args.seed)
+        noise = [np.concatenate(([1.0], np.maximum(
+            1.0 + cfg.noise_level * rng.standard_normal(m_steps - 1),
+            1e-6))) for _ in powers]
 
-    def plan(verify):
-        """Each output's (path, writer), from the verified run or, bitwise
-        the same, from its coarse rows alone."""
-        trajs = dynamics.evolve_table(table, cfg.cavity, powers,
-                                      cfg.ringdown.t_final,
-                                      cfg.ringdown.m_steps, verify=verify)
-        for traj in trajs:              # the first failed trace's error
+    def plan(record):
+        return [functools.partial(dynamics.write_trajectory_csv, record, r,
+                                  times=times, time_cells=time_cells)
+                for r in range(len(powers))] + [
+            functools.partial(_write_trace, record, r, time_cells=time_cells,
+                              noise=noise[r])
+            for r in range(len(powers))]
+
+    def run(record, progress):
+        """The verified run, recorded in record; the first failed trace's
+        error."""
+        for traj in dynamics.evolve_table(table, cfg.cavity, powers, t_final,
+                                          m_steps, record=record,
+                                          progress=progress):
             if isinstance(traj, Exception):
                 raise traj
-        rng = (np.random.default_rng(args.seed) if args.seed is not None
-               else None)
-        # one t_final and m_steps: every row has the same time grid
-        time_cells = cells(trajs[0].times)
-        writers = [functools.partial(dynamics.write_trajectory_csv, traj,
-                                     time_cells=time_cells)
-                   for traj in trajs]
-        for traj in trajs:
-            # the noise is drawn in trace order before any file is written
-            n_vals = np.array(traj.n, dtype=float)
-            if rng is not None and cfg.noise_level > 0:
-                noise = 1.0 + cfg.noise_level * rng.standard_normal(
-                    len(n_vals) - 1)
-                n_vals[1:] *= np.maximum(noise, 1e-6)
-            writers.append(functools.partial(_write_trace,
-                                             time_cells=time_cells,
-                                             n_vals=n_vals))
-        return [(os.path.join(out, name), writer)
-                for name, writer in zip(outputs, writers)]
 
-    datafiles.write_files(len(outputs), plan)
+    outputs = dict(zip(names, datafiles.write_files(
+        [os.path.join(out, name) for name in names],
+        dynamics.record_shape(m_steps, len(powers)), plan, run)))
     if args.gnuplot:
         lines = ["set logscale y", "plot \\"]
         for idx in range(1, len(powers) + 1):
             tail = ", \\" if idx < len(powers) else ""
             lines.append("  \"ringdown_%02d.csv\" using 1:3 with lines "
                          "title \"trace %d\"%s" % (idx, idx, tail))
-        outputs.append(_write_gnuplot(out, "ringdown.gp", lines))
+        outputs[_write_gnuplot(out, "ringdown.gp", lines)] = None
     return outputs, 0
 
 
@@ -187,7 +197,7 @@ def cmd_simulate_ringup(args, cfg, out):
         outputs.append(_write_gnuplot(out, "ringup.gp", [
             "set logscale y",
             "plot \"ringup.csv\" using 1:2 with lines title \"P_r(t)\""]))
-    return outputs, 0
+    return dict.fromkeys(outputs), 0
 
 
 def cmd_simulate_temperature(args, cfg, out):
@@ -219,7 +229,7 @@ def cmd_simulate_temperature(args, cfg, out):
         outputs.append(_write_gnuplot(out, "sweep.gp", [
             "set logscale y",
             "plot \"sweep.csv\" using 1:8 with lines title \"Q_int(T)\""]))
-    return outputs, 0
+    return dict.fromkeys(outputs), 0
 
 
 def cmd_distribution(args, cfg, out):
@@ -259,7 +269,7 @@ def cmd_distribution(args, cfg, out):
         outputs.append(_write_gnuplot(out, "distribution.gp", [
             "set logscale xy",
             "plot \"classes.csv\" using 1:2 with points title \"N_i(g)\""]))
-    return outputs, 0
+    return dict.fromkeys(outputs), 0
 
 
 def cmd_fit_ringdown(args, cfg, out):
@@ -295,6 +305,10 @@ def cmd_fit_ringup(args, cfg, out):
     times, power = datafiles.read_trace_csv(args.data[0], dbm=args.dbm)
     level = cfg.noise_level if cfg.noise_level > 0 else 0.01
     sigma = level * (np.abs(power) + 1e-3 * float(np.max(power)))
+    if not np.all(sigma > 0):
+        raise DataError("%s: power_w is too small at time_s %r to set a 1 "
+                        "sigma" % (args.data[0],
+                                   float(times[~(sigma > 0)][0])))
     result = fit_ringup(times, power, cfg.cavity.f0, sigma=sigma)
     return _write_fit(args, out, result.to_json(), result.curves, [(
         "residuals_ringup.csv",

@@ -7,10 +7,12 @@ All parse failures raise DataError with the offending line number.
 
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
 import math
+import mmap
 import os
 import select
 import signal
@@ -109,12 +111,13 @@ def cells(values):
 
 
 def write_csv(path, header, columns):
-    """Write a header line, then one line per row of the columns, each
-    column a list of cells() (all of one length), to path: a file name, or
-    an open text stream."""
+    """Write a header line (none where header is None), then one line per
+    row of the columns, each column a list of cells() (all of one length),
+    to path: a file name, or an open text stream."""
     with (contextlib.nullcontext(path) if hasattr(path, "write")
           else open(path, "w", newline="")) as handle:
-        handle.write(header + "\n")
+        if header is not None:
+            handle.write(header + "\n")
         handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
@@ -125,6 +128,14 @@ _FORK_WARNING = r"This process .* is multi-threaded, use of fork\(\)"
 # One claim on the queue of write_files: a file's index in 4 bytes.
 _CLAIM = struct.Struct("<I")
 
+# One word to a writer child: how many of the record's rows are final (0:
+# the rows so far are void), or _GO: the run's checks have passed.
+_WORD = struct.Struct("<Q")
+_GO = 2 ** 64 - 1
+
+# One file a writer child wrote: its index and the SHA-256 of its bytes.
+_DIGEST = struct.Struct("<I32s")
+
 
 def usable_cpus():
     """The number of CPUs this process may run on; 1 where os.fork or
@@ -134,31 +145,38 @@ def usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-def write_files(count, plan):
-    """Write the count files that plan lists, on every usable CPU, once
-    plan's own checks have passed.
+def write_files(paths, shape, plan, run):
+    """Write the files paths from the rows of one float record of the given
+    shape, on every usable CPU while run fills the record, once run's
+    checks have passed; the SHA-256 digest of each file's bytes, in order.
 
-    plan(checked) returns count (path, writer) pairs in a fixed order;
-    writer(target) writes one file's text to target, its path or an open
-    text stream. plan(True) is the authority: where it raises, no file is
-    written and its exception propagates. Where plan(True) returns,
-    plan(False) must list the same files with the same text, but may skip
-    the checks.
+    plan(record) returns one writer per path: writer(target, rows) writes
+    the lines of the record's rows in the slice rows to target, an open
+    text stream, the file's header first when rows starts at 0. A file's
+    text is its writer's lines over consecutive slices of the rows,
+    whichever they are. run(record, progress) fills the record row after
+    row and calls progress(done) whenever record[:done] is final, or
+    progress(0) when the rows so far are void and will be filled again.
+    Where run raises, no file is written and its exception propagates.
 
-    With k = min(usable_cpus(), count) < 2 this is plan(True), then each
-    writer in turn. Otherwise the parent queues every file's index in a
-    pipe and forks k - 1 children before it calls plan(True). Each child
-    calls plan(False) and claims files from the queue, formatting them
-    into memory, until plan(True) has returned in the parent; then it
-    writes what it holds, writes every further claim straight to its file
-    and ends with os._exit. The parent claims files the same way once
-    plan(True) has returned, and kills every child if plan(True) raises.
-    It reaps every child before it returns or raises; if one exited
-    nonzero, the parent writes again itself, in order, every file it did
-    not write, so a failure raises here the exception, and message, of the
-    serial run. Each file is written whole by one process, so its bytes
-    depend neither on the CPU count nor on who claimed it. Claims that do
-    not fit the pipe (past 16384 files on a 64 KiB pipe) are the parent's.
+    With k = min(usable_cpus(), len(paths)) < 2 this is run on a private
+    record, then each writer over all rows in turn. Otherwise the record is
+    one shared anonymous mmap. The parent queues every file's index in a
+    pipe and forks k - 1 children before it calls run; each progress call
+    goes to every child as a word on a pipe of its own. A child claims
+    files from the queue and formats the final rows of each into memory,
+    all its files in turn; when it has caught up it claims one more file,
+    at most one per word. progress(0) discards what it holds. Once run has
+    returned, the child formats the rest of its files, writes them, writes
+    every further claim straight to its file, sends the parent each file's
+    digest and ends with os._exit. The parent claims files the same way
+    once run has returned, and kills every child if run raises. It reaps
+    every child before it returns or raises; if one exited nonzero, the
+    parent writes again itself, in order, every file it did not write, so
+    a failure raises here the exception, and message, of the serial run.
+    Each file is written whole by one process, so its bytes depend neither
+    on the CPU count nor on who claimed it. Claims that do not fit the
+    pipe (past 16384 files on a 64 KiB pipe) are the parent's.
 
     A child prints nothing and must call no BLAS, so OpenBLAS's thread
     pool in the parent cannot deadlock it. On Python >= 3.12 os.fork warns
@@ -166,50 +184,74 @@ def write_files(count, plan):
     ignored around the fork calls, and the warning filters are restored
     after them.
     """
+    count = len(paths)
     workers = min(usable_cpus(), count)
     if workers < 2:
-        for path, writer in plan(True):
-            writer(path)
-        return
+        record = np.empty(shape)
+        writers = plan(record)
+        run(record, lambda done: None)
+        return [_write_whole(path, writer, len(record)).hex()
+                for path, writer in zip(paths, writers)]
+    record = np.ndarray(shape, buffer=mmap.mmap(
+        -1, max(math.prod(shape), 1) * np.dtype(float).itemsize))
+    writers = plan(record)
     queue, queued = _claim_queue(count)
-    go_read, go_write = os.pipe()
-    children, written, told = [], set(), False
+    sums, sent = os.pipe()
+    children, words, digests, told = [], [], {}, False
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _FORK_WARNING,
                                     DeprecationWarning)
             for _ in range(workers - 1):
+                word, say = os.pipe()
                 try:
                     pid = os.fork()
                 except OSError:  # no process to spare: the parent writes
+                    os.close(word)
+                    os.close(say)
                     break
                 if pid == 0:
                     code = 1
                     try:
-                        os.close(go_write)
-                        _child(plan, queue, go_read)
+                        for fd in [sums, say] + words:
+                            os.close(fd)
+                        _child(paths, writers, len(record), queue, word,
+                               sent)
                         code = 0
                     finally:
                         os._exit(code)
+                os.close(word)
                 children.append(pid)
-        files = plan(True)
-        os.write(go_write, b"g" * len(children))
+                words.append(say)
+
+        def progress(done):
+            for fd in list(words):
+                try:
+                    os.write(fd, _WORD.pack(done))
+                except BrokenPipeError:  # the child has ended: it failed
+                    words.remove(fd)
+                    os.close(fd)
+
+        run(record, progress)
+        progress(_GO)
         told = True
         for i in itertools.chain(_claims(queue), range(queued, count)):
-            path, writer = files[i]
-            writer(path)
-            written.add(i)
+            digests[i] = _write_whole(paths[i], writers[i], len(record))
     finally:
-        for fd in (queue, go_read, go_write):
+        for fd in [queue, sent] + words:
             os.close(fd)
         if not told:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
+        theirs = dict(_DIGEST.iter_unpack(_read_all(sums)))
+        os.close(sums)
         failed = [pid for pid in children if not _exited_ok(pid)]
     if failed:
-        for i, (path, writer) in enumerate(files):
-            if i not in written:
-                writer(path)
+        for i in range(count):
+            if i not in digests:
+                digests[i] = _write_whole(paths[i], writers[i], len(record))
+    digests = theirs | digests
+    return [digests[i].hex() for i in range(count)]
 
 
 def _claim_queue(count):
@@ -237,32 +279,75 @@ def _claims(queue):
         yield _CLAIM.unpack(claim)[0]
 
 
-def _child(plan, queue, go):
-    """A child's share of write_files: format claimed files into memory
-    until the parent's word is in on the pipe go, then write them and every
-    further claim. An empty read on go (plan(True) failed, or the parent
-    is gone) writes nothing."""
+def _read_all(fd):
+    """Everything read from fd until its end."""
+    chunks = []
+    while chunk := os.read(fd, 65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _put(path, text):
+    """Write text to path; the SHA-256 digest of the bytes written."""
+    data = text.encode()
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return hashlib.sha256(data).digest()
+
+
+def _write_whole(path, writer, rows):
+    """Write a file's every row to path; the SHA-256 digest of its
+    bytes."""
+    text = io.StringIO()
+    writer(text, slice(0, rows))
+    return _put(path, text.getvalue())
+
+
+def _child(paths, writers, rows, queue, word, sent):
+    """A child's share of write_files: format claimed files into memory as
+    the parent's words on the pipe word make their rows final, and write
+    them once the word is _GO; then write every further claim. The digest
+    of each file written goes to the pipe sent. The end of word before _GO
+    (run failed, or the parent is gone) writes nothing."""
     warnings.simplefilter("ignore")
-    files = plan(False)
-    held = []
-    word = select.poll()
-    word.register(go, select.POLLIN)
-    while not word.poll(0):
-        i = next(_claims(queue), None)
-        if i is None:
-            break
-        path, writer = files[i]
-        text = io.StringIO()
-        writer(text)
-        held.append((path, text.getvalue()))
-    if os.read(go, 1) != b"g":
-        return
-    for path, text in held:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+    held, ready, go, idle, fresh = {}, 0, False, False, False
+    poll = select.poll()
+    poll.register(word, select.POLLIN)
+    while not go:
+        if poll.poll(None if idle else 0):
+            # each word is written at once (it is under PIPE_BUF), so a
+            # read of whole words returns whole words
+            data = os.read(word, 512 * _WORD.size)
+            if not data:
+                return
+            for (done,) in _WORD.iter_unpack(data):
+                if done == 0:
+                    held = {i: [io.StringIO(), 0] for i in held}
+                go = done == _GO
+                ready = rows if go else done
+            fresh = True
+        idle = True
+        for i, file in held.items():
+            if file[1] < ready:
+                writers[i](file[0], slice(file[1], ready))
+                file[1], idle = ready, False
+        # caught up: one more claim, at most one per word read, so that a
+        # burst of claims while rows come slowly cannot leave the child
+        # more rows to format than the parent records
+        if idle and fresh and not go:
+            i = next(_claims(queue), None)
+            if i is not None:
+                held[i], idle = [io.StringIO(), 0], False
+            fresh = False
+    for i, (text, _) in held.items():
+        _send(sent, i, _put(paths[i], text.getvalue()))
     for i in _claims(queue):
-        path, writer = files[i]
-        writer(path)
+        _send(sent, i, _write_whole(paths[i], writers[i], rows))
+
+
+def _send(sent, i, digest):
+    """Tell the parent, on the pipe sent, that file i has this digest."""
+    os.write(sent, _DIGEST.pack(i, digest))
 
 
 def _exited_ok(pid):

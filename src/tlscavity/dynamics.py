@@ -46,17 +46,46 @@ def _check_window(dt, t2max, cavity, margin):
             % (dt, hi))
 
 
+# The coarse record of _evolve: per grid point, the recorded work rows Im
+# Omega', -Re Omega', kappa_plus, kappa_minus, v1, kt, n after the step and
+# n, each with one column per trajectory.
+_RECORDED = 8
+_IM_O, _MINUS_RE_O, _KP, _KM, _N = 0, 1, 2, 3, 7
+
+# Grid points per progress call of a recording _evolve.
+_PROGRESS_ROWS = 256
+
+
+def record_shape(m_pts, rows):
+    """The shape of the coarse record of rows trajectories over m_pts grid
+    points, as evolve_table fills it."""
+    return (m_pts, _RECORDED, rows)
+
+
+def recorded_n(record, r):
+    """The photon numbers of trajectory r in a coarse record."""
+    return record[:, _N, r]
+
+
 # Class sums (Re S, Im S, kappa_plus, kappa_minus) given to a row after its
 # evolution failed: finite and positive, so the row keeps stepping inertly
 # beside the live rows and never trips the per-step check again.
 _INERT_SUMS = (0.0, 0.0, 0.25, 0.75)
 
 
-def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
+def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
+            progress=None):
     """March B rows over m_pts grid points in lockstep, exact step at frozen
     rates, beside a verify twin at half the step of each row in the list
     twins; one Trajectory, or the exception that stopped it, per row, then
     the n array, or the exception, of each twin.
+
+    The B rows are recorded in history, an array of record_shape(m_pts, B)
+    (by default a new one), one grid point after the other. progress(done),
+    where given, is called whenever history[:done] is final: every
+    _PROGRESS_ROWS grid points, then with m_pts at the end. A final grid
+    point never changes, with one exception: before a guarded rerun records
+    every point again, progress(0) says that the points so far are void.
 
     table is a ClassTable of the B rows; n0 holds each row's initial photon
     number. Each step starts from <a> = sqrt(n). With kt = kappa0 +
@@ -86,7 +115,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     of the rates, v1, kt and n after the step; a group whose minimum ends
     negative or nan runs once more with the per-step clamp and stop, so its
     failing rows get the checked result bit for bit. The step only squares
-    Re Omega': the loop keeps -Re Omega' and negates it once.
+    Re Omega': the loop keeps -Re Omega', and the record holds it so.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     rows = len(n0)
@@ -120,7 +149,10 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     terms, weighted_q, cb, e_pair, prods = (
         work[16:18], work[26:28], work[17:19], work[19:21], work[21:23])
     twin_n, twin_both, twin_next = n[rows:], both_n[:, rows:], n_next[rows:]
-    history = np.empty((m_pts,) + record.shape)
+    if history is None:
+        history = np.empty(record_shape(m_pts, rows))
+    # the passes that start a progress block (none without progress)
+    block = stride * _PROGRESS_ROWS if progress else passes
     twin_history = np.empty((passes, len(twins)))
     lowest = np.full(checked.shape, np.inf)
     four, minus_four, minus_eight = (np.array(c) for c in (4.0, -4.0, -8.0))
@@ -168,6 +200,8 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     def run(guarded):
         both_n[...] = n0
         for k in range(passes):
+            if k % block == 0 and k:
+                progress(k // stride)
             np.sqrt(both_n, out=amps)
             mul(ar, ar, out=amp2)
             rate_sums()
@@ -221,28 +255,40 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=()):
     with np.errstate(all="ignore"):
         run(False)
         if not lowest.min() >= 0.0:
+            if progress:
+                progress(0)
             run(True)
-    # not in place: numpy 2.4 negates a 64-byte-strided view wrongly there
-    history[:, 1] = -history[:, 1]
+    if progress:
+        progress(m_pts)
+
+    def omega_prime(r):
+        # the record keeps -Re Omega': negated here, not in place (numpy 2.4
+        # negates a 64-byte-strided view wrongly in place)
+        omega = np.empty(m_pts, dtype=complex)
+        omega.real = -history[:, _MINUS_RE_O, r]
+        omega.imag = history[:, _IM_O, r]
+        return omega
 
     return [errors[r] or Trajectory(
-        times=times, n=history[:, 7, r].copy(),
-        kappa_plus=history[:, 2, r].copy(),
-        kappa_minus=history[:, 3, r].copy(),
-        omega_prime=np.ascontiguousarray(history[:, 1::-1, r]).view(complex)[
-            :, 0]) for r in range(rows)] + [
+        times=times, n=history[:, _N, r].copy(),
+        kappa_plus=history[:, _KP, r].copy(),
+        kappa_minus=history[:, _KM, r].copy(),
+        omega_prime=omega_prime(r)) for r in range(rows)] + [
         errors[rows + j] or twin_history[:, j].copy()
         for j in range(len(twins))]
 
 
-def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
+def _verified_evolve(table, cavity, n0, t_final, m_pts, verify,
+                     history=None, progress=None):
     """Lockstep run of the table's rows, in one _evolve call with a verify
-    twin at half the step for every row whose verify flag is set. A row
-    that got through takes its twin's exception, or a StepConvergenceError
-    when halving dt moved its n(t) by 1e-3 relative or more, or by nan."""
+    twin at half the step for every row whose verify flag is set, recorded
+    as _evolve records. A row that got through takes its twin's exception,
+    or a StepConvergenceError when halving dt moved its n(t) by 1e-3
+    relative or more, or by nan."""
     rows = len(n0)
     twins = [r for r in range(rows) if verify[r]]
-    results = _evolve(table, cavity, n0, t_final, m_pts, twins)
+    results = _evolve(table, cavity, n0, t_final, m_pts, twins, history,
+                      progress)
     coarse = results[:rows]
     for r, ref in zip(twins, results[rows:]):
         if not isinstance(coarse[r], Trajectory):
@@ -261,13 +307,14 @@ def _verified_evolve(table, cavity, n0, t_final, m_pts, verify):
 
 
 def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
-                 window_margin=10.0):
+                 window_margin=10.0, record=None, progress=None):
     """Free decay of the rows of a ClassTable, row b from n0[b] photons, on
     the m_steps-point grid over [0, t_final]; one Trajectory, or the
     exception that stopped it, per row, bitwise what the row gets alone.
     verify is one flag or one per row; every check of the step loop applies
     per row. The rows inside their Markovian window run as one lockstep
-    group."""
+    group. When that group is every row, _evolve records it in record (an
+    array of record_shape(m_steps, B)) and calls progress, where given."""
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     if not all(n > 0 for n in n0):
         raise ValueError("initial photon number must be > 0")
@@ -282,10 +329,12 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
             rows.append(r)
         except StepWindowError as exc:
             results[r] = exc
+    if len(rows) < len(n0):
+        record = progress = None
     if rows:
         for r, res in zip(rows, _verified_evolve(
                 table.take(rows), cavity, n0[rows], t_final, m_steps,
-                verify[rows])):
+                verify[rows], record, progress)):
             results[r] = res
     return results
 
@@ -334,21 +383,27 @@ def trajectory_kappa(traj):
     return kappa_of_time(traj.times, traj.n)
 
 
-def write_trajectory_csv(traj, path, time_cells):
-    """CSV export of a trajectory with its kappa(t) and bath rates, to path:
-    a file name, or an open text stream.
+def write_trajectory_csv(record, r, target, rows, times, time_cells):
+    """Write the lines of the grid points rows (a slice) of trajectory r's
+    CSV export, with its kappa(t) and bath rates, to target, an open text
+    stream; the header line first when rows starts at 0. A file's text is
+    these lines over consecutive slices of its grid, whichever they are.
 
-    time_cells is datafiles.cells(traj.times), formatted once for all rows
-    of one grid. kappa is taken against the first point, where it is
-    undefined and written as nan.
+    record is a coarse record (record_shape) final up to rows' end, times
+    the grid as a list and time_cells datafiles.cells(times), formatted
+    once for every trajectory of the grid. kappa is taken against the
+    first point, where it is undefined and written as nan.
     """
-    times = traj.times.tolist()
-    n = traj.n.tolist()
-    kappa = [math.nan] + [-math.log(n[k] / n[0]) / (times[k] - times[0])
-                          for k in range(1, len(times))]
+    start = rows.start
+    n = record[rows, _N, r].tolist()
+    n_ref, t_ref = float(record[0, _N, r]), times[0]
+    kappa = [-math.log(nk / n_ref) / (tk - t_ref) for nk, tk in zip(
+        n[start == 0:], times[max(start, 1):rows.stop])]
     datafiles.write_csv(
-        path, "time_s,n,kappa_t_1_per_s,kappa_plus,kappa_minus,"
-              "re_omega_prime,im_omega_prime",
-        [time_cells, *map(datafiles.cells, (
-            n, kappa, traj.kappa_plus, traj.kappa_minus,
-            traj.omega_prime.real, traj.omega_prime.imag))])
+        target, None if start else
+        "time_s,n,kappa_t_1_per_s,kappa_plus,kappa_minus,re_omega_prime,"
+        "im_omega_prime",
+        [time_cells[rows], *map(datafiles.cells, (
+            n, [math.nan] * (start == 0) + kappa, record[rows, _KP, r],
+            record[rows, _KM, r], -record[rows, _MINUS_RE_O, r],
+            record[rows, _IM_O, r]))])

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import tlscavity
-from tlscavity import datafiles, fitting
+from tlscavity import datafiles, dynamics, fitting
 from tlscavity.cli import main
 from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
 from tlscavity.datafiles import read_ringdown_csv, read_trace_csv
 from tlscavity.errors import ValidityWarning
+from test_dynamics import _ClampAt
 
 
 TINY_RINGDOWN = (
@@ -816,6 +817,65 @@ def test_simulate_ringdown_split_matches_serial(tmp_path, monkeypatch):
     assert sorted(serial) == ["manifest.json", "ringdown_01.csv",
                               "ringdown_02.csv", "trace_01.csv",
                               "trace_02.csv"]
+    # the digests the writers took are those of the files written
+    assert json.loads(serial["manifest.json"])["outputs"] == {
+        name: hashlib.sha256(text).hexdigest()
+        for name, text in serial.items() if name != "manifest.json"}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_simulate_ringdown_evolves_once(tmp_path, monkeypatch, cpus):
+    # every process logs its _evolve calls: the writer children format the
+    # parent's recorded run and evolve nothing themselves
+    cfgfile = tmp_path / "tiny.yaml"
+    cfgfile.write_text(TINY_RINGDOWN)
+    log = tmp_path / "evolved"
+    evolve = dynamics._evolve
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write("%d\n" % os.getpid())
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_evolve", logged)
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
+                tmp_path / "run", "--seed", "3"]) == 0
+    assert_no_child_left()
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_simulate_ringdown_guarded_rerun_streams_as_serial(tmp_path,
+                                                           monkeypatch):
+    # trace 2's rates go negative at grid point 100, inside the first
+    # streamed rows; the rerun that clamps them voids what the children
+    # formatted, and every file is the serial run's
+    cfgfile = tmp_path / "long.yaml"
+    cfgfile.write_text("ringdown:\n  initial_photons: [1e12, 1e11]\n"
+                       "  t_final: 0.012\n  m_steps: 1200\n")
+    argv = ["simulate", "ringdown", "--config", cfgfile, "--seed", "3",
+            "--out"]
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 1)
+    assert run(argv + [tmp_path / "plain"]) == 0
+    n = np.loadtxt(tmp_path / "plain" / "ringdown_02.csv", delimiter=",",
+                   skiprows=1)[:, 1]
+    evolve = dynamics.evolve_table
+    monkeypatch.setattr(dynamics, "evolve_table", lambda table, cavity,
+                        *args, **kwargs: evolve(_ClampAt(
+                            table, [None, n[100]], cavity.kappa0), cavity,
+                            *args, **kwargs))
+    trees = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+        out = tmp_path / ("cpus%d" % cpus)
+        assert run(argv + [out]) == 0
+        assert_no_child_left()
+        trees.append(_tree(out))
+    assert trees[1] == trees[2] == trees[0]
+    clamped = np.loadtxt(tmp_path / "cpus1" / "ringdown_02.csv",
+                         delimiter=",", skiprows=1)
+    assert clamped[100, 3] == 0.0 and clamped[100, 1] == n[100]
+    assert not np.array_equal(clamped[101:, 1], n[101:])
 
 
 # halving: two traces at 200 steps over 22 ms, the first fails the halving
@@ -865,6 +925,21 @@ def test_simulate_ringdown_failed_write_split_as_serial(tmp_path, capsys,
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == errs[2] == "tlscavity: cannot write %s: " \
         "Is a directory\n" % (out / "ringdown_02.csv")
+
+
+def test_fit_ringup_underflowing_power_exits_3(tmp_path, capsys):
+    # the power falls from 1e-320 W to 0 and rises to 8e-321 W: at the zero
+    # the 1 sigma underflows
+    times = np.arange(40) * 1e-6
+    power = np.concatenate((np.linspace(1e-320, 0.0, 20),
+                            np.linspace(0.0, 8e-321, 21)[1:]))
+    src = tmp_path / "ringup.csv"
+    src.write_text("time_s,power_w\n" + "".join(
+        "%r,%r\n" % (float(t), float(p)) for t, p in zip(times, power)))
+    assert run(["fit", "ringup", "--out", tmp_path / "fit", src]) == 3
+    assert capsys.readouterr().err == (
+        "tlscavity: data error: %s: power_w is too small at time_s %r to "
+        "set a 1 sigma\n" % (src, float(times[19])))
 
 
 @pytest.mark.parametrize("under", ["", "sub"])

@@ -1,5 +1,6 @@
 import fcntl
 import functools
+import hashlib
 import math
 import os
 import time
@@ -141,50 +142,73 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _write_column(target, values):
-    write_csv(target, "x", [cells(values)])
+def _write_column(record, k, target, rows):
+    write_csv(target, None if rows.start else "x", [cells(record[rows, k])])
 
 
-def _column_plan(out, count):
-    """A write_files plan of count one-column files in out."""
-    def plan(checked):
-        return [(out / ("c%02d.csv" % k),
-                 functools.partial(_write_column,
-                                   values=np.arange(k, k + 50) / 7.0))
+def _columns(out, count, rows=50, block=10):
+    """write_files's arguments for count one-column files in out: file k
+    holds column k of a (rows, count) record, which run fills block rows at
+    a time."""
+    def plan(record):
+        return [functools.partial(_write_column, record, k)
                 for k in range(count)]
-    return plan
+
+    def run(record, progress):
+        for start in range(0, rows, block):
+            stop = min(start + block, rows)
+            record[start:stop] = (np.arange(start, stop)[:, None]
+                                  + np.arange(count)) / 7.0
+            progress(stop)
+
+    return ([out / ("c%02d.csv" % k) for k in range(count)], (rows, count),
+            plan, run)
 
 
 def _tree(path):
     return {name: (path / name).read_bytes() for name in os.listdir(path)}
 
 
+def _serial_tree(path, count, **sizes):
+    path.mkdir()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datafiles, "usable_cpus", lambda: 1)
+        write_files(*_columns(path, count, **sizes))
+    return _tree(path)
+
+
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_write_files_split_matches_serial(tmp_path, monkeypatch, cpus):
-    serial, split = tmp_path / "serial", tmp_path / "split"
-    serial.mkdir()
+    serial = _serial_tree(tmp_path / "serial", 5)
+    split = tmp_path / "split"
     split.mkdir()
-    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 1)
-    write_files(5, _column_plan(serial, 5))
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
-    write_files(5, _column_plan(split, 5))
+    write_files(*_columns(split, 5))
     assert_no_child_left()
-    assert len(_tree(serial)) == 5
-    assert _tree(split) == _tree(serial)
+    assert len(serial) == 5
+    assert _tree(split) == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_files_returns_each_files_digest(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    paths, shape, plan, run = _columns(tmp_path, 7)
+    digests = write_files(paths, shape, plan, run)
+    assert_no_child_left()
+    assert digests == [hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in paths]
 
 
 def test_write_files_claims_past_one_byte(tmp_path, monkeypatch):
     # 300 files: a claim does not fit one byte
-    serial, split = tmp_path / "serial", tmp_path / "split"
-    serial.mkdir()
+    serial = _serial_tree(tmp_path / "serial", 300)
+    split = tmp_path / "split"
     split.mkdir()
-    monkeypatch.setattr(datafiles, "usable_cpus", lambda: 1)
-    write_files(300, _column_plan(serial, 300))
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
-    write_files(300, _column_plan(split, 300))
+    write_files(*_columns(split, 300))
     assert_no_child_left()
-    assert len(_tree(serial)) == 300
-    assert _tree(split) == _tree(serial)
+    assert len(serial) == 300
+    assert _tree(split) == serial
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
@@ -209,11 +233,63 @@ def test_write_files_keeps_what_the_queue_cannot_hold(tmp_path,
     monkeypatch.setattr(datafiles, "_claim_queue", lambda count: (
         made.append(queue(count)) or made[0]))
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 2)
-    write_files(count, _column_plan(tmp_path, count))
+    write_files(*_columns(tmp_path, count))
     assert_no_child_left()
     assert made[0][1] == count - 76
     assert sorted(os.listdir(tmp_path)) == sorted("c%02d.csv" % k
                                                   for k in range(count))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_write_files_children_format_while_run_runs(tmp_path, monkeypatch,
+                                                    cpus):
+    # every row is final well before run returns: a child has formatted
+    # some of them by then
+    out, log = tmp_path / "out", tmp_path / "formatted"
+    out.mkdir()
+    paths, shape, plan, run = _columns(out, 6)
+    parent = os.getpid()
+    seen = []
+
+    def logged(record):
+        def writer(inner, target, rows):
+            with open(log, "a") as handle:
+                handle.write("%d\n" % os.getpid())
+            inner(target, rows)
+        return [functools.partial(writer, w) for w in plan(record)]
+
+    def slow_run(record, progress):
+        run(record, progress)
+        time.sleep(0.3)
+        seen.extend(log.read_text().split() if log.exists() else [])
+
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    write_files(paths, shape, logged, slow_run)
+    assert_no_child_left()
+    assert any(int(pid) != parent for pid in seen)
+    assert _tree(out) == _serial_tree(tmp_path / "serial", 6)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_write_files_void_rows_are_formatted_again(tmp_path, monkeypatch,
+                                                   cpus):
+    # run makes every row final with wrong values, lets the children format
+    # them, voids them and fills the record again: the serial run's files
+    out = tmp_path / "out"
+    out.mkdir()
+    paths, shape, plan, run = _columns(out, 6)
+
+    def rerun(record, progress):
+        record[:] = -1.0
+        progress(len(record))
+        time.sleep(0.2)
+        progress(0)
+        run(record, progress)
+
+    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
+    write_files(paths, shape, plan, rerun)
+    assert_no_child_left()
+    assert _tree(out) == _serial_tree(tmp_path / "serial", 6)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -221,71 +297,83 @@ def test_write_files_keeps_what_the_queue_cannot_hold(tmp_path,
 def test_write_files_writes_nothing_when_the_check_fails(tmp_path,
                                                          monkeypatch, cpus,
                                                          error):
-    # the children's unchecked plans pass and format their claims; the
-    # parent's check fails (or is interrupted) after they had time to
-    plan = _column_plan(tmp_path, 6)
+    # every row is final and the children format their claims; the check
+    # fails (or is interrupted) after they had time to
+    paths, shape, plan, run = _columns(tmp_path, 6)
 
-    def checked_fails(checked):
-        files = plan(checked)
-        if checked:
-            time.sleep(0.2)
-            raise error("check failed")
-        return files
+    def checked_fails(record, progress):
+        run(record, progress)
+        time.sleep(0.2)
+        raise error("check failed")
 
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
     with pytest.raises(error):
-        write_files(6, checked_fails)
+        write_files(paths, shape, plan, checked_fails)
     assert_no_child_left()
     assert os.listdir(tmp_path) == []
 
 
 def test_write_files_children_write_after_the_check(tmp_path, monkeypatch):
-    plan = _column_plan(tmp_path, 6)
+    paths, shape, plan, run = _columns(tmp_path, 6)
     before = []
 
-    def slow_check(checked):
-        if checked:
-            time.sleep(0.2)
-            before.extend(os.listdir(tmp_path))
-        return plan(checked)
+    def slow_check(record, progress):
+        run(record, progress)
+        time.sleep(0.2)
+        before.extend(os.listdir(tmp_path))
 
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
-    write_files(6, slow_check)
+    write_files(paths, shape, plan, slow_check)
     assert_no_child_left()
     assert before == []
     assert len(os.listdir(tmp_path)) == 6
 
 
-def _only_in(parent, where, out):
-    """A plan of four files whose plan or writers fail in any process but
-    parent."""
-    def only_here(target):
-        if os.getpid() != parent:
-            raise OSError("not in the parent")
-        target.write_text("written\n")
+def _only_in(parent, out, last=False):
+    """write_files's arguments for four files whose writers fail in any
+    process but parent: on every call, or with last=True only on the call
+    that reaches the last row."""
+    paths, shape, plan, run = _columns(out, 4)
 
-    def plan(checked):
-        if where == "plan" and os.getpid() != parent:
-            raise OSError("not in the parent")
-        return [(out / ("f%d" % k), only_here) for k in range(4)]
-    return plan
+    def failing(record):
+        def writer(inner, target, rows):
+            if os.getpid() != parent and (not last or rows.stop == shape[0]):
+                raise OSError("not in the parent")
+            inner(target, rows)
+        return [functools.partial(writer, w) for w in plan(record)]
+    return paths, shape, failing, run
 
 
 def test_write_files_reruns_a_failed_child_share(tmp_path, monkeypatch):
-    # every writer fails in the child: it exits nonzero and the parent
-    # writes every file itself
+    # every writer fails in the child: it exits nonzero while run still
+    # makes rows final, and the parent writes every file itself
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 2)
-    write_files(4, _only_in(os.getpid(), "writer", tmp_path))
+    paths, shape, plan, run = args = _only_in(os.getpid(), tmp_path)
+
+    def slow_run(record, progress):
+        def slow_progress(done):
+            time.sleep(0.05)
+            progress(done)
+        run(record, slow_progress)
+
+    digests = write_files(paths, shape, plan, slow_run)
     assert_no_child_left()
-    assert sorted(os.listdir(tmp_path)) == ["f0", "f1", "f2", "f3"]
+    assert sorted(os.listdir(tmp_path)) == ["c00.csv", "c01.csv", "c02.csv",
+                                            "c03.csv"]
+    assert digests == [hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in args[0]]
 
 
-def test_write_files_reruns_after_a_failed_child_plan(tmp_path,
-                                                      monkeypatch):
+def test_write_files_reruns_after_a_child_fails_at_the_last_row(
+        tmp_path, monkeypatch):
+    # the children stream their files' first rows, then fail
+    serial = _serial_tree(tmp_path / "serial", 4)
+    out = tmp_path / "out"
+    out.mkdir()
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
-    write_files(4, _only_in(os.getpid(), "plan", tmp_path))
+    write_files(*_only_in(os.getpid(), out, last=True))
     assert_no_child_left()
-    assert sorted(os.listdir(tmp_path)) == ["f0", "f1", "f2", "f3"]
+    assert _tree(out) == serial
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -296,7 +384,7 @@ def test_write_files_raises_the_serial_error(tmp_path, monkeypatch, cpus,
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
     (tmp_path / ("c%02d.csv" % bad)).mkdir()
     with pytest.raises(IsADirectoryError) as info:
-        write_files(5, _column_plan(tmp_path, 5))
+        write_files(*_columns(tmp_path, 5))
     assert_no_child_left()
     assert info.value.filename == str(tmp_path / ("c%02d.csv" % bad))
 
@@ -320,7 +408,7 @@ def test_write_files_ignores_only_the_fork_thread_warning(tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         filters = list(warnings.filters)
-        write_files(2, _column_plan(tmp_path, 2))
+        write_files(*_columns(tmp_path, 2))
         assert warnings.filters == filters
         with pytest.raises(DeprecationWarning):
             warnings.warn("This process (pid=1) is multi-threaded, use of "
@@ -336,5 +424,5 @@ def test_write_files_writes_an_unforked_share_itself(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(datafiles, "usable_cpus", lambda: 3)
-    write_files(5, _column_plan(tmp_path, 5))
+    write_files(*_columns(tmp_path, 5))
     assert sorted(os.listdir(tmp_path)) == ["c%02d.csv" % k for k in range(5)]

@@ -312,11 +312,12 @@ class _FailAt:
 
     def __init__(self, table, targets, kappa0, nan=False):
         self.table, self.targets, self.kappa0 = table, list(targets), kappa0
-        self.nan = nan
+        self.nan, self.t2max = nan, table.t2max
 
     def take(self, rows):
-        return _FailAt(self.table.take(rows),
-                       [self.targets[r] for r in rows], self.kappa0, self.nan)
+        return type(self)(self.table.take(rows),
+                          [self.targets[r] for r in rows], self.kappa0,
+                          self.nan)
 
     def rate_kernel(self, state, out):
         sums = self.table.rate_kernel(state, out)
