@@ -104,8 +104,23 @@ def _run(args):
                     for name in sorted(outputs)},
         "versions": {"tlscavity": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "pyyaml": yaml.__version__},
+        "dispatch": _dispatch_targets(),
     })
     return code
+
+
+@functools.cache
+def _dispatch_targets():
+    """The SIMD target numpy runs float64 exp and log on, on which the
+    output bytes depend (None where numpy does not say, before 2.0); one
+    lookup per process, which takes about 0.1 ms."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    return {name: info.get(name, {}).get("dd", {}).get("current")
+            for name in ("exp", "log")}
 
 
 def _trace_ntots(cfg, n_traces):

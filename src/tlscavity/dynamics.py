@@ -10,7 +10,7 @@ inside the validity window.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,15 +22,35 @@ from .errors import SaturationError, StepConvergenceError, StepWindowError
 class Trajectory:
     """Time grid plus per-point photon number and bath rates (array backed).
 
-    rates[k] are the rates rebuilt from the state at times[k]; they drive the
-    step from k to k+1. The final entry is diagnostic.
+    kappa_plus[k], kappa_minus[k] and omega_prime[k] are the rates rebuilt
+    from the state at times[k]; they drive the step from k to k+1. The final
+    entry is diagnostic. They are read on access, a new array each time,
+    from column row of record, the coarse record of _evolve. _evolve never
+    writes the record after it returns, so a Trajectory stays fixed unless
+    its caller writes a record it passed in.
     """
 
     times: np.ndarray
     n: np.ndarray
-    kappa_plus: np.ndarray
-    kappa_minus: np.ndarray
-    omega_prime: np.ndarray
+    record: np.ndarray = field(repr=False)
+    row: int = field(repr=False)
+
+    @property
+    def kappa_plus(self):
+        return self.record[:, _KP, self.row].copy()
+
+    @property
+    def kappa_minus(self):
+        return self.record[:, _KM, self.row].copy()
+
+    @property
+    def omega_prime(self):
+        # the record keeps -Re Omega': negated here, not in place (numpy 2.4
+        # negates a 64-byte-strided view wrongly in place)
+        omega = np.empty(len(self.times), dtype=complex)
+        omega.real = -self.record[:, _MINUS_RE_O, self.row]
+        omega.imag = self.record[:, _IM_O, self.row]
+        return omega
 
 
 def _check_window(dt, t2max, cavity, margin):
@@ -110,12 +130,14 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
     rate_kernel), laid out so that every operand of the step's numpy calls
     is a C-contiguous block of the output's shape, one row or a 0-d
     constant (numpy's flat fast path, about half the cost of a reversed,
-    stepped or broadcast operand): a pass makes 36 numpy calls and
-    allocates nothing. The loop runs unchecked, keeping the running minimum
-    of the rates, v1, kt and n after the step; a group whose minimum ends
-    negative or nan runs once more with the per-step clamp and stop, so its
-    failing rows get the checked result bit for bit. The step only squares
-    Re Omega': the loop keeps -Re Omega', and the record holds it so.
+    stepped or broadcast operand). A pass without twins makes 37 numpy
+    calls, rate_kernel's ten among them, as straight-line code in one
+    Python frame, and allocates nothing. The loop runs unchecked, keeping
+    the running minimum of the rates, v1, kt and n after the step; a group
+    whose minimum ends negative or nan runs once more with the per-step
+    clamp and stop, so its failing rows get the checked result bit for bit.
+    The step only squares Re Omega': the loop keeps -Re Omega', and the
+    record holds it so.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     rows = len(n0)
@@ -151,46 +173,16 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
     twin_n, twin_both, twin_next = n[rows:], both_n[:, rows:], n_next[rows:]
     if history is None:
         history = np.empty(record_shape(m_pts, rows))
-    # the passes that start a progress block (none without progress)
-    block = stride * _PROGRESS_ROWS if progress else passes
     twin_history = np.empty((passes, len(twins)))
+    block = stride * _PROGRESS_ROWS
     lowest = np.full(checked.shape, np.inf)
     four, minus_four, minus_eight = (np.array(c) for c in (4.0, -4.0, -8.0))
     rate_sums = table.rate_kernel(state, sums)
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    sqrt, exp, minimum = np.sqrt, np.exp, np.minimum
     errors, dead = [None] * cols, []
     inert = np.array(_INERT_SUMS)[:, None]
-
-    def advance():
-        add(rates, feeds, out=v1_kt)
-        sub(kt, kp, out=kt)
-        mul(kt, kt, out=kt2)
-        mul(kt, decay, out=eh)
-        mul(omega, omega, out=squares)
-        add(sq_im, sq_re, out=q)
-        div(q, kt2, out=q)
-        # terms = (a, c): v1/kt + 4q and (4/kt) Re[i O' <a>] - 8q
-        mul(o_im, ar, out=c_t)
-        mul(c_t, minus_four, out=c_t)
-        div(v1, kt, out=a_t)
-        div(c_t, kt, out=c_t)
-        mul(q, four, out=q4)
-        mul(q, minus_eight, out=q8)
-        add(terms, weighted_q, out=terms)
-        sub(n, a_t, out=b_t)
-        sub(b_t, c_t, out=b_t)
-        np.exp(eh, out=eh)
-        # n(k+1) = (a + b e^2) + c e
-        mul(eh, eh, out=eh2)
-        mul(cb, e_pair, out=prods)
-        add(a_t, be2, out=n_next)
-        add(n_next, ce, out=n_next)
-
-    def keep(k):
-        if k % stride == 0:
-            history[k // stride] = record
-        if twins:
-            twin_history[k] = twin_n
+    last = passes - 1
 
     def kill(r, exc):
         errors[r] = exc
@@ -198,57 +190,97 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
         sums[:, r] = _INERT_SUMS
 
     def run(guarded):
+        # one pass per k, straight-line: every ufunc takes its output
+        # positionally but np.minimum, whose positional out numpy 2.4
+        # deprecates (the warning costs more than the call)
         both_n[...] = n0
-        for k in range(passes):
-            if k % block == 0 and k:
-                progress(k // stride)
-            np.sqrt(both_n, out=amps)
-            mul(ar, ar, out=amp2)
-            rate_sums()
-            if dead:
-                sums[:, dead] = inert
-            # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), kept as
-            # (Im O', -Re O'); Re negated after the loop
-            mul(amps, omega, out=omega)
-            keep(k)
-            if k == passes - 1:
-                break
-            advance()
-            if not guarded:
-                np.minimum(lowest, checked, out=lowest)
-            elif not np.minimum.reduce(checked, axis=None) >= 0.0:
-                # some row has a negative (or nan) rate, kt or n: redo the
-                # step with the per-row clamp, then stop the rows that fail
-                # (each test written so that nan fails it)
-                for r in range(cols):
-                    if r not in dead and not (kp[r] >= 0.0 and km[r] >= 0.0):
-                        try:
-                            kp[r], km[r] = tls_bath.clamp_rates(
-                                float(kp[r]), float(km[r]))
-                        except ValueError as exc:
-                            kill(r, exc)
-                advance()
-                for r in range(cols):
-                    if r in dead:
-                        continue
-                    if not kt[r] > 0.0:
-                        kill(r, SaturationError(
-                            "kappa_tilde = %g, not > 0, at t = %g"
-                            % (kt[r], times[k // stride] if r < rows
-                               else fine_times[k])))
-                    elif not n_next[r] >= 0.0:
-                        if n_next[r] > -1e-25:
-                            n_next[r] = 0.0
-                        else:
+        for first in range(0, passes, block):
+            if first and progress:
+                progress(first // stride)
+            for k in range(first, min(first + block, passes)):
+                sqrt(both_n, amps)
+                mul(ar, ar, amp2)
+                rate_sums()
+                if dead:
+                    sums[:, dead] = inert
+                # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), kept as
+                # (Im O', -Re O'); Re negated where it is read
+                mul(amps, omega, omega)
+                if not k % stride:
+                    history[k // stride] = record
+                if twins:
+                    twin_history[k] = twin_n
+                if k == last:
+                    break
+                # the step; a guarded pass that finds a negative or nan
+                # value clamps the rates and takes it once more
+                fixed = False
+                while True:
+                    add(rates, feeds, v1_kt)
+                    sub(kt, kp, kt)
+                    mul(kt, kt, kt2)
+                    mul(kt, decay, eh)
+                    mul(omega, omega, squares)
+                    add(sq_im, sq_re, q)
+                    div(q, kt2, q)
+                    # terms = (a, c): v1/kt + 4q and (4/kt) Re[i O' <a>] - 8q
+                    mul(o_im, ar, c_t)
+                    mul(c_t, minus_four, c_t)
+                    div(v1, kt, a_t)
+                    div(c_t, kt, c_t)
+                    mul(q, four, q4)
+                    mul(q, minus_eight, q8)
+                    add(terms, weighted_q, terms)
+                    sub(n, a_t, b_t)
+                    sub(b_t, c_t, b_t)
+                    exp(eh, eh)
+                    # n(k+1) = (a + b e^2) + c e
+                    mul(eh, eh, eh2)
+                    mul(cb, e_pair, prods)
+                    add(a_t, be2, n_next)
+                    add(n_next, ce, n_next)
+                    if not guarded or fixed or \
+                            minimum.reduce(checked, axis=None) >= 0.0:
+                        break
+                    # some row has a negative (or nan) rate, kt or n: redo
+                    # the step with the per-row clamp, then stop the rows
+                    # that fail below (each test written so that nan fails)
+                    fixed = True
+                    for r in range(cols):
+                        if r not in dead and not (kp[r] >= 0.0
+                                                  and km[r] >= 0.0):
+                            try:
+                                kp[r], km[r] = tls_bath.clamp_rates(
+                                    float(kp[r]), float(km[r]))
+                            except ValueError as exc:
+                                kill(r, exc)
+                if not guarded:
+                    minimum(lowest, checked, out=lowest)
+                elif fixed:
+                    for r in range(cols):
+                        if r in dead:
+                            continue
+                        if not kt[r] > 0.0:
                             kill(r, SaturationError(
-                                "photon number %g, not >= 0"
-                                % n_next[r]))
-                n_next[dead] = 1.0
-                keep(k)
-            if k % stride == stride - 1:
-                both_n[...] = n_next
-            else:
-                twin_both[...] = twin_next
+                                "kappa_tilde = %g, not > 0, at t = %g"
+                                % (kt[r], times[k // stride] if r < rows
+                                   else fine_times[k])))
+                        elif not n_next[r] >= 0.0:
+                            if n_next[r] > -1e-25:
+                                n_next[r] = 0.0
+                            else:
+                                kill(r, SaturationError(
+                                    "photon number %g, not >= 0"
+                                    % n_next[r]))
+                    n_next[dead] = 1.0
+                    if not k % stride:
+                        history[k // stride] = record
+                    if twins:
+                        twin_history[k] = twin_n
+                if k % stride == stride - 1:
+                    both_n[...] = n_next
+                else:
+                    twin_both[...] = twin_next
 
     # a failing row may overflow or divide by zero before the per-row
     # checks below stop it; they, not numpy warnings, report the failure
@@ -261,19 +293,8 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
     if progress:
         progress(m_pts)
 
-    def omega_prime(r):
-        # the record keeps -Re Omega': negated here, not in place (numpy 2.4
-        # negates a 64-byte-strided view wrongly in place)
-        omega = np.empty(m_pts, dtype=complex)
-        omega.real = -history[:, _MINUS_RE_O, r]
-        omega.imag = history[:, _IM_O, r]
-        return omega
-
-    return [errors[r] or Trajectory(
-        times=times, n=history[:, _N, r].copy(),
-        kappa_plus=history[:, _KP, r].copy(),
-        kappa_minus=history[:, _KM, r].copy(),
-        omega_prime=omega_prime(r)) for r in range(rows)] + [
+    return [errors[r] or Trajectory(times, history[:, _N, r].copy(), history,
+                                    r) for r in range(rows)] + [
         errors[rows + j] or twin_history[:, j].copy()
         for j in range(len(twins))]
 

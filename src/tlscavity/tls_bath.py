@@ -125,9 +125,11 @@ class ClassTable:
         state is a (3, W) view whose rows hold n, n again and |<a>|^2, one
         column per row. A one-row table is repeated over W = 2 columns: on
         one column numpy would sum 8 or more classes pairwise. A call makes
-        nine numpy calls over whole (C, W) blocks and allocates nothing.
-        The rate weights are stored twice, so that weighting both population
-        differences is one product of contiguous blocks of one shape.
+        ten numpy calls over whole (C, W) blocks, each output passed
+        positionally, and allocates nothing. The rate weights are stored
+        twice, so that weighting both population differences is one product
+        of contiguous blocks of one shape; each population difference is
+        one flat subtraction of |rho_ge|^2.
         """
         cols, size = out.shape[1], len(self.weights)
         # base, slope and the weights twice, spread over the W columns
@@ -143,19 +145,22 @@ class ClassTable:
         x, n_part, d, d0, over_d, inv_d = (state[:, None], lin[:3], lin[:2],
                                            lin[0], lin[1:5], lin[5])
         rgg, ree, coh2, pops = terms[0], terms[1], terms[2], terms[5:]
-        scaled, ree_rgg, summed = terms[1:5], terms[1::-1], terms[3:]
-        mul, sub, add = np.multiply, np.subtract, np.add
+        kp_terms, km_terms = pops
+        scaled, summed = terms[1:5], terms[3:]
+        mul, sub, add, reduce, reciprocal = (
+            np.multiply, np.subtract, np.add, np.add.reduce, np.reciprocal)
 
         def kernel():
-            mul(slope, x, out=n_part)
-            add(base, d, out=d)
-            np.reciprocal(d0, out=inv_d)
-            mul(over_d, inv_d, out=scaled)
-            mul(coh2, inv_d, out=coh2)
-            sub(_ONE, ree, out=rgg)
-            sub(ree_rgg, coh2, out=pops)
-            mul(pops, weights, out=pops)
-            return add.reduce(summed, axis=1, out=out)
+            mul(slope, x, n_part)
+            add(base, d, d)
+            reciprocal(d0, inv_d)
+            mul(over_d, inv_d, scaled)
+            mul(coh2, inv_d, coh2)
+            sub(_ONE, ree, rgg)
+            sub(ree, coh2, kp_terms)
+            sub(rgg, coh2, km_terms)
+            mul(pops, weights, pops)
+            return reduce(summed, 1, None, out)
         return kernel
 
     def rate_sums(self, n, amp2):

@@ -168,6 +168,11 @@ def test_manifest_hashes_outputs(tmp_path):
         assert sha(out / name) == digest, name
     assert set(manifest["versions"]) == {"tlscavity", "numpy", "scipy",
                                          "pyyaml"}
+    # the SIMD targets of float64 exp and log, on which the bytes depend
+    from numpy.lib.introspect import opt_func_info
+    info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    assert manifest["dispatch"] == {
+        name: info[name]["dd"]["current"] for name in ("exp", "log")}
 
 
 def test_distribution_report(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from tlscavity import (CavityParams, ClassTable, SaturationError,
                        evolve_ringdown, evolve_table, kappa_of_time,
                        trajectory_kappa)
 from tlscavity.core import bose_einstein
-from tlscavity.dynamics import Trajectory, _evolve, _verified_evolve
+from tlscavity.dynamics import (_RECORDED, Trajectory, _evolve,
+                                _verified_evolve)
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -473,6 +476,46 @@ def test_batch_with_twins_matches_reference(size):
     for twin, r in zip(got[3:], (0, 2)):
         assert _bitwise(twin, _reference_row(table, r, n0[r], _BATCH_CAV,
                                              fine)[0])
+
+
+def _evolve_peak_bytes(table, n0, m, twins):
+    """Peak traced memory of one _evolve call, over what was traced before
+    it, with every warning raised as an error."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = tracemalloc.get_traced_memory()[0]
+            got = _evolve(table, _BATCH_CAV, n0, 0.004, m, twins)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(not isinstance(g, Exception) for g in got)
+    return peak - before
+
+
+@pytest.mark.parametrize("twins", [[], [0, 2]])
+def test_pass_allocates_nothing_and_warns_nothing(twins):
+    """A pass allocates nothing that outlives it and raises no warning (a
+    positional out on np.minimum or np.maximum warns in numpy 2.4): with
+    more grid points, _evolve's peak traced memory grows by no more than
+    the float64 arrays of one entry per grid point and pass that it keeps,
+    the record and the twin history among them."""
+    table = ClassTable(*class_arrays([_classes(7), _classes(7)[::-1],
+                                      _classes(7, 0.2)]), _BATCH_CAV.omega0,
+                       _BATCH_CAV.temperature)
+    n0, m = [1e12, 3e10, 5e13], (600, 1800)
+    rows = len(n0)
+    stride = 2 if twins else 1
+    # per grid point: the record, each row's n and the grid. Per pass: the
+    # twin history, each twin's n and the grid of the passes. A leak of one
+    # object per pass (24 bytes or more) outgrows the 4 kB of slack.
+    per_point = 8 * (_RECORDED * rows + rows + 1)
+    per_pass = 8 * (2 * len(twins) + 1)
+    grown = _evolve_peak_bytes(table, n0, m[1], twins) \
+        - _evolve_peak_bytes(table, n0, m[0], twins)
+    allowed = (m[1] - m[0]) * (per_point + stride * per_pass) + 4096
+    assert grown <= allowed, (grown, allowed)
 
 
 class _ClampAt(_FailAt):
