@@ -70,6 +70,8 @@ def read_ringdown_csv(path):
     if times[0] != 0.0:
         raise DataError("%s: first row must have time_s = 0 (the reference "
                         "point)" % path)
+    if len(times) < 2:
+        raise DataError("%s: no row after the t = 0 reference" % path)
     if np.any(np.diff(times) <= 0):
         raise DataError("%s: time_s must be strictly increasing" % path)
     if np.any(n <= 0):

@@ -89,13 +89,13 @@ class FitProblem:
     """residual_fn maps a parameter vector (in the order of params) to the
     unweighted residual vector; data_weights are per-point 1 sigma.
 
-    residual_batch_fn, if given, maps a list of such vectors to a 2-D array
-    with one residual row per vector, a row of NaN where the model failed
-    with one of the errors a trial point is rejected for. minimize then
-    evaluates each trial point together with all the points of its Jacobian
-    in one call, and needs no residual_fn call unless the starting point
-    fails (to raise the model's own error there) or the simplex fallback
-    runs. Row i must not depend on the other rows of the call.
+    minimize evaluates each point together with all the points of its
+    Jacobian in one batch call: residual_batch_fn if given, else a loop over
+    residual_fn. The batch maps a list of vectors to a 2-D array with one
+    residual row per vector, a row of NaN where the model failed with one of
+    the errors a trial point is rejected for; row i must not depend on the
+    other rows. With the hook, residual_fn runs only to raise the model's
+    own error at a failed starting point.
     """
 
     residual_fn: object
@@ -166,41 +166,26 @@ class FitResult:
         }, indent=2)
 
 
-def numerical_jacobian(fn, u, *, upper=None, f0=None, batch_fn=None):
-    """Forward-difference Jacobian of fn at u with per-coordinate relative
-    steps.
+def numerical_jacobian(batch_fn, u, *, upper=None):
+    """(f(u), forward-difference Jacobian of f at u) from one batch_fn call,
+    which maps the list of u and its len(u) step points to one row of f each.
 
-    Steps reverse direction at an upper bound so trial points stay feasible.
-    batch_fn, if given, evaluates the list of all trial points in one call
-    (one row each) in place of one fn call per point; without f0, u itself
-    rides along as row 0 of that call.
+    Steps are per-coordinate relative and reverse direction at an upper bound
+    so step points stay feasible. A Jacobian whose differences raise a
+    FloatingPointError is all NaN.
     """
     u = np.asarray(u, dtype=float)
-    with_base = f0 is None and batch_fn is not None
-    if f0 is None and batch_fn is None:
-        f0 = fn(u)
-    steps = []
-    points = []
-    for j in range(len(u)):
-        h = _JAC_REL_STEP * abs(u[j]) + _JAC_ABS_FLOOR
-        if upper is not None and u[j] + h > upper[j]:
-            h = -h
-        steps.append(h)
-        up = u.copy()
-        up[j] += h
-        points.append(up)
-    if batch_fn is not None:
-        rows = np.asarray(batch_fn([u] + points if with_base else points),
-                          dtype=float)
-        if with_base:
-            f0, rows = rows[0], rows[1:]
-    else:
-        rows = [np.asarray(fn(p), dtype=float) for p in points]
-    f0 = np.asarray(f0, dtype=float)
-    jac = np.empty((len(f0), len(u)))
-    for j, h in enumerate(steps):
-        jac[:, j] = (rows[j] - f0) / h
-    return jac
+    steps = _JAC_REL_STEP * np.abs(u) + _JAC_ABS_FLOOR
+    if upper is not None:
+        steps[u + steps > upper] *= -1.0
+    points = np.tile(u, (len(u), 1))
+    np.fill_diagonal(points, u + steps)
+    rows = np.asarray(batch_fn([u, *points]), dtype=float)
+    try:
+        jac = np.ascontiguousarray(((rows[1:] - rows[0]) / steps[:, None]).T)
+    except FloatingPointError:
+        jac = np.full((rows.shape[1], len(u)), np.nan)
+    return rows[0], jac
 
 
 def minimize(problem):
@@ -211,65 +196,43 @@ def minimize(problem):
     A parameter with an all-zero Jacobian column at the optimum, which the
     data cannot move, gets sigma = inf.
 
-    evaluate(u) -> (f, jac) is chosen once. With problem.residual_batch_fn
-    it returns the point with its Jacobian from one batch call; an accepted
-    point's Jacobian is the next iteration's and the last one the
-    covariance's. Without the hook jac is None, "not computed yet", and the
-    Jacobian is taken only when needed; the numbers are the same. A
-    Jacobian that cannot be evaluated is all NaN: a non-finite Jacobian
-    hands the fit to scipy's Nelder-Mead on the internal coordinates.
+    evaluate(u) -> (f, jac) takes every point with its Jacobian from one
+    batch call; an accepted point's Jacobian is the next iteration's and the
+    last one the covariance's. A non-finite Jacobian hands the fit to
+    scipy's Nelder-Mead on the internal coordinates, which scores its points
+    through the same batch call.
     """
     params = problem.params
     if not params:
         raise FitError("no parameters to fit")
     sigma = problem.data_weights
-    n_pts = None  # known once the starting point is evaluated
 
     def param_values(u):
         return np.array([p.from_internal(v) for p, v in zip(params, u)])
 
-    def wres(u):
-        try:
-            r = np.asarray(problem.residual_fn(param_values(u)), dtype=float)
-        except _REJECTED:
-            # model domain violation at a trial point: reject the step
-            if n_pts is None:
-                raise
-            return np.full(n_pts, np.nan)
-        return r / sigma
-
-    def jacobian(u, f):
-        try:
-            return numerical_jacobian(wres, u, upper=upper, f0=f)
-        except FloatingPointError:
-            return np.full((len(f), len(u)), np.nan)
-
-    if problem.residual_batch_fn is None:
-        def evaluate(u):
-            return wres(u), None
-    else:
-        def evaluate(u):
-            """u as row 0 of its own Jacobian's batch."""
-            rows = []
-
-            def batch(us):
-                rows.append(np.asarray(problem.residual_batch_fn(
-                    [param_values(v) for v in us]), dtype=float) / sigma)
-                return rows[0]
-
+    def batch(us):
+        """Weighted residual rows of the points us, NaN where the model
+        failed at a trial point (which rejects the step)."""
+        vecs = [param_values(v) for v in us]
+        if problem.residual_batch_fn is not None:
+            return np.asarray(problem.residual_batch_fn(vecs),
+                              dtype=float) / sigma
+        rows = np.empty((len(vecs), len(sigma)))
+        for i, vec in enumerate(vecs):
             try:
-                jac = numerical_jacobian(wres, u, upper=upper,
-                                         batch_fn=batch)
-            except FloatingPointError:
-                if not rows:
-                    raise
-                jac = np.full((len(rows[0][0]), len(u)), np.nan)
-            return rows[0][0], jac
+                r = problem.residual_fn(vec)
+            except _REJECTED:
+                r = np.nan
+            rows[i] = r
+        return rows / sigma
+
+    def evaluate(u):
+        return numerical_jacobian(batch, u, upper=upper)
 
     def simplex(u, chi2):
         """scipy's Nelder-Mead from u: (best point, converged)."""
         def cost(v):
-            r = wres(v)
+            r = batch([v])[0]
             c = float(r @ r)
             return c if math.isfinite(c) else math.inf
 
@@ -290,8 +253,9 @@ def minimize(problem):
 
     f, jac = evaluate(u)
     if not np.all(np.isfinite(f)):
-        f = wres(u)  # a NaN batch row hides the model's own error
-    if not np.all(np.isfinite(f)):
+        # a NaN row hides the model's own error: one residual_fn call
+        # raises it
+        problem.residual_fn(param_values(u))
         raise FitError("residuals not finite at the initial point")
     chi2 = float(f @ f)
     n_pts = len(f)
@@ -308,8 +272,6 @@ def minimize(problem):
     gain_tried = False
 
     for it in range(_MAX_ITER):
-        if jac is None:
-            jac = jacobian(u, f)
         degenerate = not np.all(np.isfinite(jac))
         accepted = closing = False
         rejected = 0
@@ -402,8 +364,6 @@ def minimize(problem):
         if converged:
             break
 
-    if jac is None:
-        jac = jacobian(u, f)
     chi2_red = chi2 / dof
     hess = jac.T @ jac
     try:

@@ -15,6 +15,7 @@ from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
 from tlscavity.datafiles import read_ringdown_csv, read_trace_csv
 from tlscavity.errors import ValidityWarning
+from test_acceptance import N_TOT_TRUTH
 from test_dynamics import _ClampAt
 
 
@@ -93,31 +94,44 @@ _EXP_DISPATCH = ("from numpy.lib.introspect import opt_func_info; "
                  "['exp']['dd']['current'])")
 
 
-def test_simulate_ringdown_without_top_exp_dispatch(tmp_path):
-    """CI's determinism run with the highest dispatch group of float64 exp
-    turned off agrees with the in-process run to 1e-12 relative in every
-    finite cell: the step stays well conditioned whatever SIMD exp runs."""
+def _top_exp_group():
+    """The highest dispatch group of numpy's float64 exp; skips the test
+    where only the baseline group runs."""
     pytest.importorskip("numpy.lib.introspect")
     top = subprocess.run([sys.executable, "-c", _EXP_DISPATCH],
                          capture_output=True, text=True,
                          check=True).stdout.strip()
     if top.startswith("baseline"):
         pytest.skip("float64 exp runs only its baseline dispatch group")
-    cfgfile = tmp_path / "det.yaml"
-    cfgfile.write_text(TINY_RINGDOWN)
-    here, there = tmp_path / "here", tmp_path / "there"
-    assert run(["simulate", "ringdown", "--config", cfgfile, "--out", here,
-                "--seed", "7"]) == 0
+    return top
+
+
+def _run_without_exp_group(top, argv):
+    """The command argv in a subprocess with float64 exp's dispatch group
+    top turned off."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         tlscavity.__file__)))
     code = ("import sys; %s; from tlscavity.cli import main; "
             "sys.exit(main(sys.argv[1:]))" % _EXP_DISPATCH)
     proc = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "ringdown", "--config",
-         str(cfgfile), "--out", str(there), "--seed", "7"],
+        [sys.executable, "-c", code] + [str(a) for a in argv],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=top))
     assert proc.stdout.strip() not in ("", top)
+
+
+def test_simulate_ringdown_without_top_exp_dispatch(tmp_path):
+    """CI's determinism run with the highest dispatch group of float64 exp
+    turned off agrees with the in-process run to 1e-12 relative in every
+    finite cell: the step stays well conditioned whatever SIMD exp runs."""
+    top = _top_exp_group()
+    cfgfile = tmp_path / "det.yaml"
+    cfgfile.write_text(TINY_RINGDOWN)
+    here, there = tmp_path / "here", tmp_path / "there"
+    argv = ["simulate", "ringdown", "--config", cfgfile, "--seed", "7",
+            "--out"]
+    assert run(argv + [here]) == 0
+    _run_without_exp_group(top, argv + [there])
     for name in ("ringdown_01.csv", "ringdown_02.csv", "trace_01.csv",
                  "trace_02.csv"):
         a, b = (np.loadtxt(d / name, delimiter=",", skiprows=1)
@@ -126,6 +140,40 @@ def test_simulate_ringdown_without_top_exp_dispatch(tmp_path):
         finite = np.isfinite(a)
         assert np.all(np.abs(a[finite] - b[finite])
                       <= 1e-12 * np.abs(a[finite])), name
+
+
+def test_fit_ringdown_without_top_exp_dispatch(tmp_path, cfg, cavity):
+    """a07's ten-trace joint fit at fit.m_steps 250, a well-identified
+    draw, with the highest dispatch group of float64 exp turned off agrees
+    with the in-process fit within 1e-3 sigma in every value."""
+    top = _top_exp_group()
+    t_data = np.linspace(0.0, 0.022, 301)
+    rng = np.random.default_rng(9)
+    paths = []
+    for i, n_tot in enumerate(N_TOT_TRUTH):
+        traj = evolve_ringdown(5e13 * 10.0 ** (-0.5 * i),
+                               cfg.trace_classes(n_tot=n_tot), cavity,
+                               0.022, 4000, verify=False)
+        n = np.exp(np.interp(t_data, traj.times, np.log(traj.n)))
+        n[1:] *= 1.0 + 0.01 * rng.standard_normal(len(t_data) - 1)
+        paths.append(tmp_path / ("trace_%02d.csv" % (i + 1)))
+        paths[-1].write_text("time_s,n\n" + "".join(
+            "%r,%r\n" % (float(a), float(b)) for a, b in zip(t_data, n)))
+    cfgfile = tmp_path / "start.yaml"
+    cfgfile.write_text("tls:\n  t2_star: 2.5e-7\n"
+                       "distribution:\n  beta: 3.0\n  epsilon_s: 0.3\n"
+                       "ringdown:\n  n_tot: 1.0e8\n"
+                       "fit:\n  m_steps: 250\n")
+    here, there = tmp_path / "here", tmp_path / "there"
+    argv = ["fit", "ringdown", "--config", cfgfile] + paths + ["--out"]
+    assert run(argv + [here]) == 0
+    _run_without_exp_group(top, argv + [there])
+    a, b = (strict_json(d / "fit_ringdown.json") for d in (here, there))
+    assert a["converged"] and b["converged"]
+    sigma = np.array(a["sigma"])
+    assert np.all(np.isfinite(sigma))
+    dev = np.abs(np.array(a["values"]) - np.array(b["values"])) / sigma
+    assert np.max(dev) <= 1e-3
 
 
 def test_seed_changes_noise_only(tmp_path):
@@ -318,6 +366,26 @@ def test_exit_code_nan_in_trace(tmp_path, capsys):
     src.write_text("time_s,n\n" + "\n".join(rows) + "\n")
     assert run(["fit", "ringdown", "--out", tmp_path / "x", src]) == 3
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alone", [True, False])
+def test_exit_code_trace_without_rows_after_reference(tmp_path, capsys,
+                                                      alone):
+    # a trace of only its t = 0 row has no kappa point: a data error naming
+    # the file, alone (once a fit error, exit 4) or beside a good trace
+    # (once a config error on its zero step, exit 2)
+    one = tmp_path / "one.csv"
+    one.write_text("time_s,n\n0.0,1e12\n")
+    t = np.linspace(0.0, 0.004, 41)
+    two = tmp_path / "two.csv"
+    two.write_text("time_s,n\n" + "".join(
+        "%r,%r\n" % (float(ti), float(1e12 * np.exp(-600.0 * ti)))
+        for ti in t))
+    data = [one] if alone else [one, two]
+    assert run(["fit", "ringdown", "--out", tmp_path / "x"] + data) == 3
+    err = capsys.readouterr().err
+    assert err == ("tlscavity: data error: %s: no row after the t = 0 "
+                   "reference\n" % one)
 
 
 @pytest.mark.parametrize("row, column, cell", [

@@ -126,19 +126,22 @@ def test_domain_error_mid_search_is_rejected_step():
 def test_rejected_trials_are_counted_in_the_log(monkeypatch):
     """Each log entry counts the trials its iteration rejected, those before
     an accepted one included; with the accepted entries they account for
-    every trial point."""
+    every trial point. Without a hook, the start and every trial point,
+    rejected ones included, are one batch of n + 1 residual_fn calls."""
     x = np.linspace(0.0, 2.0, 30)
     y = np.exp(-3.0 * x)
     calls = [0]
-    jacobians = [0]
+    batches = []
 
     def residual(v):
         calls[0] += 1
         return np.exp(-v[0] * x) - y
 
-    def counted_jacobian(*args, **kwargs):
-        jacobians[0] += 1
-        return numerical_jacobian(*args, **kwargs)
+    def counted_jacobian(batch_fn, u, **kwargs):
+        def recorded(points):
+            batches.append(len(points))
+            return batch_fn(points)
+        return numerical_jacobian(recorded, u, **kwargs)
 
     monkeypatch.setattr(fitting, "numerical_jacobian", counted_jacobian)
     # far from the rate 3: the first undamped-ish steps overshoot
@@ -150,9 +153,10 @@ def test_rejected_trials_are_counted_in_the_log(monkeypatch):
     assert res.converged
     assert res.values_dict["k"] == pytest.approx(3.0, rel=1e-9)
     assert log[0]["accepted"] and log[0]["rejected"] >= 1
-    # the start, the trial points, one point per Jacobian
-    trials = calls[0] - 1 - jacobians[0]
-    assert trials == sum(e["accepted"] + e["rejected"] for e in log)
+    # the start and each trial point with its one Jacobian point
+    trials = sum(e["accepted"] + e["rejected"] for e in log)
+    assert batches == [2] * (1 + trials)
+    assert calls[0] == sum(batches)
     assert json.loads(res.to_json())["convergence_log"][0]["rejected"] == \
         log[0]["rejected"]
 
@@ -191,8 +195,9 @@ def test_identical_jacobian_columns_never_stop_on_gain():
     undamped step would be singular, and the fit ends on the old rules."""
     problem = _identical_columns_problem()
     u = np.array([1.0, 1.0])
-    jac = numerical_jacobian(
-        lambda v: problem.residual_fn(v) / problem.data_weights, u)
+    _, jac = numerical_jacobian(
+        lambda us: [problem.residual_fn(v) / problem.data_weights
+                    for v in us], u)
     assert np.array_equal(jac[:, 0], jac[:, 1])
     hess = jac.T @ jac
     assert fitting._predicted_gain(hess, jac.T @ jac[:, 0],
@@ -216,10 +221,10 @@ def _assert_same_fit(a, b):
 
 
 def test_batch_path_is_bitwise_the_plain_path(monkeypatch):
-    """With residual_batch_fn, each trial point and its Jacobian are one
-    batch call, and the fit is the one-point fit bit for bit: through a
-    rejected trial (domain error), a coordinate pinned at its upper bound
-    (reversed Jacobian step) and the final covariance."""
+    """Each trial point and its Jacobian are one batch call, and the default
+    loop over residual_fn is an explicit residual_batch_fn bit for bit:
+    through a rejected trial (domain error), a coordinate pinned at its
+    upper bound (reversed Jacobian step) and the final covariance."""
     x = np.linspace(0.0, 1.0, 25)
     y = 2.5 * x + 1.2 ** 3 * x ** 2 + 0.05 * np.sin(40.0 * x)
 
@@ -263,8 +268,7 @@ def test_batch_path_is_bitwise_the_plain_path(monkeypatch):
     plain_problem.residual_fn = counted
     monkeypatch.setattr(fitting, "numerical_jacobian", counted_jacobian)
     plain = minimize(plain_problem)
-    # the start, the trial points, two points per Jacobian
-    trials = plain_calls[0] - 1 - 2 * jacobians[0]
+    plain_jacobians = jacobians[0]
     jacobians[0] = 0
     batched = minimize(problem(residual_batch))
 
@@ -273,9 +277,12 @@ def test_batch_path_is_bitwise_the_plain_path(monkeypatch):
     assert plain.values_dict["a"] == 2.0
     # one call at the start and one per trial point, each with the point
     # and its two Jacobian points, and one Jacobian per call
+    trials = sum(e["accepted"] + e["rejected"]
+                 for e in batched.convergence_log)
     assert len(calls) == 1 + trials
-    assert jacobians[0] == len(calls)
+    assert jacobians[0] == plain_jacobians == len(calls)
     assert all(len(points) == 3 for points in calls)
+    assert plain_calls[0] == 3 * len(calls)
     rejected = [points for points in calls if points[0][1] > 2.0]
     assert rejected
     assert any(points[1][0] < points[0][0] == 2.0 for points in calls)
@@ -436,8 +443,9 @@ def test_numerical_jacobian_quadratic():
         return np.array([u[0] ** 2 + 3.0 * u[1], u[1] ** 2])
 
     u = np.array([2.0, 5.0])
-    jac = numerical_jacobian(fn, u, upper=np.array([np.inf, np.inf]),
-                             f0=fn(u))
+    f, jac = numerical_jacobian(lambda us: [fn(v) for v in us], u,
+                                upper=np.array([np.inf, np.inf]))
+    np.testing.assert_array_equal(f, fn(u))
     assert jac[0, 0] == pytest.approx(4.0, rel=1e-5)
     assert jac[0, 1] == pytest.approx(3.0, rel=1e-5)
     assert jac[1, 0] == pytest.approx(0.0, abs=1e-6)
@@ -451,7 +459,8 @@ def test_numerical_jacobian_reverses_at_bound():
         return np.array([u[0] ** 2])
 
     u = np.array([1.0])
-    jac = numerical_jacobian(fn, u, upper=np.array([1.0]), f0=fn(u))
+    _, jac = numerical_jacobian(lambda us: [fn(v) for v in us], u,
+                                upper=np.array([1.0]))
     assert jac[0, 0] == pytest.approx(2.0, rel=1e-4)
 
 
@@ -606,19 +615,19 @@ def _joint_fit_problem(cfg, cavity, monkeypatch):
 
 
 def test_joint_fit_batched_jacobian_bitwise(cfg, cavity, monkeypatch):
-    """The one-batch Jacobian equals the column-by-column one bit for bit,
+    """The one-batch Jacobian equals the point-by-point one bit for bit,
     a column reversed at its upper bound included."""
     batched = _joint_fit_problem(cfg, cavity, monkeypatch)
     single = _joint_fit_problem(cfg, cavity, monkeypatch)
     u = np.array([p.value for p in batched.params])
     upper = np.full(len(u), np.inf)
     upper[4] = u[4]  # n_tot_1 at its bound: its step is reversed
-    jac_batch = numerical_jacobian(
-        batched.residual_fn, u, upper=upper, f0=batched.residual_fn(u),
-        batch_fn=batched.residual_batch_fn)
-    jac_single = numerical_jacobian(
-        single.residual_fn, u, upper=upper, f0=single.residual_fn(u))
+    f_batch, jac_batch = numerical_jacobian(
+        batched.residual_batch_fn, u, upper=upper)
+    f_single, jac_single = numerical_jacobian(
+        lambda us: [single.residual_fn(v) for v in us], u, upper=upper)
     assert np.all(np.isfinite(jac_batch))
+    np.testing.assert_array_equal(f_batch, f_single)
     np.testing.assert_array_equal(jac_batch, jac_single)
     # the reversed column still points the right way: more TLS, more loss
     assert np.all(jac_batch[100:, 4] >= 0.0)
