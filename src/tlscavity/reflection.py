@@ -205,6 +205,7 @@ def _taubin_circle(z):
 
 
 def _delay_estimate(freqs, s11):
+    """Cable delay from the unwrapped phase's slope, in 1 / freqs' unit."""
     phase = np.unwrap(np.angle(s11))
     slope = np.polyfit(freqs, phase, 1)[0]
     return -slope / (2.0 * math.pi)
@@ -244,7 +245,8 @@ def _delay_costs(freqs, s11, taus):
 
 
 def _refine_delay(freqs, s11, tau0, width):
-    """Minimize the circle residual over the cable delay.
+    """Minimize the circle residual over the cable delay, to 1e-12 in the
+    inverse unit of freqs.
 
     The slope seed tau0 is biased by a full differential turn (1/span)
     whenever the resonance loop encloses the origin, and the residual is
@@ -261,7 +263,7 @@ def _refine_delay(freqs, s11, tau0, width):
     res = scipy.optimize.minimize_scalar(
         lambda tau: float(_circle_cost(s11 * np.exp(turn * tau))) ** 2,
         bounds=(best - step, best + step), method="bounded",
-        options={"xatol": 1e-15})
+        options={"xatol": 1e-12})
     return float(res.x)
 
 
@@ -270,13 +272,15 @@ def circle_fit(freqs, s11, *, fit_delay=True):
 
     Removes a cable delay, fits the circle algebraically, then fits the
     phase progression theta(f) = theta0 + 2 arctan(2 Q_l (1 - f/f0)) around
-    the circle center. Results are invariant under a global rotation and
-    rescaling of the data.
+    the circle center over (theta0, Q_l, x), f0 = f_mid (1 + x) with f_mid
+    the middle sweep point and x from 0 within the sweep. Results are
+    invariant under a global rotation and rescaling of the data and do not
+    depend on the frequency unit.
 
-    Raises DataError when the points do not lie on a circle (rms residual
-    above 5% of the radius) or the sweep does not cover the
-    resonance (span < 3 linewidths). The result's curve is the sweep with
-    s11_model at the fitted values.
+    Raises DataError for a frequency that is not positive, when the points
+    do not lie on a circle (rms residual above 5% of the radius) or the
+    sweep does not cover the resonance (span < 3 linewidths). The result's
+    curve is the sweep with s11_model at the fitted values.
     """
     freqs = np.asarray(freqs, dtype=float)
     z = data = np.asarray(s11, dtype=complex)
@@ -284,12 +288,16 @@ def circle_fit(freqs, s11, *, fit_delay=True):
         raise DataError("frequency and S11 arrays must have equal length")
     if len(freqs) < 8:
         raise DataError("need at least 8 sweep points")
+    if not np.all(freqs > 0):
+        raise DataError("sweep frequencies must be positive")
 
+    span = float(freqs[-1] - freqs[0])
     delay = 0.0
     if fit_delay:
-        span = float(freqs[-1] - freqs[0])
-        tau0 = _delay_estimate(freqs, z)
-        delay = _refine_delay(freqs, z, tau0, 2.0 / span)
+        # searched on frequencies in units of the span from the first one,
+        # so in turns of the span (delay * span) and free of the unit
+        unit = (freqs - freqs[0]) / span
+        delay = _refine_delay(unit, z, _delay_estimate(unit, z), 2.0) / span
         z = z * np.exp(2j * math.pi * freqs * delay)
 
     center, radius, rms = (a.item() for a in _taubin_circle(z))
@@ -302,7 +310,6 @@ def circle_fit(freqs, s11, *, fit_delay=True):
 
     theta = np.unwrap(np.angle(z - center))
     f_mid = float(freqs[len(freqs) // 2])
-    span = float(freqs[-1] - freqs[0])
     theta0_init = float(theta[0] + theta[-1]) / 2.0
 
     # crude Q_l seed from the frequency interval covering the central
@@ -311,36 +318,24 @@ def circle_fit(freqs, s11, *, fit_delay=True):
     core = freqs[dtheta < math.pi / 2]
     width = float(core[-1] - core[0]) if len(core) > 1 else span / 10.0
     ql_init = max(f_mid / max(width, span / len(freqs)), 10.0)
-    phase_sigma = np.full(len(freqs), max(rms / radius, 1e-6))
 
-    def phase_fit(start, origin, unit):
-        """Fit (theta0, Q_l, x) from start, f0 = origin + unit * x; the
-        result's values and sigma hold f0 itself."""
-        def residual(vec):
-            theta0, ql, x = vec
-            f0 = origin + unit * x
-            model = theta0 + 2.0 * np.arctan(2.0 * ql * (1.0 - freqs / f0))
-            return model - theta
+    def residual(vec):
+        theta0, ql, x = vec
+        f0 = f_mid * (1.0 + x)
+        return theta0 + 2.0 * np.arctan(2.0 * ql * (1.0 - freqs / f0)) - theta
 
-        lo, hi = ((float(f) - origin) / unit for f in (freqs[0], freqs[-1]))
-        res = minimize(FitProblem(residual_fn=residual, params=[
-            FitParameter("theta0", start[0], theta0_init - 10.0,
-                         theta0_init + 10.0, "linear"),
-            FitParameter("q_loaded", start[1], 1.0, 1e12, "log"),
-            FitParameter("f0", (start[2] - origin) / unit, lo, hi, "linear"),
-        ], data_weights=phase_sigma))
-        res.values[2] = origin + unit * res.values[2]
-        res.sigma[2] *= unit
-        return res
-
-    result = phase_fit((theta0_init, ql_init, f_mid), 0.0, 1.0)
-    if not result.converged:
-        # the Jacobian's step in f0 (1e-6 of it) spans many linewidths of a
-        # high-Q sweep, and LM can stall; go on from the best point with f0
-        # as an offset from f_mid in units of f_mid
-        result = phase_fit(result.values, f_mid, f_mid)
-    theta0, ql, f0 = (float(v) for v in result.values)
-    sig_theta0, sig_ql, sig_f0 = (float(s) for s in result.sigma)
+    # the Jacobian's step in x is a small fraction of a linewidth, where
+    # one in f0 itself (1e-6 f0) would span many linewidths of a high-Q sweep
+    result = minimize(FitProblem(residual_fn=residual, params=[
+        FitParameter("theta0", theta0_init, theta0_init - 10.0,
+                     theta0_init + 10.0, "linear"),
+        FitParameter("q_loaded", ql_init, 1.0, 1e12, "log"),
+        FitParameter("x", 0.0, float(freqs[0]) / f_mid - 1.0,
+                     float(freqs[-1]) / f_mid - 1.0, "linear"),
+    ], data_weights=np.full(len(freqs), max(rms / radius, 1e-6))))
+    theta0, ql, x = (float(v) for v in result.values)
+    sig_theta0, sig_ql, sig_x = (float(s) for s in result.sigma)
+    f0, sig_f0 = f_mid * (1.0 + x), f_mid * sig_x
 
     if span < 3.0 * f0 / ql:
         raise DataError("sweep span %.3g Hz covers less than 3 linewidths "

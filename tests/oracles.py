@@ -326,7 +326,7 @@ def delay_scan(tau0, width):
 def refine_delay(freqs, s11, tau0, width):
     """Cable delay by a scan of one candidate at a time over delay_scan,
     then golden-section search of the winner's +-1 step bracket down to a
-    1e-15 s width."""
+    width of 1e-15 in the inverse unit of freqs."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     taus = delay_scan(tau0, width)
     best = min(taus, key=lambda tau: delay_cost(freqs, s11, tau))

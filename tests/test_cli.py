@@ -343,6 +343,20 @@ def test_fit_circle_round_trip(tmp_path):
     assert result["q_c"] == pytest.approx(qc, rel=0.01)
 
 
+def test_fit_circle_nonpositive_frequency_exits_3(tmp_path, capsys):
+    # a11's sweep moved to frequencies centred on 0 Hz
+    from tlscavity import s11_model
+    f0, qi, qc = 7.9e9, 5.3e8, 1e8
+    ql = qi * qc / (qi + qc)
+    f = np.linspace(f0 - 4.0 * f0 / ql, f0 + 4.0 * f0 / ql, 401)
+    s = s11_model(f, f0, qi, qc, mismatch=0.1, amplitude=0.9, phase=0.4,
+                  delay=3.2e-8)
+    src = write_sweep(tmp_path / "sweep.csv", f - f[200], s)
+    assert run(["fit", "circle", "--out", tmp_path / "fit", src]) == 3
+    assert capsys.readouterr().err == \
+        "tlscavity: data error: sweep frequencies must be positive\n"
+
+
 def test_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("cavity:\n  nonsense: 1\n")

@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from tlscavity import (DataError, ReflectionParams, UnidentifiableError,
-                       circle_fit, fit_ringup, reflection, ringup_power,
-                       s11_model, steady_state_reflection)
+                       circle_fit, fit_ringup, fitting, reflection,
+                       ringup_power, s11_model, steady_state_reflection)
 
 
 def test_initial_reflection_equals_forward_power():
@@ -139,6 +139,17 @@ def test_circle_fit_rotation_and_scale_invariance():
     assert moved.q_int == pytest.approx(base.q_int, rel=1e-9)
     assert moved.q_c == pytest.approx(base.q_c, rel=1e-9)
     assert moved.radius == pytest.approx(0.37 * base.radius, rel=1e-9)
+    # a11's sweep with its delay fitted, its frequencies scaled by 1e-170
+    # to 1e170: the delay search and the phase fit do not see the unit
+    f, s = _circle_sweep(401)
+    base = circle_fit(f, s)
+    for scale in (1e-170, 1e9, 1e170):
+        res = circle_fit(scale * f, s)
+        for key in ("q_int", "q_c", "impedance_mismatch"):
+            assert getattr(res, key) == pytest.approx(getattr(base, key),
+                                                      rel=1e-6)
+        assert res.f0 == pytest.approx(scale * base.f0, rel=1e-12)
+        assert res.delay == pytest.approx(base.delay / scale, rel=1e-6)
 
 
 def test_circle_fit_radius_grows_with_q_int():
@@ -160,6 +171,12 @@ def test_circle_fit_rejects_garbage():
         circle_fit(f, blob, fit_delay=False)
     with pytest.raises(DataError):
         circle_fit(f[:5], blob[:5])
+    # a11's sweep moved to frequencies centred on 0 Hz, and to all-negative
+    # ones
+    f, s = _circle_sweep(401)
+    for moved in (f - f[200], f - f[-1] - 1.0):
+        with pytest.raises(DataError, match="frequencies must be positive"):
+            circle_fit(moved, s)
 
 
 def test_circle_fit_rejects_narrow_span():
@@ -250,3 +267,22 @@ def test_degenerate_delay_candidate_scores_inf():
     for z in (point, rounded, line):
         with pytest.raises(DataError, match="does not trace a circle"):
             circle_fit(f, z, fit_delay=False)
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_SWEEPS))
+def test_phase_fit_is_one_short_fit(name, monkeypatch):
+    # one LM fit of f0 as an offset from the middle of the sweep: a few
+    # iterations on every sweep, and the noisy sweeps' Q within 1 %
+    fits = []
+
+    def counted(problem):
+        fits.append(fitting.minimize(problem))
+        return fits[-1]
+
+    monkeypatch.setattr(reflection, "minimize", counted)
+    res = circle_fit(*_circle_sweep(**CIRCLE_SWEEPS[name]))
+    assert len(fits) == 1 and res.converged
+    assert len(fits[0].convergence_log) <= 10
+    if "noise" in name:
+        assert res.q_int == pytest.approx(5.3e8, rel=0.01)
+        assert res.q_c == pytest.approx(1e8, rel=0.01)
