@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import datafiles, dynamics, mattis_bardeen, tls_bath
 from .distribution import sample_class_arrays
@@ -231,6 +229,10 @@ def minimize(problem):
 
     def simplex(u, chi2):
         """scipy's Nelder-Mead from u: (best point, converged)."""
+        # imported where used: it adds about 0.2 s to a cold start, and
+        # only the fallback and fit circle need it
+        import scipy.optimize
+
         def cost(v):
             r = batch([v])[0]
             c = float(r @ r)
@@ -394,6 +396,7 @@ def _predicted_gain(hess, grad, diag):
         return None
     if np.min(np.diag(chol)) ** 2 < _GAIN_MIN_PIVOT:
         return None
+    import scipy.linalg  # only fits load it, not every command
     half = scipy.linalg.solve_triangular(chol, scale * grad, lower=True)
     gain = float(half @ half)
     return gain if math.isfinite(gain) else None

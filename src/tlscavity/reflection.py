@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DataError, UnidentifiableError
 from .fitting import FitParameter, FitProblem, minimize
@@ -254,6 +253,7 @@ def _refine_delay(freqs, s11, tau0, width):
     lock onto the wrong turn. Scan coarsely across several turns first,
     then refine the winning bracket with scipy's bounded Brent search.
     """
+    import scipy.optimize  # imported where used: it slows every start
     taus = tau0 + np.linspace(-width, width, _SCAN_POINTS)
     step = float(taus[1] - taus[0])
     best = float(taus[np.argmin(_delay_costs(freqs, s11, taus))])
@@ -277,10 +277,11 @@ def circle_fit(freqs, s11, *, fit_delay=True):
     invariant under a global rotation and rescaling of the data and do not
     depend on the frequency unit.
 
-    Raises DataError for a frequency that is not positive, when the points
-    do not lie on a circle (rms residual above 5% of the radius) or the
-    sweep does not cover the resonance (span < 3 linewidths). The result's
-    curve is the sweep with s11_model at the fitted values.
+    Raises DataError for a frequency that is not positive, for frequencies
+    that are not strictly increasing, when the points do not lie on a
+    circle (rms residual above 5% of the radius) or the sweep does not
+    cover the resonance (span < 3 linewidths). The result's curve is the
+    sweep with s11_model at the fitted values.
     """
     freqs = np.asarray(freqs, dtype=float)
     z = data = np.asarray(s11, dtype=complex)
@@ -290,6 +291,8 @@ def circle_fit(freqs, s11, *, fit_delay=True):
         raise DataError("need at least 8 sweep points")
     if not np.all(freqs > 0):
         raise DataError("sweep frequencies must be positive")
+    if np.any(np.diff(freqs) <= 0):
+        raise DataError("sweep frequencies must be strictly increasing")
 
     span = float(freqs[-1] - freqs[0])
     delay = 0.0

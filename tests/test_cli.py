@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import tlscavity
-from tlscavity import datafiles, dynamics, fitting
+from tlscavity import circle_fit, datafiles, dynamics, fitting, minimize
 from tlscavity.cli import main
 from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
@@ -17,6 +19,8 @@ from tlscavity.datafiles import read_ringdown_csv, read_trace_csv
 from tlscavity.errors import ValidityWarning
 from test_acceptance import N_TOT_TRUTH
 from test_dynamics import _ClampAt
+from test_fitting import _wall_problem
+from test_reflection import _circle_sweep
 
 
 TINY_RINGDOWN = (
@@ -676,15 +680,85 @@ def test_fit_json_writes_infinite_sigma_as_null(tmp_path):
     strict_json(out / "manifest.json")
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+_COLD_PROBED = ("scipy.integrate", "scipy.optimize", "scipy.linalg",
+                "scipy.sparse", "scipy.spatial")
+
+# run by a fresh interpreter after the sources of _wall_problem,
+# _circle_sweep and _circle_bits; prints the probed packages loaded after
+# each stage, and the result of the call site that first imports
+# scipy.optimize
+_COLD_RUN = """
+import json, sys
+from tlscavity.cli import main
+
+def loaded():
+    return [name for name in PROBED if name in sys.modules]
+
+out = {"import": loaded()}
+import dataclasses
+import numpy as np
+from tlscavity import FitParameter, FitProblem, circle_fit, minimize, s11_model
+if sys.argv[1] == "cli":
+    work, tiny = sys.argv[2:]
+    out["codes"] = [
+        main(["distribution", "--out", work + "/dist"]),
+        main(["simulate", "ringdown", "--config", tiny, "--seed", "3",
+              "--out", work + "/sim"]),
+        main(["simulate", "ringup", "--seed", "3", "--out", work + "/ru"])]
+    out["simulate"] = loaded()
+    out["codes"].append(main(["fit", "ringup", "--out", work + "/fit",
+                              work + "/ru/ringup.csv"]))
+    out["fit ringup"] = loaded()
+    with np.errstate(invalid="ignore"):
+        out["result"] = minimize(_wall_problem()).to_json()
+else:
+    out["result"] = _circle_bits(circle_fit(*_circle_sweep(401)))
+out["after"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def _circle_bits(res):
+    """A circle fit's fields and model curve, bit for bit, as text."""
+    return ([repr(getattr(res, f.name)) for f in dataclasses.fields(res)
+             if f.name != "curves"] + [res.curves[0][2].tobytes().hex()])
+
+
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    """A fresh import of the CLI loads no probed scipy package; commands
+    that never fit load neither scipy.optimize nor scipy.linalg, and an LM
+    fit only scipy.linalg. The two call sites that import scipy.optimize,
+    the Nelder-Mead fallback and the delay refine, each run in a process
+    that has not loaded it and match the in-process results bit for bit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         tlscavity.__file__)))
-    code = ("import sys, tlscavity.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.strip() == "False"
+    script = "\n".join(["PROBED = %r" % (_COLD_PROBED,)]
+                       + [inspect.getsource(fn) for fn in (
+                           _wall_problem, _circle_sweep, _circle_bits)]
+                       + [_COLD_RUN])
+    tiny = tmp_path / "tiny.yaml"
+    tiny.write_text(TINY_RINGDOWN)
+
+    def cold(*argv):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    fits = cold("cli", str(tmp_path), str(tiny))
+    assert fits["codes"] == [0, 0, 0, 0]
+    assert fits["import"] == fits["simulate"] == []
+    assert fits["fit ringup"] == ["scipy.linalg"]
+    assert "scipy.optimize" in fits["after"]
+    with np.errstate(invalid="ignore"):
+        wall = minimize(_wall_problem())
+    assert wall.method == "lm+simplex"
+    assert fits["result"] == wall.to_json()
+
+    circle = cold("circle")
+    assert circle["import"] == []
+    assert "scipy.optimize" in circle["after"]
+    assert circle["result"] == _circle_bits(circle_fit(*_circle_sweep(401)))
 
 
 @pytest.mark.parametrize("setting", ["g_min: 1.0", "epsilon_s: 2000.0"])

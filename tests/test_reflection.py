@@ -177,6 +177,12 @@ def test_circle_fit_rejects_garbage():
     for moved in (f - f[200], f - f[-1] - 1.0):
         with pytest.raises(DataError, match="frequencies must be positive"):
             circle_fit(moved, s)
+    # a11's sweep reversed, and with one frequency repeated
+    repeated = f.copy()
+    repeated[201] = repeated[200]
+    for freqs, s11 in ((f[::-1], s[::-1]), (repeated, s)):
+        with pytest.raises(DataError, match="strictly increasing"):
+            circle_fit(freqs, s11)
 
 
 def test_circle_fit_rejects_narrow_span():
