@@ -15,17 +15,16 @@ from .distribution import (DistributionParams, bin_edges, density,
                            sample_classes, tls_volume_density,
                            write_distribution_csv)
 from .dynamics import (Trajectory, evolve_ringdown, evolve_table,
-                       kappa_of_time, trajectory_kappa, write_trajectory_csv)
+                       kappa_of_time, write_trajectory_csv)
 from .errors import (ConfigError, DataError, FitError, FitStartError,
                      SaturationError, StepConvergenceError, StepWindowError,
                      TlscavityError, UnidentifiableError, ValidityWarning)
 from .fitting import (FitParameter, FitProblem, FitResult, joint_tls_fit,
                       minimize, numerical_jacobian, temperature_fit)
 from .mattis_bardeen import (BCS_RATIO, SuperconductorParams, bessel_k0,
-                             conductivity, critical_temperature, freq_shift,
-                             gap, q_int_temperature, q_qp,
-                             q_tls_temperature, skin_depth,
-                             temperature_sweep, write_sweep_csv)
+                             conductivity, freq_shift, gap,
+                             q_int_temperature, q_qp, q_tls_temperature,
+                             skin_depth, temperature_sweep, write_sweep_csv)
 from .reflection import (CircleFitResult, ReflectionParams, circle_fit,
                          fit_ringup, ringup_power, s11_model,
                          steady_state_reflection)

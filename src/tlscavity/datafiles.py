@@ -100,7 +100,11 @@ def read_trace_csv(path, dbm=False):
     if np.any(np.diff(times) <= 0):
         raise DataError("%s: time_s must be strictly increasing" % path)
     if dbm:
-        power = 10.0 ** ((power - 30.0) / 10.0)
+        with np.errstate(over="ignore"):
+            power = 10.0 ** ((power - 30.0) / 10.0)
+        if not np.all(np.isfinite(power)):
+            raise DataError("%s: power_w is too large in W at time_s %r"
+                            % (path, float(times[~np.isfinite(power)][0])))
     elif np.any(power < 0):
         raise DataError("%s: powers in W must be non-negative" % path)
     return times, power

@@ -210,9 +210,9 @@ def loss_tangent(classes, e_max, v_ox, kappa, eps_r):
 def tls_volume_density(classes, g_threshold, bandwidth, v_ox_field):
     """Strongly coupled TLS per angular bandwidth and oxide volume.
 
-    Counts the classes of one row of class arrays with g >= g_threshold, divided by bandwidth [rad/s] and
-    the field-weighted volume v_ox_field [m^3]. Thresholds above the top
-    class give 0.
+    Counts the classes of one row of class arrays with g >= g_threshold,
+    divided by bandwidth [rad/s] and the field-weighted volume v_ox_field
+    [m^3]. Thresholds above the top class give 0.
     """
     if not g_threshold > 0:
         raise ValueError("g_threshold must be > 0")

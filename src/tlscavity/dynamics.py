@@ -10,7 +10,7 @@ inside the validity window.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,37 +20,11 @@ from .errors import SaturationError, StepConvergenceError, StepWindowError
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid plus per-point photon number and bath rates (array backed).
-
-    kappa_plus[k], kappa_minus[k] and omega_prime[k] are the rates rebuilt
-    from the state at times[k]; they drive the step from k to k+1. The final
-    entry is diagnostic. They are read on access, a new array each time,
-    from column row of record, the coarse record of _evolve. _evolve never
-    writes the record after it returns, so a Trajectory stays fixed unless
-    its caller writes a record it passed in.
-    """
+    """Time grid plus per-point photon number (array backed). The bath
+    rates that drove each step are in the coarse record of _evolve."""
 
     times: np.ndarray
     n: np.ndarray
-    record: np.ndarray = field(repr=False)
-    row: int = field(repr=False)
-
-    @property
-    def kappa_plus(self):
-        return self.record[:, _KP, self.row].copy()
-
-    @property
-    def kappa_minus(self):
-        return self.record[:, _KM, self.row].copy()
-
-    @property
-    def omega_prime(self):
-        # the record keeps -Re Omega': negated here, not in place (numpy 2.4
-        # negates a 64-byte-strided view wrongly in place)
-        omega = np.empty(len(self.times), dtype=complex)
-        omega.real = -self.record[:, _MINUS_RE_O, self.row]
-        omega.imag = self.record[:, _IM_O, self.row]
-        return omega
 
 
 def _check_window(dt, t2max, cavity, margin):
@@ -293,38 +267,10 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
     if progress:
         progress(m_pts)
 
-    return [errors[r] or Trajectory(times, history[:, _N, r].copy(), history,
-                                    r) for r in range(rows)] + [
+    return [errors[r] or Trajectory(times, history[:, _N, r].copy())
+            for r in range(rows)] + [
         errors[rows + j] or twin_history[:, j].copy()
         for j in range(len(twins))]
-
-
-def _verified_evolve(table, cavity, n0, t_final, m_pts, verify,
-                     history=None, progress=None):
-    """Lockstep run of the table's rows, in one _evolve call with a verify
-    twin at half the step for every row whose verify flag is set, recorded
-    as _evolve records. A row that got through takes its twin's exception,
-    or a StepConvergenceError when halving dt moved its n(t) by 1e-3
-    relative or more, or by nan."""
-    rows = len(n0)
-    twins = [r for r in range(rows) if verify[r]]
-    results = _evolve(table, cavity, n0, t_final, m_pts, twins, history,
-                      progress)
-    coarse = results[:rows]
-    for r, ref in zip(twins, results[rows:]):
-        if not isinstance(coarse[r], Trajectory):
-            continue
-        if isinstance(ref, Exception):
-            coarse[r] = ref
-            continue
-        n = coarse[r].n
-        dev = float(np.max(np.abs(n - ref[::2])
-                           / np.maximum(np.abs(n), 1e-30)))
-        if not dev < 1e-3:
-            coarse[r] = StepConvergenceError(
-                "halving dt moved n(t) by %g relative (limit 1e-3)" % dev,
-                deviation=dev, resolutions=(m_pts, len(ref)))
-    return coarse
 
 
 def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
@@ -334,8 +280,12 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
     exception that stopped it, per row, bitwise what the row gets alone.
     verify is one flag or one per row; every check of the step loop applies
     per row. The rows inside their Markovian window run as one lockstep
-    group. When that group is every row, _evolve records it in record (an
-    array of record_shape(m_steps, B)) and calls progress, where given."""
+    group, in one _evolve call with a verify twin at half the step for
+    every row whose flag is set. A row that got through takes its twin's
+    exception, or a StepConvergenceError when halving dt moved its n(t) by
+    1e-3 relative or more, or by nan. When that group is every row, _evolve
+    records it in record (an array of record_shape(m_steps, B)) and calls
+    progress, where given."""
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     if not all(n > 0 for n in n0):
         raise ValueError("initial photon number must be > 0")
@@ -352,16 +302,31 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
             results[r] = exc
     if len(rows) < len(n0):
         record = progress = None
-    if rows:
-        for r, res in zip(rows, _verified_evolve(
-                table.take(rows), cavity, n0[rows], t_final, m_steps,
-                verify[rows], record, progress)):
-            results[r] = res
+    if not rows:
+        return results
+    twins = [j for j, r in enumerate(rows) if verify[r]]
+    got = _evolve(table.take(rows), cavity, n0[rows], t_final, m_steps,
+                  twins, record, progress)
+    for j, ref in zip(twins, got[len(rows):]):
+        if isinstance(got[j], Exception):
+            continue
+        if isinstance(ref, Exception):
+            got[j] = ref
+            continue
+        n = got[j].n
+        dev = float(np.max(np.abs(n - ref[::2])
+                           / np.maximum(np.abs(n), 1e-30)))
+        if not dev < 1e-3:
+            got[j] = StepConvergenceError(
+                "halving dt moved n(t) by %g relative (limit 1e-3)" % dev,
+                deviation=dev, resolutions=(m_steps, len(ref)))
+    for r, res in zip(rows, got):
+        results[r] = res
     return results
 
 
 def evolve_ringdown(initial, classes, cavity, t_final, m_steps, *,
-                    verify=True, window_margin=10.0):
+                    verify=True):
     """Free decay of the loaded cavity through the saturable bath.
 
     initial is the photon number at t = 0, classes one row of class arrays
@@ -374,7 +339,7 @@ def evolve_ringdown(initial, classes, cavity, t_final, m_steps, *,
     """
     table = tls_bath.ClassTable(*classes, cavity.omega0, cavity.temperature)
     traj, = evolve_table(table, cavity, [initial], t_final, m_steps,
-                         verify=verify, window_margin=window_margin)
+                         verify=verify)
     if isinstance(traj, Exception):
         raise traj
     return traj
@@ -397,11 +362,6 @@ def kappa_of_time(times, values):
     if np.any(tau == 0.0):
         raise ValueError("duplicate time at the reference point")
     return times[1:], -np.log(values[1:] / values[0]) / tau
-
-
-def trajectory_kappa(traj):
-    """kappa(t) series of a trajectory's photon number."""
-    return kappa_of_time(traj.times, traj.n)
 
 
 def write_trajectory_csv(record, r, target, rows, times, time_cells):

@@ -142,14 +142,6 @@ class FitResult:
         if self.chi2_reduced < 0:
             raise ValueError("chi2_reduced must be >= 0")
 
-    @property
-    def values_dict(self):
-        return dict(zip(self.names, (float(v) for v in self.values)))
-
-    @property
-    def sigma_dict(self):
-        return dict(zip(self.names, (float(s) for s in self.sigma)))
-
     def to_json(self):
         return datafiles.json_text({
             "parameters": list(self.names),
@@ -164,7 +156,7 @@ class FitResult:
         }, indent=2)
 
 
-def numerical_jacobian(batch_fn, u, *, upper=None):
+def numerical_jacobian(batch_fn, u, *, upper):
     """(f(u), forward-difference Jacobian of f at u) from one batch_fn call,
     which maps the list of u and its len(u) step points to one row of f each.
 
@@ -174,8 +166,7 @@ def numerical_jacobian(batch_fn, u, *, upper=None):
     """
     u = np.asarray(u, dtype=float)
     steps = _JAC_REL_STEP * np.abs(u) + _JAC_ABS_FLOOR
-    if upper is not None:
-        steps[u + steps > upper] *= -1.0
+    steps[u + steps > upper] *= -1.0
     points = np.tile(u, (len(u), 1))
     np.fill_diagonal(points, u + steps)
     rows = np.asarray(batch_fn([u, *points]), dtype=float)

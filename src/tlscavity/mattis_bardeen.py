@@ -50,11 +50,6 @@ class SuperconductorParams:
 BCS_RATIO = 1.764  # delta0 = 1.764 k_B T_c
 
 
-def critical_temperature(delta0):
-    """T_c from the weak-coupling gap ratio."""
-    return delta0 / (BCS_RATIO * CONSTANTS.k_b)
-
-
 def _libm(fn, *args):
     """math's fn point by point over 1-D arrays (numpy's SIMD exp and tanh
     differ from libm in the last bit)."""

@@ -41,10 +41,6 @@ class ReflectionParams:
             raise ValueError("p_f must be non-negative")
 
     @property
-    def q_loaded(self):
-        return self.q_int * self.q_c / (self.q_int + self.q_c)
-
-    @property
     def kappa_loaded(self):
         """Loaded energy decay rate 2 pi f0 / Q_l [1/s]."""
         return 2.0 * math.pi * self.f0 * (self.q_c + self.q_int) / \
@@ -100,13 +96,17 @@ def fit_ringup(times, powers, f0, *, sigma):
     The model is even in delta, so only |delta| is identifiable and the fit
     is bounded to 0 <= delta <= 50, starting at 0.5. A trace without an
     interference dip cannot separate q_int from q_c (the over/undercoupled
-    branches coincide) and raises UnidentifiableError. The result's one
-    curve is (times, powers, model power at the optimum).
+    branches coincide) and raises UnidentifiableError; a trace that starts
+    before t = 0, where the model switches the drive on, raises DataError.
+    The result's one curve is (times, powers, model power at the optimum).
     """
     times = np.asarray(times, dtype=float)
     powers = np.asarray(powers, dtype=float)
     if len(times) != len(powers):
         raise DataError("times and powers must have equal length")
+    if times[0] < 0:
+        raise DataError("trace starts at time_s %r, before the drive "
+                        "switches on at 0" % float(times[0]))
     imin = _dip_index(powers)
     if imin is None:
         raise UnidentifiableError(
@@ -267,7 +267,11 @@ def _refine_delay(freqs, s11, tau0, width):
     return float(res.x)
 
 
-def circle_fit(freqs, s11, *, fit_delay=True):
+_NO_CIRCLE = ("sweep does not trace a circle (all points coincide or its "
+              "curvature is zero)")
+
+
+def circle_fit(freqs, s11):
     """Resonance parameters from a complex S11 sweep.
 
     Removes a cable delay, fits the circle algebraically, then fits the
@@ -279,9 +283,10 @@ def circle_fit(freqs, s11, *, fit_delay=True):
 
     Raises DataError for a frequency that is not positive, for frequencies
     that are not strictly increasing, when the points do not lie on a
-    circle (rms residual above 5% of the radius) or the sweep does not
-    cover the resonance (span < 3 linewidths). The result's curve is the
-    sweep with s11_model at the fitted values.
+    circle (they coincide, lie on a line, or leave an rms residual above 5%
+    of the radius) or the sweep does not cover the resonance (span < 3
+    linewidths). The result's curve is the sweep with s11_model at the
+    fitted values.
     """
     freqs = np.asarray(freqs, dtype=float)
     z = data = np.asarray(s11, dtype=complex)
@@ -294,19 +299,20 @@ def circle_fit(freqs, s11, *, fit_delay=True):
     if np.any(np.diff(freqs) <= 0):
         raise DataError("sweep frequencies must be strictly increasing")
 
+    # points that coincide or lie on a line trace no circle, although
+    # removing a delay would wind them into one
+    if math.isnan(_taubin_circle(z)[1].item()):
+        raise DataError(_NO_CIRCLE)
     span = float(freqs[-1] - freqs[0])
-    delay = 0.0
-    if fit_delay:
-        # searched on frequencies in units of the span from the first one,
-        # so in turns of the span (delay * span) and free of the unit
-        unit = (freqs - freqs[0]) / span
-        delay = _refine_delay(unit, z, _delay_estimate(unit, z), 2.0) / span
-        z = z * np.exp(2j * math.pi * freqs * delay)
+    # searched on frequencies in units of the span from the first one, so
+    # in turns of the span (delay * span) and free of the unit
+    unit = (freqs - freqs[0]) / span
+    delay = _refine_delay(unit, z, _delay_estimate(unit, z), 2.0) / span
+    z = z * np.exp(2j * math.pi * freqs * delay)
 
     center, radius, rms = (a.item() for a in _taubin_circle(z))
     if math.isnan(radius):
-        raise DataError("sweep does not trace a circle (all points coincide "
-                        "or its curvature is zero)")
+        raise DataError(_NO_CIRCLE)
     if rms > 0.05 * radius:
         raise DataError("sweep does not trace a circle (rms residual %.3g "
                         "of radius exceeds 0.05)" % (rms / radius))

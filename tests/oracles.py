@@ -86,6 +86,13 @@ class TlsClass:
                    T1=2.0 * t2, T_phi=(4.0 / 3.0) * t2)
 
 
+def by_name(result):
+    """A FitResult's values and its 1 sigma, each a dict by parameter
+    name."""
+    return (dict(zip(result.names, result.values)),
+            dict(zip(result.names, result.sigma)))
+
+
 def class_arrays(class_lists):
     """The package's class arrays (g, count, T1, T_phi, omega_tls), each
     (C, B), whose column b holds the TlsClass list class_lists[b] (all of
@@ -190,6 +197,11 @@ class _Bath:
 # Superconductor and Q(T) forms at one temperature, coded point by point:
 # the bitwise references of the package's temperature-array functions. A
 # temperature whose k_B T underflows to 0 takes the T = 0 forms.
+
+def critical_temperature(delta0):
+    """T_c from the weak-coupling gap ratio delta0 = 1.764 k_B T_c."""
+    return delta0 / (1.764 * KB)
+
 
 def gap(temperature, delta0):
     kt = KB * temperature

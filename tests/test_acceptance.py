@@ -13,12 +13,12 @@ import numpy as np
 from scipy.integrate import quad
 
 import oracles
-from tlscavity import (DistributionParams, ReflectionParams, bessel_k0,
-                       circle_fit, conductivity, evolve_ringdown, fit_ringup,
-                       freq_shift, joint_tls_fit, q_int_temperature,
-                       ringup_power, s11_model, skin_depth,
-                       steady_state_reflection, t2_star, temperature_fit,
-                       trajectory_kappa)
+from tlscavity import (ClassTable, DistributionParams, ReflectionParams,
+                       bessel_k0, circle_fit, conductivity, evolve_ringdown,
+                       evolve_table, fit_ringup, freq_shift, joint_tls_fit,
+                       kappa_of_time, q_int_temperature, ringup_power,
+                       s11_model, skin_depth, steady_state_reflection,
+                       t2_star, temperature_fit)
 from tlscavity.cli import main as cli_main
 from tlscavity.distribution import density, sample_classes
 
@@ -85,7 +85,7 @@ def test_a05_ringdown_property_suite(cfg, cavity, trace_classes):
     # (a) no TLS: kappa constant
     traj = evolve_ringdown(5e13, oracles.class_arrays([[]]), cavity, 0.022,
                            2000)
-    _, kappa = trajectory_kappa(traj)
+    _, kappa = kappa_of_time(traj.times, traj.n)
     dev_a = float(np.max(np.abs(kappa / cavity.kappa0 - 1.0)))
 
     # (b) monotone non-decreasing kappa for all ten powers
@@ -98,7 +98,7 @@ def test_a05_ringdown_property_suite(cfg, cavity, trace_classes):
     for i in range(10):
         n0 = 5e13 * 10.0 ** (-0.5 * i)
         traj = evolve_ringdown(n0, trace_classes, cavity, 0.022, 2000)
-        _, kappa = trajectory_kappa(traj)
+        _, kappa = kappa_of_time(traj.times, traj.n)
         if not np.all(np.diff(kappa) >= -1e-9 * kappa[:-1]):
             mono_ok = False
         if i == 0:
@@ -114,8 +114,9 @@ def test_a05_ringdown_property_suite(cfg, cavity, trace_classes):
 def test_a06_closed_form_step_vs_euler(cavity, trace_classes):
     n0, t_final = 5e13, 0.022
     m = 15384 + 1  # dt = 5.0002 * T2*
-    traj = evolve_ringdown(n0, trace_classes, cavity, t_final, m,
-                           verify=True, window_margin=5.0)
+    table = ClassTable(*trace_classes, cavity.omega0, cavity.temperature)
+    traj, = evolve_table(table, cavity, [n0], t_final, m, verify=True,
+                         window_margin=5.0)
     # converged reference: RK4 at one step per interval, which meets
     # Richardson-extrapolated Euler (see test_dynamics)
     n_ref = oracles.rk4_moments(n0, math.sqrt(n0),
@@ -154,7 +155,7 @@ def test_a07_joint_fit_round_trip(cfg, cavity):
         per_trace=[1e8] * 10,
         cavity=cavity)
     wall = time.time() - t0
-    got, sig = res.values_dict, res.sigma_dict
+    got, sig = oracles.by_name(res)
     dev_t2 = abs(got["t2_star"] - truth["t2_star"]) / truth["t2_star"]
     dev_beta = abs(got["beta"] - truth["beta"]) / truth["beta"]
     pulls = [abs(got["n_tot_%d" % i] - N_TOT_TRUTH[i]) /
@@ -192,8 +193,8 @@ def test_a08_conductivity_checks(cfg, cavity, sweep_classes, superconductor):
         (t_f, shifts_n, sig_f), (t_q, qs_n, sig_q),
         replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3, sigma_n=1e7),
         oracles.with_times(sweep_classes, 1e-6, 3e-7), cavity)
-    zs = {k: abs(res.values_dict[k] - truth[k]) /
-          max(res.sigma_dict[k], 1e-300) for k in truth}
+    got, sig = oracles.by_name(res)
+    zs = {k: abs(got[k] - truth[k]) / max(sig[k], 1e-300) for k in truth}
     ok = (shift0 == 0.0 and dev_s2 <= 1e-6 and dev_k0 <= 1e-9 and
           max(zs.values()) <= 2.0 and res.converged)
     report(8, "conductivity_checks", ok,
@@ -233,7 +234,7 @@ def test_a10_ringup_transient():
     rng = np.random.default_rng(7)
     noisy = clean * (1.0 + 0.01 * rng.standard_normal(len(t)))
     res = fit_ringup(t, noisy, 7.9e9, sigma=0.01 * clean)
-    got = res.values_dict
+    got, _ = oracles.by_name(res)
     devs = {"q_int": abs(got["q_int"] / 5.3e8 - 1.0),
             "q_c": abs(got["q_c"] / 1e8 - 1.0),
             "delta": abs(got["delta"] / 0.8 - 1.0)}
@@ -260,7 +261,7 @@ def test_a11_circle_fit():
         ql_k = qi_k * qc / (qi_k + qc)
         fk = np.linspace(f0 - 4.0 * f0 / ql_k, f0 + 4.0 * f0 / ql_k, 401)
         sk = s11_model(fk, f0, qi_k, qc)
-        radii.append(circle_fit(fk, sk, fit_delay=False).radius)
+        radii.append(circle_fit(fk, sk).radius)
     monotone = all(a < b for a, b in zip(radii, radii[1:]))
     ok = dev_qi <= 0.005 and dev_qc <= 0.005 and monotone
     report(11, "circle_fit", ok,

@@ -275,6 +275,47 @@ def test_fit_ringup_dbm_input(tmp_path):
     assert got["q_int"] == pytest.approx(5.3e8, rel=0.05)
 
 
+def _ringup_trace(tmp_path, shift=0.0, dbm_at=None):
+    """The seed-7 ring-up trace, its times moved by -shift times the dip's
+    time, as a trace CSV; in dBm with 4000 dBm at row dbm_at, where given."""
+    sim = tmp_path / "sim"
+    assert run(["simulate", "ringup", "--out", sim, "--seed", "7"]) == 0
+    t, p = read_trace_csv(sim / "ringup.csv")
+    t = t - shift * t[np.argmin(p)]
+    if dbm_at is not None:
+        p = 10.0 * np.log10(p) + 30.0
+        p[dbm_at] = 4000.0
+    src = tmp_path / "trace.csv"
+    src.write_text("time_s,power_w\n" + "".join(
+        "%r,%r\n" % (float(ti), float(pi)) for ti, pi in zip(t, p)))
+    return src, t
+
+
+@pytest.mark.parametrize("shift", [1.0, 1.5])
+def test_fit_ringup_trace_before_switch_on_exits_3(tmp_path, capsys, shift):
+    # the dip at t = 0 (once a ZeroDivisionError traceback, exit 1) and
+    # before it (once a start outside the bounds, exit 4): the model
+    # switches the drive on at t = 0
+    src, t = _ringup_trace(tmp_path, shift)
+    capsys.readouterr()
+    assert run(["fit", "ringup", "--out", tmp_path / "fit", src]) == 3
+    assert capsys.readouterr().err == (
+        "tlscavity: data error: trace starts at time_s %r, before the drive "
+        "switches on at 0\n" % float(t[0]))
+
+
+def test_fit_ringup_dbm_overflow_exits_3(tmp_path, capsys):
+    # once numpy's overflow warning with its source line, then exit 4 on a
+    # nan start
+    src, t = _ringup_trace(tmp_path, dbm_at=5)
+    capsys.readouterr()
+    assert run(["fit", "ringup", "--dbm", "--out", tmp_path / "fit",
+                src]) == 3
+    assert capsys.readouterr().err == (
+        "tlscavity: data error: %s: power_w is too large in W at time_s %r\n"
+        % (src, float(t[5])))
+
+
 def test_reused_parser_carries_no_option_over(tmp_path):
     # main parses every call with one parser per process: a flag, a seed
     # or a config given to one call is not seen by the next

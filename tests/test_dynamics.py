@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ import oracles
 from oracles import TlsClass, class_arrays, class_list
 from tlscavity import (CavityParams, ClassTable, SaturationError,
                        StepConvergenceError, StepWindowError, bath_rates,
-                       evolve_ringdown, evolve_table, kappa_of_time,
-                       trajectory_kappa)
+                       evolve_ringdown, evolve_table, kappa_of_time)
 from tlscavity.core import bose_einstein
-from tlscavity.dynamics import (_RECORDED, Trajectory, _evolve,
-                                _verified_evolve)
+from tlscavity.dynamics import (_IM_O, _KM, _KP, _MINUS_RE_O, _RECORDED,
+                                Trajectory, _evolve, record_shape)
 
 
 W0 = 2.0 * math.pi * 7.9e9
@@ -25,6 +25,61 @@ def _rows_table(rows, cavity):
     """The ClassTable of one-row class arrays, side by side."""
     return ClassTable(*(np.hstack(col) for col in zip(*rows)), cavity.omega0,
                       cavity.temperature)
+
+
+class Recorded(NamedTuple):
+    """A trajectory with the rates rebuilt from the state at each grid
+    point, read from its column of the coarse record."""
+
+    times: np.ndarray
+    n: np.ndarray
+    kappa_plus: np.ndarray
+    kappa_minus: np.ndarray
+    omega_prime: np.ndarray
+
+
+def _with_rates(results, record):
+    """results with each Trajectory r as a Recorded from column r of
+    record; exceptions and twin arrays as they are."""
+    out = []
+    for r, res in enumerate(results):
+        if isinstance(res, Trajectory):
+            # the record keeps -Re Omega': negated into a new array, not in
+            # place (numpy 2.4 negates a 64-byte-strided view wrongly in
+            # place)
+            omega = np.empty(len(res.times), dtype=complex)
+            omega.real = -record[:, _MINUS_RE_O, r]
+            omega.imag = record[:, _IM_O, r]
+            res = Recorded(res.times, res.n, record[:, _KP, r],
+                           record[:, _KM, r], omega)
+        out.append(res)
+    return out
+
+
+def _table_rates(table, cavity, n0, t_final, m, **kwargs):
+    """evolve_table's rows with the rates of the record it fills (nan
+    where it filled none)."""
+    record = np.full(record_shape(m, len(n0)), np.nan)
+    return _with_rates(evolve_table(table, cavity, n0, t_final, m,
+                                    record=record, **kwargs), record)
+
+
+def _evolve_rates(table, cavity, n0, t_final, m, twins=()):
+    """_evolve's rows with the rates of its record, then its twins."""
+    history = np.empty(record_shape(m, len(n0)))
+    return _with_rates(_evolve(table, cavity, n0, t_final, m, list(twins),
+                               history), history)
+
+
+def _alone(n0, classes, cavity, t_final, m, **kwargs):
+    """The one-row evolve_table of evolve_ringdown, with its rates; raises
+    the row's exception."""
+    got, = _table_rates(ClassTable(*classes, cavity.omega0,
+                                   cavity.temperature),
+                        cavity, [n0], t_final, m, **kwargs)
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def test_no_tls_pure_exponential(cavity):
@@ -113,8 +168,9 @@ def test_fock_space_master_equation_cross_check():
     excess_rates = rates.kappa_minus - rates.kappa_plus
     assert excess_exact == pytest.approx(excess_rates, rel=0.01)
 
-    traj = evolve_ringdown(n_init, class_arrays([[cls]]), cav, dt, 2,
-                           verify=False, window_margin=5.0)
+    table = ClassTable(*class_arrays([[cls]]), cav.omega0, cav.temperature)
+    traj, = evolve_table(table, cav, [n_init], dt, 2, verify=False,
+                         window_margin=5.0)
     excess_step = -math.log(traj.n[-1] / n_init) / dt - kappa0
     t2 = 1.0 / (0.5 / T1 + 1.0 / T_phi)
     assert excess_step == pytest.approx(2.0 * 2.0 * g * g * t2, rel=0.01)
@@ -123,7 +179,7 @@ def test_fock_space_master_equation_cross_check():
 def test_kappa_monotone_and_limits(trace_classes, cavity):
     traj = evolve_ringdown(5e13, trace_classes, cavity, 0.022, 2000,
                            verify=False)
-    _, kappa = trajectory_kappa(traj)
+    _, kappa = kappa_of_time(traj.times, traj.n)
     assert np.all(np.diff(kappa) >= -1e-9 * kappa[:-1])
     assert kappa[0] < kappa[-1]
 
@@ -148,9 +204,8 @@ def test_on_resonance_re_omega_prime_keeps_its_sign_bit(trace_classes,
     so Re Omega' = -<a> Im S is -0.0 at every point, alone and in a batch:
     the sign comes from negating +0.0, which a stored -Im S weight summed
     from +0.0 would lose."""
-    alone = evolve_ringdown(5e13, trace_classes, cavity, 0.022, 2000,
-                            verify=False)
-    batch = evolve_table(_rows_table([trace_classes] * 2, cavity), cavity,
+    alone = _alone(5e13, trace_classes, cavity, 0.022, 2000, verify=False)
+    batch = _table_rates(_rows_table([trace_classes] * 2, cavity), cavity,
                          [5e13, 1e11], 0.022, 2000, verify=[True, False])
     for traj in (alone, *batch):
         assert np.all(traj.omega_prime.real == 0.0)
@@ -234,16 +289,16 @@ def _check_rows(batch, solos):
 @settings(max_examples=40, deadline=None)
 @given(rows=_batch_rows, verify=hst.booleans())
 def test_batch_rows_bitwise_equal_solo_ringdown(rows, verify):
-    """Row k of a batch is bitwise the trajectory evolve_ringdown returns
-    for it alone, whatever the batch size and the other rows."""
+    """Row k of a batch is bitwise the trajectory, and the rates, that it
+    gets alone, whatever the batch size and the other rows."""
     initials = [10.0 ** e for e, _ in rows]
     class_lists = [classes for _, classes in rows]
     table = ClassTable(*class_arrays(class_lists), _BATCH_CAV.omega0,
                        _BATCH_CAV.temperature)
-    batch = evolve_table(table, _BATCH_CAV, initials, 0.004, 40,
+    batch = _table_rates(table, _BATCH_CAV, initials, 0.004, 40,
                          verify=verify)
-    solos = [_solo(lambda: evolve_ringdown(i, class_arrays([c]), _BATCH_CAV,
-                                           0.004, 40, verify=verify))
+    solos = [_solo(lambda: _alone(i, class_arrays([c]), _BATCH_CAV, 0.004,
+                                  40, verify=verify))
              for i, c in zip(initials, class_lists)]
     _check_rows(batch, solos)
 
@@ -256,9 +311,9 @@ def test_lone_row_sums_its_classes_in_class_order(size):
                                      W0 + 1.3e5 * k * (-1) ** k,
                                      1.1e-7 * 1.3 ** k)
                for k in range(size)]
-    alone = evolve_ringdown(1e12, class_arrays([classes]), _BATCH_CAV, 0.004,
-                            40, verify=False)
-    pair = evolve_table(ClassTable(*class_arrays([classes, classes[::-1]]),
+    alone = _alone(1e12, class_arrays([classes]), _BATCH_CAV, 0.004, 40,
+                   verify=False)
+    pair = _table_rates(ClassTable(*class_arrays([classes, classes[::-1]]),
                                    _BATCH_CAV.omega0, _BATCH_CAV.temperature),
                         _BATCH_CAV, [1e12, 3e10], 0.004, 40, verify=False)
     assert _same_trajectory(alone, pair[0])
@@ -277,9 +332,17 @@ def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
     assert isinstance(batch[1], StepWindowError)
     with pytest.raises(StepWindowError):
         evolve_ringdown(initials[1], slow, cavity, 0.01, 800, verify=False)
-    for r in (0, 2, 3):
-        assert _same_trajectory(batch[r], evolve_ringdown(
-            initials[r], rows[r], cavity, 0.01, 800, verify=False))
+    # the others run as one group, which records no rates for a batch with
+    # a row left out: the group's rates come from the group run alone
+    inside = (0, 2, 3)
+    group = _table_rates(_rows_table([rows[r] for r in inside], cavity),
+                         cavity, [initials[r] for r in inside], 0.01, 800,
+                         verify=False)
+    for r, grouped in zip(inside, group):
+        alone = _alone(initials[r], rows[r], cavity, 0.01, 800, verify=False)
+        assert np.array_equal(batch[r].times, alone.times)
+        assert np.array_equal(batch[r].n, alone.n)
+        assert _same_trajectory(grouped, alone)
 
     # row 1 turns to net gain from step 5 on: it alone stops
     class GainRow:
@@ -299,10 +362,10 @@ def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
             return kernel
 
     n0 = np.array([1e12, 1e12, 2e12])
-    got = _evolve(GainRow(), cavity, n0, 0.01, 800)
+    got = _evolve_rates(GainRow(), cavity, n0, 0.01, 800)
     assert isinstance(got[1], SaturationError)
-    assert _same_trajectory(got[0], batch[0])
-    assert _same_trajectory(got[2], evolve_ringdown(
+    assert _same_trajectory(got[0], group[0])
+    assert _same_trajectory(got[2], _alone(
         2e12, trace_classes, cavity, 0.01, 800, verify=False))
 
 
@@ -340,9 +403,9 @@ class _FailAt:
 def _two_call_verified(table, cavity, n0, t_final, m_pts, verify):
     """The halving check as two plain lockstep runs: the coarse rows, then
     the verified rows that got through at half the step."""
-    coarse = _evolve(table, cavity, n0, t_final, m_pts)
+    coarse = _evolve_rates(table, cavity, n0, t_final, m_pts)
     live = [r for r, res in enumerate(coarse)
-            if verify[r] and isinstance(res, Trajectory)]
+            if verify[r] and isinstance(res, Recorded)]
     if not live:
         return coarse
     m_fine = 2 * (m_pts - 1) + 1
@@ -376,7 +439,9 @@ def test_fused_verify_matches_two_call_reference(cfg, m):
     targets = [None, None, None, plain[0].n[j], fine.n[2 * j + 1],
                plain[1].n[j]]
     stub = _FailAt(table, targets, cavity.kappa0)
-    got = _verified_evolve(stub, cavity, n0, t_final, m, verify)
+    # the margin takes m = 10 over 0.022 s into the Markovian window
+    got = _table_rates(stub, cavity, n0, t_final, m, verify=verify,
+                       window_margin=1e-6)
     ref = _two_call_verified(stub, cavity, n0, t_final, m, verify)
     for a, b in zip(got, ref):
         if isinstance(b, Exception):
@@ -386,7 +451,7 @@ def test_fused_verify_matches_two_call_reference(cfg, m):
                 assert a.resolutions == b.resolutions
         else:
             assert _same_trajectory(a, b)
-    assert isinstance(got[2], Trajectory)
+    assert isinstance(got[2], Recorded)
     assert all(isinstance(got[r], SaturationError) for r in (3, 4, 5))
     coarse_t = np.linspace(0.0, t_final, m)[j]
     fine_t = np.linspace(0.0, t_final, 2 * m - 1)[2 * j + 1]
@@ -394,7 +459,7 @@ def test_fused_verify_matches_two_call_reference(cfg, m):
     assert str(got[4]).endswith("at t = %g" % fine_t)
     assert str(got[5]).endswith("at t = %g" % coarse_t)
     if m == 10:
-        assert isinstance(got[0], Trajectory)
+        assert isinstance(got[0], Recorded)
         assert isinstance(got[1], StepConvergenceError)
         assert got[1].resolutions == (10, 19)
         # alone, row 3's twin and row 4's coarse pass get through
@@ -413,9 +478,10 @@ def test_nan_rates_stop_the_row(cfg, verify):
     n0 = np.array([5e13, 1e12])
     plain = _evolve(table.take([1]), cavity, n0[1:], t_final, m)[0]
     stub = _FailAt(table, [None, plain.n[3]], cavity.kappa0, nan=True)
-    got = _verified_evolve(stub, cavity, n0, t_final, m, [verify] * 2)
-    alone = _verified_evolve(table.take([0]), cavity, n0[:1], t_final, m,
-                             [verify])
+    got = _table_rates(stub, cavity, n0, t_final, m, verify=verify,
+                       window_margin=1e-6)
+    alone = _table_rates(table.take([0]), cavity, n0[:1], t_final, m,
+                         verify=verify, window_margin=1e-6)
     assert _same_trajectory(got[0], alone[0])
     assert isinstance(got[1], SaturationError)
     assert str(got[1]) == "kappa_tilde = nan, not > 0, at t = %g" % (
@@ -455,7 +521,7 @@ def test_lone_row_pass_matches_reference(size):
     the per-row reference of the pass."""
     table = ClassTable(*class_arrays([_classes(size)]), _BATCH_CAV.omega0,
                        _BATCH_CAV.temperature)
-    traj, = _evolve(table, _BATCH_CAV, [1e12], 0.004, 40)
+    traj, = _evolve_rates(table, _BATCH_CAV, [1e12], 0.004, 40)
     ref = _reference_row(table, 0, 1e12, _BATCH_CAV, traj.times)
     assert _matches_reference(traj, ref)
 
@@ -468,7 +534,7 @@ def test_batch_with_twins_matches_reference(size):
     table = ClassTable(*class_arrays(lists), _BATCH_CAV.omega0,
                        _BATCH_CAV.temperature)
     n0 = [1e12, 3e10, 5e13]
-    got = _evolve(table, _BATCH_CAV, n0, 0.004, 40, twins=[0, 2])
+    got = _evolve_rates(table, _BATCH_CAV, n0, 0.004, 40, twins=[0, 2])
     fine = np.linspace(0.0, 0.004, 79)
     for r in range(3):
         assert _matches_reference(got[r], _reference_row(
@@ -540,11 +606,11 @@ class _ClampAt(_FailAt):
 def test_clamped_rate_inside_the_loop(trace_classes, cavity):
     table = _rows_table([trace_classes] * 3, cavity)
     n0, j = np.array([1e12, 3e11, 5e13]), 7
-    plain = _evolve(table, cavity, n0, 0.01, 80)
+    plain = _evolve_rates(table, cavity, n0, 0.01, 80)
     target = plain[1].n[j]
-    got = _evolve(_ClampAt(table, [None, target, None], cavity.kappa0),
-                  cavity, n0, 0.01, 80)
-    assert isinstance(got[1], Trajectory)
+    got = _evolve_rates(_ClampAt(table, [None, target, None], cavity.kappa0),
+                        cavity, n0, 0.01, 80)
+    assert isinstance(got[1], Recorded)
     assert got[1].kappa_plus[j] == 0.0 and plain[1].kappa_plus[j] > 0.0
     # the redone pass is recorded again: the record holds n, not n(k+1)
     assert got[1].n[j] == target
@@ -558,7 +624,7 @@ def test_clamped_rate_inside_the_loop(trace_classes, cavity):
     assert _matches_reference(got[1], _reference_row(
         table, 1, n0[1], cavity, got[1].times, adjust))
     for r in (0, 2):
-        assert _same_trajectory(got[r], evolve_ringdown(
+        assert _same_trajectory(got[r], _alone(
             n0[r], trace_classes, cavity, 0.01, 80, verify=False))
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import with_times
+from oracles import by_name, with_times
 from tlscavity import (DistributionParams, FitError, FitParameter,
                        FitProblem, FitResult, FitStartError,
                        SuperconductorParams, evolve_ringdown, freq_shift,
@@ -56,13 +56,12 @@ def test_linear_model_exact_covariance():
     # analytic weighted least squares on the same data
     A = np.vstack([x / sigma, 1.0 / sigma]).T
     beta, *_ = np.linalg.lstsq(A, y / sigma, rcond=None)
-    assert res.values_dict["slope"] == pytest.approx(beta[0], rel=1e-7)
-    assert res.values_dict["offset"] == pytest.approx(beta[1], abs=1e-6)
+    got, sig = by_name(res)
+    assert got["slope"] == pytest.approx(beta[0], rel=1e-7)
+    assert got["offset"] == pytest.approx(beta[1], abs=1e-6)
     cov = np.linalg.inv(A.T @ A) * res.chi2_reduced
-    assert res.sigma_dict["slope"] == pytest.approx(math.sqrt(cov[0, 0]),
-                                                    rel=1e-4)
-    assert res.sigma_dict["offset"] == pytest.approx(math.sqrt(cov[1, 1]),
-                                                     rel=1e-4)
+    assert sig["slope"] == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-4)
+    assert sig["offset"] == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-4)
     assert res.converged
     assert 0.5 < res.chi2_reduced < 1.5
     # the undamped closing trial lands on the linear optimum
@@ -85,10 +84,11 @@ def test_log_scale_recovery_and_sigma_mapping():
         params=[FitParameter("amp", 1e6, 1e3, 1e9, "log"),
                 FitParameter("rate", 1.0, 0.01, 100.0, "log")],
         data_weights=sigma))
-    assert res.values_dict["amp"] == pytest.approx(truth_a, rel=0.01)
-    assert res.values_dict["rate"] == pytest.approx(truth_k, rel=0.01)
+    got, sig = by_name(res)
+    assert got["amp"] == pytest.approx(truth_a, rel=0.01)
+    assert got["rate"] == pytest.approx(truth_k, rel=0.01)
     # log-scale sigma is reported in parameter units, scaled by the value
-    assert 0.0 < res.sigma_dict["amp"] < 0.05 * truth_a
+    assert 0.0 < sig["amp"] < 0.05 * truth_a
     assert res.converged
 
 
@@ -103,7 +103,8 @@ def test_bounds_respected():
         residual_fn=residual,
         params=[FitParameter("slope", 2.0, 0.1, 5.0, "linear")],
         data_weights=np.full_like(x, 0.1)))
-    assert res.values_dict["slope"] == pytest.approx(5.0, rel=1e-12)
+    got, _ = by_name(res)
+    assert got["slope"] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_domain_error_mid_search_is_rejected_step():
@@ -119,7 +120,8 @@ def test_domain_error_mid_search_is_rejected_step():
         residual_fn=residual,
         params=[FitParameter("slope", 0.5, 0.0, 10.0, "linear")],
         data_weights=np.full_like(x, 0.1)))
-    assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-6)
+    got, _ = by_name(res)
+    assert got["slope"] == pytest.approx(2.0, rel=1e-6)
     assert res.converged
 
 
@@ -151,7 +153,8 @@ def test_rejected_trials_are_counted_in_the_log(monkeypatch):
         data_weights=np.full_like(x, 0.01)))
     log = res.convergence_log
     assert res.converged
-    assert res.values_dict["k"] == pytest.approx(3.0, rel=1e-9)
+    got, _ = by_name(res)
+    assert got["k"] == pytest.approx(3.0, rel=1e-9)
     assert log[0]["accepted"] and log[0]["rejected"] >= 1
     # the start and each trial point with its one Jacobian point
     trials = sum(e["accepted"] + e["rejected"] for e in log)
@@ -197,7 +200,7 @@ def test_identical_jacobian_columns_never_stop_on_gain():
     u = np.array([1.0, 1.0])
     _, jac = numerical_jacobian(
         lambda us: [problem.residual_fn(v) / problem.data_weights
-                    for v in us], u)
+                    for v in us], u, upper=np.full(2, np.inf))
     assert np.array_equal(jac[:, 0], jac[:, 1])
     hess = jac.T @ jac
     assert fitting._predicted_gain(hess, jac.T @ jac[:, 0],
@@ -206,8 +209,8 @@ def test_identical_jacobian_columns_never_stop_on_gain():
     assert res.converged
     assert res.method == "lm"
     assert res.stop_reason in ("step", "flat", "noise_floor", "stall")
-    assert res.values_dict["a"] + res.values_dict["b"] == pytest.approx(
-        2.0, abs=0.1)
+    got, _ = by_name(res)
+    assert got["a"] + got["b"] == pytest.approx(2.0, abs=0.1)
 
 
 def _assert_same_fit(a, b):
@@ -274,7 +277,8 @@ def test_batch_path_is_bitwise_the_plain_path(monkeypatch):
 
     _assert_same_fit(batched, plain)
     assert plain.converged and plain.method == "lm"
-    assert plain.values_dict["a"] == 2.0
+    got, _ = by_name(plain)
+    assert got["a"] == 2.0
     # one call at the start and one per trial point, each with the point
     # and its two Jacobian points, and one Jacobian per call
     trials = sum(e["accepted"] + e["rejected"]
@@ -346,11 +350,12 @@ def test_singular_normal_equations_handled_by_damping():
                 FitParameter("ghost", 1.0, -10.0, 10.0, "linear")],
         data_weights=np.full_like(x, 0.1)))
     assert res.converged
-    assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-9)
-    assert res.values_dict["ghost"] == 1.0
+    got, sig = by_name(res)
+    assert got["slope"] == pytest.approx(2.0, rel=1e-9)
+    assert got["ghost"] == 1.0
     # the data cannot move it: no finite uncertainty
-    assert res.sigma_dict["ghost"] == math.inf
-    assert math.isfinite(res.sigma_dict["slope"])
+    assert sig["ghost"] == math.inf
+    assert math.isfinite(sig["slope"])
 
 
 def _wall_problem(slope=1.0):
@@ -413,7 +418,8 @@ def test_nan_jacobian_falls_back_to_simplex():
         res = minimize(_wall_problem())
     assert res.method == "lm+simplex"
     assert res.converged
-    assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-3)
+    got, _ = by_name(res)
+    assert got["slope"] == pytest.approx(2.0, rel=1e-3)
 
 
 def test_simplex_leaves_an_upper_bound():
@@ -422,7 +428,8 @@ def test_simplex_leaves_an_upper_bound():
         res = minimize(_wall_problem(slope=10.0))
     assert res.method == "lm+simplex"
     assert res.converged
-    assert res.values_dict["slope"] == pytest.approx(2.0, rel=1e-3)
+    got, _ = by_name(res)
+    assert got["slope"] == pytest.approx(2.0, rel=1e-3)
 
 
 def test_simplex_cap_reports_no_convergence(monkeypatch):
@@ -529,13 +536,13 @@ def test_joint_fit_two_traces_smoke(smoke_fit, cavity):
     traces, res = smoke_fit
     t_data = traces[0][0]
     n_tots = _SMOKE_N_TOTS
-    got = res.values_dict
+    got, sig = by_name(res)
     # two short traces constrain the overall scale but not every shape
     # parameter; demand consistency rather than tight recovery
     assert res.converged
     for i, n_tot in enumerate(n_tots):
         key = "n_tot_%d" % i
-        pull = abs(got[key] - n_tot) / max(res.sigma_dict[key], 1.0)
+        pull = abs(got[key] - n_tot) / max(sig[key], 1.0)
         assert pull < 3.0
     # the model kappa returned with the fit is the optimum's own curve
     classes = sample_classes(
@@ -669,7 +676,7 @@ def test_temperature_fit_curves_are_the_models_at_the_fit(
         (t_f, shifts_n, sig_f), (t_q, qs_n, 0.01 * qs),
         replace(sc, alpha=2e-5, delta0=sc.delta0 * 1.3, sigma_n=1e7),
         with_times(sweep_classes, 1e-6, 3e-7), cavity)
-    got = res.values_dict
+    got, _ = by_name(res)
     best = SuperconductorParams(delta0=got["delta0"], sigma_n=got["sigma_n"],
                                 alpha=got["alpha"], g_factor=sc.g_factor)
     classes = with_times(sweep_classes, got["t1"], got["t_phi"])

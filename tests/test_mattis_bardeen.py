@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 import oracles
 from oracles import TlsClass, class_arrays
 from tlscavity import (SuperconductorParams, ValidityWarning, bessel_k0,
-                       conductivity, critical_temperature, freq_shift, gap,
+                       conductivity, freq_shift, gap, load_config,
                        q_int_temperature, q_qp, q_tls_temperature,
                        skin_depth, temperature_sweep)
 from tlscavity.mattis_bardeen import pair_breaking
@@ -44,9 +44,14 @@ def test_bessel_k0_domain():
         bessel_k0(-1.0)
 
 
-def test_critical_temperature(sc):
-    assert critical_temperature(sc.delta0) == pytest.approx(
-        10.065143268691398, rel=1e-13)
+def test_critical_temperature(sc, tmp_path):
+    tc = oracles.critical_temperature(sc.delta0)
+    assert tc == pytest.approx(10.065143268691398, rel=1e-13)
+    # the config's tc shortcut is its inverse
+    path = tmp_path / "tc.yaml"
+    path.write_text("superconductor:\n  tc: %r\n" % tc)
+    assert load_config(path).superconductor.delta0 == pytest.approx(
+        sc.delta0, rel=1e-13)
 
 
 def test_gap_reference_values(sc):

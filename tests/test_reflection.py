@@ -59,7 +59,7 @@ def test_fit_ringup_round_trip():
     rng = np.random.default_rng(7)
     noisy = clean * (1.0 + 0.01 * rng.standard_normal(len(t)))
     res = fit_ringup(t, noisy, 7.9e9, sigma=0.01 * clean)
-    got = res.values_dict
+    got, _ = oracles.by_name(res)
     assert got["q_int"] == pytest.approx(5.3e8, rel=0.01)
     assert got["q_c"] == pytest.approx(1e8, rel=0.01)
     assert got["delta"] == pytest.approx(0.8, rel=0.01)
@@ -75,7 +75,7 @@ def test_fit_ringup_curve_is_the_model_at_the_fit():
     noisy = clean * (1.0 + 0.01 * np.random.default_rng(3).standard_normal(
         len(t)))
     res = fit_ringup(t, noisy, 7.9e9, sigma=0.01 * clean)
-    got = res.values_dict
+    got, _ = oracles.by_name(res)
     (x, data, model), = res.curves
     assert np.array_equal(x, t) and np.array_equal(data, noisy)
     assert np.array_equal(model, ringup_power(t, ReflectionParams(
@@ -134,8 +134,8 @@ def test_circle_fit_rotation_and_scale_invariance():
     ql = qi * qc / (qi + qc)
     f = np.linspace(f0 - 4.0 * f0 / ql, f0 + 4.0 * f0 / ql, 401)
     s = s11_model(f, f0, qi, qc, mismatch=0.05)
-    base = circle_fit(f, s, fit_delay=False)
-    moved = circle_fit(f, 0.37 * np.exp(1.1j) * s, fit_delay=False)
+    base = circle_fit(f, s)
+    moved = circle_fit(f, 0.37 * np.exp(1.1j) * s)
     assert moved.q_int == pytest.approx(base.q_int, rel=1e-9)
     assert moved.q_c == pytest.approx(base.q_c, rel=1e-9)
     assert moved.radius == pytest.approx(0.37 * base.radius, rel=1e-9)
@@ -159,7 +159,7 @@ def test_circle_fit_radius_grows_with_q_int():
         ql = qi * qc / (qi + qc)
         f = np.linspace(f0 - 4.0 * f0 / ql, f0 + 4.0 * f0 / ql, 401)
         s = s11_model(f, f0, qi, qc)
-        radii.append(circle_fit(f, s, fit_delay=False).radius)
+        radii.append(circle_fit(f, s).radius)
     assert all(a < b for a, b in zip(radii, radii[1:]))
 
 
@@ -168,7 +168,7 @@ def test_circle_fit_rejects_garbage():
     rng = np.random.default_rng(3)
     blob = rng.standard_normal(101) + 1j * rng.standard_normal(101)
     with pytest.raises(DataError):
-        circle_fit(f, blob, fit_delay=False)
+        circle_fit(f, blob)
     with pytest.raises(DataError):
         circle_fit(f[:5], blob[:5])
     # a11's sweep moved to frequencies centred on 0 Hz, and to all-negative
@@ -191,7 +191,7 @@ def test_circle_fit_rejects_narrow_span():
     f = np.linspace(f0 - 0.5 * f0 / ql, f0 + 0.5 * f0 / ql, 101)
     s = s11_model(f, f0, qi, qc)
     with pytest.raises(DataError):
-        circle_fit(f, s, fit_delay=False)
+        circle_fit(f, s)
 
 
 def test_reflection_params_validation():
@@ -200,7 +200,8 @@ def test_reflection_params_validation():
     with pytest.raises(ValueError):
         ReflectionParams(q_int=1e8, q_c=1e8, f0=0.0)
     p = ReflectionParams(q_int=5.3e8, q_c=1e8, f0=7.9e9)
-    assert p.q_loaded == pytest.approx(5.3e8 * 1e8 / 6.3e8, rel=1e-12)
+    assert 2.0 * math.pi * p.f0 / p.kappa_loaded == pytest.approx(
+        5.3e8 * 1e8 / 6.3e8, rel=1e-12)
 
 
 def _circle_sweep(n_points, mismatch=0.1, amplitude=0.9, phase=0.4,
@@ -272,7 +273,7 @@ def test_degenerate_delay_candidate_scores_inf():
     assert np.isfinite(cost[0]) and list(cost[1:]) == [math.inf] * 3
     for z in (point, rounded, line):
         with pytest.raises(DataError, match="does not trace a circle"):
-            circle_fit(f, z, fit_delay=False)
+            circle_fit(f, z)
 
 
 @pytest.mark.parametrize("name", sorted(CIRCLE_SWEEPS))
