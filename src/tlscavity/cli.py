@@ -4,8 +4,8 @@ Every command is deterministic given its config and seed: summation orders
 are fixed, nothing depends on the wall clock, and reruns produce
 byte-identical CSV output. The seed feeds synthetic-noise generation only.
 
-Exit codes: 0 success, 2 config error (also a failed halving check or a
-saturated bath, both set by the config's step count and model parameters,
+Exit codes: 0 success, 2 config error (also a failed step-doubling check or
+a saturated bath, both set by the config's step count and model parameters,
 and an --out that cannot be created or written), 3 data error, 4 fit
 failure (a start outside a fit's bounds included) or non-convergence.
 """

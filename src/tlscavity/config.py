@@ -89,8 +89,8 @@ class RingdownSettings:
             raise ValueError("n_tot must be positive")
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
-        if self.m_steps < 2:
-            raise ValueError("m_steps must be at least 2")
+        if self.m_steps < 3:
+            raise ValueError("m_steps must be at least 3")
         if not self.initial_photons:
             raise ValueError("initial_photons must not be empty")
         if any(p <= 0 for p in self.initial_photons):
@@ -162,8 +162,8 @@ class FitSettings:
     window_margin: float = 10.0
 
     def __post_init__(self):
-        if self.m_steps < 2:
-            raise ValueError("m_steps must be at least 2")
+        if self.m_steps < 3:
+            raise ValueError("m_steps must be at least 3")
         if self.window_margin <= 0:
             raise ValueError("window_margin must be positive")
 

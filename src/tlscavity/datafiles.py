@@ -134,8 +134,8 @@ _FORK_WARNING = r"This process .* is multi-threaded, use of fork\(\)"
 # One claim on the queue of write_files: a file's index in 4 bytes.
 _CLAIM = struct.Struct("<I")
 
-# One word to a writer child: how many of the record's rows are final (0:
-# the rows so far are void), or _GO: the run's checks have passed.
+# One word to a writer child: how many of the record's rows are final, or
+# _GO: the run's checks have passed.
 _WORD = struct.Struct("<Q")
 _GO = 2 ** 64 - 1
 
@@ -161,9 +161,9 @@ def write_files(paths, shape, plan, run):
     text stream, the file's header first when rows starts at 0. A file's
     text is its writer's lines over consecutive slices of the rows,
     whichever they are. run(record, progress) fills the record row after
-    row and calls progress(done) whenever record[:done] is final, or
-    progress(0) when the rows so far are void and will be filled again.
-    Where run raises, no file is written and its exception propagates.
+    row and calls progress(done) whenever record[:done] is final; a final
+    row never changes. Where run raises, no file is written and its
+    exception propagates.
 
     With k = min(usable_cpus(), len(paths)) < 2 this is run on a private
     record, then each writer over all rows in turn. Otherwise the record is
@@ -172,14 +172,14 @@ def write_files(paths, shape, plan, run):
     goes to every child as a word on a pipe of its own. A child claims
     files from the queue and formats the final rows of each into memory,
     all its files in turn; when it has caught up it claims one more file,
-    at most one per word. progress(0) discards what it holds. Once run has
-    returned, the child formats the rest of its files, writes them, writes
-    every further claim straight to its file, sends the parent each file's
-    digest and ends with os._exit. The parent claims files the same way
-    once run has returned, and kills every child if run raises. It reaps
-    every child before it returns or raises; if one exited nonzero, the
-    parent writes again itself, in order, every file it did not write, so
-    a failure raises here the exception, and message, of the serial run.
+    at most one per word. Once run has returned, the child formats the
+    rest of its files, writes them, writes every further claim straight to
+    its file, sends the parent each file's digest and ends with os._exit.
+    The parent claims files the same way once run has returned, and kills
+    every child if run raises. It reaps every child before it returns or
+    raises; if one exited nonzero, the parent writes again itself, in
+    order, every file it did not write, so a failure raises here the
+    exception, and message, of the serial run.
     Each file is written whole by one process, so its bytes depend neither
     on the CPU count nor on who claimed it. Claims that do not fit the
     pipe (past 16384 files on a 64 KiB pipe) are the parent's.
@@ -327,8 +327,6 @@ def _child(paths, writers, rows, queue, word, sent):
             if not data:
                 return
             for (done,) in _WORD.iter_unpack(data):
-                if done == 0:
-                    held = {i: [io.StringIO(), 0] for i in held}
                 go = done == _GO
                 ready = rows if go else done
             fresh = True

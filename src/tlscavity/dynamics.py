@@ -5,8 +5,8 @@ A_S a + v_S whose coefficients are frozen over each coarse step and rebuilt
 from the quasi-steady TLS states at the start of the step, with the
 amplitude pinned to sqrt(n). The step itself is advanced with the exact
 solution of the frozen system, so the only discretization error is the
-freezing of the rates; a halving self-check asserts the coarse grid sits
-inside the validity window.
+freezing of the rates; a step-doubling self-check asserts the coarse grid
+sits inside the validity window.
 """
 
 import math
@@ -67,19 +67,17 @@ def recorded_n(record, r):
 _INERT_SUMS = (0.0, 0.0, 0.25, 0.75)
 
 
-def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
-            progress=None):
+def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None):
     """March B rows over m_pts grid points in lockstep, exact step at frozen
-    rates, beside a verify twin at half the step of each row in the list
-    twins; one Trajectory, or the exception that stopped it, per row, then
-    the n array, or the exception, of each twin.
+    rates; one Trajectory, or the exception that stopped it, per row.
 
     The B rows are recorded in history, an array of record_shape(m_pts, B)
     (by default a new one), one grid point after the other. progress(done),
     where given, is called whenever history[:done] is final: every
     _PROGRESS_ROWS grid points, then with m_pts at the end. A final grid
-    point never changes, with one exception: before a guarded rerun records
-    every point again, progress(0) says that the points so far are void.
+    point never changes: the unchecked run reports a block only while
+    every step so far passed the checks, and a guarded rerun records those
+    steps again bit for bit.
 
     table is a ClassTable of the B rows; n0 holds each row's initial photon
     number. Each step starts from <a> = sqrt(n). With kt = kappa0 +
@@ -94,17 +92,14 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
     (-4)) / kt) + (-8) q, b = (n - a) - c, e = exp(kt (-dt/2)) and n(dt) =
     (a + b (e e)) + c e. Every operation is elementwise over the rows or a
     per-row sum over the class axis, so a row's numbers do not depend on
-    the other rows. With twins the loop makes 2 m_pts - 1 passes, one per
-    halved-grid point: the twins advance on every pass, the B rows only on
-    odd passes and are recorded on even ones, so the odd pass repeats the
-    even one bit for bit. Each row's dt comes from its own grid's linspace.
+    the other rows.
 
     All state lives in one work array, a row per quantity and a column per
     trajectory (a lone one gets a discarded second column, see
     rate_kernel), laid out so that every operand of the step's numpy calls
     is a C-contiguous block of the output's shape, one row or a 0-d
     constant (numpy's flat fast path, about half the cost of a reversed,
-    stepped or broadcast operand). A pass without twins makes 37 numpy
+    stepped or broadcast operand). A pass makes 37 numpy
     calls, rate_kernel's ten among them, as straight-line code in one
     Python frame, and allocates nothing. The loop runs unchecked, keeping
     the running minimum of the rates, v1, kt and n after the step; a group
@@ -115,14 +110,8 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     rows = len(n0)
-    if twins:
-        picked = list(range(rows)) + twins
-        table, n0 = table.take(picked), n0[picked]
-    cols = max(len(n0), 2)
-    stride = 2 if twins else 1
-    passes = stride * (m_pts - 1) + 1
-    times, fine_times = (np.linspace(0.0, t_final, m)
-                         for m in (m_pts, passes))
+    cols = max(rows, 2)
+    times = np.linspace(0.0, t_final, m_pts)
     # Rows: 0 the bare thermal feed kappa0 f(omega0, T), 1 kappa0; the class
     # sums 2 Re S, 3 Im S (then in place 2 Im O', 3 -Re O'), 4 kappa_plus,
     # 5 kappa_minus; 6 v1, 7 kt, 8 n after the step (4-8 are checked); 9 n
@@ -135,8 +124,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
      a_t, c_t, b_t, eh, eh2, ce, be2, q, kt2, decay, q4, q8) = work
     work[0], work[1] = cavity.kappa0 * core.bose_einstein(
         cavity.omega0, cavity.temperature), cavity.kappa0
-    decay[:] = np.repeat([-0.5 * (g[1] - g[0]) for g in (times, fine_times)],
-                         (rows, len(twins)))
+    decay[:] = -0.5 * (times[1] - times[0])
     sums, checked, record = work[2:6], work[4:9], work[2:10, :rows]
     omega, state, both_n, amps = (work[2:4], work[9:12], work[9:11],
                                   work[12:14])
@@ -144,11 +132,8 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
                                     work[14:16])
     terms, weighted_q, cb, e_pair, prods = (
         work[16:18], work[26:28], work[17:19], work[19:21], work[21:23])
-    twin_n, twin_both, twin_next = n[rows:], both_n[:, rows:], n_next[rows:]
     if history is None:
         history = np.empty(record_shape(m_pts, rows))
-    twin_history = np.empty((passes, len(twins)))
-    block = stride * _PROGRESS_ROWS
     lowest = np.full(checked.shape, np.inf)
     four, minus_four, minus_eight = (np.array(c) for c in (4.0, -4.0, -8.0))
     rate_sums = table.rate_kernel(state, sums)
@@ -156,7 +141,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
     sqrt, exp, minimum = np.sqrt, np.exp, np.minimum
     errors, dead = [None] * cols, []
     inert = np.array(_INERT_SUMS)[:, None]
-    last = passes - 1
+    last = m_pts - 1
 
     def kill(r, exc):
         errors[r] = exc
@@ -168,10 +153,10 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
         # positionally but np.minimum, whose positional out numpy 2.4
         # deprecates (the warning costs more than the call)
         both_n[...] = n0
-        for first in range(0, passes, block):
-            if first and progress:
-                progress(first // stride)
-            for k in range(first, min(first + block, passes)):
+        for first in range(0, m_pts, _PROGRESS_ROWS):
+            if first and progress and (guarded or lowest.min() >= 0.0):
+                progress(first)
+            for k in range(first, min(first + _PROGRESS_ROWS, m_pts)):
                 sqrt(both_n, amps)
                 mul(ar, ar, amp2)
                 rate_sums()
@@ -180,10 +165,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
                 # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), kept as
                 # (Im O', -Re O'); Re negated where it is read
                 mul(amps, omega, omega)
-                if not k % stride:
-                    history[k // stride] = record
-                if twins:
-                    twin_history[k] = twin_n
+                history[k] = record
                 if k == last:
                     break
                 # the step; a guarded pass that finds a negative or nan
@@ -237,8 +219,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
                         if not kt[r] > 0.0:
                             kill(r, SaturationError(
                                 "kappa_tilde = %g, not > 0, at t = %g"
-                                % (kt[r], times[k // stride] if r < rows
-                                   else fine_times[k])))
+                                % (kt[r], times[k])))
                         elif not n_next[r] >= 0.0:
                             if n_next[r] > -1e-25:
                                 n_next[r] = 0.0
@@ -247,30 +228,20 @@ def _evolve(table, cavity, n0, t_final, m_pts, twins=(), history=None,
                                     "photon number %g, not >= 0"
                                     % n_next[r]))
                     n_next[dead] = 1.0
-                    if not k % stride:
-                        history[k // stride] = record
-                    if twins:
-                        twin_history[k] = twin_n
-                if k % stride == stride - 1:
-                    both_n[...] = n_next
-                else:
-                    twin_both[...] = twin_next
+                    history[k] = record
+                both_n[...] = n_next
 
     # a failing row may overflow or divide by zero before the per-row
     # checks below stop it; they, not numpy warnings, report the failure
     with np.errstate(all="ignore"):
         run(False)
         if not lowest.min() >= 0.0:
-            if progress:
-                progress(0)
             run(True)
     if progress:
         progress(m_pts)
 
     return [errors[r] or Trajectory(times, history[:, _N, r].copy())
-            for r in range(rows)] + [
-        errors[rows + j] or twin_history[:, j].copy()
-        for j in range(len(twins))]
+            for r in range(rows)]
 
 
 def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
@@ -280,18 +251,27 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
     exception that stopped it, per row, bitwise what the row gets alone.
     verify is one flag or one per row; every check of the step loop applies
     per row. The rows inside their Markovian window run as one lockstep
-    group, in one _evolve call with a verify twin at half the step for
-    every row whose flag is set. A row that got through takes its twin's
-    exception, or a StepConvergenceError when halving dt moved its n(t) by
-    1e-3 relative or more, or by nan. When that group is every row, _evolve
+    group, in one _evolve call; when that group is every row, _evolve
     records it in record (an array of record_shape(m_steps, B)) and calls
-    progress, where given."""
+    progress, where given.
+
+    The step check is step doubling: the verified rows that got through
+    run once more, in one more _evolve call, at twice the step over the
+    (m_steps + 1) // 2 even points of the grid (up to its last point but
+    one when m_steps - 1 is odd). A row takes that run's exception, or a
+    StepConvergenceError when doubling dt moved its n(t) by 2e-3 relative
+    or more, or by nan. For this first-order step the doubling deviation
+    is about twice the halving one. The run at 2h is only an error
+    estimate, so it is not held to the Markovian window. A verified row
+    needs m_steps >= 3, so that the two grids share a point after t = 0."""
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     if not all(n > 0 for n in n0):
         raise ValueError("initial photon number must be > 0")
     if m_steps < 2:
         raise ValueError("m_steps must be >= 2")
     verify = np.broadcast_to(np.asarray(verify, dtype=bool), len(n0))
+    if m_steps < 3 and verify.any():
+        raise ValueError("m_steps must be >= 3 for a verified row")
     results, rows = [None] * len(n0), []
     for r, t2max in enumerate(table.t2max):
         try:
@@ -304,24 +284,28 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
         record = progress = None
     if not rows:
         return results
-    twins = [j for j, r in enumerate(rows) if verify[r]]
     got = _evolve(table.take(rows), cavity, n0[rows], t_final, m_steps,
-                  twins, record, progress)
-    for j, ref in zip(twins, got[len(rows):]):
-        if isinstance(got[j], Exception):
-            continue
-        if isinstance(ref, Exception):
-            got[j] = ref
-            continue
-        n = got[j].n
-        dev = float(np.max(np.abs(n - ref[::2])
-                           / np.maximum(np.abs(n), 1e-30)))
-        if not dev < 1e-3:
-            got[j] = StepConvergenceError(
-                "halving dt moved n(t) by %g relative (limit 1e-3)" % dev,
-                deviation=dev, resolutions=(m_steps, len(ref)))
+                  record, progress)
     for r, res in zip(rows, got):
         results[r] = res
+    live = [r for r in rows
+            if verify[r] and not isinstance(results[r], Exception)]
+    if not live:
+        return results
+    m_half = (m_steps + 1) // 2
+    t_last = float(results[live[0]].times[2 * (m_half - 1)])
+    for r, ref in zip(live, _evolve(table.take(live), cavity, n0[live],
+                                    t_last, m_half)):
+        if isinstance(ref, Exception):
+            results[r] = ref
+            continue
+        n = results[r].n[::2]
+        dev = float(np.max(np.abs(n - ref.n) / np.maximum(np.abs(n), 1e-30)))
+        if not dev < 2e-3:
+            results[r] = StepConvergenceError(
+                "doubling dt moved n(t) by %g relative up to t = %g "
+                "(limit 2e-3)" % (dev, t_last),
+                deviation=dev, resolutions=(m_steps, m_half))
     return results
 
 
@@ -333,9 +317,10 @@ def evolve_ringdown(initial, classes, cavity, t_final, m_steps, *,
     (g, count, T1, T_phi, omega_tls) and m_steps, required, the number of
     grid points over [0, t_final]. The amplitude entering the TLS
     coherences is reset to sqrt(n) at zero phase at every step (the
-    recursive scheme of the reference analysis). verify=True reruns at half
-    the step and asserts every n(t) moves < 1e-3 relative. This is the
-    one-row case of evolve_table; a failed row raises its exception.
+    recursive scheme of the reference analysis). verify=True reruns at
+    twice the step and asserts every shared n(t) moves < 2e-3 relative.
+    This is the one-row case of evolve_table; a failed row raises its
+    exception.
     """
     table = tls_bath.ClassTable(*classes, cavity.omega0, cavity.temperature)
     traj, = evolve_table(table, cavity, [initial], t_final, m_steps,

@@ -42,9 +42,10 @@ class SaturationError(TlscavityError):
 
 
 class StepConvergenceError(TlscavityError):
-    """Discretization self-check failed: halving the step moved the result.
+    """Discretization self-check failed: doubling the step moved the result.
 
-    Stores the relative deviation and the two trial resolutions.
+    Stores the relative deviation and the two resolutions: the grid's
+    points and the points of the run at twice the step.
     """
 
     def __init__(self, message, deviation=None, resolutions=None):

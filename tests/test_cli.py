@@ -402,11 +402,20 @@ def test_fit_circle_nonpositive_frequency_exits_3(tmp_path, capsys):
         "tlscavity: data error: sweep frequencies must be positive\n"
 
 
-def test_exit_code_config_error(tmp_path):
+def test_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("cavity:\n  nonsense: 1\n")
     assert run(["simulate", "ringup", "--config", bad,
                 "--out", tmp_path / "x"]) == 2
+    # a verified run needs a grid point after t = 0 on its step check's
+    # grid at twice the step
+    for section in ("ringdown", "fit"):
+        capsys.readouterr()
+        bad.write_text("%s:\n  m_steps: 2\n" % section)
+        assert run(["simulate", "ringup", "--config", bad,
+                    "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == "tlscavity: config error: " \
+            "%s: m_steps must be at least 3\n" % section
 
 
 def test_exit_code_data_error(tmp_path):
@@ -510,7 +519,7 @@ def test_exit_code_step_window(tmp_path, capsys):
 
 
 def test_exit_code_halving_check(tmp_path, capsys):
-    # at 200 steps over 22 ms the fit's first evolution fails its halving
+    # at 200 steps over 22 ms the fit's first evolution fails its doubling
     # check: a config choice (step count, model parameters), exit 2
     cfg = RunConfig()
     traj = evolve_ringdown(5e13, cfg.trace_classes(n_tot=117164510.0),
@@ -528,7 +537,7 @@ def test_exit_code_halving_check(tmp_path, capsys):
     assert run(["fit", "ringdown", "--config", cfgfile, "--out",
                 tmp_path / "fit", src]) == 2
     err = capsys.readouterr().err
-    assert "halving" in err
+    assert "doubling dt moved" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
@@ -1028,7 +1037,8 @@ def test_simulate_ringdown_split_matches_serial(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_simulate_ringdown_evolves_once(tmp_path, monkeypatch, cpus):
     # every process logs its _evolve calls: the writer children format the
-    # parent's recorded run and evolve nothing themselves
+    # parent's recorded run and evolve nothing themselves, and the parent
+    # makes two, the run and its step check
     cfgfile = tmp_path / "tiny.yaml"
     cfgfile.write_text(TINY_RINGDOWN)
     log = tmp_path / "evolved"
@@ -1044,14 +1054,17 @@ def test_simulate_ringdown_evolves_once(tmp_path, monkeypatch, cpus):
     assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
                 tmp_path / "run", "--seed", "3"]) == 0
     assert_no_child_left()
-    assert log.read_text().split() == [str(os.getpid())]
+    assert log.read_text().split() == [str(os.getpid())] * 2
 
 
+@pytest.mark.parametrize("point", [100, 700])
 def test_simulate_ringdown_guarded_rerun_streams_as_serial(tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           point):
     # trace 2's rates go negative at grid point 100, inside the first
-    # streamed rows; the rerun that clamps them voids what the children
-    # formatted, and every file is the serial run's
+    # streamed block, or 700, after two reported blocks; the rerun that
+    # clamps them records every reported row again bit for bit, and every
+    # file is the serial run's
     cfgfile = tmp_path / "long.yaml"
     cfgfile.write_text("ringdown:\n  initial_photons: [1e12, 1e11]\n"
                        "  t_final: 0.012\n  m_steps: 1200\n")
@@ -1064,7 +1077,7 @@ def test_simulate_ringdown_guarded_rerun_streams_as_serial(tmp_path,
     evolve = dynamics.evolve_table
     monkeypatch.setattr(dynamics, "evolve_table", lambda table, cavity,
                         *args, **kwargs: evolve(_ClampAt(
-                            table, [None, n[100]], cavity.kappa0), cavity,
+                            table, [None, n[point]], cavity.kappa0), cavity,
                             *args, **kwargs))
     trees = []
     for cpus in (1, 2, 3):
@@ -1076,24 +1089,24 @@ def test_simulate_ringdown_guarded_rerun_streams_as_serial(tmp_path,
     assert trees[1] == trees[2] == trees[0]
     clamped = np.loadtxt(tmp_path / "cpus1" / "ringdown_02.csv",
                          delimiter=",", skiprows=1)
-    assert clamped[100, 3] == 0.0 and clamped[100, 1] == n[100]
-    assert not np.array_equal(clamped[101:, 1], n[101:])
+    assert clamped[point, 3] == 0.0 and clamped[point, 1] == n[point]
+    assert not np.array_equal(clamped[point + 1:, 1], n[point + 1:])
 
 
-# halving: two traces at 200 steps over 22 ms, the first fails the halving
-# check; nan: every rate of the first step is nan
+# doubling: two traces at 200 steps over 22 ms, the first fails the
+# doubling check; nan: every rate of the first step is nan
 _FAILING_RINGDOWN = {
-    "halving": "tls:\n  t2_star: 2.5e-7\n"
-               "distribution:\n  beta: 3.0\n  epsilon_s: 0.3\n"
-               "ringdown:\n  n_tot: 1.0e8\n  initial_photons: [5e13, 1e12]\n"
-               "  m_steps: 200\n",
+    "doubling": "tls:\n  t2_star: 2.5e-7\n"
+                "distribution:\n  beta: 3.0\n  epsilon_s: 0.3\n"
+                "ringdown:\n  n_tot: 1.0e8\n  initial_photons: [5e13, 1e12]\n"
+                "  m_steps: 200\n",
     "nan": "tls: {t1: 1.0e300, t_phi: 1.0e-7}\n"
            "cavity:\n  temperature: 1.0e308\n",
 }
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("name, reason", [("halving", "halving dt moved"),
+@pytest.mark.parametrize("name, reason", [("doubling", "doubling dt moved"),
                                           ("nan", "kappa_tilde = nan")])
 def test_simulate_ringdown_failed_check_writes_nothing(tmp_path, capsys,
                                                        monkeypatch, cpus,

@@ -270,28 +270,6 @@ def test_write_files_children_format_while_run_runs(tmp_path, monkeypatch,
     assert _tree(out) == _serial_tree(tmp_path / "serial", 6)
 
 
-@pytest.mark.parametrize("cpus", [2, 3, 8])
-def test_write_files_void_rows_are_formatted_again(tmp_path, monkeypatch,
-                                                   cpus):
-    # run makes every row final with wrong values, lets the children format
-    # them, voids them and fills the record again: the serial run's files
-    out = tmp_path / "out"
-    out.mkdir()
-    paths, shape, plan, run = _columns(out, 6)
-
-    def rerun(record, progress):
-        record[:] = -1.0
-        progress(len(record))
-        time.sleep(0.2)
-        progress(0)
-        run(record, progress)
-
-    monkeypatch.setattr(datafiles, "usable_cpus", lambda: cpus)
-    write_files(paths, shape, plan, rerun)
-    assert_no_child_left()
-    assert _tree(out) == _serial_tree(tmp_path / "serial", 6)
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_write_files_writes_nothing_when_the_check_fails(tmp_path,
