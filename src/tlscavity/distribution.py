@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from . import datafiles
 from .core import CONSTANTS
@@ -74,6 +73,9 @@ def counts_between(params, edges):
     density over [0, g], the tail g/(beta-1) (eps'/g)^beta 2F1(1, 1-1/beta;
     2-1/beta; -(eps'/g)^beta) over [g, inf). Edges clamped at the knee eps'
     keep each argument in [-1, 0]; a bin holding it takes a piece of each."""
+    # imported where used: commands that sample no class skip its load
+    from scipy.special import hyp2f1
+
     b, ep = params.beta, params.epsilon_prime
     lo, hi = np.minimum(edges, ep), np.maximum(edges, ep)
     head = lo * hyp2f1(1.0, 1.0 / b, 1.0 + 1.0 / b, -(lo / ep) ** b)

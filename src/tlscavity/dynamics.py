@@ -67,20 +67,31 @@ def recorded_n(record, r):
 _INERT_SUMS = (0.0, 0.0, 0.25, 0.75)
 
 
-def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None):
+def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
+            twins=0):
     """March B rows over m_pts grid points in lockstep, exact step at frozen
     rates; one Trajectory, or the exception that stopped it, per row.
 
-    The B rows are recorded in history, an array of record_shape(m_pts, B)
-    (by default a new one), one grid point after the other. progress(done),
-    where given, is called whenever history[:done] is final: every
-    _PROGRESS_ROWS grid points, then with m_pts at the end. A final grid
-    point never changes: the unchecked run reports a block only while
-    every step so far passed the checks, and a guarded rerun records those
-    steps again bit for bit.
+    The last twins of the B rows are twins at twice the step: each runs on
+    its own grid, the (m_pts + 1) // 2 points of np.linspace(0, t_last,
+    (m_pts + 1) // 2) with t_last the grid's last even point, and gets the
+    Trajectory, or the exception, that a call of its own over that grid
+    would give. A twin steps on every pass like the other rows, so it costs
+    no pass of its own. Only its n is kept, outside history. Its grid ends
+    on pass (m_pts + 1) // 2 - 1; from there it steps from n = 1 at the
+    inert rates of a stopped row, so nothing past t_last stops any row.
+
+    The other B - twins rows are recorded in history, an array of
+    record_shape(m_pts, B - twins) (by default a new one), one grid point
+    after the other. progress(done), where given, is called whenever
+    history[:done] is final: every _PROGRESS_ROWS grid points, then with
+    m_pts at the end. A final grid point never changes: the unchecked run
+    reports a block only while every step so far passed the checks, and a
+    guarded rerun records those steps again bit for bit.
 
     table is a ClassTable of the B rows; n0 holds each row's initial photon
-    number. Each step starts from <a> = sqrt(n). With kt = kappa0 +
+    number; the step dt is a row's own, one entry per column of the work
+    array (below). Each step starts from <a> = sqrt(n). With kt = kappa0 +
     kappa_minus - kappa_plus (net gain, kt <= 0, has no stable moment
     solution and stops the row) and v1 = kappa_plus + kappa0 f_cav:
     n(dt) = a + b e^{-kt*dt} + c e^{-kt*dt/2} with
@@ -109,9 +120,9 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None):
     record holds it so.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
-    rows = len(n0)
-    cols = max(rows, 2)
-    times = np.linspace(0.0, t_final, m_pts)
+    rows = len(n0) - twins
+    cols = max(len(n0), 2)
+    times = twin_times = np.linspace(0.0, t_final, m_pts)
     # Rows: 0 the bare thermal feed kappa0 f(omega0, T), 1 kappa0; the class
     # sums 2 Re S, 3 Im S (then in place 2 Im O', 3 -Re O'), 4 kappa_plus,
     # 5 kappa_minus; 6 v1, 7 kt, 8 n after the step (4-8 are checked); 9 n
@@ -125,6 +136,16 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None):
     work[0], work[1] = cavity.kappa0 * core.bose_einstein(
         cavity.omega0, cavity.temperature), cavity.kappa0
     decay[:] = -0.5 * (times[1] - times[0])
+    # the twins' columns, their grid and the pass on which it ends (none
+    # without twins), and their n at each of its points
+    m_twin, retire, spare = 0, m_pts, slice(rows, rows + twins)
+    if twins:
+        m_twin = (m_pts + 1) // 2
+        retire = m_twin - 1
+        twin_times = np.linspace(0.0, times[2 * retire], m_twin)
+        decay[spare] = -0.5 * (twin_times[1] - twin_times[0])
+    twin_n, twin_state = work[9, spare], work[9:11, spare]
+    twin_log = np.empty((m_twin, twins))
     sums, checked, record = work[2:6], work[4:9], work[2:10, :rows]
     omega, state, both_n, amps = (work[2:4], work[9:12], work[9:11],
                                   work[12:14])
@@ -157,9 +178,15 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None):
             if first and progress and (guarded or lowest.min() >= 0.0):
                 progress(first)
             for k in range(first, min(first + _PROGRESS_ROWS, m_pts)):
+                if k < m_twin:
+                    twin_log[k] = twin_n
+                    if k == retire:     # the twins' last point: park them
+                        twin_state[...] = 1.0
                 sqrt(both_n, amps)
                 mul(ar, ar, amp2)
                 rate_sums()
+                if k >= retire:
+                    sums[:, spare] = inert
                 if dead:
                     sums[:, dead] = inert
                 # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), kept as
@@ -219,7 +246,8 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None):
                         if not kt[r] > 0.0:
                             kill(r, SaturationError(
                                 "kappa_tilde = %g, not > 0, at t = %g"
-                                % (kt[r], times[k])))
+                                % (kt[r],
+                                   (times if r < rows else twin_times)[k])))
                         elif not n_next[r] >= 0.0:
                             if n_next[r] > -1e-25:
                                 n_next[r] = 0.0
@@ -241,7 +269,9 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None):
         progress(m_pts)
 
     return [errors[r] or Trajectory(times, history[:, _N, r].copy())
-            for r in range(rows)]
+            for r in range(rows)] + [
+        errors[rows + j] or Trajectory(twin_times, twin_log[:, j].copy())
+        for j in range(twins)]
 
 
 def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
@@ -255,15 +285,16 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
     records it in record (an array of record_shape(m_steps, B)) and calls
     progress, where given.
 
-    The step check is step doubling: the verified rows that got through
-    run once more, in one more _evolve call, at twice the step over the
-    (m_steps + 1) // 2 even points of the grid (up to its last point but
-    one when m_steps - 1 is odd). A row takes that run's exception, or a
-    StepConvergenceError when doubling dt moved its n(t) by 2e-3 relative
-    or more, or by nan. For this first-order step the doubling deviation
-    is about twice the halving one. The run at 2h is only an error
-    estimate, so it is not held to the Markovian window. A verified row
-    needs m_steps >= 3, so that the two grids share a point after t = 0."""
+    The step check is step doubling: each verified row of the group runs
+    once more at twice the step over the (m_steps + 1) // 2 even points of
+    the grid (up to its last point but one when m_steps - 1 is odd), as a
+    twin column of the same _evolve call, outside record. A row that got
+    through takes its twin's exception, or a StepConvergenceError when
+    doubling dt moved its n(t) by 2e-3 relative or more, or by nan. For
+    this first-order step the doubling deviation is about twice the
+    halving one. The run at 2h is only an error estimate, so it is not
+    held to the Markovian window. A verified row needs m_steps >= 3, so
+    that the two grids share a point after t = 0."""
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     if not all(n > 0 for n in n0):
         raise ValueError("initial photon number must be > 0")
@@ -284,18 +315,14 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
         record = progress = None
     if not rows:
         return results
-    got = _evolve(table.take(rows), cavity, n0[rows], t_final, m_steps,
-                  record, progress)
+    twins = [r for r in rows if verify[r]]
+    got = _evolve(table.take(rows + twins), cavity, n0[rows + twins],
+                  t_final, m_steps, record, progress, len(twins))
     for r, res in zip(rows, got):
         results[r] = res
-    live = [r for r in rows
-            if verify[r] and not isinstance(results[r], Exception)]
-    if not live:
-        return results
-    m_half = (m_steps + 1) // 2
-    t_last = float(results[live[0]].times[2 * (m_half - 1)])
-    for r, ref in zip(live, _evolve(table.take(live), cavity, n0[live],
-                                    t_last, m_half)):
+    for r, ref in zip(twins, got[len(rows):]):
+        if isinstance(results[r], Exception):
+            continue
         if isinstance(ref, Exception):
             results[r] = ref
             continue
@@ -304,8 +331,8 @@ def evolve_table(table, cavity, n0, t_final, m_steps, *, verify=True,
         if not dev < 2e-3:
             results[r] = StepConvergenceError(
                 "doubling dt moved n(t) by %g relative up to t = %g "
-                "(limit 2e-3)" % (dev, t_last),
-                deviation=dev, resolutions=(m_steps, m_half))
+                "(limit 2e-3)" % (dev, ref.times[-1]),
+                deviation=dev, resolutions=(m_steps, len(ref.n)))
     return results
 
 
@@ -317,10 +344,10 @@ def evolve_ringdown(initial, classes, cavity, t_final, m_steps, *,
     (g, count, T1, T_phi, omega_tls) and m_steps, required, the number of
     grid points over [0, t_final]. The amplitude entering the TLS
     coherences is reset to sqrt(n) at zero phase at every step (the
-    recursive scheme of the reference analysis). verify=True reruns at
-    twice the step and asserts every shared n(t) moves < 2e-3 relative.
-    This is the one-row case of evolve_table; a failed row raises its
-    exception.
+    recursive scheme of the reference analysis). verify=True runs a twin
+    at twice the step in the same lockstep passes and asserts every shared
+    n(t) moves < 2e-3 relative. This is the one-row case of evolve_table;
+    a failed row raises its exception.
     """
     table = tls_bath.ClassTable(*classes, cavity.omega0, cavity.temperature)
     traj, = evolve_table(table, cavity, [initial], t_final, m_steps,

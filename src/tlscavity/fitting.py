@@ -413,10 +413,11 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     LM trial point and its Jacobian run as one lockstep batch
     (dynamics.evolve_table) of their model cache misses; a Jacobian
     column of n_tot_i only evolves trace i. The discretization self-check
-    runs once, on the first trace at the initial point, and is then
-    disabled inside the loop. The result's curves hold each trace's
-    (kappa times, kappa data, model kappa at the optimum), reference point
-    excluded.
+    runs once, on the first trace at the initial point: its run at twice
+    the step is one more column of the first lockstep loop, which makes
+    one _evolve call, and the check is then disabled inside the loop. The
+    result's curves hold each trace's (kappa times, kappa data, model
+    kappa at the optimum), reference point excluded.
     """
     if not traces:
         raise FitError("need at least one trace")

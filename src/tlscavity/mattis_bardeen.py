@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from . import datafiles, tls_bath
 from .core import CONSTANTS
@@ -110,6 +109,7 @@ def bessel_k0(x):
     gives an array."""
     if not np.all(np.greater(x, 0.0)):
         raise ValueError("x must be > 0")
+    import scipy.special  # imported where used, as hyp2f1 in distribution
     return scipy.special.k0(x) if np.ndim(x) else float(scipy.special.k0(x))
 
 

@@ -731,7 +731,7 @@ def test_fit_json_writes_infinite_sigma_as_null(tmp_path):
 
 
 _COLD_PROBED = ("scipy.integrate", "scipy.optimize", "scipy.linalg",
-                "scipy.sparse", "scipy.spatial")
+                "scipy.sparse", "scipy.spatial", "scipy.special")
 
 # run by a fresh interpreter after the sources of _wall_problem,
 # _circle_sweep and _circle_bits; prints the probed packages loaded after
@@ -750,11 +750,17 @@ import numpy as np
 from tlscavity import FitParameter, FitProblem, circle_fit, minimize, s11_model
 if sys.argv[1] == "cli":
     work, tiny = sys.argv[2:]
-    out["codes"] = [
+    try:
+        main(["--version"])
+    except SystemExit as exc:
+        out["codes"] = [exc.code]
+    out["codes"].append(
+        main(["simulate", "ringup", "--seed", "3", "--out", work + "/ru"]))
+    out["ringup"] = loaded()
+    out["codes"] += [
         main(["distribution", "--out", work + "/dist"]),
         main(["simulate", "ringdown", "--config", tiny, "--seed", "3",
-              "--out", work + "/sim"]),
-        main(["simulate", "ringup", "--seed", "3", "--out", work + "/ru"])]
+              "--out", work + "/sim"])]
     out["simulate"] = loaded()
     out["codes"].append(main(["fit", "ringup", "--out", work + "/fit",
                               work + "/ru/ringup.csv"]))
@@ -775,9 +781,10 @@ def _circle_bits(res):
 
 
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):
-    """A fresh import of the CLI loads no probed scipy package; commands
-    that never fit load neither scipy.optimize nor scipy.linalg, and an LM
-    fit only scipy.linalg. The two call sites that import scipy.optimize,
+    """A fresh import of the CLI loads no probed scipy package; --version
+    and simulate ringup, which call no special function, load none either;
+    commands that never fit load neither scipy.optimize nor scipy.linalg,
+    and an LM fit only scipy.linalg. The two call sites that import scipy.optimize,
     the Nelder-Mead fallback and the delay refine, each run in a process
     that has not loaded it and match the in-process results bit for bit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -796,9 +803,10 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
         return json.loads(proc.stdout.splitlines()[-1])
 
     fits = cold("cli", str(tmp_path), str(tiny))
-    assert fits["codes"] == [0, 0, 0, 0]
-    assert fits["import"] == fits["simulate"] == []
-    assert fits["fit ringup"] == ["scipy.linalg"]
+    assert fits["codes"] == [0, 0, 0, 0, 0]
+    assert fits["import"] == fits["ringup"] == []
+    assert fits["simulate"] == ["scipy.special"]
+    assert fits["fit ringup"] == ["scipy.linalg", "scipy.special"]
     assert "scipy.optimize" in fits["after"]
     with np.errstate(invalid="ignore"):
         wall = minimize(_wall_problem())
@@ -1038,7 +1046,7 @@ def test_simulate_ringdown_split_matches_serial(tmp_path, monkeypatch):
 def test_simulate_ringdown_evolves_once(tmp_path, monkeypatch, cpus):
     # every process logs its _evolve calls: the writer children format the
     # parent's recorded run and evolve nothing themselves, and the parent
-    # makes two, the run and its step check
+    # makes one, the run with its step check's twins at 2h
     cfgfile = tmp_path / "tiny.yaml"
     cfgfile.write_text(TINY_RINGDOWN)
     log = tmp_path / "evolved"
@@ -1054,7 +1062,7 @@ def test_simulate_ringdown_evolves_once(tmp_path, monkeypatch, cpus):
     assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
                 tmp_path / "run", "--seed", "3"]) == 0
     assert_no_child_left()
-    assert log.read_text().split() == [str(os.getpid())] * 2
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 @pytest.mark.parametrize("point", [100, 700])

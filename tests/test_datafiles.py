@@ -1,6 +1,8 @@
+import csv
 import fcntl
 import functools
 import hashlib
+import io
 import math
 import os
 import time
@@ -8,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
@@ -60,6 +62,72 @@ def test_read_csv_ragged_row(tmp_path):
     p.write_text("a,b\n1.0\n")
     with pytest.raises(DataError):
         read_csv_columns(p, ["a", "b"])
+
+
+_text_cell = hst.one_of(
+    hst.floats().map(repr),
+    hst.sampled_from(["#", "#1", "1#", '"1.5"', '"1,5"', "'2'", "1_000",
+                      "nan", "NaN", "inf", "-inf", "Infinity", "1e400", "",
+                      " ", "  2 ", "\t3", "\x0c4", "\x1c5", "١",
+                      "+.5", "5.", "1e", "--1", "1 2", "0x10"]),
+    hst.text(alphabet="0123456789+-.eE #\"'_\t", max_size=6))
+
+# rows of one to three cells under a two-column header: ragged rows, blank
+# lines and lines of a blank cell among them, and rows of two plain numbers
+_text_rows = hst.lists(hst.one_of(
+    hst.lists(_text_cell, min_size=1, max_size=3),
+    hst.lists(hst.floats(allow_nan=False, allow_infinity=False).map(repr),
+              min_size=2, max_size=2)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_text_rows)
+@example(rows=[["1.5", "2"], ["\x1c5", "1"]])   # numpy's loadtxt takes \x1c
+@example(rows=[["1_000", "2"], ["\u0661", "-1"]])  # loadtxt refuses them
+@example(rows=[['"1.5"', "2"], ["", ""], [" "], [], ["3", "4 "]])
+def test_read_csv_numpy_parse_is_float_or_the_cell_loop(tmp_path, rows):
+    """Whichever way a file is parsed, it reads as float() reads its cells:
+    every value bitwise float(cell) when each kept line has two finite
+    cells, else a DataError at the first line that has not."""
+    path = tmp_path / "t.csv"
+    text = "a,b\n" + "".join(",".join(row) + "\n" for row in rows)
+    path.write_text(text)
+    try:
+        got = read_csv_columns(path, ["a", "b"])
+    except DataError as exc:
+        got = exc
+    values, bad = [], None
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if lineno == 1 or not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            parsed = [float(cell) for cell in row]
+        except ValueError:
+            parsed = []
+        if len(row) != 2 or len(parsed) != 2 or \
+                not all(map(math.isfinite, parsed)):
+            bad = lineno
+            break
+        values.append(parsed)
+    if bad is None and values:
+        want = np.array(values).T
+        assert not isinstance(got, Exception), got
+        assert all(got[c].dtype == float and got[c].tobytes() == w.tobytes()
+                   for c, w in zip("ab", want))
+    else:
+        assert isinstance(got, DataError)
+        assert (": line %d: " % bad if bad else ": no data rows") in str(got)
+
+
+def test_read_csv_plain_file_takes_one_numpy_call(tmp_path, monkeypatch):
+    # a plain file never reaches the cell loop's csv reader
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n0.0,2.5e-3\n1e-3,-4.25 \n\n")
+    monkeypatch.setattr(datafiles.csv, "reader", None)
+    cols = read_csv_columns(p, ["a", "b"])
+    assert cols["a"].tolist() == [0.0, 1e-3]
+    assert cols["b"].tolist() == [2.5e-3, -4.25]
 
 
 def test_read_ringdown(tmp_path):

@@ -483,6 +483,46 @@ def test_fused_verify_matches_two_call_reference(cfg, m):
                                   m)[0], Trajectory)
 
 
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("m", [10, 11])
+def test_twin_past_its_last_point_changes_nothing(cfg, m, nan):
+    """A twin at 2h steps on past t_last beside the coarse rows; a failure
+    it would meet there (net gain or nan rates on its n at 2h-grid point
+    m_2h or m_2h + 2, one past its last and after) stops no row and moves
+    no message: every row equals the two-call reference. m = 10 and 11
+    put t_last one coarse step short of t_final and on it."""
+    cavity, t_final = cfg.cavity, 0.022
+    table = _rows_table([cfg.trace_classes()] * 3, cavity)
+    n0 = np.array([5e13, 1e12, 3e11])
+    verify = [True, True, False]
+    m_2h = (m + 1) // 2
+    t_2h = np.linspace(0.0, t_final, m)[2 * (m_2h - 1)]
+    step = np.linspace(0.0, t_2h, m_2h)[1]
+    # the twins' grid carried on at the same step, bit for bit, to a point
+    # past either target, so that a step leaves each target
+    t_on = step * (m_2h + 3)
+    assert np.linspace(0.0, t_on, m_2h + 4)[1] == step
+    on = _evolve(table.take([0, 1]), cavity, n0[:2], t_on, m_2h + 4)
+    targets = [on[0].n[m_2h], on[1].n[m_2h + 2], None]
+    stub = _FailAt(table, targets, cavity.kappa0, nan=nan)
+    # alone on that longer grid, both twins stop after their last point
+    for r in (0, 1):
+        alone, = _evolve(stub.take([r]), cavity, n0[[r]], t_on, m_2h + 4)
+        assert isinstance(alone, SaturationError)
+    got = _table_rates(stub, cavity, n0, t_final, m, verify=verify,
+                       window_margin=1e-6)
+    ref = _two_call_verified(stub, cavity, n0, t_final, m, verify)
+    assert isinstance(got[0], Recorded)
+    assert isinstance(got[1], StepConvergenceError)
+    for a, b in zip(got, ref):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+            assert a.deviation == b.deviation
+            assert a.resolutions == b.resolutions
+        else:
+            assert _same_trajectory(a, b)
+
+
 @pytest.mark.parametrize("start", ["default", "a07"])
 def test_doubling_deviation_is_twice_the_halving_one(cfg, start):
     """The doubling check at 2e-3 refuses every run that a halving check
@@ -568,7 +608,7 @@ def test_lone_row_pass_matches_reference(size):
     assert _matches_reference(traj, ref)
 
 
-def _evolve_peak_bytes(table, n0, m):
+def _evolve_peak_bytes(table, n0, m, twins):
     """Peak traced memory of one _evolve call, over what was traced before
     it, with every warning raised as an error."""
     tracemalloc.start()
@@ -576,7 +616,7 @@ def _evolve_peak_bytes(table, n0, m):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             before = tracemalloc.get_traced_memory()[0]
-            got = _evolve(table, _BATCH_CAV, n0, 0.004, m)
+            got = _evolve(table, _BATCH_CAV, n0, 0.004, m, twins=twins)
             peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -589,19 +629,24 @@ def test_pass_allocates_nothing_and_warns_nothing():
     positional out on np.minimum or np.maximum warns in numpy 2.4): with
     more grid points, _evolve's peak traced memory grows by no more than
     the float64 arrays of one entry per grid point that it keeps, the
-    record among them."""
+    record among them, also with twins at 2h beside the rows."""
     table = ClassTable(*class_arrays([_classes(7), _classes(7)[::-1],
                                       _classes(7, 0.2)]), _BATCH_CAV.omega0,
                        _BATCH_CAV.temperature)
-    n0, m = [1e12, 3e10, 5e13], (600, 1800)
-    rows = len(n0)
-    # per grid point: the record, each row's n and the grid. A leak of one
-    # object per pass (24 bytes or more) outgrows the 4 kB of slack.
-    per_point = 8 * (_RECORDED * rows + rows + 1)
-    grown = _evolve_peak_bytes(table, n0, m[1]) \
-        - _evolve_peak_bytes(table, n0, m[0])
-    allowed = (m[1] - m[0]) * per_point + 4096
-    assert grown <= allowed, (grown, allowed)
+    m, rows = (600, 1800), 3
+    for twins in (0, 2):
+        # rows 0 to 2, then the twins of rows 0 and 2
+        cols = [0, 1, 2, 0, 2][:3 + twins]
+        n0 = np.array([1e12, 3e10, 5e13])[cols]
+        # per grid point: the record, each row's n and the grid, and per
+        # twin point (one per two grid points) each twin's n twice and its
+        # grid. A leak of one object per pass (24 bytes or more) outgrows
+        # the 4 kB of slack.
+        per_point = 8 * (_RECORDED * rows + rows + 1) + 4 * (2 * twins + 1)
+        grown = _evolve_peak_bytes(table.take(cols), n0, m[1], twins) \
+            - _evolve_peak_bytes(table.take(cols), n0, m[0], twins)
+        allowed = (m[1] - m[0]) * per_point + 4096
+        assert grown <= allowed, (twins, grown, allowed)
 
 
 class _ClampAt(_FailAt):

@@ -687,9 +687,8 @@ def test_temperature_fit_curves_are_the_models_at_the_fit(
     assert np.array_equal(mq, q_int_temperature(t_q, best, classes, cavity))
 
 
-def _two_trace_fit(cfg, cavity, gain_stop):
-    """a07's problem cut to two traces (5e13 and 1.6e12 photons) at
-    m = 250: (result, dynamics._evolve calls) with _GAIN_STOP pinned."""
+def _two_traces(cfg, cavity):
+    """a07's problem cut to two traces, 5e13 and 1.6e12 photons."""
     t_data = np.linspace(0.0, 0.022, 301)
     rng = np.random.default_rng(2)
     traces = []
@@ -699,6 +698,16 @@ def _two_trace_fit(cfg, cavity, gain_stop):
         n = np.exp(np.interp(t_data, traj.times, np.log(traj.n)))
         n[1:] *= 1.0 + 0.01 * rng.standard_normal(len(t_data) - 1)
         traces.append((t_data, n))
+    return traces
+
+
+_TWO_TRACE_START = {"t2_star": 2.5e-7, "beta": 3.0, "epsilon_s": 0.3}
+
+
+def _two_trace_fit(cfg, cavity, gain_stop):
+    """The two-trace fit at m = 250: (result, dynamics._evolve calls) with
+    _GAIN_STOP pinned."""
+    traces = _two_traces(cfg, cavity)
     calls = [0]
     evolve = fitting.dynamics._evolve
 
@@ -709,10 +718,9 @@ def _two_trace_fit(cfg, cavity, gain_stop):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fitting, "_GAIN_STOP", gain_stop)
         patch.setattr(fitting.dynamics, "_evolve", counted)
-        res = joint_tls_fit(
-            traces, shared={"t2_star": 2.5e-7, "beta": 3.0,
-                            "epsilon_s": 0.3},
-            per_trace=[1e8, 1e8], cavity=cavity, m_steps=250)
+        res = joint_tls_fit(traces, shared=_TWO_TRACE_START,
+                            per_trace=[1e8, 1e8], cavity=cavity,
+                            m_steps=250)
     return res, calls[0]
 
 
@@ -727,6 +735,40 @@ def test_joint_fit_closing_trial_saves_evolutions(cfg, cavity):
     assert evolutions <= old_evolutions
     assert np.all(np.abs(res.values - old.values) <= 0.01 * old.sigma)
     assert res.chi2_reduced <= old.chi2_reduced + 1e-6
+
+
+def test_joint_fit_start_check_rides_in_the_first_loop(cfg, cavity,
+                                                       monkeypatch):
+    """The step check at the start point is one more column of the first
+    lockstep loop: that loop makes one _evolve call, with trace 0's twin
+    at 2h beside the point's and the Jacobian's rows."""
+    calls = []
+    evolve, evolve_table = fitting.dynamics._evolve, \
+        fitting.dynamics.evolve_table
+
+    class FirstLoopDone(Exception):
+        pass
+
+    def logged(table, cavity, n0, *args):
+        calls.append((len(n0), args[-1]))
+        return evolve(table, cavity, n0, *args)
+
+    def first_loop(table, cavity, n0, *args, verify, **kwargs):
+        got = evolve_table(table, cavity, n0, *args, verify=verify,
+                           **kwargs)
+        raise FirstLoopDone(len(n0), list(verify), got)
+
+    traces = _two_traces(cfg, cavity)
+    monkeypatch.setattr(fitting.dynamics, "_evolve", logged)
+    monkeypatch.setattr(fitting.dynamics, "evolve_table", first_loop)
+    with pytest.raises(FirstLoopDone) as done:
+        joint_tls_fit(traces, shared=_TWO_TRACE_START,
+                      per_trace=[1e8, 1e8], cavity=cavity, m_steps=250)
+    rows, verify, got = done.value.args
+    # the point and the Jacobian: 2 + 3 * 2 + 2 rows, trace 0 verified
+    assert rows == 10 and verify == [True] + [False] * 9
+    assert calls == [(rows + 1, 1)]
+    assert not any(isinstance(traj, Exception) for traj in got)
 
 
 def test_temperature_fit_closing_trial_saves_evaluations(
