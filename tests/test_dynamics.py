@@ -642,7 +642,8 @@ def test_pass_allocates_nothing_and_warns_nothing():
         # twin point (one per two grid points) each twin's n twice and its
         # grid. A leak of one object per pass (24 bytes or more) outgrows
         # the 4 kB of slack.
-        per_point = 8 * (_RECORDED * rows + rows + 1) + 4 * (2 * twins + 1)
+        per_point = 8 * (_RECORDED * rows + rows + 1) \
+            + (4 * (2 * twins + 1) if twins else 0)
         grown = _evolve_peak_bytes(table.take(cols), n0, m[1], twins) \
             - _evolve_peak_bytes(table.take(cols), n0, m[0], twins)
         allowed = (m[1] - m[0]) * per_point + 4096
