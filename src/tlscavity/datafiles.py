@@ -38,57 +38,62 @@ def read_csv_columns(path, columns):
     characters only, is parsed in one numpy call; on those characters
     numpy parses a cell as float() does. A file that call refuses, or
     reads as no row, a non-finite value or a wrong field count, is read
-    again cell by cell with float(), which names the offending line."""
+    again cell by cell with float(), which names the offending line. A
+    file that is not UTF-8 is refused with the line of its first bad
+    byte."""
     try:
-        handle = open(path, newline="")
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise DataError("cannot open %s: %s" % (path, exc)) from exc
-    with handle:
-        try:
-            text = handle.read()
-        except ValueError:          # not text: the cell loop says where
-            text = ""
-        head, _, body = text.partition("\n")
-        if head == ",".join(columns) and body.isascii() and \
-                not body.encode().translate(None, _PLAIN_BODY):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body warns
-                try:
-                    table = np.loadtxt(io.StringIO(body), delimiter=",",
-                                       comments=None, ndmin=2)
-                except ValueError:
-                    table = np.empty((0, 0))
-            if len(table) and table.shape[1] == len(columns) and \
-                    np.isfinite(table).all():
-                return dict(zip(columns, table.T.copy()))
-        handle.seek(0)
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("%s: empty file" % path) from None
-        header = [h.strip() for h in header]
-        if header != list(columns):
-            raise DataError("%s: line 1: expected header %s, found %s"
-                            % (path, ",".join(columns), ",".join(header)))
-        data = {c: [] for c in columns}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(columns):
-                raise DataError("%s: line %d: expected %d fields, found %d"
-                                % (path, lineno, len(columns), len(row)))
-            for col, cell in zip(columns, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        "%s: line %d: cannot parse %r as a number in "
-                        "column %s" % (path, lineno, cell, col)) from None
-                if not math.isfinite(value):
-                    raise DataError("%s: line %d: %r in column %s"
-                                    % (path, lineno, value, col))
-                data[col].append(value)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines up to the bad byte, which is no line break itself
+        raise DataError("%s: line %d: not UTF-8 text (byte 0x%02x)"
+                        % (path, len(raw[:exc.start + 1].splitlines()),
+                           raw[exc.start])) from None
+    head, _, body = text.partition("\n")
+    if head == ",".join(columns) and body.isascii() and \
+            not body.encode().translate(None, _PLAIN_BODY):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body warns
+            try:
+                table = np.loadtxt(io.StringIO(body), delimiter=",",
+                                   comments=None, ndmin=2)
+            except ValueError:
+                table = np.empty((0, 0))
+        if len(table) and table.shape[1] == len(columns) and \
+                np.isfinite(table).all():
+            return dict(zip(columns, table.T.copy()))
+    # newline="": the lines the file gave when read as text
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("%s: empty file" % path) from None
+    header = [h.strip() for h in header]
+    if header != list(columns):
+        raise DataError("%s: line 1: expected header %s, found %s"
+                        % (path, ",".join(columns), ",".join(header)))
+    data = {c: [] for c in columns}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(columns):
+            raise DataError("%s: line %d: expected %d fields, found %d"
+                            % (path, lineno, len(columns), len(row)))
+        for col, cell in zip(columns, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    "%s: line %d: cannot parse %r as a number in "
+                    "column %s" % (path, lineno, cell, col)) from None
+            if not math.isfinite(value):
+                raise DataError("%s: line %d: %r in column %s"
+                                % (path, lineno, value, col))
+            data[col].append(value)
     if not data[columns[0]]:
         raise DataError("%s: no data rows" % path)
     return {c: np.array(v, dtype=float) for c, v in data.items()}

@@ -379,7 +379,11 @@ def minimize(problem):
 def _predicted_gain(hess, grad, diag):
     """Gauss-Newton predicted chi^2 gain g^T H^-1 g from a Cholesky factor
     of H scaled by diag to a unit diagonal; None where that matrix is not
-    positive definite to _GAIN_MIN_PIVOT."""
+    positive definite to _GAIN_MIN_PIVOT.
+
+    The factor's triangular solve is numpy's general solve, which does not
+    load scipy.linalg; it only feeds the gain <= _GAIN_STOP chi^2/dof test,
+    not the fit's step or result."""
     scale = 1.0 / np.sqrt(diag)
     try:
         chol = np.linalg.cholesky(hess * np.outer(scale, scale))
@@ -387,8 +391,7 @@ def _predicted_gain(hess, grad, diag):
         return None
     if np.min(np.diag(chol)) ** 2 < _GAIN_MIN_PIVOT:
         return None
-    import scipy.linalg  # only fits load it, not every command
-    half = scipy.linalg.solve_triangular(chol, scale * grad, lower=True)
+    half = np.linalg.solve(chol, scale * grad)
     gain = float(half @ half)
     return gain if math.isfinite(gain) else None
 

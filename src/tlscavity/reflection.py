@@ -243,6 +243,75 @@ def _delay_costs(freqs, s11, taus):
     return np.concatenate(costs)
 
 
+def _bounded_brent(func, lower, upper, xatol):
+    """Minimum of func on the finite [lower, upper], lower <= upper, by
+    Brent's bounded search: parabolic steps with a golden-section fallback,
+    at most 500 evaluations.
+
+    Step for step scipy 1.17.1's minimize_scalar(method="bounded"), its
+    constants and its NaN and zero handling of np.sign and np.maximum
+    included, so the points evaluated and the result are scipy's bits.
+    Ported because loading scipy.optimize costs a cold command more than
+    the whole circle fit."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lower, upper
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = func(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + (xm - xf == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def _refine_delay(freqs, s11, tau0, width):
     """Minimize the circle residual over the cable delay, to 1e-12 in the
     inverse unit of freqs.
@@ -251,20 +320,18 @@ def _refine_delay(freqs, s11, tau0, width):
     whenever the resonance loop encloses the origin, and the residual is
     periodic in the delay on that same scale, so a local search alone can
     lock onto the wrong turn. Scan coarsely across several turns first,
-    then refine the winning bracket with scipy's bounded Brent search.
+    then refine the winning bracket with a bounded Brent search
+    (_bounded_brent, scipy's bits without loading scipy.optimize).
     """
-    import scipy.optimize  # imported where used: it slows every start
     taus = tau0 + np.linspace(-width, width, _SCAN_POINTS)
     step = float(taus[1] - taus[0])
     best = float(taus[np.argmin(_delay_costs(freqs, s11, taus))])
     turn = 2j * math.pi * freqs
     # squared: the ratio has a cusp at the minimum of a noise-free sweep,
     # its square a parabola
-    res = scipy.optimize.minimize_scalar(
+    return float(_bounded_brent(
         lambda tau: float(_circle_cost(s11 * np.exp(turn * tau))) ** 2,
-        bounds=(best - step, best + step), method="bounded",
-        options={"xatol": 1e-12})
-    return float(res.x)
+        best - step, best + step, 1e-12))
 
 
 _NO_CIRCLE = ("sweep does not trace a circle (all points coincide or its "

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import tlscavity
-from tlscavity import circle_fit, datafiles, dynamics, fitting, minimize
+from tlscavity import datafiles, dynamics, fitting, minimize
 from tlscavity.cli import main
 from tlscavity.config import RunConfig
 from tlscavity.dynamics import evolve_ringdown
@@ -436,6 +435,21 @@ def test_exit_code_nan_in_trace(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, where", [
+    (np.random.default_rng(5).bytes(20000), "line 2: not UTF-8 text "
+     "(byte 0xa8)"),
+    (b"0.0,1e12\n\xe9\n", "line 3: not UTF-8 text (byte 0xe9)")])
+def test_exit_code_trace_not_utf8(tmp_path, capsys, body, where):
+    # a header and then random bytes, or one latin-1 byte on line 3: one
+    # data error line naming the file and the line (once a
+    # UnicodeDecodeError traceback, exit 1)
+    src = tmp_path / "trace.csv"
+    src.write_bytes(b"time_s,n\n" + body)
+    assert run(["fit", "ringdown", "--out", tmp_path / "x", src]) == 3
+    assert capsys.readouterr().err == "tlscavity: data error: %s: %s\n" % (
+        src, where)
+
+
 @pytest.mark.parametrize("alone", [True, False])
 def test_exit_code_trace_without_rows_after_reference(tmp_path, capsys,
                                                       alone):
@@ -733,10 +747,9 @@ def test_fit_json_writes_infinite_sigma_as_null(tmp_path):
 _COLD_PROBED = ("scipy.integrate", "scipy.optimize", "scipy.linalg",
                 "scipy.sparse", "scipy.spatial", "scipy.special")
 
-# run by a fresh interpreter after the sources of _wall_problem,
-# _circle_sweep and _circle_bits; prints the probed packages loaded after
-# each stage, and the result of the call site that first imports
-# scipy.optimize
+# run by a fresh interpreter after the source of _wall_problem; prints the
+# exit codes, the probed packages loaded after each stage, and the result of
+# the one call site that imports scipy.optimize
 _COLD_RUN = """
 import json, sys
 from tlscavity.cli import main
@@ -745,78 +758,62 @@ def loaded():
     return [name for name in PROBED if name in sys.modules]
 
 out = {"import": loaded()}
-import dataclasses
 import numpy as np
-from tlscavity import FitParameter, FitProblem, circle_fit, minimize, s11_model
-if sys.argv[1] == "cli":
-    work, tiny = sys.argv[2:]
-    try:
-        main(["--version"])
-    except SystemExit as exc:
-        out["codes"] = [exc.code]
-    out["codes"].append(
-        main(["simulate", "ringup", "--seed", "3", "--out", work + "/ru"]))
-    out["ringup"] = loaded()
-    out["codes"] += [
-        main(["distribution", "--out", work + "/dist"]),
-        main(["simulate", "ringdown", "--config", tiny, "--seed", "3",
-              "--out", work + "/sim"])]
-    out["simulate"] = loaded()
-    out["codes"].append(main(["fit", "ringup", "--out", work + "/fit",
-                              work + "/ru/ringup.csv"]))
-    out["fit ringup"] = loaded()
-    with np.errstate(invalid="ignore"):
-        out["result"] = minimize(_wall_problem()).to_json()
-else:
-    out["result"] = _circle_bits(circle_fit(*_circle_sweep(401)))
+from tlscavity import FitParameter, FitProblem, minimize
+work, tiny, sweep = sys.argv[1:]
+try:
+    main(["--version"])
+except SystemExit as exc:
+    out["codes"] = [exc.code]
+out["codes"].append(
+    main(["simulate", "ringup", "--seed", "3", "--out", work + "/ru"]))
+out["ringup"] = loaded()
+out["codes"] += [
+    main(["distribution", "--out", work + "/dist"]),
+    main(["simulate", "ringdown", "--config", tiny, "--seed", "3",
+          "--out", work + "/sim"])]
+out["simulate"] = loaded()
+out["codes"] += [
+    main(["fit", "ringup", "--out", work + "/fit", work + "/ru/ringup.csv"]),
+    main(["fit", "circle", "--out", work + "/circle", sweep])]
+out["fits"] = loaded()
+with np.errstate(invalid="ignore"):
+    out["result"] = minimize(_wall_problem()).to_json()
 out["after"] = loaded()
 print(json.dumps(out))
 """
 
 
-def _circle_bits(res):
-    """A circle fit's fields and model curve, bit for bit, as text."""
-    return ([repr(getattr(res, f.name)) for f in dataclasses.fields(res)
-             if f.name != "curves"] + [res.curves[0][2].tobytes().hex()])
-
-
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     """A fresh import of the CLI loads no probed scipy package; --version
     and simulate ringup, which call no special function, load none either;
-    commands that never fit load neither scipy.optimize nor scipy.linalg,
-    and an LM fit only scipy.linalg. The two call sites that import scipy.optimize,
-    the Nelder-Mead fallback and the delay refine, each run in a process
-    that has not loaded it and match the in-process results bit for bit."""
+    no command loads scipy.optimize or scipy.linalg, the fits fit ringup and
+    fit circle included. The one call site that imports scipy.optimize, the
+    Nelder-Mead fallback, runs in a process that has not loaded it and
+    matches the in-process result bit for bit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         tlscavity.__file__)))
-    script = "\n".join(["PROBED = %r" % (_COLD_PROBED,)]
-                       + [inspect.getsource(fn) for fn in (
-                           _wall_problem, _circle_sweep, _circle_bits)]
-                       + [_COLD_RUN])
+    script = "\n".join(["PROBED = %r" % (_COLD_PROBED,),
+                        inspect.getsource(_wall_problem), _COLD_RUN])
     tiny = tmp_path / "tiny.yaml"
     tiny.write_text(TINY_RINGDOWN)
-
-    def cold(*argv):
-        proc = subprocess.run([sys.executable, "-c", script, *argv],
-                              capture_output=True, text=True, check=True,
-                              env=dict(os.environ, PYTHONPATH=src))
-        return json.loads(proc.stdout.splitlines()[-1])
-
-    fits = cold("cli", str(tmp_path), str(tiny))
-    assert fits["codes"] == [0, 0, 0, 0, 0]
-    assert fits["import"] == fits["ringup"] == []
-    assert fits["simulate"] == ["scipy.special"]
-    assert fits["fit ringup"] == ["scipy.linalg", "scipy.special"]
-    assert "scipy.optimize" in fits["after"]
+    # a11's sweep with 1e-2 noise: the delay refine takes parabolic and
+    # golden-section steps
+    sweep = write_sweep(tmp_path / "s11.csv",
+                        *_circle_sweep(201, noise=1e-2, seed=1))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), str(tiny), str(sweep)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    cold = json.loads(proc.stdout.splitlines()[-1])
+    assert cold["codes"] == [0, 0, 0, 0, 0, 0]
+    assert cold["import"] == cold["ringup"] == []
+    assert cold["simulate"] == cold["fits"] == ["scipy.special"]
+    assert "scipy.optimize" in cold["after"]
     with np.errstate(invalid="ignore"):
         wall = minimize(_wall_problem())
     assert wall.method == "lm+simplex"
-    assert fits["result"] == wall.to_json()
-
-    circle = cold("circle")
-    assert circle["import"] == []
-    assert "scipy.optimize" in circle["after"]
-    assert circle["result"] == _circle_bits(circle_fit(*_circle_sweep(401)))
+    assert cold["result"] == wall.to_json()
 
 
 @pytest.mark.parametrize("setting", ["g_min: 1.0", "epsilon_s: 2000.0"])

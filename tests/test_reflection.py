@@ -1,7 +1,12 @@
+import contextlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from tlscavity import (DataError, ReflectionParams, UnidentifiableError,
@@ -293,3 +298,89 @@ def test_phase_fit_is_one_short_fit(name, monkeypatch):
     if "noise" in name:
         assert res.q_int == pytest.approx(5.3e8, rel=0.01)
         assert res.q_c == pytest.approx(1e8, rel=0.01)
+
+
+def _bounded_runs(func, lower, upper, xatol):
+    """scipy's bounded search and reflection's port of it on func: for each,
+    the result and the points evaluated, as float.hex; and the kinds of
+    step scipy printed."""
+    import scipy.optimize  # the reference only this test loads
+    runs, printed = [], io.StringIO()
+
+    def search(minimum):
+        points = []
+
+        def logged(x):
+            points.append(float(x).hex())
+            return func(x)
+
+        runs.append((float(minimum(logged)).hex(), points))
+
+    with warnings.catch_warnings():
+        # scipy's NaN and evaluation-cap notes; overflow at 1e300, both sides
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(printed):
+            search(lambda fn: scipy.optimize.minimize_scalar(
+                fn, bounds=(lower, upper), method="bounded",
+                options={"xatol": xatol, "disp": 3}).x)
+        search(lambda fn: reflection._bounded_brent(fn, lower, upper, xatol))
+    steps = [line.split()[-1] for line in printed.getvalue().splitlines()
+             if line.endswith(("parabolic", "golden"))]
+    return runs, steps
+
+
+def test_bounded_brent_is_scipys_on_the_delay_cost(monkeypatch):
+    # circle_fit's delay refine on a11's sweep, noise-free and noisy, at
+    # 201 and 401 points: scipy's evaluation points and result, bit for
+    # bit, through parabolic and golden-section steps alike
+    searches = []
+    port = reflection._bounded_brent
+
+    def recorded(func, lower, upper, xatol):
+        searches.append((func, lower, upper, xatol))
+        return port(func, lower, upper, xatol)
+
+    monkeypatch.setattr(reflection, "_bounded_brent", recorded)
+    for n_points in (201, 401):
+        for noise in (0.0, 1e-3, 3e-3, 1e-2):
+            circle_fit(*_circle_sweep(n_points, noise=noise, seed=1))
+    monkeypatch.undo()
+    assert len(searches) == 8
+    kinds = set()
+    for search in searches:
+        (scipy_run, port_run), steps = _bounded_runs(*search)
+        assert port_run == scipy_run
+        kinds.update(steps)
+    assert kinds == {"parabolic", "golden"}
+
+
+@pytest.mark.parametrize("func, lower, upper, xatol", [
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-5),        # parabola
+    (lambda x: abs(x - 0.3), -1.0, 2.0, 1e-5),          # cusp
+    (lambda x: 1.0, -1.0, 2.0, 1e-5),                   # constant
+    (lambda x: math.floor(x / 0.125), 0.0, 1.0, 1e-5),  # staircase: ties
+    (lambda x: x, 0.0, 1.0, 1e-5),                      # minimum at lower
+    (lambda x: -x, 0.0, 1.0, 1e-5),                     # minimum at upper
+    (lambda x: 2.0, 0.5, 0.5, 1e-5),                    # empty bracket
+    (lambda x: math.nan, 0.0, 1.0, 1e-5),               # NaN everywhere
+    (lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2, 0.0, 1.0, 1e-8),
+    (lambda x: math.sin(1e7 * x), 0.0, 1.0, 0.0),       # rough, xatol 0
+    (abs, -1e300, 3e299, 1e-300),                       # all 500 evaluations
+])
+def test_bounded_brent_is_scipys_on_synthetic_functions(func, lower, upper,
+                                                         xatol):
+    (scipy_run, port_run), _ = _bounded_runs(func, lower, upper, xatol)
+    assert port_run == scipy_run
+    if upper == 3e299:
+        assert len(port_run[1]) == 500
+
+
+@settings(max_examples=150, deadline=None)
+@given(lower=hst.floats(-10.0, 10.0), width=hst.floats(0.0, 10.0),
+       centre=hst.floats(-12.0, 22.0), power=hst.sampled_from([0.5, 1, 2, 3]),
+       xatol=hst.floats(1e-14, 1.0))
+def test_bounded_brent_is_scipys_on_hypothesis_draws(lower, width, centre,
+                                                      power, xatol):
+    (scipy_run, port_run), _ = _bounded_runs(
+        lambda x: abs(x - centre) ** power, lower, lower + width, xatol)
+    assert port_run == scipy_run
