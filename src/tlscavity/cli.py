@@ -26,7 +26,7 @@ from . import (__version__, datafiles, dynamics, mattis_bardeen, reflection,
                tls_bath)
 from .config import load_config
 from .core import t2_star
-from .datafiles import cells, json_text, write_csv
+from .datafiles import cells, json_text, write_csv, write_text
 from .distribution import (counts_between, dipole_in_e_angstrom,
                            loss_tangent, per_ghz_um3, tls_volume_density,
                            write_distribution_csv)
@@ -40,53 +40,46 @@ from .reflection import ReflectionParams, circle_fit, fit_ringup
 
 
 def _sha256(path):
-    digest = hashlib.sha256()
+    """The SHA-256 digest of an input file."""
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_text(out, name, text):
-    with open(os.path.join(out, name), "w") as handle:
-        handle.write(text + "\n")
-    return name
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _write_json(out, name, payload):
-    return _write_text(out, name, json_text(payload, indent=2,
-                                            sort_keys=True))
+    return write_text(os.path.join(out, name),
+                      json_text(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_gnuplot(out, name, lines):
-    return _write_text(out, name, "\n".join(
-        ["set datafile separator \",\""] + lines))
+    return write_text(os.path.join(out, name), "\n".join(
+        ["set datafile separator \",\""] + lines) + "\n")
 
 
 def _write_fit(args, out, fit_json, curves, files, result):
     """Write fit_<command>.json and, for each (x, data, model) curve, the
-    residual CSV its entry of files names as (name, header); the exit code,
-    4 with one stderr line when result did not converge."""
-    outputs = [_write_text(out, "fit_%s.json" % args.subcommand, fit_json)]
+    residual CSV its entry of files names as (name, header); the outputs
+    and exit code, 4 with one stderr line where result did not converge."""
+    name = "fit_%s.json" % args.subcommand
+    outputs = {name: write_text(os.path.join(out, name), fit_json + "\n")}
     for (name, header), (x, data, model) in zip(files, curves):
         if np.iscomplexobj(data):
             columns = (x, data.real, data.imag, model.real, model.imag)
         else:
             columns = (x, data, model, data - model)
-        write_csv(os.path.join(out, name), header, map(cells, columns))
-        outputs.append(name)
+        outputs[name] = write_csv(os.path.join(out, name), header,
+                                  map(cells, columns))
     if result.converged:
-        return dict.fromkeys(outputs), 0
+        return outputs, 0
     print("tlscavity: fit %s did not converge (method %s); best point "
           "written" % (args.subcommand, result.method), file=sys.stderr)
-    return dict.fromkeys(outputs), 4
+    return outputs, 4
 
 
 def _run(args):
     """Load the config, create the out dir, run the command and write
-    manifest.json; the command's exit code. A command returns its outputs
-    as a dict from each name to the SHA-256 its writer took of its bytes,
-    or to None where _run hashes the file itself."""
+    manifest.json; the command's exit code. A command returns a dict from
+    each output's name to the SHA-256 digest write_text took of the bytes
+    it wrote, so no output is read back: _run hashes only the inputs."""
     cfg = load_config(args.config)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -100,8 +93,7 @@ def _run(args):
         "config_file": args.config,
         "config": cfg.as_dict(),
         "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {name: outputs[name] or _sha256(os.path.join(out, name))
-                    for name in sorted(outputs)},
+        "outputs": outputs,
         "versions": {"tlscavity": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "pyyaml": yaml.__version__},
         "dispatch": _dispatch_targets(),
@@ -191,7 +183,7 @@ def cmd_simulate_ringdown(args, cfg, out):
             tail = ", \\" if idx < len(powers) else ""
             lines.append("  \"ringdown_%02d.csv\" using 1:3 with lines "
                          "title \"trace %d\"%s" % (idx, idx, tail))
-        outputs[_write_gnuplot(out, "ringdown.gp", lines)] = None
+        outputs["ringdown.gp"] = _write_gnuplot(out, "ringdown.gp", lines)
     return outputs, 0
 
 
@@ -205,14 +197,14 @@ def cmd_simulate_ringup(args, cfg, out):
     if rng is not None and cfg.noise_level > 0:
         noise = 1.0 + cfg.noise_level * rng.standard_normal(len(power))
         power = power * np.maximum(noise, 1e-6)
-    write_csv(os.path.join(out, "ringup.csv"), "time_s,power_w",
-              map(cells, (times, power)))
-    outputs = ["ringup.csv"]
+    outputs = {"ringup.csv": write_csv(os.path.join(out, "ringup.csv"),
+                                       "time_s,power_w",
+                                       map(cells, (times, power)))}
     if args.gnuplot:
-        outputs.append(_write_gnuplot(out, "ringup.gp", [
+        outputs["ringup.gp"] = _write_gnuplot(out, "ringup.gp", [
             "set logscale y",
-            "plot \"ringup.csv\" using 1:2 with lines title \"P_r(t)\""]))
-    return dict.fromkeys(outputs), 0
+            "plot \"ringup.csv\" using 1:2 with lines title \"P_r(t)\""])
+    return outputs, 0
 
 
 def cmd_simulate_temperature(args, cfg, out):
@@ -222,8 +214,8 @@ def cmd_simulate_temperature(args, cfg, out):
     classes = cfg.sweep_classes()
     table = mattis_bardeen.temperature_sweep(temps, cfg.superconductor,
                                              classes, cfg.cavity)
-    mattis_bardeen.write_sweep_csv(table, os.path.join(out, "sweep.csv"))
-    outputs = ["sweep.csv"]
+    outputs = {"sweep.csv": mattis_bardeen.write_sweep_csv(
+        table, os.path.join(out, "sweep.csv"))}
 
     def noisy(values):
         if rng is None or cfg.noise_level == 0:
@@ -233,24 +225,22 @@ def cmd_simulate_temperature(args, cfg, out):
         return values + cfg.noise_level * np.abs(values) * noise \
             + floor * rng.standard_normal(len(values))
 
-    write_csv(os.path.join(out, "freq_trace.csv"),
-              "temperature_K,freq_shift",
-              map(cells, (temps, noisy(table["freq_shift"]))))
-    outputs.append("freq_trace.csv")
-    write_csv(os.path.join(out, "q_trace.csv"), "temperature_K,q_int",
-              map(cells, (temps, noisy(table["q_int"]))))
-    outputs.append("q_trace.csv")
+    for name, column in (("freq_trace.csv", "freq_shift"),
+                         ("q_trace.csv", "q_int")):
+        outputs[name] = write_csv(os.path.join(out, name),
+                                  "temperature_K," + column,
+                                  map(cells, (temps, noisy(table[column]))))
     if args.gnuplot:
-        outputs.append(_write_gnuplot(out, "sweep.gp", [
+        outputs["sweep.gp"] = _write_gnuplot(out, "sweep.gp", [
             "set logscale y",
-            "plot \"sweep.csv\" using 1:8 with lines title \"Q_int(T)\""]))
-    return dict.fromkeys(outputs), 0
+            "plot \"sweep.csv\" using 1:8 with lines title \"Q_int(T)\""])
+    return outputs, 0
 
 
 def cmd_distribution(args, cfg, out):
     classes = cfg.trace_classes()
-    write_distribution_csv(classes, os.path.join(out, "classes.csv"))
-    outputs = ["classes.csv"]
+    outputs = {"classes.csv": write_distribution_csv(
+        classes, os.path.join(out, "classes.csv"))}
 
     dist = cfg.distribution
     integral = float(counts_between(dist, (dist.g_min, dist.g_max))[0])
@@ -279,12 +269,12 @@ def cmd_distribution(args, cfg, out):
         "loss_tangent": tan_d,
         "volume_density_per_ghz_um3": per_ghz_um3(density),
     }
-    outputs.append(_write_json(out, "report.json", report))
+    outputs["report.json"] = _write_json(out, "report.json", report)
     if args.gnuplot:
-        outputs.append(_write_gnuplot(out, "distribution.gp", [
+        outputs["distribution.gp"] = _write_gnuplot(out, "distribution.gp", [
             "set logscale xy",
-            "plot \"classes.csv\" using 1:2 with points title \"N_i(g)\""]))
-    return dict.fromkeys(outputs), 0
+            "plot \"classes.csv\" using 1:2 with points title \"N_i(g)\""])
+    return outputs, 0
 
 
 def cmd_fit_ringdown(args, cfg, out):

@@ -1,11 +1,11 @@
-"""CSV readers for the measured-data inputs, the one CSV and JSON writers,
-and the runner that writes a command's files on every usable CPU while
-the command's checks still run.
+"""CSV readers for the measured-data inputs, write_text, the one writer of
+an output file, and the runner that writes a command's files on every
+usable CPU while the command's checks still run.
 
 All parse failures raise DataError with the offending line number.
 """
 
-import contextlib
+import codecs
 import csv
 import hashlib
 import io
@@ -38,14 +38,16 @@ def read_csv_columns(path, columns):
     characters only, is parsed in one numpy call; on those characters
     numpy parses a cell as float() does. A file that call refuses, or
     reads as no row, a non-finite value or a wrong field count, is read
-    again cell by cell with float(), which names the offending line. A
-    file that is not UTF-8 is refused with the line of its first bad
-    byte."""
+    again cell by cell with float(), which names the offending line, as
+    does a line csv refuses. A file that is not UTF-8 (after a leading
+    byte-order mark) is refused with the line of its first bad byte."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise DataError("cannot open %s: %s" % (path, exc)) from exc
+    # not decoded as utf-8-sig, whose error offsets leave the mark out
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -69,15 +71,18 @@ def read_csv_columns(path, columns):
     # newline="": the lines the file gave when read as text
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("%s: empty file" % path) from None
-    header = [h.strip() for h in header]
+        rows = list(reader)
+    except csv.Error as exc:  # a field over its size limit, a NUL byte
+        raise DataError("%s: line %d: %s"
+                        % (path, reader.line_num, exc)) from None
+    if not rows:
+        raise DataError("%s: empty file" % path)
+    header = [h.strip() for h in rows[0]]
     if header != list(columns):
         raise DataError("%s: line 1: expected header %s, found %s"
                         % (path, ",".join(columns), ",".join(header)))
     data = {c: [] for c in columns}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(columns):
@@ -152,15 +157,25 @@ def cells(values):
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def write_csv(path, header, columns):
+def write_csv(target, header, columns):
     """Write a header line (none where header is None), then one line per
     row of the columns, each column a list of cells() (all of one length),
-    to path: a file name, or an open text stream."""
-    with (contextlib.nullcontext(path) if hasattr(path, "write")
-          else open(path, "w", newline="")) as handle:
-        if header is not None:
-            handle.write(header + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*columns))
+    to target: an open text stream, or a path, which write_text writes;
+    for a path, the SHA-256 digest write_text returns."""
+    text = "" if header is None else header + "\n"
+    text += "".join(",".join(row) + "\n" for row in zip(*columns))
+    if not hasattr(target, "write"):
+        return write_text(target, text)
+    target.write(text)
+
+
+def write_text(path, text):
+    """Write text to path as UTF-8, the one way the package writes an
+    output file; the hex SHA-256 digest of the bytes written."""
+    data = text.encode()
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # Python >= 3.12 gives this DeprecationWarning from os.fork in a process
@@ -232,7 +247,7 @@ def write_files(paths, shape, plan, run):
         record = np.empty(shape)
         writers = plan(record)
         run(record, lambda done: None)
-        return [_write_whole(path, writer, len(record)).hex()
+        return [_write_whole(path, writer, len(record))
                 for path, writer in zip(paths, writers)]
     record = np.ndarray(shape, buffer=mmap.mmap(
         -1, max(math.prod(shape), 1) * np.dtype(float).itemsize))
@@ -285,7 +300,7 @@ def write_files(paths, shape, plan, run):
         if not told:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
-        theirs = dict(_DIGEST.iter_unpack(_read_all(sums)))
+        theirs = {i: d.hex() for i, d in _DIGEST.iter_unpack(_read_all(sums))}
         os.close(sums)
         failed = [pid for pid in children if not _exited_ok(pid)]
     if failed:
@@ -293,7 +308,7 @@ def write_files(paths, shape, plan, run):
             if i not in digests:
                 digests[i] = _write_whole(paths[i], writers[i], len(record))
     digests = theirs | digests
-    return [digests[i].hex() for i in range(count)]
+    return [digests[i] for i in range(count)]
 
 
 def _claim_queue(count):
@@ -329,20 +344,12 @@ def _read_all(fd):
     return b"".join(chunks)
 
 
-def _put(path, text):
-    """Write text to path; the SHA-256 digest of the bytes written."""
-    data = text.encode()
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return hashlib.sha256(data).digest()
-
-
 def _write_whole(path, writer, rows):
-    """Write a file's every row to path; the SHA-256 digest of its
+    """Write a file's every row to path; the hex SHA-256 digest of its
     bytes."""
     text = io.StringIO()
     writer(text, slice(0, rows))
-    return _put(path, text.getvalue())
+    return write_text(path, text.getvalue())
 
 
 def _child(paths, writers, rows, queue, word, sent):
@@ -380,14 +387,14 @@ def _child(paths, writers, rows, queue, word, sent):
                 held[i], idle = [io.StringIO(), 0], False
             fresh = False
     for i, (text, _) in held.items():
-        _send(sent, i, _put(paths[i], text.getvalue()))
+        _send(sent, i, write_text(paths[i], text.getvalue()))
     for i in _claims(queue):
         _send(sent, i, _write_whole(paths[i], writers[i], rows))
 
 
 def _send(sent, i, digest):
-    """Tell the parent, on the pipe sent, that file i has this digest."""
-    os.write(sent, _DIGEST.pack(i, digest))
+    """Tell the parent, on the pipe sent, file i's hex digest."""
+    os.write(sent, _DIGEST.pack(i, bytes.fromhex(digest)))
 
 
 def _exited_ok(pid):

@@ -231,6 +231,7 @@ def per_ghz_um3(value):
 
 
 def write_distribution_csv(classes, path):
-    """classes.csv of one row of class arrays: g and count per class."""
-    datafiles.write_csv(path, "g_1_per_s,count",
-                        [datafiles.cells(a.ravel()) for a in classes[:2]])
+    """classes.csv of a row of class arrays (g, count); its SHA-256."""
+    return datafiles.write_csv(
+        path, "g_1_per_s,count",
+        [datafiles.cells(a.ravel()) for a in classes[:2]])

@@ -230,5 +230,6 @@ def temperature_sweep(temperatures, sc, classes, cavity):
 
 
 def write_sweep_csv(sweep, path):
-    datafiles.write_csv(path, ",".join(_SWEEP_COLUMNS),
-                        [datafiles.cells(sweep[c]) for c in _SWEEP_COLUMNS])
+    return datafiles.write_csv(
+        path, ",".join(_SWEEP_COLUMNS),
+        [datafiles.cells(sweep[c]) for c in _SWEEP_COLUMNS])

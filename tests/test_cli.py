@@ -208,15 +208,58 @@ def test_simulate_temperature_sweep(tmp_path):
     assert "q_int" in header
 
 
-def test_manifest_hashes_outputs(tmp_path):
+def _inputs(tmp_path, command):
+    """The data files a fit command reads, made in tmp_path by the
+    simulate command whose outputs it fits (fit circle: a11's sweep)."""
+    sim = tmp_path / "sim"
+    if command == "fit ringdown":
+        cfgfile = tmp_path / "tiny.yaml"
+        cfgfile.write_text(TINY_RINGDOWN)
+        assert run(["simulate", "ringdown", "--config", cfgfile, "--out",
+                    sim, "--seed", "4"]) == 0
+        return [sim / "trace_02.csv"]
+    if command == "fit ringup":
+        assert run(["simulate", "ringup", "--out", sim, "--seed", "5"]) == 0
+        return [sim / "ringup.csv"]
+    if command == "fit temperature":
+        assert run(["simulate", "temperature-sweep", "--out", sim,
+                    "--seed", "2"]) == 0
+        return [sim / "freq_trace.csv", sim / "q_trace.csv"]
+    if command == "fit circle":
+        return [write_sweep(tmp_path / "sweep.csv", *_circle_sweep(301))]
+    return []
+
+
+@pytest.mark.parametrize("command", [
+    "simulate ringdown", "simulate ringup", "simulate temperature-sweep",
+    "distribution", "fit ringdown", "fit ringup", "fit temperature",
+    "fit circle"])
+def test_manifest_hashes_outputs(tmp_path, monkeypatch, command):
+    # every file in the out dir is manifest.json or one of its outputs, each
+    # digest is that of the file's bytes, and _run hashes the inputs only:
+    # the digests come from the writer, not from reading the outputs back
+    from tlscavity import cli
+    data = _inputs(tmp_path, command)
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(TINY_RINGDOWN + TINY_SWEEP)
+    hashed = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256",
+                        lambda path: hashed.append(path) or sha256(path))
     out = tmp_path / "run"
-    assert run(["simulate", "ringup", "--out", out, "--seed", "5"]) == 0
+    assert run(command.split() + ["--config", cfgfile, "--out", out,
+                                  "--seed", "5", "--gnuplot"] + data) == 0
+    assert sorted(hashed) == sorted(map(str, data + [cfgfile]))
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "simulate ringup"
-    assert manifest["seed"] == 5
-    assert manifest["config"]["cavity"]["f0"] == 7.9e9
+    assert sorted(os.listdir(out)) == sorted(
+        list(manifest["outputs"]) + ["manifest.json"])
     for name, digest in manifest["outputs"].items():
         assert sha(out / name) == digest, name
+    if not command.startswith("fit"):
+        assert any(name.endswith(".gp") for name in manifest["outputs"])
+    assert manifest["command"] == command
+    assert manifest["seed"] == 5
+    assert manifest["config"]["cavity"]["f0"] == 7.9e9
     assert set(manifest["versions"]) == {"tlscavity", "numpy", "scipy",
                                          "pyyaml"}
     # the SIMD targets of float64 exp and log, on which the bytes depend
@@ -448,6 +491,23 @@ def test_exit_code_trace_not_utf8(tmp_path, capsys, body, where):
     assert run(["fit", "ringdown", "--out", tmp_path / "x", src]) == 3
     assert capsys.readouterr().err == "tlscavity: data error: %s: %s\n" % (
         src, where)
+
+
+@pytest.mark.parametrize("cell", ["1" * 140000, "1\x00e11"],
+                         ids=["long_cell", "nul_byte"])
+def test_exit_code_trace_the_csv_module_refuses(tmp_path, capsys, cell):
+    # a cell over the csv module's field size limit (plain digits, which
+    # numpy reads as inf, so the cell loop reads the file again), or one
+    # with a NUL byte, which Python 3.10's csv refuses and 3.11's passes on
+    # to float(): one data error line naming the file and the line (once a
+    # _csv.Error traceback, exit 1). The text after the line depends on
+    # the Python version.
+    src = tmp_path / "trace.csv"
+    src.write_text("time_s,n\n0.0,1e12\n0.001,%s\n0.002,5e11\n" % cell)
+    assert run(["fit", "ringdown", "--out", tmp_path / "x", src]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("tlscavity: data error: %s: line 3: " % src)
 
 
 @pytest.mark.parametrize("alone", [True, False])
