@@ -6,8 +6,9 @@ byte-identical CSV output. The seed feeds synthetic-noise generation only.
 
 Exit codes: 0 success, 2 config error (also a failed step-doubling check or
 a saturated bath, both set by the config's step count and model parameters,
-and an --out that cannot be created or written), 3 data error, 4 fit
-failure (a start outside a fit's bounds included) or non-convergence.
+an --out that cannot be created or written, and running out of memory, which
+the config's sizes set), 3 data error, 4 fit failure (a start outside a fit's
+bounds included) or non-convergence.
 """
 
 import argparse
@@ -391,15 +392,16 @@ def build_parser():
                         version="tlscavity " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, gnuplot=True):
         p.add_argument("--config", default=None,
                        help="YAML config path (defaults are used if "
                             "omitted)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for synthetic-noise generation only")
-        p.add_argument("--gnuplot", action="store_true",
-                       help="also write a gnuplot script for the outputs")
+        if gnuplot:
+            p.add_argument("--gnuplot", action="store_true",
+                           help="also write a gnuplot script for the outputs")
 
     sim = sub.add_parser("simulate", help="generate model data")
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
@@ -417,7 +419,7 @@ def build_parser():
                      ("temperature", cmd_fit_temperature),
                      ("circle", cmd_fit_circle)):
         p = fit_sub.add_parser(name)
-        common(p)
+        common(p, gnuplot=False)
         p.add_argument("data", nargs="+", help="input CSV path(s)")
         if name == "ringup":
             p.add_argument("--dbm", action="store_true",
@@ -483,6 +485,11 @@ def main(argv=None):
             # what is left is creating the out dir or writing an output
             print("tlscavity: cannot write %s: %s"
                   % (exc.filename or args.out or ".", exc.strerror or exc),
+                  file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("tlscavity: config error: out of memory; lower the "
+                  "config's sizes (step and point counts, classes, traces)",
                   file=sys.stderr)
             return 2
 

@@ -88,18 +88,17 @@ class FitProblem:
     unweighted residual vector; data_weights are per-point 1 sigma.
 
     minimize evaluates each point together with all the points of its
-    Jacobian in one batch call: residual_batch_fn if given, else a loop over
-    residual_fn. The batch maps a list of vectors to a 2-D array with one
-    residual row per vector, a row of NaN where the model failed with one of
-    the errors a trial point is rejected for; row i must not depend on the
-    other rows. With the hook, residual_fn runs only to raise the model's
-    own error at a failed starting point.
+    Jacobian, one residual_fn call each; a model failure with one of the
+    errors a trial point is rejected for makes that row NaN. prefetch, if
+    given, is called first with the list of those vectors and returns
+    nothing, so that a model can evaluate them together; a vector's
+    residual must not depend on the others it was prefetched with.
     """
 
     residual_fn: object
     params: list
     data_weights: np.ndarray
-    residual_batch_fn: object = None
+    prefetch: object = None
 
     def __post_init__(self):
         self.data_weights = np.asarray(self.data_weights, dtype=float)
@@ -203,9 +202,8 @@ def minimize(problem):
         """Weighted residual rows of the points us, NaN where the model
         failed at a trial point (which rejects the step)."""
         vecs = [param_values(v) for v in us]
-        if problem.residual_batch_fn is not None:
-            return np.asarray(problem.residual_batch_fn(vecs),
-                              dtype=float) / sigma
+        if problem.prefetch is not None:
+            problem.prefetch(vecs)
         rows = np.empty((len(vecs), len(sigma)))
         for i, vec in enumerate(vecs):
             try:
@@ -412,15 +410,17 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
         multiplicative amplitude noise.
 
     The model kappa is evolved on its own m_steps grid and interpolated in
-    ln n at the data times. Through the problem's residual_batch_fn, each
-    LM trial point and its Jacobian run as one lockstep batch
-    (dynamics.evolve_table) of their model cache misses; a Jacobian
-    column of n_tot_i only evolves trace i. The discretization self-check
-    runs once, on the first trace at the initial point: its run at twice
-    the step is one more column of the first lockstep loop, which makes
-    one _evolve call, and the check is then disabled inside the loop. The
-    result's curves hold each trace's (kappa times, kappa data, model
-    kappa at the optimum), reference point excluded.
+    ln n at the data times. The model of each (t2, beta, eps, n_tot,
+    trace) key is cached, the exception that stopped it included. Through
+    the problem's prefetch, the cache misses of each LM trial point and
+    its Jacobian run as one lockstep batch (dynamics.evolve_table); a
+    Jacobian column of n_tot_i only evolves trace i. The discretization
+    self-check runs on the first key the fit evaluates, trace 0 at the
+    initial point: its run at twice the step is one more column of the
+    first lockstep loop, which makes one _evolve call, and a failed check
+    is raised from the cache. The result's curves hold each trace's
+    (kappa times, kappa data, model kappa at the optimum), reference point
+    excluded.
     """
     if not traces:
         raise FitError("need at least one trace")
@@ -454,93 +454,80 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
                for i, init in enumerate(per_trace)]
 
     cache = {}
-    verified = [False]
-
-    def trace_kappas(keys):
-        """Model kappa of each (t2, beta, eps, n_tot, trace) key; the cache
-        misses of each trace duration run as one lockstep batch. A key whose
-        model failed maps to the exception."""
-        found = {}
-        misses = {}
-        for key in keys:
-            if key in cache:
-                found[key] = cache[key]
-            else:
-                misses.setdefault(prepared[key[4]][4], {})[key] = None
-        verify = not verified[0]
-        for t_final, group in misses.items():
-            t2, beta, eps, n_tot = np.array([key[:4] for key in group]).T
-            arrays, refused = sample_class_arrays(
-                n_tot, beta, eps, g_min=g_min, g_max=g_max,
-                n_classes=n_classes, omega_tls=cavity.omega0, t2_star=t2)
-            found.update((key, exc) for key, exc in zip(group, refused) if exc)
-            ok = [j for j, exc in enumerate(refused) if exc is None]
-            rows = [key for key, exc in zip(group, refused) if exc is None]
-            if not rows:                # every row refused: nothing to run
-                continue
-            table = tls_bath.ClassTable(*(a[:, ok] for a in arrays),
-                                        cavity.omega0, cavity.temperature)
-            trajs = dynamics.evolve_table(
-                table, cavity, [prepared[key[4]][3] for key in rows],
-                t_final, m_steps,
-                verify=[verify and j == 0 for j in range(len(rows))],
-                window_margin=window_margin)
-            if verify:
-                # a failed check stays pending, so evaluating the point
-                # again raises its error again
-                verified[0] = not isinstance(trajs[0], Exception)
-            verify = False
-            for key, traj in zip(rows, trajs):
-                if isinstance(traj, Exception):
-                    found[key] = traj
-                    continue
-                t_k = prepared[key[4]][0]
-                ln_n = np.log(traj.n)
-                kappa = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
-                cache[key] = found[key] = kappa
-        return found
 
     def keys_of(vec):
         return [(vec[0], vec[1], vec[2], vec[3 + idx], idx)
                 for idx in range(len(prepared))]
 
-    def residual_of(keys, found):
+    def prefetch(vecs):
+        misses = dict.fromkeys(key for vec in vecs for key in keys_of(vec)
+                               if key not in cache)
+        if misses:
+            cache.update(_trace_kappas(
+                misses, prepared, checked=not cache, cavity=cavity,
+                g_min=g_min, g_max=g_max, n_classes=n_classes,
+                m_steps=m_steps, window_margin=window_margin))
+
+    def residual(vec):
         """One residual vector; raises the first trace's model failure."""
+        prefetch([vec])
         parts = []
-        for key in keys:
-            model = found[key]
+        for key in keys_of(vec):
+            model = cache[key]
             if isinstance(model, Exception):
                 raise model
             parts.append(model - prepared[key[4]][1])
         return np.concatenate(parts)
 
-    def residual(vec):
-        keys = keys_of(vec)
-        return residual_of(keys, trace_kappas(keys))
-
-    def residual_batch(vecs):
-        rows = [keys_of(vec) for vec in vecs]
-        found = trace_kappas([key for keys in rows for key in keys])
-        out = np.empty((len(vecs), n_points))
-        for i, keys in enumerate(rows):
-            try:
-                out[i] = residual_of(keys, found)
-            except _REJECTED:
-                out[i] = np.nan
-        return out
-
-    weights = np.concatenate([p[2] for p in prepared])
-    n_points = len(weights)
-    problem = FitProblem(residual_fn=residual, params=params,
-                         data_weights=weights,
-                         residual_batch_fn=residual_batch)
-    result = minimize(problem)
+    result = minimize(FitProblem(
+        residual_fn=residual, params=params,
+        data_weights=np.concatenate([p[2] for p in prepared]),
+        prefetch=prefetch))
     # the residual at the optimum was evaluated: these are cache hits
-    keys = keys_of(result.values)
-    found = trace_kappas(keys)
-    result.curves = tuple((t_k, kappa_data, found[key]) for key,
-                          (t_k, kappa_data, *_) in zip(keys, prepared))
+    result.curves = tuple((t_k, kappa_data, cache[key]) for key,
+                          (t_k, kappa_data, *_) in zip(
+                              keys_of(result.values), prepared))
     return result
+
+
+def _trace_kappas(keys, traces, *, checked, cavity, g_min, g_max, n_classes,
+                  m_steps, window_margin):
+    """{key: model kappa at its trace's kappa times, or the exception that
+    stopped the model} for each (t2, beta, eps, n_tot, trace) key; traces
+    are joint_tls_fit's (kappa times, kappa data, sigma, n0, t_final).
+
+    The keys of each trace duration make one ClassTable and one lockstep
+    evolve_table call; checked runs the step check on the first key that
+    the sampler does not refuse."""
+    groups = {}
+    for key in keys:
+        groups.setdefault(traces[key[4]][4], []).append(key)
+    found = {}
+    for t_final, group in groups.items():
+        t2, beta, eps, n_tot = np.array([key[:4] for key in group]).T
+        arrays, refused = sample_class_arrays(
+            n_tot, beta, eps, g_min=g_min, g_max=g_max,
+            n_classes=n_classes, omega_tls=cavity.omega0, t2_star=t2)
+        found.update((key, exc) for key, exc in zip(group, refused) if exc)
+        ok = [j for j, exc in enumerate(refused) if exc is None]
+        if not ok:                      # every row refused: nothing to run
+            continue
+        table = tls_bath.ClassTable(*(a[:, ok] for a in arrays),
+                                    cavity.omega0, cavity.temperature)
+        rows = [group[j] for j in ok]
+        trajs = dynamics.evolve_table(
+            table, cavity, [traces[key[4]][3] for key in rows], t_final,
+            m_steps, verify=[checked] + [False] * (len(rows) - 1),
+            window_margin=window_margin)
+        checked = False
+        for key, traj in zip(rows, trajs):
+            if isinstance(traj, Exception):
+                found[key] = traj
+                continue
+            t_k = traces[key[4]][0]
+            ln_n = np.log(traj.n)
+            found[key] = -(np.interp(t_k, traj.times, ln_n) - ln_n[0]) / t_k
+    return found
 
 
 def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):

@@ -247,8 +247,9 @@ def test_manifest_hashes_outputs(tmp_path, monkeypatch, command):
     monkeypatch.setattr(cli, "_sha256",
                         lambda path: hashed.append(path) or sha256(path))
     out = tmp_path / "run"
+    plot = [] if command.startswith("fit") else ["--gnuplot"]
     assert run(command.split() + ["--config", cfgfile, "--out", out,
-                                  "--seed", "5", "--gnuplot"] + data) == 0
+                                  "--seed", "5"] + plot + data) == 0
     assert sorted(hashed) == sorted(map(str, data + [cfgfile]))
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(os.listdir(out)) == sorted(
@@ -285,6 +286,18 @@ def test_gnuplot_flag(tmp_path):
     assert run(["simulate", "ringup", "--out", out, "--gnuplot"]) == 0
     script = (out / "ringup.gp").read_text()
     assert "plot" in script and "ringup.csv" in script
+
+
+@pytest.mark.parametrize("sub", ["ringdown", "ringup", "temperature",
+                                 "circle"])
+def test_fit_refuses_gnuplot(tmp_path, capsys, sub):
+    # a fit writes no gnuplot script, so argparse refuses the flag
+    with pytest.raises(SystemExit) as info:
+        run(["fit", sub, "--out", tmp_path / "x", "--gnuplot",
+             tmp_path / "data.csv"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_fit_ringup_round_trip(tmp_path):
@@ -612,6 +625,59 @@ def test_exit_code_halving_check(tmp_path, capsys):
                 tmp_path / "fit", src]) == 2
     err = capsys.readouterr().err
     assert "doubling dt moved" in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_exit_code_failed_start_check_evolves_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # the start check fails in the fit's first lockstep loop (the start's
+    # and the Jacobian's 10 rows and trace 0's twin at 2h); its error is
+    # raised from the model cache, not from a second evolution
+    cfg = RunConfig()
+    t = np.linspace(0.0, 0.022, 301)
+    srcs = []
+    for idx, n0 in enumerate((5e13, 5e11)):
+        traj = evolve_ringdown(n0, cfg.trace_classes(n_tot=117164510.0),
+                               cfg.cavity, 0.022, 4000, verify=False)
+        n = np.exp(np.interp(t, traj.times, np.log(traj.n)))
+        srcs.append(tmp_path / ("trace_%d.csv" % idx))
+        srcs[-1].write_text("time_s,n\n" + "".join(
+            "%r,%r\n" % (float(ti), float(ni)) for ti, ni in zip(t, n)))
+    cfgfile = tmp_path / "coarse.yaml"
+    cfgfile.write_text("tls:\n  t2_star: 2.5e-7\n"
+                       "distribution:\n  beta: 3.0\n  epsilon_s: 0.3\n"
+                       "ringdown:\n  n_tot: 1.0e8\n"
+                       "fit:\n  m_steps: 200\n")
+    columns = []
+    evolve = dynamics._evolve
+
+    def counted(table, cavity, n0, *args):
+        columns.append(len(n0))
+        return evolve(table, cavity, n0, *args)
+
+    monkeypatch.setattr(dynamics, "_evolve", counted)
+    assert run(["fit", "ringdown", "--config", cfgfile, "--out",
+                tmp_path / "fit", *srcs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tlscavity: model error: doubling dt moved")
+    assert len(err.strip().splitlines()) == 1
+    assert columns == [11]
+
+
+def test_exit_code_out_of_memory(tmp_path, capsys, monkeypatch):
+    # an allocation the config's sizes make too large: exit 2 and one line,
+    # not a traceback (the allocation is simulated)
+    from tlscavity import cli
+
+    def too_large(values):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cells", too_large)
+    assert run(["simulate", "ringup", "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tlscavity: config error: out of memory")
+    assert "sizes" in err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 

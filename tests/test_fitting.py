@@ -224,69 +224,63 @@ def _assert_same_fit(a, b):
 
 
 def test_batch_path_is_bitwise_the_plain_path(monkeypatch):
-    """Each trial point and its Jacobian are one batch call, and the default
-    loop over residual_fn is an explicit residual_batch_fn bit for bit:
-    through a rejected trial (domain error), a coordinate pinned at its
-    upper bound (reversed Jacobian step) and the final covariance."""
+    """Each trial point and its Jacobian points are one prefetch call, and
+    a prefetch changes no bit, nor the residual_fn calls: through a
+    rejected trial (domain error), a coordinate pinned at its upper bound
+    (reversed Jacobian step) and the final covariance."""
     x = np.linspace(0.0, 1.0, 25)
     y = 2.5 * x + 1.2 ** 3 * x ** 2 + 0.05 * np.sin(40.0 * x)
+    evaluated = []
 
     def residual(v):
+        evaluated.append(np.array(v))
         if v[1] > 2.0:
             raise ValueError("out of the model domain")
         return v[0] * x + v[1] ** 3 * x ** 2 - y
 
     calls = []
 
-    def residual_batch(vecs):
+    def prefetch(vecs):
         calls.append([np.array(v) for v in vecs])
-        out = np.empty((len(vecs), len(x)))
-        for i, v in enumerate(vecs):
-            try:
-                out[i] = residual(v)
-            except ValueError:
-                out[i] = np.nan
-        return out
 
-    def problem(batch_fn):
+    def problem(prefetch_fn):
         # the slope's optimum (2.5) lies beyond its upper bound
         return FitProblem(
             residual_fn=residual,
             params=[FitParameter("a", 0.5, 0.0, 2.0, "linear"),
                     FitParameter("b", 0.2, -10.0, 10.0, "linear")],
-            data_weights=np.full_like(x, 0.1), residual_batch_fn=batch_fn)
+            data_weights=np.full_like(x, 0.1), prefetch=prefetch_fn)
 
-    plain_calls = [0]
     jacobians = [0]
-
-    def counted(v):
-        plain_calls[0] += 1
-        return residual(v)
 
     def counted_jacobian(*args, **kwargs):
         jacobians[0] += 1
         return numerical_jacobian(*args, **kwargs)
 
-    plain_problem = problem(None)
-    plain_problem.residual_fn = counted
     monkeypatch.setattr(fitting, "numerical_jacobian", counted_jacobian)
-    plain = minimize(plain_problem)
-    plain_jacobians = jacobians[0]
+    plain = minimize(problem(None))
+    plain_jacobians, plain_evaluated = jacobians[0], evaluated[:]
     jacobians[0] = 0
-    batched = minimize(problem(residual_batch))
+    evaluated.clear()
+    prefetched = minimize(problem(prefetch))
 
-    _assert_same_fit(batched, plain)
+    _assert_same_fit(prefetched, plain)
     assert plain.converged and plain.method == "lm"
     got, _ = by_name(plain)
     assert got["a"] == 2.0
     # one call at the start and one per trial point, each with the point
     # and its two Jacobian points, and one Jacobian per call
     trials = sum(e["accepted"] + e["rejected"]
-                 for e in batched.convergence_log)
+                 for e in prefetched.convergence_log)
     assert len(calls) == 1 + trials
     assert jacobians[0] == plain_jacobians == len(calls)
     assert all(len(points) == 3 for points in calls)
-    assert plain_calls[0] == 3 * len(calls)
+    # residual_fn then runs on exactly the prefetched points, in order,
+    # as often as without the prefetch
+    assert len(evaluated) == len(plain_evaluated) == 3 * len(calls)
+    np.testing.assert_array_equal(evaluated, plain_evaluated)
+    np.testing.assert_array_equal(
+        evaluated, [v for points in calls for v in points])
     rejected = [points for points in calls if points[0][1] > 2.0]
     assert rejected
     assert any(points[1][0] < points[0][0] == 2.0 for points in calls)
@@ -307,16 +301,16 @@ def test_invalid_start_raises_through_batch_hook():
     def residual(v):
         raise ValueError("nothing works here")
 
-    def residual_batch(vecs):
-        # the hook reports failed rows as NaN; the model's own error must
-        # still reach the caller
-        return np.full((len(vecs), 5), np.nan)
+    calls = []
 
     with pytest.raises(ValueError, match="nothing works here"):
         minimize(FitProblem(
             residual_fn=residual,
             params=[FitParameter("p", 1.0, 0.0, 2.0, "linear")],
-            data_weights=np.ones(5), residual_batch_fn=residual_batch))
+            data_weights=np.ones(5), prefetch=calls.append))
+    # the start and its Jacobian point were prefetched, and the model's own
+    # error still reaches the caller
+    assert [len(vecs) for vecs in calls] == [2]
 
 
 def test_no_free_parameters_raises():
@@ -561,16 +555,18 @@ def test_joint_fit_two_traces_smoke(smoke_fit, cavity):
 
 def test_joint_fit_batch_hook_changes_no_bit(smoke_fit, cfg, cavity,
                                              monkeypatch):
-    """The smoke fit through residual_batch_fn (one batch per trial point
-    and its Jacobian) equals the same fit without the hook."""
+    """The smoke fit through its prefetch (one lockstep batch per trial
+    point and its Jacobian) equals the same fit without it, where each
+    residual_fn call evolves its own cache misses."""
     _, batched = smoke_fit
     one_point = fitting.minimize
 
-    def without_hook(problem):
-        problem.residual_batch_fn = None
+    def without_prefetch(problem):
+        assert problem.prefetch is not None
+        problem.prefetch = None
         return one_point(problem)
 
-    monkeypatch.setattr(fitting, "minimize", without_hook)
+    monkeypatch.setattr(fitting, "minimize", without_prefetch)
     _, plain = _smoke_fit(cfg, cavity)
     _assert_same_fit(batched, plain)
     assert len(batched.curves) == len(plain.curves) == 2
@@ -621,18 +617,41 @@ def _joint_fit_problem(cfg, cavity, monkeypatch):
     return captured[0]
 
 
+def _counted_tables(monkeypatch):
+    """A list that grows by one entry, the row count, per
+    dynamics.evolve_table call."""
+    calls = []
+    evolve_table = fitting.dynamics.evolve_table
+
+    def counted(table, cavity, n0, *args, **kwargs):
+        calls.append(len(n0))
+        return evolve_table(table, cavity, n0, *args, **kwargs)
+
+    monkeypatch.setattr(fitting.dynamics, "evolve_table", counted)
+    return calls
+
+
 def test_joint_fit_batched_jacobian_bitwise(cfg, cavity, monkeypatch):
-    """The one-batch Jacobian equals the point-by-point one bit for bit,
-    a column reversed at its upper bound included."""
+    """The Jacobian from one prefetch equals the point-by-point one bit for
+    bit, a column reversed at its upper bound included; the prefetch runs
+    the point's and the Jacobian's rows in one lockstep loop."""
     batched = _joint_fit_problem(cfg, cavity, monkeypatch)
     single = _joint_fit_problem(cfg, cavity, monkeypatch)
     u = np.array([p.value for p in batched.params])
     upper = np.full(len(u), np.inf)
     upper[4] = u[4]  # n_tot_1 at its bound: its step is reversed
-    f_batch, jac_batch = numerical_jacobian(
-        batched.residual_batch_fn, u, upper=upper)
+
+    def prefetched(us):
+        batched.prefetch(us)
+        return [batched.residual_fn(v) for v in us]
+
+    tables = _counted_tables(monkeypatch)
+    f_batch, jac_batch = numerical_jacobian(prefetched, u, upper=upper)
+    # the point's 2 rows, 2 for each shared parameter and 1 per n_tot
+    assert tables == [10]
     f_single, jac_single = numerical_jacobian(
         lambda us: [single.residual_fn(v) for v in us], u, upper=upper)
+    assert tables == [10, 2, 2, 2, 2, 1, 1]
     assert np.all(np.isfinite(jac_batch))
     np.testing.assert_array_equal(f_batch, f_single)
     np.testing.assert_array_equal(jac_batch, jac_single)
@@ -641,20 +660,29 @@ def test_joint_fit_batched_jacobian_bitwise(cfg, cavity, monkeypatch):
 
 
 def test_joint_fit_batch_failing_row_is_nan(cfg, cavity, monkeypatch):
+    """A row that fails in a prefetch is cached with its exception:
+    residual_fn raises it, one of the errors that make minimize's row NaN,
+    without evolving it again, and the other rows are those of a fresh
+    model cache."""
     problem = _joint_fit_problem(cfg, cavity, monkeypatch)
     good = np.array([p.value for p in problem.params])
     other = good.copy()
     other[2] = 0.3
     bad = good.copy()
     bad[0] = 2e-6  # 10 T2* exceeds the 800-step grid's dt: window error
-    rows = problem.residual_batch_fn([good, bad, other])
-    assert rows.shape == (3, 200)
-    assert np.all(np.isnan(rows[1]))
-    # the other rows match the one-point residual of a fresh model cache
+    tables = _counted_tables(monkeypatch)
+    problem.prefetch([good, bad, other])
+    assert tables == [6]
+    rows = [problem.residual_fn(good), problem.residual_fn(other)]
+    with pytest.raises(fitting._REJECTED, match="below the Markovian "
+                                                "window"):
+        problem.residual_fn(bad)
+    assert tables == [6]
     fresh = _joint_fit_problem(cfg, cavity, monkeypatch)
     np.testing.assert_array_equal(rows[0], fresh.residual_fn(good))
-    np.testing.assert_array_equal(rows[2], fresh.residual_fn(other))
-    with pytest.raises(ValueError):
+    np.testing.assert_array_equal(rows[1], fresh.residual_fn(other))
+    assert rows[0].shape == (200,)
+    with pytest.raises(ValueError, match="below the Markovian window"):
         fresh.residual_fn(bad)
 
 
@@ -822,11 +850,13 @@ def test_temperature_fit_closing_trial_saves_evaluations(
 
 def test_joint_fit_batch_all_refused_point_is_nan(cfg, cavity, monkeypatch):
     # beta <= 1: the sampler refuses every row of the point, so its
-    # lockstep group has no row to run; the trial point is rejected
+    # lockstep group has no row to run; residual_fn raises an error that
+    # rejects the trial point
     problem = _joint_fit_problem(cfg, cavity, monkeypatch)
     refused = np.array([p.value for p in problem.params])
     refused[1] = 0.9
-    rows = problem.residual_batch_fn([refused])
-    assert rows.shape == (1, 200) and np.all(np.isnan(rows))
-    with pytest.raises(ValueError, match="beta must be > 1"):
+    tables = _counted_tables(monkeypatch)
+    problem.prefetch([refused])
+    with pytest.raises(fitting._REJECTED, match="beta must be > 1"):
         problem.residual_fn(refused)
+    assert tables == []
