@@ -2,7 +2,8 @@
 
 Every command is deterministic given its config and seed: summation orders
 are fixed, nothing depends on the wall clock, and reruns produce
-byte-identical CSV output. The seed feeds synthetic-noise generation only.
+byte-identical CSV output. The seed feeds synthetic-noise generation only,
+so only the simulate commands take --seed; the others record "seed": null.
 
 Exit codes: 0 success, 2 config error (also a failed step-doubling check or
 a saturated bath, both set by the config's step count and model parameters,
@@ -90,7 +91,7 @@ def _run(args):
     words = (args.command, getattr(args, "subcommand", None))
     _write_json(out, "manifest.json", {
         "command": " ".join(w for w in words if w),
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "config_file": args.config,
         "config": cfg.as_dict(),
         "inputs": {p: _sha256(p) for p in inputs},
@@ -397,8 +398,6 @@ def build_parser():
                        help="YAML config path (defaults are used if "
                             "omitted)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for synthetic-noise generation only")
         if gnuplot:
             p.add_argument("--gnuplot", action="store_true",
                            help="also write a gnuplot script for the outputs")
@@ -410,6 +409,8 @@ def build_parser():
                      ("temperature-sweep", cmd_simulate_temperature)):
         p = sim_sub.add_parser(name)
         common(p)
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed for synthetic-noise generation only")
         p.set_defaults(func=fn)
 
     fit = sub.add_parser("fit", help="fit measured or synthetic data")

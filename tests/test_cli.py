@@ -248,8 +248,10 @@ def test_manifest_hashes_outputs(tmp_path, monkeypatch, command):
                         lambda path: hashed.append(path) or sha256(path))
     out = tmp_path / "run"
     plot = [] if command.startswith("fit") else ["--gnuplot"]
-    assert run(command.split() + ["--config", cfgfile, "--out", out,
-                                  "--seed", "5"] + plot + data) == 0
+    seeded = command.startswith("simulate")
+    seed = ["--seed", "5"] if seeded else []
+    assert run(command.split() + ["--config", cfgfile, "--out", out]
+               + seed + plot + data) == 0
     assert sorted(hashed) == sorted(map(str, data + [cfgfile]))
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(os.listdir(out)) == sorted(
@@ -259,7 +261,7 @@ def test_manifest_hashes_outputs(tmp_path, monkeypatch, command):
     if not command.startswith("fit"):
         assert any(name.endswith(".gp") for name in manifest["outputs"])
     assert manifest["command"] == command
-    assert manifest["seed"] == 5
+    assert manifest["seed"] == (5 if seeded else None)
     assert manifest["config"]["cavity"]["f0"] == 7.9e9
     assert set(manifest["versions"]) == {"tlscavity", "numpy", "scipy",
                                          "pyyaml"}
@@ -297,6 +299,21 @@ def test_fit_refuses_gnuplot(tmp_path, capsys, sub):
              tmp_path / "data.csv"])
     assert info.value.code == 2
     assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "fit ringdown", "fit ringup", "fit temperature", "fit circle",
+    "distribution"])
+def test_unseeded_command_refuses_seed(tmp_path, capsys, command):
+    # only the simulate commands draw noise, so no other command takes a
+    # seed that its outputs would not depend on
+    data = [tmp_path / "data.csv"] if command.startswith("fit") else []
+    with pytest.raises(SystemExit) as info:
+        run(command.split() + ["--out", tmp_path / "x", "--seed", "5"]
+            + data)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
