@@ -147,8 +147,7 @@ def cmd_simulate_ringdown(args, cfg, out):
     # the small trace files last even out the writers' finishing times
     names = [name % idx for name in ("ringdown_%02d.csv", "trace_%02d.csv")
              for idx in range(1, len(powers) + 1)]
-    # the grid of every trace, as _evolve builds it
-    times = np.linspace(0.0, t_final, m_steps)
+    times = dynamics.time_grid(t_final, m_steps)
     time_cells, times = cells(times), times.tolist()
     # each trace's noise, drawn in trace order: a factor for every grid
     # point after t = 0
@@ -279,6 +278,12 @@ def cmd_distribution(args, cfg, out):
     return outputs, 0
 
 
+def _fit_level(cfg):
+    """The relative 1 sigma a fit weights its data with: the config's noise
+    level, or 1% where it sets none."""
+    return cfg.noise_level if cfg.noise_level > 0 else 0.01
+
+
 def cmd_fit_ringdown(args, cfg, out):
     traces = [datafiles.read_ringdown_csv(p) for p in args.data]
     if cfg.tls_t2_star is not None:
@@ -292,12 +297,8 @@ def cmd_fit_ringdown(args, cfg, out):
     # the start point's classes: a refused row is a config error, as in
     # simulate ringdown, not a model failure inside the fit
     cfg.trace_classes(n_tot=per_trace, t2_star=t2_init)
-    sigmas = None
-    if cfg.noise_level > 0:
-        sigmas = [cfg.noise_level / np.asarray(t, dtype=float)[1:]
-                  for t, _ in traces]
     result = joint_tls_fit(
-        traces, shared, per_trace, cfg.cavity, sigmas=sigmas,
+        traces, shared, per_trace, cfg.cavity, noise_level=_fit_level(cfg),
         g_min=cfg.distribution.g_min, g_max=cfg.distribution.g_max,
         n_classes=cfg.distribution.n_classes, m_steps=cfg.fit.m_steps,
         window_margin=cfg.fit.window_margin)
@@ -310,7 +311,7 @@ def cmd_fit_ringdown(args, cfg, out):
 
 def cmd_fit_ringup(args, cfg, out):
     times, power = datafiles.read_trace_csv(args.data[0], dbm=args.dbm)
-    level = cfg.noise_level if cfg.noise_level > 0 else 0.01
+    level = _fit_level(cfg)
     sigma = level * (np.abs(power) + 1e-3 * float(np.max(power)))
     if not np.all(sigma > 0):
         raise DataError("%s: power_w is too small at time_s %r to set a 1 "
@@ -335,7 +336,7 @@ def cmd_fit_temperature(args, cfg, out):
             raise DataError("%s: temperature_K %r is %s" % (
                 path, float(bad[0]), "negative" if bad[0] < 0 else
                 "in the pair-breaking regime (hbar*omega0 >= 2*Delta(T))"))
-    level = cfg.noise_level if cfg.noise_level > 0 else 0.01
+    level = _fit_level(cfg)
 
     def sweep(path, data, column):
         """(temperatures, values, 1 sigma) of one file's column."""

@@ -215,8 +215,7 @@ class RunConfig:
         dist = self.distribution
         classes, refused = sample_class_arrays(
             n_tot, dist.beta, dist.epsilon_s, g_min=dist.g_min,
-            g_max=dist.g_max, n_classes=dist.n_classes,
-            omega_tls=self.cavity.omega0, **times)
+            g_max=dist.g_max, n_classes=dist.n_classes, **times)
         for exc in refused:
             if exc:
                 raise ConfigError("%s: %s" % (sections, exc))

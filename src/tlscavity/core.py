@@ -83,5 +83,10 @@ def t2_star(T1, T_phi, omega, temperature):
     """
     if not T1 > 0 or not T_phi > 0:
         raise ValueError("T1 and T_phi must be > 0")
-    f = bose_einstein(omega, temperature)
+    return coherence_time(T1, T_phi, bose_einstein(omega, temperature))
+
+
+def coherence_time(T1, T_phi, f):
+    """T2* = 1 / ((1/2 + f)/T1 + 1/T_phi) at thermal occupation f,
+    elementwise over floats or arrays; at f = 0 it is the T -> 0 value."""
     return 1.0 / ((0.5 + f) / T1 + 1.0 / T_phi)

@@ -5,8 +5,9 @@ which integrates to exactly N_tot over [0, inf) for any beta > 1; one closed
 form of that integral (counts_between) gives every count. Classes sit at the
 geometric midpoints of logarithmic bins and carry the bin integrals.
 
-The classes are class arrays (g, count, T1, T_phi, omega_tls), each of shape
-(C, B): class i of row b sits in column b, as tls_bath.ClassTable takes them.
+The classes are class arrays (g, count, T1, T_phi), each of shape (C, B):
+class i of row b sits in column b, as tls_bath.ClassTable takes them. Every
+class sits at the cavity frequency, so the arrays carry no TLS frequency.
 """
 
 import math
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import datafiles
-from .core import CONSTANTS
+from .core import CONSTANTS, coherence_time
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,9 @@ def _refusal(n_tot, beta, epsilon_s, g_min, g_max, n_classes, classes=(),
               (not n_tot < 0, "n_tot must be >= 0"),
               (n_classes >= 1, "n_classes must be >= 1"),
               (t2 is None or t2 > 0, "t2 must be > 0")]
-    for g, count, T1, T_phi, omega_tls in zip(*classes):
+    for g, count, T1, T_phi in zip(*classes):
         checks += [(g > 0, "g must be > 0"),
                    (not count < 0, "count must be >= 0"),
-                   (omega_tls > 0, "omega_tls must be > 0"),
                    (T1 > 0 and T_phi > 0, "T1 and T_phi must be > 0")]
     checks.append((finite, "the class table overflows: g^2 T1 T2*, "
                            "2 N g^2 T2* or (g T2*)^2 is not finite"))
@@ -116,10 +116,10 @@ def _refusal(n_tot, beta, epsilon_s, g_min, g_max, n_classes, classes=(),
 
 
 def sample_class_arrays(n_tot, beta, epsilon_s, *, g_min, g_max, n_classes,
-                        omega_tls, T1=None, T_phi=None, t2_star=None):
+                        T1=None, T_phi=None, t2_star=None):
     """The TLS classes of B rows of (n_tot, beta, epsilon_s): class arrays
-    (g, count, T1, T_phi, omega_tls), each (n_classes, B), and per row None
-    or the ValueError that refuses it (the row's columns then mean nothing).
+    (g, count, T1, T_phi), each (n_classes, B), and per row None or the
+    ValueError that refuses it (the row's columns then mean nothing).
 
     Each class sits at the geometric midpoint of its bin and carries the bin
     integral of the density, so the class counts conserve the truncated
@@ -147,13 +147,13 @@ def sample_class_arrays(n_tot, beta, epsilon_s, *, g_min, g_max, n_classes,
         g[:, cols], frac[:, cols] = np.array(_unit_bins(unit)).T[:, :, None]
     count = n_tot * frac
     with np.errstate(all="ignore"):
-        t2 = 1.0 / (0.5 / T1 + 1.0 / T_phi)     # T2* at T = 0, its largest
+        t2 = coherence_time(T1, T_phi, 0.0)    # T2* at T = 0, its largest
         finite = np.isfinite([g * g * T1 * t2, 2.0 * (count * g * g * t2),
                               (g * t2) ** 2]).all(axis=(0, 1))
     ok = (((g > 0) & (count >= 0)).all(axis=0) & (T1 > 0) & (T_phi > 0)
-          & (n_tot >= 0) & (omega_tls > 0) & finite)
+          & (n_tot >= 0) & finite)
     classes = (g, count, *(np.broadcast_to(a, count.shape)
-                           for a in (T1, T_phi, omega_tls)))
+                           for a in (T1, T_phi)))
     refused = [None] * len(n_tot)
     for b in np.flatnonzero(~ok).tolist():
         refusal = _refusal(
@@ -165,13 +165,13 @@ def sample_class_arrays(n_tot, beta, epsilon_s, *, g_min, g_max, n_classes,
     return classes, refused
 
 
-def sample_classes(params, *, omega_tls, T1=None, T_phi=None, t2_star=None):
+def sample_classes(params, *, T1=None, T_phi=None, t2_star=None):
     """The class arrays of one distribution, each (n_classes, 1): the
     one-row case of sample_class_arrays, raising its refusal."""
     classes, (refused,) = sample_class_arrays(
         params.n_tot, params.beta, params.epsilon_s, g_min=params.g_min,
-        g_max=params.g_max, n_classes=params.n_classes, omega_tls=omega_tls,
-        T1=T1, T_phi=T_phi, t2_star=t2_star)
+        g_max=params.g_max, n_classes=params.n_classes, T1=T1, T_phi=T_phi,
+        t2_star=t2_star)
     if refused:
         raise refused
     return classes

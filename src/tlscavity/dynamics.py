@@ -40,11 +40,12 @@ def _check_window(dt, t2max, cavity, margin):
             % (dt, hi))
 
 
-# The coarse record of _evolve: per grid point, the recorded work rows Im
-# Omega', -Re Omega', kappa_plus, kappa_minus, v1, kt, n after the step and
-# n, each with one column per trajectory.
+# The coarse record of _evolve: per grid point, the recorded work rows -Re
+# Omega', Im Omega', kappa_plus, kappa_minus, v1, kt, n after the step and
+# n, each with one column per trajectory. -Re Omega' is 0 on resonance: its
+# row is never written, and the CSV's re_omega_prime column reads -0.0.
 _RECORDED = 8
-_IM_O, _MINUS_RE_O, _KP, _KM, _N = 0, 1, 2, 3, 7
+_MINUS_RE_O, _IM_O, _KP, _KM, _N = 0, 1, 2, 3, 7
 
 # Grid points per progress call of a recording _evolve.
 _PROGRESS_ROWS = 256
@@ -61,10 +62,15 @@ def recorded_n(record, r):
     return record[:, _N, r]
 
 
-# Class sums (Re S, Im S, kappa_plus, kappa_minus) given to a row after its
-# evolution failed: finite and positive, so the row keeps stepping inertly
-# beside the live rows and never trips the per-step check again.
-_INERT_SUMS = (0.0, 0.0, 0.25, 0.75)
+# Class sums (S, kappa_plus, kappa_minus) given to a row after its evolution
+# failed: finite and positive, so the row keeps stepping inertly beside the
+# live rows and never trips the per-step check again.
+_INERT_SUMS = (0.0, 0.25, 0.75)
+
+
+def time_grid(t_final, m_pts):
+    """The m_pts grid points over [0, t_final] that _evolve steps on."""
+    return np.linspace(0.0, t_final, m_pts)
 
 
 def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
@@ -73,13 +79,13 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
     rates; one Trajectory, or the exception that stopped it, per row.
 
     The last twins of the B rows are twins at twice the step: each runs on
-    its own grid, the (m_pts + 1) // 2 points of np.linspace(0, t_last,
-    (m_pts + 1) // 2) with t_last the grid's last even point, and gets the
-    Trajectory, or the exception, that a call of its own over that grid
-    would give. A twin steps on every pass like the other rows, so it costs
-    no pass of its own. Only its n is kept, outside history. Its grid ends
-    on pass (m_pts + 1) // 2 - 1; from there it steps from n = 1 at the
-    inert rates of a stopped row, so nothing past t_last stops any row.
+    its own grid, time_grid(t_last, (m_pts + 1) // 2) with t_last the
+    grid's last even point, and gets the Trajectory, or the exception, that
+    a call of its own over that grid would give. A twin steps on every pass
+    like the other rows, so it costs no pass of its own. Only its n is
+    kept, outside history. Its grid ends on pass (m_pts + 1) // 2 - 1; from
+    there it steps from n = 1 at the inert rates of a stopped row, so
+    nothing past t_last stops any row.
 
     The other B - twins rows are recorded in history, an array of
     record_shape(m_pts, B - twins) (by default a new one), one grid point
@@ -98,41 +104,38 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
         a = v1/kt + 4|O'|^2/kt^2
         c = (4/kt) Re[i O' <a>] - 8|O'|^2/kt^2
         b = n_prev - a - c
-    in the operation order kt = (kappa_minus + kappa0) - kappa_plus, q =
-    ((Im O')^2 + (Re O')^2) / (kt kt), a = v1 / kt + 4 q, c = (((Im O' <a>)
-    (-4)) / kt) + (-8) q, b = (n - a) - c, e = exp(kt (-dt/2)) and n(dt) =
-    (a + b (e e)) + c e. Every operation is elementwise over the rows or a
-    per-row sum over the class axis, so a row's numbers do not depend on
-    the other rows.
+    On resonance Omega' = i <a> S is imaginary, so in the operation order
+    kt = (kappa_minus + kappa0) - kappa_plus, q = (Im O')^2 / (kt kt),
+    a = v1 / kt + 4 q, c = (((Im O' <a>) (-4)) / kt) + (-8) q,
+    b = (n - a) - c, e = exp(kt (-dt/2)) and n(dt) = (a + b (e e)) + c e.
+    Every operation is elementwise over the rows or a per-row sum over the
+    class axis, so a row's numbers do not depend on the other rows.
 
     All state lives in one work array, a row per quantity and a column per
     trajectory (a lone one gets a discarded second column, see
     rate_kernel), laid out so that every operand of the step's numpy calls
     is a C-contiguous block of the output's shape, one row or a 0-d
     constant (numpy's flat fast path, about half the cost of a reversed,
-    stepped or broadcast operand). A pass makes 37 numpy
-    calls, rate_kernel's ten among them, as straight-line code in one
-    Python frame, and allocates nothing. The loop runs unchecked, keeping
-    the running minimum of the rates, v1, kt and n after the step; a group
+    stepped or broadcast operand). A pass makes 36 numpy calls,
+    rate_kernel's ten among them, as straight-line code in one Python
+    frame, and allocates nothing. The loop runs unchecked, keeping the
+    running minimum of the rates, v1, kt and n after the step; a group
     whose minimum ends negative or nan runs once more with the per-step
     clamp and stop, so its failing rows get the checked result bit for bit.
-    The step only squares Re Omega': the loop keeps -Re Omega', and the
-    record holds it so.
     """
     n0 = np.asarray(n0, dtype=float).reshape(-1)
     rows = len(n0) - twins
     cols = max(len(n0), 2)
-    times = twin_times = np.linspace(0.0, t_final, m_pts)
-    # Rows: 0 the bare thermal feed kappa0 f(omega0, T), 1 kappa0; the class
-    # sums 2 Re S, 3 Im S (then in place 2 Im O', 3 -Re O'), 4 kappa_plus,
+    times = twin_times = time_grid(t_final, m_pts)
+    # Rows: 0 the bare thermal feed kappa0 f(omega0, T), 1 kappa0; 2 -Re O',
+    # which stays 0; the class sums 3 S (then in place Im O'), 4 kappa_plus,
     # 5 kappa_minus; 6 v1, 7 kt, 8 n after the step (4-8 are checked); 9 n
     # (2-9 are recorded), 10 n again and 11 |<a>|^2 (kernel state 9-11);
-    # 12 and 13 <a>; 14 (Im O')^2, 15 (Re O')^2; 16 a, 17 c, 18 b;
-    # 19 e^{-kt dt/2}, 20 its square; 21 c e, 22 b e^2; 23 q =
-    # |O'|^2/kt^2; 24 kt^2; 25 -dt/2; 26 4q, 27 -8q.
-    work = np.zeros((28, cols))
-    (_, _, o_im, _, kp, km, v1, kt, n_next, n, _, amp2, ar, _, sq_im, sq_re,
-     a_t, c_t, b_t, eh, eh2, ce, be2, q, kt2, decay, q4, q8) = work
+    # 12 <a>; 13 a, 14 c, 15 b; 16 e^{-kt dt/2}, 17 its square; 18 c e,
+    # 19 b e^2; 20 q = |O'|^2/kt^2; 21 kt^2; 22 -dt/2; 23 4q, 24 -8q.
+    work = np.zeros((25, cols))
+    (_, _, _, o_im, kp, km, v1, kt, n_next, n, _, amp2, ar, a_t, c_t, b_t,
+     eh, eh2, ce, be2, q, kt2, decay, q4, q8) = work
     work[0], work[1] = cavity.kappa0 * core.bose_einstein(
         cavity.omega0, cavity.temperature), cavity.kappa0
     decay[:] = -0.5 * (times[1] - times[0])
@@ -142,17 +145,15 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
     if twins:
         m_twin = (m_pts + 1) // 2
         retire = m_twin - 1
-        twin_times = np.linspace(0.0, times[2 * retire], m_twin)
+        twin_times = time_grid(times[2 * retire], m_twin)
         decay[spare] = -0.5 * (twin_times[1] - twin_times[0])
     twin_n, twin_state = work[9, spare], work[9:11, spare]
     twin_log = np.empty((m_twin, twins))
-    sums, checked, record = work[2:6], work[4:9], work[2:10, :rows]
-    omega, state, both_n, amps = (work[2:4], work[9:12], work[9:11],
-                                  work[12:14])
-    rates, feeds, v1_kt, squares = (work[4:6], work[0:2], work[6:8],
-                                    work[14:16])
+    sums, checked, record = work[3:6], work[4:9], work[2:10, :rows]
+    state, both_n, rates, feeds, v1_kt = (work[9:12], work[9:11], work[4:6],
+                                          work[0:2], work[6:8])
     terms, weighted_q, cb, e_pair, prods = (
-        work[16:18], work[26:28], work[17:19], work[19:21], work[21:23])
+        work[13:15], work[23:25], work[14:16], work[16:18], work[18:20])
     if history is None:
         history = np.empty(record_shape(m_pts, rows))
     lowest = np.full(checked.shape, np.inf)
@@ -182,16 +183,15 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
                     twin_log[k] = twin_n
                     if k == retire:     # the twins' last point: park them
                         twin_state[...] = 1.0
-                sqrt(both_n, amps)
+                sqrt(n, ar)
                 mul(ar, ar, amp2)
                 rate_sums()
                 if k >= retire:
                     sums[:, spare] = inert
                 if dead:
                     sums[:, dead] = inert
-                # Omega' = i conj(<a>) S = (-<a> Im S, <a> Re S), kept as
-                # (Im O', -Re O'); Re negated where it is read
-                mul(amps, omega, omega)
+                # Omega' = i conj(<a>) S = i <a> S: Im O' in place of S
+                mul(ar, o_im, o_im)
                 history[k] = record
                 if k == last:
                     break
@@ -203,8 +203,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
                     sub(kt, kp, kt)
                     mul(kt, kt, kt2)
                     mul(kt, decay, eh)
-                    mul(omega, omega, squares)
-                    add(sq_im, sq_re, q)
+                    mul(o_im, o_im, q)
                     div(q, kt2, q)
                     # terms = (a, c): v1/kt + 4q and (4/kt) Re[i O' <a>] - 8q
                     mul(o_im, ar, c_t)
@@ -341,7 +340,7 @@ def evolve_ringdown(initial, classes, cavity, t_final, m_steps, *,
     """Free decay of the loaded cavity through the saturable bath.
 
     initial is the photon number at t = 0, classes one row of class arrays
-    (g, count, T1, T_phi, omega_tls) and m_steps, required, the number of
+    (g, count, T1, T_phi) and m_steps, required, the number of
     grid points over [0, t_final]. The amplitude entering the TLS
     coherences is reset to sqrt(n) at zero phase at every step (the
     recursive scheme of the reference analysis). verify=True runs a twin

@@ -402,7 +402,7 @@ def _predicted_gain(hess, grad, diag):
     return gain if math.isfinite(gain) else None
 
 
-def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
+def joint_tls_fit(traces, shared, per_trace, cavity, *, noise_level=0.01,
                   g_min=1e-3, g_max=1e3, n_classes=7, m_steps=2000,
                   window_margin=10.0):
     """Simultaneous fit of several ring-down traces in kappa(t) space.
@@ -413,9 +413,9 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
     shared : {"t2_star": init, "beta": init, "epsilon_s": init}, start
         values.
     per_trace : one n_tot start value per trace.
-    sigmas : per-trace 1 sigma arrays aligned with the kappa series
-        (len(times) - 1); default 0.01/t, the exact propagation of 1%
-        multiplicative amplitude noise.
+    noise_level : the relative 1 sigma of the photon numbers; a kappa point
+        at time t gets 1 sigma noise_level / t, the exact propagation of
+        that multiplicative noise.
 
     The model kappa is evolved on its own m_steps grid and interpolated in
     ln n at the data times. The model of each (t2, beta, eps, n_tot,
@@ -445,14 +445,8 @@ def joint_tls_fit(traces, shared, per_trace, cavity, *, sigmas=None,
         if np.any(values <= 0):
             raise FitError("trace %d has non-positive photon numbers" % idx)
         t_k, kappa_data = dynamics.kappa_of_time(times, values)
-        if sigmas is not None:
-            sig = np.asarray(sigmas[idx], dtype=float)
-            if len(sig) != len(t_k):
-                raise FitError("sigma length mismatch on trace %d" % idx)
-        else:
-            sig = 0.01 / t_k
-        prepared.append((t_k, kappa_data, sig, float(values[0]),
-                         float(times[-1])))
+        prepared.append((t_k, kappa_data, noise_level / t_k,
+                         float(values[0]), float(times[-1])))
 
     params = [FitParameter(name, float(shared[name]), lo, hi, scale)
               for name, lo, hi, scale in (("t2_star", 5e-8, 2e-6, "log"),
@@ -515,7 +509,7 @@ def _trace_kappas(keys, traces, *, checked, cavity, g_min, g_max, n_classes,
         t2, beta, eps, n_tot = np.array([key[:4] for key in group]).T
         arrays, refused = sample_class_arrays(
             n_tot, beta, eps, g_min=g_min, g_max=g_max,
-            n_classes=n_classes, omega_tls=cavity.omega0, t2_star=t2)
+            n_classes=n_classes, t2_star=t2)
         found.update((key, exc) for key, exc in zip(group, refused) if exc)
         ok = [j for j, exc in enumerate(refused) if exc is None]
         if not ok:                      # every row refused: nothing to run
@@ -545,9 +539,9 @@ def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
     q_sweep : (temperatures, Q_int values, 1 sigma array)
     sc : SuperconductorParams; its g_factor is kept, and its alpha, delta0
         and sigma_n are the start values.
-    classes : one row of class arrays (g, count, T1, T_phi, omega_tls); each
-        class keeps its g, count and frequency, and the fit sets one
-        (T1, T_phi) for all of them, starting from the first class's.
+    classes : one row of class arrays (g, count, T1, T_phi); each class
+        keeps its g and count, and the fit sets one (T1, T_phi) for all of
+        them, starting from the first class's.
 
     Stage 1 fits the frequency shift, which is independent of sigma_n; stage
     2 freezes the gap and fits the quasiparticle and TLS-time parameters to
@@ -559,11 +553,11 @@ def temperature_fit(freq_sweep, q_sweep, sc, classes, cavity):
     t_f, shift_data, sig_f = (np.asarray(a, dtype=float) for a in freq_sweep)
     t_q, q_data, sig_q = (np.asarray(a, dtype=float) for a in q_sweep)
 
-    g, count, T1, T_phi, omega_tls = classes
+    g, count, T1, T_phi = classes
 
     def q_int(sc_fit, t1, t_phi):
         return mattis_bardeen.q_int_temperature(
-            t_q, sc_fit, (g, count, t1, t_phi, omega_tls), cavity)
+            t_q, sc_fit, (g, count, t1, t_phi), cavity)
 
     def shift_residual(vec):
         alpha, delta0 = vec

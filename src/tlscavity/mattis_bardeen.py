@@ -179,12 +179,12 @@ def q_tls_temperature(t, classes, cavity):
     omega0 / (kappa_minus - kappa_plus) from one class table over
     (temperature, class) at n = 0, clamped row by row: only thermal
     saturation acts. +inf where that is not positive (no classes). classes
-    is one row of class arrays (g, count, T1, T_phi, omega_tls).
+    is one row of class arrays (g, count, T1, T_phi), all at omega0.
     """
     table = tls_bath.ClassTable(*classes, cavity.omega0, t)
     k_tls = np.array([km - kp for kp, km in (
         tls_bath.clamp_rates(kp, km)
-        for _, _, kp, km in table.rate_sums(0.0, 0.0).T.tolist())])
+        for _, kp, km in table.rate_sums(0.0, 0.0).T.tolist())])
     return np.divide(cavity.omega0, k_tls, out=np.full(t.shape, math.inf),
                      where=~(k_tls <= 0.0))
 

@@ -56,14 +56,14 @@ class TlsClass:
 
     g : single-TLS coupling [1/s]
     count : number of TLS in the class (need not be integer)
-    omega_tls : TLS angular frequency [1/s]
     T1 : relaxation time [s]
     T_phi : pure dephasing time [s]
+
+    Every class sits at the cavity frequency omega0.
     """
 
     g: float
     count: float
-    omega_tls: float
     T1: float
     T_phi: float
 
@@ -72,18 +72,15 @@ class TlsClass:
             raise ValueError("g must be > 0")
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if not self.omega_tls > 0:
-            raise ValueError("omega_tls must be > 0")
         if not self.T1 > 0 or not self.T_phi > 0:
             raise ValueError("T1 and T_phi must be > 0")
 
     @classmethod
-    def from_t2_star(cls, g, count, omega_tls, t2):
+    def from_t2_star(cls, g, count, t2):
         """T1 = 2 t2, T_phi = (4/3) t2: the zero-temperature T2* is t2."""
         if not t2 > 0:
             raise ValueError("t2 must be > 0")
-        return cls(g=g, count=count, omega_tls=omega_tls,
-                   T1=2.0 * t2, T_phi=(4.0 / 3.0) * t2)
+        return cls(g=g, count=count, T1=2.0 * t2, T_phi=(4.0 / 3.0) * t2)
 
 
 def by_name(result):
@@ -94,25 +91,22 @@ def by_name(result):
 
 
 def class_arrays(class_lists):
-    """The package's class arrays (g, count, T1, T_phi, omega_tls), each
-    (C, B), whose column b holds the TlsClass list class_lists[b] (all of
-    one size C)."""
-    fields = [[(c.g, c.count, c.T1, c.T_phi, c.omega_tls) for c in classes]
+    """The package's class arrays (g, count, T1, T_phi), each (C, B), whose
+    column b holds the TlsClass list class_lists[b] (all of one size C)."""
+    fields = [[(c.g, c.count, c.T1, c.T_phi) for c in classes]
               for classes in class_lists]
-    return tuple(np.reshape(fields, (len(fields), -1, 5)).T)
+    return tuple(np.reshape(fields, (len(fields), -1, 4)).T)
 
 
 def class_list(classes, row=0):
     """The TlsClass list of one row of the package's class arrays."""
-    g, count, T1, T_phi, omega_tls = (a[:, row].tolist() for a in classes)
-    return [TlsClass(*c) for c in zip(g, count, omega_tls, T1, T_phi)]
+    return [TlsClass(*c) for c in zip(*(a[:, row].tolist() for a in classes))]
 
 
 def with_times(classes, T1, T_phi):
     """Class arrays with one (T1, T_phi) for every class."""
-    g, count, _, _, omega_tls = classes
-    return (g, count, np.full(g.shape, T1), np.full(g.shape, T_phi),
-            omega_tls)
+    g, count, _, _ = classes
+    return g, count, np.full(g.shape, T1), np.full(g.shape, T_phi)
 
 
 class TlsState:
@@ -130,30 +124,26 @@ class TlsState:
         self.rho_ge = rho_ge
 
 
-def tls_steady_state(cls, n, temperature, omega0=None):
-    """Scalar steady state of one class under n photons, amplitude sqrt(n).
+def tls_steady_state(cls, n, omega0, temperature):
+    """Scalar steady state of one class at omega0 under n photons,
+    amplitude sqrt(n).
 
-    D = |chi|^2 (1 + 2f) + g^2 n T1 T2*, rho_ee = (|chi|^2 f + g^2 n T1
-    T2*/2) / D, rho_ge = i chi g sqrt(n) T2* / D; omega0 = None puts the
-    class on resonance (chi = 1).
+    D = 1 + 2f + g^2 n T1 T2*, rho_ee = (f + g^2 n T1 T2*/2) / D,
+    rho_ge = i g sqrt(n) T2* / D.
     """
-    f = bose(cls.omega_tls, temperature)
-    t2 = t2_eff(cls.T1, cls.T_phi, cls.omega_tls, temperature)
-    x = 1.0 if omega0 is None else complex(1.0, (cls.omega_tls - omega0) * t2)
-    ax2 = abs(x) ** 2
+    f = bose(omega0, temperature)
+    t2 = t2_eff(cls.T1, cls.T_phi, omega0, temperature)
     sat = cls.g * cls.g * n * cls.T1 * t2
-    d = ax2 * (1.0 + 2.0 * f) + sat
-    return TlsState((ax2 * f + 0.5 * sat) / d,
-                    1j * x * cls.g * math.sqrt(n) * t2 / d)
+    d = 1.0 + 2.0 * f + sat
+    return TlsState((f + 0.5 * sat) / d, 1j * cls.g * math.sqrt(n) * t2 / d)
 
 
 def state_rates(cls, state, omega0, temperature):
     """(kappa_plus, kappa_minus, Omega'_bath) of one class in the given
-    state: weight w = 2 N g^2 T2* / |chi|^2 on rho_ee - |rho_ge|^2 and
+    state: weight w = 2 N g^2 T2* on rho_ee - |rho_ge|^2 and
     rho_gg - |rho_ge|^2; Omega' = N g rho_ge. No clamping."""
-    t2 = t2_eff(cls.T1, cls.T_phi, cls.omega_tls, temperature)
-    ax2 = 1.0 + ((cls.omega_tls - omega0) * t2) ** 2
-    w = 2.0 * cls.count * cls.g * cls.g * t2 / ax2
+    t2 = t2_eff(cls.T1, cls.T_phi, omega0, temperature)
+    w = 2.0 * cls.count * cls.g * cls.g * t2
     coh2 = abs(state.rho_ge) ** 2
     return (w * (state.rho_ee - coh2), w * (1.0 - state.rho_ee - coh2),
             cls.count * cls.g * state.rho_ge)
@@ -166,19 +156,15 @@ class _Bath:
         g = np.array([c.g for c in classes], dtype=float)
         count = np.array([c.count for c in classes], dtype=float)
         T1 = np.array([c.T1 for c in classes], dtype=float)
-        t2 = np.array([t2_eff(c.T1, c.T_phi, c.omega_tls, temperature)
+        t2 = np.array([t2_eff(c.T1, c.T_phi, omega0, temperature)
                        for c in classes], dtype=float)
-        f = np.array([bose(c.omega_tls, temperature) for c in classes],
-                     dtype=float)
-        om = np.array([c.omega_tls for c in classes], dtype=float)
-        x = 1.0 + 1j * (om - omega0) * t2
-        ax2 = np.abs(x) ** 2
-        self.phi = ax2 * (1.0 + 2.0 * f)
-        self.pop0 = ax2 * f
+        f = bose(omega0, temperature)
+        self.phi = 1.0 + 2.0 * f
+        self.pop0 = f
         self.sat = g * g * T1 * t2
-        self.w = 2.0 * count * g * g * t2 / ax2
-        self.cohw = ax2 * (g * t2) ** 2
-        self.svec = count * g * g * t2 * x
+        self.w = 2.0 * count * g * g * t2
+        self.cohw = (g * t2) ** 2
+        self.svec = count * g * g * t2
 
     def rates(self, n, amp):
         """(kappa_plus, kappa_minus, Omega'_bath) at photon number n and
@@ -260,16 +246,11 @@ def q_tls_temperature(temperature, classes, omega0):
     class sum runs in class order (class_sum), as in the package. Summed
     rates below -1e-3 of their scale raise, smaller negative ones round to
     0."""
-    cgt, f, x = [], [], []
-    for c in classes:
-        t2 = t2_eff(c.T1, c.T_phi, c.omega_tls, temperature)
-        cgt.append(c.count * c.g * c.g * t2)
-        f.append(bose(c.omega_tls, temperature))
-        x.append(complex(1.0, (c.omega_tls - omega0) * t2))
-    cgt, f = np.array(cgt, dtype=float), np.array(f, dtype=float)
-    ax2 = np.abs(np.array(x, dtype=complex)) ** 2
-    w = 2.0 * cgt / ax2
-    ree = ax2 * f * (1.0 / (ax2 * (1.0 + 2.0 * f)))
+    f = bose(omega0, temperature)
+    w = np.array([2.0 * (c.count * c.g * c.g * t2_eff(c.T1, c.T_phi, omega0,
+                                                      temperature))
+                  for c in classes], dtype=float)
+    ree = f * (1.0 / (1.0 + 2.0 * f))
     kp = float(class_sum(w * ree))
     km = float(class_sum(w * (1.0 - ree)))
     scale = abs(kp) + abs(km) + 1e-30
@@ -457,18 +438,18 @@ def pinned_step_row(base, slope, sv, weights, n0, kappa0, feed, times,
     """One row of the pinned lockstep pass, one float operation at a time:
     the bitwise reference of the row's trajectory on the grid times.
 
-    base (2, C), slope (3, C), sv (2, C) and weights (C,) are the row's
+    base (2, C), slope (3, C), sv (C,) and weights (C,) are the row's
     columns of a ClassTable; feed is kappa0 f(omega0, T). adjust, if given,
-    maps (n, [Re S, Im S, kappa_plus, kappa_minus]) to the sums the step
-    uses instead. Each grid point k, from <a> = sqrt(n), |<a>|^2 = <a> <a>:
+    maps (n, [S, kappa_plus, kappa_minus]) to the sums the step uses
+    instead. Each grid point k, from <a> = sqrt(n), |<a>|^2 = <a> <a>:
         D = base0 + slope0 n, N = base1 + slope1 n, h = slope2 |<a>|^2,
         r = 1 / D, rho_ee = N r, |rho_ge|^2 = (h r) r, rho_gg = 1 - rho_ee,
         S = sv r, kappa_plus = (rho_ee - |rho_ge|^2) w,
         kappa_minus = (rho_gg - |rho_ge|^2) w, each summed over the classes
         in class order (class_sum);
-        Im O' = <a> Re S, -Re O' = <a> Im S;
+        Im O' = <a> S, Re O' = -0.0;
         kt = (kappa_minus + kappa0) - kappa_plus, v1 = kappa_plus + feed,
-        q = ((Im O')^2 + (-Re O')^2) / (kt kt),
+        q = (Im O')^2 / (kt kt),
         a = v1 / kt + 4 q, c = (((Im O' <a>) (-4)) / kt) + (-8) q,
         b = (n - a) - c, e = exp(kt (-dt/2)),
         n(k+1) = (a + b (e e)) + c e.
@@ -477,9 +458,8 @@ def pinned_step_row(base, slope, sv, weights, n0, kappa0, feed, times,
     or n(k+1), or kt <= 0, raises ValueError. Returns the arrays n,
     kappa_plus, kappa_minus and omega_prime (complex) on times.
     """
-    base, slope, sv = (np.asarray(x, dtype=float).tolist()
-                       for x in (base, slope, sv))
-    weights = np.asarray(weights, dtype=float).tolist()
+    base, slope, sv, weights = (np.asarray(x, dtype=float).tolist()
+                                for x in (base, slope, sv, weights))
     classes = range(len(weights))
     decay = -0.5 * float(times[1] - times[0])
     n = float(n0)
@@ -487,32 +467,31 @@ def pinned_step_row(base, slope, sv, weights, n0, kappa0, feed, times,
     for k in range(len(times)):
         amp = math.sqrt(n)
         amp2 = amp * amp
-        terms = [[], [], [], []]
+        terms = [[], [], []]
         for i in classes:
             r = 1.0 / (base[0][i] + slope[0][i] * n)
             ree = (base[1][i] + slope[1][i] * n) * r
             coh2 = ((slope[2][i] * amp2) * r) * r
-            terms[0].append(sv[0][i] * r)
-            terms[1].append(sv[1][i] * r)
-            terms[2].append((ree - coh2) * weights[i])
-            terms[3].append(((1.0 - ree) - coh2) * weights[i])
+            terms[0].append(sv[i] * r)
+            terms[1].append((ree - coh2) * weights[i])
+            terms[2].append(((1.0 - ree) - coh2) * weights[i])
         sums = [class_sum(t) for t in terms]
         if adjust is not None:
             sums = adjust(n, sums)
-        s_re, s_im, kp, km = sums
-        o_im, o_re_neg = amp * s_re, amp * s_im
+        s, kp, km = sums
+        o_im = amp * s
         if kp < 0.0 or km < 0.0:
             scale = abs(kp) + abs(km) + 1e-30
             if min(kp, km) < -1e-3 * scale:
                 raise ValueError("rate negative beyond tolerance")
             kp, km = max(kp, 0.0), max(km, 0.0)
-        out.append((n, kp, km, complex(-o_re_neg, o_im)))
+        out.append((n, kp, km, complex(-0.0, o_im)))
         if k == len(times) - 1:
             break
         kt = (km + kappa0) - kp
         if not kt > 0.0:
             raise ValueError("net gain: kappa_tilde = %g" % kt)
-        q = (o_im * o_im + o_re_neg * o_re_neg) / (kt * kt)
+        q = (o_im * o_im) / (kt * kt)
         a = (kp + feed) / kt + 4.0 * q
         c = (((o_im * amp) * -4.0) / kt) + -8.0 * q
         b = (n - a) - c

@@ -57,8 +57,7 @@ def test_a03_distribution_normalization():
     for n_classes in (7, 14, 28):
         p = DistributionParams(n_tot=2.4e6, beta=3.26, epsilon_s=0.25,
                                g_min=1e-3, g_max=1e3, n_classes=n_classes)
-        classes = oracles.class_list(sample_classes(p, omega_tls=W0,
-                                                    t2_star=2.86e-7))
+        classes = oracles.class_list(sample_classes(p, t2_star=2.86e-7))
         total = math.fsum(c.count for c in classes)
         window, _ = quad(lambda g: density(g, p), p.g_min, p.g_max, limit=400)
         cons.append(abs(total - window) / window)
@@ -71,8 +70,7 @@ def test_a03_distribution_normalization():
 def test_a04_populated_class_pattern():
     p = DistributionParams(n_tot=2.4e6, beta=3.26, epsilon_s=0.25,
                            g_min=1e-3, g_max=1e3, n_classes=7)
-    classes = oracles.class_list(sample_classes(p, omega_tls=W0,
-                                                t2_star=2.86e-7))
+    classes = oracles.class_list(sample_classes(p, t2_star=2.86e-7))
     populated = [c for c in classes if c.count > 1.0]
     g_top = max(c.g for c in populated)
     ok = len(populated) == 6 and g_top < 110.0

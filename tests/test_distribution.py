@@ -15,9 +15,6 @@ from tlscavity.distribution import (bin_edges, counts_between, density,
                                     tls_volume_density)
 
 
-W0 = 2.0 * math.pi * 7.9e9
-
-
 def make_params(n_tot=2.4e6, beta=3.26, epsilon_s=0.25, n_classes=7):
     return DistributionParams(n_tot=n_tot, beta=beta, epsilon_s=epsilon_s,
                               g_min=1e-3, g_max=1e3, n_classes=n_classes)
@@ -46,7 +43,7 @@ def test_full_integral_is_n_tot(beta):
 @pytest.mark.parametrize("n_classes", [7, 14, 28])
 def test_class_counts_conserve_window_integral(n_classes):
     p = make_params(n_classes=n_classes)
-    classes = class_list(sample_classes(p, omega_tls=W0, t2_star=2.86e-7))
+    classes = class_list(sample_classes(p, t2_star=2.86e-7))
     total = math.fsum(c.count for c in classes)
     window, _ = quad(lambda g: density(g, p), p.g_min, p.g_max, limit=400)
     assert total == pytest.approx(window, rel=1e-3)
@@ -59,7 +56,7 @@ def test_class_positions_and_fractions_reference():
                 0.0988933253956, 0.00121679936352, 1.40644476084e-5,
                 1.62547351358e-7]
     p = make_params(n_tot=1.0)
-    classes = class_list(sample_classes(p, omega_tls=W0, t2_star=2.86e-7))
+    classes = class_list(sample_classes(p, t2_star=2.86e-7))
     for cls, g, frac in zip(classes, g_ref, frac_ref):
         assert cls.g == pytest.approx(g, rel=1e-11)
         assert cls.count == pytest.approx(frac, rel=1e-9)
@@ -83,7 +80,7 @@ def test_window_count_matches_mpmath_table(beta, epsilon_s, g_lo, g_hi, ref):
 
 
 def test_counts_linear_in_n_tot():
-    a, b = (class_list(sample_classes(make_params(n_tot=n_tot), omega_tls=W0,
+    a, b = (class_list(sample_classes(make_params(n_tot=n_tot),
                                       t2_star=2.86e-7))
             for n_tot in (1.0, 3.7e8))
     for ca, cb in zip(a, b):
@@ -91,8 +88,7 @@ def test_counts_linear_in_n_tot():
 
 
 def test_exactly_six_populated_classes_at_default_scale():
-    classes = class_list(sample_classes(make_params(), omega_tls=W0,
-                                        t2_star=2.86e-7))
+    classes = class_list(sample_classes(make_params(), t2_star=2.86e-7))
     populated = [c for c in classes if c.count > 1.0]
     assert len(populated) == 6
     assert max(c.g for c in populated) < 110.0
@@ -109,21 +105,19 @@ def test_bin_edges_geometric():
 
 def test_times_applied_uniformly():
     p = make_params()
-    classes = class_list(sample_classes(p, omega_tls=W0, T1=7.23e-7,
-                                        T_phi=4.84e-7))
+    classes = class_list(sample_classes(p, T1=7.23e-7, T_phi=4.84e-7))
     assert all(c.T1 == 7.23e-7 and c.T_phi == 4.84e-7 for c in classes)
     with pytest.raises(ValueError):
-        sample_classes(p, omega_tls=W0, T1=7.23e-7)
+        sample_classes(p, T1=7.23e-7)
     with pytest.raises(ValueError):
-        sample_classes(p, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7,
-                       t2_star=2.86e-7)
+        sample_classes(p, T1=7.23e-7, T_phi=4.84e-7, t2_star=2.86e-7)
 
 
 def test_unsaturated_linewidth_contribution():
     # kappa_TLS = 2 T2* sum N g^2 against the frozen reference at the
     # pulsed-trace scale
     classes = class_list(sample_classes(make_params(n_tot=1.2e8),
-                                        omega_tls=W0, t2_star=2.86e-7))
+                                        t2_star=2.86e-7))
     alpha = 2.0 * 2.86e-7 * math.fsum(c.count * c.g ** 2 for c in classes)
     assert alpha == pytest.approx(16.177302908249413, rel=1e-10)
 
@@ -136,15 +130,13 @@ def test_dipole_bound_scale():
 
 
 def test_loss_tangent_estimate():
-    classes = sample_classes(make_params(n_tot=1e9), omega_tls=W0,
-                             t2_star=2.86e-7)
+    classes = sample_classes(make_params(n_tot=1e9), t2_star=2.86e-7)
     t = loss_tangent(classes, 4.549e-3, 4.86e-12, 537.7, 33.0)
     assert 1e-4 < t < 1e-2
 
 
 def test_volume_density_estimate():
-    classes = sample_classes(make_params(n_tot=1e9), omega_tls=W0,
-                             t2_star=2.86e-7)
+    classes = sample_classes(make_params(n_tot=1e9), t2_star=2.86e-7)
     rho = tls_volume_density(classes, 100.0, 537.7, 2.3e-13)
     from tlscavity.distribution import per_ghz_um3
     val = per_ghz_um3(rho)
@@ -187,8 +179,8 @@ def test_sample_class_arrays_is_sample_classes_row_by_row(
     def times(t):
         return dict(t2_star=t) if t2_star else dict(T1=2.5 * t, T_phi=1.5 * t)
 
-    arrays, refused = sample_class_arrays(n_tot, beta, eps, omega_tls=W0,
-                                          **window, **times(t2))
+    arrays, refused = sample_class_arrays(n_tot, beta, eps, **window,
+                                          **times(t2))
     assert len(refused) == len(rows)
     for b, (nt, be, ep, t) in enumerate(rows):
         try:
@@ -196,15 +188,15 @@ def test_sample_class_arrays_is_sample_classes_row_by_row(
             for g, count in zip(arrays[0][:, b].tolist(),
                                 arrays[1][:, b].tolist()):
                 if t2_star:
-                    TlsClass.from_t2_star(g, count, W0, t)
+                    TlsClass.from_t2_star(g, count, t)
                 else:
-                    TlsClass(g, count, W0, 2.5 * t, 1.5 * t)
+                    TlsClass(g, count, 2.5 * t, 1.5 * t)
         except ValueError as exc:
             assert type(refused[b]) is type(exc)
             assert str(refused[b]) == str(exc)
             continue
         assert refused[b] is None
         want = sample_classes(DistributionParams(nt, be, ep, **window),
-                              omega_tls=W0, **times(t))
+                              **times(t))
         for arr, ref in zip(arrays, want):
             assert arr[:, b].tobytes() == ref[:, 0].tobytes()

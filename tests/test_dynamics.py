@@ -19,9 +19,6 @@ from tlscavity.dynamics import (_IM_O, _KM, _KP, _MINUS_RE_O, _RECORDED,
                                 Trajectory, _evolve, record_shape)
 
 
-W0 = 2.0 * math.pi * 7.9e9
-
-
 def _rows_table(rows, cavity):
     """The ClassTable of one-row class arrays, side by side."""
     return ClassTable(*(np.hstack(col) for col in zip(*rows)), cavity.omega0,
@@ -148,10 +145,10 @@ def test_fock_space_master_equation_cross_check():
     g, T1, T_phi, kappa0 = 300.0, 2e-5, 4e-5 / 3.0, 200.0
     cav = CavityParams(f0=7.9e9, kappa0=kappa0, kappa_c=0.9 * kappa0,
                        temperature=0.0)
-    cls = TlsClass(g=g, count=1.0, omega_tls=cav.omega0, T1=T1, T_phi=T_phi)
+    cls = TlsClass(g=g, count=1.0, T1=T1, T_phi=T_phi)
     alpha = 2.0
     n0 = alpha ** 2
-    st = oracles.tls_steady_state(cls, n0, 0.0)
+    st = oracles.tls_steady_state(cls, n0, cav.omega0, 0.0)
     rho_tls = np.array([[1.0 - st.rho_ee, st.rho_ge],
                         [np.conj(st.rho_ge), st.rho_ee]])
     dt = 1e-4
@@ -191,7 +188,7 @@ def test_saturation_error_on_net_gain(cavity):
     class GainTable:
         def rate_kernel(self, state, out):
             def kernel():
-                out[:, 0] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
+                out[:, 0] = (0.0, 2.0 * cavity.kappa0, 0.0)
                 return out
             return kernel
 
@@ -201,10 +198,9 @@ def test_saturation_error_on_net_gain(cavity):
 
 def test_on_resonance_re_omega_prime_keeps_its_sign_bit(trace_classes,
                                                         cavity):
-    """On resonance each class's Omega' weight has a zero imaginary part,
-    so Re Omega' = -<a> Im S is -0.0 at every point, alone and in a batch:
-    the sign comes from negating +0.0, which a stored -Im S weight summed
-    from +0.0 would lose."""
+    """On resonance Re Omega' is -0.0 at every point, alone and in a batch:
+    the record's -Re Omega' row stays +0.0, and the sign comes from
+    negating it where it is read."""
     alone = _alone(5e13, trace_classes, cavity, 0.022, 2000, verify=False)
     batch = _table_rates(_rows_table([trace_classes] * 2, cavity), cavity,
                          [5e13, 1e11], 0.022, 2000, verify=[True, False])
@@ -256,7 +252,6 @@ _row_class = hst.builds(
     TlsClass.from_t2_star,
     g=hst.floats(1e-2, 4e2),
     count=hst.floats(0.0, 1e9),
-    omega_tls=hst.floats(-2e7, 2e7).map(lambda d: W0 + d),
     t2=hst.floats(5e-8, 5e-7))
 
 # 1 to 12 rows of (log10 n0, class list), all lists of one size 0 to 12
@@ -309,7 +304,6 @@ def test_lone_row_sums_its_classes_in_class_order(size):
     """A lone row is bitwise that row in a batch of two, also with 8 or
     more classes, where numpy would sum one column pairwise."""
     classes = [TlsClass.from_t2_star(0.37 * 3.1 ** k, 7.3e8 / 2.3 ** k,
-                                     W0 + 1.3e5 * k * (-1) ** k,
                                      1.1e-7 * 1.3 ** k)
                for k in range(size)]
     alone = _alone(1e12, class_arrays([classes]), _BATCH_CAV, 0.004, 40,
@@ -358,7 +352,7 @@ def test_failing_rows_leave_the_others_unchanged(trace_classes, cavity):
                 sums()
                 self.calls += 1
                 if self.calls > 5:
-                    out[:, 1] = (0.0, 0.0, 2.0 * cavity.kappa0, 0.0)
+                    out[:, 1] = (0.0, 2.0 * cavity.kappa0, 0.0)
                 return out
             return kernel
 
@@ -395,8 +389,8 @@ class _FailAt:
             sums()
             for c, target in hits:
                 if n[c] == target:
-                    out[:, c] = ((np.nan,) * 4 if self.nan else
-                                 (0.0, 0.0, 2.0 * self.kappa0, 0.0))
+                    out[:, c] = ((np.nan,) * 3 if self.nan else
+                                 (0.0, 2.0 * self.kappa0, 0.0))
             return out
         return kernel
 
@@ -574,7 +568,6 @@ def test_nan_rates_stop_the_row(cfg, verify):
 
 def _classes(size, scale=1.0):
     return [TlsClass.from_t2_star(0.37 * 3.1 ** k * scale, 7.3e8 / 2.3 ** k,
-                                  W0 + 1.3e5 * k * (-1) ** k,
                                   1.1e-7 * 1.3 ** k)
             for k in range(size)]
 
@@ -664,7 +657,7 @@ class _ClampAt(_FailAt):
             sums()
             for c, target in hits:
                 if n[c] == target:
-                    out[2, c] = -1e-6 * (out[2, c] + out[3, c])
+                    out[1, c] = -1e-6 * (out[1, c] + out[2, c])
             return out
         return kernel
 
@@ -685,7 +678,7 @@ def test_clamped_rate_inside_the_loop(trace_classes, cavity):
 
     def adjust(n, sums):
         if n == target:
-            sums[2] = -1e-6 * (sums[2] + sums[3])
+            sums[1] = -1e-6 * (sums[1] + sums[2])
         return sums
     assert _matches_reference(got[1], _reference_row(
         table, 1, n0[1], cavity, got[1].times, adjust))

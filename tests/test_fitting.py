@@ -546,7 +546,7 @@ def test_joint_fit_two_traces_smoke(smoke_fit, cavity):
         DistributionParams(n_tot=got["n_tot_1"], beta=got["beta"],
                            epsilon_s=got["epsilon_s"], g_min=1e-3,
                            g_max=1e3, n_classes=7),
-        omega_tls=cavity.omega0, t2_star=got["t2_star"])
+        t2_star=got["t2_star"])
     traj = evolve_ringdown(traces[1][1][0], classes, cavity, t_data[-1], 800,
                            verify=False)
     ln_n = np.log(traj.n)
@@ -596,9 +596,9 @@ class _Captured(Exception):
     pass
 
 
-def _joint_fit_problem(cfg, cavity, monkeypatch):
+def _joint_fit_problem(cfg, cavity, monkeypatch, **kwargs):
     """The FitProblem joint_tls_fit builds for two short traces, with its
-    own empty model cache."""
+    own empty model cache; kwargs go to joint_tls_fit."""
     t_data = np.linspace(0.0, 0.01, 101)
     traces = []
     for n_tot, n0 in ((8e7, 1e12), (1.2e8, 3e11)):
@@ -616,8 +616,22 @@ def _joint_fit_problem(cfg, cavity, monkeypatch):
     with pytest.raises(_Captured):
         joint_tls_fit(traces, shared={"t2_star": 2.5e-7, "beta": 3.26,
                                       "epsilon_s": 0.25},
-                      per_trace=[1e8, 1e8], cavity=cavity, m_steps=800)
+                      per_trace=[1e8, 1e8], cavity=cavity, m_steps=800,
+                      **kwargs)
     return captured[0]
+
+
+@pytest.mark.parametrize("kwargs, level", [({}, 0.01),
+                                           ({"noise_level": 0.037}, 0.037)])
+def test_joint_fit_weights_are_the_noise_level_over_t(cfg, cavity,
+                                                      monkeypatch, kwargs,
+                                                      level):
+    """A kappa point at time t weighs in with 1 sigma noise_level / t, 1%
+    by default: the propagation of that relative noise on n."""
+    problem = _joint_fit_problem(cfg, cavity, monkeypatch, **kwargs)
+    t_k = np.linspace(0.0, 0.01, 101)[1:]
+    np.testing.assert_array_equal(problem.data_weights,
+                                  np.concatenate([level / t_k] * 2))
 
 
 def _counted_tables(monkeypatch):

@@ -181,8 +181,6 @@ _classes = hst.lists(
         TlsClass,
         g=hst.floats(1e-3, 1e3),
         count=hst.one_of(hst.just(0.0), hst.floats(1.0, 1e9)),
-        omega_tls=hst.one_of(hst.just(W0),
-                             hst.floats(-5e7, 5e7).map(lambda d: W0 + d)),
         T1=hst.floats(1e-8, 1e-4),
         T_phi=hst.floats(1e-8, 1e-4)),
     min_size=0, max_size=9)  # from 8 on numpy's own sum would go pairwise
@@ -193,8 +191,8 @@ _classes = hst.lists(
 def test_array_forms_bitwise_equal_scalar_oracles(sc, cavity, temps,
                                                   classes):
     """Each temperature-array function equals its per-point oracle bit for
-    bit, including T = 0, subnormal T, k_B T > delta0/4, 0 to 9 (detuned)
-    classes and infinite Q channels; a scalar gives the same float."""
+    bit, including T = 0, subnormal T, k_B T > delta0/4, 0 to 9 classes
+    and infinite Q channels; a scalar gives the same float."""
     t = np.array(temps)
     w0 = cavity.omega0
     arrays = class_arrays([classes])

@@ -26,10 +26,10 @@ def list_table(class_lists, omega0, temperature):
     return ClassTable(*class_arrays(class_lists), omega0, temperature)
 
 
-def check_rates_match_state(cls, n, temperature, omega0=None):
+def check_rates_match_state(cls, n, temperature):
     """bath_rates of one class at amplitude sqrt(n) against the rates of the
     oracle's steady state at the same point (kappa_plus clamped at 0)."""
-    state = tls_steady_state(cls, n, temperature, omega0)
+    state = tls_steady_state(cls, n, W0, temperature)
     kp, km, op = oracles.state_rates(cls, state, W0, temperature)
     rates = class_rates([cls], n, math.sqrt(n), W0, temperature)
     scale = abs(kp) + abs(km)
@@ -42,8 +42,8 @@ def check_rates_match_state(cls, n, temperature, omega0=None):
 
 def test_steady_state_reference_device_times():
     # mpmath oracle: g = 50, T1 = 723 ns, T_phi = 484 ns, T = 20 mK, n = 1e8
-    cls = TlsClass(g=50.0, count=1e6, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
-    st = tls_steady_state(cls, 1e8, 0.02)
+    cls = TlsClass(g=50.0, count=1e6, T1=7.23e-7, T_phi=4.84e-7)
+    st = tls_steady_state(cls, 1e8, W0, 0.02)
     assert st.rho_ee == pytest.approx(0.030756239515575547, rel=1e-12)
     assert st.rho_ge.real == pytest.approx(0.0, abs=1e-18)
     assert st.rho_ge.imag == pytest.approx(0.17015897110066019, rel=1e-12)
@@ -52,15 +52,15 @@ def test_steady_state_reference_device_times():
 
 def test_steady_state_reference_t2_override():
     # mpmath oracle: g = 51.79..., T2* override 286 ns, T = 20 mK, n = 1e9
-    cls = TlsClass.from_t2_star(51.7947467923, 33.75467426, W0, 2.86e-7)
-    st = tls_steady_state(cls, 1e9, 0.02)
+    cls = TlsClass.from_t2_star(51.7947467923, 33.75467426, 2.86e-7)
+    st = tls_steady_state(cls, 1e9, W0, 0.02)
     assert st.rho_ee == pytest.approx(0.15250450658708755, rel=1e-11)
     assert st.rho_ge.imag == pytest.approx(0.32555990906941685, rel=1e-11)
     check_rates_match_state(cls, 1e9, 0.02)
 
 
 def test_bath_rates_reference_values():
-    cls = TlsClass(g=50.0, count=1e6, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
+    cls = TlsClass(g=50.0, count=1e6, T1=7.23e-7, T_phi=4.84e-7)
     rates = class_rates([cls], 1e8, 1e4, W0, 0.02)
     assert rates.kappa_plus == pytest.approx(3.2675382141572879, rel=1e-11)
     assert rates.kappa_minus == pytest.approx(1704.8572492207592, rel=1e-11)
@@ -69,7 +69,7 @@ def test_bath_rates_reference_values():
 
 
 def test_bath_rates_reference_values_override_class():
-    cls = TlsClass.from_t2_star(51.7947467923, 33.75467426, W0, 2.86e-7)
+    cls = TlsClass.from_t2_star(51.7947467923, 33.75467426, 2.86e-7)
     rates = class_rates([cls], 1e9, math.sqrt(1e9), W0, 0.02)
     assert rates.kappa_plus == pytest.approx(0.0024093326019593097, rel=1e-10)
     assert rates.kappa_minus == pytest.approx(0.038407513062227798, rel=1e-10)
@@ -77,8 +77,8 @@ def test_bath_rates_reference_values_override_class():
 
 
 def test_rates_linear_in_counts():
-    base = TlsClass(g=50.0, count=1e6, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
-    doubled = TlsClass(g=50.0, count=2e6, omega_tls=W0, T1=7.23e-7,
+    base = TlsClass(g=50.0, count=1e6, T1=7.23e-7, T_phi=4.84e-7)
+    doubled = TlsClass(g=50.0, count=2e6, T1=7.23e-7,
                        T_phi=4.84e-7)
     r1 = class_rates([base], 1e8, 1e4, W0, 0.02)
     r2 = class_rates([doubled], 1e8, 1e4, W0, 0.02)
@@ -89,7 +89,7 @@ def test_rates_linear_in_counts():
 
 
 def test_saturation_drives_populations_to_half():
-    cls = TlsClass(g=50.0, count=1.0, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
+    cls = TlsClass(g=50.0, count=1.0, T1=7.23e-7, T_phi=4.84e-7)
     ns = [1e4, 1e6, 1e8, 1e10, 1e12, 1e14]
     states = [check_rates_match_state(cls, n, 0.02) for n in ns]
     rees = [s.rho_ee for s in states]
@@ -101,26 +101,14 @@ def test_saturation_drives_populations_to_half():
 
 
 def test_zero_field_thermal_state():
-    cls = TlsClass(g=50.0, count=1.0, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
-    st = tls_steady_state(cls, 0.0, 0.5)
+    cls = TlsClass(g=50.0, count=1.0, T1=7.23e-7, T_phi=4.84e-7)
+    st = tls_steady_state(cls, 0.0, W0, 0.5)
     # rho_ee = f/(1+2f) at zero drive
     from tlscavity import bose_einstein
     f = bose_einstein(W0, 0.5)
     assert st.rho_ee == pytest.approx(f / (1.0 + 2.0 * f), rel=1e-13)
     assert st.rho_ge == 0.0
     check_rates_match_state(cls, 0.0, 0.5)
-
-
-def test_detuned_class_weaker_coupling():
-    on = TlsClass(g=50.0, count=1.0, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
-    off = TlsClass(g=50.0, count=1.0, omega_tls=W0 + 5e7, T1=7.23e-7,
-                   T_phi=4.84e-7)
-    st_on = check_rates_match_state(on, 1e8, 0.02, omega0=W0)
-    st_off = check_rates_match_state(off, 1e8, 0.02, omega0=W0)
-    assert abs(st_off.rho_ge) < abs(st_on.rho_ge)
-    r_on = class_rates([on], 1e8, 1e4, W0, 0.02)
-    r_off = class_rates([off], 1e8, 1e4, W0, 0.02)
-    assert r_off.kappa_minus < r_on.kappa_minus
 
 
 def test_tls_state_positivity_guard():
@@ -132,7 +120,7 @@ def test_tls_state_positivity_guard():
 
 
 def test_bath_rates_validation():
-    cls = TlsClass(g=50.0, count=1.0, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
+    cls = TlsClass(g=50.0, count=1.0, T1=7.23e-7, T_phi=4.84e-7)
     with pytest.raises(ValueError):
         class_rates([cls], -1.0, 0.0, W0, 0.02)
     with pytest.raises(ValueError):
@@ -143,7 +131,7 @@ def test_tiny_negative_kappa_plus_clamped():
     # T1 = 723 ns, T_phi = 484 ns leave T1 slightly below 2 T2*(20 mK), so
     # rho_ee - |rho_ge|^2 dips microscopically negative at moderate n; the
     # summed rate must clamp to zero instead of failing.
-    cls = TlsClass(g=5.0, count=1.0, omega_tls=W0, T1=7.23e-7, T_phi=4.84e-7)
+    cls = TlsClass(g=5.0, count=1.0, T1=7.23e-7, T_phi=4.84e-7)
     # barely saturated, D - 1 ~ 7e-6
     rates = class_rates([cls], 1e6, 1e3, W0, 0.02)
     assert rates.kappa_plus == 0.0
@@ -155,7 +143,6 @@ _classes = hst.lists(
         TlsClass,
         g=hst.floats(1e-3, 1e3),
         count=hst.floats(0.0, 1e9),
-        omega_tls=hst.floats(-5e7, 5e7).map(lambda d: W0 + d),
         T1=hst.floats(1e-8, 1e-4),
         T_phi=hst.floats(1e-8, 1e-4)),
     min_size=1, max_size=5)
@@ -170,8 +157,8 @@ _classes = hst.lists(
                               hst.floats(1e-6, 4.4)))
 def test_bath_rates_match_oracle(classes, n, temperature):
     """The package's rate table against the independent oracle table, over
-    detuned classes, photon numbers from 0 to 1e14 and 0 to 4.4 K, with
-    subnormal temperatures (k_B T underflows to 0) included."""
+    photon numbers from 0 to 1e14 and 0 to 4.4 K, with subnormal
+    temperatures (k_B T underflows to 0) included."""
     amp = complex(math.sqrt(n), 0.0)
     kp, km, op = oracles._Bath(classes, W0, temperature).rates(n, amp)
     assume(kp >= 0.0)  # the package clamps small negative kappa_plus
@@ -188,8 +175,6 @@ _class = hst.builds(
     TlsClass,
     g=hst.floats(1e-3, 1e3),
     count=hst.floats(0.0, 1e9),
-    omega_tls=hst.one_of(hst.just(W0),
-                         hst.floats(-5e7, 5e7).map(lambda d: W0 + d)),
     T1=hst.floats(1e-8, 1e-4),
     T_phi=hst.floats(1e-8, 1e-4))
 
@@ -238,10 +223,10 @@ def test_class_table_over_temperatures_is_the_one_temperature_tables(
 
 
 def _spread_classes(size):
-    """size detuned classes whose terms span many decades, so that numpy's
-    pairwise sum and the class-order sum of them differ in the last bits."""
-    return [TlsClass(g=0.37 * 3.1 ** k, count=7.3e8 / 2.3 ** k,
-                     omega_tls=W0 + 1.3e5 * k * (-1) ** k,
+    """size classes whose terms span many decades, through g, count and
+    the TLS times, so that numpy's pairwise sum and the class-order sum of
+    them differ in the last bits."""
+    return [TlsClass(g=0.37 * 3.1 ** k, count=7.3e8 / 1.9 ** k,
                      T1=2.1e-6 / 1.4 ** k, T_phi=1.3e-6 * 1.2 ** k)
             for k in range(size)]
 
@@ -270,7 +255,7 @@ def test_rate_sums_add_the_classes_in_index_order(rows, temperature):
     table = list_table([classes for classes, _, _ in rows], W0, temperature)
     state = np.empty((3, max(len(rows), 2)))
     state[:2], state[2] = n, amp2
-    kernel = table.rate_kernel(state, np.empty((4, state.shape[1])))
+    kernel = table.rate_kernel(state, np.empty((3, state.shape[1])))
     sums = kernel()[:, :len(rows)]
     assert sums.tobytes() == table.rate_sums(np.array(n),
                                              np.array(amp2)).tobytes()
@@ -281,10 +266,9 @@ def test_rate_sums_add_the_classes_in_index_order(rows, temperature):
             inv = 1.0 / (d0 + d1 * n[b])
             ree = (p0 + p1 * n[b]) * inv
             coh2 = coh * amp2[b] * inv * inv
-            (s0, s1), w = table.sv[:, i, b], table.weights[i, b]
-            terms.append((s0 * inv, s1 * inv, (ree - coh2) * w,
-                          ((1.0 - ree) - coh2) * w))
-        want = [oracles.class_sum([t[j] for t in terms]) for j in range(4)]
+            s, w = table.sv[i, b], table.weights[i, b]
+            terms.append((s * inv, (ree - coh2) * w, ((1.0 - ree) - coh2) * w))
+        want = [oracles.class_sum([t[j] for t in terms]) for j in range(3)]
         assert sums[:, b].tobytes() == np.array(want).tobytes()
 
 
@@ -299,28 +283,23 @@ def test_spread_classes_tell_the_two_sum_orders_apart():
         ree = (table.base[1, :, 0] + table.slope[1, :, 0] * n) * inv
         coh2 = table.slope[2, :, 0] * amp2 * inv * inv
         w = table.weights[:, 0]
-        terms = np.array([table.sv[0, :, 0] * inv, table.sv[1, :, 0] * inv,
-                          (ree - coh2) * w, ((1.0 - ree) - coh2) * w])
+        terms = np.array([table.sv[:, 0] * inv, (ree - coh2) * w,
+                          ((1.0 - ree) - coh2) * w])
         pairwise = terms.sum(axis=1)
         ordered = [oracles.class_sum(row.tolist()) for row in terms]
         assert pairwise.tobytes() != np.array(ordered).tobytes()
 
 
-_detuned = hst.one_of(hst.just(W0), hst.floats(-5e7, 5e7).map(
-    lambda d: W0 + d))
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=hst.data(), size=hst.integers(1, 12), rows=hst.integers(1, 4),
-       omega_tls=_detuned,
        temperature=_temperature | hst.lists(
            _temperature, min_size=1, max_size=5).map(np.array))
 def test_array_built_table_is_the_class_list_table(data, size, rows,
-                                                   omega_tls, temperature):
+                                                   temperature):
     """ClassTable from the sampler's (C, B) arrays holds bitwise the
     coefficients, t2max and rate sums of the table of the TlsClass lists of
-    each row sampled alone by sample_classes, over detuned classes,
-    temperature arrays and 1 to 12 classes."""
+    each row sampled alone by sample_classes, over temperature arrays and
+    1 to 12 classes."""
     if np.ndim(temperature):
         rows = 1
     draw = [data.draw(hst.tuples(hst.floats(1e3, 1e12), hst.floats(1.5, 6.0),
@@ -329,14 +308,13 @@ def test_array_built_table_is_the_class_list_table(data, size, rows,
             for _ in range(rows)]
     n_tot, beta, eps, t2 = (np.array(col) for col in zip(*draw))
     window = dict(g_min=1e-3, g_max=1e3, n_classes=size)
-    arrays, refused = sample_class_arrays(n_tot, beta, eps,
-                                          omega_tls=omega_tls, t2_star=t2,
+    arrays, refused = sample_class_arrays(n_tot, beta, eps, t2_star=t2,
                                           **window)
     assert refused == [None] * rows
     table = ClassTable(*arrays, W0, temperature)
     lists = [oracles.class_list(sample_classes(
-        DistributionParams(*row[:3], **window), omega_tls=omega_tls,
-        t2_star=row[3])) for row in draw]
+        DistributionParams(*row[:3], **window), t2_star=row[3]))
+        for row in draw]
     ref = list_table(lists, W0, temperature)
     for name in ClassTable._COEFFS:
         assert getattr(table, name).tobytes() == getattr(ref, name).tobytes()
