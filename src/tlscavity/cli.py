@@ -137,6 +137,14 @@ def _write_trace(record, r, target, rows, time_cells, noise):
               [time_cells[rows], cells(n_vals)])
 
 
+def _noise_rng(args, cfg):
+    """The generator of a simulate command's synthetic noise, or None where
+    the command draws none: without --seed or at noise level 0."""
+    if args.seed is not None and cfg.noise.level > 0:
+        return np.random.default_rng(args.seed)
+    return None
+
+
 def cmd_simulate_ringdown(args, cfg, out):
     powers = cfg.ringdown.initial_photons
     t_final, m_steps = cfg.ringdown.t_final, cfg.ringdown.m_steps
@@ -151,12 +159,10 @@ def cmd_simulate_ringdown(args, cfg, out):
     time_cells, times = cells(times), times.tolist()
     # each trace's noise, drawn in trace order: a factor for every grid
     # point after t = 0
-    noise = [None] * len(powers)
-    if args.seed is not None and cfg.noise_level > 0:
-        rng = np.random.default_rng(args.seed)
-        noise = [np.concatenate(([1.0], np.maximum(
-            1.0 + cfg.noise_level * rng.standard_normal(m_steps - 1),
-            1e-6))) for _ in powers]
+    rng = _noise_rng(args, cfg)
+    noise = [None if rng is None else np.concatenate(([1.0], np.maximum(
+        1.0 + cfg.noise.level * rng.standard_normal(m_steps - 1), 1e-6)))
+        for _ in powers]
 
     def plan(record):
         return [functools.partial(dynamics.write_trajectory_csv, record, r,
@@ -189,14 +195,14 @@ def cmd_simulate_ringdown(args, cfg, out):
 
 
 def cmd_simulate_ringup(args, cfg, out):
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
     params = ReflectionParams(
         q_int=cfg.ringup.q_int, q_c=cfg.ringup.q_c, f0=cfg.cavity.f0,
         delta=cfg.ringup.delta, p_f=cfg.ringup.p_f)
     times = np.linspace(0.0, cfg.ringup.t_final, cfg.ringup.n_points)
     power = reflection.ringup_power(times, params)
-    if rng is not None and cfg.noise_level > 0:
-        noise = 1.0 + cfg.noise_level * rng.standard_normal(len(power))
+    rng = _noise_rng(args, cfg)
+    if rng is not None:
+        noise = 1.0 + cfg.noise.level * rng.standard_normal(len(power))
         power = power * np.maximum(noise, 1e-6)
     outputs = {"ringup.csv": write_csv(os.path.join(out, "ringup.csv"),
                                        "time_s,power_w",
@@ -209,7 +215,7 @@ def cmd_simulate_ringup(args, cfg, out):
 
 
 def cmd_simulate_temperature(args, cfg, out):
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
+    rng = _noise_rng(args, cfg)
     temps = np.linspace(cfg.sweep.t_min, cfg.sweep.t_max,
                         cfg.sweep.n_points)
     classes = cfg.sweep_classes()
@@ -219,11 +225,13 @@ def cmd_simulate_temperature(args, cfg, out):
         table, os.path.join(out, "sweep.csv"))}
 
     def noisy(values):
-        if rng is None or cfg.noise_level == 0:
+        if rng is None:
             return values
-        floor = 1e-6 * float(np.max(np.abs(values[np.isfinite(values)])))
+        # a point that is not finite (an infinite Q) takes no noise
+        size = np.where(np.isfinite(values), np.abs(values), 0.0)
+        floor = 1e-6 * float(np.max(size))
         noise = rng.standard_normal(len(values))
-        return values + cfg.noise_level * np.abs(values) * noise \
+        return values + cfg.noise.level * size * noise \
             + floor * rng.standard_normal(len(values))
 
     for name, column in (("freq_trace.csv", "freq_shift"),
@@ -281,15 +289,14 @@ def cmd_distribution(args, cfg, out):
 def _fit_level(cfg):
     """The relative 1 sigma a fit weights its data with: the config's noise
     level, or 1% where it sets none."""
-    return cfg.noise_level if cfg.noise_level > 0 else 0.01
+    return cfg.noise.level if cfg.noise.level > 0 else 0.01
 
 
 def cmd_fit_ringdown(args, cfg, out):
     traces = [datafiles.read_ringdown_csv(p) for p in args.data]
-    if cfg.tls_t2_star is not None:
-        t2_init = cfg.tls_t2_star
-    else:
-        t2_init = t2_star(cfg.tls_t1, cfg.tls_t_phi, cfg.cavity.omega0,
+    t2_init = cfg.tls.t2_star
+    if t2_init is None:
+        t2_init = t2_star(cfg.tls.t1, cfg.tls.t_phi, cfg.cavity.omega0,
                           cfg.cavity.temperature)
     shared = {"t2_star": t2_init, "beta": cfg.distribution.beta,
               "epsilon_s": cfg.distribution.epsilon_s}

@@ -4,8 +4,9 @@ Every physical default is a fitted value from the measured device this
 toolkit models, so a bare `tlscavity simulate ...` run reproduces the
 reference curves. Validation failures raise ConfigError naming the field.
 
-The loader reads the schema from the settings dataclasses' fields (every
-number must be finite); `RunConfig.as_dict` writes it back the same way.
+Every section is a settings dataclass: the loader reads the schema from
+their fields (every number must be finite), and `RunConfig.as_dict` writes
+it back the same way.
 
 Schema (all sections and keys optional; values shown are the defaults)::
 
@@ -63,7 +64,7 @@ Schema (all sections and keys optional; values shown are the defaults)::
 """
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
@@ -74,6 +75,28 @@ from .errors import ConfigError
 from .mattis_bardeen import BCS_RATIO, SuperconductorParams, pair_breaking
 
 _DEFAULT_POWERS = tuple(5.0e13 * 10.0 ** (-0.5 * i) for i in range(10))
+
+
+@dataclass(frozen=True)
+class TlsSettings:
+    """Coherence times of the pulsed-trace ensemble: t2_star, or the t1 and
+    t_phi pair, the other form None."""
+    t1: float = None
+    t_phi: float = None
+    t2_star: float = None
+
+    def __post_init__(self):
+        pair = (self.t1, self.t_phi)
+        if self.t2_star is not None and pair != (None, None):
+            raise ValueError("give either t2_star or the t1/t_phi pair, "
+                             "not both")
+        if self.t2_star is not None:
+            if self.t2_star <= 0:
+                raise ValueError("t2_star must be positive")
+        elif None in pair:
+            raise ValueError("t1 and t_phi must be given together")
+        elif self.t1 <= 0 or self.t_phi <= 0:
+            raise ValueError("t1 and t_phi must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,6 +165,15 @@ class SweepSettings:
 
 
 @dataclass(frozen=True)
+class NoiseSettings:
+    level: float = 0.01
+
+    def __post_init__(self):
+        if self.level < 0:
+            raise ValueError("level must be non-negative")
+
+
+@dataclass(frozen=True)
 class OxideSettings:
     e_max: float = 4.549e-3
     v_ox: float = 4.86e-12
@@ -173,9 +205,8 @@ class RunConfig:
     cavity: CavityParams = field(
         default_factory=lambda: CavityParams(
             f0=7.9e9, kappa0=537.7, kappa_c=496.4, temperature=0.02))
-    tls_t1: float = None
-    tls_t_phi: float = None
-    tls_t2_star: float = 2.86e-7
+    tls: TlsSettings = field(
+        default_factory=lambda: TlsSettings(t2_star=2.86e-7))
     distribution: DistributionParams = field(
         default_factory=lambda: DistributionParams(
             n_tot=2.4e6, beta=3.26, epsilon_s=0.25, g_min=1.0e-3,
@@ -187,7 +218,7 @@ class RunConfig:
     ringdown: RingdownSettings = field(default_factory=RingdownSettings)
     ringup: RingupSettings = field(default_factory=RingupSettings)
     sweep: SweepSettings = field(default_factory=SweepSettings)
-    noise_level: float = 0.01
+    noise: NoiseSettings = field(default_factory=NoiseSettings)
     oxide: OxideSettings = field(default_factory=OxideSettings)
     fit: FitSettings = field(default_factory=FitSettings)
 
@@ -198,8 +229,8 @@ class RunConfig:
         joint_tls_fit samples with.
         """
         times = (dict(t2_star=t2_star) if t2_star is not None else
-                 dict(T1=self.tls_t1, T_phi=self.tls_t_phi,
-                      t2_star=self.tls_t2_star))
+                 dict(T1=self.tls.t1, T_phi=self.tls.t_phi,
+                      t2_star=self.tls.t2_star))
         return self._classes(
             "distribution and tls",
             self.distribution.n_tot if n_tot is None else n_tot, **times)
@@ -223,16 +254,14 @@ class RunConfig:
 
     def as_dict(self):
         """Fully resolved configuration for the run manifest: the loader's
-        field table in reverse, so it loads back as this configuration."""
-        out = {"tls": ({"t2_star": self.tls_t2_star}
-                       if self.tls_t2_star is not None
-                       else {"t1": self.tls_t1, "t_phi": self.tls_t_phi}),
-               "noise": {"level": self.noise_level}}
+        field table in reverse, so it loads back as this configuration.
+        A field that is None (the unused tls form) is left out."""
+        out = {}
         for f in fields(self):
             settings = getattr(self, f.name)
-            if is_dataclass(settings):
-                out[f.name] = {_yaml_key(f.name, g): _plain(getattr(
-                    settings, g.name)) for g in fields(settings)}
+            values = ((g, getattr(settings, g.name)) for g in fields(settings))
+            out[f.name] = {_yaml_key(f.name, g): _plain(value)
+                           for g, value in values if value is not None}
         return out
 
 
@@ -282,7 +311,10 @@ def _as_floats(section, key, value):
 _CONVERT = {float: _as_float, int: _as_int, tuple: _as_floats}
 
 
-def _section(raw, name, known):
+def _load_section(raw, name, default):
+    """The default settings with the section's keys converted and applied."""
+    keys = {_yaml_key(name, f): f for f in fields(default)}
+    known = set(keys) | ({"tc"} if name == "superconductor" else set())
     sec = raw.pop(name, {})
     if sec is None:
         sec = {}
@@ -292,47 +324,24 @@ def _section(raw, name, known):
         if key not in known:
             raise ConfigError("%s.%s: unknown field (known: %s)"
                               % (name, key, ", ".join(sorted(known))))
-    return sec
-
-
-def _load_section(raw, name, default):
-    """The default settings with the section's keys converted and applied."""
-    keys = {_yaml_key(name, f): f for f in fields(default)}
-    known = set(keys) | ({"tc"} if name == "superconductor" else set())
-    sec = _section(raw, name, known)
-    values = {}
-    if "tc" in sec:
-        if "delta0_j" in sec:
-            raise ConfigError("superconductor: give either delta0_j or tc, "
-                              "not both")
-        values["delta0"] = BCS_RATIO * CONSTANTS.k_b * _as_float(
-            "superconductor", "tc", sec["tc"])
-    for key, f in keys.items():
-        if key in sec:
-            values[f.name] = _CONVERT[f.type](name, key, sec[key])
     try:
+        if name == "tls" and sec:
+            # its two forms exclude each other: a given tls section starts
+            # from its own keys alone, their form checked before their values
+            default = TlsSettings(**dict.fromkeys(sec, 1.0))
+        values = {}
+        if "tc" in sec:
+            if "delta0_j" in sec:
+                raise ConfigError("superconductor: give either delta0_j or "
+                                  "tc, not both")
+            values["delta0"] = BCS_RATIO * CONSTANTS.k_b * _as_float(
+                "superconductor", "tc", sec["tc"])
+        for key, f in keys.items():
+            if key in sec:
+                values[f.name] = _CONVERT[f.type](name, key, sec[key])
         return replace(default, **values)
     except (ValueError, TypeError) as exc:
         raise ConfigError("%s: %s" % (name, exc)) from exc
-
-
-def _load_tls(raw, default_t2_star):
-    """(t1, t_phi, t2_star) from the tls section: t2_star or the pair."""
-    sec = _section(raw, "tls", {"t1", "t_phi", "t2_star"})
-    if "t2_star" in sec and ("t1" in sec or "t_phi" in sec):
-        raise ConfigError("tls: give either t2_star or the t1/t_phi pair, "
-                          "not both")
-    if "t1" in sec or "t_phi" in sec:
-        if not ("t1" in sec and "t_phi" in sec):
-            raise ConfigError("tls: t1 and t_phi must be given together")
-        t1, t_phi = (_as_float("tls", k, sec[k]) for k in ("t1", "t_phi"))
-        if t1 <= 0 or t_phi <= 0:
-            raise ConfigError("tls: t1 and t_phi must be positive")
-        return t1, t_phi, None
-    t2 = _as_float("tls", "t2_star", sec.get("t2_star", default_t2_star))
-    if t2 <= 0:
-        raise ConfigError("tls: t2_star must be positive")
-    return None, None, t2
 
 
 def load_config(path=None):
@@ -353,21 +362,9 @@ def load_config(path=None):
             raise ConfigError("config root must be a mapping")
 
     defaults = RunConfig()
-    values = {}
     # sections in RunConfig field order: the first bad one is reported
-    for f in fields(RunConfig):
-        default = getattr(defaults, f.name)
-        if is_dataclass(default):
-            values[f.name] = _load_section(raw, f.name, default)
-        elif f.name == "tls_t2_star":
-            values["tls_t1"], values["tls_t_phi"], values[f.name] = \
-                _load_tls(raw, default)
-        elif f.name == "noise_level":
-            sec = _section(raw, "noise", {"level"})
-            values[f.name] = _as_float("noise", "level",
-                                       sec.get("level", default))
-            if values[f.name] < 0:
-                raise ConfigError("noise.level: must be non-negative")
+    values = {f.name: _load_section(raw, f.name, getattr(defaults, f.name))
+              for f in fields(RunConfig)}
 
     if raw:
         raise ConfigError("unknown top-level section(s): %s"

@@ -40,12 +40,12 @@ def _check_window(dt, t2max, cavity, margin):
             % (dt, hi))
 
 
-# The coarse record of _evolve: per grid point, the recorded work rows -Re
-# Omega', Im Omega', kappa_plus, kappa_minus, v1, kt, n after the step and
-# n, each with one column per trajectory. -Re Omega' is 0 on resonance: its
-# row is never written, and the CSV's re_omega_prime column reads -0.0.
-_RECORDED = 8
-_MINUS_RE_O, _IM_O, _KP, _KM, _N = 0, 1, 2, 3, 7
+# The coarse record of _evolve: per grid point, the recorded work rows Im
+# Omega', kappa_plus, kappa_minus, v1, kt, n after the step and n, each with
+# one column per trajectory. Re Omega' is -0.0 on resonance: it is not
+# recorded, and the CSV's re_omega_prime column reads -0.0.
+_RECORDED = 7
+_IM_O, _KP, _KM, _N = 0, 1, 2, 6
 
 # Grid points per progress call of a recording _evolve.
 _PROGRESS_ROWS = 256
@@ -127,14 +127,14 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
     rows = len(n0) - twins
     cols = max(len(n0), 2)
     times = twin_times = time_grid(t_final, m_pts)
-    # Rows: 0 the bare thermal feed kappa0 f(omega0, T), 1 kappa0; 2 -Re O',
-    # which stays 0; the class sums 3 S (then in place Im O'), 4 kappa_plus,
-    # 5 kappa_minus; 6 v1, 7 kt, 8 n after the step (4-8 are checked); 9 n
-    # (2-9 are recorded), 10 n again and 11 |<a>|^2 (kernel state 9-11);
-    # 12 <a>; 13 a, 14 c, 15 b; 16 e^{-kt dt/2}, 17 its square; 18 c e,
-    # 19 b e^2; 20 q = |O'|^2/kt^2; 21 kt^2; 22 -dt/2; 23 4q, 24 -8q.
-    work = np.zeros((25, cols))
-    (_, _, _, o_im, kp, km, v1, kt, n_next, n, _, amp2, ar, a_t, c_t, b_t,
+    # Rows: 0 the bare thermal feed kappa0 f(omega0, T), 1 kappa0; the
+    # class sums 2 S (then in place Im O'), 3 kappa_plus, 4 kappa_minus; 5
+    # v1, 6 kt, 7 n after the step (3-7 are checked); 8 n (2-8 are
+    # recorded), 9 n again and 10 |<a>|^2 (kernel state 8-10); 11 <a>; 12 a,
+    # 13 c, 14 b; 15 e^{-kt dt/2}, 16 its square; 17 c e, 18 b e^2; 19 q =
+    # |O'|^2/kt^2; 20 kt^2; 21 -dt/2; 22 4q, 23 -8q.
+    work = np.zeros((24, cols))
+    (_, _, o_im, kp, km, v1, kt, n_next, n, _, amp2, ar, a_t, c_t, b_t,
      eh, eh2, ce, be2, q, kt2, decay, q4, q8) = work
     work[0], work[1] = cavity.kappa0 * core.bose_einstein(
         cavity.omega0, cavity.temperature), cavity.kappa0
@@ -147,13 +147,14 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
         retire = m_twin - 1
         twin_times = time_grid(times[2 * retire], m_twin)
         decay[spare] = -0.5 * (twin_times[1] - twin_times[0])
-    twin_n, twin_state = work[9, spare], work[9:11, spare]
+    twin_n, twin_state = work[8, spare], work[8:10, spare]
     twin_log = np.empty((m_twin, twins))
-    sums, checked, record = work[3:6], work[4:9], work[2:10, :rows]
-    state, both_n, rates, feeds, v1_kt = (work[9:12], work[9:11], work[4:6],
-                                          work[0:2], work[6:8])
+    col_grid = [times] * rows + [twin_times] * (cols - rows)
+    sums, checked, record = work[2:5], work[3:8], work[2:9, :rows]
+    state, both_n, rates, feeds, v1_kt = (work[8:11], work[8:10], work[3:5],
+                                          work[0:2], work[5:7])
     terms, weighted_q, cb, e_pair, prods = (
-        work[13:15], work[23:25], work[14:16], work[16:18], work[18:20])
+        work[12:14], work[22:24], work[13:15], work[15:17], work[17:19])
     if history is None:
         history = np.empty(record_shape(m_pts, rows))
     lowest = np.full(checked.shape, np.inf)
@@ -235,7 +236,8 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
                                 kp[r], km[r] = tls_bath.clamp_rates(
                                     float(kp[r]), float(km[r]))
                             except ValueError as exc:
-                                kill(r, exc)
+                                kill(r, SaturationError("%s, at t = %g" % (
+                                    exc, col_grid[r][k])))
                 if not guarded:
                     minimum(lowest, checked, out=lowest)
                 elif fixed:
@@ -245,8 +247,7 @@ def _evolve(table, cavity, n0, t_final, m_pts, history=None, progress=None,
                         if not kt[r] > 0.0:
                             kill(r, SaturationError(
                                 "kappa_tilde = %g, not > 0, at t = %g"
-                                % (kt[r],
-                                   (times if r < rows else twin_times)[k])))
+                                % (kt[r], col_grid[r][k])))
                         elif not n_next[r] >= 0.0:
                             if n_next[r] > -1e-25:
                                 n_next[r] = 0.0
@@ -384,7 +385,8 @@ def write_trajectory_csv(record, r, target, rows, times, time_cells):
     record is a coarse record (record_shape) final up to rows' end, times
     the grid as a list and time_cells datafiles.cells(times), formatted
     once for every trajectory of the grid. kappa is taken against the
-    first point, where it is undefined and written as nan.
+    first point, where it is undefined and written as nan. Re Omega' is
+    -0.0 on resonance, at every point.
     """
     start = rows.start
     n = record[rows, _N, r].tolist()
@@ -397,5 +399,5 @@ def write_trajectory_csv(record, r, target, rows, times, time_cells):
         "im_omega_prime",
         [time_cells[rows], *map(datafiles.cells, (
             n, [math.nan] * (start == 0) + kappa, record[rows, _KP, r],
-            record[rows, _KM, r], -record[rows, _MINUS_RE_O, r],
-            record[rows, _IM_O, r]))])
+            record[rows, _KM, r])), ["-0.0"] * len(n),
+            datafiles.cells(record[rows, _IM_O, r])])

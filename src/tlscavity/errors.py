@@ -38,7 +38,8 @@ class UnidentifiableError(FitError):
 
 
 class SaturationError(TlscavityError):
-    """Effective cavity linewidth went non-positive (bath gain exceeds loss)."""
+    """The step loop stopped a row: net gain (kappa_tilde <= 0), a bath
+    rate negative beyond the clamp's tolerance, or a negative n."""
 
 
 class StepConvergenceError(TlscavityError):

@@ -159,17 +159,15 @@ def freq_shift(t, sc, omega):
 def q_qp(t, sc, omega):
     """Quasiparticle quality factor G |sigma|^2 / (sigma1 sqrt((|sigma|+sigma2) w mu0 / 2)).
 
-    +inf where sigma1 vanishes (T = 0) or is so small that Q overflows.
+    +inf where sigma1 vanishes (T = 0), where it is so small that Q
+    overflows, and where G |sigma|^2 and sigma1 Rs both overflow.
     """
     s1, s2 = conductivity(t, omega, sc)
-    out = np.full(t.shape, math.inf)
-    lossy = s1 != 0.0
-    s1, s2 = s1[lossy], s2[lossy]
     mod = _libm(math.hypot, s1, s2)
-    rs = _libm(math.sqrt, (mod + s2) * omega * CONSTANTS.mu_0 / 2.0)
-    with np.errstate(over="ignore"):
-        out[lossy] = sc.g_factor * mod * mod / (s1 * rs)
-    return out
+    with np.errstate(all="ignore"):
+        rs = _libm(math.sqrt, (mod + s2) * omega * CONSTANTS.mu_0 / 2.0)
+        q = sc.g_factor * mod * mod / (s1 * rs)
+    return np.where(np.isnan(q), math.inf, q)
 
 
 @_on_temperature_axis

@@ -47,18 +47,12 @@ def clamp_rates(kp, km):
     Raises ValueError when either rate is negative beyond _CLAMP_RTOL of the
     positive scale |kappa_plus| + |kappa_minus|.
     """
-    scale = abs(kp) + abs(km) + 1e-30
-    if kp < 0.0:
-        if -kp <= _CLAMP_RTOL * scale:
-            kp = 0.0
-        else:
-            raise ValueError("kappa_plus negative beyond tolerance")
-    if km < 0.0:
-        if -km <= _CLAMP_RTOL * scale:
-            km = 0.0
-        else:
-            raise ValueError("kappa_minus negative beyond tolerance")
-    return kp, km
+    floor = -_CLAMP_RTOL * (abs(kp) + abs(km) + 1e-30)
+    if kp < floor:
+        raise ValueError("kappa_plus = %g, negative beyond tolerance" % kp)
+    if km < floor:
+        raise ValueError("kappa_minus = %g, negative beyond tolerance" % km)
+    return (0.0 if kp < 0.0 else kp), (0.0 if km < 0.0 else km)
 
 
 class ClassTable:

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -206,6 +207,59 @@ def test_simulate_temperature_sweep(tmp_path):
         header = fh.readline().strip().split(",")
     assert header[0] == "temperature_K"
     assert "q_int" in header
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]],
+                         ids=["unseeded", "seeded"])
+def test_overflowing_q_qp_sweep_runs(tmp_path, capsys, seed):
+    """A sigma_n so large that G |sigma|^2 and sigma1 Rs both overflow: q_qp
+    is written as inf and q_int is finite, with no RuntimeWarning (an error
+    under the test settings)."""
+    cfgfile = tmp_path / "huge.yaml"
+    cfgfile.write_text("superconductor:\n  sigma_n: 1.0e300\n" + TINY_SWEEP)
+    out = tmp_path / "run"
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", out, *seed]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert {row["q_qp"] for row in rows} == {"inf"}
+    assert all(math.isfinite(float(row["q_int"])) for row in rows)
+    q_trace = datafiles.read_csv_columns(out / "q_trace.csv",
+                                         ("temperature_K", "q_int"))
+    assert np.all(np.isfinite(q_trace["q_int"]))
+
+
+def test_sweep_noise_leaves_an_infinite_q_int(tmp_path, capsys):
+    """No TLS and an infinite q_qp: every q_int is inf, and the noisy trace
+    keeps it inf, drawing no floor from a column without a finite value."""
+    cfgfile = tmp_path / "lossless.yaml"
+    cfgfile.write_text("superconductor:\n  sigma_n: 1.0e300\n"
+                       + TINY_SWEEP + "  tls_n_tot: 0\n")
+    out = tmp_path / "run"
+    assert run(["simulate", "temperature-sweep", "--config", cfgfile,
+                "--out", out, "--seed", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "q_trace.csv") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 10
+    assert {line.split(",")[1] for line in lines[1:]} == {"inf"}
+
+
+@pytest.mark.parametrize("tls", ["t1: 2.0e-7\n  t_phi: 1.0e-6",
+                                 "t1: 1.0e-7\n  t_phi: 1.0e-3"],
+                         ids=["default_t2_star", "long_t_phi"])
+def test_rate_overshoot_exits_2_with_one_line(tmp_path, capsys, tls):
+    """T1 and T_phi whose kappa_plus overshoots below 0 beyond the clamp's
+    tolerance late in the default ring-down: a model error, exit 2."""
+    cfgfile = tmp_path / "overshoot.yaml"
+    cfgfile.write_text("tls:\n  %s\n" % tls)
+    assert run(["simulate", "ringdown", "--config", cfgfile,
+                "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tlscavity: model error: kappa_plus = -")
+    assert "negative beyond tolerance, at t = " in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def _inputs(tmp_path, command):

@@ -7,9 +7,10 @@ import yaml
 
 from oracles import class_list
 from tlscavity import ConfigError
-from tlscavity.config import (FitSettings, OxideSettings, RingdownSettings,
-                              RingupSettings, RunConfig, SweepSettings,
-                              load_config)
+from tlscavity.cli import main
+from tlscavity.config import (FitSettings, NoiseSettings, OxideSettings,
+                              RingdownSettings, RingupSettings, RunConfig,
+                              SweepSettings, TlsSettings, load_config)
 from tlscavity.core import CavityParams
 from tlscavity.distribution import DistributionParams
 from tlscavity.mattis_bardeen import SuperconductorParams
@@ -21,12 +22,12 @@ def test_defaults():
     assert cfg.cavity.kappa0 == 537.7
     assert cfg.cavity.kappa_c == 496.4
     assert cfg.cavity.temperature == 0.02
-    assert cfg.tls_t2_star == 2.86e-7
+    assert cfg.tls == TlsSettings(t2_star=2.86e-7)
     assert cfg.distribution.beta == 3.26
     assert cfg.distribution.epsilon_s == 0.25
     assert cfg.distribution.n_classes == 7
     assert cfg.superconductor.alpha == 3.3e-5
-    assert cfg.noise_level == 0.01
+    assert cfg.noise.level == 0.01
     assert len(cfg.ringdown.initial_photons) == 10
     assert cfg.ringdown.initial_photons[0] == 5e13
 
@@ -42,9 +43,9 @@ def test_yaml_round_trip(tmp_path):
     assert cfg.cavity.kappa0 == 600.0
     assert cfg.distribution.beta == 2.8
     assert cfg.distribution.n_classes == 14
-    assert cfg.noise_level == 0.02
+    assert cfg.noise.level == 0.02
     # untouched sections fall back to defaults
-    assert cfg.tls_t2_star == 2.86e-7
+    assert cfg.tls.t2_star == 2.86e-7
 
 
 def test_scientific_notation_strings(tmp_path):
@@ -83,8 +84,80 @@ def test_tls_either_or(tmp_path):
         load_config(p)
     p.write_text("tls:\n  t1: 7.23e-7\n  t_phi: 4.84e-7\n")
     cfg = load_config(p)
-    assert cfg.tls_t2_star is None
-    assert cfg.tls_t1 == 7.23e-7
+    assert cfg.tls == TlsSettings(t1=7.23e-7, t_phi=4.84e-7)
+
+
+_DEFAULT_TLS = TlsSettings(t2_star=2.86e-7)
+
+# tls and noise sections with the settings they load to
+_SECTIONS = {
+    "default": ("", _DEFAULT_TLS, 0.01),
+    "empty_tls": ("tls:\n", _DEFAULT_TLS, 0.01),
+    "t2_star": ("tls:\n  t2_star: 3.0e-7\n", TlsSettings(t2_star=3.0e-7),
+                0.01),
+    "t1_t_phi": ("tls:\n  t1: 7.0e-7\n  t_phi: 5.0e-7\n",
+                 TlsSettings(t1=7.0e-7, t_phi=5.0e-7), 0.01),
+    "noise": ("noise:\n  level: 0.02\n", _DEFAULT_TLS, 0.02),
+    "no_noise": ("noise:\n  level: 0\n", _DEFAULT_TLS, 0.0),
+}
+
+# tls and noise sections the loader refuses, with its message
+_REFUSED = {
+    "both_forms": ("tls:\n  t2_star: 3.0e-7\n  t1: 7.0e-7\n"
+                   "  t_phi: 5.0e-7\n",
+                   "tls: give either t2_star or the t1/t_phi pair, not both"),
+    "t1_alone": ("tls:\n  t1: 7.0e-7\n",
+                 "tls: t1 and t_phi must be given together"),
+    "t_phi_alone": ("tls:\n  t_phi: 5.0e-7\n",
+                    "tls: t1 and t_phi must be given together"),
+    "zero_t2_star": ("tls:\n  t2_star: 0\n",
+                     "tls: t2_star must be positive"),
+    "negative_t1": ("tls:\n  t1: -7.0e-7\n  t_phi: 5.0e-7\n",
+                    "tls: t1 and t_phi must be positive"),
+    "zero_t_phi": ("tls:\n  t1: 7.0e-7\n  t_phi: 0.0\n",
+                   "tls: t1 and t_phi must be positive"),
+    # the form is checked before the values
+    "bad_value_of_a_second_form": ("tls:\n  t2_star: 3.0e-7\n  t1: .nan\n",
+                                   "tls: give either t2_star or the t1/t_phi "
+                                   "pair, not both"),
+    "bad_t1_alone": ("tls:\n  t1: abc\n",
+                     "tls: t1 and t_phi must be given together"),
+    "negative_noise": ("noise:\n  level: -0.01\n",
+                       "noise: level must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", _SECTIONS)
+def test_tls_and_noise_sections_load(tmp_path, name):
+    """Each tls form and noise level, in load_config and in a command's
+    manifest, which leaves out the unused tls form."""
+    text, tls, level = _SECTIONS[name]
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    cfg = load_config(p)
+    assert (cfg.tls, cfg.noise) == (tls, NoiseSettings(level=level))
+    assert main(["distribution", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 0
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "config"]
+    assert config["tls"] == {k: v for k, v in dataclasses.asdict(
+        tls).items() if v is not None}
+    assert config["noise"] == {"level": level}
+
+
+@pytest.mark.parametrize("name", _REFUSED)
+def test_tls_and_noise_sections_refused(tmp_path, capsys, name):
+    text, message = _REFUSED[name]
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value) == message
+    capsys.readouterr()
+    assert main(["simulate", "ringup", "--config", str(p),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "tlscavity: config error: %s\n" \
+        % message
 
 
 def test_superconductor_tc_shortcut(tmp_path):
@@ -200,30 +273,29 @@ def _every_field_changed(tls):
         sweep=SweepSettings(t_min=0.1, t_max=3.5, n_points=40,
                             tls_n_tot=4.0e8, tls_t1=8.0e-7,
                             tls_t_phi=5.0e-7),
-        noise_level=0.02,
+        noise=NoiseSettings(level=0.02),
         oxide=OxideSettings(e_max=5.0e-3, v_ox=5.0e-12, eps_r=30.0,
                             g_threshold=80.0, bandwidth=600.0,
                             v_ox_field=2.0e-13),
         fit=FitSettings(m_steps=1500, window_margin=8.0),
-        **tls)
+        tls=tls)
 
 
 @pytest.mark.parametrize("cfg", [
     RunConfig(),
-    _every_field_changed({"tls_t2_star": 3.1e-7}),
-    _every_field_changed({"tls_t1": 6.0e-7, "tls_t_phi": 4.0e-7,
-                          "tls_t2_star": None}),
+    _every_field_changed(TlsSettings(t2_star=3.1e-7)),
+    _every_field_changed(TlsSettings(t1=6.0e-7, t_phi=4.0e-7)),
 ], ids=["defaults", "t2_star", "t1_t_phi"])
 def test_manifest_config_reloads_as_the_same_run(tmp_path, cfg):
     base = RunConfig()
     if cfg != base:
+        # every field set differs from its default; the unused tls form is
+        # None
         for f in dataclasses.fields(cfg):
             value, default = getattr(cfg, f.name), getattr(base, f.name)
-            if dataclasses.is_dataclass(value):
-                for g in dataclasses.fields(value):
+            for g in dataclasses.fields(value):
+                if getattr(value, g.name) is not None:
                     assert getattr(value, g.name) != getattr(default, g.name)
-            elif value is not None:
-                assert value != default
     p = tmp_path / "manifest_config.yaml"
     p.write_text(yaml.safe_dump(cfg.as_dict()))
     assert load_config(p) == cfg

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import math
+import re
 import tracemalloc
 import warnings
 from typing import NamedTuple
@@ -13,10 +15,14 @@ import oracles
 from oracles import TlsClass, class_arrays, class_list
 from tlscavity import (CavityParams, ClassTable, SaturationError,
                        StepConvergenceError, StepWindowError, bath_rates,
-                       evolve_ringdown, evolve_table, kappa_of_time)
+                       evolve_ringdown, evolve_table, fitting, kappa_of_time)
+from tlscavity.config import TlsSettings
 from tlscavity.core import bose_einstein
-from tlscavity.dynamics import (_IM_O, _KM, _KP, _MINUS_RE_O, _RECORDED,
-                                Trajectory, _evolve, record_shape)
+from tlscavity.datafiles import cells
+from tlscavity.tls_bath import clamp_rates
+from tlscavity.dynamics import (_IM_O, _KM, _KP, _RECORDED, Trajectory,
+                                _evolve, record_shape, time_grid,
+                                write_trajectory_csv)
 
 
 def _rows_table(rows, cavity):
@@ -33,7 +39,7 @@ class Recorded(NamedTuple):
     n: np.ndarray
     kappa_plus: np.ndarray
     kappa_minus: np.ndarray
-    omega_prime: np.ndarray
+    im_omega_prime: np.ndarray
 
 
 def _with_rates(results, record):
@@ -42,14 +48,8 @@ def _with_rates(results, record):
     out = []
     for r, res in enumerate(results):
         if isinstance(res, Trajectory):
-            # the record keeps -Re Omega': negated into a new array, not in
-            # place (numpy 2.4 negates a 64-byte-strided view wrongly in
-            # place)
-            omega = np.empty(len(res.times), dtype=complex)
-            omega.real = -record[:, _MINUS_RE_O, r]
-            omega.imag = record[:, _IM_O, r]
             res = Recorded(res.times, res.n, record[:, _KP, r],
-                           record[:, _KM, r], omega)
+                           record[:, _KM, r], record[:, _IM_O, r])
         out.append(res)
     return out
 
@@ -196,17 +196,51 @@ def test_saturation_error_on_net_gain(cavity):
     assert isinstance(got, SaturationError)
 
 
+def test_rate_overshoot_stops_the_row_with_a_saturation_error(cfg):
+    """T1 and T_phi whose quasi-steady kappa_plus overshoots below 0 beyond
+    the clamp's tolerance: the row stops with a SaturationError naming the
+    rate, its value and t, which the joint fit rejects as a trial point;
+    clamp_rates and bath_rates still raise ValueError."""
+    classes = dataclasses.replace(
+        cfg, tls=TlsSettings(t1=2.0e-7, t_phi=1.0e-6)).trace_classes(1.2e8)
+    table = ClassTable(*classes, cfg.cavity.omega0, cfg.cavity.temperature)
+    for verify in (False, True):
+        got, = evolve_table(table, cfg.cavity, [1.6e9], 0.022, 4000,
+                            verify=verify)
+        assert isinstance(got, SaturationError)
+        assert isinstance(got, fitting._REJECTED)
+        assert re.fullmatch(r"kappa_plus = -[0-9.e-]+, negative beyond "
+                            r"tolerance, at t = [0-9.e-]+", str(got))
+    with pytest.raises(ValueError, match="^kappa_plus = -1, negative"):
+        clamp_rates(-1.0, 1.0)
+    with pytest.raises(ValueError, match="^kappa_minus = -1, negative"):
+        clamp_rates(1.0, -1.0)
+    with pytest.raises(ValueError, match="^kappa_plus = -0.2"):
+        bath_rates(classes, 1e8, 1e4, cfg.cavity.omega0,
+                   cfg.cavity.temperature)
+
+
 def test_on_resonance_re_omega_prime_keeps_its_sign_bit(trace_classes,
                                                         cavity):
-    """On resonance Re Omega' is -0.0 at every point, alone and in a batch:
-    the record's -Re Omega' row stays +0.0, and the sign comes from
-    negating it where it is read."""
-    alone = _alone(5e13, trace_classes, cavity, 0.022, 2000, verify=False)
-    batch = _table_rates(_rows_table([trace_classes] * 2, cavity), cavity,
-                         [5e13, 1e11], 0.022, 2000, verify=[True, False])
-    for traj in (alone, *batch):
-        assert np.all(traj.omega_prime.real == 0.0)
-        assert np.all(np.signbit(traj.omega_prime.real))
+    """On resonance the CSV's re_omega_prime cell is -0.0 at every point,
+    for a lone trace and for each of a batch of ten, written in two
+    slices."""
+    m = 400
+    times = time_grid(0.004, m)
+    for rows in (1, 10):
+        record = np.empty(record_shape(m, rows))
+        assert not any(isinstance(traj, Exception) for traj in evolve_table(
+            _rows_table([trace_classes] * rows, cavity), cavity,
+            np.geomspace(5e13, 1e11, rows), 0.004, m, record=record))
+        for r in range(rows):
+            text = io.StringIO()
+            for part in (slice(0, 150), slice(150, m)):
+                write_trajectory_csv(record, r, text, part, times.tolist(),
+                                     cells(times))
+            header, *lines = text.getvalue().splitlines()
+            column = header.split(",").index("re_omega_prime")
+            assert len(lines) == m
+            assert {line.split(",")[column] for line in lines} == {"-0.0"}
 
 
 def test_step_window_enforced(trace_classes, cavity):
@@ -264,7 +298,7 @@ _batch_rows = hst.integers(0, 12).flatmap(lambda size: hst.lists(
 def _same_trajectory(a, b):
     return all(np.array_equal(getattr(a, name), getattr(b, name))
                for name in ("times", "n", "kappa_plus", "kappa_minus",
-                            "omega_prime"))
+                            "im_omega_prime"))
 
 
 def _solo(fn):
@@ -586,8 +620,10 @@ def _bitwise(a, b):
 
 
 def _matches_reference(traj, ref):
+    n, kp, km, omega = ref
     return all(_bitwise(got, want) for got, want in zip(
-        (traj.n, traj.kappa_plus, traj.kappa_minus, traj.omega_prime), ref))
+        (traj.n, traj.kappa_plus, traj.kappa_minus, traj.im_omega_prime),
+        (n, kp, km, omega.imag.copy())))
 
 
 @pytest.mark.parametrize("size", [7, 9])

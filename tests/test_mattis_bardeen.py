@@ -128,6 +128,14 @@ def test_q_qp_reference(sc):
         assert q_qp(t, sc, W0) == pytest.approx(ref, rel=1e-10)
 
 
+def test_q_qp_overflow_is_inf(sc):
+    """Where G |sigma|^2 and sigma1 Rs both overflow, Q_QP is +inf, as it
+    grows with sigma_n (no RuntimeWarning)."""
+    huge = SuperconductorParams(delta0=sc.delta0, sigma_n=1.0e300,
+                                alpha=sc.alpha, g_factor=sc.g_factor)
+    assert np.all(q_qp(np.array([0.05, 1.0, 4.0]), huge, W0) == math.inf)
+
+
 def test_q_qp_monotone_decreasing(sc):
     temps = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
     qs = [q_qp(t, sc, W0) for t in temps]
